@@ -8,127 +8,10 @@ bargmann     the holomorphic function space, its basis, operators, kernels
 bath         Gibbs measure: moments, partition integrals, tilts, the sphere map
 dynamics     evolution: spectral, transport PDE, damped, particle ensembles
 chain        the oscillator chain as a lattice field
+fits         log-log slope and decay-rate fits used by the checks
+errors       typed numerical failures
 reports      machine-readable check records
 cli          the experiment harness (`thermofock` entry point)
-
-Names are loaded lazily on first attribute access, so importing the package
-stays cheap and the CLI can pin thread environment variables before any
-numerics library comes in.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "exact",
-    "phasespace",
-    "bargmann",
-    "bath",
-    "dynamics",
-    "chain",
-    "fits",
-    "reports",
-    "errors",
-    "cli",
-)
-
-_EXPORTS = {
-    # errors
-    "ThermoFockError": "errors",
-    "CapacityError": "errors",
-    "TruncationError": "errors",
-    "SamplerError": "errors",
-    "StabilityError": "errors",
-    # exact field
-    "SqrtTwoComplex": "exact",
-    # phase space
-    "PhaseRing": "phasespace",
-    "PhasePolynomial": "phasespace",
-    "PhasePoint": "phasespace",
-    "OscillatorParams": "phasespace",
-    "poisson_bracket": "phasespace",
-    "jacobian_bracket": "phasespace",
-    "liouville_apply": "phasespace",
-    "oscillator_hamiltonian": "phasespace",
-    "z_element": "phasespace",
-    "zbar_element": "phasespace",
-    "to_normal_coordinates": "phasespace",
-    "from_normal_coordinates": "phasespace",
-    "hamilton_step": "phasespace",
-    "hamilton_orbit": "phasespace",
-    "oscillator_energy": "phasespace",
-    # holomorphic space
-    "BargmannMeasure": "bargmann",
-    "FockVector": "bargmann",
-    "OperatorMatrix": "bargmann",
-    "basis_eval": "bargmann",
-    "inner_product": "bargmann",
-    "gram_quadrature": "bargmann",
-    "gram_montecarlo": "bargmann",
-    "coherent_vector": "bargmann",
-    "ladder": "bargmann",
-    "ladder_matrix": "bargmann",
-    "quadrature_operators": "bargmann",
-    "hamiltonian_matrix": "bargmann",
-    "commutator": "bargmann",
-    "kernel_eval": "bargmann",
-    "coherent_span_residual": "bargmann",
-    "spread_points": "bargmann",
-    # bath
-    "BathParams": "bath",
-    "moment_report": "bath",
-    "sample_equilibrium": "bath",
-    "partition_estimate": "bath",
-    "gibbs_inner_product": "bath",
-    "VariationGenerator": "bath",
-    "random_antisymmetric": "bath",
-    "variation_split": "bath",
-    "gibbs_first_order_defect": "bath",
-    "tilt_measure": "bath",
-    "SphereParams": "bath",
-    "sphere_pushforward_check": "bath",
-    "ks_threshold_99": "bath",
-    # dynamics
-    "AngularProfile": "dynamics",
-    "DampingParams": "dynamics",
-    "profile_from_fock": "dynamics",
-    "l2_grid_distance": "dynamics",
-    "transport_solve": "dynamics",
-    "evolve_exact": "dynamics",
-    "schrodinger_evolve": "dynamics",
-    "damped_solution": "dynamics",
-    "sample_fock_density": "dynamics",
-    "ensemble_evolve": "dynamics",
-    # chain
-    "ChainParams": "chain",
-    "ChainState": "chain",
-    "ModeSet": "chain",
-    "chain_energy": "chain",
-    "dispersion": "chain",
-    "normal_modes": "chain",
-    "reconstruct_state": "chain",
-    "rescale_modes": "chain",
-    "sample_thermal_state": "chain",
-    "integrate_chain": "chain",
-    "spectral_dispersion": "chain",
-    "continuum_error": "chain",
-    "continuum_params_for": "chain",
-    "mode_commutator_check": "chain",
-    "chain_relax": "chain",
-}
-
-__all__ = ["__version__", *_SUBMODULES, *_EXPORTS]
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    module = _EXPORTS.get(name)
-    if module is not None:
-        return getattr(importlib.import_module(f".{module}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)

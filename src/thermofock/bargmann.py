@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_laguerre
+from numpy.polynomial.laguerre import laggauss
 
 from .errors import TruncationError
 from .phasespace import OscillatorParams
@@ -29,7 +30,6 @@ __all__ = [
     "MCEstimate",
     "OperatorMatrix",
     "SpanResidual",
-    "basis_eval",
     "inner_product",
     "gram_quadrature",
     "gram_montecarlo",
@@ -45,9 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_TRUNCATION = 32
-
-# direct monomial evaluation is safe up to 20!; past that use log-gamma
-_DIRECT_N = 20
 
 
 def _check_hbar(hbar: float) -> float:
@@ -67,7 +64,7 @@ def _quad_grid(hbar: float, n_max: int):
     """
     n_radial = n_max + 1
     n_angular = 2 * n_max + 3
-    s, w = roots_laguerre(n_radial)
+    s, w = laggauss(n_radial)
     phi = 2.0 * np.pi * np.arange(n_angular) / n_angular
     r = np.sqrt(hbar * s)
     z = r[:, None] * np.exp(1j * phi)[None, :]
@@ -90,31 +87,6 @@ class BargmannMeasure:
         x = rng.normal(0.0, sigma, n_samples)
         y = rng.normal(0.0, sigma, n_samples)
         return x + 1j * y
-
-    def quadrature(self, n_max: int):
-        return _quad_grid(self.hbar, int(n_max))
-
-
-def basis_eval(n: int, z: complex, hbar: float) -> complex:
-    """Evaluate e_n(z) = z^n / sqrt(n! hbar^n).
-
-    Uses the direct formula for n <= 20 and a log-gamma stabilized form
-    beyond, so large-n evaluations neither overflow nor lose the phase.
-    """
-    hbar = _check_hbar(hbar)
-    n = int(n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    z = complex(z)
-    if n == 0:
-        return 1.0 + 0j
-    if z == 0:
-        return 0j
-    if n <= _DIRECT_N:
-        return z ** n / math.sqrt(math.factorial(n) * hbar ** n)
-    log_mag = n * math.log(abs(z)) - 0.5 * gammaln(n + 1) - 0.5 * n * math.log(hbar)
-    phase = n * math.atan2(z.imag, z.real)
-    return complex(math.exp(log_mag) * math.cos(phase), math.exp(log_mag) * math.sin(phase))
 
 
 def _basis_matrix(z: np.ndarray, n_max: int, hbar: float) -> np.ndarray:
@@ -296,12 +268,16 @@ def coherent_vector(c: complex, n_max: int = DEFAULT_TRUNCATION, hbar: float = 1
     """
     hbar = _check_hbar(hbar)
     c = complex(c)
+    log_norm2 = hbar * abs(c) ** 2
+    if log_norm2 > math.log(sys.float_info.max):
+        raise ValueError(f"hbar |c|^2 = {log_norm2:.6g} is too large: "
+                         "the squared norm exp(hbar |c|^2) overflows a float")
     coeffs = np.empty(n_max + 1, dtype=complex)
     coeffs[0] = 1.0
     amp = c * math.sqrt(hbar)
     for n in range(1, n_max + 1):
         coeffs[n] = coeffs[n - 1] * amp / math.sqrt(n)
-    tail = max(math.exp(hbar * abs(c) ** 2) - float(np.sum(np.abs(coeffs) ** 2)), 0.0)
+    tail = max(math.exp(log_norm2) - float(np.sum(np.abs(coeffs) ** 2)), 0.0)
     if tail_tol is not None and tail > tail_tol:
         raise TruncationError(
             f"coherent tail mass {tail:.3e} exceeds tolerance {tail_tol:.3e} "

@@ -1,300 +1,74 @@
-"""Acceptance suite: twelve end-to-end verifications of the construction,
-one per numbered check, each printing a single pass/fail line with the
-measured numbers, the tolerance it was held to, and the wall-clock bound
-where the experiment is heavy.  Seeds are pinned; nothing here is free to
-drift between runs.
+"""Acceptance suite: the twelve numbered claims a01-a12, each defined by the
+`thermofock` subcommands that check it.  A row names the claim, the CLI
+invocations it runs and its wall-clock bound; the invocations are parsed by
+the CLI's own parser and run in-process through its runners, so the suite
+and the command line share one definition of every check.  Each row prints a
+single [PASS]/[FAIL] line with every check's measured value, oracle and
+tolerance.  Seeds are pinned; nothing here is free to drift between runs.
 """
 
 import math
+import shlex
 import time
 
-import numpy as np
-import pytest
-
-from thermofock.bargmann import (
-    coherent_vector,
-    commutator,
-    gram_montecarlo,
-    gram_quadrature,
-    hamiltonian_matrix,
-    ladder_matrix,
-    quadrature_operators,
-)
-from thermofock.bath import (
-    SphereParams,
-    gibbs_first_order_defect,
-    ks_threshold_99,
-    partition_estimate,
-    random_antisymmetric,
-    sphere_pushforward_check,
-    variation_split,
-    VariationGenerator,
-)
-from thermofock.chain import (
-    ChainParams,
-    continuum_error,
-    continuum_params_for,
-    dispersion,
-    integrate_chain,
-    mode_commutator_check,
-    sample_thermal_state,
-    spectral_dispersion,
-)
-from thermofock.dynamics import (
-    DampingParams,
-    ensemble_evolve,
-    l2_grid_distance,
-    profile_from_fock,
-    schrodinger_evolve,
-    transport_solve,
-)
-from thermofock.fits import fit_decay_rate, fit_loglog_slope
-from thermofock.phasespace import (
-    OscillatorParams,
-    PhasePoint,
-    PhaseRing,
-    hamilton_orbit,
-    oscillator_energy,
-    oscillator_hamiltonian,
-)
+from thermofock import cli
 
 
-@pytest.fixture
-def announce(capsys):
-    """Print one [PASS]/[FAIL] line per check, then enforce it."""
-    def _line(name, passed, detail):
+def acceptance(label, *invocations, bound=None, exact=()):
+    """The test of one claim: it passes when every check of every invocation
+    passed, each check named in `exact` measured its oracle exactly, and the
+    row finished inside `bound` seconds."""
+
+    def test(capsys):
+        parser = cli.build_parser()
+        start = time.perf_counter()
+        checks = []
+        for line in invocations:
+            args = parser.parse_args(shlex.split(line))
+            report, _ = cli.RUNNERS[args.command](args)
+            checks += report.checks
+        elapsed = time.perf_counter() - start
+        exact_ok = {c.name for c in checks if c.measured == c.oracle} >= set(exact)
+        ok = (all(c.passed for c in checks) and exact_ok
+              and (bound is None or elapsed < bound))
+        detail = "; ".join(cli.format_check(c) for c in checks)
+        if exact:
+            detail += f"; {', '.join(exact)} exact: {exact_ok}"
+        detail += f"; {elapsed:.1f}s" + (f" (bound {bound}s)" if bound else "")
         with capsys.disabled():
-            print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}", flush=True)
-        assert passed, f"{name}: {detail}"
-    return _line
+            print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}", flush=True)
+        assert ok, f"{label}: {detail}"
+
+    return test
 
 
-def test_a01_basis_orthonormality(announce):
-    t0 = time.perf_counter()
-    n_max, hbar = 16, 1.0
-    eye = np.eye(n_max + 1)
-    quad_dev = float(np.max(np.abs(gram_quadrature(n_max, hbar) - eye)))
-    mean, se = gram_montecarlo(n_max, hbar, samples=1_000_000, seed=7)
-    dev = np.abs(mean - eye)
-    ratio = np.zeros_like(dev)
-    stochastic = se > 0
-    ratio[stochastic] = dev[stochastic] / se[stochastic]
-    # the (0,0) integrand is constant: zero spread, zero deviation required
-    exact_ok = bool(np.all(dev[~stochastic] == 0.0))
-    worst = float(np.max(ratio))
-    elapsed = time.perf_counter() - t0
-    ok = quad_dev <= 1e-10 and worst <= 3.0 and exact_ok and elapsed < 10.0
-    announce("a01 basis-orthonormality", ok,
-             f"quadrature dev {quad_dev:.2e} (tol 1e-10), "
-             f"mc worst entry {worst:.2f} se (tol 3 se, 1e6 samples, seed 7), "
-             f"{elapsed:.1f}s (bound 10s)")
-
-
-def test_a02_ladder_commutators(announce):
-    worst = 0.0
-    for hbar, n_max in ((1.0, 16), (0.5, 32), (2.0, 64), (1.0, 64)):
-        a = ladder_matrix("annihilate", n_max, hbar)
-        c = ladder_matrix("create", n_max, hbar)
-        interior = commutator(a, c)[: n_max, : n_max]
-        worst = max(worst, float(np.max(np.abs(
-            interior - hbar * np.eye(n_max)))))
-        q, p = quadrature_operators(hbar, n_max)
-        interior_qp = commutator(q, p)[: n_max, : n_max]
-        worst = max(worst, float(np.max(np.abs(
-            interior_qp - 1j * hbar * np.eye(n_max)))))
-    ok = worst <= 1e-12
-    announce("a02 ladder-commutators", ok,
-             f"worst interior deviation {worst:.2e} over sizes up to 64 "
-             f"(tol 1e-12)")
-
-
-def test_a03_ordering_gap_and_phase(announce):
-    params = OscillatorParams(1.0)
-    hbar, n_max = 1.0, 32
-    h_norm = hamiltonian_matrix("normal", params, hbar, n_max).matrix
-    h_sym = hamiltonian_matrix("symmetric", params, hbar, n_max).matrix
-    gap_exact = bool(np.array_equal(h_sym - h_norm,
-                                    0.5 * np.eye(n_max + 1)))
-    rng = np.random.default_rng(3)
-    coeffs = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
-    from thermofock.bargmann import FockVector
-    psi = FockVector(coeffs, hbar).normalized()
-    phase_dev = 0.0
-    for t in (0.3, 1.7, 10.0):
-        sym = schrodinger_evolve(psi, t, "symmetric", params)
-        norm = schrodinger_evolve(psi, t, "normal", params)
-        expected = norm.coeffs * np.exp(-1j * params.omega * t / 2.0)
-        phase_dev = max(phase_dev, float(np.max(np.abs(sym.coeffs - expected))))
-    ok = gap_exact and phase_dev <= 1e-12
-    announce("a03 ordering-gap-and-phase", ok,
-             f"gap == (hbar w/2) I exactly: {gap_exact}; "
-             f"global phase exp(-i w t/2) dev {phase_dev:.2e} (tol 1e-12)")
-
-
-def test_a04_transport_matches_schrodinger(announce):
-    t0 = time.perf_counter()
-    params = OscillatorParams(1.0)
-    hbar, grid = 1.0, 512
-    rng = np.random.default_rng(3)
-    from thermofock.bargmann import FockVector
-    raw = (rng.standard_normal(20) + 1j * rng.standard_normal(20))
-    raw *= 0.5 ** np.arange(20)
-    psi = FockVector(raw, hbar).normalized()
-    radius = 1.0
-    base = profile_from_fock(psi, radius, grid)
-    worst = 0.0
-    for t in np.linspace(0.0, 10.0 / params.omega, 6):
-        classical = transport_solve(base, float(t), params, scheme="spectral")
-        quantum = profile_from_fock(
-            schrodinger_evolve(psi, float(t), "normal", params), radius, grid)
-        worst = max(worst, l2_grid_distance(classical, quantum))
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-8 and elapsed < 5.0
-    announce("a04 transport-matches-schrodinger", ok,
-             f"max L2 grid distance {worst:.2e} over t in [0, 10/w] at G=512 "
-             f"(tol 1e-8), {elapsed:.1f}s (bound 5s)")
-
-
-def test_a05_coherent_ensemble_mean(announce):
-    t0 = time.perf_counter()
-    params = OscillatorParams(1.0)
-    c, hbar = 0.5 + 0.0j, 1.0
-    f = coherent_vector(c, n_max=32, hbar=hbar).normalized()
-    times = np.linspace(0.0, 2.0 * math.pi, 20)
-    hist = ensemble_evolve(f, params, times, n_samples=100_000, seed=7)
-    worst = 0.0
-    for t, report in zip(hist.times, hist.moments):
-        target = hbar * np.conj(c) * np.exp(-1j * params.omega * t)
-        se_re, se_im = report.mean_se
-        worst = max(worst,
-                    abs(report.mean.real - target.real) / (4.0 * se_re),
-                    abs(report.mean.imag - target.imag) / (4.0 * se_im))
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1.0 and elapsed < 30.0
-    announce("a05 coherent-ensemble-mean", ok,
-             f"worst |<z> - hbar conj(c) e^(-iwt)| = {worst:.2f} x 4se "
-             f"(tol 1, 1e5 particles, 20 times, seed 7), "
-             f"{elapsed:.1f}s (bound 30s)")
-
-
-def test_a06_action_cell_estimate(announce):
-    ring = PhaseRing.canonical(1)
-    h_poly = oscillator_hamiltonian(ring, 1.0)
-    beta = 1.0
-    exact = 2.0 * math.pi
-    analytic = partition_estimate(h_poly, beta, 1, method="analytic")
-    mc = partition_estimate(h_poly, beta, 1, method="montecarlo",
-                            samples=1_000_000, seed=7)
-    rel = abs(mc.h - exact) / exact
-    ok = analytic.h == exact and analytic.stderr == 0.0 and rel <= 0.01
-    announce("a06 action-cell-estimate", ok,
-             f"analytic h = 2 pi exactly: {analytic.h == exact}; "
-             f"mc h off by {rel:.2%} (tol 1%, 1e6 samples, seed 7)")
-
-
-def test_a07_gibbs_variation_split(announce):
-    ring = PhaseRing.canonical(2)
-    h_poly = oscillator_hamiltonian(ring, 1.0)
-    rng = np.random.default_rng(123)
-    x = rng.standard_normal(4)
-    worst = 0.0
-    for _ in range(100):
-        gen = random_antisymmetric(4, rng)
-        split = variation_split(x, h_poly, gen, rng.standard_normal(4) * 1e-3)
-        worst = max(worst, split.generator_defect)
-    dts = np.logspace(-4, -2, 9)
-    defects = gibbs_first_order_defect(x, h_poly,
-                                       VariationGenerator.standard(2), dts)
-    slope = fit_loglog_slope(dts, defects)
-    ok = worst <= 1e-12 and abs(slope - 2.0) <= 0.1
-    announce("a07 gibbs-variation-split", ok,
-             f"grad H . Omega grad H worst {worst:.2e} over 100 draws "
-             f"(tol 1e-12); taylor slope {slope:.3f} (2 +- 0.1)")
-
-
-def test_a08_damped_relaxation(announce):
-    params = OscillatorParams(1.0)
-    alpha = 0.01 * params.omega
-    dt = 2.0 * math.pi / 512.0
-    n_steps = int(round(400.0 / dt))
-    times, qs, ps = hamilton_orbit(PhasePoint(1.0, 0.0), params, dt, n_steps,
-                                   friction=alpha, stride=16)
-    amplitude = np.hypot(qs, ps)
-    rate = fit_decay_rate(times, amplitude)
-    rate_rel = abs(rate - alpha / 2.0) / (alpha / 2.0)
-
-    # coherent amplitudes at the damped centers: every |coefficient| must
-    # follow the envelope down, none may grow
-    envelope = DampingParams(alpha)
-    centers = 0.5 * np.exp(-alpha * np.linspace(0.0, 400.0, 41) / 2.0)
-    mags = np.stack([np.abs(coherent_vector(c, n_max=24).coeffs)
-                     for c in centers])
-    monotone = bool(np.all(np.diff(mags, axis=0) <= 1e-15))
-
-    # alpha = 0 control: leapfrog holds the energy to its own ripple bound
-    t0, q0, p0 = hamilton_orbit(PhasePoint(1.0, 0.0), params, dt, n_steps,
-                                friction=0.0, stride=16)
-    e = 0.5 * params.omega * (q0 ** 2 + p0 ** 2)
-    e_start = oscillator_energy(PhasePoint(1.0, 0.0), params)
-    drift = float(np.max(np.abs(e - e_start))) / e_start
-    ripple = (params.omega * dt) ** 2 / 2.0
-    ok = rate_rel <= 0.01 and monotone and drift <= ripple
-    announce("a08 damped-relaxation", ok,
-             f"fitted rate off alpha/2 by {rate_rel:.2%} (tol 1%); "
-             f"coefficient envelopes monotone: {monotone}; "
-             f"alpha=0 energy drift {drift:.2e} (bound {ripple:.2e}); "
-             f"relaxation time {envelope.relaxation_time:.0f}")
-
-
-def test_a09_chain_dispersion(announce):
-    t0 = time.perf_counter()
-    params = ChainParams(n_sites=256)
-    state = sample_thermal_state(params, 1.0, seed=42)
-    duration = 200.0 * 2.0 * math.pi / dispersion(0.0, params)
-    traj = integrate_chain(state, params, duration=duration, dt=0.05, stride=12)
-    meas = spectral_dispersion(traj, params)
-    n_skipped = int(np.sum(meas.skipped))
-    elapsed = time.perf_counter() - t0
-    ok = n_skipped == 0 and meas.max_error <= meas.resolution and elapsed < 60.0
-    announce("a09 chain-dispersion", ok,
-             f"256 modes, max |w_meas - w(k)| = {meas.max_error:.2e} "
-             f"(resolution {meas.resolution:.2e}), {n_skipped} skipped, "
-             f"seed 42, {elapsed:.1f}s (bound 60s)")
-
-
-def test_a10_continuum_limit(announce):
-    k_phys = math.pi / 4.0
-    errs = [continuum_error(k_phys, continuum_params_for(a, field_mass=1.0))
-            for a in (1.0, 0.5, 0.25)]
-    f1 = errs[0] / errs[1]
-    f2 = errs[1] / errs[2]
-    ok = abs(f1 - 4.0) <= 0.8 and abs(f2 - 4.0) <= 0.8
-    announce("a10 continuum-limit", ok,
-             f"halving the spacing shrinks the dispersion error by "
-             f"{f1:.2f} then {f2:.2f} (4 +- 0.8)")
-
-
-def test_a11_multimode_commutators(announce):
-    residual = mode_commutator_check(3, 5, hbar=1.0)
-    worst = float(np.max(np.abs(residual)))
-    ok = bool(np.all(residual == 0.0))
-    announce("a11 multimode-commutators", ok,
-             f"3 modes x 5 levels, shared hbar: worst residual {worst:.1e} "
-             f"(required exactly 0)")
-
-
-def test_a12_sphere_pushforward(announce):
-    beta, omega = 1.0, 1.0
-    params = SphereParams(radius=math.sqrt(1.0 / (2.0 * beta * omega)),
-                          beta=beta)
-    n = 100_000
-    out = sphere_pushforward_check(params, n, seed=21)
-    bound = ks_threshold_99(n)
-    area_rel = abs(out.h_sphere - 2.0 * math.pi / (beta * omega)) / (
-        2.0 * math.pi / (beta * omega))
-    ok = (out.passed and out.ks_radial < bound and out.ks_angular < bound
-          and area_rel <= 1e-12)
-    announce("a12 sphere-pushforward", ok,
-             f"KS radial {out.ks_radial:.4f}, angular {out.ks_angular:.4f} "
-             f"(99% threshold {bound:.5f}, 1e5 draws, seed 21); "
-             f"area matches the action cell to {area_rel:.1e}")
+test_a01_basis_orthonormality = acceptance(
+    "a01 basis-orthonormality",
+    "gram --nmax 16 --hbar 1.0 --samples 1e6 --seed 7", bound=10)
+test_a02_ladder_commutators = acceptance(
+    "a02 ladder-commutators",
+    *(f"commutator --hbar {hbar} --nmax {nmax}"
+      for hbar, nmax in ((1, 16), (0.5, 32), (2, 64), (1, 64))))
+test_a03_ordering_gap_and_phase = acceptance(
+    "a03 ordering-gap-and-phase",
+    "commutator --nmax 32", "evolve --nmax 32 --seed 3")
+test_a04_transport_matches_schrodinger = acceptance(
+    "a04 transport-matches-schrodinger",
+    "evolve --nmax 19 --n-times 6 --seed 3", bound=5)
+test_a05_coherent_ensemble_mean = acceptance(
+    "a05 coherent-ensemble-mean", "ensemble --seed 7", bound=30)
+test_a06_action_cell_estimate = acceptance(
+    "a06 action-cell-estimate", "partition --seed 7",
+    exact=("analytic-action-cell",))
+test_a07_gibbs_variation_split = acceptance(
+    "a07 gibbs-variation-split", "variation --seed 123")
+test_a08_damped_relaxation = acceptance(
+    "a08 damped-relaxation",
+    f"damp --dt {2 * math.pi / 512!r} --t-max 400 --nmax 24")
+test_a09_chain_dispersion = acceptance(
+    "a09 chain-dispersion", "chain-dispersion --seed 42", bound=60)
+test_a10_continuum_limit = acceptance("a10 continuum-limit", "continuum")
+test_a11_multimode_commutators = acceptance(
+    "a11 multimode-commutators", "mode-commutator")
+test_a12_sphere_pushforward = acceptance(
+    "a12 sphere-pushforward", "sphere --seed 21")

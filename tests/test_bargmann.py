@@ -46,6 +46,15 @@ def test_quadrature_gram_identity_large_truncation():
     assert np.max(np.abs(g - np.eye(17))) < 1e-10
 
 
+def test_laguerre_rule_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    for n in range(1, 162):
+        nodes, weights = np.polynomial.laguerre.laggauss(n)
+        ref_nodes, ref_weights = special.roots_laguerre(n)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-12)
+        np.testing.assert_allclose(weights, ref_weights, rtol=1e-10)
+
+
 def test_montecarlo_gram_matches_within_stated_errors():
     mean, se = gram_montecarlo(8, 1.0, 200_000, seed=11)
     err = np.abs(mean - np.eye(9))

@@ -247,6 +247,18 @@ def test_sphere_pushforward_both_marginals():
     assert out.ks_angular < ks_threshold_99(100_000)
 
 
+# seed 21 is the a12 draw; at seed 3 both distances come from the lower side
+@pytest.mark.parametrize("seed", [21, 3])
+def test_ks_statistic_matches_scipy(seed):
+    stats = pytest.importorskip("scipy.stats")
+    params = SphereParams(radius=math.sqrt(0.5), beta=1.0)
+    out = sphere_pushforward_check(params, 100_000, seed=seed)
+    radial = stats.kstest(out.radial - params.t_min, stats.expon(scale=1.0).cdf)
+    angular = stats.kstest(out.angles / (2.0 * math.pi), "uniform")
+    assert out.ks_radial == radial.statistic
+    assert out.ks_angular == angular.statistic
+
+
 def test_sphere_area_is_the_action_cell():
     # R^2 = 1/(2 beta omega) makes the sphere area equal h = 2 pi/(beta omega)
     beta, omega = 1.0, 1.0

@@ -75,6 +75,17 @@ def test_usage_errors_exit_two(tmp_path):
     assert run_cli("coherent", "--c", "nope", outdir=tmp_path).returncode == 2
     # required seed left out entirely
     assert run_cli("relax", "--alpha", "0", outdir=tmp_path).returncode == 2
+    # zero temperature scale or frequency: no action cell, no hbar
+    for args in (("partition", "--seed", "1", "--beta", "0"),
+                 ("partition", "--seed", "1", "--omega", "0"),
+                 ("sphere", "--seed", "1", "--beta", "0"),
+                 ("sphere", "--seed", "1", "--omega", "0"),
+                 ("mode-commutator", "--beta", "0"),
+                 ("mode-commutator", "--omega0", "0")):
+        assert run_cli(*args, outdir=tmp_path).returncode == 2, args
+    # the squared norm exp(hbar |c|^2) of this coherent vector overflows
+    assert run_cli("coherent", "--c", "30", "--nmax", "400",
+                   outdir=tmp_path).returncode == 2
 
 
 def test_failed_check_exits_one_and_reports_it(tmp_path):
