@@ -126,14 +126,26 @@ def _check_sites(state: ChainState, params: ChainParams):
         )
 
 
-def chain_energy(state: ChainState, params: ChainParams) -> float:
-    """Total energy with periodic boundary q_0 = q_N."""
-    _check_sites(state, params)
-    q, p = state.q, state.p
-    stretch = q - np.roll(q, 1)
+def _stretch(q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Bond stretches q_n - q_{n-1} with periodic boundary q_0 = q_N,
+    written into `out` by edge slices."""
+    np.subtract(q[1:], q[:-1], out=out[1:])
+    np.subtract(q[:1], q[-1:], out=out[:1])
+    return out
+
+
+def _energy(q: np.ndarray, p: np.ndarray, stretch: np.ndarray,
+            params: ChainParams) -> float:
     return float(0.5 * (np.sum(p * p) / params.mass
                         + params.gamma_couple * np.sum(stretch * stretch)
                         + params.gamma * np.sum(q * q)))
+
+
+def chain_energy(state: ChainState, params: ChainParams) -> float:
+    """Total energy with periodic boundary q_0 = q_N."""
+    _check_sites(state, params)
+    return _energy(state.q, state.p, _stretch(state.q, np.empty_like(state.q)),
+                   params)
 
 
 def dispersion(k, params: ChainParams):
@@ -291,18 +303,21 @@ def sample_thermal_state(params: ChainParams, beta: float, seed) -> ChainState:
 
 @dataclass(frozen=True, eq=False)
 class ChainTrajectory:
-    """Strided leapfrog snapshots: times (S,), q and p (S, N)."""
+    """Strided leapfrog snapshots: times (S,), q and p (S, N), and the
+    chain energy of each snapshot (S,)."""
 
     times: np.ndarray
     q: np.ndarray
     p: np.ndarray
+    energies: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "q", "p"):
+        for name in ("times", "q", "p", "energies"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.q.shape != self.p.shape or self.q.shape[0] != self.times.size:
+        if (self.q.shape != self.p.shape or self.q.shape[0] != self.times.size
+                or self.energies.shape != self.times.shape):
             raise ValueError("inconsistent snapshot shapes")
 
     @property
@@ -313,11 +328,6 @@ class ChainTrajectory:
         return ChainState(self.q[index], self.p[index], float(self.times[index]))
 
 
-def _force(q: np.ndarray, params: ChainParams) -> np.ndarray:
-    gc = params.gamma_couple
-    return -gc * (2.0 * q - np.roll(q, 1) - np.roll(q, -1)) - params.gamma * q
-
-
 def integrate_chain(state: ChainState, params: ChainParams, duration: float,
                     dt: float, friction: float = 0.0,
                     stride: int = 1) -> ChainTrajectory:
@@ -326,9 +336,18 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
     Friction enters as the exact momentum decay e^{-alpha dt/2} on either
     side of the drift, so alpha = 0 is bit-for-bit the symplectic scheme.
     The step must satisfy dt < 2/w_max or the scheme is linearly unstable;
-    energy growth past 10x the initial value aborts with StabilityError.
-    Snapshots are taken every `stride` steps (uniformly spaced; the step
-    count is rounded up to a multiple of stride so the run ends on one).
+    energy growth past 10x the initial value, or to NaN, aborts with
+    StabilityError.  Snapshots are taken every `stride` steps (uniformly
+    spaced; the step count is rounded up to a multiple of stride so the run
+    ends on one).  The trajectory carries each snapshot's chain_energy, the
+    same numbers the stability check tested.
+
+    The force is evaluated once per step: q does not move between a step's
+    closing half-kick and the next step's opening one, so both add the same
+    kick.  The stencil is written into preallocated buffers, with q padded by
+    two ghost sites in place of np.roll, in the order 2 q_n, minus q_{n-1},
+    minus q_{n+1}, times -gamma_c, minus gamma q_n; every float therefore
+    matches the textbook loop that evaluates the force twice per step.
     """
     _check_sites(state, params)
     if not (duration > 0 and math.isfinite(duration)):
@@ -348,32 +367,60 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
     n_steps = stride * math.ceil(n_steps / stride)
     h = duration / n_steps
     decay = math.exp(-friction * h / 2.0)
-    m = params.mass
-    q = state.q.copy()
+    damped = decay != 1.0
+    # q sits between two ghost sites that hold its periodic neighbours
+    padded = np.empty(params.n_sites + 2)
+    q = padded[1:-1]
+    q[:] = state.q
+    left, right = padded[:-2], padded[2:]
     p = state.p.copy()
     e0 = chain_energy(state, params)
     e_cap = 10.0 * max(e0, 1e-300)
     n_snap = n_steps // stride + 1
     qs = np.empty((n_snap, params.n_sites))
     ps = np.empty_like(qs)
-    qs[0], ps[0] = q, p
+    energies = np.empty(n_snap)
+    qs[0], ps[0], energies[0] = q, p, e0
+
+    kick = np.empty_like(q)
+    work = np.empty_like(q)
+    neg_gc, gamma = -params.gamma_couple, params.gamma
+    half_h, h_over_m = 0.5 * h, h / params.mass
+
+    def half_kick():
+        """kick = (h/2) F(q), F = -gamma_c (2q - left - right) - gamma q."""
+        padded[0], padded[-1] = q[-1], q[0]
+        np.multiply(q, 2.0, out=kick)
+        np.subtract(kick, left, out=kick)
+        np.subtract(kick, right, out=kick)
+        np.multiply(kick, neg_gc, out=kick)
+        np.multiply(q, gamma, out=work)
+        np.subtract(kick, work, out=kick)
+        np.multiply(kick, half_h, out=kick)
+
+    half_kick()
     s = 1
     for step in range(1, n_steps + 1):
-        p += (0.5 * h) * _force(q, params)
-        p *= decay
-        q += (h / m) * p
-        p *= decay
-        p += (0.5 * h) * _force(q, params)
+        p += kick
+        if damped:
+            p *= decay
+        np.multiply(p, h_over_m, out=work)
+        q += work
+        if damped:
+            p *= decay
+        half_kick()
+        p += kick
         if step % stride == 0:
             qs[s], ps[s] = q, p
-            energy = chain_energy(ChainState(qs[s], ps[s]), params)
-            if energy > e_cap:
+            energy = _energy(q, p, _stretch(q, work), params)
+            if not energy <= e_cap:
                 raise StabilityError(
                     f"energy grew to {energy:.3g} (initial {e0:.3g}); reduce dt"
                 )
+            energies[s] = energy
             s += 1
     times = state.time + h * stride * np.arange(n_snap)
-    return ChainTrajectory(times=times, q=qs, p=ps)
+    return ChainTrajectory(times=times, q=qs, p=ps, energies=energies)
 
 
 def _trajectory_amplitudes(traj: ChainTrajectory, params: ChainParams):
@@ -467,6 +514,9 @@ def continuum_params_for(spacing: float, field_mass: float, n_sites: int = 8,
     with on-site stiffness set by the field mass, gamma/m = M^2."""
     if not (field_mass >= 0):
         raise ValueError("field_mass must be >= 0")
+    # a spacing whose square underflows to 0 would divide by zero below
+    if not (spacing > 0 and math.isfinite(spacing) and spacing ** 2 > 0):
+        raise ValueError("spacing must be positive and finite")
     return ChainParams(n_sites=n_sites, mass=mass,
                        gamma=field_mass ** 2 * mass,
                        gamma_couple=mass / spacing ** 2, spacing=spacing)
@@ -577,9 +627,7 @@ def chain_relax(state: ChainState, params: ChainParams, alpha: float,
         raise ValueError("alpha must be >= 0")
     traj = integrate_chain(state, params, duration, dt, friction=alpha,
                            stride=stride)
-    energies = np.array([
-        chain_energy(traj.state(i), params) for i in range(traj.n_snapshots)
-    ])
+    energies = traj.energies
     e0 = energies[0]
     ratio = float(energies[-1] / e0) if e0 > 0 else math.nan
     drift = float(np.max(np.abs(energies - e0)) / e0) if e0 > 0 else 0.0

@@ -221,6 +221,9 @@ def run_evolve(args):
     params = OscillatorParams(args.omega)
     if params.omega <= 0:
         raise ValueError("evolve requires omega > 0")
+    if args.n_times < 1:
+        raise ValueError("--n-times must be >= 1: every check is a worst "
+                         "case over the time grid")
     rng = np.random.default_rng(args.seed)
     coeffs = rng.standard_normal(args.nmax + 1) + 1j * rng.standard_normal(args.nmax + 1)
     f = bargmann.FockVector(coeffs, args.hbar).normalized()
@@ -272,6 +275,8 @@ def run_damp(args):
     if w <= 0:
         raise ValueError("damp requires omega > 0")
     alpha = args.alpha if args.alpha is not None else 0.01 * w
+    if not alpha > 0:
+        raise ValueError("damp requires alpha > 0: its checks measure decay")
     damping = dynamics.DampingParams(alpha)
     params = OscillatorParams(w)
     dt = args.dt if args.dt is not None else params.period / 256.0

@@ -217,6 +217,77 @@ def test_snapshots_are_uniform_and_cover_the_duration():
     assert traj.times[-1] == pytest.approx(1.0, rel=1e-12)
 
 
+def _roll_leapfrog(state, params, duration, dt, friction=0.0, stride=1):
+    """Reference: the textbook kick-drift-kick loop with np.roll stencils and
+    two force evaluations per step, as integrate_chain once ran it."""
+
+    def force(q):
+        gc = params.gamma_couple
+        return -gc * (2.0 * q - np.roll(q, 1) - np.roll(q, -1)) - params.gamma * q
+
+    n_steps = max(1, math.ceil(duration / dt - 1e-12))
+    n_steps = stride * math.ceil(n_steps / stride)
+    h = duration / n_steps
+    decay = math.exp(-friction * h / 2.0)
+    m = params.mass
+    q = state.q.copy()
+    p = state.p.copy()
+    n_snap = n_steps // stride + 1
+    qs = np.empty((n_snap, params.n_sites))
+    ps = np.empty_like(qs)
+    qs[0], ps[0] = q, p
+    s = 1
+    for step in range(1, n_steps + 1):
+        p += (0.5 * h) * force(q)
+        p *= decay
+        q += (h / m) * p
+        p *= decay
+        p += (0.5 * h) * force(q)
+        if step % stride == 0:
+            qs[s], ps[s] = q, p
+            s += 1
+    times = state.time + h * stride * np.arange(n_snap)
+    return times, qs, ps
+
+
+def _random_state(n, seed, time=0.0):
+    rng = np.random.default_rng(seed)
+    return ChainState(rng.standard_normal(n), rng.standard_normal(n), time)
+
+
+@pytest.mark.parametrize("params, state, run", [
+    # N = 2: left and right neighbour are the same site
+    (ChainParams(n_sites=2, mass=2.0, gamma=0.7, gamma_couple=1.3),
+     _random_state(2, 1, time=1.5), dict(duration=20.0, dt=0.05)),
+    (ChainParams(n_sites=8, gamma=0.0), _random_state(8, 2),
+     dict(duration=10.0, dt=0.1)),
+    (ChainParams(n_sites=8, gamma_couple=0.0), _random_state(8, 3),
+     dict(duration=10.0, dt=0.1)),
+    (ChainParams(n_sites=16), sample_thermal_state(ChainParams(n_sites=16), 1.0, 5),
+     dict(duration=30.0, dt=0.025, friction=0.05, stride=7)),
+    (ChainParams(n_sites=64), sample_thermal_state(ChainParams(n_sites=64), 1.0, 11),
+     dict(duration=40.0, dt=0.05, stride=3)),
+], ids=["two-sites", "gamma-zero", "coupling-zero", "friction-stride", "thermal-64"])
+def test_buffered_leapfrog_matches_roll_reference_bit_for_bit(params, state, run):
+    traj = integrate_chain(state, params, **run)
+    times, qs, ps = _roll_leapfrog(state, params, **run)
+    for got, want in ((traj.times, times), (traj.q, qs), (traj.p, ps)):
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()      # signed zeros too
+    energies = [chain_energy(traj.state(i), params) for i in range(traj.n_snapshots)]
+    assert traj.energies.tolist() == energies
+
+
+def test_blow_up_to_nan_raises_stability_error():
+    # alternating +-1e308 overflows: 2q is already inf, and the closing kick
+    # adds inf to -inf, so the first snapshot's energy is NaN
+    params = ChainParams(n_sites=8)
+    q = 1e308 * np.array([1.0, -1.0] * 4)
+    state = ChainState(q, np.zeros(8))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StabilityError):
+        integrate_chain(state, params, duration=0.1, dt=0.1)
+
+
 def test_single_mode_oscillates_at_its_dispersion_frequency():
     params = ChainParams(n_sites=16)
     omega = dispersion(params.wavenumbers, params)

@@ -86,6 +86,11 @@ def test_usage_errors_exit_two(tmp_path):
     # the squared norm exp(hbar |c|^2) of this coherent vector overflows
     assert run_cli("coherent", "--c", "30", "--nmax", "400",
                    outdir=tmp_path).returncode == 2
+    # no friction to measure, a zero lattice spacing, an empty time grid
+    for args in (("damp", "--alpha", "0"),
+                 ("continuum", "--spacings", "1,0.5,0"),
+                 ("evolve", "--seed", "1", "--n-times", "0")):
+        assert run_cli(*args, outdir=tmp_path).returncode == 2, args
 
 
 def test_failed_check_exits_one_and_reports_it(tmp_path):
