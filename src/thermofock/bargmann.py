@@ -147,13 +147,18 @@ class FockVector:
         return FockVector(self.coeffs / n, self.hbar, self.tail_mass)
 
     def evaluate(self, z):
-        """Pointwise value sum_n c_n e_n(z); z may be scalar or an array."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        basis = _basis_matrix(z_arr, self.truncation, self.hbar)
-        vals = self.coeffs @ basis
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return complex(vals[0])
-        return vals.reshape(np.asarray(z).shape)
+        """Pointwise value sum_n c_n e_n(z); z may be scalar or an array.
+
+        Summed along the e_n recurrence in O(points) memory.
+        """
+        z = np.asarray(z, dtype=complex)
+        term = np.ones_like(z)
+        total = self.coeffs[0] * term
+        for n in range(1, self.coeffs.size):
+            term *= z
+            term /= math.sqrt(n * self.hbar)
+            total += self.coeffs[n] * term
+        return complex(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -187,10 +192,7 @@ def inner_product(f: FockVector, g: FockVector, method: str = "quadrature",
     _compatible(f, g)
     if method == "quadrature":
         z, w = _quad_grid(f.hbar, f.truncation)
-        basis = _basis_matrix(z, f.truncation, f.hbar)
-        fv = f.coeffs @ basis
-        gv = g.coeffs @ basis
-        return complex(np.sum(w * np.conj(fv) * gv))
+        return complex(np.sum(w * np.conj(f.evaluate(z)) * g.evaluate(z)))
     if method == "montecarlo":
         if seed is None:
             raise ValueError("montecarlo inner_product requires a seed")
@@ -204,8 +206,7 @@ def inner_product(f: FockVector, g: FockVector, method: str = "quadrature",
         while done < samples:
             chunk = min(100_000, samples - done)
             z = measure.sample(chunk, rng)
-            basis = _basis_matrix(z, f.truncation, f.hbar)
-            x = np.conj(f.coeffs @ basis) * (g.coeffs @ basis)
+            x = np.conj(f.evaluate(z)) * g.evaluate(z)
             total += np.sum(x)
             total_sq += float(np.sum(np.abs(x) ** 2))
             done += chunk

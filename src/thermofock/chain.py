@@ -214,27 +214,41 @@ class ModeSet:
         return total
 
 
+def _mode_amplitudes(q: np.ndarray, p: np.ndarray, params: ChainParams):
+    """Amplitudes a_j = (sqrt(m w_j) Q_j + i P_j / sqrt(m w_j)) / sqrt(2)
+    along the last axis, Q and P the unitary DFTs of q and p; returns
+    (a, omega, drift).  A zero-frequency mode (k = 0 at gamma = 0) is a free
+    translation: its a is 0 and its (Re Q_0, Re P_0) is the drift, else None.
+    a is formed in Q's buffer, so no more than Q and P are alive at once.
+    """
+    n = params.n_sites
+    if q.shape[-1] != n:
+        raise ValueError(f"state has {q.shape[-1]} sites, params expect {n}")
+    root_n = math.sqrt(n)
+    omega = dispersion(params.wavenumbers, params)
+    osc = omega > 0
+    amps = np.fft.fft(q, axis=-1)
+    amps /= root_n
+    bigp = np.fft.fft(p, axis=-1)
+    bigp /= root_n
+    drift = None if osc[0] else (amps[..., 0].real.copy(), bigp[..., 0].real.copy())
+    weight = np.sqrt(params.mass * np.where(osc, omega, 1.0))
+    amps *= weight
+    bigp *= 1j
+    bigp /= weight
+    amps += bigp
+    amps /= math.sqrt(2.0)
+    amps[..., ~osc] = 0.0
+    return amps, omega, drift
+
+
 def normal_modes(state: ChainState, params: ChainParams) -> ModeSet:
     """Decompose a chain state into complex mode amplitudes."""
-    _check_sites(state, params)
-    n = params.n_sites
-    root_n = math.sqrt(n)
-    bigq = np.fft.fft(state.q) / root_n
-    bigp = np.fft.fft(state.p) / root_n
-    k = params.wavenumbers
-    omega = dispersion(k, params)
-    drift = None
-    if params.gamma == 0:
-        # k = 0 is a free translation mode, not an oscillator
-        drift = (float(bigq[0].real), float(bigp[0].real))
-        weight = np.sqrt(params.mass * omega[1:])
-        amps = np.zeros(n, dtype=complex)
-        amps[1:] = (weight * bigq[1:] + 1j * bigp[1:] / weight) / math.sqrt(2.0)
-    else:
-        weight = np.sqrt(params.mass * omega)
-        amps = (weight * bigq + 1j * bigp / weight) / math.sqrt(2.0)
-    return ModeSet(k=k, omega=omega, amplitudes=amps, mass=params.mass,
-                   time=state.time, drift=drift)
+    amps, omega, drift = _mode_amplitudes(state.q, state.p, params)
+    if drift is not None:
+        drift = (float(drift[0]), float(drift[1]))
+    return ModeSet(k=params.wavenumbers, omega=omega, amplitudes=amps,
+                   mass=params.mass, time=state.time, drift=drift)
 
 
 def reconstruct_state(modes: ModeSet, params: ChainParams) -> ChainState:
@@ -337,7 +351,8 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
     side of the drift, so alpha = 0 is bit-for-bit the symplectic scheme.
     The step must satisfy dt < 2/w_max or the scheme is linearly unstable;
     energy growth past 10x the initial value, or to NaN, aborts with
-    StabilityError.  Snapshots are taken every `stride` steps (uniformly
+    StabilityError, and so does an initial energy whose 10x cap is not
+    finite.  Snapshots are taken every `stride` steps (uniformly
     spaced; the step count is rounded up to a multiple of stride so the run
     ends on one).  The trajectory carries each snapshot's chain_energy, the
     same numbers the stability check tested.
@@ -376,6 +391,11 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
     p = state.p.copy()
     e0 = chain_energy(state, params)
     e_cap = 10.0 * max(e0, 1e-300)
+    if not math.isfinite(e_cap):
+        # an infinite cap would let every inf snapshot through the check below
+        raise StabilityError(
+            f"initial energy {e0:.3g} leaves no finite cap for the stability check"
+        )
     n_snap = n_steps // stride + 1
     qs = np.empty((n_snap, params.n_sites))
     ps = np.empty_like(qs)
@@ -423,23 +443,6 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
     return ChainTrajectory(times=times, q=qs, p=ps, energies=energies)
 
 
-def _trajectory_amplitudes(traj: ChainTrajectory, params: ChainParams):
-    """Mode amplitudes a_j(t) for every snapshot; zero-frequency columns
-    are returned as-is in Q/P form flagged by the mask."""
-    n = params.n_sites
-    if traj.q.shape[1] != n:
-        raise ValueError("trajectory site count does not match params")
-    root_n = math.sqrt(n)
-    bigq = np.fft.fft(traj.q, axis=1) / root_n
-    bigp = np.fft.fft(traj.p, axis=1) / root_n
-    omega = dispersion(params.wavenumbers, params)
-    osc = omega > 0
-    amps = np.zeros(bigq.shape, dtype=complex)
-    weight = np.sqrt(params.mass * omega[osc])
-    amps[:, osc] = (weight * bigq[:, osc] + 1j * bigp[:, osc] / weight) / math.sqrt(2.0)
-    return amps, omega, osc
-
-
 @dataclass(frozen=True, eq=False)
 class DispersionMeasurement:
     """Per-mode spectral peak frequencies against the dispersion formula."""
@@ -474,16 +477,13 @@ def spectral_dispersion(traj: ChainTrajectory, params: ChainParams) -> Dispersio
     if not np.allclose(dt_snap, dt_snap[0], rtol=1e-9, atol=0.0):
         raise ValueError("snapshots must be uniformly spaced in time")
     dt_snap = float(dt_snap[0])
-    amps, omega, osc = _trajectory_amplitudes(traj, params)
-    spectrum = np.fft.fft(amps, axis=0)
-    mag = np.abs(spectrum)
+    amps, omega, _ = _mode_amplitudes(traj.q, traj.p, params)
+    mag = np.abs(np.fft.fft(amps, axis=0))
     freqs = np.fft.fftfreq(n_snap, d=dt_snap)          # cycles per time
     measured = np.full(params.n_sites, np.nan)
     skipped = np.ones(params.n_sites, dtype=bool)
     scale = float(np.max(mag)) if mag.size else 0.0
     for j in range(params.n_sites):
-        if not osc[j]:
-            continue
         col = mag[:, j]
         i_peak = int(np.argmax(col))
         peak = col[i_peak]
@@ -638,12 +638,11 @@ def chain_relax(state: ChainState, params: ChainParams, alpha: float,
                            mode_rates=np.full(params.n_sites, np.nan),
                            energy_ratio=ratio, expected_ratio=1.0,
                            monotone=True, energy_drift=drift)
-    amps, omega, osc = _trajectory_amplitudes(traj, params)
-    mags = np.abs(amps)
+    mags = np.abs(_mode_amplitudes(traj.q, traj.p, params)[0])
     rates = np.full(params.n_sites, np.nan)
     floor = 1e-8 * max(float(np.max(mags[0])), 1e-300)
     for j in range(params.n_sites):
-        if osc[j] and mags[0, j] > floor and np.all(mags[:, j] > 0):
+        if mags[0, j] > floor and np.all(mags[:, j] > 0):
             rates[j] = fit_decay_rate(traj.times, mags[:, j])
     slack = (params.omega_max * (traj.times[1] - traj.times[0])
              / max(stride, 1)) ** 2 / 4.0

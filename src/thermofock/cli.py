@@ -369,26 +369,41 @@ def run_ensemble(args):
     report = ExperimentReport(command="ensemble", config=_config_echo(args))
     c = args.c
     hbar = args.hbar
-    params = OscillatorParams(args.omega)
+    w, alpha = args.omega, args.alpha
+    params = OscillatorParams(w)
+    damping = dynamics.DampingParams(alpha)
+    if not alpha < 2.0 * w:
+        raise ValueError("ensemble needs alpha < 2 omega: its oracle is the "
+                         "underdamped flow")
     f = bargmann.coherent_vector(c, args.nmax, hbar).normalized()
     t_max = args.t_max if args.t_max is not None else params.period
     times = np.linspace(0.0, t_max, args.n_times)
-    damping = dynamics.DampingParams(args.alpha) if args.alpha > 0 else None
     history = dynamics.ensemble_evolve(f, params, times, args.samples,
                                        args.seed, damping=damping,
                                        proposal_scale=args.proposal_scale)
-    alpha = args.alpha
+    # exact linear flow of (q, p) under qdot = w p, pdot = -w q - alpha p:
+    # M(t) = e^{-alpha t/2} [cos(W t) I + sin(W t)/W (A + alpha/2 I)]
+    big_w = math.sqrt(w * w - 0.25 * alpha * alpha)
+    shifted = np.array([[0.5 * alpha, w], [-w, -0.5 * alpha]])
+    center = hbar * np.conj(c)
+    x0 = math.sqrt(2.0) * np.array([center.real, center.imag])
     worst_mean = 0.0
     worst_abs2 = 0.0
     rows = []
     for t, rep in zip(times, history.moments):
-        envelope = math.exp(-0.5 * alpha * t)
-        oracle = hbar * np.conj(c) * np.exp(-1j * args.omega * t) * envelope
+        flow = math.exp(-0.5 * alpha * t) * (
+            math.cos(big_w * t) * np.eye(2)
+            + (math.sin(big_w * t) / big_w) * shifted)
+        mean = flow @ x0
+        oracle = complex(mean[0], mean[1]) / math.sqrt(2.0)
         se_re, se_im = rep.mean_se
         worst_mean = max(worst_mean,
                          abs(rep.mean.real - oracle.real) / se_re,
                          abs(rep.mean.imag - oracle.imag) / se_im)
-        abs2_oracle = envelope ** 2 * (hbar + hbar ** 2 * abs(c) ** 2)
+        # the cloud starts Gaussian with covariance hbar I in (q, p), so
+        # <|z|^2> = (hbar |M|_F^2 + |M x0|^2) / 2
+        abs2_oracle = 0.5 * (hbar * float(np.sum(flow * flow))
+                             + float(mean @ mean))
         worst_abs2 = max(worst_abs2,
                          abs(rep.abs2_mean - abs2_oracle) / rep.abs2_se)
         rows.append((float(t), rep.mean.real, rep.mean.imag, se_re, se_im,

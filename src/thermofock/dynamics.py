@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bargmann import FockVector, _basis_matrix, hamiltonian_matrix
+from .bargmann import FockVector, hamiltonian_matrix
 from .bath import moment_report
 from .errors import SamplerError
-from .phasespace import OscillatorParams, PhasePoint
+from .phasespace import OscillatorParams, PhasePoint, hamilton_step
 
 __all__ = [
     "AngularProfile",
@@ -80,9 +80,7 @@ def profile_from_fock(f: FockVector, radius: float, grid_size: int,
                       time: float = 0.0) -> AngularProfile:
     """Sample f on the circle |z| = radius at `grid_size` uniform angles."""
     phi = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    z = radius * np.exp(1j * phi)
-    basis = _basis_matrix(z, f.truncation, f.hbar)
-    return AngularProfile(f.coeffs @ basis, radius, time)
+    return AngularProfile(f.evaluate(radius * np.exp(1j * phi)), radius, time)
 
 
 def l2_grid_distance(a, b) -> float:
@@ -183,17 +181,6 @@ def damped_solution(q0: float, v0: float, params: OscillatorParams,
 
 # -- ensembles ----------------------------------------------------------------
 
-def _coefficient_majorant(f: FockVector, r: np.ndarray) -> np.ndarray:
-    """A(r) = sum |c_n| r^n / sqrt(n! hbar^n) >= |f(z)| for |z| = r."""
-    mags = np.abs(f.coeffs)
-    out = np.full_like(r, mags[0])
-    term = np.ones_like(r)
-    for n in range(1, f.coeffs.size):
-        term = term * r / math.sqrt(n * f.hbar)
-        out = out + mags[n] * term
-    return out
-
-
 def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float):
     if seed is None:
         raise ValueError("sampling requires a seed")
@@ -209,7 +196,9 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     n_top = f.truncation
     r_max = 1.2 * math.sqrt(max(n_top, 1) / kappa) + math.sqrt(hbar)
     r_grid = np.linspace(0.0, r_max, 4097)
-    ratio_grid = s * _coefficient_majorant(f, r_grid) ** 2 * np.exp(-kappa * r_grid ** 2)
+    # A(r) = sum |c_n| e_n(r) >= |f(z)| on the circle |z| = r
+    majorant = FockVector(np.abs(f.coeffs), hbar).evaluate(r_grid).real
+    ratio_grid = s * majorant ** 2 * np.exp(-kappa * r_grid ** 2)
     bound = 1.05 * float(np.max(ratio_grid))
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(s * hbar / 2.0)
@@ -219,8 +208,7 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     while filled < n_samples:
         chunk = max(10_000, 2 * (n_samples - filled))
         z = rng.normal(0.0, sigma, chunk) + 1j * rng.normal(0.0, sigma, chunk)
-        basis = _basis_matrix(z, n_top, hbar)
-        dens = np.abs(f.coeffs @ basis) ** 2
+        dens = np.abs(f.evaluate(z)) ** 2
         ratio = s * dens * np.exp(-kappa * np.abs(z) ** 2)
         if float(np.max(ratio)) > bound:
             raise SamplerError("dominating bound violated; majorant grid too coarse")
@@ -250,23 +238,6 @@ def sample_fock_density(f: FockVector, n_samples: int, seed,
     return samples
 
 
-def _advance_cloud(q: np.ndarray, p: np.ndarray, omega: float, alpha: float,
-                   duration: float, dt: float):
-    """Leapfrog the whole cloud by `duration` (same scheme as hamilton_step)."""
-    if duration == 0:
-        return q, p
-    n_sub = max(1, math.ceil(duration / dt - 1e-12))
-    h = duration / n_sub
-    decay = math.exp(-alpha * h / 2.0)
-    for _ in range(n_sub):
-        p = p - 0.5 * h * omega * q
-        p = p * decay
-        q = q + h * omega * p
-        p = p * decay
-        p = p - 0.5 * h * omega * q
-    return q, p
-
-
 @dataclass(frozen=True)
 class EnsembleHistory:
     times: np.ndarray
@@ -280,10 +251,11 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
                     proposal_scale: float = 2.0) -> EnsembleHistory:
     """Draw a cloud from |f|^2 dmu and advance it classically.
 
-    Every particle follows the leapfrog composition of hamilton_step; moment
-    reports (mean z and |z|^2 with standard errors) are recorded at each
-    requested time.  For a coherent state the exact law of the mean is
-    hbar * conj(c) * exp(-i w t) times the damping envelope.
+    The whole cloud is one array PhasePoint stepped by hamilton_step: each
+    interval between requested times is cut into the fewest equal steps no
+    longer than `dt`.  Moment reports (mean z and |z|^2 with standard
+    errors) are recorded at each requested time.  Without damping, the exact
+    law of the mean for a coherent state is hbar * conj(c) * exp(-i w t).
     """
     w = params.omega
     if w <= 0:
@@ -297,15 +269,17 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
     if dt is None:
         dt = (2.0 * math.pi / w) / 1024.0
     z0, efficiency = _rejection_sample(f, n_samples, seed, proposal_scale)
-    q = np.sqrt(2.0) * z0.real
-    p = np.sqrt(2.0) * z0.imag
+    x = PhasePoint(np.sqrt(2.0) * z0.real, np.sqrt(2.0) * z0.imag)
     reports = []
     t_prev = 0.0
     for t in times:
-        q, p = _advance_cloud(q, p, w, alpha, t - t_prev, dt)
+        if t > t_prev:
+            n_sub = max(1, math.ceil((t - t_prev) / dt - 1e-12))
+            h = (t - t_prev) / n_sub
+            for _ in range(n_sub):
+                x = hamilton_step(x, params, h, alpha)
         t_prev = t
-        z = (q + 1j * p) * (2.0 ** -0.5)
+        z = (x.q + 1j * x.p) * (2.0 ** -0.5)
         reports.append(moment_report(z))
-    z_final = (q + 1j * p) * (2.0 ** -0.5)
-    return EnsembleHistory(times=times, moments=reports, final_z=z_final,
+    return EnsembleHistory(times=times, moments=reports, final_z=z,
                            acceptance_rate=efficiency)

@@ -484,12 +484,15 @@ def hamilton_step(
     the one-step map contracts areas by exactly exp(-alpha dt).  For omega = 0
     the rescaling is singular and the step integrates the plain free particle
     qdot = p/m, pdot = -alpha p (mass defaults to 1).
+
+    q and p may be equal-shape arrays: a whole cloud is then stepped at once,
+    each particle getting the same floats as when stepped alone.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
     if friction < 0:
         raise ValueError("friction must be >= 0")
-    q, p = float(point[0]), float(point[1])
+    q, p = point[0], point[1]
     decay = math.exp(-friction * dt / 2.0)
     w = params.omega
     if w > 0:

@@ -9,6 +9,7 @@ Oracles used here, all independent of the quadrature code under test:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,21 @@ def test_evaluate_matches_series():
     f = coherent_vector(0.6, 30, 1.0)
     z = 0.3 + 0.2j
     assert f.evaluate(z) == pytest.approx(np.exp(0.6 * z), rel=1e-12)
+
+
+def test_evaluate_allocates_no_basis_matrix():
+    # the (nmax + 1) x points basis matrix alone would be 33 z.nbytes here
+    f = coherent_vector(0.6, 32, 1.0)
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal(100_000) + 1j * rng.standard_normal(100_000)
+    tracemalloc.start()
+    try:
+        values = f.evaluate(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == z.shape
+    assert peak <= 8 * z.nbytes
 
 
 # -- operators ---------------------------------------------------------------

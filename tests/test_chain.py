@@ -7,6 +7,7 @@ the continuum law w^2 = k^2 + M^2 with leading lattice error k^4 a^2 / 12.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,30 @@ def test_blow_up_to_nan_raises_stability_error():
     state = ChainState(q, np.zeros(8))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StabilityError):
         integrate_chain(state, params, duration=0.1, dt=0.1)
+
+
+def test_infinite_initial_energy_raises_stability_error():
+    # q^2 = 1e310 overflows, so e0 = inf and a 10x cap could never trip
+    params = ChainParams(n_sites=8)
+    state = ChainState(np.full(8, 1e155), np.zeros(8))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StabilityError):
+        integrate_chain(state, params, duration=0.1, dt=0.1)
+
+
+def test_spectral_dispersion_transient_memory_is_bounded():
+    # amplitudes are formed in Q's buffer; holding Q, P, a, the spectrum and
+    # |spectrum| at once would read about 6x
+    params = ChainParams(n_sites=64)
+    state = sample_thermal_state(params, beta=1.0, seed=3)
+    traj = integrate_chain(state, params, duration=200.0, dt=0.1)
+    assert traj.q.shape == (2001, 64)
+    tracemalloc.start()
+    try:
+        spectral_dispersion(traj, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * (traj.q.nbytes + traj.p.nbytes)
 
 
 def test_single_mode_oscillates_at_its_dispersion_frequency():

@@ -91,6 +91,10 @@ def test_usage_errors_exit_two(tmp_path):
                  ("continuum", "--spacings", "1,0.5,0"),
                  ("evolve", "--seed", "1", "--n-times", "0")):
         assert run_cli(*args, outdir=tmp_path).returncode == 2, args
+    # ensemble friction that is negative or not underdamped (alpha >= 2 omega)
+    for alpha in ("-1", "2"):
+        assert run_cli("ensemble", "--seed", "1", "--alpha", alpha,
+                       outdir=tmp_path).returncode == 2, alpha
 
 
 def test_failed_check_exits_one_and_reports_it(tmp_path):
@@ -103,15 +107,27 @@ def test_failed_check_exits_one_and_reports_it(tmp_path):
     assert "FAIL" in proc.stdout
 
 
+def test_damped_ensemble_passes_against_the_exact_flow(tmp_path):
+    # at alpha = 0.05 a first-order oracle (one damped branch) reads 6.85 se
+    # off the mean at this seed; the exact underdamped flow passes
+    proc = run_cli("ensemble", "--alpha", "0.05", "--seed", "3", outdir=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = read_report(tmp_path, "ensemble")
+    assert all(check["passed"] for check in report["checks"])
+
+
 def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path):
-    # dt far beyond the stability bound: aborted with a diagnostic, not NaNs
-    proc = run_cli("relax", "--alpha", "0.01", "--dt", "100", "--seed", "1",
-                   outdir=tmp_path)
-    assert proc.returncode == 3
-    assert "numerical failure" in proc.stderr
-    report = read_report(tmp_path, "relax")
-    assert [check["name"] for check in report["checks"]] == ["numerical-failure"]
-    assert not report["checks"][0]["passed"]
+    # dt far beyond the stability bound: aborted with a diagnostic, not NaNs;
+    # a thermal state so hot its energy overflows leaves no finite energy cap
+    for args in (("--alpha", "0.01", "--dt", "100", "--seed", "1"),
+                 ("--alpha", "0", "--beta", "1e-308", "--seed", "5",
+                  "--t-max", "5")):
+        proc = run_cli("relax", *args, outdir=tmp_path)
+        assert proc.returncode == 3, args
+        assert "numerical failure" in proc.stderr
+        report = read_report(tmp_path, "relax")
+        assert [check["name"] for check in report["checks"]] == ["numerical-failure"]
+        assert not report["checks"][0]["passed"]
 
 
 def test_reports_are_reproducible_across_directories(tmp_path):

@@ -9,7 +9,6 @@ import warnings
 import numpy as np
 import pytest
 
-from thermofock import dynamics
 from thermofock.bargmann import FockVector, coherent_vector
 from thermofock.dynamics import (
     AngularProfile,
@@ -231,12 +230,15 @@ def test_damping_params_validation():
 # -- density sampling -------------------------------------------------------------------
 
 def test_coefficient_majorant_dominates_the_state():
+    # the sampler's bound A(r) is the state with |c_n| evaluated at real r
     rng = np.random.default_rng(5)
     f = FockVector(rng.standard_normal(12) + 1j * rng.standard_normal(12), 1.0)
+    majorant = FockVector(np.abs(f.coeffs), f.hbar)
     for r in (0.1, 0.8, 2.0, 4.0):
         z = r * np.exp(1j * rng.uniform(0, 2 * np.pi, 200))
-        bound = dynamics._coefficient_majorant(f, np.array([r]))[0]
-        assert np.max(np.abs(f.evaluate(z))) <= bound * (1 + 1e-12)
+        bound = majorant.evaluate(r)
+        assert bound.imag == 0.0
+        assert np.max(np.abs(f.evaluate(z))) <= bound.real * (1 + 1e-12)
 
 
 def test_sampled_density_moments_match_the_gaussian():
@@ -315,6 +317,24 @@ def test_damped_ensemble_contracts_both_moments():
         assert abs(rep.mean.imag - mean_exp.imag) <= 4 * se_im
         abs2_exp = math.exp(-alpha * t) * (hbar + hbar ** 2 * abs(c) ** 2)
         assert abs(rep.abs2_mean - abs2_exp) <= 4 * rep.abs2_se
+
+
+def test_ensemble_cloud_is_hamilton_step_on_each_draw():
+    # the cloud is stepped as one array point; each particle must get the
+    # same floats as stepping it alone (intervals are whole multiples of dt)
+    f = coherent_vector(0.5, 16, 1.0).normalized()
+    params = OscillatorParams(1.3)
+    damping = DampingParams(0.2)
+    times = [0.0, 0.6, 0.6, 1.2]
+    hist = ensemble_evolve(f, params, times, 40, seed=11, damping=damping,
+                           dt=0.3)
+    expected = []
+    for z in sample_fock_density(f, 40, seed=11):
+        x = PhasePoint(math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag)
+        for _ in range(4):
+            x = hamilton_step(x, params, 0.3, friction=0.2)
+        expected.append((x.q + 1j * x.p) * (2.0 ** -0.5))
+    assert hist.final_z.tobytes() == np.array(expected).tobytes()
 
 
 def test_ensemble_validation():
