@@ -259,6 +259,16 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
     return mean, np.sqrt(var / samples)
 
 
+def _coherent_coeffs(amp: complex, n_max: int) -> np.ndarray:
+    """c_n = amp^n / sqrt(n!) for n = 0..n_max, by the ratio recurrence;
+    an overflow is left for the caller to catch or rule out."""
+    coeffs = np.empty(n_max + 1, dtype=complex)
+    coeffs[0] = 1.0
+    for n in range(1, n_max + 1):
+        coeffs[n] = coeffs[n - 1] * amp / math.sqrt(n)
+    return coeffs
+
+
 def coherent_vector(c: complex, n_max: int = DEFAULT_TRUNCATION, hbar: float = 1.0,
                     tail_tol: float = None) -> FockVector:
     """Expansion of exp(c z) in the orthonormal basis: c_n = (c sqrt(hbar))^n/sqrt(n!).
@@ -273,11 +283,7 @@ def coherent_vector(c: complex, n_max: int = DEFAULT_TRUNCATION, hbar: float = 1
     if log_norm2 > math.log(sys.float_info.max):
         raise ValueError(f"hbar |c|^2 = {log_norm2:.6g} is too large: "
                          "the squared norm exp(hbar |c|^2) overflows a float")
-    coeffs = np.empty(n_max + 1, dtype=complex)
-    coeffs[0] = 1.0
-    amp = c * math.sqrt(hbar)
-    for n in range(1, n_max + 1):
-        coeffs[n] = coeffs[n - 1] * amp / math.sqrt(n)
+    coeffs = _coherent_coeffs(c * math.sqrt(hbar), n_max)
     tail = max(math.exp(log_norm2) - float(np.sum(np.abs(coeffs) ** 2)), 0.0)
     if tail_tol is not None and tail > tail_tol:
         raise TruncationError(
@@ -404,13 +410,9 @@ def kernel_eval(c: complex, psi: FockVector, mismatch_tol: float = 1e-10) -> com
     c = complex(c)
     n_max = psi.truncation
     hbar = psi.hbar
-    amp = np.conj(c) * math.sqrt(hbar)
-    coh = np.empty(n_max + 1, dtype=complex)
-    coh[0] = 1.0
     # overflow here is caught by the route comparison below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_max + 1):
-            coh[n] = coh[n - 1] * amp / math.sqrt(n)
+        coh = _coherent_coeffs(np.conj(c) * math.sqrt(hbar), n_max)
         paired = complex(np.sum(coh * psi.coeffs))
         direct = psi.evaluate(hbar * np.conj(c))
     scale = max(1.0, abs(direct))

@@ -214,12 +214,16 @@ class ModeSet:
         return total
 
 
+_ROW_BLOCK = 256     # rows of p transformed at once by _mode_amplitudes
+
+
 def _mode_amplitudes(q: np.ndarray, p: np.ndarray, params: ChainParams):
     """Amplitudes a_j = (sqrt(m w_j) Q_j + i P_j / sqrt(m w_j)) / sqrt(2)
     along the last axis, Q and P the unitary DFTs of q and p; returns
     (a, omega, drift).  A zero-frequency mode (k = 0 at gamma = 0) is a free
     translation: its a is 0 and its (Re Q_0, Re P_0) is the drift, else None.
-    a is formed in Q's buffer, so no more than Q and P are alive at once.
+    a is formed in Q's buffer, and P is transformed and added in blocks of
+    rows, so the peak is the transform of q rather than Q plus a full P.
     """
     n = params.n_sites
     if q.shape[-1] != n:
@@ -229,17 +233,23 @@ def _mode_amplitudes(q: np.ndarray, p: np.ndarray, params: ChainParams):
     osc = omega > 0
     amps = np.fft.fft(q, axis=-1)
     amps /= root_n
-    bigp = np.fft.fft(p, axis=-1)
-    bigp /= root_n
-    drift = None if osc[0] else (amps[..., 0].real.copy(), bigp[..., 0].real.copy())
+    drift_q = amps[..., 0].real.copy()
     weight = np.sqrt(params.mass * np.where(osc, omega, 1.0))
     amps *= weight
-    bigp *= 1j
-    bigp /= weight
-    amps += bigp
+    drift_p = np.empty(amps.shape[:-1])
+    rows_a, rows_d = amps.reshape(-1, n), drift_p.reshape(-1)
+    rows_p = np.reshape(p, (-1, n))
+    for start in range(0, rows_a.shape[0], _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        bigp = np.fft.fft(rows_p[block], axis=-1)
+        bigp /= root_n
+        rows_d[block] = bigp[:, 0].real
+        bigp *= 1j
+        bigp /= weight
+        rows_a[block] += bigp
     amps /= math.sqrt(2.0)
     amps[..., ~osc] = 0.0
-    return amps, omega, drift
+    return amps, omega, None if osc[0] else (drift_q, drift_p)
 
 
 def normal_modes(state: ChainState, params: ChainParams) -> ModeSet:

@@ -383,7 +383,8 @@ def run_ensemble(args):
                                        proposal_scale=args.proposal_scale)
     # exact linear flow of (q, p) under qdot = w p, pdot = -w q - alpha p:
     # M(t) = e^{-alpha t/2} [cos(W t) I + sin(W t)/W (A + alpha/2 I)]
-    big_w = math.sqrt(w * w - 0.25 * alpha * alpha)
+    # w * w underflows for tiny omega; the factored form does not
+    big_w = w * math.sqrt(1.0 - (0.5 * alpha / w) ** 2)
     shifted = np.array([[0.5 * alpha, w], [-w, -0.5 * alpha]])
     center = hbar * np.conj(c)
     x0 = math.sqrt(2.0) * np.array([center.real, center.imag])
@@ -990,7 +991,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ThermoFockError as exc:
+    except (ThermoFockError, ArithmeticError) as exc:
         report = ExperimentReport(command=args.command, config=_config_echo(args))
         report.add("numerical-failure",
                    "the run completes inside its numerical validity region",

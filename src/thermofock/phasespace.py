@@ -485,8 +485,9 @@ def hamilton_step(
     the rescaling is singular and the step integrates the plain free particle
     qdot = p/m, pdot = -alpha p (mass defaults to 1).
 
-    q and p may be equal-shape arrays: a whole cloud is then stepped at once,
-    each particle getting the same floats as when stepped alone.
+    q and p may be equal-shape arrays, each element getting the same floats
+    as when stepped alone: ensemble_evolve steps the two unit vectors this
+    way to build the 2x2 map of a whole interval.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError("dt must be positive and finite")

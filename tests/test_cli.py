@@ -116,16 +116,27 @@ def test_damped_ensemble_passes_against_the_exact_flow(tmp_path):
     assert all(check["passed"] for check in report["checks"])
 
 
+@pytest.mark.parametrize("args", [("--omega", "1e-200"),
+                                  ("--omega", "1e-300", "--alpha", "1e-301")])
+def test_ensemble_at_tiny_omega_completes(tmp_path, args):
+    # omega^2 underflows to 0; the oracle's frequency must not divide by it
+    proc = run_cli("ensemble", "--seed", "1", *args, outdir=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path):
     # dt far beyond the stability bound: aborted with a diagnostic, not NaNs;
-    # a thermal state so hot its energy overflows leaves no finite energy cap
-    for args in (("--alpha", "0.01", "--dt", "100", "--seed", "1"),
-                 ("--alpha", "0", "--beta", "1e-308", "--seed", "5",
-                  "--t-max", "5")):
-        proc = run_cli("relax", *args, outdir=tmp_path)
-        assert proc.returncode == 3, args
+    # a thermal state so hot its energy overflows leaves no finite energy cap;
+    # at hbar = 1e-300 the ensemble's |z|^2 standard error underflows to 0
+    for command, *args in (
+            ("relax", "--alpha", "0.01", "--dt", "100", "--seed", "1"),
+            ("relax", "--alpha", "0", "--beta", "1e-308", "--seed", "5",
+             "--t-max", "5"),
+            ("ensemble", "--seed", "1", "--hbar", "1e-300")):
+        proc = run_cli(command, *args, outdir=tmp_path)
+        assert proc.returncode == 3, (command, args)
         assert "numerical failure" in proc.stderr
-        report = read_report(tmp_path, "relax")
+        report = read_report(tmp_path, command)
         assert [check["name"] for check in report["checks"]] == ["numerical-failure"]
         assert not report["checks"][0]["passed"]
 

@@ -319,22 +319,80 @@ def test_damped_ensemble_contracts_both_moments():
         assert abs(rep.abs2_mean - abs2_exp) <= 4 * rep.abs2_se
 
 
-def test_ensemble_cloud_is_hamilton_step_on_each_draw():
-    # the cloud is stepped as one array point; each particle must get the
-    # same floats as stepping it alone (intervals are whole multiples of dt)
+def _interval_map(params, h, n_sub, friction):
+    # the unit vectors stepped n_sub times: columns of the interval's 2x2 map
+    m = PhasePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    for _ in range(n_sub):
+        m = hamilton_step(m, params, h, friction=friction)
+    return (float(m.q[0]), float(m.q[1])), (float(m.p[0]), float(m.p[1]))
+
+
+def test_ensemble_cloud_moves_by_the_interval_maps_bit_for_bit():
+    # the cloud moves once per interval by the map of its leapfrog steps;
+    # each particle must get the same floats as moving it alone by those maps
     f = coherent_vector(0.5, 16, 1.0).normalized()
     params = OscillatorParams(1.3)
-    damping = DampingParams(0.2)
     times = [0.0, 0.6, 0.6, 1.2]
-    hist = ensemble_evolve(f, params, times, 40, seed=11, damping=damping,
-                           dt=0.3)
+    hist = ensemble_evolve(f, params, times, 40, seed=11,
+                           damping=DampingParams(0.2), dt=0.3)
+    maps = [_interval_map(params, (b - a) / 2, 2, 0.2)
+            for a, b in ((0.0, 0.6), (0.6, 1.2))]
     expected = []
     for z in sample_fock_density(f, 40, seed=11):
-        x = PhasePoint(math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag)
-        for _ in range(4):
-            x = hamilton_step(x, params, 0.3, friction=0.2)
-        expected.append((x.q + 1j * x.p) * (2.0 ** -0.5))
+        q, p = math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag
+        for (m00, m01), (m10, m11) in maps:
+            q, p = m00 * q + m01 * p, m10 * q + m11 * p
+        expected.append((q + 1j * p) * (2.0 ** -0.5))
     assert hist.final_z.tobytes() == np.array(expected).tobytes()
+
+
+def test_ensemble_cloud_matches_per_draw_leapfrog_steps():
+    # composing an interval's 512 steps into one map only reorders rounding
+    f = coherent_vector(0.5, 16, 1.0).normalized()
+    params = OscillatorParams(1.3)
+    period = params.period
+    hist = ensemble_evolve(f, params, [0.0, period / 2, period], 64, seed=11,
+                           damping=DampingParams(0.05))
+    expected = []
+    for z in sample_fock_density(f, 64, seed=11):
+        x = PhasePoint(math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag)
+        for a, b in ((0.0, period / 2), (period / 2, period)):
+            for _ in range(512):
+                x = hamilton_step(x, params, (b - a) / 512, friction=0.05)
+        expected.append((x.q + 1j * x.p) * (2.0 ** -0.5))
+    np.testing.assert_allclose(hist.final_z, expected, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05])
+def test_ensemble_interval_map_matches_the_cayley_hamilton_power(alpha):
+    # one leapfrog step is A = kick decay drift decay kick with det A = d =
+    # exp(-alpha h); for A_hat = A / sqrt(d), cos(theta) = tr(A_hat) / 2,
+    # Cayley-Hamilton gives A^n = d^{n/2} [sin(n theta) A_hat
+    # - sin((n-1) theta) I] / sin(theta)
+    params = OscillatorParams(1.0)
+    n = 54
+    t = n * params.period / 1024           # 54 steps of the default dt
+    h = t / n
+    wh = params.omega * h
+    kick = np.array([[1.0, 0.0], [-0.5 * wh, 1.0]])
+    decay = np.diag([1.0, math.exp(-0.5 * alpha * h)])
+    drift = np.array([[1.0, wh], [0.0, 1.0]])
+    d = math.exp(-alpha * h)
+    a_hat = kick @ decay @ drift @ decay @ kick / math.sqrt(d)
+    theta = math.acos(0.5 * np.trace(a_hat))
+    if alpha == 0.0:
+        # the shadow frequency of the frictionless leapfrog
+        assert math.isclose(theta / h, 2.0 / h * math.asin(wh / 2.0),
+                            rel_tol=1e-10)
+    power = d ** (n / 2) / math.sin(theta) * (
+        math.sin(n * theta) * a_hat - math.sin((n - 1) * theta) * np.eye(2))
+    f = coherent_vector(0.5, 16, 1.0).normalized()
+    hist = ensemble_evolve(f, params, [0.0, t], 64, seed=11,
+                           damping=DampingParams(alpha))
+    z0 = sample_fock_density(f, 64, seed=11)
+    x = power @ np.array([z0.real, z0.imag])
+    np.testing.assert_allclose(hist.final_z, x[0] + 1j * x[1],
+                               rtol=1e-12, atol=0.0)
 
 
 def test_ensemble_validation():
