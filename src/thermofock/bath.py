@@ -185,6 +185,8 @@ def partition_estimate(h_poly: PhasePolynomial, beta: float, n_pairs: int,
     if method == "montecarlo":
         if seed is None:
             raise ValueError("montecarlo partition_estimate requires a seed")
+        if samples < 2:
+            raise ValueError("need at least 2 samples")
         if not proposal_scale ** 2 > 0.5:
             # variance of the weights diverges once the proposal is too narrow
             raise ValueError("proposal_scale^2 must exceed 1/2")

@@ -3,9 +3,9 @@
 Each subcommand runs a cluster of checks, prints one line per check, writes
 a versioned JSON report plus CSV data tables into the output directory, and
 exits 0 only if every check passed (1 = check failure, 2 = usage error,
-3 = numerical failure).  Stochastic runs require an explicit --seed and are
-bit-reproducible from (config, seed); the --threads flag caps library
-parallelism without changing any result.
+3 = numerical failure, 4 = internal error).  Stochastic runs require an
+explicit --seed and are bit-reproducible from (config, seed); the --threads
+flag caps library parallelism without changing any result.
 
 Heavy imports happen inside the runners, after --threads is applied, so the
 thread cap reaches the numerics libraries before they start their pools.
@@ -23,6 +23,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 OUTDIR_ENV = "THERMOFOCK_OUTDIR"
 
@@ -985,6 +986,15 @@ def main(argv=None) -> int:
     from .errors import ThermoFockError
     from .reports import ExperimentReport, write_csv
 
+    def diagnose(exc, name, verifies, label, code):
+        report = ExperimentReport(command=args.command, config=_config_echo(args))
+        report.add(name, verifies, f"{type(exc).__name__}: {exc}",
+                   "completion", 0.0, False)
+        report.duration_seconds = time.perf_counter() - start
+        report.write(report_path)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
+
     start = time.perf_counter()
     try:
         report, tables = RUNNERS[args.command](args)
@@ -992,14 +1002,16 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ThermoFockError, ArithmeticError) as exc:
-        report = ExperimentReport(command=args.command, config=_config_echo(args))
-        report.add("numerical-failure",
-                   "the run completes inside its numerical validity region",
-                   f"{type(exc).__name__}: {exc}", "completion", 0.0, False)
-        report.duration_seconds = time.perf_counter() - start
-        report.write(report_path)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return diagnose(exc, "numerical-failure",
+                        "the run completes inside its numerical validity region",
+                        "numerical failure", EXIT_NUMERICAL)
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        return diagnose(exc, "internal-error",
+                        "the run completes without an unexpected exception",
+                        "internal error", EXIT_INTERNAL)
     report.duration_seconds = time.perf_counter() - start
     report.write(report_path)
     for name, header, rows in tables:

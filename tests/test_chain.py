@@ -12,7 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from thermofock import cli
 from thermofock.chain import (
+    _MAP_MAX_SITES,
+    _uses_stride_map,
     ChainParams,
     ChainState,
     ModeSet,
@@ -280,8 +283,10 @@ def test_buffered_leapfrog_matches_roll_reference_bit_for_bit(params, state, run
 
 
 def test_blow_up_to_nan_raises_stability_error():
-    # alternating +-1e308 overflows: 2q is already inf, and the closing kick
-    # adds inf to -inf, so the first snapshot's energy is NaN
+    # alternating +-1e308 overflows: q^2 is already inf, so the initial energy
+    # leaves no finite cap and the run stops before its first step; the
+    # snapshot check itself is tested by
+    # test_blow_up_to_inf_raises_stability_error_on_either_route
     params = ChainParams(n_sites=8)
     q = 1e308 * np.array([1.0, -1.0] * 4)
     state = ChainState(q, np.zeros(8))
@@ -295,6 +300,94 @@ def test_infinite_initial_energy_raises_stability_error():
     state = ChainState(np.full(8, 1e155), np.zeros(8))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StabilityError):
         integrate_chain(state, params, duration=0.1, dt=0.1)
+
+
+def _roll_stride_map(params, h, stride, friction):
+    """Rows: each of the 2N unit vectors after one stride of _roll_leapfrog."""
+    n = params.n_sites
+    rows = []
+    for unit in np.eye(2 * n):
+        _, qs, ps = _roll_leapfrog(ChainState(unit[:n], unit[n:]), params,
+                                   duration=stride * h, dt=h,
+                                   friction=friction, stride=stride)
+        rows.append(np.concatenate((qs[-1], ps[-1])))
+    return np.array(rows)
+
+
+def test_stride_map_route_is_the_unit_vector_map_bit_for_bit():
+    # h = 1/32 and one stride, 40 h = 1.25, are exact, so every unit-vector
+    # run of the reference takes the trajectory's own step
+    params = ChainParams(n_sites=16)
+    state = sample_thermal_state(params, 1.0, 5)
+    h, stride = 1.0 / 32.0, 40
+    assert _uses_stride_map(params.n_sites, stride)
+    traj = integrate_chain(state, params, duration=40.0, dt=h, friction=0.05,
+                           stride=stride)
+    assert traj.n_snapshots == 33
+    m = _roll_stride_map(params, h, stride, friction=0.05)
+    x = np.concatenate((state.q, state.p))
+    for s in range(1, traj.n_snapshots):
+        x = x @ m
+        assert traj.q[s].tobytes() == x[:16].tobytes()
+        assert traj.p[s].tobytes() == x[16:].tobytes()
+    energies = [chain_energy(traj.state(i), params) for i in range(traj.n_snapshots)]
+    assert traj.energies.tolist() == energies
+
+
+@pytest.mark.parametrize("params, friction", [
+    (ChainParams(n_sites=16), 0.05),
+    # no pinning and no friction: the k = 0 mode drifts freely
+    (ChainParams(n_sites=16, gamma=0.0), 0.0),
+], ids=["friction", "gamma-zero-drift"])
+def test_stride_map_route_matches_roll_reference(params, friction):
+    state = _random_state(16, 7)
+    run = dict(duration=100.0, dt=0.025, friction=friction, stride=40)
+    assert _uses_stride_map(params.n_sites, run["stride"])
+    traj = integrate_chain(state, params, **run)
+    times, qs, ps = _roll_leapfrog(state, params, **run)
+    assert np.array_equal(traj.times, times)
+    got = np.concatenate((traj.q, traj.p), axis=1)
+    want = np.concatenate((qs, ps), axis=1)
+    err = np.linalg.norm(got - want, axis=1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
+    if params.gamma == 0.0:
+        # the centre of mass really moves: sum q grows by sum p per unit time
+        drift = float(np.sum(state.p)) * (times[-1] - times[0])
+        assert abs(np.sum(traj.q[-1]) - np.sum(state.q) - drift) <= 1e-9 * abs(drift)
+
+
+@pytest.mark.parametrize("stride", [1, 16], ids=["stencil", "stride-map"])
+def test_blow_up_to_inf_raises_stability_error_on_either_route(stride):
+    # the zone-boundary mode at dt just below 2/w_max: energy finite at the
+    # start (1.6e307, cap 1.6e308) but carried by p alone, so at the extremes
+    # of q it is ~5000x larger and overflows to inf
+    params = ChainParams(n_sites=8)
+    assert _uses_stride_map(params.n_sites, stride) == (stride == 16)
+    dt = (1.0 - 1e-4) * 2.0 / params.omega_max
+    state = ChainState(np.zeros(8), 2e153 * np.array([1.0, -1.0] * 4))
+    assert math.isfinite(10.0 * chain_energy(state, params))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(StabilityError, match="grew to (inf|nan)"):
+        integrate_chain(state, params, duration=640 * dt, dt=dt, stride=stride)
+
+
+def test_route_rule_keeps_dispersion_on_the_stencil_and_caps_the_map():
+    parser = cli.build_parser()
+    dispersion_args = parser.parse_args(["chain-dispersion", "--seed", "1"])
+    assert (dispersion_args.sites, dispersion_args.stride) == (256, 12)
+    for sites in (256, 1024):
+        assert not _uses_stride_map(sites, dispersion_args.stride)
+    relax_args = parser.parse_args(["relax", "--seed", "1"])
+    assert _uses_stride_map(relax_args.sites, relax_args.stride)
+    # the rule's edge at the relax size: the map when 2N <= stride
+    assert _uses_stride_map(16, 32) and not _uses_stride_map(16, 31)
+    # the map holds (2N)^2 floats; the cap bounds it at 128 KiB for any stride
+    for sites in (2, 16, 64, 128, 1024, 262144):
+        for stride in (1, 12, 128, 10**6):
+            if _uses_stride_map(sites, stride):
+                assert sites <= _MAP_MAX_SITES
+                assert (2 * sites) ** 2 * 8 <= 128 * 1024
+    assert _uses_stride_map(64, 10**6) and not _uses_stride_map(128, 10**6)
 
 
 def test_spectral_dispersion_transient_memory_is_bounded():

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from thermofock import cli
+
 
 def run_cli(*args, outdir=None, env_extra=None):
     env = dict(os.environ)
@@ -95,6 +97,10 @@ def test_usage_errors_exit_two(tmp_path):
     for alpha in ("-1", "2"):
         assert run_cli("ensemble", "--seed", "1", "--alpha", alpha,
                        outdir=tmp_path).returncode == 2, alpha
+    # no Monte Carlo draws at all, or one draw and so no standard error
+    for samples in ("0", "1"):
+        assert run_cli("partition", "--seed", "1", "--samples", samples,
+                       outdir=tmp_path).returncode == 2, samples
 
 
 def test_failed_check_exits_one_and_reports_it(tmp_path):
@@ -139,6 +145,21 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path):
         report = read_report(tmp_path, command)
         assert [check["name"] for check in report["checks"]] == ["numerical-failure"]
         assert not report["checks"][0]["passed"]
+
+
+def test_internal_error_exits_four_with_diagnostic_report(tmp_path, monkeypatch,
+                                                         capsys):
+    # an exception outside the contract must not pass for a failed check
+    def broken(args):
+        raise RuntimeError("runner bug")
+
+    monkeypatch.setitem(cli.RUNNERS, "coherent", broken)
+    assert cli.main(["coherent", "--outdir", str(tmp_path)]) == cli.EXIT_INTERNAL == 4
+    assert "internal error: runner bug" in capsys.readouterr().err
+    report = read_report(tmp_path, "coherent")
+    assert [check["name"] for check in report["checks"]] == ["internal-error"]
+    assert not report["checks"][0]["passed"]
+    assert report["checks"][0]["measured"] == "RuntimeError: runner bug"
 
 
 def test_reports_are_reproducible_across_directories(tmp_path):
