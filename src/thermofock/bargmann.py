@@ -5,15 +5,14 @@ The measure is dmu = exp(-|z|^2/hbar) * (2/h) dx dy with h = 2 pi hbar, so
 the total mass is 1 and the monomials e_n(z) = z^n / sqrt(n! hbar^n) form an
 orthonormal basis.  hbar is the bath parameter 1/(beta*omega).
 
-Two independent routes are provided for every inner product: a Gauss-Laguerre
-x uniform-angle quadrature that is *exact* on truncated expansions (not an
-approximation), and a plain Monte Carlo estimate with a standard error, drawn
-from the Gaussian itself.
+Two independent routes are provided for the Gram matrix of that basis: a
+Gauss-Laguerre x uniform-angle quadrature that is *exact* on truncated
+expansions (not an approximation), and a plain Monte Carlo estimate with a
+standard error, drawn from the Gaussian itself.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -25,12 +24,8 @@ from .errors import TruncationError
 from .phasespace import OscillatorParams
 
 __all__ = [
-    "BargmannMeasure",
     "FockVector",
-    "MCEstimate",
     "OperatorMatrix",
-    "SpanResidual",
-    "inner_product",
     "gram_quadrature",
     "gram_montecarlo",
     "coherent_vector",
@@ -40,8 +35,6 @@ __all__ = [
     "hamiltonian_matrix",
     "commutator",
     "kernel_eval",
-    "coherent_span_residual",
-    "spread_points",
 ]
 
 DEFAULT_TRUNCATION = 32
@@ -54,7 +47,6 @@ def _check_hbar(hbar: float) -> float:
     return hbar
 
 
-@functools.lru_cache(maxsize=64)
 def _quad_grid(hbar: float, n_max: int):
     """Nodes/weights exact for conj(f)*g with f, g truncated at n_max.
 
@@ -70,23 +62,6 @@ def _quad_grid(hbar: float, n_max: int):
     z = r[:, None] * np.exp(1j * phi)[None, :]
     weights = np.repeat(w / n_angular, n_angular)
     return z.ravel(), weights
-
-
-@dataclass(frozen=True)
-class BargmannMeasure:
-    """The Gaussian probability measure exp(-|z|^2/hbar) (2/h) dx dy."""
-
-    hbar: float
-
-    def __post_init__(self):
-        _check_hbar(self.hbar)
-
-    def sample(self, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw z with independent N(0, hbar/2) real and imaginary parts."""
-        sigma = math.sqrt(self.hbar / 2.0)
-        x = rng.normal(0.0, sigma, n_samples)
-        y = rng.normal(0.0, sigma, n_samples)
-        return x + 1j * y
 
 
 def _basis_matrix(z: np.ndarray, n_max: int, hbar: float) -> np.ndarray:
@@ -161,61 +136,6 @@ class FockVector:
         return complex(total) if total.ndim == 0 else total
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    """A Monte Carlo value with its standard error."""
-
-    value: complex
-    stderr: float
-    samples: int
-
-
-def _compatible(f: FockVector, g: FockVector):
-    if f.hbar != g.hbar:
-        raise ValueError("hbar mismatch between vectors")
-    if f.truncation != g.truncation:
-        raise ValueError("truncation mismatch between vectors")
-
-
-def inner_product(f: FockVector, g: FockVector, method: str = "quadrature",
-                  samples: int = 200_000, seed=None):
-    """(f, g) = integral of conj(f) g against the Gaussian measure.
-
-    Parameters
-    ----------
-    method : "quadrature" or "montecarlo"
-        The quadrature route is exact (to rounding) for truncated vectors;
-        the Monte Carlo route returns an :class:`MCEstimate` whose stderr is
-        estimated from the same sample.
-    samples, seed : Monte Carlo controls; a seed is mandatory there.
-    """
-    _compatible(f, g)
-    if method == "quadrature":
-        z, w = _quad_grid(f.hbar, f.truncation)
-        return complex(np.sum(w * np.conj(f.evaluate(z)) * g.evaluate(z)))
-    if method == "montecarlo":
-        if seed is None:
-            raise ValueError("montecarlo inner_product requires a seed")
-        if samples < 2:
-            raise ValueError("need at least 2 samples")
-        rng = np.random.default_rng(seed)
-        measure = BargmannMeasure(f.hbar)
-        total = 0j
-        total_sq = 0.0
-        done = 0
-        while done < samples:
-            chunk = min(100_000, samples - done)
-            z = measure.sample(chunk, rng)
-            x = np.conj(f.evaluate(z)) * g.evaluate(z)
-            total += np.sum(x)
-            total_sq += float(np.sum(np.abs(x) ** 2))
-            done += chunk
-        mean = total / samples
-        var = max(total_sq / samples - abs(mean) ** 2, 0.0)
-        return MCEstimate(complex(mean), math.sqrt(var / samples), samples)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def gram_quadrature(n_max: int, hbar: float) -> np.ndarray:
     """Gram matrix (e_i, e_j), i, j <= n_max, by the exact quadrature."""
     if n_max < 0:
@@ -241,14 +161,14 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
     if samples < 2:
         raise ValueError("need at least 2 samples")
     rng = np.random.default_rng(seed)
-    measure = BargmannMeasure(hbar)
+    sigma = math.sqrt(hbar / 2.0)    # N(0, hbar/2) real and imaginary parts
     dim = n_max + 1
     acc = np.zeros((dim, dim), dtype=complex)
     acc_sq = np.zeros((dim, dim))
     done = 0
     while done < samples:
         chunk = min(100_000, samples - done)
-        z = measure.sample(chunk, rng)
+        z = rng.normal(0.0, sigma, chunk) + 1j * rng.normal(0.0, sigma, chunk)
         basis = _basis_matrix(z, n_max, hbar)
         acc += basis.conj() @ basis.T
         sq = np.abs(basis) ** 2
@@ -277,6 +197,8 @@ def coherent_vector(c: complex, n_max: int = DEFAULT_TRUNCATION, hbar: float = 1
     the returned vector is the part of it lost to the truncation.  If
     `tail_tol` is given and the tail exceeds it, a TruncationError is raised.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     hbar = _check_hbar(hbar)
     c = complex(c)
     log_norm2 = hbar * abs(c) ** 2
@@ -333,17 +255,6 @@ class OperatorMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         _check_hbar(self.hbar)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, f: FockVector) -> FockVector:
-        if f.coeffs.size != self.dim:
-            raise ValueError("dimension mismatch")
-        if f.hbar != self.hbar:
-            raise ValueError("hbar mismatch")
-        return FockVector(self.matrix @ f.coeffs, self.hbar)
 
 
 def ladder_matrix(kind: str, n_max: int, hbar: float) -> OperatorMatrix:
@@ -421,60 +332,3 @@ def kernel_eval(c: complex, psi: FockVector, mismatch_tol: float = 1e-10) -> com
             f"kernel routes disagree: pairing {paired!r} vs direct {direct!r}"
         )
     return paired
-
-
-@dataclass(frozen=True)
-class SpanResidual:
-    """Least-squares distance from a state to a span of coherent vectors."""
-
-    residual: float
-    gram_norm: float
-    smallest_eigenvalue: float
-    ill_conditioned: bool
-    coefficients: np.ndarray
-
-
-def coherent_span_residual(psi: FockVector, points, tikhonov_scale: float = 1e-12
-                           ) -> SpanResidual:
-    """min over beta of || psi - sum_k beta_k f_{c_k} || in the truncated space.
-
-    The normal equations are Tikhonov-regularized with lambda =
-    tikhonov_scale * ||Gram||, per the near-degeneracy of close coherent
-    points.  A Gram matrix singular beyond the regularization is flagged,
-    not raised.
-    """
-    points = [complex(c) for c in points]
-    if len(points) < 1:
-        raise ValueError("need at least one coherent point")
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if points[i] == points[j]:
-                raise ValueError("coherent points must be pairwise distinct")
-    n_max = psi.truncation
-    cols = np.stack(
-        [coherent_vector(c, n_max, psi.hbar).coeffs for c in points], axis=1
-    )
-    gram = cols.conj().T @ cols
-    rhs = cols.conj().T @ psi.coeffs
-    gram_norm = float(np.linalg.norm(gram, 2))
-    lam = tikhonov_scale * gram_norm
-    eigs = np.linalg.eigvalsh(gram)
-    beta = np.linalg.solve(gram + lam * np.eye(len(points)), rhs)
-    resid = float(np.linalg.norm(psi.coeffs - cols @ beta))
-    return SpanResidual(
-        residual=resid,
-        gram_norm=gram_norm,
-        smallest_eigenvalue=float(eigs[0]),
-        ill_conditioned=bool(eigs[0] < lam),
-        coefficients=beta,
-    )
-
-
-def spread_points(n: int, radius: float, center: complex = 0j) -> np.ndarray:
-    """n well-separated points in a disk (golden-angle spiral), deterministic."""
-    if n < 1 or radius <= 0:
-        raise ValueError("need n >= 1 and radius > 0")
-    k = np.arange(n, dtype=float)
-    r = radius * np.sqrt((k + 0.5) / n)
-    theta = k * (math.pi * (3.0 - math.sqrt(5.0)))
-    return center + r * np.exp(1j * theta)

@@ -1,5 +1,5 @@
-"""Thermal-bath statistics: equilibrium sampling, the partition-derived
-action scale, Gibbs-weighted inner products, and constrained variations.
+"""Thermal-bath statistics: sample moments, the partition-derived action
+scale, constrained variations, the coherent tilt and the sphere map.
 
 The bath is a harmonic oscillator ensemble at inverse temperature beta; in
 rescaled variables the Gibbs weight exp(-beta w (q^2+p^2)/2) is an isotropic
@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasespace import PhasePolynomial, PhaseRing
+from .phasespace import PhasePolynomial
 
 __all__ = [
     "BathParams",
     "MomentReport",
-    "EquilibriumSample",
     "PlanckResult",
     "VariationGenerator",
     "VariationSplit",
@@ -27,10 +26,8 @@ __all__ = [
     "SphereParams",
     "SphereCheck",
     "moment_report",
-    "sample_equilibrium",
     "quadratic_form_matrix",
     "partition_estimate",
-    "gibbs_inner_product",
     "variation_split",
     "gibbs_first_order_defect",
     "random_antisymmetric",
@@ -71,8 +68,6 @@ class MomentReport:
     mean_se: tuple
     abs2_mean: float
     abs2_se: float
-    abs4_mean: float
-    abs4_se: float
 
 
 def moment_report(z: np.ndarray) -> MomentReport:
@@ -81,7 +76,6 @@ def moment_report(z: np.ndarray) -> MomentReport:
     if n < 2:
         raise ValueError("need at least 2 samples for standard errors")
     a2 = np.abs(z) ** 2
-    a4 = a2 ** 2
     return MomentReport(
         n_samples=n,
         mean=complex(np.mean(z)),
@@ -91,31 +85,7 @@ def moment_report(z: np.ndarray) -> MomentReport:
         ),
         abs2_mean=float(np.mean(a2)),
         abs2_se=float(np.std(a2, ddof=1) / math.sqrt(n)),
-        abs4_mean=float(np.mean(a4)),
-        abs4_se=float(np.std(a4, ddof=1) / math.sqrt(n)),
     )
-
-
-@dataclass(frozen=True)
-class EquilibriumSample:
-    z: np.ndarray
-    report: MomentReport
-
-
-def sample_equilibrium(bath: BathParams, n_samples: int, seed) -> EquilibriumSample:
-    """Draw z from the equilibrium density exp(-|z|^2/hbar)/(pi hbar).
-
-    Componentwise that is N(0, hbar/2); the exact moments are <z> = 0,
-    <|z|^2> = hbar, <|z|^4> = 2 hbar^2.
-    """
-    if seed is None:
-        raise ValueError("sampling requires a seed")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    rng = np.random.default_rng(seed)
-    sigma = math.sqrt(bath.hbar / 2.0)
-    z = rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
-    return EquilibriumSample(z, moment_report(z))
 
 
 # -- partition function ------------------------------------------------------
@@ -123,10 +93,7 @@ def sample_equilibrium(bath: BathParams, n_samples: int, seed) -> EquilibriumSam
 def quadratic_form_matrix(h_poly: PhasePolynomial) -> np.ndarray:
     """Extract A from H = (1/2) x^T A x; rejects anything non-quadratic,
     complex, or not positive definite."""
-    ring = h_poly.ring
-    if ring.kind != "canonical":
-        raise ValueError("partition estimates need a canonical-ring polynomial")
-    d = len(ring.variables)
+    d = len(h_poly.ring.variables)
     a = np.zeros((d, d))
     for expo, coeff in h_poly.terms():
         if sum(expo) != 2:
@@ -217,41 +184,6 @@ def partition_estimate(h_poly: PhasePolynomial, beta: float, n_pairs: int,
         se_h = se_z * h / (n_pairs * z_val)
         return PlanckResult(z_val, n_pairs, h, se_h, "montecarlo")
     raise ValueError(f"unknown method {method!r}")
-
-
-# -- Gibbs inner product -----------------------------------------------------
-
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def gibbs_inner_product(f: PhasePolynomial, g: PhasePolynomial, bath: BathParams) -> complex:
-    """(f, g) = Z^-1 integral conj(f) g exp(-beta H) dq dp for the oscillator bath.
-
-    Under the Gibbs weight every canonical variable is an independent
-    N(0, hbar) Gaussian, so the integral reduces to exact moment sums:
-    E[x^(2k)] = hbar^k (2k-1)!!.  Matches the holomorphic-space pairing on
-    the monomials, (z^n, z^m) = delta_nm n! hbar^n.
-    """
-    if f.ring != g.ring:
-        raise ValueError("polynomials must share a ring")
-    if f.ring.kind != "canonical":
-        raise ValueError("gibbs_inner_product needs canonical-ring polynomials")
-    product = f.conjugated() * g
-    hbar = bath.hbar
-    total = 0j
-    for expo, coeff in product.terms():
-        if any(e % 2 for e in expo):
-            continue
-        moment = hbar ** (sum(expo) // 2)
-        for e in expo:
-            moment *= _double_factorial(e - 1)
-        total += complex(coeff) * moment
-    return total
 
 
 # -- constrained variations --------------------------------------------------

@@ -355,10 +355,14 @@ class ChainTrajectory:
 _MAP_MAX_SITES = 64     # largest chain given a stride map: (2N)^2 floats, 128 KiB
 
 
-def _uses_stride_map(n_sites: int, stride: int) -> bool:
-    """integrate_chain's route rule: compose the stride map when 2N <= stride
-    and N <= _MAP_MAX_SITES, else step the stencil between snapshots."""
-    return 2 * n_sites <= stride and n_sites <= _MAP_MAX_SITES
+def _uses_stride_map(n_sites: int, stride: int, n_snap: int) -> bool:
+    """integrate_chain's route rule: compose the stride map when 2N <= stride,
+    N <= _MAP_MAX_SITES and the run moves through at least 3 + N // 8
+    strides (n_snap counts the initial snapshot too), else step the stencil
+    between snapshots.  Building the map costs about a stride of the 2N-row
+    batch, which only enough products recover."""
+    return (2 * n_sites <= stride and n_sites <= _MAP_MAX_SITES
+            and n_snap - 1 >= 3 + n_sites // 8)
 
 
 def _leapfrog_strides(q0: np.ndarray, p0: np.ndarray, params: ChainParams,
@@ -438,18 +442,21 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
       included, and the state then moves by one product with it per
       snapshot: the same scheme up to rounding (Hairer, Lubich & Wanner,
       Geometric Numerical Integration, ch. IX).
-    The map is taken when 2N <= stride and N <= 64 (_uses_stride_map).  A
-    product then costs 4N^2 <= 2N * stride multiply-adds, fewer than the
-    ~12N * stride element operations of the stencil steps it replaces, in
-    one call where they make about 12 * stride: small chains are bound by
-    per-call overhead.  The cap bounds the map at 128 KiB whatever the
-    stride.  Building the map costs one stride of the 2N-row batch, so runs
-    of very few snapshots pay for it.  Measured on 2 cores at N = 16, stride
-    40: 20 000 steps took 0.21 s stenciled and 0.009 s mapped, one snapshot
-    0.0008 s and 0.0014 s; at N = 64, stride 128, the map costs 7.9x the
-    stencil for one snapshot and 0.14x for 100.  chain-dispersion (N >= 256,
-    stride 12) stays on the stencil, which a09 tests against the dispersion
-    formula.
+    The map is taken when 2N <= stride, N <= 64 and the run has at least
+    3 + N // 8 strides (_uses_stride_map).  A product then costs
+    4N^2 <= 2N * stride multiply-adds, fewer than the ~12N * stride element
+    operations of the stencil steps it replaces, in one call where they make
+    about 12 * stride: small chains are bound by per-call overhead.  The cap
+    bounds the map at 128 KiB whatever the stride.  Building the map costs
+    about one stride of the 2N-row batch, so a run of few strides stays on
+    the stencil.  Map time over stencil time, 2 cores, friction 0.01, best of
+    15, stride 2N to 8N, at the rule's edge: 0.61-0.82 for N <= 4 (3
+    strides), 0.39-0.54 for N = 8 to 32, 0.52-0.81 at N = 64 (11); one
+    stride costs 1.4-2.0x for N <= 16 and 5.5-5.8x at N = 64, and one
+    stride short of the edge up to 1.12x.
+    At N = 16, stride 40, 20 000 steps took 0.21 s stenciled and 0.009 s
+    mapped.  chain-dispersion (N >= 256, stride 12) stays on the stencil,
+    which a09 tests against the dispersion formula.
     """
     _check_sites(state, params)
     if not (duration > 0 and math.isfinite(duration)):
@@ -493,7 +500,7 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
             )
         energies[s] = energy
 
-    if _uses_stride_map(n, stride):
+    if _uses_stride_map(n, stride, n_snap):
         unit = np.eye(2 * n)
         mq, mp = next(_leapfrog_strides(unit[:, :n], unit[:, n:], params, h,
                                         decay, stride))

@@ -167,14 +167,25 @@ def run_commutator(args):
     import numpy as np
 
     from . import bargmann
+    from .phasespace import (OscillatorParams, PhaseRing, poisson_bracket,
+                             variable, z_element, zbar_element)
     from .reports import ExperimentReport
 
     report = ExperimentReport(command="commutator", config=_config_echo(args))
     nmax, hbar = args.nmax, args.hbar
+    # Dirac's correspondence [A, B] = i hbar {A, B}: the targets are i hbar
+    # times the exact classical brackets, with z -> lower and zbar -> raise
+    # under quadrature_operators' convention, so {z, zbar} = -i gives hbar
+    ring = PhaseRing.canonical(1)
+
+    def dirac_target(f, g):
+        bracket = poisson_bracket(f, g).coefficient((0, 0))
+        return 1j * hbar * complex(bracket) * np.eye(nmax + 1)
+
     low = bargmann.ladder_matrix("annihilate", nmax, hbar)
     raise_ = bargmann.ladder_matrix("create", nmax, hbar)
     ladder_comm = bargmann.commutator(low, raise_)
-    target = hbar * np.eye(nmax + 1)
+    target = dirac_target(z_element(ring), zbar_element(ring))
     ladder_dev = np.abs(ladder_comm - target)
     worst_ladder = float(np.max(ladder_dev[:nmax, :nmax]))
     report.add("ladder-commutator-interior",
@@ -183,7 +194,8 @@ def run_commutator(args):
 
     pos, mom = bargmann.quadrature_operators(hbar, nmax)
     qp_comm = bargmann.commutator(pos, mom)
-    qp_dev = np.abs(qp_comm - 1j * hbar * np.eye(nmax + 1))
+    qp_dev = np.abs(qp_comm - dirac_target(variable(ring, "q"),
+                                           variable(ring, "p")))
     worst_qp = float(np.max(qp_dev[:nmax, :nmax]))
     report.add("position-momentum-commutator-interior",
                "[position, momentum] = i hbar on the interior block",
@@ -195,7 +207,6 @@ def run_commutator(args):
                "finite truncation balances: the commutator is traceless",
                trace, 0.0, trace_tol, trace <= trace_tol)
 
-    from .phasespace import OscillatorParams
     params = OscillatorParams(args.omega)
     h_sym = bargmann.hamiltonian_matrix("symmetric", params, hbar, nmax)
     h_norm = bargmann.hamiltonian_matrix("normal", params, hbar, nmax)
@@ -268,7 +279,7 @@ def run_damp(args):
     import numpy as np
 
     from . import bargmann, dynamics, fits
-    from .phasespace import OscillatorParams, PhasePoint, hamilton_orbit, oscillator_energy
+    from .phasespace import OscillatorParams, PhasePoint, hamilton_orbit
     from .reports import ExperimentReport
 
     report = ExperimentReport(command="damp", config=_config_echo(args))
@@ -281,6 +292,8 @@ def run_damp(args):
     damping = dynamics.DampingParams(alpha)
     params = OscillatorParams(w)
     dt = args.dt if args.dt is not None else params.period / 256.0
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError("damp requires --dt positive and finite")
     t_max = args.t_max if args.t_max is not None else 5.0 / alpha
     n_steps = int(math.ceil(t_max / dt))
     point = PhasePoint(args.q0, args.v0 / w)

@@ -30,7 +30,6 @@ __all__ = [
     "evolve_exact",
     "schrodinger_evolve",
     "damped_solution",
-    "sample_fock_density",
     "ensemble_evolve",
 ]
 
@@ -182,6 +181,16 @@ def damped_solution(q0: float, v0: float, params: OscillatorParams,
 # -- ensembles ----------------------------------------------------------------
 
 def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float):
+    """Rejection-sample z from |f(z)|^2 exp(-|z|^2/hbar)/(pi hbar).
+
+    The proposal is the Gaussian widened by `proposal_scale` in variance; the
+    acceptance bound comes from the coefficient majorant A(|z|), which
+    dominates |f| rigorously, so the sampler is exact.  Returns the draws and
+    the acceptance rate, accepted over proposed: draws accepted past
+    `n_samples` in the last chunk count too, since they say the same about
+    the proposal.  An efficiency collapse (< 1e-3) raises SamplerError
+    instead of looping forever.
+    """
     if seed is None:
         raise ValueError("sampling requires a seed")
     if not f.is_normalized(1e-9):
@@ -204,6 +213,7 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     sigma = math.sqrt(s * hbar / 2.0)
     out = np.empty(n_samples, dtype=complex)
     filled = 0
+    accepted = 0
     proposed = 0
     while filled < n_samples:
         chunk = max(10_000, 2 * (n_samples - filled))
@@ -217,25 +227,13 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
         take = min(picked.size, n_samples - filled)
         out[filled:filled + take] = picked[:take]
         filled += take
+        accepted += picked.size
         proposed += chunk
-        if proposed >= 10_000 and filled / proposed < 1e-3:
+        if proposed >= 10_000 and accepted / proposed < 1e-3:
             raise SamplerError(
-                f"rejection efficiency {filled / proposed:.2e} below 1e-3"
+                f"rejection efficiency {accepted / proposed:.2e} below 1e-3"
             )
-    return out, filled / proposed
-
-
-def sample_fock_density(f: FockVector, n_samples: int, seed,
-                        proposal_scale: float = 2.0) -> np.ndarray:
-    """Rejection-sample z from |f(z)|^2 exp(-|z|^2/hbar)/(pi hbar).
-
-    The proposal is the Gaussian widened by `proposal_scale` in variance; the
-    acceptance bound comes from the coefficient majorant A(|z|), which
-    dominates |f| rigorously, so the sampler is exact.  An efficiency
-    collapse (< 1e-3) raises SamplerError instead of looping forever.
-    """
-    samples, _ = _rejection_sample(f, n_samples, seed, proposal_scale)
-    return samples
+    return out, accepted / proposed
 
 
 @dataclass(frozen=True)

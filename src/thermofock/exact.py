@@ -1,12 +1,13 @@
 """Exact arithmetic over the field Q(i, sqrt2).
 
-The canonical <-> normal coordinate maps only ever introduce factors of
-1/sqrt(2) on top of Gaussian rationals, so every coefficient those maps can
-produce lives in the field {(a + b*sqrt2) : a, b Gaussian rational}.  Keeping
-the four rational components explicit makes algebraic identities (bracket
-antisymmetry, Jacobi, the substitution homomorphism) decidable by equality
-instead of by floating-point tolerance.  Floats entering from user input are
-dyadic rationals and convert exactly.
+sqrt2 enters the phase-space algebra only through the complex coordinate
+z = (q + i p)/sqrt2, on top of Gaussian rationals, so every coefficient a
+polynomial in q, p, z and zbar can carry lives in the field
+{(a + b*sqrt2) : a, b Gaussian rational}.  Keeping the four rational
+components explicit makes algebraic identities (bracket antisymmetry, Jacobi,
+{z, zbar} = -i) decidable by equality instead of by floating-point
+tolerance.  Floats entering from user input are dyadic rationals and convert
+exactly.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class SqrtTwoComplex:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        # rational divisors only; the maps never need division by sqrt2
+        # rational divisors only; z = (q + i p)/sqrt2 multiplies by sqrt2/2
         if isinstance(other, SqrtTwoComplex):
             return NotImplemented
         inv = 1 / _frac(other)

@@ -2,22 +2,19 @@
 
 Phase functions are explicit polynomials with exact coefficients in
 Q(i, sqrt2) rather than black-box callables, so the canonical identities
-(antisymmetry, Jacobi, {zbar, z / q, p} = i, the homomorphism property of the
-normal-coordinate substitution) hold as equalities, not up to tolerance.
+(antisymmetry, Jacobi, {q, p} = 1, {z, zbar} = -i) hold as equalities, not
+up to tolerance.
 
-A ring fixes the variable names, the canonical pairing used by the Poisson
-bracket, and a total-degree cap.  Two ring kinds exist: "canonical" rings in
-conjugate pairs (q_k, p_k), and "normal" rings in the complex pairs
-(z_k, zbar_k) with z = (q + i p)/sqrt2.  The bracket in a normal ring carries
-the factor i that the non-canonical change of variables produces, so Poisson
-brackets agree between the two presentations of the same function.
+A ring fixes the variable names, the canonical pairs (q_k, p_k) read by the
+Poisson bracket, and a total-degree cap.  The complex coordinates
+z = (q + i p)/sqrt2 and zbar are degree-1 elements of such a ring.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -31,21 +28,14 @@ __all__ = [
     "OscillatorParams",
     "variable",
     "constant",
-    "monomial",
     "z_element",
     "zbar_element",
     "oscillator_hamiltonian",
     "poisson_bracket",
-    "jacobian_bracket",
-    "liouville_apply",
-    "to_normal_coordinates",
-    "from_normal_coordinates",
     "hamilton_step",
     "hamilton_orbit",
-    "oscillator_energy",
 ]
 
-_ONE = SqrtTwoComplex.ONE
 _I = SqrtTwoComplex.I
 _INV_SQRT2 = SqrtTwoComplex.INV_SQRT2
 
@@ -57,10 +47,8 @@ class PhaseRing:
     """Variable names plus the canonical pairing entering the bracket."""
 
     variables: tuple
-    pairs: tuple            # ((ia, ib), ...): bracket reads d/d[ia] then d/d[ib]
-    pair_factors: tuple     # per-pair bracket weight: 1 for (q,p), i for (zbar,z)
+    pairs: tuple            # ((iq, ip), ...): bracket reads d/d[iq] then d/d[ip]
     degree_cap: int = DEFAULT_DEGREE_CAP
-    kind: str = "canonical"
 
     @classmethod
     def canonical(cls, n_pairs: int = 1, degree_cap: int = DEFAULT_DEGREE_CAP) -> "PhaseRing":
@@ -73,25 +61,7 @@ class PhaseRing:
                 name for k in range(1, n_pairs + 1) for name in (f"q{k}", f"p{k}")
             )
         pairs = tuple((2 * k, 2 * k + 1) for k in range(n_pairs))
-        return cls(names, pairs, (_ONE,) * n_pairs, degree_cap, "canonical")
-
-    @classmethod
-    def normal(cls, n_pairs: int = 1, degree_cap: int = DEFAULT_DEGREE_CAP) -> "PhaseRing":
-        if n_pairs < 1:
-            raise ValueError("need at least one pair")
-        if n_pairs == 1:
-            names = ("z", "zbar")
-        else:
-            names = tuple(
-                name for k in range(1, n_pairs + 1) for name in (f"z{k}", f"zbar{k}")
-            )
-        # {f,g}_(q,p) = i * (df/dzbar dg/dz - df/dz dg/dzbar)
-        pairs = tuple((2 * k + 1, 2 * k) for k in range(n_pairs))
-        return cls(names, pairs, (_I,) * n_pairs, degree_cap, "normal")
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.pairs)
+        return cls(names, pairs, degree_cap)
 
     def index(self, name: str) -> int:
         try:
@@ -134,9 +104,6 @@ class PhasePolynomial:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, PhasePolynomial):
@@ -214,14 +181,6 @@ class PhasePolynomial:
             out = out * self
         return out
 
-    def conjugated(self) -> "PhasePolynomial":
-        """Coefficient-wise complex conjugate (variables stay untouched).
-
-        This is complex conjugation of the *function* only on rings whose
-        variables take real values, i.e. canonical rings.
-        """
-        return PhasePolynomial(self.ring, {e: c.conjugate() for e, c in self._terms.items()})
-
     def differentiate(self, name: str) -> "PhasePolynomial":
         idx = self.ring.index(name)
         out = {}
@@ -270,23 +229,6 @@ class PhasePolynomial:
             total += term
         return total
 
-    def substitute(self, target_ring: PhaseRing, mapping: Mapping[str, "PhasePolynomial"]):
-        """Substitute every variable by a polynomial on `target_ring`."""
-        images = []
-        for name in self.ring.variables:
-            img = mapping[name]
-            if img.ring != target_ring:
-                raise ValueError(f"image of {name!r} lives on the wrong ring")
-            images.append(img)
-        out = constant(target_ring, 0)
-        for expo, coeff in self._terms.items():
-            term = constant(target_ring, coeff)
-            for img, e in zip(images, expo):
-                for _ in range(e):
-                    term = term * img
-            out = out + term
-        return out
-
 
 # -- constructors --------------------------------------------------------
 
@@ -301,14 +243,8 @@ def variable(ring: PhaseRing, name: str) -> PhasePolynomial:
     return PhasePolynomial(ring, {expo: 1})
 
 
-def monomial(ring: PhaseRing, exponents, coeff=1) -> PhasePolynomial:
-    return PhasePolynomial(ring, {tuple(exponents): coeff})
-
-
 def z_element(ring: PhaseRing, pair: int = 0) -> PhasePolynomial:
-    """z = (q + i p)/sqrt2 as a degree-1 element of a canonical ring."""
-    if ring.kind != "canonical":
-        raise ValueError("z_element expects a canonical ring")
+    """z = (q + i p)/sqrt2 as a degree-1 element of the ring."""
     iq, ip = ring.pairs[pair]
     q = variable(ring, ring.variables[iq])
     p = variable(ring, ring.variables[ip])
@@ -316,9 +252,7 @@ def z_element(ring: PhaseRing, pair: int = 0) -> PhasePolynomial:
 
 
 def zbar_element(ring: PhaseRing, pair: int = 0) -> PhasePolynomial:
-    """zbar = (q - i p)/sqrt2 as a degree-1 element of a canonical ring."""
-    if ring.kind != "canonical":
-        raise ValueError("zbar_element expects a canonical ring")
+    """zbar = (q - i p)/sqrt2 as a degree-1 element of the ring."""
     iq, ip = ring.pairs[pair]
     q = variable(ring, ring.variables[iq])
     p = variable(ring, ring.variables[ip])
@@ -326,99 +260,29 @@ def zbar_element(ring: PhaseRing, pair: int = 0) -> PhasePolynomial:
 
 
 def oscillator_hamiltonian(ring: PhaseRing, omega: float) -> PhasePolynomial:
-    """H = sum_k omega/2 (q_k^2 + p_k^2), or omega * zbar z on a normal ring."""
+    """H = sum_k omega/2 (q_k^2 + p_k^2)."""
     out = constant(ring, 0)
-    if ring.kind == "canonical":
-        for iq, ip in ring.pairs:
-            q = variable(ring, ring.variables[iq])
-            p = variable(ring, ring.variables[ip])
-            out = out + (q * q + p * p) * (SqrtTwoComplex.coerce(omega) / 2)
-    elif ring.kind == "normal":
-        for ib, ia in ring.pairs:  # (zbar index, z index)
-            z = variable(ring, ring.variables[ia])
-            zb = variable(ring, ring.variables[ib])
-            out = out + (zb * z) * omega
-    else:
-        raise ValueError(f"unknown ring kind {ring.kind!r}")
+    for iq, ip in ring.pairs:
+        q = variable(ring, ring.variables[iq])
+        p = variable(ring, ring.variables[ip])
+        out = out + (q * q + p * p) * (SqrtTwoComplex.coerce(omega) / 2)
     return out
 
 
 # -- brackets --------------------------------------------------------------
 
 def poisson_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    """{f, g} over the ring's canonical pairs.
-
-    On canonical rings this is sum_k (df/dq_k dg/dp_k - df/dp_k dg/dq_k);
-    on normal rings the pair factor i makes the result agree with the
-    canonical bracket of the same functions.
-    """
+    """{f, g} = sum_k (df/dq_k dg/dp_k - df/dp_k dg/dq_k), exactly."""
     if f.ring != g.ring:
         raise ValueError("poisson_bracket requires a shared ring")
     ring = f.ring
     out = constant(ring, 0)
-    for (ia, ib), factor in zip(ring.pairs, ring.pair_factors):
-        a = ring.variables[ia]
-        b = ring.variables[ib]
-        term = f.differentiate(a) * g.differentiate(b) - f.differentiate(b) * g.differentiate(a)
-        out = out + term * factor
+    for iq, ip in ring.pairs:
+        q = ring.variables[iq]
+        p = ring.variables[ip]
+        out = out + (f.differentiate(q) * g.differentiate(p)
+                     - f.differentiate(p) * g.differentiate(q))
     return out
-
-
-def jacobian_bracket(f: PhasePolynomial, g: PhasePolynomial, pair) -> PhasePolynomial:
-    """d(f, g)/d(a, b) = df/da dg/db - df/db dg/da for named variables a, b."""
-    if f.ring != g.ring:
-        raise ValueError("jacobian_bracket requires a shared ring")
-    a, b = pair
-    if a == b:
-        raise ValueError("jacobian_bracket needs two distinct variables")
-    f.ring.index(a), f.ring.index(b)  # existence check
-    return f.differentiate(a) * g.differentiate(b) - f.differentiate(b) * g.differentiate(a)
-
-
-def liouville_apply(hamiltonian: PhasePolynomial, f: PhasePolynomial) -> PhasePolynomial:
-    """The classical generator acting on f: returns {f, H}."""
-    return poisson_bracket(f, hamiltonian)
-
-
-# -- normal coordinates -----------------------------------------------------
-
-def _partner_normal(ring: PhaseRing) -> PhaseRing:
-    return PhaseRing.normal(ring.n_pairs, ring.degree_cap)
-
-
-def _partner_canonical(ring: PhaseRing) -> PhaseRing:
-    return PhaseRing.canonical(ring.n_pairs, ring.degree_cap)
-
-
-def to_normal_coordinates(f: PhasePolynomial) -> PhasePolynomial:
-    """Re-express a canonical-ring polynomial in (z, zbar) variables."""
-    if f.ring.kind != "canonical":
-        raise ValueError("to_normal_coordinates expects a canonical-ring polynomial")
-    target = _partner_normal(f.ring)
-    mapping = {}
-    for k, (iq, ip) in enumerate(f.ring.pairs):
-        iz, izb = target.pairs[k][1], target.pairs[k][0]
-        z = variable(target, target.variables[iz])
-        zb = variable(target, target.variables[izb])
-        # q = (z + zbar)/sqrt2,  p = -i (z - zbar)/sqrt2
-        mapping[f.ring.variables[iq]] = (z + zb) * _INV_SQRT2
-        mapping[f.ring.variables[ip]] = (z - zb) * (-_I * _INV_SQRT2)
-    return f.substitute(target, mapping)
-
-
-def from_normal_coordinates(f: PhasePolynomial) -> PhasePolynomial:
-    """Inverse of :func:`to_normal_coordinates`; exact round trip."""
-    if f.ring.kind != "normal":
-        raise ValueError("from_normal_coordinates expects a normal-ring polynomial")
-    target = _partner_canonical(f.ring)
-    mapping = {}
-    for k, (izb, iz) in enumerate(f.ring.pairs):
-        iq, ip = target.pairs[k]
-        q = variable(target, target.variables[iq])
-        p = variable(target, target.variables[ip])
-        mapping[f.ring.variables[iz]] = (q + p * _I) * _INV_SQRT2
-        mapping[f.ring.variables[izb]] = (q - p * _I) * _INV_SQRT2
-    return f.substitute(target, mapping)
 
 
 # -- point dynamics ----------------------------------------------------------
@@ -438,33 +302,17 @@ class PhasePoint(NamedTuple):
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Frequency of one oscillator, optionally with its raw mass/stiffness.
+    """Frequency of one oscillator.
 
-    omega = 0 is allowed and means a free particle (the frequency rescaling
-    is singular there); anything that genuinely needs omega > 0 checks for
-    itself.
+    omega = 0 is allowed (the operator matrices are defined there); anything
+    that needs omega > 0, such as the leapfrog, checks for itself.
     """
 
     omega: float
-    mass: float = None
-    stiffness: float = None
 
     def __post_init__(self):
         if not math.isfinite(self.omega) or self.omega < 0:
             raise ValueError("omega must be finite and >= 0")
-        if (self.mass is None) != (self.stiffness is None):
-            raise ValueError("give both mass and stiffness or neither")
-        if self.mass is not None:
-            if self.mass <= 0 or self.stiffness < 0:
-                raise ValueError("mass must be > 0 and stiffness >= 0")
-            if not math.isclose(
-                self.omega ** 2, self.stiffness / self.mass, rel_tol=1e-12, abs_tol=1e-300
-            ):
-                raise ValueError("omega^2 != stiffness/mass")
-
-    @classmethod
-    def from_mass_stiffness(cls, mass: float, stiffness: float) -> "OscillatorParams":
-        return cls(math.sqrt(stiffness / mass), mass, stiffness)
 
     @property
     def period(self) -> float:
@@ -481,9 +329,8 @@ def hamilton_step(
 
     Friction enters as the exact exponential decay of the momentum around the
     drift, so friction = 0 reproduces the frictionless step bit for bit, and
-    the one-step map contracts areas by exactly exp(-alpha dt).  For omega = 0
-    the rescaling is singular and the step integrates the plain free particle
-    qdot = p/m, pdot = -alpha p (mass defaults to 1).
+    the one-step map contracts areas by exactly exp(-alpha dt).  omega must
+    be positive: the rescaled variables are singular at omega = 0.
 
     q and p may be equal-shape arrays, each element getting the same floats
     as when stepped alone: ensemble_evolve steps the two unit vectors this
@@ -493,20 +340,16 @@ def hamilton_step(
         raise ValueError("dt must be positive and finite")
     if friction < 0:
         raise ValueError("friction must be >= 0")
+    w = params.omega
+    if not w > 0:
+        raise ValueError("hamilton_step needs omega > 0")
     q, p = point[0], point[1]
     decay = math.exp(-friction * dt / 2.0)
-    w = params.omega
-    if w > 0:
-        p = p - 0.5 * dt * w * q
-        p = p * decay
-        q = q + dt * w * p
-        p = p * decay
-        p = p - 0.5 * dt * w * q
-    else:
-        m = params.mass if params.mass is not None else 1.0
-        p = p * decay
-        q = q + dt * p / m
-        p = p * decay
+    p = p - 0.5 * dt * w * q
+    p = p * decay
+    q = q + dt * w * p
+    p = p * decay
+    p = p - 0.5 * dt * w * q
     return PhasePoint(q, p)
 
 
@@ -532,11 +375,3 @@ def hamilton_orbit(
             qs.append(x.q)
             ps.append(x.p)
     return np.array(times), np.array(qs), np.array(ps)
-
-
-def oscillator_energy(point: PhasePoint, params: OscillatorParams) -> float:
-    """H = w (q^2 + p^2)/2 in rescaled variables; p^2/2m for the free case."""
-    if params.omega > 0:
-        return 0.5 * params.omega * (point[0] ** 2 + point[1] ** 2)
-    m = params.mass if params.mass is not None else 1.0
-    return 0.5 * point[1] ** 2 / m

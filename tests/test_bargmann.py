@@ -18,17 +18,14 @@ from thermofock import bargmann
 from thermofock.bargmann import (
     FockVector,
     coherent_vector,
-    coherent_span_residual,
     commutator,
     gram_montecarlo,
     gram_quadrature,
     hamiltonian_matrix,
-    inner_product,
     kernel_eval,
     ladder,
     ladder_matrix,
     quadrature_operators,
-    spread_points,
 )
 from thermofock.errors import TruncationError
 from thermofock.phasespace import OscillatorParams
@@ -70,27 +67,16 @@ def test_montecarlo_gram_requires_seed():
         gram_montecarlo(4, 1.0, 1000, seed=None)
 
 
-def test_inner_product_dual_route_agreement():
-    rng = np.random.default_rng(8)
-    f = FockVector(rng.standard_normal(9) + 1j * rng.standard_normal(9), 1.0)
-    g = FockVector(rng.standard_normal(9) + 1j * rng.standard_normal(9), 1.0)
-    exact = complex(np.vdot(f.coeffs, g.coeffs))   # orthonormal expansion
-    quad = inner_product(f, g)
-    assert quad == pytest.approx(exact, abs=1e-12)
-    mc = inner_product(f, g, method="montecarlo", samples=200_000, seed=11)
-    assert abs(mc.value - exact) <= 4.0 * mc.stderr
-
-
 # -- coherent states ----------------------------------------------------------
 
 def test_coherent_pairing_oracle():
-    # (f_a, f_b) = exp(hbar conj(a) b), evaluated by quadrature
+    # (f_a, f_b) = exp(hbar conj(a) b), paired in the orthonormal basis
     hbar = 0.7
     for a, b in [(0.5, 0.5), (0.3 + 0.4j, -0.2 + 0.1j), (1.0, 1j)]:
         fa = coherent_vector(a, 40, hbar)
         fb = coherent_vector(b, 40, hbar)
         expected = np.exp(hbar * np.conj(a) * b)
-        assert inner_product(fa, fb) == pytest.approx(expected, rel=1e-12)
+        assert np.vdot(fa.coeffs, fb.coeffs) == pytest.approx(expected, rel=1e-12)
 
 
 def test_coherent_norm_and_tail_mass():
@@ -230,36 +216,6 @@ def test_ordering_gap_generic_frequency():
                                0.5 * hbar * math.pi * np.eye(11), rtol=4e-15)
 
 
-# -- span geometry ------------------------------------------------------------
-
-def test_span_residual_single_orthogonal_point():
-    # psi = e_1 is orthogonal to f_0 = e_0: residual equals ||psi||
-    psi = FockVector.basis(1, 10, 1.0)
-    out = coherent_span_residual(psi, [0.0])
-    assert out.residual == pytest.approx(psi.norm(), rel=1e-9)
-
-
-def test_span_residual_member_of_span():
-    f = coherent_vector(0.4, 32, 1.0)
-    out = coherent_span_residual(f, [0.4, -0.1, 0.2 + 0.3j])
-    assert out.residual <= 1e-6
-
-
-def test_span_residual_flags_degenerate_points():
-    psi = FockVector.basis(0, 16, 1.0)
-    close = [0.1, 0.1 + 1e-9, 0.1 + 2e-9]
-    out = coherent_span_residual(psi, close)
-    assert out.ill_conditioned
-    with pytest.raises(ValueError):
-        coherent_span_residual(psi, [0.1, 0.1])
-
-
-def test_spread_points_are_distinct_and_bounded():
-    pts = spread_points(40, 2.0)
-    assert len(set(np.round(pts, 12))) == 40
-    assert np.max(np.abs(pts)) <= 2.0 + 1e-12
-
-
 # -- FockVector basics ---------------------------------------------------------
 
 def test_fock_vector_validation():
@@ -271,11 +227,10 @@ def test_fock_vector_validation():
         FockVector(np.array([1.0]), 0.0)
 
 
-def test_normalized_and_mismatch_guards():
+def test_normalized_and_zero_vector_guards():
     f = FockVector(np.array([3.0, 4.0]), 1.0)
     assert f.norm() == pytest.approx(5.0)
     g = f.normalized()
     assert g.is_normalized()
-    other = FockVector(np.array([1.0, 0.0]), 2.0)
     with pytest.raises(ValueError):
-        inner_product(f, other)   # hbar mismatch
+        FockVector(np.zeros(3), 1.0).normalized()

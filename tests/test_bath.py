@@ -1,9 +1,9 @@
-"""Thermal-bath statistics: Gibbs sampling, the action cell, constrained
-variations, and the sphere pushforward.
+"""Thermal-bath statistics: equilibrium moments, the action cell,
+constrained variations, the coherent tilt and the sphere pushforward.
 
-Closed-form oracles: Gaussian moments E[x^(2k)] = hbar^k (2k-1)!!, the
-partition integral Z = 2 pi/(beta omega) per oscillator pair, and the
-monomial pairing (z^n, z^m) = delta_nm n! hbar^n.
+Closed-form oracles: Gaussian moments of the equilibrium, the partition
+integral Z = 2 pi/(beta omega) per oscillator pair, the shifted Gaussian of
+the tilt, and the exponential radial law of the sphere map.
 """
 
 import math
@@ -12,31 +12,28 @@ import numpy as np
 import pytest
 
 from thermofock import bath
-from thermofock.bargmann import gram_quadrature
+from thermofock.bargmann import FockVector
 from thermofock.bath import (
     BathParams,
     SphereParams,
     VariationGenerator,
     gibbs_first_order_defect,
-    gibbs_inner_product,
     ks_threshold_99,
     moment_report,
     partition_estimate,
     quadratic_form_matrix,
     random_antisymmetric,
-    sample_equilibrium,
     sphere_pushforward_check,
     tilt_measure,
     variation_split,
 )
+from thermofock.dynamics import ensemble_evolve
 from thermofock.fits import fit_loglog_slope
 from thermofock.phasespace import (
+    OscillatorParams,
     PhaseRing,
-    monomial,
     oscillator_hamiltonian,
     variable,
-    z_element,
-    zbar_element,
 )
 
 
@@ -52,22 +49,23 @@ def test_hbar_is_inverse_beta_omega():
         BathParams(1.0, -1.0)
 
 
-# -- equilibrium sampling -------------------------------------------------------
+# -- sample moments -------------------------------------------------------------
 
 def test_equilibrium_moments():
+    # the equilibrium density exp(-|z|^2/hbar)/(pi hbar) is |e_0|^2 dmu, the
+    # ensemble's vacuum: <z> = 0, <|z|^2> = hbar, <|z|^4> = 2 hbar^2
     bp = BathParams(1.0, 2.0)   # hbar = 0.5
-    sample = sample_equilibrium(bp, 200_000, seed=7)
-    rep = sample.report
+    vacuum = FockVector.basis(0, 8, bp.hbar)
+    hist = ensemble_evolve(vacuum, OscillatorParams(bp.omega), [0.0],
+                           200_000, seed=7)
+    rep = hist.moments[0]
     se_re, se_im = rep.mean_se
     assert abs(rep.mean.real) <= 4 * se_re
     assert abs(rep.mean.imag) <= 4 * se_im
     assert abs(rep.abs2_mean - bp.hbar) <= 4 * rep.abs2_se
-    assert abs(rep.abs4_mean - 2 * bp.hbar ** 2) <= 4 * rep.abs4_se
-
-
-def test_equilibrium_requires_seed():
-    with pytest.raises(ValueError):
-        sample_equilibrium(BathParams(1.0, 1.0), 100, seed=None)
+    a4 = np.abs(hist.final_z) ** 4
+    abs4_se = np.std(a4, ddof=1) / math.sqrt(a4.size)
+    assert abs(np.mean(a4) - 2 * bp.hbar ** 2) <= 4 * abs4_se
 
 
 def test_moment_report_needs_two_samples():
@@ -123,10 +121,11 @@ def test_partition_rejects_bad_input():
         partition_estimate(h, 1.0, 2)            # pair-count mismatch
     with pytest.raises(ValueError):
         partition_estimate(h, 1.0, 1, method="montecarlo", seed=None)
-    cubic = h + monomial(ring, (3, 0), 1)
+    q, p = variable(ring, "q"), variable(ring, "p")
+    cubic = h + q * q * q
     with pytest.raises(ValueError):
         partition_estimate(cubic, 1.0, 1)        # not quadratic
-    indefinite = monomial(ring, (2, 0), 1) - monomial(ring, (0, 2), 1)
+    indefinite = q * q - p * p
     with pytest.raises(ValueError):
         partition_estimate(indefinite, 1.0, 1)   # not positive definite
 
@@ -137,44 +136,6 @@ def test_quadratic_form_matrix_entries():
     h = q * q * 1.5 + p * p * 0.5 + q * p * 0.25
     a = quadratic_form_matrix(h)
     np.testing.assert_allclose(a, [[3.0, 0.25], [0.25, 1.0]])
-
-
-# -- Gibbs inner product ----------------------------------------------------------
-
-def test_monomial_pairing_oracle():
-    ring = PhaseRing.canonical(1)
-    bp = BathParams(1.0, 0.5)    # hbar = 2
-    z = z_element(ring)
-    for n in range(5):
-        for m in range(5):
-            val = gibbs_inner_product(z ** n, z ** m, bp)
-            expect = math.factorial(n) * bp.hbar ** n if n == m else 0.0
-            assert val == pytest.approx(expect, abs=1e-12)
-
-
-def test_gibbs_pairing_matches_holomorphic_quadrature():
-    # dual route: Gaussian moment sums against the Gauss-Laguerre Gram matrix;
-    # (z^n, z^m) = sqrt(n! hbar^n m! hbar^m) (e_n, e_m)
-    ring = PhaseRing.canonical(1)
-    bp = BathParams(2.0, 0.5)    # hbar = 1
-    z = z_element(ring)
-    gram = gram_quadrature(4, bp.hbar)
-    for n in range(5):
-        for m in range(5):
-            lhs = gibbs_inner_product(z ** n, z ** m, bp)
-            norm = math.sqrt(math.factorial(n) * bp.hbar ** n
-                             * math.factorial(m) * bp.hbar ** m)
-            assert lhs == pytest.approx(norm * gram[n, m], abs=1e-10)
-
-
-def test_gibbs_pairing_conjugates_the_first_slot():
-    ring = PhaseRing.canonical(1)
-    bp = BathParams(1.0, 1.0)
-    z = z_element(ring)
-    zb = zbar_element(ring)
-    # (zbar, zbar) pairs conj(zbar) = z against zbar: orthogonal
-    assert gibbs_inner_product(zb, zb, bp) == pytest.approx(bp.hbar)
-    assert gibbs_inner_product(z, zb, bp) == pytest.approx(0.0, abs=1e-15)
 
 
 # -- constrained variations --------------------------------------------------------

@@ -320,7 +320,7 @@ def test_stride_map_route_is_the_unit_vector_map_bit_for_bit():
     params = ChainParams(n_sites=16)
     state = sample_thermal_state(params, 1.0, 5)
     h, stride = 1.0 / 32.0, 40
-    assert _uses_stride_map(params.n_sites, stride)
+    assert _uses_stride_map(params.n_sites, stride, 33)
     traj = integrate_chain(state, params, duration=40.0, dt=h, friction=0.05,
                            stride=stride)
     assert traj.n_snapshots == 33
@@ -342,7 +342,7 @@ def test_stride_map_route_is_the_unit_vector_map_bit_for_bit():
 def test_stride_map_route_matches_roll_reference(params, friction):
     state = _random_state(16, 7)
     run = dict(duration=100.0, dt=0.025, friction=friction, stride=40)
-    assert _uses_stride_map(params.n_sites, run["stride"])
+    assert _uses_stride_map(params.n_sites, run["stride"], 101)
     traj = integrate_chain(state, params, **run)
     times, qs, ps = _roll_leapfrog(state, params, **run)
     assert np.array_equal(traj.times, times)
@@ -362,7 +362,7 @@ def test_blow_up_to_inf_raises_stability_error_on_either_route(stride):
     # start (1.6e307, cap 1.6e308) but carried by p alone, so at the extremes
     # of q it is ~5000x larger and overflows to inf
     params = ChainParams(n_sites=8)
-    assert _uses_stride_map(params.n_sites, stride) == (stride == 16)
+    assert _uses_stride_map(params.n_sites, stride, 640 // stride + 1) == (stride == 16)
     dt = (1.0 - 1e-4) * 2.0 / params.omega_max
     state = ChainState(np.zeros(8), 2e153 * np.array([1.0, -1.0] * 4))
     assert math.isfinite(10.0 * chain_energy(state, params))
@@ -376,18 +376,26 @@ def test_route_rule_keeps_dispersion_on_the_stencil_and_caps_the_map():
     dispersion_args = parser.parse_args(["chain-dispersion", "--seed", "1"])
     assert (dispersion_args.sites, dispersion_args.stride) == (256, 12)
     for sites in (256, 1024):
-        assert not _uses_stride_map(sites, dispersion_args.stride)
+        assert not _uses_stride_map(sites, dispersion_args.stride, 10**6)
     relax_args = parser.parse_args(["relax", "--seed", "1"])
-    assert _uses_stride_map(relax_args.sites, relax_args.stride)
+    # relax at its defaults: t_max = 10 / alpha, 40 000 steps, 1001 snapshots
+    assert _uses_stride_map(relax_args.sites, relax_args.stride, 1001)
     # the rule's edge at the relax size: the map when 2N <= stride
-    assert _uses_stride_map(16, 32) and not _uses_stride_map(16, 31)
+    assert _uses_stride_map(16, 32, 1001) and not _uses_stride_map(16, 31, 1001)
+    # building the map costs about one stride of the 2N-row batch, so a run
+    # needs 3 + N // 8 strides to recover it
+    for sites, strides in ((2, 3), (8, 4), (16, 5), (64, 11)):
+        assert _uses_stride_map(sites, 2 * sites, strides + 1)
+        assert not _uses_stride_map(sites, 2 * sites, strides)
+    assert not _uses_stride_map(16, 40, 2)       # relax's size, one stride
     # the map holds (2N)^2 floats; the cap bounds it at 128 KiB for any stride
     for sites in (2, 16, 64, 128, 1024, 262144):
         for stride in (1, 12, 128, 10**6):
-            if _uses_stride_map(sites, stride):
+            if _uses_stride_map(sites, stride, 10**6):
                 assert sites <= _MAP_MAX_SITES
                 assert (2 * sites) ** 2 * 8 <= 128 * 1024
-    assert _uses_stride_map(64, 10**6) and not _uses_stride_map(128, 10**6)
+    assert (_uses_stride_map(64, 10**6, 10**6)
+            and not _uses_stride_map(128, 10**6, 10**6))
 
 
 def test_spectral_dispersion_transient_memory_is_bounded():

@@ -101,6 +101,12 @@ def test_usage_errors_exit_two(tmp_path):
     for samples in ("0", "1"):
         assert run_cli("partition", "--seed", "1", "--samples", samples,
                        outdir=tmp_path).returncode == 2, samples
+    # a negative truncation for the coherent vector, a zero leapfrog step
+    for args in (("coherent", "--nmax", "-1"),
+                 ("ensemble", "--seed", "1", "--nmax", "-1"),
+                 ("damp", "--nmax", "-1"),
+                 ("damp", "--dt", "0")):
+        assert run_cli(*args, outdir=tmp_path).returncode == 2, args
 
 
 def test_failed_check_exits_one_and_reports_it(tmp_path):
@@ -120,6 +126,16 @@ def test_damped_ensemble_passes_against_the_exact_flow(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = read_report(tmp_path, "ensemble")
     assert all(check["passed"] for check in report["checks"])
+
+
+def test_few_sample_ensemble_is_no_sampler_collapse(tmp_path):
+    # the first chunk of 10 000 proposals accepts thousands of draws for 5
+    # samples; counting only the 5 kept ones read as an efficiency collapse
+    proc = run_cli("ensemble", "--samples", "5", "--seed", "1", outdir=tmp_path)
+    assert proc.returncode in (0, 1), proc.stdout + proc.stderr
+    report = read_report(tmp_path, "ensemble")
+    efficiency = {c["name"]: c for c in report["checks"]}["sampler-efficiency"]
+    assert efficiency["passed"]
 
 
 @pytest.mark.parametrize("args", [("--omega", "1e-200"),

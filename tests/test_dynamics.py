@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from thermofock import dynamics
 from thermofock.bargmann import FockVector, coherent_vector
 from thermofock.dynamics import (
     AngularProfile,
@@ -18,7 +19,6 @@ from thermofock.dynamics import (
     evolve_exact,
     l2_grid_distance,
     profile_from_fock,
-    sample_fock_density,
     schrodinger_evolve,
     transport_solve,
 )
@@ -241,11 +241,21 @@ def test_coefficient_majorant_dominates_the_state():
         assert np.max(np.abs(f.evaluate(z))) <= bound.real * (1 + 1e-12)
 
 
+def _draws(f, n_samples, seed):
+    """The ensemble's initial cloud: the sampler's draws, bit for bit."""
+    return dynamics._rejection_sample(f, n_samples, seed, 2.0)[0]
+
+
+def _initial_cloud(f, n_samples, seed, **kwargs):
+    return ensemble_evolve(f, OscillatorParams(1.0), [0.0], n_samples, seed,
+                           **kwargs)
+
+
 def test_sampled_density_moments_match_the_gaussian():
     # |f_c|^2 dmu is a Gaussian centered at hbar conj(c) with variance hbar
     c, hbar = 0.5, 1.0
     f = coherent_vector(c, 32, hbar, tail_tol=1e-12).normalized()
-    z = sample_fock_density(f, 100_000, seed=7)
+    z = _initial_cloud(f, 100_000, seed=7).final_z
     n = z.size
     center = hbar * np.conj(c)
     se_mean = np.std(z.real, ddof=1) / math.sqrt(n)
@@ -258,18 +268,27 @@ def test_sampled_density_moments_match_the_gaussian():
 def test_sampler_guards():
     f = coherent_vector(0.5, 32, 1.0).normalized()
     with pytest.raises(ValueError):
-        sample_fock_density(f, 100, seed=None)
+        _initial_cloud(f, 100, seed=None)
     with pytest.raises(ValueError):
-        sample_fock_density(f, 100, seed=1, proposal_scale=0.9)
+        _initial_cloud(f, 100, seed=1, proposal_scale=0.9)
     unnormalized = coherent_vector(0.5, 32, 1.0)
     with pytest.raises(ValueError):
-        sample_fock_density(unnormalized, 100, seed=1)
+        _initial_cloud(unnormalized, 100, seed=1)
 
 
 def test_sampler_efficiency_collapse_raises():
     f = coherent_vector(0.5, 32, 1.0).normalized()
     with pytest.raises(SamplerError):
-        sample_fock_density(f, 50, seed=3, proposal_scale=1000.0)
+        _initial_cloud(f, 50, seed=3, proposal_scale=1000.0)
+
+
+def test_acceptance_rate_counts_every_accepted_draw():
+    # a chunk of 10 000 proposals overshoots 100 samples; its surplus of
+    # accepted draws still measures the rate
+    f = coherent_vector(0.5, 32, 1.0).normalized()
+    small = _initial_cloud(f, 100, seed=1).acceptance_rate
+    large = _initial_cloud(f, 100_000, seed=1).acceptance_rate
+    assert abs(small - large) <= 0.05
 
 
 # -- ensembles ------------------------------------------------------------------------------
@@ -338,7 +357,7 @@ def test_ensemble_cloud_moves_by_the_interval_maps_bit_for_bit():
     maps = [_interval_map(params, (b - a) / 2, 2, 0.2)
             for a, b in ((0.0, 0.6), (0.6, 1.2))]
     expected = []
-    for z in sample_fock_density(f, 40, seed=11):
+    for z in _draws(f, 40, seed=11):
         q, p = math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag
         for (m00, m01), (m10, m11) in maps:
             q, p = m00 * q + m01 * p, m10 * q + m11 * p
@@ -354,7 +373,7 @@ def test_ensemble_cloud_matches_per_draw_leapfrog_steps():
     hist = ensemble_evolve(f, params, [0.0, period / 2, period], 64, seed=11,
                            damping=DampingParams(0.05))
     expected = []
-    for z in sample_fock_density(f, 64, seed=11):
+    for z in _draws(f, 64, seed=11):
         x = PhasePoint(math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag)
         for a, b in ((0.0, period / 2), (period / 2, period)):
             for _ in range(512):
@@ -389,7 +408,7 @@ def test_ensemble_interval_map_matches_the_cayley_hamilton_power(alpha):
     f = coherent_vector(0.5, 16, 1.0).normalized()
     hist = ensemble_evolve(f, params, [0.0, t], 64, seed=11,
                            damping=DampingParams(alpha))
-    z0 = sample_fock_density(f, 64, seed=11)
+    z0 = _draws(f, 64, seed=11)
     x = power @ np.array([z0.real, z0.imag])
     np.testing.assert_allclose(hist.final_z, x[0] + 1j * x[1],
                                rtol=1e-12, atol=0.0)

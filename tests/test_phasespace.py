@@ -16,17 +16,13 @@ from thermofock.fits import fit_loglog_slope
 from thermofock.phasespace import (
     OscillatorParams,
     PhasePoint,
+    PhasePolynomial,
     PhaseRing,
-    from_normal_coordinates,
+    constant,
     hamilton_orbit,
     hamilton_step,
-    jacobian_bracket,
-    liouville_apply,
-    monomial,
-    oscillator_energy,
     oscillator_hamiltonian,
     poisson_bracket,
-    to_normal_coordinates,
     variable,
     z_element,
     zbar_element,
@@ -36,10 +32,10 @@ from thermofock.phasespace import (
 def _random_poly(ring, rng, n_terms=4, max_exp=2):
     """Small random integer-coefficient polynomial for identity checks."""
     nvars = len(ring.variables)
-    out = monomial(ring, (0,) * nvars, int(rng.integers(-3, 4)))
+    out = constant(ring, int(rng.integers(-3, 4)))
     for _ in range(n_terms):
         expo = tuple(int(e) for e in rng.integers(0, max_exp + 1, nvars))
-        out = out + monomial(ring, expo, int(rng.integers(-3, 4)))
+        out = out + PhasePolynomial(ring, {expo: int(rng.integers(-3, 4))})
     return out
 
 
@@ -49,7 +45,7 @@ def test_canonical_pair_bracket():
     ring = PhaseRing.canonical(1)
     q = variable(ring, "q")
     p = variable(ring, "p")
-    one = monomial(ring, (0, 0), 1)
+    one = constant(ring, 1)
     assert poisson_bracket(q, p) == one
     assert poisson_bracket(p, q) == one * (-1)
     assert poisson_bracket(q, q).is_zero
@@ -61,7 +57,7 @@ def test_zbar_z_bracket_is_i():
     z = z_element(ring)
     zb = zbar_element(ring)
     bracket = poisson_bracket(zb, z)
-    assert bracket == monomial(ring, (0, 0), 1) * SqrtTwoComplex.I
+    assert bracket == constant(ring, SqrtTwoComplex.I)
 
 
 def test_hamiltonian_rotates_z():
@@ -69,9 +65,9 @@ def test_hamiltonian_rotates_z():
     ring = PhaseRing.canonical(1)
     z = z_element(ring)
     h = oscillator_hamiltonian(ring, 2.0)
-    assert liouville_apply(h, z) == z * (-2j)
+    assert poisson_bracket(z, h) == z * (-2j)
     zb = zbar_element(ring)
-    assert liouville_apply(h, zb) == zb * 2j
+    assert poisson_bracket(zb, h) == zb * 2j
 
 
 def test_bracket_antisymmetry_and_leibniz():
@@ -104,67 +100,54 @@ def test_jacobi_identity_exact():
         assert total.is_zero
 
 
-def test_jacobian_bracket_matches_poisson_on_the_pair():
-    ring = PhaseRing.canonical(1)
-    rng = np.random.default_rng(2)
-    f = _random_poly(ring, rng)
-    g = _random_poly(ring, rng)
-    assert jacobian_bracket(f, g, ("q", "p")) == poisson_bracket(f, g)
-    with pytest.raises(ValueError):
-        jacobian_bracket(f, g, ("q", "q"))
-
-
-# -- normal coordinates -------------------------------------------------------
+# -- complex coordinates ------------------------------------------------------
 
 def test_round_trip_is_the_identity():
-    rng = np.random.default_rng(3)
+    # q = (z + zbar)/sqrt2 and p = -i (z - zbar)/sqrt2 recover the pair exactly
     ring = PhaseRing.canonical(2)
-    for _ in range(10):
-        f = _random_poly(ring, rng)
-        assert from_normal_coordinates(to_normal_coordinates(f)) == f
-
-
-def test_coordinate_change_is_a_ring_homomorphism():
-    rng = np.random.default_rng(4)
-    ring = PhaseRing.canonical(1)
-    for _ in range(10):
-        f = _random_poly(ring, rng, max_exp=2)
-        g = _random_poly(ring, rng, max_exp=2)
-        assert to_normal_coordinates(f * g) == to_normal_coordinates(f) * to_normal_coordinates(g)
-        assert to_normal_coordinates(f + g) == to_normal_coordinates(f) + to_normal_coordinates(g)
+    inv_sqrt2 = SqrtTwoComplex.INV_SQRT2
+    for pair, (q, p) in enumerate((("q1", "p1"), ("q2", "p2"))):
+        z, zb = z_element(ring, pair), zbar_element(ring, pair)
+        assert (z + zb) * inv_sqrt2 == variable(ring, q)
+        assert (z - zb) * (-SqrtTwoComplex.I * inv_sqrt2) == variable(ring, p)
 
 
 def test_bracket_commutes_with_coordinate_change():
-    # the i in the normal-ring pair factor is exactly what makes this hold
-    rng = np.random.default_rng(5)
+    # on functions of z, zbar the canonical bracket is
+    # -i (dF/dz dG/dzbar - dF/dzbar dG/dz); for monomials z^a zbar^b that is
+    # -i (a d - b c) z^(a+c-1) zbar^(b+d-1), exactly
     ring = PhaseRing.canonical(1)
+    z, zb = z_element(ring), zbar_element(ring)
+    rng = np.random.default_rng(5)
     for _ in range(10):
-        f = _random_poly(ring, rng)
-        g = _random_poly(ring, rng)
-        lhs = to_normal_coordinates(poisson_bracket(f, g))
-        rhs = poisson_bracket(to_normal_coordinates(f), to_normal_coordinates(g))
-        assert lhs == rhs
+        a, b, c, d = (int(e) for e in rng.integers(0, 4, 4))
+        bracket = poisson_bracket(z ** a * zb ** b, z ** c * zb ** d)
+        if a + c == 0 or b + d == 0:
+            assert bracket.is_zero
+            continue
+        expected = z ** (a + c - 1) * zb ** (b + d - 1) * (-1j * (a * d - b * c))
+        assert bracket == expected
 
 
 def test_hamiltonian_is_omega_zbar_z_in_normal_coordinates():
     ring = PhaseRing.canonical(1)
-    h = oscillator_hamiltonian(ring, 1.0)
-    normal = to_normal_coordinates(h)
-    expected = oscillator_hamiltonian(PhaseRing.normal(1), 1.0)
-    assert normal == expected
+    for omega in (1.0, 0.75):
+        h = oscillator_hamiltonian(ring, omega)
+        assert h == zbar_element(ring) * z_element(ring) * omega
 
 
 def test_evaluation_agrees_across_coordinates():
+    # a polynomial in z, zbar built exactly on (q, p) evaluates like the same
+    # expression in the complex number z = PhasePoint(q, p).to_z()
     ring = PhaseRing.canonical(1)
     rng = np.random.default_rng(6)
-    f = _random_poly(ring, rng)
-    fn = to_normal_coordinates(f)
+    z, zb = z_element(ring), zbar_element(ring)
+    f = z ** 3 * zb - z * zb * 2 + zb ** 2 * (1 - 3j)
     for _ in range(5):
         q, p = rng.standard_normal(2)
-        z = complex(q, p) / math.sqrt(2.0)
-        direct = f.evaluate([q, p])
-        via_z = fn.evaluate({"z": z, "zbar": z.conjugate()})
-        assert via_z == pytest.approx(direct, abs=1e-12)
+        w = PhasePoint(q, p).to_z()
+        via_z = w ** 3 * w.conjugate() - 2 * abs(w) ** 2 + w.conjugate() ** 2 * (1 - 3j)
+        assert f.evaluate([q, p]) == pytest.approx(via_z, abs=1e-12)
 
 
 def test_degree_cap_raises_capacity_error():
@@ -175,14 +158,6 @@ def test_degree_cap_raises_capacity_error():
 
 
 # -- point dynamics -----------------------------------------------------------
-
-def test_free_particle_drift():
-    # omega = 0: q advances linearly, p stays put
-    params = OscillatorParams(0.0)
-    pt = hamilton_step(PhasePoint(1.0, 0.5), params, dt=2.0)
-    assert pt.q == pytest.approx(2.0)
-    assert pt.p == 0.5
-
 
 def test_leapfrog_returns_after_one_period():
     params = OscillatorParams(math.sqrt(2.0))
@@ -199,13 +174,17 @@ def test_leapfrog_returns_after_one_period():
 def test_energy_error_scales_as_dt_squared():
     params = OscillatorParams(1.0)
     x0 = PhasePoint(1.0, 0.0)
-    e0 = oscillator_energy(x0, params)
+
+    def oscillator_energy(q, p):
+        return 0.5 * params.omega * (q ** 2 + p ** 2)
+
+    e0 = oscillator_energy(*x0)
     dts = np.array([1e-3 * 2 ** k for k in range(6)])
     errs = []
     for dt in dts:
         n = int(round(1.0 / dt))
         _, qs, ps = hamilton_orbit(x0, params, dt, n)
-        e = oscillator_energy(PhasePoint(qs[-1], ps[-1]), params)
+        e = oscillator_energy(qs[-1], ps[-1])
         errs.append(abs(e - e0))
     slope = fit_loglog_slope(dts, np.array(errs))
     assert slope == pytest.approx(2.0, abs=0.1)
@@ -258,12 +237,10 @@ def test_oscillator_params_validation():
     with pytest.raises(ValueError):
         OscillatorParams(-1.0)
     with pytest.raises(ValueError):
-        OscillatorParams(1.0, mass=2.0)      # stiffness missing
-    with pytest.raises(ValueError):
-        OscillatorParams(1.0, mass=1.0, stiffness=4.0)  # omega^2 mismatch
-    p = OscillatorParams.from_mass_stiffness(2.0, 8.0)
-    assert p.omega == pytest.approx(2.0)
+        OscillatorParams(math.inf)
+    p = OscillatorParams(2.0)
     assert p.period == pytest.approx(math.pi)
+    assert OscillatorParams(0.0).period == math.inf
 
 
 def test_hamilton_step_rejects_bad_arguments():
@@ -272,3 +249,5 @@ def test_hamilton_step_rejects_bad_arguments():
         hamilton_step(PhasePoint(0, 0), params, dt=0.0)
     with pytest.raises(ValueError):
         hamilton_step(PhasePoint(0, 0), params, dt=0.1, friction=-1.0)
+    with pytest.raises(ValueError):
+        hamilton_step(PhasePoint(0, 0), OscillatorParams(0.0), dt=0.1)

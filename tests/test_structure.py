@@ -1,5 +1,6 @@
-"""Source-level rules for the package: modules share only public names, and
-every `__all__` entry names something the module defines."""
+"""Source-level rules for the package: modules share only public names,
+every `__all__` entry names something the module defines, and every
+definition feeds some CLI run."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,73 @@ def test_every_export_is_defined(path):
     tree = _tree(path)
     missing = sorted(set(_declared_all(tree)) - _top_level_names(tree))
     assert not missing, missing
+
+
+def _definitions(tree):
+    """Top-level name -> the nodes that bind it (defs, classes, assignments)."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs.setdefault(node.name, []).append(node)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    defs.setdefault(target.id, []).append(node)
+    return defs
+
+
+def _package_imports(tree, package):
+    """(names, modules): local name -> (x, y) for `from .x import y` and
+    local name -> x for `from . import x`, wherever the import sits."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None and alias.name in package:
+                    modules[local] = alias.name
+                elif node.module in package:
+                    names[local] = (node.module, alias.name)
+    return names, modules
+
+
+def test_every_export_is_reachable_from_the_cli():
+    """Name closure from the `cli` runners and `main`: every `__all__` entry
+    and every top-level function or class feeds some run.  The closure
+    follows a name bound by `from .x import y`, an attribute `x.attr` of a
+    module bound by `from . import x`, and a name defined in the same
+    module; an import alone reaches nothing, and a class counts as reached
+    whole."""
+    trees = {path.stem: _tree(path) for path in MODULES}
+    defs = {mod: _definitions(tree) for mod, tree in trees.items()}
+    imports = {mod: _package_imports(tree, trees) for mod, tree in trees.items()}
+    todo = [("cli", name) for name in defs["cli"]
+            if name == "main" or name.startswith("run_")]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        mod, name = key
+        if key in reached or name not in defs.get(mod, {}):
+            continue
+        reached.add(key)
+        names, modules = imports[mod]
+        for node in defs[mod][name]:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    if sub.id in defs[mod]:
+                        todo.append((mod, sub.id))
+                    elif sub.id in names:
+                        todo.append(names[sub.id])
+                elif (isinstance(sub, ast.Attribute)
+                      and isinstance(sub.value, ast.Name)
+                      and sub.value.id in modules):
+                    todo.append((modules[sub.value.id], sub.attr))
+    unreached = sorted(
+        f"{mod}.{name}" for mod, tree in trees.items()
+        for name in set(_declared_all(tree)) | {
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+        if (mod, name) not in reached)
+    assert not unreached, (f"{len(unreached)} definitions no CLI run reaches: "
+                           + ", ".join(unreached))
