@@ -25,11 +25,9 @@ from .phasespace import OscillatorParams
 
 __all__ = [
     "FockVector",
-    "OperatorMatrix",
     "gram_quadrature",
     "gram_montecarlo",
     "coherent_vector",
-    "ladder",
     "ladder_matrix",
     "quadrature_operators",
     "hamiltonian_matrix",
@@ -96,14 +94,6 @@ class FockVector:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
         _check_hbar(self.hbar)
-
-    @classmethod
-    def basis(cls, n: int, n_max: int, hbar: float) -> "FockVector":
-        if not 0 <= n <= n_max:
-            raise ValueError("need 0 <= n <= n_max")
-        c = np.zeros(n_max + 1, dtype=complex)
-        c[n] = 1.0
-        return cls(c, hbar)
 
     @property
     def truncation(self) -> int:
@@ -189,13 +179,12 @@ def _coherent_coeffs(amp: complex, n_max: int) -> np.ndarray:
     return coeffs
 
 
-def coherent_vector(c: complex, n_max: int = DEFAULT_TRUNCATION, hbar: float = 1.0,
-                    tail_tol: float = None) -> FockVector:
+def coherent_vector(c: complex, n_max: int = DEFAULT_TRUNCATION,
+                    hbar: float = 1.0) -> FockVector:
     """Expansion of exp(c z) in the orthonormal basis: c_n = (c sqrt(hbar))^n/sqrt(n!).
 
     The squared norm of the full function is exp(hbar |c|^2); `tail_mass` on
-    the returned vector is the part of it lost to the truncation.  If
-    `tail_tol` is given and the tail exceeds it, a TruncationError is raised.
+    the returned vector is the part of it lost to the truncation.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -207,57 +196,13 @@ def coherent_vector(c: complex, n_max: int = DEFAULT_TRUNCATION, hbar: float = 1
                          "the squared norm exp(hbar |c|^2) overflows a float")
     coeffs = _coherent_coeffs(c * math.sqrt(hbar), n_max)
     tail = max(math.exp(log_norm2) - float(np.sum(np.abs(coeffs) ** 2)), 0.0)
-    if tail_tol is not None and tail > tail_tol:
-        raise TruncationError(
-            f"coherent tail mass {tail:.3e} exceeds tolerance {tail_tol:.3e} "
-            f"at truncation {n_max}"
-        )
     return FockVector(coeffs, hbar, tail_mass=tail)
 
 
-def ladder(kind: str, f: FockVector) -> FockVector:
-    """Apply the lowering ("annihilate") or raising ("create") operator.
-
-    Lowering maps e_n -> sqrt(n hbar) e_{n-1}.  Raising maps
-    e_n -> sqrt((n+1) hbar) e_{n+1} and refuses to act when the top
-    coefficient is occupied: silently dropping it would corrupt the state.
-    """
-    n_max = f.truncation
-    hbar = f.hbar
-    out = np.zeros_like(f.coeffs)
-    if kind == "annihilate":
-        ns = np.arange(1, n_max + 1)
-        out[:-1] = f.coeffs[1:] * np.sqrt(ns * hbar)
-    elif kind == "create":
-        if f.coeffs[-1] != 0:
-            raise TruncationError(
-                "create would push the top coefficient past the truncation"
-            )
-        ns = np.arange(1, n_max + 1)
-        out[1:] = f.coeffs[:-1] * np.sqrt(ns * hbar)
-    else:
-        raise ValueError("kind must be 'annihilate' or 'create'")
-    return FockVector(out, hbar)
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """A matrix in the e_n basis with a human-readable label."""
-
-    label: str
-    matrix: np.ndarray
-    hbar: float
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        _check_hbar(self.hbar)
-
-
-def ladder_matrix(kind: str, n_max: int, hbar: float) -> OperatorMatrix:
+def ladder_matrix(kind: str, n_max: int, hbar: float) -> np.ndarray:
+    """Lowering ("annihilate", e_n -> sqrt(n hbar) e_{n-1}) or raising
+    ("create", e_n -> sqrt((n+1) hbar) e_{n+1}) in the e_n basis; raising
+    drops what would leave the truncation."""
     hbar = _check_hbar(hbar)
     amp = np.sqrt(np.arange(1, n_max + 1) * hbar)
     m = np.zeros((n_max + 1, n_max + 1), dtype=complex)
@@ -267,7 +212,7 @@ def ladder_matrix(kind: str, n_max: int, hbar: float) -> OperatorMatrix:
         m[np.arange(1, n_max + 1), np.arange(n_max)] = amp
     else:
         raise ValueError("kind must be 'annihilate' or 'create'")
-    return OperatorMatrix(kind, m, hbar)
+    return m
 
 
 def quadrature_operators(hbar: float, n_max: int):
@@ -276,16 +221,14 @@ def quadrature_operators(hbar: float, n_max: int):
     Their commutator equals i hbar times the identity on the interior block
     (rows and columns below n_max); the top level feels the truncation.
     """
-    a = ladder_matrix("annihilate", n_max, hbar).matrix
-    c = ladder_matrix("create", n_max, hbar).matrix
+    a = ladder_matrix("annihilate", n_max, hbar)
+    c = ladder_matrix("create", n_max, hbar)
     s = 2.0 ** -0.5
-    q = OperatorMatrix("position", (c + a) * s, hbar)
-    p = OperatorMatrix("momentum", 1j * (c - a) * s, hbar)
-    return q, p
+    return (c + a) * s, 1j * (c - a) * s
 
 
 def hamiltonian_matrix(ordering: str, params: OscillatorParams, hbar: float,
-                       n_max: int) -> OperatorMatrix:
+                       n_max: int) -> np.ndarray:
     """Diagonal oscillator Hamiltonian.
 
     "normal" ordering gives energies hbar w n; "symmetric" ordering adds the
@@ -300,23 +243,24 @@ def hamiltonian_matrix(ordering: str, params: OscillatorParams, hbar: float,
         diag = base + hbar * params.omega / 2.0
     else:
         raise ValueError("ordering must be 'normal' or 'symmetric'")
-    return OperatorMatrix(f"hamiltonian-{ordering}", np.diag(diag.astype(complex)), hbar)
+    return np.diag(diag.astype(complex))
 
 
-def commutator(a, b) -> np.ndarray:
-    """[A, B] for OperatorMatrix or plain ndarray arguments."""
-    am = a.matrix if isinstance(a, OperatorMatrix) else np.asarray(a)
-    bm = b.matrix if isinstance(b, OperatorMatrix) else np.asarray(b)
-    return am @ bm - bm @ am
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A, B] = AB - BA of two square matrices."""
+    return a @ b - b @ a
 
 
-def kernel_eval(c: complex, psi: FockVector, mismatch_tol: float = 1e-10) -> complex:
+_KERNEL_MISMATCH_TOL = 1e-10
+
+
+def kernel_eval(c: complex, psi: FockVector) -> complex:
     """Reproducing-kernel evaluation: (f_c, psi) = psi(hbar * conj(c)).
 
     Computes both routes -- the coefficient pairing with the coherent vector
     and the direct pointwise evaluation -- and insists they agree to
-    `mismatch_tol` (relative), which catches overflow or truncation damage.
-    Returns the pairing value.
+    _KERNEL_MISMATCH_TOL (relative), which catches overflow or truncation
+    damage.  Returns the pairing value.
     """
     c = complex(c)
     n_max = psi.truncation
@@ -327,7 +271,7 @@ def kernel_eval(c: complex, psi: FockVector, mismatch_tol: float = 1e-10) -> com
         paired = complex(np.sum(coh * psi.coeffs))
         direct = psi.evaluate(hbar * np.conj(c))
     scale = max(1.0, abs(direct))
-    if not (abs(paired - direct) <= mismatch_tol * scale):
+    if not (abs(paired - direct) <= _KERNEL_MISMATCH_TOL * scale):
         raise TruncationError(
             f"kernel routes disagree: pairing {paired!r} vs direct {direct!r}"
         )

@@ -21,14 +21,13 @@ __all__ = [
     "MomentReport",
     "PlanckResult",
     "VariationGenerator",
-    "VariationSplit",
     "TiltSample",
     "SphereParams",
     "SphereCheck",
     "moment_report",
     "quadratic_form_matrix",
     "partition_estimate",
-    "variation_split",
+    "generator_defect",
     "gibbs_first_order_defect",
     "random_antisymmetric",
     "tilt_measure",
@@ -120,14 +119,8 @@ class PlanckResult:
     """Partition integral Z over n oscillators and the action cell h = Z^(1/n)."""
 
     z_value: float
-    n_pairs: int
     h: float
     stderr: float
-    method: str
-
-    @property
-    def hbar(self) -> float:
-        return self.h / (2.0 * math.pi)
 
 
 def partition_estimate(h_poly: PhasePolynomial, beta: float, n_pairs: int,
@@ -148,7 +141,7 @@ def partition_estimate(h_poly: PhasePolynomial, beta: float, n_pairs: int,
         raise ValueError(f"polynomial has {d} variables but n_pairs = {n_pairs}")
     if method == "analytic":
         z_val = (2.0 * math.pi / beta) ** n_pairs / math.sqrt(np.linalg.det(a))
-        return PlanckResult(z_val, n_pairs, z_val ** (1.0 / n_pairs), 0.0, "analytic")
+        return PlanckResult(z_val, z_val ** (1.0 / n_pairs), 0.0)
     if method == "montecarlo":
         if seed is None:
             raise ValueError("montecarlo partition_estimate requires a seed")
@@ -182,7 +175,7 @@ def partition_estimate(h_poly: PhasePolynomial, beta: float, n_pairs: int,
         se_z = math.sqrt(var / samples)
         h = z_val ** (1.0 / n_pairs)
         se_h = se_z * h / (n_pairs * z_val)
-        return PlanckResult(z_val, n_pairs, h, se_h, "montecarlo")
+        return PlanckResult(z_val, h, se_h)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -214,18 +207,10 @@ class VariationGenerator:
         return cls(m)
 
 
-def random_antisymmetric(dim: int, rng: np.random.Generator, scale: float = 1.0
-                         ) -> VariationGenerator:
-    m = rng.normal(0.0, scale, (dim, dim))
+def random_antisymmetric(dim: int, rng: np.random.Generator) -> VariationGenerator:
+    """The antisymmetric part of a matrix of standard normal entries."""
+    m = rng.standard_normal((dim, dim))
     return VariationGenerator((m - m.T) / 2.0)
-
-
-@dataclass(frozen=True)
-class VariationSplit:
-    parallel: np.ndarray        # component along grad H (changes the energy)
-    perpendicular: np.ndarray   # equilibrium-preserving remainder
-    gradient: np.ndarray
-    generator_defect: float     # |grad H . Omega grad H|, zero for antisymmetric Omega
 
 
 def _gradient(h_poly: PhasePolynomial, x: np.ndarray) -> np.ndarray:
@@ -233,29 +218,23 @@ def _gradient(h_poly: PhasePolynomial, x: np.ndarray) -> np.ndarray:
     for name in h_poly.ring.variables:
         val = h_poly.differentiate(name).evaluate(x)
         if val.imag != 0:
-            raise ValueError("Hamiltonian must be real for gradient splitting")
+            raise ValueError("Hamiltonian must be real for its gradient")
         grads.append(val.real)
     return np.array(grads)
 
 
-def variation_split(x, h_poly: PhasePolynomial, generator: VariationGenerator,
-                    dx) -> VariationSplit:
-    """Split dx into its energy-changing and equilibrium-preserving parts."""
+def generator_defect(x, h_poly: PhasePolynomial,
+                     generator: VariationGenerator) -> float:
+    """|grad H . Omega grad H| at x: the first-order energy change along the
+    generated flow, zero for an antisymmetric Omega."""
     x = np.asarray(x, dtype=float)
-    dx = np.asarray(dx, dtype=float)
     d = len(h_poly.ring.variables)
-    if x.shape != (d,) or dx.shape != (d,):
-        raise ValueError(f"x and dx must be vectors of length {d}")
+    if x.shape != (d,):
+        raise ValueError(f"x must be a vector of length {d}")
     if generator.matrix.shape != (d, d):
         raise ValueError("generator dimension mismatch")
     grad = _gradient(h_poly, x)
-    norm2 = float(grad @ grad)
-    defect = abs(float(grad @ (generator.matrix @ grad)))
-    if norm2 == 0.0:
-        # critical point: every variation preserves the level set
-        return VariationSplit(np.zeros_like(dx), dx.copy(), grad, defect)
-    parallel = (float(grad @ dx) / norm2) * grad
-    return VariationSplit(parallel, dx - parallel, grad, defect)
+    return abs(float(grad @ (generator.matrix @ grad)))
 
 
 def gibbs_first_order_defect(x, h_poly: PhasePolynomial,
@@ -277,9 +256,9 @@ def gibbs_first_order_defect(x, h_poly: PhasePolynomial,
 
 @dataclass(frozen=True)
 class TiltSample:
-    """Draws from the measure tilted by |exp(c z)|^2: a shifted Gaussian."""
+    """Moments of draws from the measure tilted by |exp(c z)|^2, a shifted
+    Gaussian."""
 
-    z: np.ndarray
     expected_mean: complex
     report: MomentReport
     var_real: float
@@ -306,7 +285,6 @@ def tilt_measure(bath: BathParams, c: complex, n_samples: int, seed) -> TiltSamp
     cov = float(np.cov(z.real, z.imag, ddof=1)[0, 1])
     n = n_samples
     return TiltSample(
-        z=z,
         expected_mean=complex(center),
         report=moment_report(z),
         var_real=vr,
@@ -357,10 +335,6 @@ class SphereCheck:
     threshold_99: float
     h_sphere: float
     t_min: float
-
-    @property
-    def passed(self) -> bool:
-        return self.ks_radial < self.threshold_99 and self.ks_angular < self.threshold_99
 
 
 def ks_threshold_99(n_samples: int) -> float:

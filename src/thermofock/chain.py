@@ -100,7 +100,6 @@ class ChainState:
 
     q: np.ndarray
     p: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         q = np.array(self.q, dtype=float)
@@ -178,7 +177,6 @@ class ModeSet:
     omega: np.ndarray
     amplitudes: np.ndarray
     mass: float
-    time: float = 0.0
     drift: tuple = None
     uniform_frequency: float = None
 
@@ -258,7 +256,7 @@ def normal_modes(state: ChainState, params: ChainParams) -> ModeSet:
     if drift is not None:
         drift = (float(drift[0]), float(drift[1]))
     return ModeSet(k=params.wavenumbers, omega=omega, amplitudes=amps,
-                   mass=params.mass, time=state.time, drift=drift)
+                   mass=params.mass, drift=drift)
 
 
 def reconstruct_state(modes: ModeSet, params: ChainParams) -> ChainState:
@@ -284,7 +282,7 @@ def reconstruct_state(modes: ModeSet, params: ChainParams) -> ChainState:
     root_n = math.sqrt(n)
     q = np.real(np.fft.ifft(bigq * root_n))
     p = np.real(np.fft.ifft(bigp * root_n))
-    return ChainState(q, p, modes.time)
+    return ChainState(q, p)
 
 
 def rescale_modes(modes: ModeSet) -> ModeSet:
@@ -300,7 +298,7 @@ def rescale_modes(modes: ModeSet) -> ModeSet:
     lam = modes.rescale_factors
     return ModeSet(k=modes.k, omega=modes.omega,
                    amplitudes=np.sqrt(lam) * modes.amplitudes,
-                   mass=modes.mass, time=modes.time, drift=None,
+                   mass=modes.mass, drift=None,
                    uniform_frequency=float(modes.omega[0]))
 
 
@@ -347,9 +345,6 @@ class ChainTrajectory:
     @property
     def n_snapshots(self) -> int:
         return self.times.size
-
-    def state(self, index: int) -> ChainState:
-        return ChainState(self.q[index], self.p[index], float(self.times[index]))
 
 
 _MAP_MAX_SITES = 64     # largest chain given a stride map: (2N)^2 floats, 128 KiB
@@ -515,7 +510,7 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
         # range comes first, so zip stops without stepping past the last snapshot
         for s, (q, p) in zip(range(1, n_snap), strides):
             record(s, q, p)
-    times = state.time + h * stride * np.arange(n_snap)
+    times = h * stride * np.arange(n_snap)
     return ChainTrajectory(times=times, q=qs, p=ps, energies=energies)
 
 
@@ -584,18 +579,18 @@ def spectral_dispersion(traj: ChainTrajectory, params: ChainParams) -> Dispersio
 
 # -- continuum limit -----------------------------------------------------------
 
-def continuum_params_for(spacing: float, field_mass: float, n_sites: int = 8,
-                         mass: float = 1.0) -> ChainParams:
+def continuum_params_for(spacing: float, field_mass: float) -> ChainParams:
     """Chain parameters obeying the continuum scaling a^2 gamma_c / m = 1
-    with on-site stiffness set by the field mass, gamma/m = M^2."""
+    with on-site stiffness set by the field mass, gamma/m = M^2, on 8 sites
+    of unit mass: the dispersion depends only on gamma/m and gamma_c/m, and
+    on k but not on the number of sites."""
     if not (field_mass >= 0):
         raise ValueError("field_mass must be >= 0")
     # a spacing whose square underflows to 0 would divide by zero below
     if not (spacing > 0 and math.isfinite(spacing) and spacing ** 2 > 0):
         raise ValueError("spacing must be positive and finite")
-    return ChainParams(n_sites=n_sites, mass=mass,
-                       gamma=field_mass ** 2 * mass,
-                       gamma_couple=mass / spacing ** 2, spacing=spacing)
+    return ChainParams(n_sites=8, gamma=field_mass ** 2,
+                       gamma_couple=1.0 / spacing ** 2, spacing=spacing)
 
 
 def continuum_error(k_phys: float, params: ChainParams) -> float:

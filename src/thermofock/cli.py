@@ -128,6 +128,9 @@ def run_coherent(args):
     from .reports import ExperimentReport
 
     report = ExperimentReport(command="coherent", config=_config_echo(args))
+    if args.nmax < 1:
+        raise ValueError("--nmax must be >= 1: the ladder check compares the "
+                         "coefficients below the truncation")
     c = args.c
     hbar = args.hbar
     f = bargmann.coherent_vector(c, args.nmax, hbar)
@@ -149,9 +152,9 @@ def run_coherent(args):
                "hbar times the conjugate parameter",
                pair_err, 0.0, pair_tol, pair_err <= pair_tol)
 
-    lowered = bargmann.ladder("annihilate", f)
+    lowered = bargmann.ladder_matrix("annihilate", args.nmax, hbar) @ f.coeffs
     scaled = hbar * c * f.coeffs[:-1]
-    eig_err = float(np.max(np.abs(lowered.coeffs[:-1] - scaled)))
+    eig_err = float(np.max(np.abs(lowered[:-1] - scaled)))
     eig_tol = 1e-12 * float(np.max(np.abs(scaled)))
     report.add("coherent-ladder-eigenvalue",
                "the annihilation operator scales a coherent vector by hbar*c",
@@ -173,6 +176,10 @@ def run_commutator(args):
 
     report = ExperimentReport(command="commutator", config=_config_echo(args))
     nmax, hbar = args.nmax, args.hbar
+    if nmax < 1:
+        raise ValueError("--nmax must be >= 1: the checks read the interior "
+                         "block below the truncation")
+    params = OscillatorParams(args.omega)
     # Dirac's correspondence [A, B] = i hbar {A, B}: the targets are i hbar
     # times the exact classical brackets, with z -> lower and zbar -> raise
     # under quadrature_operators' convention, so {z, zbar} = -i gives hbar
@@ -207,10 +214,9 @@ def run_commutator(args):
                "finite truncation balances: the commutator is traceless",
                trace, 0.0, trace_tol, trace <= trace_tol)
 
-    params = OscillatorParams(args.omega)
     h_sym = bargmann.hamiltonian_matrix("symmetric", params, hbar, nmax)
     h_norm = bargmann.hamiltonian_matrix("normal", params, hbar, nmax)
-    gap = h_sym.matrix - h_norm.matrix
+    gap = h_sym - h_norm
     gap_dev = float(np.max(np.abs(gap - 0.5 * hbar * args.omega * np.eye(nmax + 1))))
     report.add("ordering-gap-half-quantum",
                "symmetric minus normal ordering is exactly half a quantum "
@@ -231,8 +237,6 @@ def run_evolve(args):
 
     report = ExperimentReport(command="evolve", config=_config_echo(args))
     params = OscillatorParams(args.omega)
-    if params.omega <= 0:
-        raise ValueError("evolve requires omega > 0")
     if args.n_times < 1:
         raise ValueError("--n-times must be >= 1: every check is a worst "
                          "case over the time grid")
@@ -283,14 +287,12 @@ def run_damp(args):
     from .reports import ExperimentReport
 
     report = ExperimentReport(command="damp", config=_config_echo(args))
-    w = args.omega
-    if w <= 0:
-        raise ValueError("damp requires omega > 0")
+    params = OscillatorParams(args.omega)
+    w = params.omega
     alpha = args.alpha if args.alpha is not None else 0.01 * w
     if not alpha > 0:
         raise ValueError("damp requires alpha > 0: its checks measure decay")
     damping = dynamics.DampingParams(alpha)
-    params = OscillatorParams(w)
     dt = args.dt if args.dt is not None else params.period / 256.0
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError("damp requires --dt positive and finite")
@@ -487,20 +489,19 @@ def run_variation(args):
     from .reports import ExperimentReport
 
     report = ExperimentReport(command="variation", config=_config_echo(args))
+    if args.count < 1:
+        raise ValueError("--count must be >= 1: the standard generator is "
+                         "always among those checked")
     ring = PhaseRing.canonical(args.pairs)
     h_poly = oscillator_hamiltonian(ring, args.omega)
     dim = 2 * args.pairs
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal(dim)
 
-    defects = []
     generators = [bath.VariationGenerator.standard(args.pairs)]
     generators += [bath.random_antisymmetric(dim, rng)
                    for _ in range(args.count - 1)]
-    probe = rng.standard_normal(dim) * 1e-3
-    for gen in generators:
-        split = bath.variation_split(x, h_poly, gen, probe)
-        defects.append(split.generator_defect)
+    defects = [bath.generator_defect(x, h_poly, gen) for gen in generators]
     worst = float(np.max(defects))
     report.add("antisymmetric-defect",
                "the gradient is orthogonal to every antisymmetric image of "
@@ -646,12 +647,9 @@ def run_continuum(args):
         raise ValueError("spacings must decrease")
     errors = []
     for a in spacings:
-        params = chain.continuum_params_for(a, args.field_mass,
-                                            n_sites=args.sites,
-                                            mass=args.mass)
+        params = chain.continuum_params_for(a, args.field_mass)
         errors.append(chain.continuum_error(args.k_phys, params))
-    params0 = chain.continuum_params_for(spacings[0], args.field_mass,
-                                         n_sites=args.sites, mass=args.mass)
+    params0 = chain.continuum_params_for(spacings[0], args.field_mass)
     zero_err = chain.continuum_error(0.0, params0)
     zero_tol = 1e-15 * max(args.field_mass ** 2, 1.0)
     report.add("zone-center-exact",
@@ -663,8 +661,7 @@ def run_continuum(args):
                "the dispersion error drops fourfold when the spacing halves",
                worst, 4.0, 0.8, all(abs(f - 4.0) <= 0.8 for f in factors))
     a_small = spacings[-1]
-    massless = chain.continuum_params_for(a_small, 0.0, n_sites=args.sites,
-                                          mass=args.mass)
+    massless = chain.continuum_params_for(a_small, 0.0)
     k = args.k_phys
     lin_dev = abs(chain.dispersion(k, massless) - abs(k))
     lin_tol = 1.01 * abs(k) ** 3 * a_small ** 2 / 24.0
@@ -949,8 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field-mass", type=float, default=1.0)
     p.add_argument("--k-phys", type=float, default=math.pi / 4.0)
     p.add_argument("--spacings", type=_float_list, default=[1.0, 0.5, 0.25])
-    p.add_argument("--sites", type=int, default=8)
-    p.add_argument("--mass", type=float, default=1.0)
 
     p = sub.add_parser("rescale", parents=[common],
                        help="frequency rescaling gives all modes one action scale")

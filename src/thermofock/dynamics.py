@@ -44,10 +44,6 @@ class DampingParams:
         if not (self.alpha >= 0 and math.isfinite(self.alpha)):
             raise ValueError("alpha must be >= 0 and finite")
 
-    @property
-    def relaxation_time(self) -> float:
-        return 1.0 / self.alpha if self.alpha > 0 else math.inf
-
 
 @dataclass(frozen=True, eq=False)
 class AngularProfile:
@@ -55,7 +51,6 @@ class AngularProfile:
 
     values: np.ndarray
     radius: float
-    time: float = 0.0
 
     def __post_init__(self):
         v = np.array(self.values, dtype=complex)
@@ -66,20 +61,11 @@ class AngularProfile:
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError("radius must be positive")
 
-    @property
-    def grid_size(self) -> int:
-        return self.values.size
 
-    @property
-    def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
-
-
-def profile_from_fock(f: FockVector, radius: float, grid_size: int,
-                      time: float = 0.0) -> AngularProfile:
+def profile_from_fock(f: FockVector, radius: float, grid_size: int) -> AngularProfile:
     """Sample f on the circle |z| = radius at `grid_size` uniform angles."""
     phi = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    return AngularProfile(f.evaluate(radius * np.exp(1j * phi)), radius, time)
+    return AngularProfile(f.evaluate(radius * np.exp(1j * phi)), radius)
 
 
 def l2_grid_distance(a, b) -> float:
@@ -107,12 +93,12 @@ def transport_solve(profile: AngularProfile, t: float, params: OscillatorParams,
     if scheme == "spectral":
         modes = np.fft.fftfreq(values.size, d=1.0 / values.size)
         out = np.fft.ifft(np.fft.fft(values) * np.exp(-1j * modes * w * t))
-        return AngularProfile(out, profile.radius, profile.time + t)
+        return AngularProfile(out, profile.radius)
     if scheme == "upwind":
         if dt is None or dt <= 0:
             raise ValueError("upwind scheme requires dt > 0")
         if t == 0:
-            return AngularProfile(values.copy(), profile.radius, profile.time)
+            return AngularProfile(values.copy(), profile.radius)
         dphi = 2.0 * np.pi / values.size
         n_steps = max(1, math.ceil(t / dt - 1e-12))
         dt_eff = t / n_steps
@@ -124,7 +110,7 @@ def transport_solve(profile: AngularProfile, t: float, params: OscillatorParams,
         v = values.copy()
         for _ in range(n_steps):
             v = v - nu * (v - np.roll(v, 1))
-        return AngularProfile(v, profile.radius, profile.time + t)
+        return AngularProfile(v, profile.radius)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -142,7 +128,7 @@ def schrodinger_evolve(f: FockVector, t: float, ordering: str,
     global zero-point phase exp(-i w t / 2) only.
     """
     h = hamiltonian_matrix(ordering, params, f.hbar, f.truncation)
-    energies = np.real(np.diag(h.matrix))
+    energies = np.real(np.diag(h))
     return FockVector(f.coeffs * np.exp(-1j * energies * t / f.hbar), f.hbar, f.tail_mass)
 
 
@@ -157,8 +143,6 @@ def damped_solution(q0: float, v0: float, params: OscillatorParams,
     hold arrays.
     """
     w = params.omega
-    if w <= 0:
-        raise ValueError("damped_solution needs omega > 0")
     a = damping.alpha
     if a >= 0.1 * w:
         warnings.warn(
@@ -259,8 +243,6 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
     hbar * conj(c) * exp(-i w t).
     """
     w = params.omega
-    if w <= 0:
-        raise ValueError("ensemble_evolve needs omega > 0")
     alpha = damping.alpha if damping is not None else 0.0
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:

@@ -10,7 +10,8 @@ class CapacityError(ThermoFockError):
 
 
 class TruncationError(ThermoFockError):
-    """Probability mass or a coefficient would be lost past a truncation."""
+    """Two routes through a truncated expansion disagree: overflow or
+    truncation damage."""
 
 
 class SamplerError(ThermoFockError):

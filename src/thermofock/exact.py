@@ -60,9 +60,6 @@ class SqrtTwoComplex:
     def is_zero(self) -> bool:
         return not (self.ar or self.ai or self.br or self.bi)
 
-    def conjugate(self) -> "SqrtTwoComplex":
-        return SqrtTwoComplex(self.ar, -self.ai, self.br, -self.bi)
-
     def __complex__(self) -> complex:
         return complex(
             float(self.ar) + float(self.br) * _SQRT2,

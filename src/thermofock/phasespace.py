@@ -243,17 +243,17 @@ def variable(ring: PhaseRing, name: str) -> PhasePolynomial:
     return PhasePolynomial(ring, {expo: 1})
 
 
-def z_element(ring: PhaseRing, pair: int = 0) -> PhasePolynomial:
-    """z = (q + i p)/sqrt2 as a degree-1 element of the ring."""
-    iq, ip = ring.pairs[pair]
+def z_element(ring: PhaseRing) -> PhasePolynomial:
+    """z = (q + i p)/sqrt2 of the first pair, a degree-1 element of the ring."""
+    iq, ip = ring.pairs[0]
     q = variable(ring, ring.variables[iq])
     p = variable(ring, ring.variables[ip])
     return (q + p * _I) * _INV_SQRT2
 
 
-def zbar_element(ring: PhaseRing, pair: int = 0) -> PhasePolynomial:
-    """zbar = (q - i p)/sqrt2 as a degree-1 element of the ring."""
-    iq, ip = ring.pairs[pair]
+def zbar_element(ring: PhaseRing) -> PhasePolynomial:
+    """zbar = (q - i p)/sqrt2 of the first pair, a degree-1 element of the ring."""
+    iq, ip = ring.pairs[0]
     q = variable(ring, ring.variables[iq])
     p = variable(ring, ring.variables[ip])
     return (q - p * _I) * _INV_SQRT2
@@ -294,29 +294,22 @@ class PhasePoint(NamedTuple):
     def to_z(self) -> complex:
         return complex(self.q, self.p) * (2.0 ** -0.5)
 
-    @classmethod
-    def from_z(cls, z: complex) -> "PhasePoint":
-        s = 2.0 ** 0.5
-        return cls(z.real * s, z.imag * s)
-
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Frequency of one oscillator.
-
-    omega = 0 is allowed (the operator matrices are defined there); anything
-    that needs omega > 0, such as the leapfrog, checks for itself.
-    """
+    """Frequency of one oscillator, positive and finite: the rescaled
+    variables of the leapfrog are singular at omega = 0, and there the
+    half-quantum every ordering check measures vanishes."""
 
     omega: float
 
     def __post_init__(self):
-        if not math.isfinite(self.omega) or self.omega < 0:
-            raise ValueError("omega must be finite and >= 0")
+        if not (self.omega > 0 and math.isfinite(self.omega)):
+            raise ValueError("omega must be positive and finite")
 
     @property
     def period(self) -> float:
-        return 2 * math.pi / self.omega if self.omega > 0 else math.inf
+        return 2 * math.pi / self.omega
 
 
 def hamilton_step(
@@ -329,8 +322,7 @@ def hamilton_step(
 
     Friction enters as the exact exponential decay of the momentum around the
     drift, so friction = 0 reproduces the frictionless step bit for bit, and
-    the one-step map contracts areas by exactly exp(-alpha dt).  omega must
-    be positive: the rescaled variables are singular at omega = 0.
+    the one-step map contracts areas by exactly exp(-alpha dt).
 
     q and p may be equal-shape arrays, each element getting the same floats
     as when stepped alone: ensemble_evolve steps the two unit vectors this
@@ -341,8 +333,6 @@ def hamilton_step(
     if friction < 0:
         raise ValueError("friction must be >= 0")
     w = params.omega
-    if not w > 0:
-        raise ValueError("hamilton_step needs omega > 0")
     q, p = point[0], point[1]
     decay = math.exp(-friction * dt / 2.0)
     p = p - 0.5 * dt * w * q

@@ -198,7 +198,7 @@ def test_integrator_conserves_energy_without_friction():
     e0 = chain_energy(state, params)
     dt = 0.1 / params.omega_max
     traj = integrate_chain(state, params, duration=50.0, dt=dt, stride=100)
-    energies = [chain_energy(traj.state(i), params) for i in range(traj.n_snapshots)]
+    energies = [chain_energy(ChainState(traj.q[i], traj.p[i]), params) for i in range(traj.n_snapshots)]
     ripple = (params.omega_max * dt) ** 2 / 2.0
     assert np.max(np.abs(np.array(energies) - e0)) / e0 <= ripple
 
@@ -250,19 +250,19 @@ def _roll_leapfrog(state, params, duration, dt, friction=0.0, stride=1):
         if step % stride == 0:
             qs[s], ps[s] = q, p
             s += 1
-    times = state.time + h * stride * np.arange(n_snap)
+    times = h * stride * np.arange(n_snap)
     return times, qs, ps
 
 
-def _random_state(n, seed, time=0.0):
+def _random_state(n, seed):
     rng = np.random.default_rng(seed)
-    return ChainState(rng.standard_normal(n), rng.standard_normal(n), time)
+    return ChainState(rng.standard_normal(n), rng.standard_normal(n))
 
 
 @pytest.mark.parametrize("params, state, run", [
     # N = 2: left and right neighbour are the same site
     (ChainParams(n_sites=2, mass=2.0, gamma=0.7, gamma_couple=1.3),
-     _random_state(2, 1, time=1.5), dict(duration=20.0, dt=0.05)),
+     _random_state(2, 1), dict(duration=20.0, dt=0.05)),
     (ChainParams(n_sites=8, gamma=0.0), _random_state(8, 2),
      dict(duration=10.0, dt=0.1)),
     (ChainParams(n_sites=8, gamma_couple=0.0), _random_state(8, 3),
@@ -278,7 +278,7 @@ def test_buffered_leapfrog_matches_roll_reference_bit_for_bit(params, state, run
     for got, want in ((traj.times, times), (traj.q, qs), (traj.p, ps)):
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()      # signed zeros too
-    energies = [chain_energy(traj.state(i), params) for i in range(traj.n_snapshots)]
+    energies = [chain_energy(ChainState(traj.q[i], traj.p[i]), params) for i in range(traj.n_snapshots)]
     assert traj.energies.tolist() == energies
 
 
@@ -330,7 +330,7 @@ def test_stride_map_route_is_the_unit_vector_map_bit_for_bit():
         x = x @ m
         assert traj.q[s].tobytes() == x[:16].tobytes()
         assert traj.p[s].tobytes() == x[16:].tobytes()
-    energies = [chain_energy(traj.state(i), params) for i in range(traj.n_snapshots)]
+    energies = [chain_energy(ChainState(traj.q[i], traj.p[i]), params) for i in range(traj.n_snapshots)]
     assert traj.energies.tolist() == energies
 
 
@@ -426,9 +426,8 @@ def test_single_mode_oscillates_at_its_dispersion_frequency():
     w2 = float(omega[2])
     period = 2.0 * math.pi / w2
     traj = integrate_chain(state, params, duration=period, dt=period / 4096)
-    final = traj.state(traj.n_snapshots - 1)
-    np.testing.assert_allclose(final.q, state.q, atol=5e-5)
-    np.testing.assert_allclose(final.p, state.p, atol=5e-5)
+    np.testing.assert_allclose(traj.q[-1], state.q, atol=5e-5)
+    np.testing.assert_allclose(traj.p[-1], state.p, atol=5e-5)
 
 
 # -- spectral dispersion ---------------------------------------------------------------

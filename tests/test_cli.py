@@ -107,6 +107,16 @@ def test_usage_errors_exit_two(tmp_path):
                  ("damp", "--nmax", "-1"),
                  ("damp", "--dt", "0")):
         assert run_cli(*args, outdir=tmp_path).returncode == 2, args
+    # no generator to check, no interior block below the truncation, no
+    # half-quantum at zero frequency; the message names the flag
+    for args, flag in ((("variation", "--seed", "1", "--count", "0"), "--count"),
+                       (("variation", "--seed", "1", "--count", "-3"), "--count"),
+                       (("coherent", "--nmax", "0"), "--nmax"),
+                       (("commutator", "--nmax", "0"), "--nmax"),
+                       (("commutator", "--omega", "0"), "omega")):
+        proc = run_cli(*args, outdir=tmp_path)
+        assert proc.returncode == 2, args
+        assert flag in proc.stderr, (args, proc.stderr)
 
 
 def test_failed_check_exits_one_and_reports_it(tmp_path):

@@ -32,7 +32,7 @@ from thermofock.phasespace import OscillatorParams, PhasePoint, hamilton_step
 def test_profile_matches_pointwise_evaluation():
     f = coherent_vector(0.4 + 0.2j, 24, 1.0)
     prof = profile_from_fock(f, radius=1.3, grid_size=64)
-    z = 1.3 * np.exp(1j * prof.angles)
+    z = 1.3 * np.exp(2j * np.pi * np.arange(64) / 64)
     np.testing.assert_allclose(prof.values, f.evaluate(z), atol=1e-12)
 
 
@@ -223,8 +223,8 @@ def test_damped_solution_warns_when_damping_is_not_small():
 def test_damping_params_validation():
     with pytest.raises(ValueError):
         DampingParams(-0.1)
-    assert DampingParams(0.0).relaxation_time == math.inf
-    assert DampingParams(0.25).relaxation_time == pytest.approx(4.0)
+    with pytest.raises(ValueError):
+        DampingParams(math.inf)
 
 
 # -- density sampling -------------------------------------------------------------------
@@ -254,7 +254,7 @@ def _initial_cloud(f, n_samples, seed, **kwargs):
 def test_sampled_density_moments_match_the_gaussian():
     # |f_c|^2 dmu is a Gaussian centered at hbar conj(c) with variance hbar
     c, hbar = 0.5, 1.0
-    f = coherent_vector(c, 32, hbar, tail_tol=1e-12).normalized()
+    f = coherent_vector(c, 32, hbar).normalized()
     z = _initial_cloud(f, 100_000, seed=7).final_z
     n = z.size
     center = hbar * np.conj(c)
@@ -294,7 +294,7 @@ def test_acceptance_rate_counts_every_accepted_draw():
 # -- ensembles ------------------------------------------------------------------------------
 
 def test_vacuum_ensemble_is_stationary():
-    f = FockVector.basis(0, 8, 1.0)
+    f = FockVector(np.eye(9)[0], 1.0)
     params = OscillatorParams(1.0)
     times = np.linspace(0.0, 2.0 * np.pi, 5)
     hist = ensemble_evolve(f, params, times, 20_000, seed=7)
@@ -308,7 +308,7 @@ def test_vacuum_ensemble_is_stationary():
 
 def test_coherent_ensemble_mean_follows_the_rotating_center():
     c, hbar = 0.5, 1.0
-    f = coherent_vector(c, 32, hbar, tail_tol=1e-12).normalized()
+    f = coherent_vector(c, 32, hbar).normalized()
     params = OscillatorParams(1.0)
     times = np.linspace(0.0, 2.0 * np.pi, 8)
     hist = ensemble_evolve(f, params, times, 50_000, seed=7)
@@ -324,7 +324,7 @@ def test_damped_ensemble_contracts_both_moments():
     # with no thermal floor (the cloud is contracted, not reheated)
     c, hbar = 0.5, 1.0
     alpha = 0.01   # weak damping, where the constant-frequency form is valid
-    f = coherent_vector(c, 32, hbar, tail_tol=1e-12).normalized()
+    f = coherent_vector(c, 32, hbar).normalized()
     params = OscillatorParams(1.0)
     times = np.array([0.0, 20.0, 40.0])
     hist = ensemble_evolve(f, params, times, 50_000, seed=7,
@@ -415,9 +415,10 @@ def test_ensemble_interval_map_matches_the_cayley_hamilton_power(alpha):
 
 
 def test_ensemble_validation():
-    f = FockVector.basis(0, 4, 1.0)
+    f = FockVector(np.eye(5)[0], 1.0)
+    # omega = 0 is refused when the parameters are built
     with pytest.raises(ValueError):
-        ensemble_evolve(f, OscillatorParams(0.0), [0.0, 1.0], 100, seed=1)
+        OscillatorParams(0.0)
     with pytest.raises(ValueError):
         ensemble_evolve(f, OscillatorParams(1.0), [1.0, 0.5], 100, seed=1)
     with pytest.raises(ValueError):

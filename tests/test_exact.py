@@ -54,13 +54,6 @@ def test_float_input_converts_exactly():
         SqrtTwoComplex("0.375")
 
 
-def test_conjugation_is_an_involution_and_multiplicative():
-    a = SqrtTwoComplex(1, 2, 3, 4)
-    b = SqrtTwoComplex(-1, Fraction(1, 2), 0, 2)
-    assert a.conjugate().conjugate() == a
-    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-
-
 def test_integer_powers():
     i = SqrtTwoComplex.I
     assert i ** 2 == SqrtTwoComplex(-1)

@@ -104,12 +104,11 @@ def test_jacobi_identity_exact():
 
 def test_round_trip_is_the_identity():
     # q = (z + zbar)/sqrt2 and p = -i (z - zbar)/sqrt2 recover the pair exactly
-    ring = PhaseRing.canonical(2)
+    ring = PhaseRing.canonical(1)
     inv_sqrt2 = SqrtTwoComplex.INV_SQRT2
-    for pair, (q, p) in enumerate((("q1", "p1"), ("q2", "p2"))):
-        z, zb = z_element(ring, pair), zbar_element(ring, pair)
-        assert (z + zb) * inv_sqrt2 == variable(ring, q)
-        assert (z - zb) * (-SqrtTwoComplex.I * inv_sqrt2) == variable(ring, p)
+    z, zb = z_element(ring), zbar_element(ring)
+    assert (z + zb) * inv_sqrt2 == variable(ring, "q")
+    assert (z - zb) * (-SqrtTwoComplex.I * inv_sqrt2) == variable(ring, "p")
 
 
 def test_bracket_commutes_with_coordinate_change():
@@ -224,13 +223,9 @@ def test_orbit_sampling_and_stride():
     np.testing.assert_allclose(np.diff(times), 0.1, rtol=1e-12)
 
 
-def test_phase_point_z_round_trip():
+def test_phase_point_to_z():
     x = PhasePoint(0.6, -1.7)
-    z = x.to_z()
-    assert z == pytest.approx(complex(0.6, -1.7) / math.sqrt(2.0))
-    back = PhasePoint.from_z(z)
-    assert back.q == pytest.approx(x.q)
-    assert back.p == pytest.approx(x.p)
+    assert x.to_z() == pytest.approx(complex(0.6, -1.7) / math.sqrt(2.0))
 
 
 def test_oscillator_params_validation():
@@ -238,9 +233,11 @@ def test_oscillator_params_validation():
         OscillatorParams(-1.0)
     with pytest.raises(ValueError):
         OscillatorParams(math.inf)
+    # omega = 0 has no period and no half-quantum
+    with pytest.raises(ValueError):
+        OscillatorParams(0.0)
     p = OscillatorParams(2.0)
     assert p.period == pytest.approx(math.pi)
-    assert OscillatorParams(0.0).period == math.inf
 
 
 def test_hamilton_step_rejects_bad_arguments():
@@ -249,5 +246,6 @@ def test_hamilton_step_rejects_bad_arguments():
         hamilton_step(PhasePoint(0, 0), params, dt=0.0)
     with pytest.raises(ValueError):
         hamilton_step(PhasePoint(0, 0), params, dt=0.1, friction=-1.0)
+    # the rescaled variables are singular at omega = 0: no step is built
     with pytest.raises(ValueError):
-        hamilton_step(PhasePoint(0, 0), OscillatorParams(0.0), dt=0.1)
+        OscillatorParams(0.0)
