@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 DEFAULT_TRUNCATION = 32
+# points per block in the point kernels: 4096 complex values are 64 KiB, so a
+# block's working arrays stay in L2 cache.  On 6e5 points (2 cores, 2 MiB L2
+# each) blocks of 2048 or fewer ran evaluate slower, 8192-16384 no faster.
+_POINT_BLOCK = 4096
 
 
 def _check_hbar(hbar: float) -> float:
@@ -60,6 +64,20 @@ def _quad_grid(hbar: float, n_max: int):
     z = r[:, None] * np.exp(1j * phi)[None, :]
     weights = np.repeat(w / n_angular, n_angular)
     return z.ravel(), weights
+
+
+def _point_blocks(size: int) -> list:
+    """Slices cutting `size` points into near-equal blocks of at most
+    _POINT_BLOCK points.
+
+    No block holds a single point unless `size` is 1: numpy multiplies a
+    one-element array in place by its scalar loop, which rounds the
+    imaginary part without the fused multiply-add of its vector loop, so a
+    lone tail point would differ in the last bit from the unblocked sum.
+    """
+    count = max(1, -(-size // _POINT_BLOCK))
+    bounds = [size * k // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _basis_matrix(z: np.ndarray, n_max: int, hbar: float) -> np.ndarray:
@@ -114,16 +132,32 @@ class FockVector:
     def evaluate(self, z):
         """Pointwise value sum_n c_n e_n(z); z may be scalar or an array.
 
-        Summed along the e_n recurrence in O(points) memory.
+        Summed along the e_n recurrence (term *= z, term /= sqrt(n hbar),
+        total += c_n term) block by block (`_point_blocks`), so the working
+        arrays stay in cache: besides the output, memory is O(_POINT_BLOCK)
+        whatever the number of points.  Each value takes the same operations
+        in the same order as the unblocked sum, so the result is
+        bit-identical to it.
         """
         z = np.asarray(z, dtype=complex)
-        term = np.ones_like(z)
-        total = self.coeffs[0] * term
-        for n in range(1, self.coeffs.size):
-            term *= z
-            term /= math.sqrt(n * self.hbar)
-            total += self.coeffs[n] * term
-        return complex(total) if total.ndim == 0 else total
+        out = np.empty(z.shape, dtype=complex)
+        flat_z = z.reshape(-1)
+        flat_out = out.reshape(-1)
+        term_buf = np.empty(min(_POINT_BLOCK, z.size), dtype=complex)
+        work_buf = np.empty_like(term_buf)
+        for block in _point_blocks(z.size):
+            zb = flat_z[block]
+            total = flat_out[block]
+            term = term_buf[:zb.size]
+            work = work_buf[:zb.size]
+            term.fill(1.0)
+            np.multiply(self.coeffs[0], term, out=total)
+            for n in range(1, self.coeffs.size):
+                term *= zb
+                term /= math.sqrt(n * self.hbar)
+                np.multiply(self.coeffs[n], term, out=work)
+                total += work
+        return complex(out) if out.ndim == 0 else out
 
 
 def gram_quadrature(n_max: int, hbar: float) -> np.ndarray:
@@ -142,6 +176,11 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
     Returns (G, se); the sample mean of conj(e_i) e_j over draws from the
     Gaussian measure, and sqrt(var/samples) entrywise.  Constant entries
     (i = j = 0) have zero variance by construction.
+
+    Points are drawn in chunks of 100 000, which fixes the draws for a seed.
+    Each chunk's sums are accumulated block by block (`_point_blocks`), so
+    the basis matrix never exceeds (n_max + 1) x _POINT_BLOCK entries and
+    working memory is O(chunk + n_max _POINT_BLOCK) whatever `samples` is.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -159,10 +198,11 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
     while done < samples:
         chunk = min(100_000, samples - done)
         z = rng.normal(0.0, sigma, chunk) + 1j * rng.normal(0.0, sigma, chunk)
-        basis = _basis_matrix(z, n_max, hbar)
-        acc += basis.conj() @ basis.T
-        sq = np.abs(basis) ** 2
-        acc_sq += sq @ sq.T
+        for block in _point_blocks(chunk):
+            basis = _basis_matrix(z[block], n_max, hbar)
+            acc += basis.conj() @ basis.T
+            sq = np.abs(basis) ** 2
+            acc_sq += sq @ sq.T
         done += chunk
     mean = acc / samples
     var = np.maximum(acc_sq / samples - np.abs(mean) ** 2, 0.0)

@@ -492,6 +492,19 @@ def run_variation(args):
     if args.count < 1:
         raise ValueError("--count must be >= 1: the standard generator is "
                          "always among those checked")
+    if not 0 < args.omega < math.inf:
+        raise ValueError("--omega must be positive and finite: at zero "
+                         "frequency the Hamiltonian vanishes and the slope "
+                         "has nothing to fit")
+    if args.dt_count < 2:
+        raise ValueError("--dt-count must be >= 2: a slope needs two steps")
+    for flag, dt in (("--dt-min", args.dt_min), ("--dt-max", args.dt_max)):
+        if not 0 < dt < math.inf:
+            raise ValueError(f"{flag} must be positive and finite: the steps "
+                             "are log-spaced")
+    if args.dt_min == args.dt_max:
+        raise ValueError("--dt-min must differ from --dt-max: a slope needs "
+                         "two distinct steps")
     ring = PhaseRing.canonical(args.pairs)
     h_poly = oscillator_hamiltonian(ring, args.omega)
     dim = 2 * args.pairs

@@ -174,6 +174,12 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     `n_samples` in the last chunk count too, since they say the same about
     the proposal.  An efficiency collapse (< 1e-3) raises SamplerError
     instead of looping forever.
+
+    Memory: each chunk holds its proposals and their densities, at least
+    10 000 and 2 (n_samples - filled) points; `FockVector.evaluate` sums the
+    density's series over the chunk in blocks of `_POINT_BLOCK` points, so
+    evaluating it adds O(_POINT_BLOCK) working memory, not O(chunk) per
+    basis term.
     """
     if seed is None:
         raise ValueError("sampling requires a seed")

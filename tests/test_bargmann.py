@@ -61,6 +61,52 @@ def test_montecarlo_gram_matches_within_stated_errors():
     assert np.all(se.ravel()[1:] > 0)
 
 
+def _unblocked_gram_montecarlo(n_max, hbar, samples, seed):
+    # the estimator with one basis matrix per 100 000-draw chunk
+    rng = np.random.default_rng(seed)
+    sigma = math.sqrt(hbar / 2.0)
+    acc = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    acc_sq = np.zeros((n_max + 1, n_max + 1))
+    done = 0
+    while done < samples:
+        chunk = min(100_000, samples - done)
+        z = rng.normal(0.0, sigma, chunk) + 1j * rng.normal(0.0, sigma, chunk)
+        basis = np.empty((n_max + 1, chunk), dtype=complex)
+        basis[0] = 1.0
+        for n in range(1, n_max + 1):
+            basis[n] = basis[n - 1] * z / math.sqrt(n * hbar)
+        acc += basis.conj() @ basis.T
+        sq = np.abs(basis) ** 2
+        acc_sq += sq @ sq.T
+        done += chunk
+    mean = acc / samples
+    var = np.maximum(acc_sq / samples - np.abs(mean) ** 2, 0.0)
+    return mean, np.sqrt(var / samples)
+
+
+@pytest.mark.parametrize("n_max,hbar,samples", [(12, 1.0, 150_000),
+                                                (3, 0.4, 4097)])
+def test_montecarlo_gram_matches_unblocked_reference(n_max, hbar, samples):
+    # same draws; only the summation order of the block products differs
+    mean, se = gram_montecarlo(n_max, hbar, samples, seed=5)
+    ref_mean, ref_se = _unblocked_gram_montecarlo(n_max, hbar, samples, 5)
+    np.testing.assert_allclose(mean, ref_mean, rtol=1e-12)
+    np.testing.assert_allclose(se, ref_se, rtol=1e-12)
+
+
+@pytest.mark.parametrize("samples", [100_000, 300_000])
+def test_montecarlo_gram_memory_is_bounded(samples):
+    # one 100 000-draw chunk plus one (n_max + 1) x _POINT_BLOCK basis block;
+    # a basis matrix over a whole chunk would alone take 26 MiB here
+    tracemalloc.start()
+    try:
+        gram_montecarlo(16, 1.0, samples, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+
+
 def test_montecarlo_gram_requires_seed():
     with pytest.raises(ValueError):
         gram_montecarlo(4, 1.0, 1000, seed=None)
@@ -117,6 +163,46 @@ def test_evaluate_matches_series():
     assert f.evaluate(z) == pytest.approx(np.exp(0.6 * z), rel=1e-12)
 
 
+def _unblocked_evaluate(coeffs, hbar, z):
+    # the recurrence over all points at once, in the same operation order
+    z = np.asarray(z, dtype=complex)
+    term = np.ones_like(z)
+    total = coeffs[0] * term
+    for n in range(1, coeffs.size):
+        term *= z
+        term /= math.sqrt(n * hbar)
+        total += coeffs[n] * term
+    return total
+
+
+@pytest.mark.parametrize("points", [0, 1, bargmann._POINT_BLOCK - 1,
+                                    bargmann._POINT_BLOCK,
+                                    bargmann._POINT_BLOCK + 1,
+                                    3 * bargmann._POINT_BLOCK + 7])
+def test_blocked_evaluate_is_bit_identical_to_the_recurrence(points):
+    rng = np.random.default_rng(points)
+    coeffs = rng.standard_normal(21) + 1j * rng.standard_normal(21)
+    f = FockVector(coeffs, 0.8)
+    z = 1.5 * (rng.standard_normal(points) + 1j * rng.standard_normal(points))
+    values = f.evaluate(z)
+    assert values.shape == z.shape
+    assert np.array_equal(values, _unblocked_evaluate(f.coeffs, 0.8, z))
+
+
+def test_blocked_evaluate_keeps_shape_and_scalars():
+    rng = np.random.default_rng(4)
+    coeffs = rng.standard_normal(21) + 1j * rng.standard_normal(21)
+    f = FockVector(coeffs, 0.8)
+    grid = rng.standard_normal((3, bargmann._POINT_BLOCK // 2 + 5)) + 1j
+    for z in (grid, grid.T):    # C-ordered and strided 2-D inputs
+        values = f.evaluate(z)
+        assert values.shape == z.shape
+        assert np.array_equal(values, _unblocked_evaluate(f.coeffs, 0.8, z))
+    value = f.evaluate(0.3 - 0.7j)
+    assert type(value) is complex
+    assert value == _unblocked_evaluate(f.coeffs, 0.8, 0.3 - 0.7j)
+
+
 def test_evaluate_allocates_no_basis_matrix():
     # the (nmax + 1) x points basis matrix alone would be 33 z.nbytes here
     f = coherent_vector(0.6, 32, 1.0)
@@ -129,7 +215,8 @@ def test_evaluate_allocates_no_basis_matrix():
     finally:
         tracemalloc.stop()
     assert values.shape == z.shape
-    assert peak <= 8 * z.nbytes
+    # the output plus O(_POINT_BLOCK) working buffers
+    assert peak <= 1.5 * z.nbytes
 
 
 # -- operators ---------------------------------------------------------------

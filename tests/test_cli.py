@@ -108,12 +108,25 @@ def test_usage_errors_exit_two(tmp_path):
                  ("damp", "--dt", "0")):
         assert run_cli(*args, outdir=tmp_path).returncode == 2, args
     # no generator to check, no interior block below the truncation, no
-    # half-quantum at zero frequency; the message names the flag
+    # half-quantum at zero frequency, no Taylor slope to fit (no Hamiltonian,
+    # one step, a zero or infinite step, one distinct step); the message
+    # names the flag
     for args, flag in ((("variation", "--seed", "1", "--count", "0"), "--count"),
                        (("variation", "--seed", "1", "--count", "-3"), "--count"),
                        (("coherent", "--nmax", "0"), "--nmax"),
                        (("commutator", "--nmax", "0"), "--nmax"),
-                       (("commutator", "--omega", "0"), "omega")):
+                       (("commutator", "--omega", "0"), "omega"),
+                       (("variation", "--seed", "1", "--omega", "0"), "--omega"),
+                       (("variation", "--seed", "1", "--dt-count", "1"),
+                        "--dt-count"),
+                       (("variation", "--seed", "1", "--dt-min", "0"),
+                        "--dt-min"),
+                       (("variation", "--seed", "1", "--dt-max", "0"),
+                        "--dt-max"),
+                       (("variation", "--seed", "1", "--dt-max", "inf"),
+                        "--dt-max"),
+                       (("variation", "--seed", "1", "--dt-min", "1e-3",
+                         "--dt-max", "1e-3"), "--dt-min")):
         proc = run_cli(*args, outdir=tmp_path)
         assert proc.returncode == 2, args
         assert flag in proc.stderr, (args, proc.stderr)

@@ -9,6 +9,10 @@ drawn as 8 to 40 strides (at most 3200 steps), so chain-dispersion has the
 Oscillator commands: coherent, commutator and variation at small
 truncations and generator counts, with the edges --nmax 0, --omega 0 and
 --count 0 among the fixed examples.
+
+Sampling commands: gram (Monte Carlo route) and ensemble at truncations up
+to 20 and 2 to 5000 draws, with the point-block edges 4095, 4096 and 4097
+among the fixed examples.
 """
 
 import json
@@ -35,6 +39,9 @@ CHECKS = {
                    "position-momentum-commutator-interior",
                    "commutator-trace-zero", "ordering-gap-half-quantum"],
     "variation": ["antisymmetric-defect", "taylor-slope-second-order"],
+    "gram": ["gram-quadrature-identity", "gram-montecarlo-3se"],
+    "ensemble": ["ensemble-mean-trace", "ensemble-second-moment",
+                 "sampler-efficiency"],
 }
 FAILURES = {cli.EXIT_NUMERICAL: ["numerical-failure"],
             cli.EXIT_INTERNAL: ["internal-error"]}
@@ -121,4 +128,22 @@ def test_oscillator_commands_keep_the_exit_code_contract(command, nmax, hbar,
     else:
         argv = ["variation", "--pairs", str(pairs), "--count", str(count),
                 "--omega", repr(omega), "--seed", "3"]
+    assert_contract(argv, command)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(command=st.sampled_from(["gram", "ensemble"]),
+       nmax=st.integers(0, 20),
+       samples=st.integers(2, 5000),
+       hbar=st.floats(0.05, 4.0))
+@example(command="gram", nmax=16, samples=4095, hbar=1.0)
+@example(command="gram", nmax=0, samples=4096, hbar=0.3)
+@example(command="gram", nmax=20, samples=4097, hbar=2.5)
+@example(command="ensemble", nmax=16, samples=4095, hbar=1.0)
+@example(command="ensemble", nmax=0, samples=4096, hbar=0.3)
+@example(command="ensemble", nmax=20, samples=4097, hbar=2.5)
+def test_sampling_commands_keep_the_exit_code_contract(command, nmax, samples,
+                                                       hbar):
+    argv = [command, "--nmax", str(nmax), "--hbar", repr(hbar),
+            "--samples", str(samples), "--seed", "3"]
     assert_contract(argv, command)
