@@ -71,9 +71,10 @@ def _point_blocks(size: int) -> list:
     _POINT_BLOCK points.
 
     No block holds a single point unless `size` is 1: numpy multiplies a
-    one-element array in place by its scalar loop, which rounds the
-    imaginary part without the fused multiply-add of its vector loop, so a
-    lone tail point would differ in the last bit from the unblocked sum.
+    one-element array in place by its scalar loop (`total *= zb` in
+    `FockVector.evaluate`), which rounds the imaginary part without the
+    fused multiply-add of its vector loop, so a lone tail point would differ
+    in the last bit from the unblocked sum.
     """
     count = max(1, -(-size // _POINT_BLOCK))
     bounds = [size * k // count for k in range(count + 1)]
@@ -81,13 +82,20 @@ def _point_blocks(size: int) -> list:
 
 
 def _basis_matrix(z: np.ndarray, n_max: int, hbar: float) -> np.ndarray:
-    """Rows e_0..e_{n_max} evaluated on the points z (stable recurrence)."""
+    """Rows e_0..e_{n_max} evaluated on the points z (stable recurrence).
+
+    Each row is the previous one times z, written in place, then scaled by
+    the real 1/sqrt(n hbar) through its real view: no complex division and
+    no temporaries.
+    """
     z = np.asarray(z, dtype=complex)
     out = np.empty((n_max + 1, z.size), dtype=complex)
     out[0] = 1.0
+    parts = out.view(float)    # real and imaginary parts, interleaved
     flat = z.ravel()
     for n in range(1, n_max + 1):
-        out[n] = out[n - 1] * flat / math.sqrt(n * hbar)
+        np.multiply(out[n - 1], flat, out=out[n])
+        parts[n] *= 1.0 / math.sqrt(n * hbar)
     return out
 
 
@@ -132,31 +140,38 @@ class FockVector:
     def evaluate(self, z):
         """Pointwise value sum_n c_n e_n(z); z may be scalar or an array.
 
-        Summed along the e_n recurrence (term *= z, term /= sqrt(n hbar),
-        total += c_n term) block by block (`_point_blocks`), so the working
-        arrays stay in cache: besides the output, memory is O(_POINT_BLOCK)
-        whatever the number of points.  Each value takes the same operations
-        in the same order as the unblocked sum, so the result is
-        bit-identical to it.
+        Summed by Horner's rule on the nested form
+        c_0 + z/sqrt(hbar) (c_1 + z/sqrt(2 hbar) (c_2 + ...)): starting from
+        total = c_N, each n = N..1 does total *= z, scales the real view of
+        total by 1/sqrt(n hbar) and adds c_{n-1}.  That is one complex
+        multiply, one real scale and one add per term, as accurate as the
+        forward sum (Higham, Accuracy and Stability of Numerical Algorithms,
+        sec. 5.1).  The coefficients are not folded into c_n/sqrt(n! hbar^n),
+        which under- or overflows at large truncations; an overflow of the
+        value itself shows up as inf or NaN, which `kernel_eval` and
+        `dynamics.profile_from_fock` rely on.
+
+        The sum runs in the output itself, block by block (`_point_blocks`),
+        so it needs no working memory besides the output (and a flat copy of
+        a non-contiguous z) whatever the number of points.  Each value takes
+        the same operations in the same order as the unblocked sum, so the
+        result is bit-identical to it.
         """
         z = np.asarray(z, dtype=complex)
         out = np.empty(z.shape, dtype=complex)
         flat_z = z.reshape(-1)
         flat_out = out.reshape(-1)
-        term_buf = np.empty(min(_POINT_BLOCK, z.size), dtype=complex)
-        work_buf = np.empty_like(term_buf)
+        coeffs = self.coeffs
+        scales = [1.0 / math.sqrt(n * self.hbar) for n in range(1, coeffs.size)]
         for block in _point_blocks(z.size):
             zb = flat_z[block]
             total = flat_out[block]
-            term = term_buf[:zb.size]
-            work = work_buf[:zb.size]
-            term.fill(1.0)
-            np.multiply(self.coeffs[0], term, out=total)
-            for n in range(1, self.coeffs.size):
-                term *= zb
-                term /= math.sqrt(n * self.hbar)
-                np.multiply(self.coeffs[n], term, out=work)
-                total += work
+            total.fill(coeffs[-1])
+            parts = total.view(float)
+            for n in range(coeffs.size - 1, 0, -1):
+                total *= zb
+                parts *= scales[n - 1]
+                total += coeffs[n - 1]
         return complex(out) if out.ndim == 0 else out
 
 
@@ -201,7 +216,7 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
         for block in _point_blocks(chunk):
             basis = _basis_matrix(z[block], n_max, hbar)
             acc += basis.conj() @ basis.T
-            sq = np.abs(basis) ** 2
+            sq = basis.real ** 2 + basis.imag ** 2
             acc_sq += sq @ sq.T
         done += chunk
     mean = acc / samples
@@ -230,8 +245,10 @@ def coherent_vector(c: complex, n_max: int = DEFAULT_TRUNCATION,
         raise ValueError("n_max must be >= 0")
     hbar = _check_hbar(hbar)
     c = complex(c)
-    log_norm2 = hbar * abs(c) ** 2
-    if log_norm2 > math.log(sys.float_info.max):
+    # |c| times |c|, not abs(c) ** 2: the float power raises OverflowError
+    # past |c| ~ 1.3e154, where the product runs to inf and meets the guard
+    log_norm2 = hbar * abs(c) * abs(c)
+    if not log_norm2 <= math.log(sys.float_info.max):
         raise ValueError(f"hbar |c|^2 = {log_norm2:.6g} is too large: "
                          "the squared norm exp(hbar |c|^2) overflows a float")
     coeffs = _coherent_coeffs(c * math.sqrt(hbar), n_max)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bargmann import FockVector, hamiltonian_matrix
 from .bath import moment_report
-from .errors import SamplerError
+from .errors import SamplerError, TruncationError
 from .phasespace import OscillatorParams, PhasePoint, hamilton_step
 
 __all__ = [
@@ -63,9 +63,18 @@ class AngularProfile:
 
 
 def profile_from_fock(f: FockVector, radius: float, grid_size: int) -> AngularProfile:
-    """Sample f on the circle |z| = radius at `grid_size` uniform angles."""
+    """Sample f on the circle |z| = radius at `grid_size` uniform angles.
+
+    Raises TruncationError if a value overflows to inf or NaN: the series
+    then says nothing about f on that circle.
+    """
     phi = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    return AngularProfile(f.evaluate(radius * np.exp(1j * phi)), radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = f.evaluate(radius * np.exp(1j * phi))
+    if not np.all(np.isfinite(values)):
+        raise TruncationError(
+            f"the series of f overflows on the circle |z| = {radius:.6g}")
+    return AngularProfile(values, radius)
 
 
 def l2_grid_distance(a, b) -> float:
@@ -177,9 +186,8 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
 
     Memory: each chunk holds its proposals and their densities, at least
     10 000 and 2 (n_samples - filled) points; `FockVector.evaluate` sums the
-    density's series over the chunk in blocks of `_POINT_BLOCK` points, so
-    evaluating it adds O(_POINT_BLOCK) working memory, not O(chunk) per
-    basis term.
+    density's series by Horner's rule in its own output, block by block, so
+    evaluating it adds one complex value per proposal and no working arrays.
     """
     if seed is None:
         raise ValueError("sampling requires a seed")

@@ -10,8 +10,8 @@ class CapacityError(ThermoFockError):
 
 
 class TruncationError(ThermoFockError):
-    """Two routes through a truncated expansion disagree: overflow or
-    truncation damage."""
+    """A truncated expansion overflowed, or two routes through it disagree:
+    overflow or truncation damage."""
 
 
 class SamplerError(ThermoFockError):

@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line harness: exit codes, report files,
 CSV outputs, and run-to-run reproducibility."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -88,6 +90,12 @@ def test_usage_errors_exit_two(tmp_path):
     # the squared norm exp(hbar |c|^2) of this coherent vector overflows
     assert run_cli("coherent", "--c", "30", "--nmax", "400",
                    outdir=tmp_path).returncode == 2
+    # past |c| ~ 1.3e154 even |c|^2 overflows; the same guard refuses it
+    for args in (("coherent", "--c", "1e200"), ("coherent", "--c", "1e200j"),
+                 ("ensemble", "--seed", "1", "--c", "1e200")):
+        proc = run_cli(*args, outdir=tmp_path)
+        assert proc.returncode == 2, args
+        assert "exp(hbar |c|^2) overflows a float" in proc.stderr, args
     # no friction to measure, a zero lattice spacing, an empty time grid
     for args in (("damp", "--alpha", "0"),
                  ("continuum", "--spacings", "1,0.5,0"),
@@ -172,18 +180,62 @@ def test_ensemble_at_tiny_omega_completes(tmp_path, args):
 def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path):
     # dt far beyond the stability bound: aborted with a diagnostic, not NaNs;
     # a thermal state so hot its energy overflows leaves no finite energy cap;
-    # at hbar = 1e-300 the ensemble's |z|^2 standard error underflows to 0
+    # at hbar = 1e-300 the ensemble's |z|^2 standard error underflows to 0;
+    # on a circle of radius 1e20 the state's series overflows
     for command, *args in (
             ("relax", "--alpha", "0.01", "--dt", "100", "--seed", "1"),
             ("relax", "--alpha", "0", "--beta", "1e-308", "--seed", "5",
              "--t-max", "5"),
-            ("ensemble", "--seed", "1", "--hbar", "1e-300")):
+            ("ensemble", "--seed", "1", "--hbar", "1e-300"),
+            ("evolve", "--seed", "1", "--radius", "1e20"),
+            ("evolve", "--seed", "1", "--radius", "1e200")):
         proc = run_cli(command, *args, outdir=tmp_path)
         assert proc.returncode == 3, (command, args)
         assert "numerical failure" in proc.stderr
         report = read_report(tmp_path, command)
         assert [check["name"] for check in report["checks"]] == ["numerical-failure"]
         assert not report["checks"][0]["passed"]
+
+
+def test_evolve_check_fails_on_a_nan_distance(tmp_path, monkeypatch):
+    # a NaN at one time must fail the worst-case check, not vanish in max()
+    from thermofock import dynamics
+
+    real = dynamics.l2_grid_distance
+    calls = []
+
+    def nan_once(a, b):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else real(a, b)
+
+    monkeypatch.setattr(dynamics, "l2_grid_distance", nan_once)
+    code = cli.main(["evolve", "--seed", "1", "--outdir", str(tmp_path)])
+    assert code == cli.EXIT_CHECK_FAILURE
+    checks = {c["name"]: c for c in read_report(tmp_path, "evolve")["checks"]}
+    assert math.isnan(checks["transport-vs-schrodinger"]["measured"])
+    assert not checks["transport-vs-schrodinger"]["passed"]
+
+
+def test_ensemble_checks_fail_on_nan_moments(tmp_path, monkeypatch):
+    from thermofock import dynamics
+
+    real = dynamics.ensemble_evolve
+
+    def nan_moments(*args, **kwargs):
+        history = real(*args, **kwargs)
+        history.moments[1] = dataclasses.replace(
+            history.moments[1], mean=complex(math.nan, 0.0),
+            abs2_mean=math.nan)
+        return history
+
+    monkeypatch.setattr(dynamics, "ensemble_evolve", nan_moments)
+    code = cli.main(["ensemble", "--seed", "1", "--samples", "2000",
+                     "--outdir", str(tmp_path)])
+    assert code == cli.EXIT_CHECK_FAILURE
+    checks = {c["name"]: c for c in read_report(tmp_path, "ensemble")["checks"]}
+    for name in ("ensemble-mean-trace", "ensemble-second-moment"):
+        assert math.isnan(checks[name]["measured"]), name
+        assert not checks[name]["passed"], name
 
 
 def test_internal_error_exits_four_with_diagnostic_report(tmp_path, monkeypatch,

@@ -13,6 +13,10 @@ truncations and generator counts, with the edges --nmax 0, --omega 0 and
 Sampling commands: gram (Monte Carlo route) and ensemble at truncations up
 to 20 and 2 to 5000 draws, with the point-block edges 4095, 4096 and 4097
 among the fixed examples.
+
+evolve: truncations -1 to 40, circle radii log-uniform over 1e-3 to 1e30
+(far past where the series overflows), grids of 0 to 64 angles and 0 to 5
+times.
 """
 
 import json
@@ -39,6 +43,8 @@ CHECKS = {
                    "position-momentum-commutator-interior",
                    "commutator-trace-zero", "ordering-gap-half-quantum"],
     "variation": ["antisymmetric-defect", "taylor-slope-second-order"],
+    "evolve": ["transport-vs-schrodinger", "schrodinger-normal-vs-exact",
+               "symmetric-global-phase"],
     "gram": ["gram-quadrature-identity", "gram-montecarlo-3se"],
     "ensemble": ["ensemble-mean-trace", "ensemble-second-moment",
                  "sampler-efficiency"],
@@ -147,3 +153,20 @@ def test_sampling_commands_keep_the_exit_code_contract(command, nmax, samples,
     argv = [command, "--nmax", str(nmax), "--hbar", repr(hbar),
             "--samples", str(samples), "--seed", "3"]
     assert_contract(argv, command)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(nmax=st.integers(-1, 40),
+       log_radius=st.floats(-3.0, 30.0),
+       grid=st.integers(0, 64),
+       n_times=st.integers(0, 5),
+       hbar=st.floats(0.05, 4.0))
+@example(nmax=24, log_radius=0.0, grid=64, n_times=5, hbar=1.0)
+@example(nmax=1, log_radius=-3.0, grid=4, n_times=1, hbar=0.05)
+@example(nmax=40, log_radius=30.0, grid=64, n_times=5, hbar=4.0)
+def test_evolve_keeps_the_exit_code_contract(nmax, log_radius, grid, n_times,
+                                             hbar):
+    argv = ["evolve", "--nmax", str(nmax), "--radius", repr(10.0 ** log_radius),
+            "--grid", str(grid), "--n-times", str(n_times),
+            "--hbar", repr(hbar), "--seed", "3"]
+    assert_contract(argv, "evolve")
