@@ -43,12 +43,6 @@ class BathParams:
     beta: float
     omega: float
 
-    def __post_init__(self):
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError("beta must be positive and finite")
-        if not (self.omega > 0 and math.isfinite(self.omega)):
-            raise ValueError("omega must be positive and finite")
-
     @property
     def hbar(self) -> float:
         return 1.0 / (self.beta * self.omega)
@@ -72,8 +66,6 @@ class MomentReport:
 def moment_report(z: np.ndarray) -> MomentReport:
     z = np.asarray(z)
     n = z.size
-    if n < 2:
-        raise ValueError("need at least 2 samples for standard errors")
     a2 = np.abs(z) ** 2
     return MomentReport(
         n_samples=n,
@@ -133,8 +125,6 @@ def partition_estimate(h_poly: PhasePolynomial, beta: float, n_pairs: int,
     `proposal_scale`); the integrand itself is evaluated through the
     polynomial, so the estimate is an independent check of the closed form.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     a = quadratic_form_matrix(h_poly)
     d = a.shape[0]
     if d != 2 * n_pairs:
@@ -143,13 +133,6 @@ def partition_estimate(h_poly: PhasePolynomial, beta: float, n_pairs: int,
         z_val = (2.0 * math.pi / beta) ** n_pairs / math.sqrt(np.linalg.det(a))
         return PlanckResult(z_val, z_val ** (1.0 / n_pairs), 0.0)
     if method == "montecarlo":
-        if seed is None:
-            raise ValueError("montecarlo partition_estimate requires a seed")
-        if samples < 2:
-            raise ValueError("need at least 2 samples")
-        if not proposal_scale ** 2 > 0.5:
-            # variance of the weights diverges once the proposal is too narrow
-            raise ValueError("proposal_scale^2 must exceed 1/2")
         rng = np.random.default_rng(seed)
         cov = proposal_scale ** 2 * np.linalg.inv(beta * a)
         chol = np.linalg.cholesky(cov)
@@ -271,10 +254,6 @@ class TiltSample:
 def tilt_measure(bath: BathParams, c: complex, n_samples: int, seed) -> TiltSample:
     """Sample exp(-|z - hbar conj(c)|^2/hbar): mean hbar*conj(c), covariance
     unchanged from equilibrium (hbar/2 per component, uncorrelated)."""
-    if seed is None:
-        raise ValueError("sampling requires a seed")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
     rng = np.random.default_rng(seed)
     hbar = bath.hbar
     center = hbar * np.conj(complex(c))
@@ -308,8 +287,6 @@ class SphereParams:
     def __post_init__(self):
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError("radius must be positive and finite")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError("beta must be positive and finite")
 
     @property
     def u_max(self) -> float:
@@ -360,10 +337,6 @@ def sphere_pushforward_check(params: SphereParams, n_samples: int, seed) -> Sphe
     exponential of rate beta shifted to start at t_min, and arg z stays
     uniform.  Both marginals are KS-tested against those laws.
     """
-    if seed is None:
-        raise ValueError("sampling requires a seed")
-    if n_samples < 10:
-        raise ValueError("need at least 10 samples")
     rng = np.random.default_rng(seed)
     beta = params.beta
     u = rng.uniform(0.0, params.u_max, n_samples)

@@ -35,24 +35,105 @@ _THREAD_VARS = (
 )
 
 
-def _count(text: str) -> int:
-    """Sample counts accept scientific notation: --samples 1e6."""
-    value = float(text)
-    if value != int(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"not a whole count: {text!r}")
-    return int(value)
+# ---------------------------------------------------------------------------
+# flag domains: each `type=` below parses one flag into a plain int, float,
+# complex or list, or raises ArgumentTypeError, which argparse reports under
+# the flag's name with exit 2.  Standard library only, so --threads reaches
+# the environment before numpy loads.
+# ---------------------------------------------------------------------------
 
-
-def _float_list(text: str):
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _complex(text: str) -> complex:
-    """Coherent-state centers accept complex literals: --c 0.5 or --c 0.3+0.4j."""
+def _parse(kind, text: str):
     try:
-        return complex(text.replace(" ", ""))
+        return kind(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
+class Real:
+    """A finite float above `low`, or at least `low` when `closed`."""
+
+    def __init__(self, low: float = -math.inf, closed: bool = False):
+        self.low = low
+        self.closed = closed
+
+    def __call__(self, text: str) -> float:
+        value = _parse(float, text)
+        inside = value >= self.low if self.closed else value > self.low
+        if not (inside and math.isfinite(value)):
+            bound = ("" if self.low == -math.inf
+                     else f" {'>=' if self.closed else '>'} {self.low:g}")
+            raise argparse.ArgumentTypeError(
+                f"need a finite number{bound}, got {text!r}")
+        return value
+
+
+FINITE = Real()
+POSITIVE = Real(0.0)
+NON_NEGATIVE = Real(0.0, closed=True)
+
+
+class Count:
+    """A whole number >= `low`; scientific notation too: --samples 1e6."""
+
+    def __init__(self, low: int):
+        self.low = low
+
+    def __call__(self, text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            number = _parse(float, text)
+            value = int(number) if number.is_integer() else None
+        if value is None or value < self.low:
+            raise argparse.ArgumentTypeError(
+                f"need a whole number >= {self.low}, got {text!r}")
+        return value
+
+
+class PowerOfTwo(Count):
+    """A power of two >= `low`: a chain's site count."""
+
+    def __call__(self, text: str) -> int:
+        value = super().__call__(text)
+        if value & (value - 1):
+            raise argparse.ArgumentTypeError(
+                f"need a power of two >= {self.low}, got {text!r}")
+        return value
+
+
+class Complex:
+    """A finite complex literal: --c 0.5 or --c 0.3+0.4j."""
+
+    def __call__(self, text: str) -> complex:
+        value = _parse(complex, text.replace(" ", ""))
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise argparse.ArgumentTypeError(
+                f"need a finite complex number, got {text!r}")
+        return value
+
+
+class Spacings:
+    """Two or more positive finite lattice spacings, decreasing: 1,0.5,0.25."""
+
+    def __call__(self, text: str) -> list:
+        values = [POSITIVE(part) for part in text.split(",") if part.strip()]
+        if len(values) < 2 or any(b >= a for a, b in zip(values, values[1:])):
+            raise argparse.ArgumentTypeError(
+                f"need two or more decreasing spacings, got {text!r}")
+        return values
+
+
+def _tilt_rule(c: complex, hbar: float, flags: str) -> None:
+    """The one bound on a coherent tilt exp(c z): its squared norm
+    exp(hbar |c|^2) must be a float.  A cross-flag rule, so it raises the
+    usage error type itself; `flags` names the flags it reads."""
+    # |c| times |c|, not abs(c) ** 2: the float power raises OverflowError
+    # past |c| ~ 1.3e154, where the product runs to inf and meets the bound
+    log_norm2 = hbar * abs(c) * abs(c)
+    if not log_norm2 <= math.log(sys.float_info.max):
+        raise argparse.ArgumentTypeError(
+            f"{flags}: hbar |c|^2 = {log_norm2:.6g} is too large: the squared "
+            "norm exp(hbar |c|^2) overflows a float")
 
 
 def _fmt(value) -> str:
@@ -101,7 +182,7 @@ def run_gram(args):
                ["i", "j", "real", "imag", "deviation"], rows)]
     if args.samples:
         if args.seed is None:
-            raise ValueError("--samples requires --seed")
+            raise argparse.ArgumentTypeError("--samples requires --seed")
         gm, se = bargmann.gram_montecarlo(args.nmax, args.hbar,
                                           args.samples, args.seed)
         devm = np.abs(gm - np.eye(dim))
@@ -128,11 +209,9 @@ def run_coherent(args):
     from .reports import ExperimentReport
 
     report = ExperimentReport(command="coherent", config=_config_echo(args))
-    if args.nmax < 1:
-        raise ValueError("--nmax must be >= 1: the ladder check compares the "
-                         "coefficients below the truncation")
     c = args.c
     hbar = args.hbar
+    _tilt_rule(c, hbar, "--c/--hbar")
     f = bargmann.coherent_vector(c, args.nmax, hbar)
     norm2 = f.norm() ** 2
     oracle = math.exp(hbar * abs(c) ** 2)
@@ -176,9 +255,6 @@ def run_commutator(args):
 
     report = ExperimentReport(command="commutator", config=_config_echo(args))
     nmax, hbar = args.nmax, args.hbar
-    if nmax < 1:
-        raise ValueError("--nmax must be >= 1: the checks read the interior "
-                         "block below the truncation")
     params = OscillatorParams(args.omega)
     # Dirac's correspondence [A, B] = i hbar {A, B}: the targets are i hbar
     # times the exact classical brackets, with z -> lower and zbar -> raise
@@ -237,9 +313,6 @@ def run_evolve(args):
 
     report = ExperimentReport(command="evolve", config=_config_echo(args))
     params = OscillatorParams(args.omega)
-    if args.n_times < 1:
-        raise ValueError("--n-times must be >= 1: every check is a worst "
-                         "case over the time grid")
     rng = np.random.default_rng(args.seed)
     coeffs = rng.standard_normal(args.nmax + 1) + 1j * rng.standard_normal(args.nmax + 1)
     f = bargmann.FockVector(coeffs, args.hbar).normalized()
@@ -290,16 +363,18 @@ def run_damp(args):
     report = ExperimentReport(command="damp", config=_config_echo(args))
     params = OscillatorParams(args.omega)
     w = params.omega
+    if args.q0 == 0 and args.v0 == 0:
+        raise argparse.ArgumentTypeError(
+            "--q0 and --v0 are both 0: the checks measure the decay of a "
+            "moving oscillator")
+    point = PhasePoint(args.q0, args.v0 / w)
+    # the coherent centers along the orbit shrink from this one
+    _tilt_rule(abs(point.to_z()) / args.hbar, args.hbar, "--q0/--v0/--hbar")
     alpha = args.alpha if args.alpha is not None else 0.01 * w
-    if not alpha > 0:
-        raise ValueError("damp requires alpha > 0: its checks measure decay")
     damping = dynamics.DampingParams(alpha)
     dt = args.dt if args.dt is not None else params.period / 256.0
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError("damp requires --dt positive and finite")
     t_max = args.t_max if args.t_max is not None else 5.0 / alpha
     n_steps = int(math.ceil(t_max / dt))
-    point = PhasePoint(args.q0, args.v0 / w)
 
     times, qs, ps = hamilton_orbit(point, params, dt, n_steps,
                                    friction=alpha, stride=4)
@@ -390,8 +465,10 @@ def run_ensemble(args):
     params = OscillatorParams(w)
     damping = dynamics.DampingParams(alpha)
     if not alpha < 2.0 * w:
-        raise ValueError("ensemble needs alpha < 2 omega: its oracle is the "
-                         "underdamped flow")
+        raise argparse.ArgumentTypeError(
+            "--alpha must be below 2 --omega: the oracle is the underdamped "
+            "flow")
+    _tilt_rule(c, hbar, "--c/--hbar")
     f = bargmann.coherent_vector(c, args.nmax, hbar).normalized()
     t_max = args.t_max if args.t_max is not None else params.period
     times = np.linspace(0.0, t_max, args.n_times)
@@ -490,22 +567,10 @@ def run_variation(args):
     from .reports import ExperimentReport
 
     report = ExperimentReport(command="variation", config=_config_echo(args))
-    if args.count < 1:
-        raise ValueError("--count must be >= 1: the standard generator is "
-                         "always among those checked")
-    if not 0 < args.omega < math.inf:
-        raise ValueError("--omega must be positive and finite: at zero "
-                         "frequency the Hamiltonian vanishes and the slope "
-                         "has nothing to fit")
-    if args.dt_count < 2:
-        raise ValueError("--dt-count must be >= 2: a slope needs two steps")
-    for flag, dt in (("--dt-min", args.dt_min), ("--dt-max", args.dt_max)):
-        if not 0 < dt < math.inf:
-            raise ValueError(f"{flag} must be positive and finite: the steps "
-                             "are log-spaced")
     if args.dt_min == args.dt_max:
-        raise ValueError("--dt-min must differ from --dt-max: a slope needs "
-                         "two distinct steps")
+        raise argparse.ArgumentTypeError(
+            "--dt-min must differ from --dt-max: a slope needs two distinct "
+            "steps")
     ring = PhaseRing.canonical(args.pairs)
     h_poly = oscillator_hamiltonian(ring, args.omega)
     dim = 2 * args.pairs
@@ -544,6 +609,7 @@ def run_tilt(args):
     report = ExperimentReport(command="tilt", config=_config_echo(args))
     bp = bath.BathParams(args.beta, args.omega)
     c = args.c
+    _tilt_rule(c, bp.hbar, "--c/--beta/--omega")
     sample = bath.tilt_measure(bp, c, args.samples, args.seed)
     se_re, se_im = sample.report.mean_se
     mean = sample.report.mean
@@ -623,12 +689,14 @@ def run_chain_dispersion(args):
     report = ExperimentReport(command="chain-dispersion", config=_config_echo(args))
     params = _chain_params(args)
     w0 = chain.dispersion(0.0, params)
-    if w0 <= 0:
-        raise ValueError("chain-dispersion needs gamma > 0 (bound k = 0 mode)")
     state = chain.sample_thermal_state(params, args.beta, args.seed)
     duration = args.periods * 2.0 * math.pi / w0
     traj = chain.integrate_chain(state, params, duration, args.dt,
                                  stride=args.stride)
+    if traj.n_snapshots < 8:
+        raise argparse.ArgumentTypeError(
+            f"--periods, --dt and --stride give {traj.n_snapshots} snapshots: "
+            "a spectrum needs at least 8")
     meas = chain.spectral_dispersion(traj, params)
     n_skipped = int(np.sum(meas.skipped))
     report.add("all-modes-resolved",
@@ -655,10 +723,10 @@ def run_continuum(args):
 
     report = ExperimentReport(command="continuum", config=_config_echo(args))
     spacings = args.spacings
-    if len(spacings) < 2:
-        raise ValueError("need at least two spacings")
-    if any(b >= a for a, b in zip(spacings, spacings[1:])):
-        raise ValueError("spacings must decrease")
+    if args.k_phys * spacings[0] > math.pi:
+        raise argparse.ArgumentTypeError(
+            f"--k-phys {args.k_phys:g} lies outside the first Brillouin zone "
+            f"k <= pi/a of the coarsest of the --spacings, a = {spacings[0]:g}")
     errors = []
     for a in spacings:
         params = chain.continuum_params_for(a, args.field_mass)
@@ -829,10 +897,12 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The 15 subcommands; every value-taking flag but --outdir declares its
+    domain as its `type=`, so a value outside it never reaches a runner."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--outdir", default=None,
                         help=f"output directory (default: ${OUTDIR_ENV} or .)")
-    common.add_argument("--threads", type=int, default=None,
+    common.add_argument("--threads", type=Count(1), default=None,
                         help="cap internal numerics parallelism")
 
     parser = argparse.ArgumentParser(
@@ -843,147 +913,156 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram", parents=[common],
                        help="orthonormality of the holomorphic basis")
-    p.add_argument("--nmax", type=int, default=16)
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--samples", type=_count, default=0,
-                   help="also run the Monte Carlo Gram check")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--nmax", type=Count(0), default=16)
+    p.add_argument("--hbar", type=POSITIVE, default=1.0)
+    p.add_argument("--samples", type=Count(2), default=0,
+                   help="also run the Monte Carlo Gram check on this many "
+                        "draws (by default it is skipped)")
+    p.add_argument("--seed", type=Count(0), default=None)
 
     p = sub.add_parser("coherent", parents=[common],
                        help="coherent vectors: norm, kernel pairing, ladder")
-    p.add_argument("--c", type=_complex, default=0.5 + 0j)
-    p.add_argument("--nmax", type=int, default=32)
-    p.add_argument("--hbar", type=float, default=1.0)
+    p.add_argument("--c", type=Complex(), default=0.5 + 0j)
+    # the ladder check compares the coefficients below the truncation
+    p.add_argument("--nmax", type=Count(1), default=32)
+    p.add_argument("--hbar", type=POSITIVE, default=1.0)
 
     p = sub.add_parser("commutator", parents=[common],
                        help="ladder and quadrature commutators, ordering gap")
-    p.add_argument("--nmax", type=int, default=64)
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
+    # the checks read the interior block below the truncation
+    p.add_argument("--nmax", type=Count(1), default=64)
+    p.add_argument("--hbar", type=POSITIVE, default=1.0)
+    p.add_argument("--omega", type=POSITIVE, default=1.0)
 
     p = sub.add_parser("evolve", parents=[common],
                        help="classical transport vs Schrodinger evolution")
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--nmax", type=int, default=24)
-    p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--t-max", type=float, default=None,
+    p.add_argument("--omega", type=POSITIVE, default=1.0)
+    p.add_argument("--hbar", type=POSITIVE, default=1.0)
+    p.add_argument("--nmax", type=Count(0), default=24)
+    p.add_argument("--grid", type=Count(4), default=512)
+    p.add_argument("--t-max", type=NON_NEGATIVE, default=None,
                    help="default 10/omega")
-    p.add_argument("--n-times", type=int, default=11)
-    p.add_argument("--radius", type=float, default=None,
+    p.add_argument("--n-times", type=Count(1), default=11)
+    p.add_argument("--radius", type=POSITIVE, default=None,
                    help="default sqrt(hbar)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=Count(0), required=True)
 
     p = sub.add_parser("damp", parents=[common],
                        help="weakly damped motion and its envelope")
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--omega", type=POSITIVE, default=1.0)
+    p.add_argument("--alpha", type=POSITIVE, default=None,
                    help="default 0.01*omega")
-    p.add_argument("--q0", type=float, default=1.0)
-    p.add_argument("--v0", type=float, default=0.0)
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--nmax", type=int, default=16)
-    p.add_argument("--dt", type=float, default=None,
+    p.add_argument("--q0", type=FINITE, default=1.0)
+    p.add_argument("--v0", type=FINITE, default=0.0)
+    p.add_argument("--hbar", type=POSITIVE, default=1.0)
+    p.add_argument("--nmax", type=Count(0), default=16)
+    p.add_argument("--dt", type=POSITIVE, default=None,
                    help="default one 256th of the period")
-    p.add_argument("--t-max", type=float, default=None,
+    p.add_argument("--t-max", type=POSITIVE, default=None,
                    help="default five relaxation times")
 
     p = sub.add_parser("ensemble", parents=[common],
                        help="particle ensemble pushforward of |f|^2 dmu")
-    p.add_argument("--c", type=_complex, default=0.5 + 0j)
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--nmax", type=int, default=32)
-    p.add_argument("--samples", type=_count, default=100_000)
-    p.add_argument("--n-times", type=int, default=20)
-    p.add_argument("--t-max", type=float, default=None,
+    p.add_argument("--c", type=Complex(), default=0.5 + 0j)
+    p.add_argument("--hbar", type=POSITIVE, default=1.0)
+    p.add_argument("--omega", type=POSITIVE, default=1.0)
+    p.add_argument("--nmax", type=Count(0), default=32)
+    p.add_argument("--samples", type=Count(2), default=100_000)
+    p.add_argument("--n-times", type=Count(1), default=20)
+    p.add_argument("--t-max", type=NON_NEGATIVE, default=None,
                    help="default one period")
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--proposal-scale", type=float, default=2.0)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--alpha", type=NON_NEGATIVE, default=0.0)
+    # the proposal must be wider than the measure it dominates
+    p.add_argument("--proposal-scale", type=Real(1.0), default=2.0)
+    p.add_argument("--seed", type=Count(0), required=True)
 
     p = sub.add_parser("partition", parents=[common],
                        help="action cell h from the partition integral")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--pairs", type=int, default=1)
-    p.add_argument("--samples", type=_count, default=1_000_000)
-    p.add_argument("--proposal-scale", type=float, default=1.5)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--beta", type=POSITIVE, default=1.0)
+    p.add_argument("--omega", type=POSITIVE, default=1.0)
+    p.add_argument("--pairs", type=Count(1), default=1)
+    p.add_argument("--samples", type=Count(2), default=1_000_000)
+    # the variance of the importance weights diverges once scale^2 <= 1/2
+    p.add_argument("--proposal-scale", type=Real(2.0 ** -0.5), default=1.5)
+    p.add_argument("--seed", type=Count(0), required=True)
 
     p = sub.add_parser("variation", parents=[common],
                        help="antisymmetric variations leave Gibbs weights "
                             "stationary to first order")
-    p.add_argument("--pairs", type=int, default=2)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--dt-min", type=float, default=1e-4)
-    p.add_argument("--dt-max", type=float, default=1e-2)
-    p.add_argument("--dt-count", type=int, default=9)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--pairs", type=Count(1), default=2)
+    # at zero frequency the Hamiltonian vanishes: the slope has nothing to fit
+    p.add_argument("--omega", type=POSITIVE, default=1.0)
+    # the standard generator is always among those checked
+    p.add_argument("--count", type=Count(1), default=100)
+    p.add_argument("--dt-min", type=POSITIVE, default=1e-4)
+    p.add_argument("--dt-max", type=POSITIVE, default=1e-2)
+    p.add_argument("--dt-count", type=Count(2), default=9)
+    p.add_argument("--seed", type=Count(0), required=True)
 
     p = sub.add_parser("tilt", parents=[common],
                        help="coherent tilt of the equilibrium Gaussian")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--c", type=_complex, default=0.5 + 0j)
-    p.add_argument("--samples", type=_count, default=100_000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--beta", type=POSITIVE, default=1.0)
+    p.add_argument("--omega", type=POSITIVE, default=1.0)
+    p.add_argument("--c", type=Complex(), default=0.5 + 0j)
+    p.add_argument("--samples", type=Count(2), default=100_000)
+    p.add_argument("--seed", type=Count(0), required=True)
 
     p = sub.add_parser("sphere", parents=[common],
                        help="uniform sphere area pushed to the phase plane")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--radius2", type=float, default=None,
+    p.add_argument("--beta", type=POSITIVE, default=1.0)
+    p.add_argument("--omega", type=POSITIVE, default=1.0)
+    p.add_argument("--radius2", type=POSITIVE, default=None,
                    help="squared radius; default 1/(2 beta omega)")
-    p.add_argument("--samples", type=_count, default=100_000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--samples", type=Count(10), default=100_000)
+    p.add_argument("--seed", type=Count(0), required=True)
 
     def chain_flags(p, sites):
-        p.add_argument("--sites", type=int, default=sites)
-        p.add_argument("--mass", type=float, default=1.0)
-        p.add_argument("--gamma", type=float, default=1.0)
-        p.add_argument("--gamma-couple", type=float, default=1.0)
-        p.add_argument("--spacing", type=float, default=1.0)
+        p.add_argument("--sites", type=PowerOfTwo(2), default=sites)
+        p.add_argument("--mass", type=POSITIVE, default=1.0)
+        # thermal sampling needs every mode bound, the k = 0 one included
+        p.add_argument("--gamma", type=POSITIVE, default=1.0)
+        p.add_argument("--gamma-couple", type=NON_NEGATIVE, default=1.0)
+        p.add_argument("--spacing", type=POSITIVE, default=1.0)
 
     p = sub.add_parser("chain-dispersion", parents=[common],
                        help="measure the dispersion relation spectrally")
     chain_flags(p, 256)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--periods", type=float, default=200.0)
-    p.add_argument("--dt", type=float, default=0.05)
-    p.add_argument("--stride", type=int, default=12)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--beta", type=POSITIVE, default=1.0)
+    p.add_argument("--periods", type=POSITIVE, default=200.0)
+    p.add_argument("--dt", type=POSITIVE, default=0.05)
+    p.add_argument("--stride", type=Count(1), default=12)
+    p.add_argument("--seed", type=Count(0), required=True)
 
     p = sub.add_parser("continuum", parents=[common],
                        help="lattice dispersion converges to k^2 + M^2")
-    p.add_argument("--field-mass", type=float, default=1.0)
-    p.add_argument("--k-phys", type=float, default=math.pi / 4.0)
-    p.add_argument("--spacings", type=_float_list, default=[1.0, 0.5, 0.25])
+    p.add_argument("--field-mass", type=NON_NEGATIVE, default=1.0)
+    # at k = 0 every error vanishes and the fourfold ratio is 0/0
+    p.add_argument("--k-phys", type=POSITIVE, default=math.pi / 4.0)
+    p.add_argument("--spacings", type=Spacings(), default=[1.0, 0.5, 0.25])
 
     p = sub.add_parser("rescale", parents=[common],
                        help="frequency rescaling gives all modes one action scale")
     chain_flags(p, 64)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--beta", type=POSITIVE, default=1.0)
+    p.add_argument("--seed", type=Count(0), required=True)
 
     p = sub.add_parser("mode-commutator", parents=[common],
                        help="tensor-product ladder commutators vanish exactly")
-    p.add_argument("--modes", type=int, default=3)
-    p.add_argument("--levels", type=int, default=5)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--omega0", type=float, default=1.0)
+    p.add_argument("--modes", type=Count(1), default=3)
+    p.add_argument("--levels", type=Count(2), default=5)
+    p.add_argument("--beta", type=POSITIVE, default=1.0)
+    p.add_argument("--omega0", type=POSITIVE, default=1.0)
 
     p = sub.add_parser("relax", parents=[common],
                        help="coherent chain motion dies away under friction")
     chain_flags(p, 16)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--t-max", type=float, default=None,
+    p.add_argument("--alpha", type=NON_NEGATIVE, default=0.01)
+    p.add_argument("--beta", type=POSITIVE, default=1.0)
+    p.add_argument("--t-max", type=POSITIVE, default=None,
                    help="default ten relaxation times")
-    p.add_argument("--dt", type=float, default=0.025)
-    p.add_argument("--stride", type=int, default=40)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--dt", type=POSITIVE, default=0.025)
+    p.add_argument("--stride", type=Count(1), default=40)
+    p.add_argument("--seed", type=Count(0), required=True)
 
     return parser
 
@@ -995,9 +1074,6 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     if args.threads is not None:
-        if args.threads < 1:
-            print("usage error: --threads must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
     outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
@@ -1020,7 +1096,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report, tables = RUNNERS[args.command](args)
-    except ValueError as exc:
+    except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ThermoFockError, ArithmeticError) as exc:

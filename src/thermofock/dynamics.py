@@ -40,10 +40,6 @@ class DampingParams:
 
     alpha: float
 
-    def __post_init__(self):
-        if not (self.alpha >= 0 and math.isfinite(self.alpha)):
-            raise ValueError("alpha must be >= 0 and finite")
-
 
 @dataclass(frozen=True, eq=False)
 class AngularProfile:
@@ -54,12 +50,10 @@ class AngularProfile:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=complex)
-        if v.ndim != 1 or v.size < 4:
-            raise ValueError("profile needs at least 4 grid values")
+        if v.ndim != 1:
+            raise ValueError("profile values must be a 1d array")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError("radius must be positive")
 
 
 def profile_from_fock(f: FockVector, radius: float, grid_size: int) -> AngularProfile:
@@ -78,12 +72,22 @@ def profile_from_fock(f: FockVector, radius: float, grid_size: int) -> AngularPr
 
 
 def l2_grid_distance(a, b) -> float:
-    """Root-mean-square distance between two grids (or profiles)."""
+    """Root-mean-square distance between two grids (or profiles).
+
+    The differences are scaled by a power of two at or above the largest, so
+    their squares cannot overflow, and the scaling is exact: wherever the
+    plain RMS neither overflows nor underflows this is the same float.
+    """
     av = a.values if isinstance(a, AngularProfile) else np.asarray(a)
     bv = b.values if isinstance(b, AngularProfile) else np.asarray(b)
     if av.shape != bv.shape:
         raise ValueError("grid shapes differ")
-    return float(np.sqrt(np.mean(np.abs(av - bv) ** 2)))
+    diff = np.abs(av - bv)
+    top = float(np.max(diff, initial=0.0))
+    if not 0.0 < top < math.inf:
+        return top              # all equal, or an inf or NaN difference
+    scale = math.ldexp(1.0, math.frexp(top)[1])
+    return scale * float(np.sqrt(np.mean((diff / scale) ** 2)))
 
 
 def transport_solve(profile: AngularProfile, t: float, params: OscillatorParams,
@@ -95,8 +99,6 @@ def transport_solve(profile: AngularProfile, t: float, params: OscillatorParams,
     data); "upwind" runs the first-order finite-difference scheme with step
     `dt` and enforces the CFL bound w dt <= dphi.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
     w = params.omega
     values = profile.values
     if scheme == "spectral":
@@ -189,15 +191,9 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     density's series by Horner's rule in its own output, block by block, so
     evaluating it adds one complex value per proposal and no working arrays.
     """
-    if seed is None:
-        raise ValueError("sampling requires a seed")
     if not f.is_normalized(1e-9):
         raise ValueError("f must be normalized for density sampling")
     s = float(proposal_scale)
-    if s <= 1.0:
-        raise ValueError("proposal_scale must exceed 1 (wider than the measure)")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     hbar = f.hbar
     kappa = (1.0 - 1.0 / s) / hbar
     n_top = f.truncation
@@ -259,10 +255,8 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
     w = params.omega
     alpha = damping.alpha if damping is not None else 0.0
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a non-empty 1d array")
-    if np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-decreasing and >= 0")
+    if times.ndim != 1:
+        raise ValueError("times must be a 1d array")
     if dt is None:
         dt = (2.0 * math.pi / w) / 1024.0
     z0, efficiency = _rejection_sample(f, n_samples, seed, proposal_scale)

@@ -14,7 +14,8 @@ def fit_loglog_slope(x, y) -> float:
     if x.size < 2 or x.size != y.size:
         raise ValueError("need matching arrays with at least 2 points")
     if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("log-log fit needs strictly positive data")
+        # data that underflowed to 0 has no logarithm: a numerical failure
+        raise FloatingPointError("log-log fit needs strictly positive data")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 

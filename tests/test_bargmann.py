@@ -107,9 +107,9 @@ def test_montecarlo_gram_memory_is_bounded(samples):
     assert peak <= 8 * 2 ** 20
 
 
-def test_montecarlo_gram_requires_seed():
-    with pytest.raises(ValueError):
-        gram_montecarlo(4, 1.0, 1000, seed=None)
+def test_montecarlo_gram_requires_seed(usage_error):
+    # Monte Carlo without a seed is refused before gram_montecarlo runs
+    usage_error(["gram", "--samples", "1000"], "--seed")
 
 
 # -- coherent states ----------------------------------------------------------
@@ -308,13 +308,14 @@ def test_ordering_gap_generic_frequency():
 
 # -- FockVector basics ---------------------------------------------------------
 
-def test_fock_vector_validation():
+def test_fock_vector_validation(usage_error):
     with pytest.raises(ValueError):
         FockVector(np.array([]), 1.0)
     with pytest.raises(ValueError):
         FockVector(np.array([np.inf, 1.0]), 1.0)
-    with pytest.raises(ValueError):
-        FockVector(np.array([1.0]), 0.0)
+    # every FockVector's hbar comes from --hbar, which refuses 0
+    for command in ("gram", "coherent"):
+        usage_error([command, "--hbar", "0"], "--hbar")
 
 
 def test_normalized_and_zero_vector_guards():

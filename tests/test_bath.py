@@ -39,14 +39,13 @@ from thermofock.phasespace import (
 
 # -- bath parameters -----------------------------------------------------------
 
-def test_hbar_is_inverse_beta_omega():
+def test_hbar_is_inverse_beta_omega(usage_error):
     bp = BathParams(beta=2.0, omega=0.25)
     assert bp.hbar == pytest.approx(2.0)
     assert bp.h == pytest.approx(4.0 * math.pi)
-    with pytest.raises(ValueError):
-        BathParams(0.0, 1.0)
-    with pytest.raises(ValueError):
-        BathParams(1.0, -1.0)
+    # BathParams takes --beta and --omega, which refuse 0 and negatives
+    usage_error(["tilt", "--seed", "1", "--beta", "0"], "--beta")
+    usage_error(["tilt", "--seed", "1", "--omega", "-1"], "--omega")
 
 
 # -- sample moments -------------------------------------------------------------
@@ -68,9 +67,10 @@ def test_equilibrium_moments():
     assert abs(np.mean(a4) - 2 * bp.hbar ** 2) <= 4 * abs4_se
 
 
-def test_moment_report_needs_two_samples():
-    with pytest.raises(ValueError):
-        moment_report(np.array([1.0 + 0j]))
+def test_moment_report_needs_two_samples(usage_error):
+    # a standard error needs two draws: --samples refuses fewer
+    usage_error(["tilt", "--seed", "1", "--samples", "1"], "--samples")
+    usage_error(["ensemble", "--seed", "1", "--samples", "1"], "--samples")
 
 
 # -- partition function ----------------------------------------------------------
@@ -112,15 +112,15 @@ def test_montecarlo_action_cell_matches_analytic():
     assert abs(out.h - 2.0 * math.pi) <= 0.01 * 2.0 * math.pi
 
 
-def test_partition_rejects_bad_input():
+def test_partition_rejects_bad_input(usage_error):
     ring = PhaseRing.canonical(1)
     h = oscillator_hamiltonian(ring, 1.0)
-    with pytest.raises(ValueError):
-        partition_estimate(h, -1.0, 1)
+    usage_error(["partition", "--seed", "1", "--beta", "-1"], "--beta")
     with pytest.raises(ValueError):
         partition_estimate(h, 1.0, 2)            # pair-count mismatch
-    with pytest.raises(ValueError):
-        partition_estimate(h, 1.0, 1, method="montecarlo", seed=None)
+    usage_error(["partition"], "--seed")
+    usage_error(["partition", "--seed", "1", "--proposal-scale", "0.7"],
+                "--proposal-scale")
     q, p = variable(ring, "q"), variable(ring, "p")
     cubic = h + q * q * q
     with pytest.raises(ValueError):
@@ -235,10 +235,10 @@ def test_sphere_large_radius_caps_the_polar_angle():
     assert float(np.min(out.radial)) >= -1e-12
 
 
-def test_sphere_validation():
+def test_sphere_validation(usage_error):
     with pytest.raises(ValueError):
         SphereParams(0.0, 1.0)
-    with pytest.raises(ValueError):
-        SphereParams(1.0, -2.0)
-    with pytest.raises(ValueError):
-        sphere_pushforward_check(SphereParams(1.0, 1.0), 100, seed=None)
+    usage_error(["sphere", "--seed", "1", "--beta", "-2"], "--beta")
+    usage_error(["sphere", "--seed", "1", "--radius2", "-1"], "--radius2")
+    usage_error(["sphere", "--seed", "1", "--samples", "9"], "--samples")
+    usage_error(["sphere"], "--seed")

@@ -37,13 +37,12 @@ from thermofock.errors import CapacityError, StabilityError
 
 # -- parameters and energy ------------------------------------------------------
 
-def test_chain_params_validation():
-    with pytest.raises(ValueError):
-        ChainParams(n_sites=6)                     # not a power of two
+def test_chain_params_validation(usage_error):
+    usage_error(["relax", "--seed", "1", "--sites", "6"], "--sites")
     with pytest.raises(ValueError):
         ChainParams(n_sites=8, gamma=0.0, gamma_couple=0.0)
-    with pytest.raises(ValueError):
-        ChainParams(n_sites=8, mass=-1.0)
+    usage_error(["rescale", "--seed", "1", "--mass", "-1"], "--mass")
+    usage_error(["rescale", "--seed", "1", "--spacing", "0"], "--spacing")
     params = ChainParams(n_sites=8, gamma=1.0, gamma_couple=2.0, spacing=0.5)
     assert params.zone_boundary == pytest.approx(2.0 * math.pi)
     assert params.omega_max == pytest.approx(3.0)
@@ -173,11 +172,11 @@ def test_thermal_state_equipartition():
     assert abs(float(np.sum(scaled)) - 64) <= 4 * math.sqrt(64)
 
 
-def test_thermal_sampling_guards():
-    with pytest.raises(ValueError):
-        sample_thermal_state(ChainParams(n_sites=8), -1.0, seed=1)
-    with pytest.raises(ValueError):
-        sample_thermal_state(ChainParams(n_sites=8), 1.0, seed=None)
+def test_thermal_sampling_guards(usage_error):
+    usage_error(["relax", "--seed", "1", "--beta", "-1"], "--beta")
+    usage_error(["chain-dispersion"], "--seed")
+    # the CLI's chains are all bound: --gamma refuses 0
+    usage_error(["rescale", "--seed", "1", "--gamma", "0"], "--gamma")
     free = ChainParams(n_sites=8, gamma=0.0, gamma_couple=1.0)
     with pytest.raises(ValueError):
         sample_thermal_state(free, 1.0, seed=1)    # unbound zero mode
@@ -579,13 +578,13 @@ def test_same_mode_commutators_generic_hbar():
     assert np.max(np.abs(residual)) <= 1e-15
 
 
-def test_commutator_capacity_caps():
+def test_commutator_capacity_caps(usage_error):
     with pytest.raises(CapacityError):
         mode_commutator_check(5, 4, hbar=1.0)
     with pytest.raises(CapacityError):
         mode_commutator_check(2, 7, hbar=1.0)
-    with pytest.raises(ValueError):
-        mode_commutator_check(0, 4, hbar=1.0)
+    usage_error(["mode-commutator", "--modes", "0"], "--modes")
+    usage_error(["mode-commutator", "--levels", "1"], "--levels")
 
 
 # -- relaxation ----------------------------------------------------------------------------------
@@ -612,8 +611,8 @@ def test_relaxation_control_run_conserves_energy():
     assert report.monotone
 
 
-def test_relaxation_rejects_negative_alpha():
-    params = ChainParams(n_sites=8)
-    state = ChainState(np.zeros(8), np.ones(8))
-    with pytest.raises(ValueError):
-        chain_relax(state, params, alpha=-0.1, duration=1.0, dt=0.01)
+def test_relaxation_rejects_negative_alpha(usage_error):
+    usage_error(["relax", "--seed", "1", "--alpha", "-0.1"], "--alpha")
+    for flag in ("--dt", "--t-max"):
+        usage_error(["relax", "--seed", "1", flag, "0"], flag)
+    usage_error(["relax", "--seed", "1", "--stride", "0"], "--stride")

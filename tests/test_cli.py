@@ -134,7 +134,26 @@ def test_usage_errors_exit_two(tmp_path):
                        (("variation", "--seed", "1", "--dt-max", "inf"),
                         "--dt-max"),
                        (("variation", "--seed", "1", "--dt-min", "1e-3",
-                         "--dt-max", "1e-3"), "--dt-min")):
+                         "--dt-max", "1e-3"), "--dt-min"),
+                       # a NaN or zero flag value, a negative radius or seed,
+                       # no threads, a tilt whose norm overflows
+                       (("ensemble", "--seed", "1", "--t-max", "nan"),
+                        "--t-max"),
+                       (("evolve", "--seed", "1", "--t-max", "nan"),
+                        "--t-max"),
+                       (("continuum", "--k-phys", "nan"), "--k-phys"),
+                       (("continuum", "--k-phys", "0"), "--k-phys"),
+                       (("continuum", "--k-phys", "10"), "--k-phys"),
+                       (("tilt", "--seed", "1", "--c", "nan"), "--c"),
+                       (("tilt", "--seed", "1", "--c", "1e200"), "--c"),
+                       (("sphere", "--seed", "1", "--radius2", "-1"),
+                        "--radius2"),
+                       (("relax", "--seed", "-5"), "--seed"),
+                       (("coherent", "--threads", "0"), "--threads"),
+                       (("damp", "--q0", "0", "--v0", "0"), "--q0"),
+                       (("damp", "--q0", "1e200"), "--q0"),
+                       (("chain-dispersion", "--seed", "1", "--sites", "16",
+                         "--periods", "0.1"), "--periods")):
         proc = run_cli(*args, outdir=tmp_path)
         assert proc.returncode == 2, args
         assert flag in proc.stderr, (args, proc.stderr)
@@ -188,7 +207,13 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path):
              "--t-max", "5"),
             ("ensemble", "--seed", "1", "--hbar", "1e-300"),
             ("evolve", "--seed", "1", "--radius", "1e20"),
-            ("evolve", "--seed", "1", "--radius", "1e200")):
+            ("evolve", "--seed", "1", "--radius", "1e200"),
+            # past the leapfrog's stability bound w dt = 2
+            ("damp", "--dt", "2.5"),
+            ("damp", "--dt", "1e3"),
+            # every energy change underflows to 0: no log-log slope
+            ("variation", "--seed", "1", "--dt-min", "1e-300",
+             "--dt-max", "1e-299")):
         proc = run_cli(command, *args, outdir=tmp_path)
         assert proc.returncode == 3, (command, args)
         assert "numerical failure" in proc.stderr
@@ -251,6 +276,15 @@ def test_internal_error_exits_four_with_diagnostic_report(tmp_path, monkeypatch,
     assert [check["name"] for check in report["checks"]] == ["internal-error"]
     assert not report["checks"][0]["passed"]
     assert report["checks"][0]["measured"] == "RuntimeError: runner bug"
+
+    # a library ValueError on in-domain flags is a fault of the program, not
+    # a usage error: only the parser's and the runners' own type exits 2
+    def library_fault(args):
+        raise ValueError("coeffs must be finite")
+
+    monkeypatch.setitem(cli.RUNNERS, "coherent", library_fault)
+    assert cli.main(["coherent", "--outdir", str(tmp_path)]) == cli.EXIT_INTERNAL
+    assert "internal error: coeffs must be finite" in capsys.readouterr().err
 
 
 def test_reports_are_reproducible_across_directories(tmp_path):

@@ -36,16 +36,40 @@ def test_profile_matches_pointwise_evaluation():
     np.testing.assert_allclose(prof.values, f.evaluate(z), atol=1e-12)
 
 
-def test_profile_validation():
+def test_profile_validation(usage_error):
     with pytest.raises(ValueError):
-        AngularProfile(np.ones(3), 1.0)      # too few grid points
-    with pytest.raises(ValueError):
-        AngularProfile(np.ones(8), -1.0)
+        AngularProfile(np.ones((2, 4)), 1.0)
+    # too few grid points, or a circle of no radius, never reach the profile
+    usage_error(["evolve", "--seed", "1", "--grid", "3"], "--grid")
+    usage_error(["evolve", "--seed", "1", "--radius", "-1"], "--radius")
 
 
 def test_l2_distance_shapes_must_match():
     with pytest.raises(ValueError):
         l2_grid_distance(np.ones(4), np.ones(5))
+
+
+def test_l2_distance_does_not_overflow():
+    # squaring differences past ~1e154 overflows, and below ~1e-154
+    # underflows; the scaled sum does neither, and in between it is the
+    # plain RMS bit for bit
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal(54) + 1j * rng.standard_normal(54)
+    b = rng.standard_normal(54) + 1j * rng.standard_normal(54)
+    unit = l2_grid_distance(a, b)
+    for scale in (1e-8, 1.0, 3.0, 1e100):
+        plain = float(np.sqrt(np.mean(np.abs(scale * (a - b)) ** 2)))
+        assert l2_grid_distance(scale * a, scale * b) == plain
+    for scale in (1e-300, 1e250):
+        assert l2_grid_distance(scale * a, scale * b) == pytest.approx(
+            scale * unit, rel=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = l2_grid_distance(np.array([1e200, 0.0, 0.0, 0.0]), np.zeros(4))
+    assert big == pytest.approx(5e199, rel=1e-15)
+    assert l2_grid_distance(np.ones(4), np.ones(4)) == 0.0
+    assert math.isnan(l2_grid_distance(np.array([math.nan, 0.0]), np.zeros(2)))
+    assert l2_grid_distance(np.array([math.inf, 0.0]), np.zeros(2)) == math.inf
 
 
 # -- transport -------------------------------------------------------------------
@@ -118,11 +142,10 @@ def test_upwind_rejects_cfl_violation():
         transport_solve(prof, 10.0, params, scheme="upwind", dt=3.0 * dphi)
 
 
-def test_transport_argument_validation():
+def test_transport_argument_validation(usage_error):
     prof = AngularProfile(np.ones(16), 1.0)
     params = OscillatorParams(1.0)
-    with pytest.raises(ValueError):
-        transport_solve(prof, -1.0, params)
+    usage_error(["evolve", "--seed", "1", "--t-max", "-1"], "--t-max")
     with pytest.raises(ValueError):
         transport_solve(prof, 1.0, params, scheme="upwind")   # dt missing
     with pytest.raises(ValueError):
@@ -220,11 +243,10 @@ def test_damped_solution_warns_when_damping_is_not_small():
         damped_solution(1.0, 0.0, params, DampingParams(0.01), 1.0)
 
 
-def test_damping_params_validation():
-    with pytest.raises(ValueError):
-        DampingParams(-0.1)
-    with pytest.raises(ValueError):
-        DampingParams(math.inf)
+def test_damping_params_validation(usage_error):
+    for value in ("-0.1", "inf"):
+        usage_error(["ensemble", "--seed", "1", "--alpha", value], "--alpha")
+    usage_error(["damp", "--alpha", "0"], "--alpha")
 
 
 # -- density sampling -------------------------------------------------------------------
@@ -265,12 +287,10 @@ def test_sampled_density_moments_match_the_gaussian():
     assert abs(np.mean(spread) - hbar) <= 4 * np.std(spread, ddof=1) / math.sqrt(n)
 
 
-def test_sampler_guards():
-    f = coherent_vector(0.5, 32, 1.0).normalized()
-    with pytest.raises(ValueError):
-        _initial_cloud(f, 100, seed=None)
-    with pytest.raises(ValueError):
-        _initial_cloud(f, 100, seed=1, proposal_scale=0.9)
+def test_sampler_guards(usage_error):
+    usage_error(["ensemble"], "--seed")
+    usage_error(["ensemble", "--seed", "1", "--proposal-scale", "0.9"],
+                "--proposal-scale")
     unnormalized = coherent_vector(0.5, 32, 1.0)
     with pytest.raises(ValueError):
         _initial_cloud(unnormalized, 100, seed=1)
@@ -414,12 +434,11 @@ def test_ensemble_interval_map_matches_the_cayley_hamilton_power(alpha):
                                rtol=1e-12, atol=0.0)
 
 
-def test_ensemble_validation():
+def test_ensemble_validation(usage_error):
     f = FockVector(np.eye(5)[0], 1.0)
-    # omega = 0 is refused when the parameters are built
     with pytest.raises(ValueError):
-        OscillatorParams(0.0)
-    with pytest.raises(ValueError):
-        ensemble_evolve(f, OscillatorParams(1.0), [1.0, 0.5], 100, seed=1)
-    with pytest.raises(ValueError):
-        ensemble_evolve(f, OscillatorParams(1.0), [], 100, seed=1)
+        ensemble_evolve(f, OscillatorParams(1.0), [[0.5]], 100, seed=1)
+    # the CLI's time grids run forward from 0 over at least one time
+    for flag, value in (("--omega", "0"), ("--t-max", "-1"),
+                        ("--t-max", "nan"), ("--n-times", "0")):
+        usage_error(["ensemble", "--seed", "1", flag, value], flag)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from thermofock.errors import CapacityError
+from thermofock.errors import CapacityError, StabilityError
 from thermofock.exact import SqrtTwoComplex
 from thermofock.fits import fit_loglog_slope
 from thermofock.phasespace import (
@@ -228,24 +228,31 @@ def test_phase_point_to_z():
     assert x.to_z() == pytest.approx(complex(0.6, -1.7) / math.sqrt(2.0))
 
 
-def test_oscillator_params_validation():
-    with pytest.raises(ValueError):
-        OscillatorParams(-1.0)
-    with pytest.raises(ValueError):
-        OscillatorParams(math.inf)
-    # omega = 0 has no period and no half-quantum
-    with pytest.raises(ValueError):
-        OscillatorParams(0.0)
+def test_oscillator_params_validation(usage_error):
+    # every OscillatorParams takes --omega; omega = 0 has no period and no
+    # half-quantum
+    for argv in (["commutator", "--omega", "-1"],
+                 ["evolve", "--seed", "1", "--omega", "inf"],
+                 ["damp", "--omega", "0"],
+                 ["ensemble", "--seed", "1", "--omega", "nan"]):
+        usage_error(argv, "--omega")
     p = OscillatorParams(2.0)
     assert p.period == pytest.approx(math.pi)
 
 
-def test_hamilton_step_rejects_bad_arguments():
+def test_hamilton_step_rejects_bad_arguments(usage_error):
+    # the steps and frictions the CLI hands to the leapfrog: --dt > 0 and
+    # --alpha >= 0
+    usage_error(["damp", "--dt", "0"], "--dt")
+    usage_error(["ensemble", "--seed", "1", "--alpha", "-1"], "--alpha")
+
+
+@pytest.mark.parametrize("dt", [2.0, 2.5, 1e3])
+def test_hamilton_orbit_refuses_steps_past_the_stability_bound(dt):
+    # w dt >= 2 makes the leapfrog linearly unstable; just below it is not
     params = OscillatorParams(1.0)
-    with pytest.raises(ValueError):
-        hamilton_step(PhasePoint(0, 0), params, dt=0.0)
-    with pytest.raises(ValueError):
-        hamilton_step(PhasePoint(0, 0), params, dt=0.1, friction=-1.0)
-    # the rescaled variables are singular at omega = 0: no step is built
-    with pytest.raises(ValueError):
-        OscillatorParams(0.0)
+    with pytest.raises(StabilityError):
+        hamilton_orbit(PhasePoint(1.0, 0.0), params, dt, 10)
+    _, qs, ps = hamilton_orbit(PhasePoint(1.0, 0.0), params,
+                               np.nextafter(2.0, 0.0), 10)
+    assert np.all(np.isfinite(qs)) and np.all(np.isfinite(ps))
