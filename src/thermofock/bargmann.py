@@ -108,7 +108,7 @@ class FockVector:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coeffs must be a non-empty 1d array")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("coeffs must be finite")
+            raise FloatingPointError("coeffs must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, StabilityError
+from .errors import MAX_SNAPSHOT_FLOATS, CapacityError, StabilityError
 from .fits import fit_decay_rate
 
 __all__ = [
@@ -61,10 +61,11 @@ class ChainParams:
     spacing: float = 1.0
 
     def __post_init__(self):
-        if not (self.gamma >= 0 and math.isfinite(self.gamma)):
-            raise ValueError("gamma must be >= 0")
-        if not (self.gamma_couple >= 0 and math.isfinite(self.gamma_couple)):
-            raise ValueError("gamma_couple must be >= 0")
+        if not (self.gamma >= 0 and self.gamma_couple >= 0):
+            raise ValueError("gamma and gamma_couple must be >= 0")
+        if math.isinf(self.gamma + self.gamma_couple):
+            # a stiffness derived from in-range flags (1/a^2, M^2) overflowed
+            raise FloatingPointError("gamma and gamma_couple must be finite")
         if self.gamma == 0 and self.gamma_couple == 0:
             raise ValueError("gamma and gamma_couple cannot both vanish")
 
@@ -96,7 +97,7 @@ class ChainState:
         if q.ndim != 1 or q.shape != p.shape:
             raise ValueError("q and p must be 1d arrays of equal length")
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise ValueError("state entries must be finite")
+            raise FloatingPointError("state entries must be finite")
         q.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -158,15 +159,14 @@ class ModeSet:
 
     a_j = (sqrt(m w_j) Q_j + i P_j / sqrt(m w_j)) / sqrt(2) with Q, P the
     unitary DFTs of (q, p); then sum_j w_j |a_j|^2 reproduces the chain
-    energy.  A gamma = 0 chain has no oscillator at k = 0; that mode is
-    held out as the free drift pair (Q_0, P_0) instead.
+    energy.  Every mode oscillates: sample_thermal_state, where each mode
+    set starts, refuses a chain with w(0) = 0.
     """
 
     k: np.ndarray
     omega: np.ndarray
     amplitudes: np.ndarray
     mass: float
-    drift: tuple = None
     uniform_frequency: float = None
 
     def __post_init__(self):
@@ -184,21 +184,14 @@ class ModeSet:
 
     @property
     def rescale_factors(self) -> np.ndarray:
-        """lambda_j = w_j / w(0); needs the k = 0 mode to oscillate."""
-        w0 = float(self.omega[0])
-        if w0 <= 0:
-            raise ValueError("rescale factors undefined when omega(0) = 0")
-        return self.omega / w0
+        """lambda_j = w_j / w(0)."""
+        return self.omega / float(self.omega[0])
 
     def energy(self) -> float:
-        """sum_j w_j |a_j|^2 (or w0 sum |a|^2 after rescaling) + drift kinetic."""
+        """sum_j w_j |a_j|^2, or w0 sum |a|^2 after rescaling."""
         if self.uniform_frequency is not None:
-            total = self.uniform_frequency * float(np.sum(np.abs(self.amplitudes) ** 2))
-        else:
-            total = float(np.sum(self.omega * np.abs(self.amplitudes) ** 2))
-        if self.drift is not None:
-            total += self.drift[1] ** 2 / (2.0 * self.mass)
-        return total
+            return self.uniform_frequency * float(np.sum(np.abs(self.amplitudes) ** 2))
+        return float(np.sum(self.omega * np.abs(self.amplitudes) ** 2))
 
 
 _ROW_BLOCK = 256     # rows of p transformed at once by _mode_amplitudes
@@ -207,49 +200,41 @@ _ROW_BLOCK = 256     # rows of p transformed at once by _mode_amplitudes
 def _mode_amplitudes(q: np.ndarray, p: np.ndarray, params: ChainParams):
     """Amplitudes a_j = (sqrt(m w_j) Q_j + i P_j / sqrt(m w_j)) / sqrt(2)
     along the last axis, Q and P the unitary DFTs of q and p; returns
-    (a, omega, drift).  A zero-frequency mode (k = 0 at gamma = 0) is a free
-    translation: its a is 0 and its (Re Q_0, Re P_0) is the drift, else None.
-    a is formed in Q's buffer, and P is transformed and added in blocks of
-    rows, so the peak is the transform of q rather than Q plus a full P.
+    (a, omega).  a is formed in Q's buffer, and P is transformed and added
+    in blocks of rows, so the peak is the transform of q rather than Q plus
+    a full P.
     """
     n = params.n_sites
     if q.shape[-1] != n:
         raise ValueError(f"state has {q.shape[-1]} sites, params expect {n}")
     root_n = math.sqrt(n)
     omega = dispersion(params.wavenumbers, params)
-    osc = omega > 0
     amps = np.fft.fft(q, axis=-1)
     amps /= root_n
-    drift_q = amps[..., 0].real.copy()
-    weight = np.sqrt(params.mass * np.where(osc, omega, 1.0))
+    weight = np.sqrt(params.mass * omega)
     amps *= weight
-    drift_p = np.empty(amps.shape[:-1])
-    rows_a, rows_d = amps.reshape(-1, n), drift_p.reshape(-1)
+    rows_a = amps.reshape(-1, n)
     rows_p = np.reshape(p, (-1, n))
     for start in range(0, rows_a.shape[0], _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
         bigp = np.fft.fft(rows_p[block], axis=-1)
         bigp /= root_n
-        rows_d[block] = bigp[:, 0].real
         bigp *= 1j
         bigp /= weight
         rows_a[block] += bigp
     amps /= math.sqrt(2.0)
-    amps[..., ~osc] = 0.0
-    return amps, omega, None if osc[0] else (drift_q, drift_p)
+    return amps, omega
 
 
 def normal_modes(state: ChainState, params: ChainParams) -> ModeSet:
     """Decompose a chain state into complex mode amplitudes."""
-    amps, omega, drift = _mode_amplitudes(state.q, state.p, params)
-    if drift is not None:
-        drift = (float(drift[0]), float(drift[1]))
+    amps, omega = _mode_amplitudes(state.q, state.p, params)
     return ModeSet(k=params.wavenumbers, omega=omega, amplitudes=amps,
-                   mass=params.mass, drift=drift)
+                   mass=params.mass)
 
 
 def reconstruct_state(modes: ModeSet, params: ChainParams) -> ChainState:
-    """Invert normal_modes: amplitudes (plus drift pair) back to (q, p)."""
+    """Invert normal_modes: amplitudes back to (q, p)."""
     if modes.uniform_frequency is not None:
         raise ValueError("cannot reconstruct from rescaled amplitudes; "
                          "undo the rescaling first")
@@ -258,16 +243,9 @@ def reconstruct_state(modes: ModeSet, params: ChainParams) -> ChainState:
         raise ValueError("mode count does not match params.n_sites")
     a = modes.amplitudes
     mirror = np.conj(a[(-np.arange(n)) % n])
-    omega = modes.omega
-    bigq = np.zeros(n, dtype=complex)
-    bigp = np.zeros(n, dtype=complex)
-    osc = omega > 0
-    weight = np.sqrt(params.mass * omega[osc])
-    bigq[osc] = (a[osc] + mirror[osc]) / (math.sqrt(2.0) * weight)
-    bigp[osc] = weight * (a[osc] - mirror[osc]) / (1j * math.sqrt(2.0))
-    if modes.drift is not None:
-        bigq[0] = modes.drift[0]
-        bigp[0] = modes.drift[1]
+    weight = np.sqrt(params.mass * modes.omega)
+    bigq = (a + mirror) / (math.sqrt(2.0) * weight)
+    bigp = weight * (a - mirror) / (1j * math.sqrt(2.0))
     root_n = math.sqrt(n)
     q = np.real(np.fft.ifft(bigq * root_n))
     p = np.real(np.fft.ifft(bigp * root_n))
@@ -282,12 +260,10 @@ def rescale_modes(modes: ModeSet) -> ModeSet:
     """
     if modes.uniform_frequency is not None:
         raise ValueError("mode set is already rescaled")
-    if modes.drift is not None or float(modes.omega[0]) <= 0:
-        raise ValueError("rescaling needs gamma > 0 (no zero-frequency mode)")
     lam = modes.rescale_factors
     return ModeSet(k=modes.k, omega=modes.omega,
                    amplitudes=np.sqrt(lam) * modes.amplitudes,
-                   mass=modes.mass, drift=None,
+                   mass=modes.mass,
                    uniform_frequency=float(modes.omega[0]))
 
 
@@ -440,7 +416,8 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
     """
     _check_sites(state, params)
     if not (duration > 0 and math.isfinite(duration)):
-        raise ValueError("duration must be positive")
+        raise FloatingPointError(
+            f"duration {duration:g} must be positive and finite")
     w_max = params.omega_max
     if dt >= 2.0 / w_max:
         raise StabilityError(
@@ -459,6 +436,10 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
         )
     n = params.n_sites
     n_snap = n_steps // stride + 1
+    if n_snap * n > MAX_SNAPSHOT_FLOATS:
+        raise CapacityError(
+            f"{n_snap:.3g} snapshots of {n} sites exceed the snapshot buffer cap "
+            f"of {MAX_SNAPSHOT_FLOATS} floats")
     qs = np.empty((n_snap, n))
     ps = np.empty_like(qs)
     energies = np.empty(n_snap)
@@ -527,7 +508,7 @@ def spectral_dispersion(traj: ChainTrajectory, params: ChainParams) -> Dispersio
     if not np.allclose(dt_snap, dt_snap[0], rtol=1e-9, atol=0.0):
         raise ValueError("snapshots must be uniformly spaced in time")
     dt_snap = float(dt_snap[0])
-    amps, omega, _ = _mode_amplitudes(traj.q, traj.p, params)
+    amps, omega = _mode_amplitudes(traj.q, traj.p, params)
     mag = np.abs(np.fft.fft(amps, axis=0))
     freqs = np.fft.fftfreq(n_snap, d=dt_snap)          # cycles per time
     measured = np.full(params.n_sites, np.nan)
@@ -604,7 +585,7 @@ def mode_commutator_check(n_modes: int, n_levels: int, hbar: float) -> np.ndarra
     if n_modes > 4 or n_levels > 6:
         raise CapacityError("tensor product capped at 4 modes x 6 levels")
     if not (hbar > 0 and math.isfinite(hbar)):
-        raise ValueError("hbar must be positive")
+        raise FloatingPointError(f"hbar = {hbar:g} must be positive and finite")
     interior = n_levels - 1          # occupations 0 .. n_levels-2 inclusive
     residual = np.zeros((n_modes, n_modes))
     occupations = np.indices((interior,) * n_modes).reshape(n_modes, -1).T
@@ -636,7 +617,7 @@ class RelaxReport:
     energies: np.ndarray
     alpha: float
     target_rate: float              # alpha / 2
-    mode_rates: np.ndarray          # nan for unexcited / zero-frequency modes
+    mode_rates: np.ndarray          # nan for unexcited modes
     energy_ratio: float             # E(T) / E(0)
     expected_ratio: float           # e^{-alpha T}
     monotone: bool                  # non-increasing on snapshots (friction runs)

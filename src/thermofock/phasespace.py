@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, StabilityError
+from .errors import MAX_SNAPSHOT_FLOATS, CapacityError, StabilityError
 from .exact import SqrtTwoComplex
 
 __all__ = [
@@ -345,7 +345,8 @@ def hamilton_orbit(
     """Iterate hamilton_step; returns (times, q, p) sampled every `stride` steps.
 
     The leapfrog is linearly unstable once w dt >= 2: such a step raises
-    StabilityError instead of returning a growing orbit.
+    StabilityError instead of returning a growing orbit.  An orbit of more
+    snapshots than MAX_SNAPSHOT_FLOATS raises CapacityError before it steps.
     """
     if n_steps < 1 or stride < 1:
         raise ValueError("n_steps and stride must be >= 1")
@@ -353,14 +354,19 @@ def hamilton_orbit(
         raise StabilityError(
             f"w dt = {params.omega * dt:.4g} at or beyond the leapfrog "
             "stability bound 2")
-    times = [0.0]
-    qs = [float(point[0])]
-    ps = [float(point[1])]
+    # the start, every stride-th step, and the last step
+    n_snap = 1 + -(-n_steps // stride)
+    if n_snap > MAX_SNAPSHOT_FLOATS:
+        raise CapacityError(
+            f"{n_snap:.3g} orbit snapshots exceed the snapshot buffer cap of "
+            f"{MAX_SNAPSHOT_FLOATS}")
+    times, qs, ps = np.empty(n_snap), np.empty(n_snap), np.empty(n_snap)
+    times[0], qs[0], ps[0] = 0.0, point[0], point[1]
     x = PhasePoint(*point)
+    s = 0
     for k in range(1, n_steps + 1):
         x = hamilton_step(x, params, dt, friction)
         if k % stride == 0 or k == n_steps:
-            times.append(k * dt)
-            qs.append(x.q)
-            ps.append(x.p)
-    return np.array(times), np.array(qs), np.array(ps)
+            s += 1
+            times[s], qs[s], ps[s] = k * dt, x.q, x.p
+    return times, qs, ps

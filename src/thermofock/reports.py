@@ -39,7 +39,8 @@ class CheckRecord:
     """One verified quantity: what was measured, what it should be, and
     whether it landed inside tolerance.  `stderr` is set for stochastic
     estimates, None for deterministic ones; `verifies` says in words which
-    relation the check exercises."""
+    relation the check exercises.  ExperimentReport.add derives `passed`;
+    only a run that stopped early records a verdict of its own."""
 
     name: str
     verifies: str
@@ -73,10 +74,14 @@ class ExperimentReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, *args, **kwargs) -> CheckRecord:
-        record = CheckRecord(*args, **kwargs)
-        self.checks.append(record)
-        return record
+    def add(self, name: str, verifies: str, measured, oracle,
+            tolerance: float, stderr: float = None) -> None:
+        """Record a check that passes exactly when |measured - oracle| <=
+        tolerance, so a NaN fails it and any verdict can be recomputed from
+        the report."""
+        self.checks.append(CheckRecord(
+            name, verifies, measured, oracle, tolerance,
+            bool(abs(measured - oracle) <= tolerance), stderr))
 
     def to_dict(self) -> dict:
         return {

@@ -1,8 +1,9 @@
 """Acceptance suite: the twelve numbered claims a01-a12, each defined by the
 `thermofock` subcommands that check it.  A row names the claim, the CLI
 invocations it runs and its wall-clock bound; the invocations are parsed by
-the CLI's own parser and run in-process through its runners, so the suite
-and the command line share one definition of every check.  Each row prints a
+the CLI's own parser and run in-process through its runners, each into a
+report built as `main` builds it, so the suite and the command line share
+one definition of every check.  Each row prints a
 single [PASS]/[FAIL] line with every check's measured value, oracle and
 tolerance.  Seeds are pinned; nothing here is free to drift between runs.
 """
@@ -12,6 +13,7 @@ import shlex
 import time
 
 from thermofock import cli
+from thermofock.reports import ExperimentReport
 
 
 def acceptance(label, *invocations, bound=None, exact=()):
@@ -25,7 +27,8 @@ def acceptance(label, *invocations, bound=None, exact=()):
         checks = []
         for line in invocations:
             args = parser.parse_args(shlex.split(line))
-            report, _ = cli.RUNNERS[args.command](args)
+            report = ExperimentReport(args.command, cli._config_echo(args))
+            cli.RUNNERS[args.command](args, report)
             checks += report.checks
         elapsed = time.perf_counter() - start
         exact_ok = {c.name for c in checks if c.measured == c.oracle} >= set(exact)

@@ -311,7 +311,8 @@ def test_ordering_gap_generic_frequency():
 def test_fock_vector_validation(usage_error):
     with pytest.raises(ValueError):
         FockVector(np.array([]), 1.0)
-    with pytest.raises(ValueError):
+    # an overflowed coefficient is a numerical failure (exit 3)
+    with pytest.raises(FloatingPointError):
         FockVector(np.array([np.inf, 1.0]), 1.0)
     # every FockVector's hbar comes from --hbar, which refuses 0
     for command in ("gram", "coherent"):

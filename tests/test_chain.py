@@ -148,20 +148,6 @@ def test_single_mode_excitation_is_a_plane_wave():
     np.testing.assert_array_equal(support, [3, 13])   # +k and its mirror
 
 
-def test_zero_mode_quarantined_as_drift():
-    params = ChainParams(n_sites=8, gamma=0.0, gamma_couple=1.0)
-    boost = ChainState(np.full(8, 0.3), np.full(8, 0.5))
-    modes = normal_modes(boost, params)
-    assert modes.drift is not None
-    # a uniform state is pure drift: every oscillator amplitude vanishes
-    np.testing.assert_allclose(np.abs(modes.amplitudes), 0.0, atol=1e-12)
-    # drift kinetic term: P_0 = sqrt(N) * p_site
-    assert modes.energy() == pytest.approx(8 * 0.5 ** 2 / 2, rel=1e-12)
-    back = reconstruct_state(modes, params)
-    np.testing.assert_allclose(back.q, boost.q, atol=1e-12)
-    np.testing.assert_allclose(back.p, boost.p, atol=1e-12)
-
-
 def test_thermal_state_equipartition():
     params = ChainParams(n_sites=64)
     beta = 2.0
@@ -554,10 +540,6 @@ def test_rescale_guards():
         rescale_modes(tilde)                    # already rescaled
     with pytest.raises(ValueError):
         reconstruct_state(tilde, params)        # must undo the rescaling first
-    free = ChainParams(n_sites=8, gamma=0.0, gamma_couple=1.0)
-    drifting = normal_modes(ChainState(np.zeros(8), np.ones(8)), free)
-    with pytest.raises(ValueError):
-        rescale_modes(drifting)                 # zero-frequency mode present
 
 
 # -- multimode commutators ---------------------------------------------------------------------

@@ -100,7 +100,9 @@ def run_cli(argv, outdir):
 def assert_contract(argv, key):
     """Run argv; its exit code must be in the contract, and a report must
     carry the complete check set of `key` (or the failure record of exit 3
-    or 4) and agree with the exit code.  Returns (exit code, stderr)."""
+    or 4) and agree with the exit code.  Every check's verdict must be
+    |measured - oracle| <= tolerance, recomputed from the written report.
+    Returns (exit code, stderr)."""
     command = argv[0]
     with tempfile.TemporaryDirectory() as outdir:
         code, err = run_cli(argv, outdir)
@@ -116,6 +118,9 @@ def assert_contract(argv, key):
     else:
         assert names == CHECKS[key], argv
         assert report["passed"] == (code == cli.EXIT_PASS)
+        for check in report["checks"]:
+            gap = abs(check["measured"] - check["oracle"])
+            assert check["passed"] == (gap <= check["tolerance"]), (argv, check)
     return code, err
 
 
