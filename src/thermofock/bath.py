@@ -285,8 +285,11 @@ class SphereParams:
     beta: float
 
     def __post_init__(self):
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError("radius must be positive and finite")
+        if not self.radius > 0:
+            raise ValueError("radius must be positive")
+        if math.isinf(self.radius):
+            # a radius sqrt(hbar / 2) derived from in-range flags overflowed
+            raise FloatingPointError("radius must be finite")
 
     @property
     def u_max(self) -> float:

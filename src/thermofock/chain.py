@@ -21,27 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MAX_SNAPSHOT_FLOATS, CapacityError, StabilityError
-from .fits import fit_decay_rate
 
 __all__ = [
     "ChainParams",
     "ChainState",
     "ChainTrajectory",
-    "ModeSet",
-    "DispersionMeasurement",
-    "RelaxReport",
     "chain_energy",
     "dispersion",
-    "normal_modes",
+    "mode_amplitudes",
     "reconstruct_state",
-    "rescale_modes",
     "sample_thermal_state",
     "integrate_chain",
     "spectral_dispersion",
     "continuum_error",
     "continuum_params_for",
     "mode_commutator_check",
-    "chain_relax",
 ]
 
 
@@ -153,56 +147,17 @@ def dispersion(k, params: ChainParams):
     return float(w) if np.isscalar(k) or k_arr.ndim == 0 else w
 
 
-@dataclass(frozen=True, eq=False)
-class ModeSet:
-    """Complex normal-mode amplitudes in FFT order.
-
-    a_j = (sqrt(m w_j) Q_j + i P_j / sqrt(m w_j)) / sqrt(2) with Q, P the
-    unitary DFTs of (q, p); then sum_j w_j |a_j|^2 reproduces the chain
-    energy.  Every mode oscillates: sample_thermal_state, where each mode
-    set starts, refuses a chain with w(0) = 0.
-    """
-
-    k: np.ndarray
-    omega: np.ndarray
-    amplitudes: np.ndarray
-    mass: float
-    uniform_frequency: float = None
-
-    def __post_init__(self):
-        for name in ("k", "omega", "amplitudes"):
-            arr = np.array(getattr(self, name),
-                           dtype=complex if name == "amplitudes" else float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if not (self.k.shape == self.omega.shape == self.amplitudes.shape):
-            raise ValueError("k, omega, amplitudes must share a shape")
-
-    @property
-    def n_modes(self) -> int:
-        return self.amplitudes.size
-
-    @property
-    def rescale_factors(self) -> np.ndarray:
-        """lambda_j = w_j / w(0)."""
-        return self.omega / float(self.omega[0])
-
-    def energy(self) -> float:
-        """sum_j w_j |a_j|^2, or w0 sum |a|^2 after rescaling."""
-        if self.uniform_frequency is not None:
-            return self.uniform_frequency * float(np.sum(np.abs(self.amplitudes) ** 2))
-        return float(np.sum(self.omega * np.abs(self.amplitudes) ** 2))
+_ROW_BLOCK = 256     # rows of p transformed at once by mode_amplitudes
 
 
-_ROW_BLOCK = 256     # rows of p transformed at once by _mode_amplitudes
-
-
-def _mode_amplitudes(q: np.ndarray, p: np.ndarray, params: ChainParams):
-    """Amplitudes a_j = (sqrt(m w_j) Q_j + i P_j / sqrt(m w_j)) / sqrt(2)
-    along the last axis, Q and P the unitary DFTs of q and p; returns
-    (a, omega).  a is formed in Q's buffer, and P is transformed and added
-    in blocks of rows, so the peak is the transform of q rather than Q plus
-    a full P.
+def mode_amplitudes(q: np.ndarray, p: np.ndarray, params: ChainParams):
+    """Complex normal-mode amplitudes in FFT order, along the last axis:
+    a_j = (sqrt(m w_j) Q_j + i P_j / sqrt(m w_j)) / sqrt(2), Q and P the
+    unitary DFTs of q and p, so that sum_j w_j |a_j|^2 is the chain energy;
+    returns (a, omega).  Every w_j must be positive, as in a chain that
+    sample_thermal_state accepts.  a is formed in Q's buffer, and P is
+    transformed and added in blocks of rows, so the peak is the transform
+    of q rather than Q plus a full P.
     """
     n = params.n_sites
     if q.shape[-1] != n:
@@ -226,45 +181,20 @@ def _mode_amplitudes(q: np.ndarray, p: np.ndarray, params: ChainParams):
     return amps, omega
 
 
-def normal_modes(state: ChainState, params: ChainParams) -> ModeSet:
-    """Decompose a chain state into complex mode amplitudes."""
-    amps, omega = _mode_amplitudes(state.q, state.p, params)
-    return ModeSet(k=params.wavenumbers, omega=omega, amplitudes=amps,
-                   mass=params.mass)
-
-
-def reconstruct_state(modes: ModeSet, params: ChainParams) -> ChainState:
-    """Invert normal_modes: amplitudes back to (q, p)."""
-    if modes.uniform_frequency is not None:
-        raise ValueError("cannot reconstruct from rescaled amplitudes; "
-                         "undo the rescaling first")
-    n = modes.n_modes
-    if n != params.n_sites:
-        raise ValueError("mode count does not match params.n_sites")
-    a = modes.amplitudes
-    mirror = np.conj(a[(-np.arange(n)) % n])
-    weight = np.sqrt(params.mass * modes.omega)
-    bigq = (a + mirror) / (math.sqrt(2.0) * weight)
-    bigp = weight * (a - mirror) / (1j * math.sqrt(2.0))
+def reconstruct_state(amps: np.ndarray, params: ChainParams) -> ChainState:
+    """Invert mode_amplitudes: amplitudes back to (q, p).  The mirror
+    conjugates make the state real for any amplitude vector."""
+    n = params.n_sites
+    if amps.shape != (n,):
+        raise ValueError(f"{amps.shape} amplitudes, params expect ({n},)")
+    mirror = np.conj(amps[(-np.arange(n)) % n])
+    weight = np.sqrt(params.mass * dispersion(params.wavenumbers, params))
+    bigq = (amps + mirror) / (math.sqrt(2.0) * weight)
+    bigp = weight * (amps - mirror) / (1j * math.sqrt(2.0))
     root_n = math.sqrt(n)
     q = np.real(np.fft.ifft(bigq * root_n))
     p = np.real(np.fft.ifft(bigp * root_n))
     return ChainState(q, p)
-
-
-def rescale_modes(modes: ModeSet) -> ModeSet:
-    """Absorb the dispersion into the amplitudes: a~_j = sqrt(w_j/w0) a_j.
-
-    Afterwards the energy is the single-frequency form w0 sum |a~|^2, so all
-    modes share the k = 0 frequency -- and with it a common hbar = 1/(beta w0).
-    """
-    if modes.uniform_frequency is not None:
-        raise ValueError("mode set is already rescaled")
-    lam = modes.rescale_factors
-    return ModeSet(k=modes.k, omega=modes.omega,
-                   amplitudes=np.sqrt(lam) * modes.amplitudes,
-                   mass=modes.mass,
-                   uniform_frequency=float(modes.omega[0]))
 
 
 def sample_thermal_state(params: ChainParams, beta: float, seed) -> ChainState:
@@ -277,9 +207,7 @@ def sample_thermal_state(params: ChainParams, beta: float, seed) -> ChainState:
     sigma = np.sqrt(0.5 / (beta * omega))
     amps = sigma * (rng.standard_normal(params.n_sites)
                     + 1j * rng.standard_normal(params.n_sites))
-    modes = ModeSet(k=params.wavenumbers, omega=omega, amplitudes=amps,
-                    mass=params.mass)
-    return reconstruct_state(modes, params)
+    return reconstruct_state(amps, params)
 
 
 # -- integration ---------------------------------------------------------------
@@ -474,45 +402,21 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
     return ChainTrajectory(times=times, q=qs, p=ps, energies=energies)
 
 
-@dataclass(frozen=True, eq=False)
-class DispersionMeasurement:
-    """Per-mode spectral peak frequencies against the dispersion formula."""
-
-    k: np.ndarray
-    omega_expected: np.ndarray
-    omega_measured: np.ndarray      # nan where skipped
-    skipped: np.ndarray             # True where no usable peak
-    resolution: float               # frequency bin 2 pi / T_window
-
-    @property
-    def max_error(self) -> float:
-        good = ~self.skipped
-        if not np.any(good):
-            return math.nan
-        return float(np.max(np.abs(self.omega_measured[good]
-                                   - self.omega_expected[good])))
-
-
-def spectral_dispersion(traj: ChainTrajectory, params: ChainParams) -> DispersionMeasurement:
-    """Measure w(k) from trajectory data, one FFT peak per mode.
+def spectral_dispersion(traj: ChainTrajectory, params: ChainParams):
+    """Measure w(k) from trajectory data, one FFT peak per mode; returns
+    (measured, resolution), the frequencies in FFT order and the frequency
+    bin 2 pi / T_window.
 
     Each amplitude evolves as a_j(t) ~ e^{-i w_j t}, so the time spectrum
     peaks at signed frequency -w_j; the peak is refined by parabolic
-    interpolation on log|X| and reported as a positive frequency.  Modes
-    with no excitation (or no curvature at the peak) are flagged skipped.
+    interpolation on log|X| and reported as a positive frequency.  A mode
+    with no excitation (or no curvature at the peak) measures NaN.
     """
     n_snap = traj.n_snapshots
-    if n_snap < 8:
-        raise ValueError("need at least 8 snapshots for a spectrum")
-    dt_snap = np.diff(traj.times)
-    if not np.allclose(dt_snap, dt_snap[0], rtol=1e-9, atol=0.0):
-        raise ValueError("snapshots must be uniformly spaced in time")
-    dt_snap = float(dt_snap[0])
-    amps, omega = _mode_amplitudes(traj.q, traj.p, params)
+    dt_snap = float(traj.times[1] - traj.times[0])
+    amps, _ = mode_amplitudes(traj.q, traj.p, params)
     mag = np.abs(np.fft.fft(amps, axis=0))
-    freqs = np.fft.fftfreq(n_snap, d=dt_snap)          # cycles per time
     measured = np.full(params.n_sites, np.nan)
-    skipped = np.ones(params.n_sites, dtype=bool)
     scale = float(np.max(mag)) if mag.size else 0.0
     for j in range(params.n_sites):
         col = mag[:, j]
@@ -531,10 +435,7 @@ def spectral_dispersion(traj: ChainTrajectory, params: ChainParams) -> Dispersio
         signed_bin = i_peak if i_peak < n_snap - n_snap // 2 else i_peak - n_snap
         nu = (signed_bin + shift) / (n_snap * dt_snap)
         measured[j] = -2.0 * math.pi * nu
-        skipped[j] = False
-    return DispersionMeasurement(
-        k=params.wavenumbers, omega_expected=omega, omega_measured=measured,
-        skipped=skipped, resolution=2.0 * math.pi / (n_snap * dt_snap))
+    return measured, 2.0 * math.pi / (n_snap * dt_snap)
 
 
 # -- continuum limit -----------------------------------------------------------
@@ -605,76 +506,3 @@ def mode_commutator_check(n_modes: int, n_levels: int, hbar: float) -> np.ndarra
                 worst = max(worst, abs(target))
             residual[j, l] = worst
     return residual
-
-
-# -- relaxation ----------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class RelaxReport:
-    """Outcome of a friction run: energies, per-mode envelope rates."""
-
-    times: np.ndarray
-    energies: np.ndarray
-    alpha: float
-    target_rate: float              # alpha / 2
-    mode_rates: np.ndarray          # nan for unexcited modes
-    energy_ratio: float             # E(T) / E(0)
-    expected_ratio: float           # e^{-alpha T}
-    monotone: bool                  # non-increasing on snapshots (friction runs)
-    energy_drift: float             # max |E - E0| / E0 (alpha = 0 control)
-
-    @property
-    def fitted(self) -> np.ndarray:
-        return ~np.isnan(self.mode_rates)
-
-    @property
-    def worst_rate_error(self) -> float:
-        rates = self.mode_rates[self.fitted]
-        if rates.size == 0 or self.target_rate == 0:
-            return math.nan
-        return float(np.max(np.abs(rates - self.target_rate)) / self.target_rate)
-
-
-def chain_relax(state: ChainState, params: ChainParams, alpha: float,
-                duration: float, dt: float, stride: int = 1) -> RelaxReport:
-    """Run the chain with friction and report how coherent motion dies away.
-
-    Every mode amplitude should shrink under the envelope e^{-alpha t / 2}
-    and the total energy under e^{-alpha t}; with alpha = 0 the same run
-    doubles as the energy-conservation control, reported via energy_drift.
-    Monotonicity of snapshot energies is checked with a slack covering the
-    leapfrog shadow-energy ripple, (w_max dt)^2 / 4 relative.
-
-    The trajectory comes from integrate_chain, whose rule picks the route:
-    the `relax` defaults (16 sites, stride 40, 40 000 steps at alpha = 0.01)
-    move by the stride map, one 32 x 32 product per snapshot; chains over 64
-    sites, or with 2N > stride, step the stencil.
-    """
-    traj = integrate_chain(state, params, duration, dt, friction=alpha,
-                           stride=stride)
-    energies = traj.energies
-    e0 = energies[0]
-    ratio = float(energies[-1] / e0) if e0 > 0 else math.nan
-    drift = float(np.max(np.abs(energies - e0)) / e0) if e0 > 0 else 0.0
-    span = float(traj.times[-1] - traj.times[0])
-    if alpha == 0:
-        return RelaxReport(times=traj.times, energies=energies, alpha=0.0,
-                           target_rate=0.0,
-                           mode_rates=np.full(params.n_sites, np.nan),
-                           energy_ratio=ratio, expected_ratio=1.0,
-                           monotone=True, energy_drift=drift)
-    mags = np.abs(_mode_amplitudes(traj.q, traj.p, params)[0])
-    rates = np.full(params.n_sites, np.nan)
-    floor = 1e-8 * max(float(np.max(mags[0])), 1e-300)
-    for j in range(params.n_sites):
-        if mags[0, j] > floor and np.all(mags[:, j] > 0):
-            rates[j] = fit_decay_rate(traj.times, mags[:, j])
-    slack = (params.omega_max * (traj.times[1] - traj.times[0])
-             / max(stride, 1)) ** 2 / 4.0
-    increases = np.diff(energies) > energies[:-1] * slack + 1e-300
-    monotone = not bool(np.any(increases))
-    return RelaxReport(times=traj.times, energies=energies, alpha=alpha,
-                       target_rate=alpha / 2.0, mode_rates=rates,
-                       energy_ratio=ratio,
-                       expected_ratio=math.exp(-alpha * span),
-                       monotone=monotone, energy_drift=drift)

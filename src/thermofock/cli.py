@@ -354,10 +354,14 @@ def run_damp(args, report):
     # the coherent centers along the orbit shrink from this one
     _tilt_rule(abs(point.to_z()) / args.hbar, args.hbar, "--q0/--v0/--hbar")
     alpha = args.alpha if args.alpha is not None else 0.01 * w
-    damping = dynamics.DampingParams(alpha)
     dt = args.dt if args.dt is not None else params.period / 256.0
     t_max = args.t_max if args.t_max is not None else 5.0 / alpha
-    n_steps = int(math.ceil(t_max / dt))
+    steps = t_max / dt
+    if not math.isfinite(steps):
+        # a period 2 pi/omega or a run 5/alpha that overflowed, or both
+        raise FloatingPointError(
+            f"t-max / dt = {t_max:g} / {dt:g} is no finite step count")
+    n_steps = int(math.ceil(steps))
 
     times, qs, ps = hamilton_orbit(point, params, dt, n_steps,
                                    friction=alpha, stride=4)
@@ -379,7 +383,7 @@ def run_damp(args, report):
                "half-rate exponential",
                ratio, ratio_oracle, 0.02 * ratio_oracle)
 
-    closed = dynamics.damped_solution(args.q0, args.v0, params, damping, times)
+    closed = dynamics.damped_solution(args.q0, args.v0, params, alpha, times)
     scale = max(abs(args.q0), abs(args.v0) / w, 1e-300)
     traj_dev = float(np.max(np.abs(closed.q - qs)))
     report.add("closed-form-vs-leapfrog",
@@ -387,7 +391,7 @@ def run_damp(args, report):
                "trajectory",
                traj_dev, 0.0, 0.01 * scale)
 
-    far = dynamics.damped_solution(args.q0, args.v0, params, damping,
+    far = dynamics.damped_solution(args.q0, args.v0, params, alpha,
                                    20.0 / alpha)
     late = abs(far.q)
     report.add("long-time-decay",
@@ -395,8 +399,7 @@ def run_damp(args, report):
                "of the initial scale",
                late, 0.0, 1e-4 * scale)
 
-    free = dynamics.DampingParams(0.0)
-    sol0 = dynamics.damped_solution(args.q0, args.v0, params, free, times)
+    sol0 = dynamics.damped_solution(args.q0, args.v0, params, 0.0, times)
     energies = 0.5 * w * (np.asarray(sol0.q) ** 2 + np.asarray(sol0.p) ** 2)
     drift = float(np.max(np.abs(energies - energies[0])) / energies[0])
     report.add("control-energy-constant",
@@ -442,7 +445,6 @@ def run_ensemble(args, report):
     hbar = args.hbar
     w, alpha = args.omega, args.alpha
     params = OscillatorParams(w)
-    damping = dynamics.DampingParams(alpha)
     if not alpha < 2.0 * w:
         raise argparse.ArgumentTypeError(
             "--alpha must be below 2 --omega: the oracle is the underdamped "
@@ -452,7 +454,7 @@ def run_ensemble(args, report):
     t_max = args.t_max if args.t_max is not None else params.period
     times = np.linspace(0.0, t_max, args.n_times)
     history = dynamics.ensemble_evolve(f, params, times, args.samples,
-                                       args.seed, damping=damping,
+                                       args.seed, friction=alpha,
                                        proposal_scale=args.proposal_scale)
     # exact linear flow of (q, p) under qdot = w p, pdot = -w q - alpha p:
     # M(t) = e^{-alpha t/2} [cos(W t) I + sin(W t)/W (A + alpha/2 I)]
@@ -657,19 +659,21 @@ def run_chain_dispersion(args, report):
         raise argparse.ArgumentTypeError(
             f"--periods, --dt and --stride give {traj.n_snapshots} snapshots: "
             "a spectrum needs at least 8")
-    meas = chain.spectral_dispersion(traj, params)
-    n_skipped = int(np.sum(meas.skipped))
+    measured, resolution = chain.spectral_dispersion(traj, params)
+    expected = chain.dispersion(params.wavenumbers, params)
+    skipped = np.isnan(measured)
+    errors = np.abs(measured - expected)
+    resolved = errors[~skipped]
     report.add("all-modes-resolved",
                "every oscillating mode produced a usable spectral peak",
-               n_skipped, 0, 0.0)
+               int(np.sum(skipped)), 0, 0.0)
     report.add("dispersion-peaks-within-resolution",
                "per-mode spectral peaks match the dispersion relation "
                "within the frequency resolution",
-               meas.max_error, 0.0, meas.resolution)
-    rows = [(float(meas.k[j]), float(meas.omega_expected[j]),
-             float(meas.omega_measured[j]),
-             float(abs(meas.omega_measured[j] - meas.omega_expected[j])),
-             bool(meas.skipped[j]))
+               float(np.max(resolved)) if resolved.size else math.nan,
+               0.0, resolution)
+    rows = [(float(params.wavenumbers[j]), float(expected[j]),
+             float(measured[j]), float(errors[j]), bool(skipped[j]))
             for j in range(params.n_sites)]
     return [("chain_dispersion.csv",
              ["k", "omega_expected", "omega_measured", "error",
@@ -721,40 +725,40 @@ def run_rescale(args, report):
     params = _chain_params(args)
     state = chain.sample_thermal_state(params, args.beta, args.seed)
     energy = chain.chain_energy(state, params)
-    modes = chain.normal_modes(state, params)
-    dev_direct = abs(modes.energy() - energy) / energy
+    amps, omega = chain.mode_amplitudes(state.q, state.p, params)
+    dev_direct = abs(float(np.sum(omega * np.abs(amps) ** 2)) - energy) / energy
     report.add("mode-sum-diagonalizes-energy",
                "the frequency-weighted amplitude sum reproduces the chain energy",
                dev_direct, 0.0, 1e-10)
-    rescaled = chain.rescale_modes(modes)
-    dev_rescaled = abs(rescaled.energy() - energy) / energy
+    # a~_j = sqrt(w_j / w0) a_j: every mode then shares the k = 0 frequency,
+    # the energy is w0 sum |a~|^2, and one hbar = 1/(beta w0) serves all
+    w0 = float(omega[0])
+    lam = omega / w0
+    rescaled = np.sqrt(lam) * amps
+    rescaled_sum = float(np.sum(np.abs(rescaled) ** 2))
+    dev_rescaled = abs(w0 * rescaled_sum - energy) / energy
     report.add("rescaled-single-frequency-energy",
                "after rescaling the energy is omega(0) times the plain "
                "amplitude sum",
                dev_rescaled, 0.0, 1e-10)
-    back = chain.reconstruct_state(modes, params)
+    back = chain.reconstruct_state(amps, params)
     scale = float(max(np.max(np.abs(state.q)), np.max(np.abs(state.p)), 1e-300))
     roundtrip = float(max(np.max(np.abs(back.q - state.q)),
                           np.max(np.abs(back.p - state.p)))) / scale
     report.add("mode-transform-roundtrip",
                "forward then inverse mode transform returns the state",
                roundtrip, 0.0, 1e-12)
-    lam = modes.rescale_factors
-    lam0 = float(lam[0])
     report.add("zero-mode-unrescaled",
                "the k = 0 mode keeps its amplitude (unit rescale factor)",
-               lam0, 1.0, 0.0)
-    w0 = float(modes.omega[0])
-    stat = float(args.beta * w0 * np.sum(np.abs(rescaled.amplitudes) ** 2))
+               float(lam[0]), 1.0, 0.0)
     n = params.n_sites
-    dev_stat = abs(stat - n)
+    dev_stat = abs(args.beta * w0 * rescaled_sum - n)
     report.add("uniform-action-equipartition",
                "rescaled thermal amplitudes share one action scale "
                "1/(beta omega(0)) across all modes",
                dev_stat, 0.0, 4.0 * math.sqrt(n), stderr=math.sqrt(n))
-    rows = [(float(modes.k[j]), float(modes.omega[j]), float(lam[j]),
-             float(abs(modes.amplitudes[j])),
-             float(abs(rescaled.amplitudes[j])))
+    rows = [(float(params.wavenumbers[j]), float(omega[j]), float(lam[j]),
+             float(abs(amps[j])), float(abs(rescaled[j])))
             for j in range(n)]
     return [("rescale_modes.csv",
              ["k", "omega", "lambda", "abs_amplitude",
@@ -784,36 +788,55 @@ def run_mode_commutator(args, report):
 
 
 def run_relax(args, report):
-    from . import chain
+    import numpy as np
+
+    from . import chain, fits
 
     params = _chain_params(args)
     state = chain.sample_thermal_state(params, args.beta, args.seed)
+    alpha = args.alpha
     t_max = args.t_max
     if t_max is None:
-        t_max = 10.0 / args.alpha if args.alpha > 0 else 200.0
-    result = chain.chain_relax(state, params, args.alpha, t_max, args.dt,
-                               stride=args.stride)
-    if args.alpha > 0:
+        t_max = 10.0 / alpha if alpha > 0 else 200.0
+    traj = chain.integrate_chain(state, params, t_max, args.dt,
+                                 friction=alpha, stride=args.stride)
+    times, energies = traj.times, traj.energies
+    e0 = energies[0]
+    rates = np.full(params.n_sites, np.nan)
+    target = 0.0
+    if alpha > 0:
+        target = alpha / 2.0
+        # every mode amplitude shrinks under the envelope e^{-alpha t / 2}
+        mags = np.abs(chain.mode_amplitudes(traj.q, traj.p, params)[0])
+        floor = 1e-8 * max(float(np.max(mags[0])), 1e-300)
+        for j in range(params.n_sites):
+            if mags[0, j] > floor and np.all(mags[:, j] > 0):
+                rates[j] = fits.fit_decay_rate(times, mags[:, j])
+        fitted = rates[~np.isnan(rates)]
         report.add("mode-envelope-rates",
                    "every excited mode's amplitude envelope decays at half "
                    "the friction rate",
-                   result.worst_rate_error, 0.0, 0.05)
+                   float(np.max(np.abs(fitted - target)) / target)
+                   if fitted.size and target else math.nan, 0.0, 0.05)
+        expected = math.exp(-alpha * float(times[-1] - times[0]))
         report.add("energy-exponential-decay",
                    "total energy falls like the squared envelope",
-                   result.energy_ratio, result.expected_ratio,
-                   0.10 * result.expected_ratio)
+                   float(energies[-1] / e0) if e0 > 0 else math.nan,
+                   expected, 0.10 * expected)
+        # the slack covers the leapfrog's shadow-energy ripple, (w_max h)^2 / 4
+        slack = (params.omega_max * (times[1] - times[0]) / args.stride) ** 2 / 4.0
+        increases = np.diff(energies) > energies[:-1] * slack + 1e-300
         report.add("energy-monotone-nonincreasing",
                    "snapshot energies never increase beyond integrator ripple",
-                   result.monotone, True, 0.0)
+                   not bool(np.any(increases)), True, 0.0)
     else:
         report.add("control-energy-conserved",
                    "without friction the integrator conserves energy to its "
                    "step-size tolerance",
-                   result.energy_drift, 0.0,
-                   (params.omega_max * args.dt) ** 2 / 2.0)
-    energy_rows = list(zip(result.times.tolist(), result.energies.tolist()))
-    rate_rows = [(float(params.wavenumbers[j]), float(result.mode_rates[j]),
-                  result.target_rate)
+                   float(np.max(np.abs(energies - e0)) / e0) if e0 > 0 else 0.0,
+                   0.0, (params.omega_max * args.dt) ** 2 / 2.0)
+    energy_rows = list(zip(times.tolist(), energies.tolist()))
+    rate_rows = [(float(params.wavenumbers[j]), float(rates[j]), target)
                  for j in range(params.n_sites)]
     return [("relax_energy.csv", ["t", "energy"], energy_rows),
             ("relax_rates.csv", ["k", "rate", "target_rate"], rate_rows)]

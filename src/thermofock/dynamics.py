@@ -17,12 +17,11 @@ import numpy as np
 
 from .bargmann import FockVector, hamiltonian_matrix
 from .bath import moment_report
-from .errors import SamplerError, TruncationError
+from .errors import CapacityError, SamplerError, TruncationError
 from .phasespace import OscillatorParams, PhasePoint, hamilton_step
 
 __all__ = [
     "AngularProfile",
-    "DampingParams",
     "EnsembleHistory",
     "profile_from_fock",
     "l2_grid_distance",
@@ -32,13 +31,6 @@ __all__ = [
     "damped_solution",
     "ensemble_evolve",
 ]
-
-
-@dataclass(frozen=True)
-class DampingParams:
-    """Friction coefficient alpha of pdot = -w q - alpha p."""
-
-    alpha: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +136,9 @@ def schrodinger_evolve(f: FockVector, t: float, ordering: str,
 
 
 def damped_solution(q0: float, v0: float, params: OscillatorParams,
-                    damping: DampingParams, t) -> PhasePoint:
-    """Closed-form weakly damped motion with envelope exp(-alpha t / 2).
+                    friction: float, t) -> PhasePoint:
+    """Closed-form motion of pdot = -w q - alpha p, alpha = `friction`,
+    weakly damped with envelope exp(-alpha t / 2).
 
     q(t) = c1 exp(-i(w - i a/2) t) + c2 exp(+i(w + i a/2) t), both branches
     decaying like exp(-a t/2), with c1, c2 fixed by q(0) = q0 and the raw
@@ -154,7 +147,7 @@ def damped_solution(q0: float, v0: float, params: OscillatorParams,
     hold arrays.
     """
     w = params.omega
-    a = damping.alpha
+    a = friction
     if a >= 0.1 * w:
         warnings.warn(
             "damping is not small (alpha >= 0.1 omega); the constant-envelope "
@@ -230,6 +223,13 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     return out, accepted / proposed
 
 
+# Leapfrog steps one ensemble run may take to build its interval maps.  A
+# 2x2 step takes about 7 us (one x86_64 core), so the cap is about 7 s of
+# stepping: a thousand times the 1026 steps of the default run (one period
+# in 19 intervals of 54 steps), where --t-max 1e300 would ask for 1e302.
+MAX_CLOUD_STEPS = 2 ** 20
+
+
 @dataclass(frozen=True)
 class EnsembleHistory:
     times: np.ndarray
@@ -239,38 +239,51 @@ class EnsembleHistory:
 
 
 def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: int,
-                    seed, damping: DampingParams = None, dt: float = None,
+                    seed, friction: float = 0.0, dt: float = None,
                     proposal_scale: float = 2.0) -> EnsembleHistory:
-    """Draw a cloud from |f|^2 dmu and advance it classically.
+    """Draw a cloud from |f|^2 dmu and advance it classically under
+    pdot = -w q - alpha p, alpha = `friction`.
 
     Each interval between requested times is cut into the fewest equal
-    steps no longer than `dt`.  The leapfrog is linear, so those steps
-    compose to one 2x2 interval map, built by stepping the two unit vectors
-    with hamilton_step; the cloud then moves once per interval by that map
-    (the same scheme, up to rounding).  Moment reports (mean z and |z|^2
-    with standard errors) are recorded at each requested time.  Without
-    damping, the exact law of the mean for a coherent state is
+    steps no longer than `dt`; the total is capped at MAX_CLOUD_STEPS
+    before any draw.  The leapfrog is linear, so those steps compose to one
+    2x2 interval map, built by stepping the two unit vectors with
+    hamilton_step; the cloud then moves once per interval by that map (the
+    same scheme, up to rounding).  Moment reports (mean z and |z|^2 with
+    standard errors) are recorded at each requested time.  Without
+    friction, the exact law of the mean for a coherent state is
     hbar * conj(c) * exp(-i w t).
     """
     w = params.omega
-    alpha = damping.alpha if damping is not None else 0.0
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1d array")
     if dt is None:
         dt = (2.0 * math.pi / w) / 1024.0
+    if not (np.all(np.isfinite(times)) and math.isfinite(dt)):
+        raise FloatingPointError("requested times and step must be finite")
+    # steps into each requested time: the fewest equal ones no longer than
+    # dt, none where time does not advance
+    plan, t_prev = [], 0.0
+    for t in times:
+        plan.append(max(1, math.ceil((t - t_prev) / dt - 1e-12))
+                    if t > t_prev else 0)
+        t_prev = t
+    total = sum(plan)
+    if total > MAX_CLOUD_STEPS:
+        raise CapacityError(f"{total:.3g} leapfrog steps exceed the cap of "
+                            f"{MAX_CLOUD_STEPS} per ensemble run")
     z0, efficiency = _rejection_sample(f, n_samples, seed, proposal_scale)
     x = PhasePoint(np.sqrt(2.0) * z0.real, np.sqrt(2.0) * z0.imag)
     reports = []
     t_prev = 0.0
-    for t in times:
-        if t > t_prev:
-            n_sub = max(1, math.ceil((t - t_prev) / dt - 1e-12))
+    for t, n_sub in zip(times, plan):
+        if n_sub:
             h = (t - t_prev) / n_sub
             # columns of the interval map: the unit vectors stepped n_sub times
             m = PhasePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
             for _ in range(n_sub):
-                m = hamilton_step(m, params, h, alpha)
+                m = hamilton_step(m, params, h, friction)
             x = PhasePoint(m.q[0] * x.q + m.q[1] * x.p,
                            m.p[0] * x.q + m.p[1] * x.p)
         t_prev = t

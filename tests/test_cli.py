@@ -170,9 +170,22 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
             ("mode-commutator", "--beta", "1e200", "--omega0", "1e200"),
             ("rescale", "--seed", "1", "--beta", "1e-320"),
             ("continuum", "--spacings", "1,1e-160"),
-            # more snapshots than the buffer cap: refused before a step
+            # a radius sqrt(hbar/2) of inf; a period 2 pi/omega and a run
+            # 5/alpha of inf, whose step count inf/inf is NaN; one period of
+            # inf, the cloud's run length
+            ("sphere", "--seed", "1", "--beta", "1e-320"),
+            ("sphere", "--seed", "1", "--omega", "1e-320"),
+            ("damp", "--omega", "1e-320"),
+            ("ensemble", "--seed", "1", "--omega", "1e-320"),
+            # times whose squares underflow leave the decay fit no norm
+            ("relax", "--seed", "1", "--alpha", "1e300"),
+            ("relax", "--seed", "1", "--t-max", "1e-320"),
+            ("damp", "--omega", "1e300"),
+            # more snapshots than the buffer cap, or more cloud steps than
+            # the step cap: refused before a step
             ("chain-dispersion", "--seed", "1", "--periods", "1e300"),
-            ("damp", "--t-max", "1e300")):
+            ("damp", "--t-max", "1e300"),
+            ("ensemble", "--seed", "1", "--t-max", "1e300")):
         start = time.perf_counter()
         code = cli.main([command, *args, "--outdir", str(tmp_path)])
         assert time.perf_counter() - start < 5.0, (command, args)

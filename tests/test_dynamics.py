@@ -13,7 +13,6 @@ from thermofock import dynamics
 from thermofock.bargmann import FockVector, coherent_vector
 from thermofock.dynamics import (
     AngularProfile,
-    DampingParams,
     damped_solution,
     ensemble_evolve,
     evolve_exact,
@@ -194,7 +193,7 @@ def test_evolution_preserves_the_norm():
 def test_damped_solution_alpha_zero_is_the_free_oscillation():
     params = OscillatorParams(1.5)
     t = np.linspace(0.0, 10.0, 200)
-    sol = damped_solution(1.0, 0.0, params, DampingParams(0.0), t)
+    sol = damped_solution(1.0, 0.0, params, 0.0, t)
     np.testing.assert_allclose(sol.q, np.cos(1.5 * t), atol=1e-12)
     np.testing.assert_allclose(sol.p, -np.sin(1.5 * t), atol=1e-12)
 
@@ -202,7 +201,7 @@ def test_damped_solution_alpha_zero_is_the_free_oscillation():
 def test_damped_solution_initial_conditions():
     params = OscillatorParams(2.0)
     q0, v0 = 0.7, -0.4
-    sol0 = damped_solution(q0, v0, params, DampingParams(0.02), 0.0)
+    sol0 = damped_solution(q0, v0, params, 0.02, 0.0)
     assert sol0.q == pytest.approx(q0, rel=1e-12)
     assert sol0.p * params.omega == pytest.approx(v0, rel=1e-12)
 
@@ -211,7 +210,7 @@ def test_damped_solution_envelope_rate():
     params = OscillatorParams(1.0)
     alpha = 0.01
     t = np.linspace(0.0, 400.0, 4001)
-    sol = damped_solution(1.0, 0.0, params, DampingParams(alpha), t)
+    sol = damped_solution(1.0, 0.0, params, alpha, t)
     amp = np.sqrt(0.5 * (sol.q ** 2 + sol.p ** 2))
     rate = fit_decay_rate(t, amp)
     assert rate == pytest.approx(alpha / 2.0, rel=0.01)
@@ -228,7 +227,7 @@ def test_damped_solution_matches_leapfrog():
     x = PhasePoint(1.0, 0.0)
     for _ in range(n):
         x = hamilton_step(x, params, dt, friction=alpha)
-    closed = damped_solution(1.0, 0.0, params, DampingParams(alpha), t)
+    closed = damped_solution(1.0, 0.0, params, alpha, t)
     budget = 2.0 * alpha ** 2 * t / (8.0 * params.omega) + 10.0 * dt ** 2
     assert x.q == pytest.approx(closed.q, abs=budget)
     assert x.p == pytest.approx(closed.p, abs=budget)
@@ -237,10 +236,10 @@ def test_damped_solution_matches_leapfrog():
 def test_damped_solution_warns_when_damping_is_not_small():
     params = OscillatorParams(1.0)
     with pytest.warns(UserWarning):
-        damped_solution(1.0, 0.0, params, DampingParams(0.5), 1.0)
+        damped_solution(1.0, 0.0, params, 0.5, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        damped_solution(1.0, 0.0, params, DampingParams(0.01), 1.0)
+        damped_solution(1.0, 0.0, params, 0.01, 1.0)
 
 
 def test_damping_params_validation(usage_error):
@@ -348,7 +347,7 @@ def test_damped_ensemble_contracts_both_moments():
     params = OscillatorParams(1.0)
     times = np.array([0.0, 20.0, 40.0])
     hist = ensemble_evolve(f, params, times, 50_000, seed=7,
-                           damping=DampingParams(alpha))
+                           friction=alpha)
     for t, rep in zip(times, hist.moments):
         mean_exp = hbar * np.conj(c) * np.exp((-1j * params.omega - alpha / 2.0) * t)
         se_re, se_im = rep.mean_se
@@ -373,7 +372,7 @@ def test_ensemble_cloud_moves_by_the_interval_maps_bit_for_bit():
     params = OscillatorParams(1.3)
     times = [0.0, 0.6, 0.6, 1.2]
     hist = ensemble_evolve(f, params, times, 40, seed=11,
-                           damping=DampingParams(0.2), dt=0.3)
+                           friction=0.2, dt=0.3)
     maps = [_interval_map(params, (b - a) / 2, 2, 0.2)
             for a, b in ((0.0, 0.6), (0.6, 1.2))]
     expected = []
@@ -391,7 +390,7 @@ def test_ensemble_cloud_matches_per_draw_leapfrog_steps():
     params = OscillatorParams(1.3)
     period = params.period
     hist = ensemble_evolve(f, params, [0.0, period / 2, period], 64, seed=11,
-                           damping=DampingParams(0.05))
+                           friction=0.05)
     expected = []
     for z in _draws(f, 64, seed=11):
         x = PhasePoint(math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag)
@@ -427,7 +426,7 @@ def test_ensemble_interval_map_matches_the_cayley_hamilton_power(alpha):
         math.sin(n * theta) * a_hat - math.sin((n - 1) * theta) * np.eye(2))
     f = coherent_vector(0.5, 16, 1.0).normalized()
     hist = ensemble_evolve(f, params, [0.0, t], 64, seed=11,
-                           damping=DampingParams(alpha))
+                           friction=alpha)
     z0 = _draws(f, 64, seed=11)
     x = power @ np.array([z0.real, z0.imag])
     np.testing.assert_allclose(hist.final_z, x[0] + 1j * x[1],
