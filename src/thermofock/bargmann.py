@@ -27,7 +27,7 @@ __all__ = [
     "gram_quadrature",
     "gram_montecarlo",
     "coherent_vector",
-    "ladder_matrix",
+    "lowering_matrix",
     "quadrature_operators",
     "hamiltonian_matrix",
     "commutator",
@@ -229,18 +229,17 @@ def coherent_vector(c: complex, n_max: int = DEFAULT_TRUNCATION,
     return FockVector(coeffs, hbar, tail_mass=tail)
 
 
-def ladder_matrix(kind: str, n_max: int, hbar: float) -> np.ndarray:
-    """Lowering ("annihilate", e_n -> sqrt(n hbar) e_{n-1}) or raising
-    ("create", e_n -> sqrt((n+1) hbar) e_{n+1}) in the e_n basis; raising
-    drops what would leave the truncation."""
-    amp = np.sqrt(np.arange(1, n_max + 1) * hbar)
+def lowering_matrix(n_max: int, hbar: float) -> np.ndarray:
+    """The lowering operator e_n -> sqrt(n hbar) e_{n-1} in the e_n basis.
+
+    Its entries are real, so its transpose is the raising operator
+    e_n -> sqrt((n+1) hbar) e_{n+1}, less what would leave the truncation.
+    The dtype is complex, as for every operator the commutators compare:
+    numpy sums a complex trace in another order than a real one.
+    """
     m = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    if kind == "annihilate":
-        m[np.arange(n_max), np.arange(1, n_max + 1)] = amp
-    elif kind == "create":
-        m[np.arange(1, n_max + 1), np.arange(n_max)] = amp
-    else:
-        raise ValueError("kind must be 'annihilate' or 'create'")
+    m[np.arange(n_max), np.arange(1, n_max + 1)] = np.sqrt(
+        np.arange(1, n_max + 1) * hbar)
     return m
 
 
@@ -250,10 +249,9 @@ def quadrature_operators(hbar: float, n_max: int):
     Their commutator equals i hbar times the identity on the interior block
     (rows and columns below n_max); the top level feels the truncation.
     """
-    a = ladder_matrix("annihilate", n_max, hbar)
-    c = ladder_matrix("create", n_max, hbar)
+    a = lowering_matrix(n_max, hbar)
     s = 2.0 ** -0.5
-    return (c + a) * s, 1j * (c - a) * s
+    return (a.T + a) * s, 1j * (a.T - a) * s
 
 
 def hamiltonian_matrix(ordering: str, params: OscillatorParams, hbar: float,

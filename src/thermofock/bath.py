@@ -1,6 +1,10 @@
 """Thermal-bath statistics: sample moments, the partition-derived action
 scale, constrained variations, the coherent tilt and the sphere map.
 
+The functions return plain numbers, matrices and draws; the tilt and the
+sphere map return their samples, and the CLI runners compute the moments
+and Kolmogorov-Smirnov distances their checks measure.
+
 The bath is a harmonic oscillator ensemble at inverse temperature beta; in
 rescaled variables the Gibbs weight exp(-beta w (q^2+p^2)/2) is an isotropic
 Gaussian whose per-component variance is hbar = 1/(beta w), and the phase
@@ -19,20 +23,16 @@ from .phasespace import PhasePolynomial
 __all__ = [
     "BathParams",
     "MomentReport",
-    "PlanckResult",
-    "VariationGenerator",
-    "TiltSample",
-    "SphereParams",
-    "SphereCheck",
     "moment_report",
     "quadratic_form_matrix",
     "partition_estimate",
+    "symplectic_generator",
+    "random_antisymmetric",
     "generator_defect",
     "gibbs_first_order_defect",
-    "random_antisymmetric",
     "tilt_measure",
     "sphere_pushforward_check",
-    "ks_threshold_99",
+    "ks_statistic",
 ]
 
 
@@ -56,7 +56,6 @@ class BathParams:
 class MomentReport:
     """Low moments of a complex sample with standard errors."""
 
-    n_samples: int
     mean: complex
     mean_se: tuple
     abs2_mean: float
@@ -68,7 +67,6 @@ def moment_report(z: np.ndarray) -> MomentReport:
     n = z.size
     a2 = np.abs(z) ** 2
     return MomentReport(
-        n_samples=n,
         mean=complex(np.mean(z)),
         mean_se=(
             float(np.std(z.real, ddof=1) / math.sqrt(n)),
@@ -106,19 +104,11 @@ def quadratic_form_matrix(h_poly: PhasePolynomial) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class PlanckResult:
-    """Partition integral Z over n oscillators and the action cell h = Z^(1/n)."""
-
-    z_value: float
-    h: float
-    stderr: float
-
-
 def partition_estimate(h_poly: PhasePolynomial, beta: float, n_pairs: int,
                        method: str = "analytic", samples: int = 100_000,
-                       seed=None, proposal_scale: float = 1.5) -> PlanckResult:
-    """Z = integral exp(-beta H) over phase space, and h = Z^(1/n).
+                       seed=None, proposal_scale: float = 1.5) -> tuple:
+    """(Z, h, stderr of h): Z = integral exp(-beta H) over phase space, and
+    the action cell h = Z^(1/n) over n oscillator pairs.
 
     "analytic" uses the Gaussian determinant formula.  "montecarlo" importance
     samples with a Gaussian proposal shaped by the quadratic form (scaled by
@@ -131,7 +121,7 @@ def partition_estimate(h_poly: PhasePolynomial, beta: float, n_pairs: int,
         raise ValueError(f"polynomial has {d} variables but n_pairs = {n_pairs}")
     if method == "analytic":
         z_val = (2.0 * math.pi / beta) ** n_pairs / math.sqrt(np.linalg.det(a))
-        return PlanckResult(z_val, z_val ** (1.0 / n_pairs), 0.0)
+        return z_val, z_val ** (1.0 / n_pairs), 0.0
     if method == "montecarlo":
         rng = np.random.default_rng(seed)
         cov = proposal_scale ** 2 * np.linalg.inv(beta * a)
@@ -158,42 +148,28 @@ def partition_estimate(h_poly: PhasePolynomial, beta: float, n_pairs: int,
         se_z = math.sqrt(var / samples)
         h = z_val ** (1.0 / n_pairs)
         se_h = se_z * h / (n_pairs * z_val)
-        return PlanckResult(z_val, h, se_h)
+        return z_val, h, se_h
     raise ValueError(f"unknown method {method!r}")
 
 
 # -- constrained variations --------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class VariationGenerator:
-    """An antisymmetric generator Omega; x -> x + Omega grad(H) dt preserves H
-    to first order.  Antisymmetry is checked exactly at construction."""
+# A generator is an antisymmetric matrix Omega: x -> x + Omega grad(H) dt
+# preserves H to first order.
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("generator must be a square matrix")
-        if not np.array_equal(m.T, -m):
-            raise ValueError("generator must be exactly antisymmetric")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def standard(cls, n_pairs: int) -> "VariationGenerator":
-        """The block symplectic J: (q, p) -> (p, -q) pairwise."""
-        m = np.zeros((2 * n_pairs, 2 * n_pairs))
-        for k in range(n_pairs):
-            m[2 * k, 2 * k + 1] = 1.0
-            m[2 * k + 1, 2 * k] = -1.0
-        return cls(m)
+def symplectic_generator(n_pairs: int) -> np.ndarray:
+    """The block symplectic J: (q, p) -> (p, -q) pairwise."""
+    m = np.zeros((2 * n_pairs, 2 * n_pairs))
+    for k in range(n_pairs):
+        m[2 * k, 2 * k + 1] = 1.0
+        m[2 * k + 1, 2 * k] = -1.0
+    return m
 
 
-def random_antisymmetric(dim: int, rng: np.random.Generator) -> VariationGenerator:
+def random_antisymmetric(dim: int, rng: np.random.Generator) -> np.ndarray:
     """The antisymmetric part of a matrix of standard normal entries."""
     m = rng.standard_normal((dim, dim))
-    return VariationGenerator((m - m.T) / 2.0)
+    return (m - m.T) / 2.0
 
 
 def _gradient(h_poly: PhasePolynomial, x: np.ndarray) -> np.ndarray:
@@ -207,25 +183,25 @@ def _gradient(h_poly: PhasePolynomial, x: np.ndarray) -> np.ndarray:
 
 
 def generator_defect(x, h_poly: PhasePolynomial,
-                     generator: VariationGenerator) -> float:
+                     generator: np.ndarray) -> float:
     """|grad H . Omega grad H| at x: the first-order energy change along the
     generated flow, zero for an antisymmetric Omega."""
     x = np.asarray(x, dtype=float)
     d = len(h_poly.ring.variables)
     if x.shape != (d,):
         raise ValueError(f"x must be a vector of length {d}")
-    if generator.matrix.shape != (d, d):
+    if generator.shape != (d, d):
         raise ValueError("generator dimension mismatch")
     grad = _gradient(h_poly, x)
-    return abs(float(grad @ (generator.matrix @ grad)))
+    return abs(float(grad @ (generator @ grad)))
 
 
 def gibbs_first_order_defect(x, h_poly: PhasePolynomial,
-                             generator: VariationGenerator, dts) -> np.ndarray:
+                             generator: np.ndarray, dts) -> np.ndarray:
     """|H(x + Omega grad H * dt) - H(x)| over the dt values (expected O(dt^2))."""
     x = np.asarray(x, dtype=float)
     grad = _gradient(h_poly, x)
-    direction = generator.matrix @ grad
+    direction = generator @ grad
     names = h_poly.ring.variables
     h0 = h_poly.evaluate(x).real
     out = []
@@ -237,92 +213,20 @@ def gibbs_first_order_defect(x, h_poly: PhasePolynomial,
 
 # -- tilted measure ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class TiltSample:
-    """Moments of draws from the measure tilted by |exp(c z)|^2, a shifted
-    Gaussian."""
-
-    expected_mean: complex
-    report: MomentReport
-    var_real: float
-    var_imag: float
-    cov_real_imag: float
-    var_se: float
-    cov_se: float
-
-
-def tilt_measure(bath: BathParams, c: complex, n_samples: int, seed) -> TiltSample:
-    """Sample exp(-|z - hbar conj(c)|^2/hbar): mean hbar*conj(c), covariance
-    unchanged from equilibrium (hbar/2 per component, uncorrelated)."""
+def tilt_measure(bath: BathParams, c: complex, n_samples: int, seed) -> np.ndarray:
+    """Draws z from the measure tilted by |exp(c z)|^2, the shifted Gaussian
+    exp(-|z - hbar conj(c)|^2/hbar): mean hbar*conj(c), covariance unchanged
+    from equilibrium (hbar/2 per component, uncorrelated)."""
     rng = np.random.default_rng(seed)
     hbar = bath.hbar
     center = hbar * np.conj(complex(c))
     sigma = math.sqrt(hbar / 2.0)
-    z = center + rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
-    vr = float(np.var(z.real, ddof=1))
-    vi = float(np.var(z.imag, ddof=1))
-    cov = float(np.cov(z.real, z.imag, ddof=1)[0, 1])
-    n = n_samples
-    return TiltSample(
-        expected_mean=complex(center),
-        report=moment_report(z),
-        var_real=vr,
-        var_imag=vi,
-        cov_real_imag=cov,
-        var_se=float(max(vr, vi) * math.sqrt(2.0 / (n - 1))),
-        cov_se=float(math.sqrt((vr * vi + cov ** 2) / (n - 1))),
-    )
+    return center + rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
 
 
 # -- sphere pushforward ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SphereParams:
-    """A sphere of radius R carrying uniform area measure, mapped to the
-    z-plane by |z|^2 = -ln(2 beta R^2 sin^2(theta/2))/beta, arg z = phi."""
-
-    radius: float
-    beta: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-        if math.isinf(self.radius):
-            # a radius sqrt(hbar / 2) derived from in-range flags overflowed
-            raise FloatingPointError("radius must be finite")
-
-    @property
-    def u_max(self) -> float:
-        """Admissible cap in u = sin^2(theta/2): where the log stays >= 0."""
-        return min(1.0, 1.0 / (2.0 * self.beta * self.radius ** 2))
-
-    @property
-    def t_min(self) -> float:
-        """Smallest attainable |z|^2 under the map."""
-        return max(0.0, -math.log(2.0 * self.beta * self.radius ** 2) / self.beta)
-
-    @property
-    def area(self) -> float:
-        return 4.0 * math.pi * self.radius ** 2
-
-
-@dataclass(frozen=True)
-class SphereCheck:
-    radial: np.ndarray          # sampled |z|^2 values
-    angles: np.ndarray          # sampled arg z values
-    ks_radial: float
-    ks_angular: float
-    threshold_99: float
-    h_sphere: float
-    t_min: float
-
-
-def ks_threshold_99(n_samples: int) -> float:
-    """Asymptotic 99% Kolmogorov-Smirnov critical value."""
-    return 1.63 / math.sqrt(n_samples)
-
-
-def _ks_statistic(cdf_values: np.ndarray) -> float:
+def ks_statistic(cdf_values: np.ndarray) -> float:
     """One-sample Kolmogorov-Smirnov distance from the model CDF at each draw:
     D = max over the sorted values of i/n - F_(i) and F_(i) - (i-1)/n."""
     f = np.sort(cdf_values)
@@ -332,30 +236,26 @@ def _ks_statistic(cdf_values: np.ndarray) -> float:
     return float(max(d_plus, d_minus))
 
 
-def sphere_pushforward_check(params: SphereParams, n_samples: int, seed) -> SphereCheck:
-    """Push uniform sphere area through the map and test the z-plane law.
+def sphere_pushforward_check(radius: float, beta: float, n_samples: int,
+                             seed) -> tuple:
+    """Push uniform area on the sphere of radius R through the map
+    |z|^2 = -ln(2 beta R^2 sin^2(theta/2))/beta, arg z = phi; returns the
+    draws (t = |z|^2, phi) and t_min, the smallest attainable |z|^2.
 
     Uniform area in (phi, u = sin^2(theta/2)) is uniform in both; on the
-    admissible cap u <= u_max the radial image t = |z|^2 is exactly an
-    exponential of rate beta shifted to start at t_min, and arg z stays
-    uniform.  Both marginals are KS-tested against those laws.
+    admissible cap u <= u_max, where the log stays >= 0, the radial image t
+    is exactly an exponential of rate beta shifted to start at t_min, and
+    arg z stays uniform.  A radius outside (0, inf) is a float that left
+    the range of the flags it was derived from.
     """
+    if not 0.0 < radius < math.inf:
+        raise FloatingPointError(f"radius {radius:g} must be positive and finite")
     rng = np.random.default_rng(seed)
-    beta = params.beta
-    u = rng.uniform(0.0, params.u_max, n_samples)
+    u_max = min(1.0, 1.0 / (2.0 * beta * radius ** 2))
+    t_min = max(0.0, -math.log(2.0 * beta * radius ** 2) / beta)
+    u = rng.uniform(0.0, u_max, n_samples)
     # guard the measure-zero event u == 0 (log divergence)
     u = np.maximum(u, np.finfo(float).tiny)
     phi = rng.uniform(0.0, 2.0 * math.pi, n_samples)
-    t = -np.log(2.0 * beta * params.radius ** 2 * u) / beta
-    shifted = t - params.t_min
-    ks_r = _ks_statistic(-np.expm1(-beta * shifted))
-    ks_a = _ks_statistic(phi / (2.0 * math.pi))
-    return SphereCheck(
-        radial=t,
-        angles=phi,
-        ks_radial=ks_r,
-        ks_angular=ks_a,
-        threshold_99=ks_threshold_99(n_samples),
-        h_sphere=params.area,
-        t_min=params.t_min,
-    )
+    t = -np.log(2.0 * beta * radius ** 2 * u) / beta
+    return t, phi, t_min

@@ -224,7 +224,7 @@ def run_coherent(args, report):
                "hbar times the conjugate parameter",
                abs(pairing - pair_oracle), 0.0, 1e-10 * abs(pair_oracle))
 
-    lowered = bargmann.ladder_matrix("annihilate", args.nmax, hbar) @ f.coeffs
+    lowered = bargmann.lowering_matrix(args.nmax, hbar) @ f.coeffs
     scaled = hbar * c * f.coeffs[:-1]
     report.add("coherent-ladder-eigenvalue",
                "the annihilation operator scales a coherent vector by hbar*c",
@@ -254,9 +254,8 @@ def run_commutator(args, report):
         bracket = poisson_bracket(f, g).coefficient((0, 0))
         return 1j * hbar * complex(bracket) * np.eye(nmax + 1)
 
-    low = bargmann.ladder_matrix("annihilate", nmax, hbar)
-    raise_ = bargmann.ladder_matrix("create", nmax, hbar)
-    ladder_comm = bargmann.commutator(low, raise_)
+    low = bargmann.lowering_matrix(nmax, hbar)
+    ladder_comm = bargmann.commutator(low, low.T)
     target = dirac_target(z_element(ring), zbar_element(ring))
     ladder_dev = np.abs(ladder_comm - target)
     worst_ladder = float(np.max(ladder_dev[:nmax, :nmax]))
@@ -452,6 +451,9 @@ def run_ensemble(args, report):
     _tilt_rule(c, hbar, "--c/--hbar")
     f = bargmann.coherent_vector(c, args.nmax, hbar).normalized()
     t_max = args.t_max if args.t_max is not None else params.period
+    if not math.isfinite(t_max):
+        # one period 2 pi/omega that overflowed
+        raise FloatingPointError(f"run length {t_max:g} is not finite")
     times = np.linspace(0.0, t_max, args.n_times)
     history = dynamics.ensemble_evolve(f, params, times, args.samples,
                                        args.seed, friction=alpha,
@@ -507,28 +509,33 @@ def run_partition(args, report):
     from .phasespace import PhaseRing, oscillator_hamiltonian
 
     oracle = bath.BathParams(args.beta, args.omega).h
+    if not 0.0 < oracle < math.inf:
+        # beta omega overflowed (or underflowed): the Gibbs weight is no
+        # Gaussian a float can hold
+        raise FloatingPointError(
+            f"action cell 2 pi/(beta omega) = {oracle:g} is not positive "
+            "and finite")
     ring = PhaseRing.canonical(args.pairs)
     h_poly = oscillator_hamiltonian(ring, args.omega)
 
-    analytic = bath.partition_estimate(h_poly, args.beta, args.pairs,
-                                       method="analytic")
+    an_z, an_h, an_se = bath.partition_estimate(h_poly, args.beta, args.pairs,
+                                                method="analytic")
     report.add("analytic-action-cell",
                "the Gaussian integral gives the action cell h = 2 pi/(beta omega)",
-               analytic.h, oracle, 1e-12 * oracle)
+               an_h, oracle, 1e-12 * oracle)
 
-    mc = bath.partition_estimate(h_poly, args.beta, args.pairs,
-                                 method="montecarlo", samples=args.samples,
-                                 seed=args.seed,
-                                 proposal_scale=args.proposal_scale)
+    mc_z, mc_h, mc_se = bath.partition_estimate(
+        h_poly, args.beta, args.pairs, method="montecarlo",
+        samples=args.samples, seed=args.seed,
+        proposal_scale=args.proposal_scale)
     report.add("montecarlo-action-cell-1pct",
                "the Monte Carlo action cell lands within 1% of 2 pi/(beta omega)",
-               mc.h, oracle, 0.01 * oracle, stderr=mc.stderr)
+               mc_h, oracle, 0.01 * oracle, stderr=mc_se)
     report.add("montecarlo-action-cell-4se",
                "the Monte Carlo action cell is statistically consistent "
                "with the closed form",
-               mc.h, oracle, 4.0 * mc.stderr, stderr=mc.stderr)
-    rows = [("analytic", analytic.z_value, analytic.h, analytic.stderr),
-            ("montecarlo", mc.z_value, mc.h, mc.stderr)]
+               mc_h, oracle, 4.0 * mc_se, stderr=mc_se)
+    rows = [("analytic", an_z, an_h, an_se), ("montecarlo", mc_z, mc_h, mc_se)]
     return [("partition_results.csv",
              ["method", "z_value", "h", "stderr"], rows)]
 
@@ -550,7 +557,7 @@ def run_variation(args, report):
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal(dim)
 
-    generators = [bath.VariationGenerator.standard(args.pairs)]
+    generators = [bath.symplectic_generator(args.pairs)]
     generators += [bath.random_antisymmetric(dim, rng)
                    for _ in range(args.count - 1)]
     defects = [bath.generator_defect(x, h_poly, gen) for gen in generators]
@@ -576,33 +583,41 @@ def run_variation(args, report):
 
 
 def run_tilt(args, report):
+    import numpy as np
+
     from . import bath
 
     bp = bath.BathParams(args.beta, args.omega)
     c = args.c
     _tilt_rule(c, bp.hbar, "--c/--beta/--omega")
-    sample = bath.tilt_measure(bp, c, args.samples, args.seed)
-    se_re, se_im = sample.report.mean_se
-    mean = sample.report.mean
-    center = sample.expected_mean
+    n = args.samples
+    z = bath.tilt_measure(bp, c, n, args.seed)
+    moments = bath.moment_report(z)
+    se_re, se_im = moments.mean_se
+    mean = moments.mean
+    center = complex(bp.hbar * np.conj(c))
     ratio = max(abs(mean.real - center.real) / se_re,
                 abs(mean.imag - center.imag) / se_im)
     report.add("tilt-mean-shift",
                "tilting the Gaussian by a coherent weight shifts the mean "
                "to hbar conj(c)",
                ratio, 0.0, 4.0, stderr=max(se_re, se_im))
+    # the sampling spreads of a Gaussian variance and covariance
+    var_re = float(np.var(z.real, ddof=1))
+    var_im = float(np.var(z.imag, ddof=1))
+    cov = float(np.cov(z.real, z.imag, ddof=1)[0, 1])
+    var_se = max(var_re, var_im) * math.sqrt(2.0 / (n - 1))
+    cov_se = math.sqrt((var_re * var_im + cov ** 2) / (n - 1))
     half = bp.hbar / 2.0
-    var_dev = max(abs(sample.var_real - half), abs(sample.var_imag - half))
+    var_dev = max(abs(var_re - half), abs(var_im - half))
     report.add("tilt-variance-unchanged",
                "the tilt leaves the per-component variance at hbar/2",
-               var_dev, 0.0, 4.0 * sample.var_se, stderr=sample.var_se)
+               var_dev, 0.0, 4.0 * var_se, stderr=var_se)
     report.add("tilt-components-uncorrelated",
                "the tilt leaves the components uncorrelated",
-               abs(sample.cov_real_imag), 0.0, 4.0 * sample.cov_se,
-               stderr=sample.cov_se)
-    rows = [(sample.report.n_samples, mean.real, mean.imag, se_re, se_im,
-             center.real, center.imag, sample.var_real, sample.var_imag,
-             sample.cov_real_imag)]
+               abs(cov), 0.0, 4.0 * cov_se, stderr=cov_se)
+    rows = [(n, mean.real, mean.imag, se_re, se_im,
+             center.real, center.imag, var_re, var_im, cov)]
     return [("tilt_moments.csv",
              ["n_samples", "mean_re", "mean_im", "se_re", "se_im",
               "center_re", "center_im", "var_re", "var_im", "cov"],
@@ -610,28 +625,37 @@ def run_tilt(args, report):
 
 
 def run_sphere(args, report):
+    import numpy as np
+
     from . import bath
 
     bp = bath.BathParams(args.beta, args.omega)
+    beta = args.beta
     radius2 = args.radius2
     if radius2 is None:
         radius2 = bp.hbar / 2.0
-    params = bath.SphereParams(math.sqrt(radius2), args.beta)
-    check = bath.sphere_pushforward_check(params, args.samples, args.seed)
+    radius = math.sqrt(radius2)
+    t, phi, t_min = bath.sphere_pushforward_check(radius, beta, args.samples,
+                                                  args.seed)
+    ks_radial = bath.ks_statistic(-np.expm1(-beta * (t - t_min)))
+    ks_angular = bath.ks_statistic(phi / (2.0 * math.pi))
+    # the asymptotic 99% Kolmogorov-Smirnov critical value
+    threshold = 1.63 / math.sqrt(args.samples)
     report.add("sphere-radial-exponential",
                "the pushforward of uniform sphere area has the exponential "
                "radial law (99% KS)",
-               check.ks_radial, 0.0, check.threshold_99)
+               ks_radial, 0.0, threshold)
     report.add("sphere-angle-uniform",
                "the pushforward keeps the angle uniform (99% KS)",
-               check.ks_angular, 0.0, check.threshold_99)
+               ks_angular, 0.0, threshold)
+    area = 4.0 * math.pi * radius ** 2
     h_oracle = bp.h
     report.add("sphere-area-matches-action-cell",
                "the sphere area 4 pi R^2 equals the action cell at the "
                "matching radius",
-               check.h_sphere, h_oracle, 1e-12 * h_oracle)
-    rows = [(args.samples, check.ks_radial, check.ks_angular,
-             check.threshold_99, check.t_min, check.h_sphere, h_oracle)]
+               area, h_oracle, 1e-12 * h_oracle)
+    rows = [(args.samples, ks_radial, ks_angular, threshold, t_min, area,
+             h_oracle)]
     return [("sphere_check.csv",
              ["n_samples", "ks_radial", "ks_angular", "threshold_99",
               "t_min", "h_sphere", "h_oracle"], rows)]

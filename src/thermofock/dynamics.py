@@ -21,7 +21,6 @@ from .errors import CapacityError, SamplerError, TruncationError
 from .phasespace import OscillatorParams, PhasePoint, hamilton_step
 
 __all__ = [
-    "AngularProfile",
     "EnsembleHistory",
     "profile_from_fock",
     "l2_grid_distance",
@@ -33,23 +32,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class AngularProfile:
-    """Samples of a function on the circle |z| = radius, uniform angles."""
-
-    values: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=complex)
-        if v.ndim != 1:
-            raise ValueError("profile values must be a 1d array")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
-def profile_from_fock(f: FockVector, radius: float, grid_size: int) -> AngularProfile:
-    """Sample f on the circle |z| = radius at `grid_size` uniform angles.
+def profile_from_fock(f: FockVector, radius: float, grid_size: int) -> np.ndarray:
+    """Values of f on the circle |z| = radius at `grid_size` uniform angles.
 
     Raises TruncationError if a value overflows to inf or NaN: the series
     then says nothing about f on that circle.
@@ -60,21 +44,20 @@ def profile_from_fock(f: FockVector, radius: float, grid_size: int) -> AngularPr
     if not np.all(np.isfinite(values)):
         raise TruncationError(
             f"the series of f overflows on the circle |z| = {radius:.6g}")
-    return AngularProfile(values, radius)
+    return values
 
 
 def l2_grid_distance(a, b) -> float:
-    """Root-mean-square distance between two grids (or profiles).
+    """Root-mean-square distance between two grids.
 
     The differences are scaled by a power of two at or above the largest, so
     their squares cannot overflow, and the scaling is exact: wherever the
     plain RMS neither overflows nor underflows this is the same float.
     """
-    av = a.values if isinstance(a, AngularProfile) else np.asarray(a)
-    bv = b.values if isinstance(b, AngularProfile) else np.asarray(b)
-    if av.shape != bv.shape:
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
         raise ValueError("grid shapes differ")
-    diff = np.abs(av - bv)
+    diff = np.abs(a - b)
     top = float(np.max(diff, initial=0.0))
     if not 0.0 < top < math.inf:
         return top              # all equal, or an inf or NaN difference
@@ -82,9 +65,10 @@ def l2_grid_distance(a, b) -> float:
     return scale * float(np.sqrt(np.mean((diff / scale) ** 2)))
 
 
-def transport_solve(profile: AngularProfile, t: float, params: OscillatorParams,
-                    scheme: str = "spectral", dt: float = None) -> AngularProfile:
-    """Advance the transport equation df/dt + w df/dphi = 0 on the circle.
+def transport_solve(values: np.ndarray, t: float, params: OscillatorParams,
+                    scheme: str = "spectral", dt: float = None) -> np.ndarray:
+    """Advance the transport equation df/dt + w df/dphi = 0 on the circle,
+    from the profile `values` at uniform angles.
 
     The exact solution is rigid rotation of the profile by w t.  "spectral"
     applies the per-harmonic phases exp(-i m w t) (exact for band-limited
@@ -92,16 +76,14 @@ def transport_solve(profile: AngularProfile, t: float, params: OscillatorParams,
     `dt` and enforces the CFL bound w dt <= dphi.
     """
     w = params.omega
-    values = profile.values
     if scheme == "spectral":
         modes = np.fft.fftfreq(values.size, d=1.0 / values.size)
-        out = np.fft.ifft(np.fft.fft(values) * np.exp(-1j * modes * w * t))
-        return AngularProfile(out, profile.radius)
+        return np.fft.ifft(np.fft.fft(values) * np.exp(-1j * modes * w * t))
     if scheme == "upwind":
         if dt is None or dt <= 0:
             raise ValueError("upwind scheme requires dt > 0")
         if t == 0:
-            return AngularProfile(values.copy(), profile.radius)
+            return values.copy()
         dphi = 2.0 * np.pi / values.size
         n_steps = max(1, math.ceil(t / dt - 1e-12))
         dt_eff = t / n_steps
@@ -113,7 +95,7 @@ def transport_solve(profile: AngularProfile, t: float, params: OscillatorParams,
         v = values.copy()
         for _ in range(n_steps):
             v = v - nu * (v - np.roll(v, 1))
-        return AngularProfile(v, profile.radius)
+        return v
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

@@ -23,7 +23,7 @@ from thermofock.bargmann import (
     gram_quadrature,
     hamiltonian_matrix,
     kernel_eval,
-    ladder_matrix,
+    lowering_matrix,
     quadrature_operators,
 )
 from thermofock.errors import TruncationError
@@ -135,7 +135,7 @@ def test_coherent_norm_and_tail_mass():
 def test_coherent_is_ladder_eigenvector():
     c, hbar = 0.8 - 0.3j, 1.3
     f = coherent_vector(c, 48, hbar)
-    lowered = ladder_matrix("annihilate", 48, hbar) @ f.coeffs
+    lowered = lowering_matrix(48, hbar) @ f.coeffs
     # a f_c = hbar c f_c on the retained coefficients
     np.testing.assert_allclose(lowered[:40], hbar * c * f.coeffs[:40],
                                atol=1e-12)
@@ -252,19 +252,19 @@ def test_evaluate_allocates_no_basis_matrix():
 
 def test_ladder_matrix_entries():
     hbar = 0.5
-    a = ladder_matrix("annihilate", 6, hbar)
-    c = ladder_matrix("create", 6, hbar)
+    a = lowering_matrix(6, hbar)
+    assert not np.any(a.imag)
     for n in range(1, 7):
         assert a[n - 1, n] == pytest.approx(math.sqrt(n * hbar))
-        assert c[n, n - 1] == pytest.approx(math.sqrt(n * hbar))
-    np.testing.assert_array_equal(a, c.conj().T)
+    # one entry per column, above the diagonal: raising is the transpose
+    assert np.count_nonzero(a) == 6
+    np.testing.assert_array_equal(a, np.diag(np.diag(a, 1), 1))
 
 
 def test_ladder_commutator_is_hbar_on_interior():
     for hbar, n_max in [(1.0, 16), (0.5, 64), (2.0, 32)]:
-        a = ladder_matrix("annihilate", n_max, hbar)
-        c = ladder_matrix("create", n_max, hbar)
-        comm = commutator(a, c)
+        a = lowering_matrix(n_max, hbar)
+        comm = commutator(a, a.T)
         interior = comm[:n_max, :n_max]
         assert np.max(np.abs(interior - hbar * np.eye(n_max))) <= 1e-12
         # the corner carries the truncation: -n_max * hbar instead of hbar
@@ -274,9 +274,8 @@ def test_ladder_commutator_is_hbar_on_interior():
 def test_commutator_trace_vanishes():
     # exact telescoping up to per-entry rounding, so the bound scales with N
     n_max, hbar = 64, 1.0
-    a = ladder_matrix("annihilate", n_max, hbar)
-    c = ladder_matrix("create", n_max, hbar)
-    assert abs(np.trace(commutator(a, c))) <= 1e-12 * (n_max + 1) * hbar
+    a = lowering_matrix(n_max, hbar)
+    assert abs(np.trace(commutator(a, a.T))) <= 1e-12 * (n_max + 1) * hbar
 
 
 def test_position_momentum_commutator():

@@ -6,25 +6,25 @@ integral Z = 2 pi/(beta omega) per oscillator pair, the shifted Gaussian of
 the tilt, and the exponential radial law of the sphere map.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from thermofock import bath
+from thermofock import cli
 from thermofock.bargmann import FockVector
 from thermofock.bath import (
     BathParams,
-    SphereParams,
-    VariationGenerator,
     generator_defect,
     gibbs_first_order_defect,
-    ks_threshold_99,
+    ks_statistic,
     moment_report,
     partition_estimate,
     quadratic_form_matrix,
     random_antisymmetric,
     sphere_pushforward_check,
+    symplectic_generator,
     tilt_measure,
 )
 from thermofock.dynamics import ensemble_evolve
@@ -78,18 +78,18 @@ def test_moment_report_needs_two_samples(usage_error):
 def test_analytic_action_cell_single_pair():
     ring = PhaseRing.canonical(1)
     h = oscillator_hamiltonian(ring, 1.0)
-    out = partition_estimate(h, 1.0, 1, method="analytic")
-    assert out.h == pytest.approx(2.0 * math.pi, rel=1e-12)
-    assert out.z_value == out.h
-    assert out.stderr == 0.0
+    z_value, h_cell, stderr = partition_estimate(h, 1.0, 1, method="analytic")
+    assert h_cell == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert z_value == h_cell
+    assert stderr == 0.0
 
 
 def test_analytic_action_cell_scales_with_beta_omega():
     ring = PhaseRing.canonical(1)
     for beta, omega in [(2.0, 1.0), (0.5, 3.0), (1.0, 0.25)]:
         h = oscillator_hamiltonian(ring, omega)
-        out = partition_estimate(h, beta, 1, method="analytic")
-        assert out.h == pytest.approx(2.0 * math.pi / (beta * omega), rel=1e-12)
+        _, h_cell, _ = partition_estimate(h, beta, 1, method="analytic")
+        assert h_cell == pytest.approx(2.0 * math.pi / (beta * omega), rel=1e-12)
 
 
 def test_analytic_action_cell_two_pairs():
@@ -98,18 +98,18 @@ def test_analytic_action_cell_two_pairs():
     q1, p1 = variable(ring, "q1"), variable(ring, "p1")
     q2, p2 = variable(ring, "q2"), variable(ring, "p2")
     h = (q1 * q1 + p1 * p1) * 0.5 + (q2 * q2 + p2 * p2) * 1.0
-    out = partition_estimate(h, 1.0, 2, method="analytic")
-    assert out.h == pytest.approx(2.0 * math.pi / math.sqrt(2.0), rel=1e-12)
+    _, h_cell, _ = partition_estimate(h, 1.0, 2, method="analytic")
+    assert h_cell == pytest.approx(2.0 * math.pi / math.sqrt(2.0), rel=1e-12)
 
 
 def test_montecarlo_action_cell_matches_analytic():
     ring = PhaseRing.canonical(1)
     h = oscillator_hamiltonian(ring, 1.0)
-    out = partition_estimate(h, 1.0, 1, method="montecarlo",
-                             samples=200_000, seed=7)
-    assert out.stderr > 0
-    assert abs(out.h - 2.0 * math.pi) <= 4.0 * out.stderr
-    assert abs(out.h - 2.0 * math.pi) <= 0.01 * 2.0 * math.pi
+    _, h_cell, stderr = partition_estimate(h, 1.0, 1, method="montecarlo",
+                                           samples=200_000, seed=7)
+    assert stderr > 0
+    assert abs(h_cell - 2.0 * math.pi) <= 4.0 * stderr
+    assert abs(h_cell - 2.0 * math.pi) <= 0.01 * 2.0 * math.pi
 
 
 def test_partition_rejects_bad_input(usage_error):
@@ -157,14 +157,22 @@ def test_first_order_defect_is_second_order_in_dt():
     h = oscillator_hamiltonian(ring, 1.0)
     x = np.array([0.8, -0.4, 0.3, 1.1])
     dts = np.logspace(-4, -2, 9)
-    defects = gibbs_first_order_defect(x, h, VariationGenerator.standard(2), dts)
+    defects = gibbs_first_order_defect(x, h, symplectic_generator(2), dts)
     slope = fit_loglog_slope(dts, defects)
     assert slope == pytest.approx(2.0, abs=0.1)
 
 
-def test_generator_must_be_antisymmetric():
-    with pytest.raises(ValueError):
-        VariationGenerator(np.eye(2))
+def test_generators_are_exactly_antisymmetric():
+    j = symplectic_generator(3)
+    np.testing.assert_array_equal(j, [[0, 1, 0, 0, 0, 0],
+                                      [-1, 0, 0, 0, 0, 0],
+                                      [0, 0, 0, 1, 0, 0],
+                                      [0, 0, -1, 0, 0, 0],
+                                      [0, 0, 0, 0, 0, 1],
+                                      [0, 0, 0, 0, -1, 0]])
+    rng = np.random.default_rng(5)
+    for g in (j, *(random_antisymmetric(dim, rng) for dim in (1, 2, 5))):
+        assert np.array_equal(g.T, -g)
 
 
 # -- tilted measure ---------------------------------------------------------------
@@ -172,72 +180,94 @@ def test_generator_must_be_antisymmetric():
 def test_tilt_shifts_the_mean_not_the_covariance():
     bp = BathParams(1.0, 1.0)
     c = 0.5 - 0.3j
-    out = tilt_measure(bp, c, 100_000, seed=9)
-    assert out.expected_mean == pytest.approx(bp.hbar * np.conj(c))
-    se_re, se_im = out.report.mean_se
-    assert abs(out.report.mean.real - out.expected_mean.real) <= 4 * se_re
-    assert abs(out.report.mean.imag - out.expected_mean.imag) <= 4 * se_im
+    n = 100_000
+    z = tilt_measure(bp, c, n, seed=9)
+    assert z.shape == (n,)
+    center = bp.hbar * np.conj(c)
+    rep = moment_report(z)
+    se_re, se_im = rep.mean_se
+    assert abs(rep.mean.real - center.real) <= 4 * se_re
+    assert abs(rep.mean.imag - center.imag) <= 4 * se_im
+    var_re, var_im = np.var(z.real, ddof=1), np.var(z.imag, ddof=1)
+    cov = np.cov(z.real, z.imag, ddof=1)[0, 1]
+    var_se = max(var_re, var_im) * math.sqrt(2.0 / (n - 1))
+    cov_se = math.sqrt((var_re * var_im + cov ** 2) / (n - 1))
     half = bp.hbar / 2.0
-    assert abs(out.var_real - half) <= 4 * out.var_se
-    assert abs(out.var_imag - half) <= 4 * out.var_se
-    assert abs(out.cov_real_imag) <= 4 * out.cov_se
+    assert abs(var_re - half) <= 4 * var_se
+    assert abs(var_im - half) <= 4 * var_se
+    assert abs(cov) <= 4 * cov_se
 
 
 # -- sphere pushforward --------------------------------------------------------------
 
+def _sphere_distances(radius, beta, n_samples, seed):
+    """The KS distances of both marginals, as `sphere` measures them, and
+    the draws."""
+    t, phi, t_min = sphere_pushforward_check(radius, beta, n_samples, seed)
+    ks_radial = ks_statistic(-np.expm1(-beta * (t - t_min)))
+    ks_angular = ks_statistic(phi / (2.0 * math.pi))
+    return ks_radial, ks_angular, t, t_min
+
+
 def test_sphere_pushforward_both_marginals():
-    params = SphereParams(radius=math.sqrt(0.5), beta=1.0)
-    out = sphere_pushforward_check(params, 100_000, seed=21)
-    assert out.ks_radial < ks_threshold_99(100_000)
-    assert out.ks_angular < ks_threshold_99(100_000)
+    ks_radial, ks_angular, _, _ = _sphere_distances(math.sqrt(0.5), 1.0,
+                                                    100_000, 21)
+    assert ks_radial < 1.63 / math.sqrt(100_000)
+    assert ks_angular < 1.63 / math.sqrt(100_000)
 
 
 # seed 21 is the a12 draw; at seed 3 both distances come from the lower side
 @pytest.mark.parametrize("seed", [21, 3])
 def test_ks_statistic_matches_scipy(seed):
     stats = pytest.importorskip("scipy.stats")
-    params = SphereParams(radius=math.sqrt(0.5), beta=1.0)
-    out = sphere_pushforward_check(params, 100_000, seed=seed)
-    radial = stats.kstest(out.radial - params.t_min, stats.expon(scale=1.0).cdf)
-    angular = stats.kstest(out.angles / (2.0 * math.pi), "uniform")
-    assert out.ks_radial == radial.statistic
-    assert out.ks_angular == angular.statistic
+    t, phi, t_min = sphere_pushforward_check(math.sqrt(0.5), 1.0, 100_000, seed)
+    radial = stats.kstest(t - t_min, stats.expon(scale=1.0).cdf)
+    angular = stats.kstest(phi / (2.0 * math.pi), "uniform")
+    assert ks_statistic(-np.expm1(-(t - t_min))) == radial.statistic
+    assert ks_statistic(phi / (2.0 * math.pi)) == angular.statistic
 
 
-def test_sphere_area_is_the_action_cell():
+def test_sphere_area_is_the_action_cell(tmp_path):
     # R^2 = 1/(2 beta omega) makes the sphere area equal h = 2 pi/(beta omega)
-    beta, omega = 1.0, 1.0
-    params = SphereParams(radius=math.sqrt(1.0 / (2.0 * beta * omega)), beta=beta)
-    assert params.area == pytest.approx(2.0 * math.pi / (beta * omega), rel=1e-12)
-    assert params.t_min == pytest.approx(0.0, abs=1e-15)
-    assert params.u_max == pytest.approx(1.0, rel=1e-15)
+    beta, omega = 2.0, 0.25
+    _, _, t_min = sphere_pushforward_check(
+        math.sqrt(1.0 / (2.0 * beta * omega)), beta, 100, 1)
+    assert t_min == pytest.approx(0.0, abs=1e-15)
+    code = cli.main(["sphere", "--seed", "1", "--beta", str(beta), "--omega",
+                     str(omega), "--outdir", str(tmp_path)])
+    assert code == cli.EXIT_PASS
+    report = json.loads((tmp_path / "sphere_report.json").read_text())
+    area = {c["name"]: c for c in report["checks"]}[
+        "sphere-area-matches-action-cell"]
+    assert area["measured"] == pytest.approx(2.0 * math.pi / (beta * omega),
+                                             rel=1e-12)
 
 
 def test_sphere_small_radius_shifts_the_exponential():
     # 2 beta R^2 < 1: the whole sphere is admissible but |z|^2 starts at t_min
-    params = SphereParams(radius=0.3, beta=1.0)
-    assert params.u_max == 1.0
-    assert params.t_min == pytest.approx(-math.log(2 * 0.09), rel=1e-12)
-    out = sphere_pushforward_check(params, 50_000, seed=4)
-    assert out.ks_radial < out.threshold_99
-    assert out.ks_angular < out.threshold_99
-    assert float(np.min(out.radial)) >= params.t_min - 1e-12
+    ks_radial, ks_angular, t, t_min = _sphere_distances(0.3, 1.0, 50_000, 4)
+    assert t_min == pytest.approx(-math.log(2 * 0.09), rel=1e-12)
+    assert ks_radial < 1.63 / math.sqrt(50_000)
+    assert ks_angular < 1.63 / math.sqrt(50_000)
+    assert float(np.min(t)) >= t_min - 1e-12
 
 
 def test_sphere_large_radius_caps_the_polar_angle():
-    # 2 beta R^2 > 1: only the cap u <= u_max maps to non-negative |z|^2
-    params = SphereParams(radius=2.0, beta=1.0)
-    assert params.u_max == pytest.approx(1.0 / 8.0)
-    assert params.t_min == 0.0
-    out = sphere_pushforward_check(params, 50_000, seed=4)
-    assert out.ks_radial < out.threshold_99
-    assert out.ks_angular < out.threshold_99
-    assert float(np.min(out.radial)) >= -1e-12
+    # 2 beta R^2 > 1: only the cap u <= 1/(2 beta R^2) maps to non-negative
+    # |z|^2
+    ks_radial, ks_angular, t, t_min = _sphere_distances(2.0, 1.0, 50_000, 4)
+    assert t_min == 0.0
+    assert ks_radial < 1.63 / math.sqrt(50_000)
+    assert ks_angular < 1.63 / math.sqrt(50_000)
+    assert float(np.min(t)) >= -1e-12
 
 
 def test_sphere_validation(usage_error):
-    with pytest.raises(ValueError):
-        SphereParams(0.0, 1.0)
+    # a radius outside (0, inf) comes only from a derived float that left
+    # the range, a numerical failure
+    for radius in (0.0, math.inf, math.nan):
+        with pytest.raises(FloatingPointError):
+            sphere_pushforward_check(radius, 1.0, 10, 1)
     usage_error(["sphere", "--seed", "1", "--beta", "-2"], "--beta")
     usage_error(["sphere", "--seed", "1", "--radius2", "-1"], "--radius2")
     usage_error(["sphere", "--seed", "1", "--samples", "9"], "--samples")

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -144,6 +145,17 @@ def test_ensemble_at_tiny_omega_completes(tmp_path, args):
 # the overflows these runs provoke warn in numpy before a check trips
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
+    def exits_three(command, *args):
+        start = time.perf_counter()
+        code = cli.main([command, *args, "--outdir", str(tmp_path)])
+        assert time.perf_counter() - start < 5.0, (command, args)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_NUMERICAL, (command, args, err)
+        assert "numerical failure" in err
+        report = read_report(tmp_path, command)
+        assert [check["name"] for check in report["checks"]] == ["numerical-failure"]
+        assert not report["checks"][0]["passed"]
+
     # dt far beyond the stability bound: aborted with a diagnostic, not NaNs;
     # a thermal state so hot its energy overflows leaves no finite energy cap;
     # at hbar = 1e-300 the ensemble's |z|^2 standard error underflows to 0;
@@ -171,12 +183,10 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
             ("rescale", "--seed", "1", "--beta", "1e-320"),
             ("continuum", "--spacings", "1,1e-160"),
             # a radius sqrt(hbar/2) of inf; a period 2 pi/omega and a run
-            # 5/alpha of inf, whose step count inf/inf is NaN; one period of
-            # inf, the cloud's run length
+            # 5/alpha of inf, whose step count inf/inf is NaN
             ("sphere", "--seed", "1", "--beta", "1e-320"),
             ("sphere", "--seed", "1", "--omega", "1e-320"),
             ("damp", "--omega", "1e-320"),
-            ("ensemble", "--seed", "1", "--omega", "1e-320"),
             # times whose squares underflow leave the decay fit no norm
             ("relax", "--seed", "1", "--alpha", "1e300"),
             ("relax", "--seed", "1", "--t-max", "1e-320"),
@@ -186,15 +196,17 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
             ("chain-dispersion", "--seed", "1", "--periods", "1e300"),
             ("damp", "--t-max", "1e300"),
             ("ensemble", "--seed", "1", "--t-max", "1e300")):
-        start = time.perf_counter()
-        code = cli.main([command, *args, "--outdir", str(tmp_path)])
-        assert time.perf_counter() - start < 5.0, (command, args)
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_NUMERICAL, (command, args, err)
-        assert "numerical failure" in err
-        report = read_report(tmp_path, command)
-        assert [check["name"] for check in report["checks"]] == ["numerical-failure"]
-        assert not report["checks"][0]["passed"]
+        exits_three(command, *args)
+    # refused where the overflow is derived, before numpy meets it: an
+    # action cell 2 pi/(beta omega) and a radius sqrt(hbar/2) of 0, one
+    # period of inf, the cloud's run length
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exits_three("partition", "--seed", "1", "--beta", "1e300",
+                    "--omega", "1e300", "--samples", "1000")
+        exits_three("sphere", "--seed", "1", "--beta", "1e300",
+                    "--omega", "1e300")
+        exits_three("ensemble", "--seed", "1", "--omega", "1e-320")
 
 
 def test_evolve_check_fails_on_a_nan_distance(tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ import pytest
 from thermofock import dynamics
 from thermofock.bargmann import FockVector, coherent_vector
 from thermofock.dynamics import (
-    AngularProfile,
     damped_solution,
     ensemble_evolve,
     evolve_exact,
@@ -32,12 +31,10 @@ def test_profile_matches_pointwise_evaluation():
     f = coherent_vector(0.4 + 0.2j, 24, 1.0)
     prof = profile_from_fock(f, radius=1.3, grid_size=64)
     z = 1.3 * np.exp(2j * np.pi * np.arange(64) / 64)
-    np.testing.assert_allclose(prof.values, f.evaluate(z), atol=1e-12)
+    np.testing.assert_allclose(prof, f.evaluate(z), atol=1e-12)
 
 
 def test_profile_validation(usage_error):
-    with pytest.raises(ValueError):
-        AngularProfile(np.ones((2, 4)), 1.0)
     # too few grid points, or a circle of no radius, never reach the profile
     usage_error(["evolve", "--seed", "1", "--grid", "3"], "--grid")
     usage_error(["evolve", "--seed", "1", "--radius", "-1"], "--radius")
@@ -75,7 +72,7 @@ def test_l2_distance_does_not_overflow():
 
 def test_spectral_transport_full_revolution_is_identity():
     rng = np.random.default_rng(0)
-    prof = AngularProfile(rng.standard_normal(128) + 1j * rng.standard_normal(128), 1.0)
+    prof = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     params = OscillatorParams(2.0)
     out = transport_solve(prof, params.period, params)
     assert l2_grid_distance(out, prof) <= 1e-12
@@ -85,11 +82,11 @@ def test_spectral_transport_of_a_pure_harmonic():
     # e^{i m phi} picks up exactly e^{-i m w t}
     g = 64
     phi = 2.0 * np.pi * np.arange(g) / g
-    prof = AngularProfile(np.exp(3j * phi), 1.0)
+    prof = np.exp(3j * phi)
     params = OscillatorParams(1.0)
     t = 0.7
     out = transport_solve(prof, t, params)
-    np.testing.assert_allclose(out.values, np.exp(-3j * t) * prof.values, atol=1e-12)
+    np.testing.assert_allclose(out, np.exp(-3j * t) * prof, atol=1e-12)
 
 
 def test_spectral_transport_agrees_with_schrodinger_profile():
@@ -134,7 +131,7 @@ def test_upwind_error_is_first_order_under_refinement():
 
 
 def test_upwind_rejects_cfl_violation():
-    prof = AngularProfile(np.ones(16), 1.0)
+    prof = np.ones(16, dtype=complex)
     params = OscillatorParams(1.0)
     dphi = 2.0 * np.pi / 16
     with pytest.raises(ValueError):
@@ -142,7 +139,7 @@ def test_upwind_rejects_cfl_violation():
 
 
 def test_transport_argument_validation(usage_error):
-    prof = AngularProfile(np.ones(16), 1.0)
+    prof = np.ones(16, dtype=complex)
     params = OscillatorParams(1.0)
     usage_error(["evolve", "--seed", "1", "--t-max", "-1"], "--t-max")
     with pytest.raises(ValueError):

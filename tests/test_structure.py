@@ -182,9 +182,6 @@ def test_every_export_is_reachable_from_the_cli():
 UNREACHED_BY_DESIGN = {
     # the per-draw and bitwise tests of the composed interval map
     ("dynamics", "EnsembleHistory", "final_z"),
-    # the scipy Kolmogorov-Smirnov cross-checks of the sphere draws
-    ("bath", "SphereCheck", "radial"),
-    ("bath", "SphereCheck", "angles"),
 }
 
 
