@@ -3,9 +3,10 @@
 Submodules
 ----------
 exact        arithmetic in the field Q(i, sqrt(2)) for bracket identities
-phasespace   polynomial observables, Poisson brackets, leapfrog integration
+phasespace   exact polynomial algebra, Poisson brackets, leapfrog integration
 bargmann     the holomorphic function space, its basis, operators, kernels
-bath         Gibbs measure: moments, partition integrals, tilts, the sphere map
+bath         Gibbs measure: moments, partition integrals of a quadratic form,
+             tilts, the sphere map
 dynamics     evolution: spectral, transport PDE, damped, particle ensembles
 chain        the oscillator chain as a lattice field
 fits         log-log slope and decay-rate fits used by the checks

@@ -218,11 +218,18 @@ def run_coherent(args, report):
 
     other = bargmann.coherent_vector(0.3 - 0.2j, args.nmax, hbar)
     pairing = bargmann.kernel_eval(c, other)
-    pair_oracle = complex(np.exp(hbar * np.conj(c) * (0.3 - 0.2j)))
+    x = hbar * np.conj(c) * (0.3 - 0.2j)
+    pair_oracle = complex(np.exp(x))
+    # the pairing is exp(x) summed to x^nmax/nmax!: its Lagrange remainder
+    # |x|^(nmax+1) e^|x|/(nmax+1)! bounds the truncation
+    remainder = 0.0 if x == 0 else math.exp(
+        (args.nmax + 1) * math.log(abs(x)) + abs(x)
+        - math.lgamma(args.nmax + 2))
     report.add("coherent-kernel-pairing",
                "pairing with a coherent vector evaluates the function at "
                "hbar times the conjugate parameter",
-               abs(pairing - pair_oracle), 0.0, 1e-10 * abs(pair_oracle))
+               abs(pairing - pair_oracle), 0.0,
+               1e-10 * abs(pair_oracle) + remainder)
 
     lowered = bargmann.lowering_matrix(args.nmax, hbar) @ f.coeffs
     scaled = hbar * c * f.coeffs[:-1]
@@ -248,7 +255,7 @@ def run_commutator(args, report):
     # Dirac's correspondence [A, B] = i hbar {A, B}: the targets are i hbar
     # times the exact classical brackets, with z -> lower and zbar -> raise
     # under quadrature_operators' convention, so {z, zbar} = -i gives hbar
-    ring = PhaseRing.canonical(1)
+    ring = PhaseRing.canonical()
 
     def dirac_target(f, g):
         bracket = poisson_bracket(f, g).coefficient((0, 0))
@@ -505,8 +512,9 @@ def run_ensemble(args, report):
 
 
 def run_partition(args, report):
+    import numpy as np
+
     from . import bath
-    from .phasespace import PhaseRing, oscillator_hamiltonian
 
     oracle = bath.BathParams(args.beta, args.omega).h
     if not 0.0 < oracle < math.inf:
@@ -515,17 +523,16 @@ def run_partition(args, report):
         raise FloatingPointError(
             f"action cell 2 pi/(beta omega) = {oracle:g} is not positive "
             "and finite")
-    ring = PhaseRing.canonical(args.pairs)
-    h_poly = oscillator_hamiltonian(ring, args.omega)
+    a = args.omega * np.eye(2 * args.pairs)
 
-    an_z, an_h, an_se = bath.partition_estimate(h_poly, args.beta, args.pairs,
+    an_z, an_h, an_se = bath.partition_estimate(a, args.beta,
                                                 method="analytic")
     report.add("analytic-action-cell",
                "the Gaussian integral gives the action cell h = 2 pi/(beta omega)",
                an_h, oracle, 1e-12 * oracle)
 
     mc_z, mc_h, mc_se = bath.partition_estimate(
-        h_poly, args.beta, args.pairs, method="montecarlo",
+        a, args.beta, method="montecarlo",
         samples=args.samples, seed=args.seed,
         proposal_scale=args.proposal_scale)
     report.add("montecarlo-action-cell-1pct",
@@ -544,23 +551,21 @@ def run_variation(args, report):
     import numpy as np
 
     from . import bath
-    from .phasespace import PhaseRing, oscillator_hamiltonian
     from .fits import fit_loglog_slope
 
     if args.dt_min == args.dt_max:
         raise argparse.ArgumentTypeError(
             "--dt-min must differ from --dt-max: a slope needs two distinct "
             "steps")
-    ring = PhaseRing.canonical(args.pairs)
-    h_poly = oscillator_hamiltonian(ring, args.omega)
     dim = 2 * args.pairs
+    a = args.omega * np.eye(dim)
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal(dim)
 
     generators = [bath.symplectic_generator(args.pairs)]
     generators += [bath.random_antisymmetric(dim, rng)
                    for _ in range(args.count - 1)]
-    defects = [bath.generator_defect(x, h_poly, gen) for gen in generators]
+    defects = [bath.generator_defect(x, a, gen) for gen in generators]
     worst = float(np.max(defects))
     report.add("antisymmetric-defect",
                "the gradient is orthogonal to every antisymmetric image of "
@@ -569,7 +574,7 @@ def run_variation(args, report):
 
     dts = np.logspace(math.log10(args.dt_min), math.log10(args.dt_max),
                       args.dt_count)
-    changes = bath.gibbs_first_order_defect(x, h_poly, generators[0], dts)
+    changes = bath.gibbs_first_order_defect(x, a, generators[0], dts)
     slope = fit_loglog_slope(dts, changes)
     report.add("taylor-slope-second-order",
                "the energy change along the generated flow scales "
@@ -648,7 +653,9 @@ def run_sphere(args, report):
     report.add("sphere-angle-uniform",
                "the pushforward keeps the angle uniform (99% KS)",
                ks_angular, 0.0, threshold)
-    area = 4.0 * math.pi * radius ** 2
+    # the area matches the action cell at R^2 = hbar/2 whatever --radius2,
+    # which only the KS checks vary
+    area = 4.0 * math.pi * math.sqrt(bp.hbar / 2.0) ** 2
     h_oracle = bp.h
     report.add("sphere-area-matches-action-cell",
                "the sphere area 4 pi R^2 equals the action cell at the "

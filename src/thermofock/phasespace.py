@@ -30,7 +30,6 @@ __all__ = [
     "constant",
     "z_element",
     "zbar_element",
-    "oscillator_hamiltonian",
     "poisson_bracket",
     "hamilton_step",
     "hamilton_orbit",
@@ -51,15 +50,9 @@ class PhaseRing:
     degree_cap: int = DEFAULT_DEGREE_CAP
 
     @classmethod
-    def canonical(cls, n_pairs: int = 1, degree_cap: int = DEFAULT_DEGREE_CAP) -> "PhaseRing":
-        if n_pairs == 1:
-            names = ("q", "p")
-        else:
-            names = tuple(
-                name for k in range(1, n_pairs + 1) for name in (f"q{k}", f"p{k}")
-            )
-        pairs = tuple((2 * k, 2 * k + 1) for k in range(n_pairs))
-        return cls(names, pairs, degree_cap)
+    def canonical(cls) -> "PhaseRing":
+        """The ring of one canonical pair (q, p)."""
+        return cls(("q", "p"), ((0, 1),))
 
     def index(self, name: str) -> int:
         try:
@@ -92,10 +85,6 @@ class PhasePolynomial:
         self._terms = clean
 
     # -- inspection ----------------------------------------------------
-    def terms(self):
-        """Terms as (exponent tuple, SqrtTwoComplex) pairs, sorted."""
-        return sorted(self._terms.items())
-
     def coefficient(self, exponents) -> SqrtTwoComplex:
         return self._terms.get(tuple(int(e) for e in exponents), SqrtTwoComplex.ZERO)
 
@@ -115,7 +104,7 @@ class PhasePolynomial:
         if self.is_zero:
             return "PhasePolynomial(0)"
         bits = []
-        for expo, coeff in self.terms():
+        for expo, coeff in sorted(self._terms.items()):
             mono = "*".join(
                 f"{v}^{e}" if e > 1 else v
                 for v, e in zip(self.ring.variables, expo)
@@ -194,39 +183,6 @@ class PhasePolynomial:
             out[key] = term if prev is None else prev + term
         return PhasePolynomial(self.ring, out)
 
-    # -- evaluation ------------------------------------------------------
-    def _value_list(self, values) -> list:
-        if isinstance(values, Mapping):
-            return [values[v] for v in self.ring.variables]
-        seq = list(values)
-        if len(seq) != len(self.ring.variables):
-            raise ValueError("value sequence does not match ring variables")
-        return seq
-
-    def evaluate(self, values) -> complex:
-        vals = self._value_list(values)
-        total = 0j
-        for expo, coeff in self._terms.items():
-            term = complex(coeff)
-            for v, e in zip(vals, expo):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
-    def evaluate_array(self, values) -> np.ndarray:
-        """Vectorized evaluation; `values` maps each variable to an ndarray."""
-        vals = [np.asarray(v) for v in self._value_list(values)]
-        shape = np.broadcast_shapes(*(v.shape for v in vals))
-        total = np.zeros(shape, dtype=complex)
-        for expo, coeff in self._terms.items():
-            term = np.full(shape, complex(coeff))
-            for v, e in zip(vals, expo):
-                if e:
-                    term = term * v ** e
-            total += term
-        return total
-
 
 # -- constructors --------------------------------------------------------
 
@@ -255,16 +211,6 @@ def zbar_element(ring: PhaseRing) -> PhasePolynomial:
     q = variable(ring, ring.variables[iq])
     p = variable(ring, ring.variables[ip])
     return (q - p * _I) * _INV_SQRT2
-
-
-def oscillator_hamiltonian(ring: PhaseRing, omega: float) -> PhasePolynomial:
-    """H = sum_k omega/2 (q_k^2 + p_k^2)."""
-    out = constant(ring, 0)
-    for iq, ip in ring.pairs:
-        q = variable(ring, ring.variables[iq])
-        p = variable(ring, ring.variables[ip])
-        out = out + (q * q + p * p) * (SqrtTwoComplex.coerce(omega) / 2)
-    return out
 
 
 # -- brackets --------------------------------------------------------------

@@ -55,8 +55,13 @@ def test_partition_monte_carlo_example(tmp_path):
     assert (tmp_path / "partition_results.csv").exists()
 
 
-def test_coherent_accepts_complex_literals(tmp_path):
-    proc = run_cli("coherent", "--c", "0.3+0.4j", outdir=tmp_path)
+# a truncated pairing is held to exp's Lagrange remainder at --nmax, so a
+# small --nmax or a large --c passes too
+@pytest.mark.parametrize("argv", [("--c", "0.3+0.4j"), ("--nmax", "4"),
+                                  ("--nmax", "12", "--c", "3")],
+                         ids=["complex-c", "nmax-4", "nmax-12-c-3"])
+def test_coherent_accepts_complex_literals(tmp_path, argv):
+    proc = run_cli("coherent", *argv, outdir=tmp_path)
     assert proc.returncode == 0, proc.stderr
     report = read_report(tmp_path, "coherent")
     assert all(check["passed"] for check in report["checks"])

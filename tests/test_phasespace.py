@@ -21,7 +21,6 @@ from thermofock.phasespace import (
     constant,
     hamilton_orbit,
     hamilton_step,
-    oscillator_hamiltonian,
     poisson_bracket,
     variable,
     z_element,
@@ -39,10 +38,16 @@ def _random_poly(ring, rng, n_terms=4, max_exp=2):
     return out
 
 
+def _oscillator_hamiltonian(ring, omega):
+    """H = omega/2 (q^2 + p^2) on the ring's one pair."""
+    q, p = variable(ring, "q"), variable(ring, "p")
+    return (q * q + p * p) * (SqrtTwoComplex.coerce(omega) / 2)
+
+
 # -- exact bracket identities -------------------------------------------------
 
 def test_canonical_pair_bracket():
-    ring = PhaseRing.canonical(1)
+    ring = PhaseRing.canonical()
     q = variable(ring, "q")
     p = variable(ring, "p")
     one = constant(ring, 1)
@@ -53,7 +58,7 @@ def test_canonical_pair_bracket():
 
 def test_zbar_z_bracket_is_i():
     # {zbar, z}_(q,p) = i, exactly, including the 1/sqrt2 factors
-    ring = PhaseRing.canonical(1)
+    ring = PhaseRing.canonical()
     z = z_element(ring)
     zb = zbar_element(ring)
     bracket = poisson_bracket(zb, z)
@@ -62,9 +67,9 @@ def test_zbar_z_bracket_is_i():
 
 def test_hamiltonian_rotates_z():
     # {z, H} = -i w z: the generator of clockwise rotation in the z plane
-    ring = PhaseRing.canonical(1)
+    ring = PhaseRing.canonical()
     z = z_element(ring)
-    h = oscillator_hamiltonian(ring, 2.0)
+    h = _oscillator_hamiltonian(ring, 2.0)
     assert poisson_bracket(z, h) == z * (-2j)
     zb = zbar_element(ring)
     assert poisson_bracket(zb, h) == zb * 2j
@@ -72,7 +77,7 @@ def test_hamiltonian_rotates_z():
 
 def test_bracket_antisymmetry_and_leibniz():
     rng = np.random.default_rng(0)
-    ring = PhaseRing.canonical(2)
+    ring = PhaseRing(("q1", "p1", "q2", "p2"), ((0, 1), (2, 3)))
     for _ in range(20):
         # low-degree factors keep the g*h product inside the ring's cap
         f = _random_poly(ring, rng, max_exp=1)
@@ -87,7 +92,7 @@ def test_bracket_antisymmetry_and_leibniz():
 
 def test_jacobi_identity_exact():
     rng = np.random.default_rng(1)
-    ring = PhaseRing.canonical(1)
+    ring = PhaseRing.canonical()
     for _ in range(20):
         f = _random_poly(ring, rng)
         g = _random_poly(ring, rng)
@@ -104,7 +109,7 @@ def test_jacobi_identity_exact():
 
 def test_round_trip_is_the_identity():
     # q = (z + zbar)/sqrt2 and p = -i (z - zbar)/sqrt2 recover the pair exactly
-    ring = PhaseRing.canonical(1)
+    ring = PhaseRing.canonical()
     inv_sqrt2 = SqrtTwoComplex.INV_SQRT2
     z, zb = z_element(ring), zbar_element(ring)
     assert (z + zb) * inv_sqrt2 == variable(ring, "q")
@@ -115,7 +120,7 @@ def test_bracket_commutes_with_coordinate_change():
     # on functions of z, zbar the canonical bracket is
     # -i (dF/dz dG/dzbar - dF/dzbar dG/dz); for monomials z^a zbar^b that is
     # -i (a d - b c) z^(a+c-1) zbar^(b+d-1), exactly
-    ring = PhaseRing.canonical(1)
+    ring = PhaseRing.canonical()
     z, zb = z_element(ring), zbar_element(ring)
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -129,28 +134,14 @@ def test_bracket_commutes_with_coordinate_change():
 
 
 def test_hamiltonian_is_omega_zbar_z_in_normal_coordinates():
-    ring = PhaseRing.canonical(1)
+    ring = PhaseRing.canonical()
     for omega in (1.0, 0.75):
-        h = oscillator_hamiltonian(ring, omega)
+        h = _oscillator_hamiltonian(ring, omega)
         assert h == zbar_element(ring) * z_element(ring) * omega
 
 
-def test_evaluation_agrees_across_coordinates():
-    # a polynomial in z, zbar built exactly on (q, p) evaluates like the same
-    # expression in the complex number z = PhasePoint(q, p).to_z()
-    ring = PhaseRing.canonical(1)
-    rng = np.random.default_rng(6)
-    z, zb = z_element(ring), zbar_element(ring)
-    f = z ** 3 * zb - z * zb * 2 + zb ** 2 * (1 - 3j)
-    for _ in range(5):
-        q, p = rng.standard_normal(2)
-        w = PhasePoint(q, p).to_z()
-        via_z = w ** 3 * w.conjugate() - 2 * abs(w) ** 2 + w.conjugate() ** 2 * (1 - 3j)
-        assert f.evaluate([q, p]) == pytest.approx(via_z, abs=1e-12)
-
-
 def test_degree_cap_raises_capacity_error():
-    ring = PhaseRing.canonical(1, degree_cap=4)
+    ring = PhaseRing(("q", "p"), ((0, 1),), degree_cap=4)
     q = variable(ring, "q")
     with pytest.raises(CapacityError):
         (q ** 2) * (q ** 3)
