@@ -109,26 +109,22 @@ def _check_sites(state: ChainState, params: ChainParams):
         )
 
 
-def _stretch(q: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Bond stretches q_n - q_{n-1} with periodic boundary q_0 = q_N,
-    written into `out` by edge slices."""
-    np.subtract(q[1:], q[:-1], out=out[1:])
-    np.subtract(q[:1], q[-1:], out=out[:1])
-    return out
-
-
-def _energy(q: np.ndarray, p: np.ndarray, stretch: np.ndarray,
-            params: ChainParams) -> float:
-    return float(0.5 * (np.sum(p * p) / params.mass
-                        + params.gamma_couple * np.sum(stretch * stretch)
-                        + params.gamma * np.sum(q * q)))
+def _energy(q: np.ndarray, p: np.ndarray, params: ChainParams):
+    """Chain energy of each state along the last axis, with periodic boundary
+    q_0 = q_N.  An axis -1 sum over a block of rows gives each row's own sum
+    bit for bit."""
+    stretch = np.empty_like(q)
+    np.subtract(q[..., 1:], q[..., :-1], out=stretch[..., 1:])
+    np.subtract(q[..., :1], q[..., -1:], out=stretch[..., :1])
+    return 0.5 * (np.sum(p * p, axis=-1) / params.mass
+                  + params.gamma_couple * np.sum(stretch * stretch, axis=-1)
+                  + params.gamma * np.sum(q * q, axis=-1))
 
 
 def chain_energy(state: ChainState, params: ChainParams) -> float:
     """Total energy with periodic boundary q_0 = q_N."""
     _check_sites(state, params)
-    return _energy(state.q, state.p, _stretch(state.q, np.empty_like(state.q)),
-                   params)
+    return float(_energy(state.q, state.p, params))
 
 
 def dispersion(k, params: ChainParams):
@@ -236,31 +232,18 @@ class ChainTrajectory:
         return self.times.size
 
 
-_MAP_MAX_SITES = 64     # largest chain given a stride map: (2N)^2 floats, 128 KiB
+_WINDOW_FLOATS = 2 ** 18    # cap on the stride kernel's window buffer, 2 MiB
+_ENERGY_FLOATS = 2 ** 16    # snapshot floats per stability-check block
 
 
-def _uses_stride_map(n_sites: int, stride: int, n_snap: int) -> bool:
-    """integrate_chain's route rule: compose the stride map when 2N <= stride,
-    N <= _MAP_MAX_SITES and the run moves through at least 3 + N // 8
-    strides (n_snap counts the initial snapshot too), else step the stencil
-    between snapshots.  Building the map costs about a stride of the 2N-row
-    batch, which only enough products recover."""
-    return (2 * n_sites <= stride and n_sites <= _MAP_MAX_SITES
-            and n_snap - 1 >= 3 + n_sites // 8)
-
-
-def _leapfrog_strides(q0: np.ndarray, p0: np.ndarray, params: ChainParams,
-                      h: float, decay: float, stride: int):
-    """Kick-drift-kick leapfrog along the last axis of (..., N) states.
-
-    Yields the live (q, p) buffers after every `stride` steps, without end;
-    the caller copies what it keeps.  The force is evaluated once per step: q
-    does not move between a step's closing half-kick and the next step's
-    opening one, so both add the same kick.  The stencil is written into
-    preallocated buffers, with q padded by two ghost sites in place of
-    np.roll, in the order 2 q_n, minus q_{n-1}, minus q_{n+1}, times
-    -gamma_c, minus gamma q_n; every float therefore matches the textbook
-    loop that evaluates the force twice per step, row by row.
+def _leapfrog_stride(q0: np.ndarray, p0: np.ndarray, params: ChainParams,
+                     h: float, decay: float, stride: int):
+    """`stride` kick-drift-kick steps of the (..., N) states (q0, p0) along the
+    last axis; returns (q, p).  The force is evaluated once per step (q does
+    not move between a closing half-kick and the next opening one) into
+    preallocated buffers, q padded by two ghost sites in place of np.roll, in
+    the order 2 q_n, minus q_{n-1}, minus q_{n+1}, times -gamma_c, minus
+    gamma q_n: every float matches the textbook loop, row by row.
     """
     damped = decay != 1.0
     # q sits between two ghost sites that hold its periodic neighbours
@@ -289,18 +272,32 @@ def _leapfrog_strides(q0: np.ndarray, p0: np.ndarray, params: ChainParams,
         np.multiply(kick, half_h, out=kick)
 
     half_kick()
-    while True:
-        for _ in range(stride):
-            p += kick
-            if damped:
-                p *= decay
-            np.multiply(p, h_over_m, out=work)
-            q += work
-            if damped:
-                p *= decay
-            half_kick()
-            p += kick
-        yield q, p
+    for _ in range(stride):
+        p += kick
+        if damped:
+            p *= decay
+        np.multiply(p, h_over_m, out=work)
+        q += work
+        if damped:
+            p *= decay
+        half_kick()
+        p += kick
+    return q, p
+
+
+def _stride_kernel(params: ChainParams, h: float, decay: float,
+                   stride: int) -> np.ndarray:
+    """One stride as a circulant kernel (2, 2, w), w = min(N, 2 stride + 3):
+    entry [d, c, i] is what channel c (0 for q, 1 for p) at site n + i - w // 2
+    adds to channel d at site n.  Kicks couple nearest neighbours, so a delta
+    moves q by at most `stride` sites and p by one more; the kernel is read
+    off a q-delta and a p-delta at site 0, stepped as one (2, N) batch."""
+    n = params.n_sites
+    delta = np.zeros((2, n))
+    delta[0, 0] = 1.0
+    q, p = _leapfrog_stride(delta, delta[::-1], params, h, decay, stride)
+    width = min(n, 2 * stride + 3)
+    return np.take(np.stack((q, p)), (width // 2 - np.arange(width)) % n, axis=-1)
 
 
 def integrate_chain(state: ChainState, params: ChainParams, duration: float,
@@ -309,38 +306,26 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
     """Leapfrog (kick-drift-kick) evolution with optional per-site friction.
 
     Friction enters as the exact momentum decay e^{-alpha dt/2} on either
-    side of the drift, so alpha = 0 is bit-for-bit the symplectic scheme.
-    The step must satisfy dt < 2/w_max or the scheme is linearly unstable;
-    energy growth past 10x the initial value, or to NaN, aborts with
-    StabilityError, and so does an initial energy whose 10x cap is not
-    finite.  Snapshots are taken every `stride` steps (uniformly
-    spaced; the step count is rounded up to a multiple of stride so the run
-    ends on one).  The trajectory carries each snapshot's chain_energy, the
-    same numbers the stability check tested.
+    side of the drift.  The step must satisfy dt < 2/w_max or the scheme is
+    linearly unstable; energy growth past 10x the initial value, or to NaN,
+    aborts with StabilityError at the end of the first block of snapshots
+    that holds one, and so does an initial energy whose 10x cap is not
+    finite.  Snapshots are taken every `stride` steps (the step count is
+    rounded up to a multiple of stride so the run ends on one), each with
+    its chain_energy, the numbers the stability check tested.
 
-    Both routes step with _leapfrog_strides, the one step rule:
-    - stencil: the (N,) state is stepped from snapshot to snapshot, bit for
-      bit the textbook loop;
-    - stride map: the scheme is linear, so `stride` steps are one 2N x 2N
-      map.  It is built by stepping the 2N unit vectors as one batch, friction
-      included, and the state then moves by one product with it per
-      snapshot: the same scheme up to rounding (Hairer, Lubich & Wanner,
-      Geometric Numerical Integration, ch. IX).
-    The map is taken when 2N <= stride, N <= 64 and the run has at least
-    3 + N // 8 strides (_uses_stride_map).  A product then costs
-    4N^2 <= 2N * stride multiply-adds, fewer than the ~12N * stride element
-    operations of the stencil steps it replaces, in one call where they make
-    about 12 * stride: small chains are bound by per-call overhead.  The cap
-    bounds the map at 128 KiB whatever the stride.  Building the map costs
-    about one stride of the 2N-row batch, so a run of few strides stays on
-    the stencil.  Map time over stencil time, 2 cores, friction 0.01, best of
-    15, stride 2N to 8N, at the rule's edge: 0.61-0.82 for N <= 4 (3
-    strides), 0.39-0.54 for N = 8 to 32, 0.52-0.81 at N = 64 (11); one
-    stride costs 1.4-2.0x for N <= 16 and 5.5-5.8x at N = 64, and one
-    stride short of the edge up to 1.12x.
-    At N = 16, stride 40, 20 000 steps took 0.21 s stenciled and 0.009 s
-    mapped.  chain-dispersion (N >= 256, stride 12) stays on the stencil,
-    which a09 tests against the dispersion formula.
+    The scheme is linear and the chain uniform and periodic, so `stride`
+    steps are one translation-invariant map (Hairer, Lubich & Wanner,
+    Geometric Numerical Integration, ch. IX): a circulant whose kernel,
+    w = min(N, 2 stride + 3) sites wide, _stride_kernel builds with the
+    stencil.  Each snapshot gathers the (2, N) state into a wrapped buffer,
+    copies its windows into a (2w, N) matrix, in blocks of sites (and of taps
+    for the widest kernels) of at most _WINDOW_FLOATS floats, and multiplies
+    that by the (2, 2w) kernel: 4wN multiply-adds in a few calls, where the
+    stencil makes about 12N * stride in about 12 * stride.  The product sums
+    in another order than the stencil, so the two agree to rounding.  It is
+    never applied by FFT, which would step in mode space, where
+    spectral_dispersion measures.
     """
     _check_sites(state, params)
     if not (duration > 0 and math.isfinite(duration)):
@@ -372,32 +357,43 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
     ps = np.empty_like(qs)
     energies = np.empty(n_snap)
     qs[0], ps[0], energies[0] = state.q, state.p, e0
-    stretch = np.empty(n)
 
-    def record(s, q, p):
-        qs[s], ps[s] = q, p
-        energy = _energy(qs[s], ps[s], _stretch(qs[s], stretch), params)
-        if not energy <= e_cap:
+    kernel = _stride_kernel(params, h, decay, stride)
+    width = kernel.shape[-1]
+    taps = min(width, _WINDOW_FLOATS // 2)
+    sites = min(n, _WINDOW_FLOATS // (2 * taps))
+    buffer = np.empty(2 * taps * sites)
+    wrap = (np.arange(n + width - 1) - width // 2) % n
+    wrapped = np.empty((2, n + width - 1))
+    # windows[c, i, n] is channel c at site n + i - width // 2
+    windows = np.lib.stride_tricks.sliding_window_view(wrapped, n, axis=1)
+    x = np.stack((state.q, state.p))
+    kernels = {t: kernel[..., t:t + taps].reshape(2, -1) for t in range(0, width, taps)}
+    blocks = []     # windows, their copy, kernel taps, output sites, add in
+    for lo in range(0, n, sites):
+        for t, k in kernels.items():
+            window = windows[:, t:t + taps, lo:lo + sites]
+            blocks.append((window, buffer[:window.size].reshape(window.shape),
+                           k, x[:, lo:lo + sites], t > 0))
+    check_rows = max(1, _ENERGY_FLOATS // n)
+    for s in range(1, n_snap):
+        x.take(wrap, axis=1, out=wrapped)
+        for window, copy, k, out, add in blocks:
+            np.copyto(copy, window)
+            if add:
+                out += k @ copy.reshape(k.shape[1], -1)
+            else:
+                np.matmul(k, copy.reshape(k.shape[1], -1), out=out)
+        qs[s], ps[s] = x
+        if s % check_rows and s < n_snap - 1:
+            continue
+        block = slice(s - (s - 1) % check_rows, s + 1)
+        energies[block] = _energy(qs[block], ps[block], params)
+        over = np.flatnonzero(~(energies[block] <= e_cap))
+        if over.size:
             raise StabilityError(
-                f"energy grew to {energy:.3g} (initial {e0:.3g}); reduce dt"
-            )
-        energies[s] = energy
-
-    if _uses_stride_map(n, stride, n_snap):
-        unit = np.eye(2 * n)
-        mq, mp = next(_leapfrog_strides(unit[:, :n], unit[:, n:], params, h,
-                                        decay, stride))
-        # row i is where one stride takes the i-th unit vector, so x @ m steps x
-        m = np.concatenate((mq, mp), axis=1)
-        x = np.concatenate((state.q, state.p))
-        for s in range(1, n_snap):
-            x = x @ m
-            record(s, x[:n], x[n:])
-    else:
-        strides = _leapfrog_strides(state.q, state.p, params, h, decay, stride)
-        # range comes first, so zip stops without stepping past the last snapshot
-        for s, (q, p) in zip(range(1, n_snap), strides):
-            record(s, q, p)
+                f"energy grew to {energies[block][over[0]]:.3g} (initial {e0:.3g}); "
+                "reduce dt")
     times = h * stride * np.arange(n_snap)
     return ChainTrajectory(times=times, q=qs, p=ps, energies=energies)
 

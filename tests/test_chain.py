@@ -14,10 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thermofock import cli
+from thermofock import chain, cli
 from thermofock.chain import (
-    _MAP_MAX_SITES,
-    _uses_stride_map,
+    _leapfrog_stride,
+    _stride_kernel,
     ChainParams,
     ChainState,
     chain_energy,
@@ -210,6 +210,13 @@ def test_snapshots_are_uniform_and_cover_the_duration():
     assert traj.times[-1] == pytest.approx(1.0, rel=1e-12)
 
 
+def _step_size(duration, dt, stride):
+    """integrate_chain's step: the step count rounded up to whole strides."""
+    n_steps = max(1, math.ceil(duration / dt - 1e-12))
+    n_steps = stride * math.ceil(n_steps / stride)
+    return n_steps, duration / n_steps
+
+
 def _roll_leapfrog(state, params, duration, dt, friction=0.0, stride=1):
     """Reference: the textbook kick-drift-kick loop with np.roll stencils and
     two force evaluations per step, as integrate_chain once ran it."""
@@ -218,9 +225,7 @@ def _roll_leapfrog(state, params, duration, dt, friction=0.0, stride=1):
         gc = params.gamma_couple
         return -gc * (2.0 * q - np.roll(q, 1) - np.roll(q, -1)) - params.gamma * q
 
-    n_steps = max(1, math.ceil(duration / dt - 1e-12))
-    n_steps = stride * math.ceil(n_steps / stride)
-    h = duration / n_steps
+    n_steps, h = _step_size(duration, dt, stride)
     decay = math.exp(-friction * h / 2.0)
     m = params.mass
     q = state.q.copy()
@@ -248,6 +253,22 @@ def _random_state(n, seed):
     return ChainState(rng.standard_normal(n), rng.standard_normal(n))
 
 
+def _assert_matches_roll_reference(traj, params, state, run):
+    """Same times; every snapshot within 1e-12 relative of the reference, the
+    stride kernel summing in another order than the stencil; and each
+    snapshot's energy is chain_energy of that snapshot, bit for bit."""
+    times, qs, ps = _roll_leapfrog(state, params, **run)
+    assert np.array_equal(traj.times, times)
+    got = np.concatenate((traj.q, traj.p), axis=1)
+    want = np.concatenate((qs, ps), axis=1)
+    err = np.linalg.norm(got - want, axis=1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
+    energies = [chain_energy(ChainState(traj.q[i], traj.p[i]), params)
+                for i in range(traj.n_snapshots)]
+    assert traj.energies.tolist() == energies
+    return times, qs, ps
+
+
 @pytest.mark.parametrize("params, state, run", [
     # N = 2: left and right neighbour are the same site
     (ChainParams(n_sites=2, mass=2.0, gamma=0.7, gamma_couple=1.3),
@@ -263,12 +284,15 @@ def _random_state(n, seed):
 ], ids=["two-sites", "gamma-zero", "coupling-zero", "friction-stride", "thermal-64"])
 def test_buffered_leapfrog_matches_roll_reference_bit_for_bit(params, state, run):
     traj = integrate_chain(state, params, **run)
-    times, qs, ps = _roll_leapfrog(state, params, **run)
-    for got, want in ((traj.times, times), (traj.q, qs), (traj.p, ps)):
-        assert np.array_equal(got, want)
-        assert got.tobytes() == want.tobytes()      # signed zeros too
-    energies = [chain_energy(ChainState(traj.q[i], traj.p[i]), params) for i in range(traj.n_snapshots)]
-    assert traj.energies.tolist() == energies
+    _, qs, ps = _assert_matches_roll_reference(traj, params, state, run)
+    # one stride of the buffered batch step takes every reference snapshot
+    # to the next one, signed zeros included
+    stride = run.get("stride", 1)
+    _, h = _step_size(run["duration"], run["dt"], stride)
+    decay = math.exp(-run.get("friction", 0.0) * h / 2.0)
+    q, p = _leapfrog_stride(qs[:-1], ps[:-1], params, h, decay, stride)
+    assert q.tobytes() == qs[1:].tobytes()
+    assert p.tobytes() == ps[1:].tobytes()
 
 
 def test_blow_up_to_nan_raises_stability_error():
@@ -303,24 +327,35 @@ def _roll_stride_map(params, h, stride, friction):
     return np.array(rows)
 
 
+def _kernel_map(kernel, n):
+    """The 2N x 2N stride map whose rows the circulant kernel gives: entry
+    [d, c, i] moves channel c at site n + i - w // 2 into channel d at n."""
+    width = kernel.shape[-1]
+    dense = np.zeros((2 * n, 2 * n))
+    for site in range(n):
+        sources = (site + np.arange(width) - width // 2) % n
+        for c in range(2):
+            for d in range(2):
+                dense[c * n + sources, d * n + site] = kernel[d, c]
+    return dense
+
+
 def test_stride_map_route_is_the_unit_vector_map_bit_for_bit():
     # h = 1/32 and one stride, 40 h = 1.25, are exact, so every unit-vector
-    # run of the reference takes the trajectory's own step
-    params = ChainParams(n_sites=16)
-    state = sample_thermal_state(params, 1.0, 5)
-    h, stride = 1.0 / 32.0, 40
-    assert _uses_stride_map(params.n_sites, stride, 33)
-    traj = integrate_chain(state, params, duration=40.0, dt=h, friction=0.05,
-                           stride=stride)
-    assert traj.n_snapshots == 33
-    m = _roll_stride_map(params, h, stride, friction=0.05)
-    x = np.concatenate((state.q, state.p))
-    for s in range(1, traj.n_snapshots):
-        x = x @ m
-        assert traj.q[s].tobytes() == x[:16].tobytes()
-        assert traj.p[s].tobytes() == x[16:].tobytes()
-    energies = [chain_energy(ChainState(traj.q[i], traj.p[i]), params) for i in range(traj.n_snapshots)]
-    assert traj.energies.tolist() == energies
+    # run of the reference takes the step the kernel was built with.  The
+    # kernel wraps when 2 stride + 3 > N (two sites at stride 1, 16 sites at
+    # stride 40) and is banded otherwise (256 sites at a09's stride 12)
+    h = 1.0 / 32.0
+    for params, stride, friction, width in (
+            (ChainParams(n_sites=2, gamma=0.7, gamma_couple=1.3), 1, 0.0, 2),
+            (ChainParams(n_sites=16), 40, 0.05, 16),
+            (ChainParams(n_sites=256), 12, 0.05, 27)):
+        decay = math.exp(-friction * h / 2.0)
+        kernel = _stride_kernel(params, h, decay, stride)
+        assert kernel.shape == (2, 2, width)
+        # the unit-vector run from every site is the shifted site-0 response
+        want = _roll_stride_map(params, h, stride, friction)
+        assert _kernel_map(kernel, params.n_sites).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("params, friction", [
@@ -331,27 +366,52 @@ def test_stride_map_route_is_the_unit_vector_map_bit_for_bit():
 def test_stride_map_route_matches_roll_reference(params, friction):
     state = _random_state(16, 7)
     run = dict(duration=100.0, dt=0.025, friction=friction, stride=40)
-    assert _uses_stride_map(params.n_sites, run["stride"], 101)
     traj = integrate_chain(state, params, **run)
-    times, qs, ps = _roll_leapfrog(state, params, **run)
-    assert np.array_equal(traj.times, times)
-    got = np.concatenate((traj.q, traj.p), axis=1)
-    want = np.concatenate((qs, ps), axis=1)
-    err = np.linalg.norm(got - want, axis=1)
-    assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
+    times, _, _ = _assert_matches_roll_reference(traj, params, state, run)
     if params.gamma == 0.0:
         # the centre of mass really moves: sum q grows by sum p per unit time
         drift = float(np.sum(state.p)) * (times[-1] - times[0])
         assert abs(np.sum(traj.q[-1]) - np.sum(state.q) - drift) <= 1e-9 * abs(drift)
 
 
+@pytest.mark.parametrize("window_floats", [2 ** 18, 64, 16],
+                         ids=["whole", "site-blocks", "tap-blocks"])
+def test_windowed_product_matches_roll_reference_in_blocks(monkeypatch,
+                                                           window_floats):
+    # a09's 256 sites at stride 12, a kernel 27 sites wide: one window matrix,
+    # one site per block, and blocks of 8 taps that sum into each site
+    monkeypatch.setattr(chain, "_WINDOW_FLOATS", window_floats)
+    params = ChainParams(n_sites=256)
+    state = sample_thermal_state(params, 1.0, 3)
+    run = dict(duration=30.0, dt=0.05, friction=0.01, stride=12)
+    traj = integrate_chain(state, params, **run)
+    _assert_matches_roll_reference(traj, params, state, run)
+
+
+def test_window_buffer_is_capped_whatever_the_kernel_width():
+    # 4096 sites at stride 1000: the kernel is 2003 sites wide, and one
+    # window matrix would hold 4096 x 4006 floats, 125 MiB
+    params = ChainParams(n_sites=4096)
+    state = sample_thermal_state(params, 1.0, 1)
+    tracemalloc.start()
+    try:
+        traj = integrate_chain(state, params, duration=100.0, dt=0.05,
+                               stride=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.n_snapshots == 3
+    # the window buffer and a few arrays of N + w floats
+    assert peak <= 2 * 8 * chain._WINDOW_FLOATS
+
+
 @pytest.mark.parametrize("stride", [1, 16], ids=["stencil", "stride-map"])
 def test_blow_up_to_inf_raises_stability_error_on_either_route(stride):
     # the zone-boundary mode at dt just below 2/w_max: energy finite at the
     # start (1.6e307, cap 1.6e308) but carried by p alone, so at the extremes
-    # of q it is ~5000x larger and overflows to inf
+    # of q it is ~5000x larger and overflows to inf; the kernel is banded at
+    # stride 1 and wraps at stride 16
     params = ChainParams(n_sites=8)
-    assert _uses_stride_map(params.n_sites, stride, 640 // stride + 1) == (stride == 16)
     dt = (1.0 - 1e-4) * 2.0 / params.omega_max
     state = ChainState(np.zeros(8), 2e153 * np.array([1.0, -1.0] * 4))
     assert math.isfinite(10.0 * chain_energy(state, params))
@@ -360,31 +420,22 @@ def test_blow_up_to_inf_raises_stability_error_on_either_route(stride):
         integrate_chain(state, params, duration=640 * dt, dt=dt, stride=stride)
 
 
-def test_route_rule_keeps_dispersion_on_the_stencil_and_caps_the_map():
-    parser = cli.build_parser()
-    dispersion_args = parser.parse_args(["chain-dispersion", "--seed", "1"])
-    assert (dispersion_args.sites, dispersion_args.stride) == (256, 12)
-    for sites in (256, 1024):
-        assert not _uses_stride_map(sites, dispersion_args.stride, 10**6)
-    relax_args = parser.parse_args(["relax", "--seed", "1"])
-    # relax at its defaults: t_max = 10 / alpha, 40 000 steps, 1001 snapshots
-    assert _uses_stride_map(relax_args.sites, relax_args.stride, 1001)
-    # the rule's edge at the relax size: the map when 2N <= stride
-    assert _uses_stride_map(16, 32, 1001) and not _uses_stride_map(16, 31, 1001)
-    # building the map costs about one stride of the 2N-row batch, so a run
-    # needs 3 + N // 8 strides to recover it
-    for sites, strides in ((2, 3), (8, 4), (16, 5), (64, 11)):
-        assert _uses_stride_map(sites, 2 * sites, strides + 1)
-        assert not _uses_stride_map(sites, 2 * sites, strides)
-    assert not _uses_stride_map(16, 40, 2)       # relax's size, one stride
-    # the map holds (2N)^2 floats; the cap bounds it at 128 KiB for any stride
-    for sites in (2, 16, 64, 128, 1024, 262144):
-        for stride in (1, 12, 128, 10**6):
-            if _uses_stride_map(sites, stride, 10**6):
-                assert sites <= _MAP_MAX_SITES
-                assert (2 * sites) ** 2 * 8 <= 128 * 1024
-    assert (_uses_stride_map(64, 10**6, 10**6)
-            and not _uses_stride_map(128, 10**6, 10**6))
+def test_blow_up_raises_at_the_end_of_its_energy_block(monkeypatch):
+    # blocks of 5 snapshots, the first ending at snapshot 5: the energy of the
+    # zone-boundary mode passes the cap mid-block, and the block's first
+    # snapshot over the cap is the one reported
+    monkeypatch.setattr(chain, "_ENERGY_FLOATS", 5 * 8)
+    params = ChainParams(n_sites=8)
+    run = dict(duration=640 * 0.99 * 2.0 / params.omega_max,
+               dt=0.99 * 2.0 / params.omega_max)
+    state = ChainState(np.zeros(8), 1e-3 * np.array([1.0, -1.0] * 4))
+    _, qs, ps = _roll_leapfrog(state, params, **run)
+    energies = np.array([chain_energy(ChainState(q, p), params)
+                         for q, p in zip(qs, ps)])
+    first = int(np.flatnonzero(energies > 10.0 * energies[0])[0])
+    assert first % 5 != 0
+    with pytest.raises(StabilityError, match=f"grew to {energies[first]:.3g} "):
+        integrate_chain(state, params, **run)
 
 
 def test_spectral_dispersion_transient_memory_is_bounded():
@@ -423,11 +474,21 @@ def test_spectral_peak_of_a_single_mode():
     traj = integrate_chain(state, params, duration=60.0 * math.pi, dt=0.05,
                            stride=8)
     measured, resolution = spectral_dispersion(traj, params)
-    # reality of q excites the mirror -k as well; every other mode measures
-    # NaN as unexcited, not a faked frequency
-    resolved = np.flatnonzero(~np.isnan(measured))
-    np.testing.assert_array_equal(resolved, [5, 11])
-    assert np.all(np.abs(measured[resolved] - omega[resolved]) <= resolution)
+    # every mode but 5 and its mirror 11 measures NaN as unexcited, not a
+    # faked frequency
+    np.testing.assert_array_equal(np.flatnonzero(~np.isnan(measured)), [5, 11])
+    assert abs(measured[5] - omega[5]) <= resolution
+    # mode 11 holds only leapfrog leakage of mode 5, of relative size
+    # (w h)^2 / 16, with equal peaks at +w and -w: which sign its argmax
+    # picks is left to rounding
+    amps, _ = mode_amplitudes(traj.q, traj.p, params)
+    mag = np.abs(np.fft.fft(amps, axis=0))
+    peak = int(np.argmax(mag[:, 5]))
+    mirror = traj.n_snapshots - peak
+    assert abs(mag[peak, 11] - mag[mirror, 11]) <= 1e-9 * mag[peak, 11]
+    h = traj.times[1] / 8
+    leakage = np.max(mag[:, 11]) / np.max(mag[:, 5])
+    assert leakage == pytest.approx((omega[5] * h) ** 2 / 16.0, rel=0.01)
 
 
 def test_spectral_dispersion_full_thermal_band():

@@ -13,6 +13,7 @@ import warnings
 import pytest
 
 from thermofock import cli
+from thermofock.reports import ExperimentReport
 
 
 def run_cli(*args, outdir=None, env_extra=None):
@@ -118,6 +119,44 @@ def test_failed_check_exits_one_and_reports_it(tmp_path):
     report = read_report(tmp_path, "partition")
     assert not all(check["passed"] for check in report["checks"])
     assert "FAIL" in proc.stdout
+
+
+_INTERIOR = ("ladder-commutator-interior",
+             "position-momentum-commutator-interior")
+
+
+def _commutator_checks(hbar, nmax=64):
+    args = cli.build_parser().parse_args(
+        ["commutator", "--hbar", str(hbar), "--nmax", str(nmax)])
+    report = ExperimentReport(args.command, cli._config_echo(args))
+    cli.RUNNERS[args.command](args, report)
+    return {check.name: check for check in report.checks}
+
+
+@pytest.mark.parametrize("hbar, nmax", [(1, 16), (0.5, 32), (2, 64), (1, 64)])
+def test_a02_commutator_tolerance_stays_at_its_floor(hbar, nmax):
+    # the scaled term 4 eps nmax hbar is at most 1.1e-13 at a02's invocations
+    scaled = 4.0 * sys.float_info.epsilon * nmax * hbar
+    print(f"hbar {hbar}, nmax {nmax}: scaled term {scaled:.3g}, floor 1e-12")
+    assert scaled <= 1.2e-13
+    checks = _commutator_checks(hbar, nmax)
+    for name in _INTERIOR:
+        assert checks[name].tolerance == 1e-12 and checks[name].passed
+
+
+@pytest.mark.parametrize("hbar", [0.25, 4, 64, 100])
+def test_commutator_interior_verdicts_hold_at_every_hbar(hbar):
+    # residual / hbar is the same at every power-of-four hbar, and the
+    # tolerance grows with the entries once 4 eps nmax hbar passes 1e-12
+    checks = _commutator_checks(hbar)
+    for name in _INTERIOR:
+        assert checks[name].passed, cli.format_check(checks[name])
+        assert checks[name].tolerance == max(
+            1e-12, 4.0 * sys.float_info.epsilon * 64 * hbar)
+    ladder = checks["ladder-commutator-interior"].measured
+    if hbar in (0.25, 4, 64):
+        assert ladder / hbar == _commutator_checks(1)[
+            "ladder-commutator-interior"].measured
 
 
 def test_damped_ensemble_passes_against_the_exact_flow(tmp_path):

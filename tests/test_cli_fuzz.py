@@ -10,8 +10,8 @@ type has no strategy here fails the walk, so no flag goes unfuzzed.
 The per-command tests below draw wider ranges on the routes they name.
 
 Chain commands: random small chains, strides, steps and friction.  Strides
-up to 80 on chains of up to 32 sites reach both integration routes, the
-stencil (2N > stride) and the stride map (2N <= stride).  Run lengths are
+up to 80 on chains of up to 32 sites reach both shapes of the stride
+kernel's windows: wrapped (2 stride + 3 > N) and banded.  Run lengths are
 drawn as 8 to 40 strides (at most 3200 steps), so chain-dispersion has the
 8 snapshots its spectrum needs.
 
