@@ -143,7 +143,7 @@ def dispersion(k, params: ChainParams):
     return float(w) if np.isscalar(k) or k_arr.ndim == 0 else w
 
 
-_ROW_BLOCK = 256     # rows of p transformed at once by mode_amplitudes
+_ROW_BLOCK = 256     # rows of q and p transformed at once by mode_amplitudes
 
 
 def mode_amplitudes(q: np.ndarray, p: np.ndarray, params: ChainParams):
@@ -151,29 +151,41 @@ def mode_amplitudes(q: np.ndarray, p: np.ndarray, params: ChainParams):
     a_j = (sqrt(m w_j) Q_j + i P_j / sqrt(m w_j)) / sqrt(2), Q and P the
     unitary DFTs of q and p, so that sum_j w_j |a_j|^2 is the chain energy;
     returns (a, omega).  Every w_j must be positive, as in a chain that
-    sample_thermal_state accepts.  a is formed in Q's buffer, and P is
-    transformed and added in blocks of rows, so the peak is the transform
-    of q rather than Q plus a full P.
+    sample_thermal_state accepts.
+
+    a is written into one complex array of q's shape, the only buffer of
+    that size: blocks of rows take the half-spectrum rfft of q and of p,
+    form a_j for 0 <= j <= N/2, and fill the negative wavenumbers from the
+    Hermitian symmetry of a real input, Q_{-j} = conj(Q_j) and
+    P_{-j} = conj(P_j), so a_{-j} = conj(W_j Q_j - i P_j / W_j) / sqrt(2)
+    (Sorensen et al., IEEE TASSP 35 (1987)).
     """
     n = params.n_sites
     if q.shape[-1] != n:
         raise ValueError(f"state has {q.shape[-1]} sites, params expect {n}")
-    root_n = math.sqrt(n)
     omega = dispersion(params.wavenumbers, params)
-    amps = np.fft.fft(q, axis=-1)
-    amps /= root_n
-    weight = np.sqrt(params.mass * omega)
-    amps *= weight
+    half = n // 2 + 1                   # wavenumbers 0 .. N/2
+    mirrored = n - half                 # wavenumbers -1 .. -(N-1)/2
+    weight = np.sqrt(params.mass * omega[:half])
+    root_2n = math.sqrt(2.0 * n)
+    q_factor = weight / root_2n
+    p_factor = 1j / (weight * root_2n)
+    amps = np.empty(q.shape, dtype=complex)
     rows_a = amps.reshape(-1, n)
+    rows_q = np.reshape(q, (-1, n))
     rows_p = np.reshape(p, (-1, n))
     for start in range(0, rows_a.shape[0], _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
-        bigp = np.fft.fft(rows_p[block], axis=-1)
-        bigp /= root_n
-        bigp *= 1j
-        bigp /= weight
-        rows_a[block] += bigp
-    amps /= math.sqrt(2.0)
+        bigq = np.fft.rfft(rows_q[block], axis=-1)
+        bigq *= q_factor
+        bigp = np.fft.rfft(rows_p[block], axis=-1)
+        bigp *= p_factor
+        # columns N-1 down to `half` hold wavenumbers -1 .. -mirrored
+        negative = rows_a[block, half:][:, ::-1]
+        np.subtract(bigq[:, 1:mirrored + 1], bigp[:, 1:mirrored + 1],
+                    out=negative)
+        np.conjugate(negative, out=negative)
+        np.add(bigq, bigp, out=rows_a[block, :half])
     return amps, omega
 
 
@@ -211,7 +223,9 @@ def sample_thermal_state(params: ChainParams, beta: float, seed) -> ChainState:
 @dataclass(frozen=True, eq=False)
 class ChainTrajectory:
     """Strided leapfrog snapshots: times (S,), q and p (S, N), and the
-    chain energy of each snapshot (S,)."""
+    chain energy of each snapshot (S,).  Float arrays are taken as they are
+    and made read-only in place, not copied, so integrate_chain's fresh
+    buffers become the trajectory's; anything else is converted once."""
 
     times: np.ndarray
     q: np.ndarray
@@ -220,7 +234,7 @@ class ChainTrajectory:
 
     def __post_init__(self):
         for name in ("times", "q", "p", "energies"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if (self.q.shape != self.p.shape or self.q.shape[0] != self.times.size
@@ -234,6 +248,7 @@ class ChainTrajectory:
 
 _WINDOW_FLOATS = 2 ** 18    # cap on the stride kernel's window buffer, 2 MiB
 _ENERGY_FLOATS = 2 ** 16    # snapshot floats per stability-check block
+_SPECTRUM_FLOATS = 2 ** 16  # |spectrum| floats per block of modes
 
 
 def _leapfrog_stride(q0: np.ndarray, p0: np.ndarray, params: ChainParams,
@@ -407,22 +422,40 @@ def spectral_dispersion(traj: ChainTrajectory, params: ChainParams):
     peaks at signed frequency -w_j; the peak is refined by parabolic
     interpolation on log|X| and reported as a positive frequency.  A mode
     with no excitation (or no curvature at the peak) measures NaN.
+
+    The time spectrum X is taken in place in mode_amplitudes' output, the
+    one complex buffer of the trajectory's size.  |X| is formed in blocks
+    of modes of at most _SPECTRUM_FLOATS floats, each block giving its
+    modes' peaks and the two neighbours of each in one argmax.
     """
     n_snap = traj.n_snapshots
+    n = params.n_sites
     dt_snap = float(traj.times[1] - traj.times[0])
     amps, _ = mode_amplitudes(traj.q, traj.p, params)
-    mag = np.abs(np.fft.fft(amps, axis=0))
-    measured = np.full(params.n_sites, np.nan)
-    scale = float(np.max(mag)) if mag.size else 0.0
-    for j in range(params.n_sites):
-        col = mag[:, j]
-        i_peak = int(np.argmax(col))
-        peak = col[i_peak]
+    spectrum = np.fft.fft(amps, axis=0, out=amps)
+    width = max(1, _SPECTRUM_FLOATS // n_snap)      # modes per block
+    mag = np.empty((min(width, n), n_snap))
+    i_peaks = np.empty(n, dtype=int)
+    below, peaks, above = np.empty((3, n))
+    for lo in range(0, n, width):
+        cols = slice(lo, min(lo + width, n))
+        block = mag[:cols.stop - lo]
+        np.abs(spectrum[:, cols].T, out=block)
+        i_peak = np.argmax(block, axis=1)
+        rows = np.arange(block.shape[0])
+        i_peaks[cols] = i_peak
+        below[cols] = block[rows, (i_peak - 1) % n_snap]
+        peaks[cols] = block[rows, i_peak]
+        above[cols] = block[rows, (i_peak + 1) % n_snap]
+    measured = np.full(n, np.nan)
+    scale = float(np.max(peaks))
+    for j, (i_peak, low, peak, high) in enumerate(zip(
+            i_peaks.tolist(), below.tolist(), peaks.tolist(), above.tolist())):
         if peak <= 1e-12 * max(scale, 1.0):
             continue
-        lm = math.log(max(col[(i_peak - 1) % n_snap], 1e-300))
+        lm = math.log(max(low, 1e-300))
         l0 = math.log(peak)
-        lp = math.log(max(col[(i_peak + 1) % n_snap], 1e-300))
+        lp = math.log(max(high, 1e-300))
         denom = lm - 2.0 * l0 + lp
         if denom >= 0.0:
             continue                                    # no curvature: flat spectrum

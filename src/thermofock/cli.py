@@ -208,6 +208,19 @@ def run_coherent(args, report):
     c = args.c
     hbar = args.hbar
     _tilt_rule(c, hbar, "--c/--hbar")
+    # the pairing is exp(x) summed to x^nmax/nmax!: its Lagrange remainder
+    # |x|^(nmax+1) e^|x|/(nmax+1)! bounds the truncation.  A bound as large
+    # as |exp(x)| = e^Re(x) would pass any finite pairing, so that is a usage
+    # error; the logs compare where exp(x) itself overflows
+    x = hbar * c.conjugate() * (0.3 - 0.2j)
+    log_remainder = -math.inf if x == 0 else (
+        (args.nmax + 1) * math.log(abs(x)) + abs(x) - math.lgamma(args.nmax + 2))
+    if log_remainder >= x.real:
+        raise argparse.ArgumentTypeError(
+            f"--nmax {args.nmax} is too small for --c/--hbar: the pairing's "
+            f"truncation bound e^{log_remainder:.6g} is at least "
+            f"|exp(x)| = e^{x.real:.6g} at x = hbar conj(c) (0.3-0.2j), so "
+            "the kernel pairing check would measure nothing")
     f = bargmann.coherent_vector(c, args.nmax, hbar)
     norm2 = f.norm() ** 2
     oracle = math.exp(hbar * abs(c) ** 2)
@@ -218,13 +231,8 @@ def run_coherent(args, report):
 
     other = bargmann.coherent_vector(0.3 - 0.2j, args.nmax, hbar)
     pairing = bargmann.kernel_eval(c, other)
-    x = hbar * np.conj(c) * (0.3 - 0.2j)
     pair_oracle = complex(np.exp(x))
-    # the pairing is exp(x) summed to x^nmax/nmax!: its Lagrange remainder
-    # |x|^(nmax+1) e^|x|/(nmax+1)! bounds the truncation
-    remainder = 0.0 if x == 0 else math.exp(
-        (args.nmax + 1) * math.log(abs(x)) + abs(x)
-        - math.lgamma(args.nmax + 2))
+    remainder = math.exp(log_remainder)
     report.add("coherent-kernel-pairing",
                "pairing with a coherent vector evaluates the function at "
                "hbar times the conjugate parameter",

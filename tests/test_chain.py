@@ -143,6 +143,32 @@ def test_any_amplitude_vector_is_a_real_state():
     np.testing.assert_allclose(again, amps, atol=1e-12)
 
 
+def _full_fft_amplitudes(q, p, params):
+    """Reference: a = (W fft(q) + i fft(p) / W) / sqrt(2N) over the last
+    axis, W = sqrt(m w), every wavenumber transformed."""
+    weight = np.sqrt(params.mass * dispersion(params.wavenumbers, params))
+    return ((weight * np.fft.fft(q, axis=-1) + 1j * np.fft.fft(p, axis=-1) / weight)
+            / math.sqrt(2.0 * params.n_sites))
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 8, 17, 256])
+def test_half_spectrum_amplitudes_match_the_full_fft_formula(n_sites):
+    # even and odd N (a Nyquist mode or none), 1-D states and (S, N)
+    # snapshots whose row count crosses a _ROW_BLOCK boundary
+    params = ChainParams(n_sites=n_sites, mass=1.3, gamma=0.7, gamma_couple=2.1)
+    rng = np.random.default_rng(n_sites)
+    for shape in [(n_sites,), (chain._ROW_BLOCK + 3, n_sites)]:
+        q, p = rng.standard_normal((2,) + shape)
+        amps, omega = mode_amplitudes(q, p, params)
+        want = _full_fft_amplitudes(q, p, params)
+        assert amps.shape == shape and amps.dtype == complex
+        assert np.array_equal(omega, dispersion(params.wavenumbers, params))
+        assert np.max(np.abs(amps - want)) <= 1e-15 * np.max(np.abs(want))
+    back = reconstruct_state(mode_amplitudes(q[-1], p[-1], params)[0], params)
+    np.testing.assert_allclose(back.q, q[-1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(back.p, p[-1], rtol=0, atol=1e-12)
+
+
 def test_single_mode_excitation_is_a_plane_wave():
     params = ChainParams(n_sites=16)
     state = _plane_wave(params, 3, 1.0)
@@ -438,21 +464,62 @@ def test_blow_up_raises_at_the_end_of_its_energy_block(monkeypatch):
         integrate_chain(state, params, **run)
 
 
+def _traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak of memory traced while it runs."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def test_spectral_dispersion_transient_memory_is_bounded():
-    # amplitudes are formed in Q's buffer with P added in row blocks, so the
-    # peak is a, the spectrum and |spectrum| (2.5x); holding Q, P, a, the
-    # spectrum and |spectrum| at once would read about 6x
+    # one complex (S, N) buffer, as many bytes as q and p, holds the mode
+    # amplitudes and then, in place, their time spectrum; the row blocks of
+    # the mode transform and the blocks of |spectrum| come on top.  Holding
+    # a, the spectrum and |spectrum| at once read 2.5x
     params = ChainParams(n_sites=64)
     state = sample_thermal_state(params, beta=1.0, seed=3)
     traj = integrate_chain(state, params, duration=200.0, dt=0.1)
     assert traj.q.shape == (2001, 64)
-    tracemalloc.start()
-    try:
-        spectral_dispersion(traj, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.75 * (traj.q.nbytes + traj.p.nbytes)
+    _, peak = _traced_peak(spectral_dispersion, traj, params)
+    assert peak <= 1.5 * (traj.q.nbytes + traj.p.nbytes)
+
+
+def test_spectral_dispersion_transient_memory_at_a09_length():
+    # a09's 2096 snapshots on 256 sites: the blocks shrink against the buffer
+    params = ChainParams(n_sites=256)
+    state = sample_thermal_state(params, beta=1.0, seed=3)
+    traj = integrate_chain(state, params, duration=400.0 * math.pi, dt=0.05,
+                           stride=12)
+    assert traj.q.shape == (2096, 256)
+    _, peak = _traced_peak(spectral_dispersion, traj, params)
+    assert peak <= 1.3 * (traj.q.nbytes + traj.p.nbytes)
+
+
+def test_integrate_chain_transient_memory_is_bounded():
+    # the snapshot buffers become the trajectory's without a copy; on top of
+    # them come the window buffer and one energy block's temporaries
+    params = ChainParams(n_sites=1024)
+    state = sample_thermal_state(params, beta=1.0, seed=3)
+    traj, peak = _traced_peak(integrate_chain, state, params,
+                              duration=400.0 * math.pi, dt=0.05, stride=12)
+    assert traj.q.shape == (2096, 1024)
+    assert peak <= 1.1 * (traj.q.nbytes + traj.p.nbytes)
+
+
+def test_trajectory_holds_the_integrated_buffers_read_only():
+    params = ChainParams(n_sites=8)
+    traj = integrate_chain(_random_state(8, 4), params, duration=5.0, dt=0.1)
+    again = chain.ChainTrajectory(times=traj.times, q=traj.q, p=traj.p,
+                                  energies=traj.energies)
+    for name in ("times", "q", "p", "energies"):
+        arr = getattr(traj, name)
+        assert not arr.flags.writeable
+        # the buffer integrate_chain filled, taken as it is by both
+        assert np.shares_memory(getattr(again, name), arr)
 
 
 def test_single_mode_oscillates_at_its_dispersion_frequency():
@@ -489,6 +556,52 @@ def test_spectral_peak_of_a_single_mode():
     h = traj.times[1] / 8
     leakage = np.max(mag[:, 11]) / np.max(mag[:, 5])
     assert leakage == pytest.approx((omega[5] * h) ** 2 / 16.0, rel=0.01)
+
+
+def _full_array_spectral_dispersion(traj, params):
+    """Reference: the peak finder over one full |spectrum| array of the
+    full-FFT amplitudes, one argmax per mode."""
+    n_snap = traj.n_snapshots
+    dt_snap = float(traj.times[1] - traj.times[0])
+    mag = np.abs(np.fft.fft(_full_fft_amplitudes(traj.q, traj.p, params), axis=0))
+    measured = np.full(params.n_sites, np.nan)
+    scale = float(np.max(mag))
+    for j in range(params.n_sites):
+        col = mag[:, j]
+        i_peak = int(np.argmax(col))
+        peak = col[i_peak]
+        if peak <= 1e-12 * max(scale, 1.0):
+            continue
+        lm = math.log(max(col[(i_peak - 1) % n_snap], 1e-300))
+        l0 = math.log(peak)
+        lp = math.log(max(col[(i_peak + 1) % n_snap], 1e-300))
+        denom = lm - 2.0 * l0 + lp
+        if denom >= 0.0:
+            continue
+        shift = min(0.5, max(-0.5, 0.5 * (lm - lp) / denom))
+        signed_bin = i_peak if i_peak < n_snap - n_snap // 2 else i_peak - n_snap
+        measured[j] = -2.0 * math.pi * (signed_bin + shift) / (n_snap * dt_snap)
+    return measured
+
+
+@pytest.mark.parametrize("params, state, run", [
+    (ChainParams(n_sites=32), sample_thermal_state(ChainParams(n_sites=32), 1.0, 42),
+     dict(duration=80.0 * math.pi, dt=0.05, stride=12)),
+    (ChainParams(n_sites=16), _plane_wave(ChainParams(n_sites=16), 5, 1.0),
+     dict(duration=60.0 * math.pi, dt=0.05, stride=8)),
+], ids=["thermal-32", "plane-wave-16"])
+def test_blocked_spectrum_matches_the_full_array_reference(monkeypatch, params,
+                                                           state, run):
+    traj = integrate_chain(state, params, **run)
+    want = _full_array_spectral_dispersion(traj, params)
+    # one block of all modes, and blocks of 3 modes with a short last one
+    for floats in (chain._SPECTRUM_FLOATS, 3 * traj.n_snapshots):
+        monkeypatch.setattr(chain, "_SPECTRUM_FLOATS", floats)
+        measured, _ = spectral_dispersion(traj, params)
+        assert np.array_equal(np.isnan(measured), np.isnan(want))
+        good = ~np.isnan(want)
+        assert np.all(np.abs(measured[good] - want[good])
+                      <= 1e-12 * np.abs(want[good]))
 
 
 def test_spectral_dispersion_full_thermal_band():

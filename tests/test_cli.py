@@ -91,6 +91,10 @@ def test_usage_errors_exit_two(tmp_path, usage_error):
             (["coherent", "--c", "30", "--nmax", "400"], "--c/--hbar"),
             (["coherent", "--c", "1e200"], "--c/--hbar"),
             (["coherent", "--c", "1e200j"], "--c/--hbar"),
+            # the pairing's truncation bound reaches |exp(x)|, so its check
+            # would pass any finite pairing; at --hbar 1e6 exp(x) overflows
+            (["coherent", "--hbar", "3000", "--c", "0.3"], "--nmax"),
+            (["coherent", "--hbar", "1e6", "--c", "0.02"], "--nmax"),
             (["ensemble", "--seed", "1", "--c", "1e200"], "--c/--hbar"),
             (["tilt", "--seed", "1", "--c", "1e200"], "--c/--beta/--omega"),
             (["damp", "--q0", "1e200"], "--q0/--v0/--hbar"),
