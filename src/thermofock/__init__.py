@@ -2,8 +2,9 @@
 
 Submodules
 ----------
-exact        arithmetic in the field Q(i, sqrt(2)) for bracket identities
-phasespace   exact polynomial algebra, Poisson brackets, leapfrog integration
+exact        numbers of the field Q(i, sqrt(2)) for the exact brackets
+phasespace   linear observables, their exact Poisson bracket, leapfrog
+             integration
 bargmann     the holomorphic function space, its basis, operators, kernels
 bath         Gibbs measure: moments, partition integrals of a quadratic form,
              tilts, the sphere map

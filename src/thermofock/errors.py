@@ -1,8 +1,11 @@
 """Exception types shared across the package, and the size cap on the
-snapshot buffers of a time integration."""
+arrays a truncation or a time integration sizes."""
 
-# Floats one snapshot buffer may hold: snapshots x sites for a chain, the
-# snapshot count for a single oscillator's orbit.  2**24 float64 is 128 MiB.
+# Floats one array sized by a run's flags may hold: snapshots x sites for a
+# chain, the snapshot count for a single oscillator's orbit, and, counting
+# a complex entry as two floats, a dense operator matrix, the quadrature
+# Gram basis or a coherent vector at truncation --nmax.  2**24 float64 is
+# 128 MiB: a dense operator stops at nmax 2895, the Gram basis at 160.
 # The largest benchmarked trajectory, chain-dispersion --sites 1024, fills
 # 2095 x 1024 = 2.1e6 (17 MB each for q and p), an eighth of the cap; a
 # chain run at the cap, spectral transform included, holds about 1 GiB of
@@ -15,8 +18,8 @@ class ThermoFockError(Exception):
 
 
 class CapacityError(ThermoFockError):
-    """A polynomial or operator build, or a snapshot buffer, exceeded its
-    size cap."""
+    """An operator build, a truncation-sized array or a snapshot buffer
+    exceeded its size cap."""
 
 
 class TruncationError(ThermoFockError):

@@ -1,20 +1,18 @@
-"""Phase-space polynomial algebra, canonical brackets, and a leapfrog stepper.
+"""Linear phase-space observables, their exact Poisson bracket, and a
+leapfrog stepper.
 
-Phase functions are explicit polynomials with exact coefficients in
-Q(i, sqrt2) rather than black-box callables, so the canonical identities
-(antisymmetry, Jacobi, {q, p} = 1, {z, zbar} = -i) hold as equalities, not
-up to tolerance.
-
-A ring fixes the variable names, the canonical pairs (q_k, p_k) read by the
-Poisson bracket, and a total-degree cap.  The complex coordinates
-z = (q + i p)/sqrt2 and zbar are degree-1 elements of such a ring.
+A linear observable a q + b p is its coefficient pair (a, b), exact in
+Q(i, sqrt2), so the canonical brackets {q, p} = 1 and {z, zbar} = -i of the
+complex coordinate z = (q + i p)/sqrt2 hold as equalities, not up to
+tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,211 +20,29 @@ from .errors import MAX_SNAPSHOT_FLOATS, CapacityError, StabilityError
 from .exact import SqrtTwoComplex
 
 __all__ = [
-    "PhaseRing",
-    "PhasePolynomial",
+    "Q",
+    "P",
+    "Z",
+    "ZBAR",
     "PhasePoint",
     "OscillatorParams",
-    "variable",
-    "constant",
-    "z_element",
-    "zbar_element",
     "poisson_bracket",
     "hamilton_step",
     "hamilton_orbit",
 ]
 
-_I = SqrtTwoComplex.I
-_INV_SQRT2 = SqrtTwoComplex.INV_SQRT2
-
-DEFAULT_DEGREE_CAP = 16
-
-
-@dataclass(frozen=True)
-class PhaseRing:
-    """Variable names plus the canonical pairing entering the bracket."""
-
-    variables: tuple
-    pairs: tuple            # ((iq, ip), ...): bracket reads d/d[iq] then d/d[ip]
-    degree_cap: int = DEFAULT_DEGREE_CAP
-
-    @classmethod
-    def canonical(cls) -> "PhaseRing":
-        """The ring of one canonical pair (q, p)."""
-        return cls(("q", "p"), ((0, 1),))
-
-    def index(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise KeyError(f"no variable {name!r} in ring {self.variables}") from None
+# (coefficient of q, coefficient of p); sqrt2/2 is SqrtTwoComplex(0, 0, 1/2)
+Q = (SqrtTwoComplex(1), SqrtTwoComplex(0))
+P = (SqrtTwoComplex(0), SqrtTwoComplex(1))
+Z = (SqrtTwoComplex(0, 0, Fraction(1, 2)),           # (q + i p)/sqrt2
+     SqrtTwoComplex(0, 0, 0, Fraction(1, 2)))
+ZBAR = (SqrtTwoComplex(0, 0, Fraction(1, 2)),        # (q - i p)/sqrt2
+        SqrtTwoComplex(0, 0, 0, Fraction(-1, 2)))
 
 
-class PhasePolynomial:
-    """Polynomial over a PhaseRing, coefficients exact in Q(i, sqrt2)."""
-
-    __slots__ = ("ring", "_terms")
-
-    def __init__(self, ring: PhaseRing, terms: Mapping[tuple, object]):
-        nvars = len(ring.variables)
-        clean = {}
-        for expo, coeff in terms.items():
-            c = SqrtTwoComplex.coerce(coeff)
-            if c.is_zero:
-                continue
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != nvars or any(e < 0 for e in expo):
-                raise ValueError(f"bad exponent tuple {expo} for {nvars} variables")
-            if sum(expo) > ring.degree_cap:
-                raise CapacityError(
-                    f"monomial degree {sum(expo)} exceeds ring cap {ring.degree_cap}"
-                )
-            clean[expo] = c
-        self.ring = ring
-        self._terms = clean
-
-    # -- inspection ----------------------------------------------------
-    def coefficient(self, exponents) -> SqrtTwoComplex:
-        return self._terms.get(tuple(int(e) for e in exponents), SqrtTwoComplex.ZERO)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other):
-        if not isinstance(other, PhasePolynomial):
-            return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.ring, tuple(sorted(self._terms.items(), key=lambda t: t[0]))))
-
-    def __repr__(self):
-        if self.is_zero:
-            return "PhasePolynomial(0)"
-        bits = []
-        for expo, coeff in sorted(self._terms.items()):
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.ring.variables, expo)
-                if e
-            )
-            bits.append(f"({complex(coeff):.6g})*{mono}" if mono else f"({complex(coeff):.6g})")
-        return "PhasePolynomial(" + " + ".join(bits) + ")"
-
-    # -- ring operations -------------------------------------------------
-    def _check_same_ring(self, other: "PhasePolynomial"):
-        if self.ring != other.ring:
-            raise ValueError("polynomials live on different rings")
-
-    def __add__(self, other):
-        if not isinstance(other, PhasePolynomial):
-            other = constant(self.ring, other)
-        self._check_same_ring(other)
-        out = dict(self._terms)
-        for expo, coeff in other._terms.items():
-            out[expo] = out.get(expo, SqrtTwoComplex.ZERO) + coeff
-        return PhasePolynomial(self.ring, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PhasePolynomial(self.ring, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, PhasePolynomial):
-            other = constant(self.ring, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return constant(self.ring, other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, PhasePolynomial):
-            c = SqrtTwoComplex.coerce(other)
-            return PhasePolynomial(self.ring, {e: k * c for e, k in self._terms.items()})
-        self._check_same_ring(other)
-        out: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                if sum(expo) > self.ring.degree_cap:
-                    raise CapacityError(
-                        f"product degree {sum(expo)} exceeds ring cap "
-                        f"{self.ring.degree_cap}"
-                    )
-                prev = out.get(expo)
-                out[expo] = c1 * c2 if prev is None else prev + c1 * c2
-        return PhasePolynomial(self.ring, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers")
-        out = constant(self.ring, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def differentiate(self, name: str) -> "PhasePolynomial":
-        idx = self.ring.index(name)
-        out = {}
-        for expo, coeff in self._terms.items():
-            e = expo[idx]
-            if e == 0:
-                continue
-            new = list(expo)
-            new[idx] = e - 1
-            key = tuple(new)
-            term = coeff * e
-            prev = out.get(key)
-            out[key] = term if prev is None else prev + term
-        return PhasePolynomial(self.ring, out)
-
-
-# -- constructors --------------------------------------------------------
-
-def constant(ring: PhaseRing, value) -> PhasePolynomial:
-    zero = (0,) * len(ring.variables)
-    return PhasePolynomial(ring, {zero: value})
-
-
-def variable(ring: PhaseRing, name: str) -> PhasePolynomial:
-    idx = ring.index(name)
-    expo = tuple(1 if i == idx else 0 for i in range(len(ring.variables)))
-    return PhasePolynomial(ring, {expo: 1})
-
-
-def z_element(ring: PhaseRing) -> PhasePolynomial:
-    """z = (q + i p)/sqrt2 of the first pair, a degree-1 element of the ring."""
-    iq, ip = ring.pairs[0]
-    q = variable(ring, ring.variables[iq])
-    p = variable(ring, ring.variables[ip])
-    return (q + p * _I) * _INV_SQRT2
-
-
-def zbar_element(ring: PhaseRing) -> PhasePolynomial:
-    """zbar = (q - i p)/sqrt2 of the first pair, a degree-1 element of the ring."""
-    iq, ip = ring.pairs[0]
-    q = variable(ring, ring.variables[iq])
-    p = variable(ring, ring.variables[ip])
-    return (q - p * _I) * _INV_SQRT2
-
-
-# -- brackets --------------------------------------------------------------
-
-def poisson_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    """{f, g} = sum_k (df/dq_k dg/dp_k - df/dp_k dg/dq_k), exactly."""
-    if f.ring != g.ring:
-        raise ValueError("poisson_bracket requires a shared ring")
-    ring = f.ring
-    out = constant(ring, 0)
-    for iq, ip in ring.pairs:
-        q = ring.variables[iq]
-        p = ring.variables[ip]
-        out = out + (f.differentiate(q) * g.differentiate(p)
-                     - f.differentiate(p) * g.differentiate(q))
-    return out
+def poisson_bracket(f, g) -> SqrtTwoComplex:
+    """{f, g} = df/dq dg/dp - df/dp dg/dq of two linear observables, exactly."""
+    return f[0] * g[1] - f[1] * g[0]
 
 
 # -- point dynamics ----------------------------------------------------------

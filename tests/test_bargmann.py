@@ -26,7 +26,7 @@ from thermofock.bargmann import (
     lowering_matrix,
     quadrature_operators,
 )
-from thermofock.errors import TruncationError
+from thermofock.errors import CapacityError, TruncationError
 from thermofock.phasespace import OscillatorParams
 
 
@@ -325,3 +325,24 @@ def test_normalized_and_zero_vector_guards():
     assert g.is_normalized()
     with pytest.raises(ValueError):
         FockVector(np.zeros(3), 1.0).normalized()
+
+
+# -- the cap on arrays the truncation sizes --------------------------------------
+
+@pytest.mark.parametrize("build, floats", [
+    (lambda n: lowering_matrix(n, 1.0), lambda n: 2 * (n + 1) ** 2),
+    (lambda n: hamiltonian_matrix("normal", OscillatorParams(1.0), 1.0, n),
+     lambda n: 2 * (n + 1) ** 2),
+    (lambda n: coherent_vector(0.5, n).coeffs, lambda n: 2 * (n + 1)),
+    # the basis behind the Gram matrix: n + 1 rows over the quadrature grid
+    (lambda n: gram_quadrature(n, 1.0),
+     lambda n: 2 * (n + 1) * bargmann._quad_grid(1.0, n)[0].size),
+], ids=["lowering", "hamiltonian", "coherent", "gram-basis"])
+def test_truncation_sized_arrays_are_capped(monkeypatch, build, floats):
+    # a cap patched low: an array of exactly the cap builds, one truncation
+    # more is refused before it is allocated
+    n = 6
+    monkeypatch.setattr(bargmann, "MAX_SNAPSHOT_FLOATS", floats(n))
+    build(n)
+    with pytest.raises(CapacityError):
+        build(n + 1)

@@ -257,6 +257,27 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
         exits_three("ensemble", "--seed", "1", "--omega", "1e-320")
 
 
+def test_oversize_truncation_exits_three(tmp_path, capsys, monkeypatch):
+    # the cap on truncation-sized arrays, patched down to one dense 17 x 17
+    # complex matrix: every --nmax that would build more is a numerical
+    # failure, refused before numpy is asked for the memory
+    from thermofock import bargmann
+
+    monkeypatch.setattr(bargmann, "MAX_SNAPSHOT_FLOATS", 2 * 17 ** 2)
+    assert cli.main(["commutator", "--nmax", "16",
+                     "--outdir", str(tmp_path)]) == cli.EXIT_PASS
+    for command, *args in (("commutator", "--nmax", "17"),
+                           ("gram", "--nmax", "17"),
+                           ("evolve", "--nmax", "17", "--seed", "1"),
+                           ("coherent", "--nmax", "17"),
+                           ("damp", "--nmax", "300")):
+        code = cli.main([command, *args, "--outdir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_NUMERICAL, (command, args, err)
+        assert "CapacityError" in read_report(tmp_path, command)[
+            "checks"][0]["measured"]
+
+
 def test_evolve_check_fails_on_a_nan_distance(tmp_path, monkeypatch):
     # a NaN at one time must fail the worst-case check, not vanish in max()
     from thermofock import dynamics

@@ -1,8 +1,15 @@
 """Source-level rules for the package: modules share only public names,
-every `__all__` entry names something the module defines, and every
-definition, method, property and field feeds some CLI run."""
+every `__all__` entry names something the module defines, every
+definition, method, property and field feeds some CLI run, and every line
+of the bracket modules runs in the runs that use them."""
 
 import ast
+import inspect
+import json
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -197,3 +204,87 @@ def test_every_member_is_reachable_from_the_cli():
     assert not extra, (f"{len(extra)} members no CLI run reaches: "
                        + ", ".join(extra))
     assert not stale, "allowlisted members that a run now reaches: " + ", ".join(stale)
+
+
+# The modules that serve only a02's brackets and the single-oscillator
+# runs: every line of their functions must run in these invocations.
+LINE_REACH_MODULES = ("exact", "phasespace")
+LINE_REACH_INVOCATIONS = (
+    "commutator --hbar 1 --nmax 16",
+    "commutator --hbar 0.5 --nmax 32",
+    "commutator --hbar 2 --nmax 64",
+    "commutator --hbar 1 --nmax 64",
+    "damp",
+)
+
+# Traces the invocations in argv[2:], run in-process through cli.RUNNERS as
+# the acceptance suite runs them, from before the package is imported, and
+# prints the lines each file in the JSON list argv[1] executed.
+_LINE_REACH_CHILD = """
+import json, os, shlex, sys
+
+ran = {path: set() for path in json.loads(sys.argv[1])}
+seen = {}
+
+def trace(frame, event, arg):
+    name = frame.f_code.co_filename
+    if name not in seen:
+        seen[name] = ran.get(os.path.realpath(name))
+    lines = seen[name]
+    if lines is None:
+        return None
+
+    def local(frame, event, arg):
+        lines.add(frame.f_lineno)
+        return local
+
+    return local(frame, event, arg)
+
+sys.settrace(trace)
+from thermofock import cli
+from thermofock.reports import ExperimentReport
+
+parser = cli.build_parser()
+for line in sys.argv[2:]:
+    args = parser.parse_args(shlex.split(line))
+    report = ExperimentReport(args.command, cli._config_echo(args))
+    cli.RUNNERS[args.command](args, report)
+sys.settrace(None)
+print(json.dumps({path: sorted(lines) for path, lines in ran.items()}))
+"""
+
+
+def _function_lines(path):
+    """Lines holding code of the functions and methods in `path`, less the
+    lines of a `raise` statement."""
+    source = path.read_text(encoding="utf-8")
+    raising = {line for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Raise)
+               for line in range(node.lineno, node.end_lineno + 1)}
+    lines, todo = set(), [compile(source, str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        if code.co_flags & inspect.CO_OPTIMIZED:    # not a module or class body
+            lines.update(line for _, _, line in code.co_lines() if line)
+    return lines - raising
+
+
+def test_every_bracket_module_line_runs():
+    """Running a02's commutator invocations and `damp` executes every
+    function line of the modules in LINE_REACH_MODULES that is not part of
+    a `raise`.  They run in a fresh interpreter, so the constants the
+    modules build as they are imported count as part of every run."""
+    paths = {os.path.realpath(path): path for path in MODULES
+             if path.stem in LINE_REACH_MODULES}
+    package_root = str(Path(thermofock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", _LINE_REACH_CHILD, json.dumps(sorted(paths)),
+         *LINE_REACH_INVOCATIONS],
+        capture_output=True, text=True, env=env, check=True)
+    ran = json.loads(child.stdout.splitlines()[-1])
+    missed = sorted(f"{path.name}:{line}" for name, path in paths.items()
+                    for line in _function_lines(path) - set(ran[name]))
+    assert not missed, "lines no run executes: " + ", ".join(missed)
