@@ -150,34 +150,146 @@ def damped_solution(q0: float, v0: float, params: OscillatorParams,
 
 # -- ensembles ----------------------------------------------------------------
 
+# Proposals one rejection chunk draws at most: 2^16 complex points are 1 MiB,
+# sixteen `bargmann` point blocks, so a chunk's working arrays stay a few MiB
+# whatever the number of samples.
+_PROPOSAL_CHUNK = 2 ** 16
+# Terms of exp(-conj(mu) u / hbar) the shifted majorant keeps at most; past
+# them its Lagrange remainder still bounds the rest, only more loosely.
+_EXP_TERMS_MAX = 4096
+
+
+def _trimmed(f: FockVector) -> FockVector:
+    """f without its trailing exact-zero coefficients: Horner's rule over
+    them is an exact no-op, and the shifted majorant costs O(N^2)."""
+    top = int(np.flatnonzero(f.coeffs)[-1]) + 1
+    if top == f.coeffs.size:
+        return f
+    return FockVector(f.coeffs[:top], f.hbar, f.tail_mass)
+
+
+def _cloud_centre(f: FockVector) -> complex:
+    """<z> under |f|^2 dmu, that is (f, z f) with z e_n = sqrt((n+1) hbar)
+    e_{n+1}: sum_n conj(c_{n+1}) c_n sqrt((n+1) hbar).  0 for every e_n."""
+    c = f.coeffs
+    raise_by = np.sqrt(np.arange(1, c.size) * f.hbar)
+    return complex(np.sum(np.conj(c[1:]) * c[:-1] * raise_by))
+
+
+def _shifted_majorant(f: FockVector, mu: complex, reach: float):
+    """A radial majorant G(|u|) >= |g(u)| of g(u) = f(mu + u)
+    exp(-conj(mu) u / hbar); returns (degree, G), G taking an array of radii.
+
+    In the basis, with w = mu / sqrt(hbar) and A e_n = sqrt(n) e_{n-1},
+    translation by mu is exp(w A) and the factor is exp(-conj(w) A^+), both
+    with weights T_d(k) = x^d sqrt((k + d)! / k!) / d! (x = w, -conj(w)):
+      b = exp(w A) c        b_k = sum_d c_{k+d} T_d(k), finite (d <= N);
+      h = exp(-conj(w) A^+) b, cut at M terms: h_{k+j} += b_k T_j(k), j < M.
+    G(r) = sum_n (|h_n| + rho H_n) e_n(r) + (1 + rho) B(r) |x|^M e^|x| / M!:
+      - H and B are the same sums over |c| with |w|, which bound every
+        rounding error: rho = 16 (N + M + 2) eps covers the T recurrences'
+        d steps and the sums (Higham, Accuracy and Stability of Numerical
+        Algorithms, ch. 3);
+      - the last term is exp's Lagrange remainder, |x| = |mu| r / hbar,
+        times B(r) >= |f(mu + u)|, so the cut costs no rigour.
+    M is picked so that the remainder is far below rounding out to r =
+    `reach`; it is at most _EXP_TERMS_MAX.  For mu = 0, g = f and G is the
+    coefficient majorant A(r) = sum_n |c_n| e_n(r).
+    """
+    hbar = f.hbar
+    c = f.coeffs
+    if mu == 0:
+        absolute = FockVector(np.abs(c), hbar)
+        return f.truncation, lambda r: absolute.evaluate(r).real
+    n_top = f.truncation
+    w = mu / math.sqrt(hbar)
+    reach_x = abs(mu) * reach / hbar
+    n_exp = (min(_EXP_TERMS_MAX, math.ceil(2.0 * math.e * reach_x) + 16)
+             if math.isfinite(reach_x) else _EXP_TERMS_MAX)
+    roots = np.sqrt(np.arange(n_top + n_exp + 1, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the translation, and its absolute twin
+        shifted, shifted_abs = c.copy(), np.abs(c)
+        t, t_abs = np.ones(n_top + 1, dtype=complex), np.ones(n_top + 1)
+        for d in range(1, n_top + 1):
+            t = t[:-1] * (w / d) * roots[d:n_top + 1]
+            t_abs = t_abs[:-1] * (abs(w) / d) * roots[d:n_top + 1]
+            shifted[:n_top + 1 - d] += c[d:] * t
+            shifted_abs[:n_top + 1 - d] += np.abs(c[d:]) * t_abs
+        # the exponential factor's first n_exp terms
+        h = np.zeros(n_top + n_exp, dtype=complex)
+        h_abs = np.zeros(n_top + n_exp)
+        h[:n_top + 1], h_abs[:n_top + 1] = shifted, shifted_abs
+        s, s_abs = np.ones(n_top + 1, dtype=complex), np.ones(n_top + 1)
+        for j in range(1, n_exp):
+            s = s * (-np.conj(w) / j) * roots[j:j + n_top + 1]
+            s_abs = s_abs * (abs(w) / j) * roots[j:j + n_top + 1]
+            h[j:j + n_top + 1] += shifted * s
+            h_abs[j:j + n_top + 1] += shifted_abs * s_abs
+        rho = 16.0 * (n_top + n_exp + 2) * np.finfo(float).eps
+        series = np.abs(h) + rho * h_abs
+        translated = (1.0 + rho) * shifted_abs
+    if not (np.all(np.isfinite(series)) and np.all(np.isfinite(translated))):
+        raise SamplerError("the shifted majorant's coefficients overflow")
+    series = FockVector(series, hbar)
+    translated = FockVector(translated, hbar)
+    log_factorial = math.lgamma(n_exp + 1)
+
+    def majorant(r):
+        x = abs(mu) * np.asarray(r, dtype=float) / hbar
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            remainder = np.exp(n_exp * np.log(x) + x - log_factorial)
+            return (series.evaluate(r).real
+                    + translated.evaluate(r).real * remainder)
+
+    return n_top + n_exp - 1, majorant
+
+
 def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float):
     """Rejection-sample z from |f(z)|^2 exp(-|z|^2/hbar)/(pi hbar).
 
-    The proposal is the Gaussian widened by `proposal_scale` in variance; the
-    acceptance bound comes from the coefficient majorant A(|z|), which
-    dominates |f| rigorously, so the sampler is exact.  Returns the draws and
-    the acceptance rate, accepted over proposed: draws accepted past
+    The proposal is z = mu + u, centred on the cloud's mean mu
+    (`_cloud_centre`), with u the Gaussian widened by `proposal_scale` = s
+    in variance.  With kappa = (1 - 1/s)/hbar and g(u) = f(mu + u)
+    exp(-conj(mu) u / hbar), the density over the proposal's is exactly
+        s |g(u)|^2 exp(-|mu|^2/hbar - kappa |u|^2),
+    and G(|u|) >= |g(u)| (`_shifted_majorant`) bounds it rigorously, so the
+    sampler is exact (Robert & Casella, Monte Carlo Statistical Methods,
+    sec. 2.3).  For a coherent state g is nearly constant, so acceptance is
+    near 1/(1.05 s) wherever the cloud sits; for mu = 0, g = f and the
+    draws are those of the uncentred Gaussian.  Returns the draws and the
+    acceptance rate, accepted over proposed: draws accepted past
     `n_samples` in the last chunk count too, since they say the same about
     the proposal.  An efficiency collapse (< 1e-3) raises SamplerError
     instead of looping forever.
 
     Memory: each chunk holds its proposals and their densities, at least
-    10 000 and 2 (n_samples - filled) points; `FockVector.evaluate` sums the
-    density's series by Horner's rule in its own output, block by block, so
-    evaluating it adds one complex value per proposal and no working arrays.
+    10 000 and 2 (n_samples - filled) points but no more than
+    _PROPOSAL_CHUNK; `FockVector.evaluate` sums the density's series by
+    Horner's rule in its own output, block by block, so evaluating it adds
+    one complex value per proposal and no working arrays.
     """
     if not f.is_normalized(1e-9):
         raise ValueError("f must be normalized for density sampling")
+    f = _trimmed(f)
     s = float(proposal_scale)
     hbar = f.hbar
     kappa = (1.0 - 1.0 / s) / hbar
-    n_top = f.truncation
-    r_max = 1.2 * math.sqrt(max(n_top, 1) / kappa) + math.sqrt(hbar)
-    r_grid = np.linspace(0.0, r_max, 4097)
-    # A(r) = sum |c_n| e_n(r) >= |f(z)| on the circle |z| = r
-    majorant = FockVector(np.abs(f.coeffs), hbar).evaluate(r_grid).real
-    ratio_grid = s * majorant ** 2 * np.exp(-kappa * r_grid ** 2)
+    mu = _cloud_centre(f)
+    mu2 = abs(mu) ** 2
+
+    def reach(degree):
+        # past this radius every term of G^2 exp(-kappa r^2) decreases
+        return (1.2 * (abs(mu) / (hbar * kappa) + math.sqrt(max(degree, 1) / kappa))
+                + math.sqrt(hbar))
+
+    degree, majorant = _shifted_majorant(f, mu, reach(f.truncation))
+    r_grid = np.linspace(0.0, reach(degree), 4097)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio_grid = s * majorant(r_grid) ** 2 * np.exp(-mu2 / hbar - kappa * r_grid ** 2)
     bound = 1.05 * float(np.max(ratio_grid))
+    if not math.isfinite(bound):
+        raise SamplerError("the dominating bound is not finite")
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(s * hbar / 2.0)
     out = np.empty(n_samples, dtype=complex)
@@ -185,10 +297,14 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     accepted = 0
     proposed = 0
     while filled < n_samples:
-        chunk = max(10_000, 2 * (n_samples - filled))
-        z = rng.normal(0.0, sigma, chunk) + 1j * rng.normal(0.0, sigma, chunk)
+        chunk = min(_PROPOSAL_CHUNK, max(10_000, 2 * (n_samples - filled)))
+        z = (rng.normal(mu.real, sigma, chunk)
+             + 1j * rng.normal(mu.imag, sigma, chunk))
+        u = z - mu
+        # |mu|^2 + 2 Re(conj(mu) u) = |z|^2 - |u|^2, 0 when mu = 0
+        shift = mu2 + 2.0 * (mu.real * u.real + mu.imag * u.imag)
         dens = np.abs(f.evaluate(z)) ** 2
-        ratio = s * dens * np.exp(-kappa * np.abs(z) ** 2)
+        ratio = s * dens * np.exp(-shift / hbar - kappa * np.abs(u) ** 2)
         if float(np.max(ratio)) > bound:
             raise SamplerError("dominating bound violated; majorant grid too coarse")
         accept = rng.uniform(0.0, bound, chunk) < ratio
@@ -235,6 +351,11 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
     standard errors) are recorded at each requested time.  Without
     friction, the exact law of the mean for a coherent state is
     hbar * conj(c) * exp(-i w t).
+
+    Memory: the cloud lives in three arrays of n_samples points, 48 bytes a
+    particle: (q, p) as one (2, n) array, a second one each interval map
+    writes into with `out=`, and the draws' complex storage, which holds
+    each report's z and finally `final_z`.
     """
     w = params.omega
     times = np.asarray(times, dtype=float)
@@ -255,8 +376,12 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
     if total > MAX_CLOUD_STEPS:
         raise CapacityError(f"{total:.3g} leapfrog steps exceed the cap of "
                             f"{MAX_CLOUD_STEPS} per ensemble run")
-    z0, efficiency = _rejection_sample(f, n_samples, seed, proposal_scale)
-    x = PhasePoint(np.sqrt(2.0) * z0.real, np.sqrt(2.0) * z0.imag)
+    z, efficiency = _rejection_sample(f, n_samples, seed, proposal_scale)
+    # (q, p) rows, and a second pair the interval maps write into
+    x = np.empty((2, n_samples))
+    np.multiply(z.real, math.sqrt(2.0), out=x[0])
+    np.multiply(z.imag, math.sqrt(2.0), out=x[1])
+    moved = np.empty_like(x)
     reports = []
     t_prev = 0.0
     for t, n_sub in zip(times, plan):
@@ -266,10 +391,19 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
             m = PhasePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
             for _ in range(n_sub):
                 m = hamilton_step(m, params, h, friction)
-            x = PhasePoint(m.q[0] * x.q + m.q[1] * x.p,
-                           m.p[0] * x.q + m.p[1] * x.p)
+            # q' = m00 q + m01 p and p' = m10 q + m11 p, each product
+            # rounded before the sum; p's row takes m11 p once q is read
+            np.multiply(x[0], m.q[0], out=moved[0])
+            np.multiply(x[1], m.q[1], out=moved[1])
+            np.add(moved[0], moved[1], out=moved[0])
+            np.multiply(x[0], m.p[0], out=moved[1])
+            np.multiply(x[1], m.p[1], out=x[0])
+            np.add(moved[1], x[0], out=moved[1])
+            x, moved = moved, x
         t_prev = t
-        z = (x.q + 1j * x.p) * (2.0 ** -0.5)
+        # z = (q + i p) / sqrt2, written over the draws
+        np.multiply(x[0], 2.0 ** -0.5, out=z.real)
+        np.multiply(x[1], 2.0 ** -0.5, out=z.imag)
         reports.append(moment_report(z))
     return EnsembleHistory(times=times, moments=reports, final_z=z,
                            acceptance_rate=efficiency)

@@ -8,6 +8,7 @@ the tilt, and the exponential radial law of the sphere map.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,32 @@ def test_equilibrium_moments():
     a4 = np.abs(hist.final_z) ** 4
     abs4_se = np.std(a4, ddof=1) / math.sqrt(a4.size)
     assert abs(np.mean(a4) - 2 * bp.hbar ** 2) <= 4 * abs4_se
+
+
+@pytest.mark.parametrize("n", [2, 4097, 3 * 4096 + 5])
+def test_blocked_moments_match_the_whole_array_formulas(n):
+    rng = np.random.default_rng(n)
+    z = rng.normal(1.5, 0.7, n) + 1j * rng.normal(-0.4, 0.3, n)
+    rep = moment_report(z)
+    a2 = np.abs(z) ** 2
+    expected = (np.mean(z.real), np.mean(z.imag),
+                np.std(z.real, ddof=1) / math.sqrt(n),
+                np.std(z.imag, ddof=1) / math.sqrt(n),
+                np.mean(a2), np.std(a2, ddof=1) / math.sqrt(n))
+    got = (rep.mean.real, rep.mean.imag, *rep.mean_se, rep.abs2_mean,
+           rep.abs2_se)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_moment_report_makes_no_sample_sized_temporary():
+    z = np.random.default_rng(1).standard_normal(2 ** 20) * (1 + 1j)
+    tracemalloc.start()
+    try:
+        moment_report(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= z.nbytes // 16    # 1 MiB against the sample's 16 MiB
 
 
 def test_moment_report_needs_two_samples(usage_error):

@@ -3,13 +3,16 @@ other: coefficient phases, circle transport, the diagonal propagator, and
 classical ensembles; plus the weakly damped extensions of each.
 """
 
+import hashlib
+import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from thermofock import dynamics
+from thermofock import cli, dynamics
 from thermofock.bargmann import FockVector, coherent_vector
 from thermofock.dynamics import (
     damped_solution,
@@ -293,9 +296,105 @@ def test_sampler_guards(usage_error):
 
 
 def test_sampler_efficiency_collapse_raises():
+    # the centred proposal accepts 1/(1.05 s) of a coherent state's draws:
+    # 4.8e-4 at s = 2000, half the 1e-3 floor (at s = 1000 it sits on it)
     f = coherent_vector(0.5, 32, 1.0).normalized()
-    with pytest.raises(SamplerError):
-        _initial_cloud(f, 50, seed=3, proposal_scale=1000.0)
+    for seed in (3, 4, 12):
+        with pytest.raises(SamplerError):
+            _initial_cloud(f, 50, seed=seed, proposal_scale=2000.0)
+
+
+@pytest.mark.parametrize("c, hbar", [(0.5, 1.0), (1.2, 1.0), (2.0, 1.0),
+                                     (0.8 - 0.6j, 0.5), (None, 1.0)],
+                         ids=["c0.5", "c1.2", "c2", "complex-c", "e3"])
+def test_shifted_majorant_dominates_on_circles(c, hbar):
+    # G(|u|) >= |g(u)|, g(u) = f(mu + u) exp(-conj(mu) u / hbar), on random
+    # circles about the proposal's centre; e_3 is centred at 0, where G is
+    # the coefficient majorant of f itself
+    if c is None:
+        f = FockVector(np.eye(4)[3], hbar)
+    else:
+        f = coherent_vector(c, 32, hbar).normalized()
+    mu = dynamics._cloud_centre(f)
+    assert abs(mu - (0.0 if c is None else hbar * np.conj(c))) <= 1e-12
+    _, majorant = dynamics._shifted_majorant(f, mu, 12.0)
+    rng = np.random.default_rng(3)
+    for r in (0.0, 0.05, 0.4, 1.0, 2.5, 5.0, 9.0, 14.0, 30.0, 60.0):
+        u = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 400))
+        g = f.evaluate(mu + u) * np.exp(-np.conj(mu) * u / hbar)
+        assert np.max(np.abs(g)) <= majorant(np.array([r]))[0] * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.2, 2.0])
+def test_centred_sampler_accepts_near_its_slack(c):
+    # g is nearly constant for a coherent state, so acceptance sits near
+    # 1/(1.05 s) = 0.476 wherever the cloud is (uncentred: 11 % at c = 1.2,
+    # 0.87 % at c = 2)
+    f = coherent_vector(c, 32, 1.0).normalized()
+    z, rate = dynamics._rejection_sample(f, 20_000, 7, 2.0)
+    assert rate >= 0.45
+    assert abs(np.mean(z) - np.conj(c)) <= 4 * np.std(z) / math.sqrt(z.size)
+
+
+def test_ensemble_at_c_two_passes_with_high_acceptance(tmp_path, capsys):
+    assert cli.main(["ensemble", "--c", "2", "--seed", "7",
+                     "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "ensemble_report.json", encoding="utf-8") as fh:
+        checks = {c["name"]: c for c in json.load(fh)["checks"]}
+    assert checks["sampler-efficiency"]["measured"] >= 0.45
+
+
+# sha256 of the draws' bytes, pinned from the sampler that proposed around
+# 0 in chunks of max(10 000, 2 (n - filled)): at mu = 0 the centred sampler
+# must draw the same bits, and below _PROPOSAL_CHUNK / 2 samples its chunks
+# are the same
+UNCENTRED_DIGESTS = {
+    ("e0", 1.0, 2.0, 5):
+        "71913522d33b88410ee7e7b7866b042db3145a1dff66d79886b06b989aec5e47",
+    ("e0", 0.5, 3.0, 11):
+        "15ec59f42b6a3c9fa20bc1b8f272e57bf0ea298cee63ec740a44f7061167a4d9",
+    ("e3", 1.0, 2.0, 5):
+        "a5b6469821d980614b254639f633fc156ae008162c22c70a96650a7b6e13cd18",
+    ("e3", 0.5, 3.0, 11):
+        "f96632b45d6685b63bf7572803f5ee9acb26ccc6e22d0cd0725c7b36d21f015d",
+}
+
+
+@pytest.mark.parametrize("key", sorted(UNCENTRED_DIGESTS),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_states_centred_at_zero_draw_as_before(key):
+    name, hbar, scale, seed = key
+    level = int(name[1])
+    f = FockVector(np.eye(level + 1)[level], hbar)
+    z, _ = dynamics._rejection_sample(f, 20_000, seed, scale)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == UNCENTRED_DIGESTS[key]
+
+
+def test_trailing_zero_coefficients_leave_the_draws_unchanged():
+    f = coherent_vector(0.7 - 0.2j, 20, 1.0).normalized()
+    padded = FockVector(np.concatenate([f.coeffs, np.zeros(500)]), f.hbar)
+    assert dynamics._trimmed(padded).truncation == f.truncation
+    a, rate_a = dynamics._rejection_sample(f, 5_000, 2, 2.0)
+    b, rate_b = dynamics._rejection_sample(padded, 5_000, 2, 2.0)
+    assert a.tobytes() == b.tobytes() and rate_a == rate_b
+
+
+def test_ensemble_memory_is_three_particle_arrays():
+    # the draws, (q, p) and the buffer the interval maps write into: 48
+    # bytes a particle; proposal chunks and moment blocks add no more than
+    # 2 MiB (the uncapped chunks and per-interval arrays took 115 bytes a
+    # particle, 34.5 MB here)
+    n = 300_000
+    f = coherent_vector(0.5, 32, 1.0).normalized()
+    tracemalloc.start()
+    try:
+        ensemble_evolve(f, OscillatorParams(1.0),
+                        np.linspace(0.0, 2.0 * np.pi, 20), n, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * n + 2 * 2 ** 20
 
 
 def test_acceptance_rate_counts_every_accepted_draw():
