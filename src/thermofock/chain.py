@@ -102,10 +102,10 @@ class ChainState:
         return self.q.size
 
 
-def _check_sites(state: ChainState, params: ChainParams):
-    if state.n_sites != params.n_sites:
+def _check_sites(n_sites: int, params: ChainParams):
+    if n_sites != params.n_sites:
         raise ValueError(
-            f"state has {state.n_sites} sites, params expect {params.n_sites}"
+            f"state has {n_sites} sites, params expect {params.n_sites}"
         )
 
 
@@ -123,7 +123,7 @@ def _energy(q: np.ndarray, p: np.ndarray, params: ChainParams):
 
 def chain_energy(state: ChainState, params: ChainParams) -> float:
     """Total energy with periodic boundary q_0 = q_N."""
-    _check_sites(state, params)
+    _check_sites(state.n_sites, params)
     return float(_energy(state.q, state.p, params))
 
 
@@ -143,7 +143,43 @@ def dispersion(k, params: ChainParams):
     return float(w) if np.isscalar(k) or k_arr.ndim == 0 else w
 
 
-_ROW_BLOCK = 256     # rows of q and p transformed at once by mode_amplitudes
+_ROW_BLOCK = 256     # rows of q and p transformed at once into amplitudes
+
+
+def _write_amplitudes(q: np.ndarray, p: np.ndarray, out: np.ndarray,
+                      params: ChainParams) -> np.ndarray:
+    """Write the mode amplitudes of the (R, N) rows q and p into the complex
+    (R, N) rows `out`, _ROW_BLOCK rows at a time; returns omega.
+
+    Each block takes the half-spectrum rfft of q and of p, forms a_j for
+    0 <= j <= N/2, and fills the negative wavenumbers from the Hermitian
+    symmetry of a real input, Q_{-j} = conj(Q_j) and P_{-j} = conj(P_j), so
+    a_{-j} = conj(W_j Q_j - i P_j / W_j) / sqrt(2) (Sorensen et al., IEEE
+    TASSP 35 (1987)).  A block's two rffts are taken before the block is
+    written and blocks are disjoint, so `out` may be the very buffer whose
+    real and imaginary parts q and p are.
+    """
+    n = params.n_sites
+    omega = dispersion(params.wavenumbers, params)
+    half = n // 2 + 1                   # wavenumbers 0 .. N/2
+    mirrored = n - half                 # wavenumbers -1 .. -(N-1)/2
+    weight = np.sqrt(params.mass * omega[:half])
+    root_2n = math.sqrt(2.0 * n)
+    q_factor = weight / root_2n
+    p_factor = 1j / (weight * root_2n)
+    for start in range(0, out.shape[0], _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        bigq = np.fft.rfft(q[block], axis=-1)
+        bigq *= q_factor
+        bigp = np.fft.rfft(p[block], axis=-1)
+        bigp *= p_factor
+        # columns N-1 down to `half` hold wavenumbers -1 .. -mirrored
+        negative = out[block, half:][:, ::-1]
+        np.subtract(bigq[:, 1:mirrored + 1], bigp[:, 1:mirrored + 1],
+                    out=negative)
+        np.conjugate(negative, out=negative)
+        np.add(bigq, bigp, out=out[block, :half])
+    return omega
 
 
 def mode_amplitudes(q: np.ndarray, p: np.ndarray, params: ChainParams):
@@ -153,39 +189,14 @@ def mode_amplitudes(q: np.ndarray, p: np.ndarray, params: ChainParams):
     returns (a, omega).  Every w_j must be positive, as in a chain that
     sample_thermal_state accepts.
 
-    a is written into one complex array of q's shape, the only buffer of
-    that size: blocks of rows take the half-spectrum rfft of q and of p,
-    form a_j for 0 <= j <= N/2, and fill the negative wavenumbers from the
-    Hermitian symmetry of a real input, Q_{-j} = conj(Q_j) and
-    P_{-j} = conj(P_j), so a_{-j} = conj(W_j Q_j - i P_j / W_j) / sqrt(2)
-    (Sorensen et al., IEEE TASSP 35 (1987)).
+    a is a new complex array of q's shape; ChainTrajectory.into_amplitudes
+    runs the same row-block kernel in place over a trajectory's snapshots.
     """
     n = params.n_sites
-    if q.shape[-1] != n:
-        raise ValueError(f"state has {q.shape[-1]} sites, params expect {n}")
-    omega = dispersion(params.wavenumbers, params)
-    half = n // 2 + 1                   # wavenumbers 0 .. N/2
-    mirrored = n - half                 # wavenumbers -1 .. -(N-1)/2
-    weight = np.sqrt(params.mass * omega[:half])
-    root_2n = math.sqrt(2.0 * n)
-    q_factor = weight / root_2n
-    p_factor = 1j / (weight * root_2n)
+    _check_sites(q.shape[-1], params)
     amps = np.empty(q.shape, dtype=complex)
-    rows_a = amps.reshape(-1, n)
-    rows_q = np.reshape(q, (-1, n))
-    rows_p = np.reshape(p, (-1, n))
-    for start in range(0, rows_a.shape[0], _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        bigq = np.fft.rfft(rows_q[block], axis=-1)
-        bigq *= q_factor
-        bigp = np.fft.rfft(rows_p[block], axis=-1)
-        bigp *= p_factor
-        # columns N-1 down to `half` hold wavenumbers -1 .. -mirrored
-        negative = rows_a[block, half:][:, ::-1]
-        np.subtract(bigq[:, 1:mirrored + 1], bigp[:, 1:mirrored + 1],
-                    out=negative)
-        np.conjugate(negative, out=negative)
-        np.add(bigq, bigp, out=rows_a[block, :half])
+    omega = _write_amplitudes(np.reshape(q, (-1, n)), np.reshape(p, (-1, n)),
+                              amps.reshape(-1, n), params)
     return amps, omega
 
 
@@ -220,30 +231,62 @@ def sample_thermal_state(params: ChainParams, beta: float, seed) -> ChainState:
 
 # -- integration ---------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class ChainTrajectory:
-    """Strided leapfrog snapshots: times (S,), q and p (S, N), and the
-    chain energy of each snapshot (S,).  Float arrays are taken as they are
-    and made read-only in place, not copied, so integrate_chain's fresh
-    buffers become the trajectory's; anything else is converted once."""
+    """Strided leapfrog snapshots: times (S,), the chain energy of each
+    snapshot (S,), and the (S, N) site states in one complex buffer, whose
+    real part is q and imaginary part p.  The buffer is taken as it is, not
+    copied, so integrate_chain's fresh one becomes the trajectory's; times
+    and energies are made read-only in place, and q and p are read-only
+    views of the buffer.
 
-    times: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    energies: np.ndarray
+    A complex row of N amplitudes takes exactly the bytes of one q row and
+    one p row, so into_amplitudes writes the mode amplitudes over the
+    snapshots and hands the buffer on; from then on q and p raise.
+    """
 
-    def __post_init__(self):
-        for name in ("times", "q", "p", "energies"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if (self.q.shape != self.p.shape or self.q.shape[0] != self.times.size
+    def __init__(self, times, snapshots, energies):
+        self.times = np.asarray(times, dtype=float)
+        self.energies = np.asarray(energies, dtype=float)
+        self.times.setflags(write=False)
+        self.energies.setflags(write=False)
+        buffer = np.asarray(snapshots, dtype=complex)
+        if (buffer.ndim != 2 or buffer.shape[0] != self.times.size
                 or self.energies.shape != self.times.shape):
             raise ValueError("inconsistent snapshot shapes")
+        self._buffer = buffer
+
+    def _part(self, name: str) -> np.ndarray:
+        if self._buffer is None:
+            raise ValueError("the snapshots were overwritten by their mode "
+                             "amplitudes")
+        view = getattr(self._buffer, name)
+        view.setflags(write=False)
+        return view
+
+    @property
+    def q(self) -> np.ndarray:
+        """Site displacements (S, N), the buffer's real part."""
+        return self._part("real")
+
+    @property
+    def p(self) -> np.ndarray:
+        """Site momenta (S, N), the buffer's imaginary part."""
+        return self._part("imag")
 
     @property
     def n_snapshots(self) -> int:
         return self.times.size
+
+    def into_amplitudes(self, params: ChainParams):
+        """Hand the snapshot buffer over as the snapshots' mode amplitudes:
+        returns (amps, omega) with the values mode_amplitudes(q, p, params)
+        gives, amps the buffer itself, written over in place block by block
+        (_write_amplitudes).  q and p raise from then on."""
+        q, p = self.q, self.p
+        _check_sites(q.shape[1], params)
+        buffer, self._buffer = self._buffer, None
+        omega = _write_amplitudes(q, p, buffer, params)
+        return buffer, omega
 
 
 _WINDOW_FLOATS = 2 ** 18    # cap on the stride kernel's window buffer, 2 MiB
@@ -327,7 +370,9 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
     that holds one, and so does an initial energy whose 10x cap is not
     finite.  Snapshots are taken every `stride` steps (the step count is
     rounded up to a multiple of stride so the run ends on one), each with
-    its chain_energy, the numbers the stability check tested.
+    its chain_energy, the numbers the stability check tested.  q and p are
+    written into one complex (S, N) buffer, q its real part and p its
+    imaginary part, which the trajectory keeps without a copy.
 
     The scheme is linear and the chain uniform and periodic, so `stride`
     steps are one translation-invariant map (Hairer, Lubich & Wanner,
@@ -342,7 +387,7 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
     never applied by FFT, which would step in mode space, where
     spectral_dispersion measures.
     """
-    _check_sites(state, params)
+    _check_sites(state.n_sites, params)
     if not (duration > 0 and math.isfinite(duration)):
         raise FloatingPointError(
             f"duration {duration:g} must be positive and finite")
@@ -368,8 +413,8 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
         raise CapacityError(
             f"{n_snap:.3g} snapshots of {n} sites exceed the snapshot buffer cap "
             f"of {MAX_SNAPSHOT_FLOATS} floats")
-    qs = np.empty((n_snap, n))
-    ps = np.empty_like(qs)
+    snapshots = np.empty((n_snap, n), dtype=complex)
+    qs, ps = snapshots.real, snapshots.imag
     energies = np.empty(n_snap)
     qs[0], ps[0], energies[0] = state.q, state.p, e0
 
@@ -410,7 +455,7 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
                 f"energy grew to {energies[block][over[0]]:.3g} (initial {e0:.3g}); "
                 "reduce dt")
     times = h * stride * np.arange(n_snap)
-    return ChainTrajectory(times=times, q=qs, p=ps, energies=energies)
+    return ChainTrajectory(times, snapshots, energies)
 
 
 def spectral_dispersion(traj: ChainTrajectory, params: ChainParams):
@@ -423,15 +468,17 @@ def spectral_dispersion(traj: ChainTrajectory, params: ChainParams):
     interpolation on log|X| and reported as a positive frequency.  A mode
     with no excitation (or no curvature at the peak) measures NaN.
 
-    The time spectrum X is taken in place in mode_amplitudes' output, the
-    one complex buffer of the trajectory's size.  |X| is formed in blocks
+    The trajectory hands its snapshot buffer over (into_amplitudes): the
+    mode amplitudes are written over the snapshots and the time spectrum X
+    is taken in place in them, so no second array of the trajectory's size
+    is made, and traj.q and traj.p raise afterwards.  |X| is formed in blocks
     of modes of at most _SPECTRUM_FLOATS floats, each block giving its
     modes' peaks and the two neighbours of each in one argmax.
     """
     n_snap = traj.n_snapshots
     n = params.n_sites
     dt_snap = float(traj.times[1] - traj.times[0])
-    amps, _ = mode_amplitudes(traj.q, traj.p, params)
+    amps, _ = traj.into_amplitudes(params)
     spectrum = np.fft.fft(amps, axis=0, out=amps)
     width = max(1, _SPECTRUM_FLOATS // n_snap)      # modes per block
     mag = np.empty((min(width, n), n_snap))

@@ -469,6 +469,18 @@ def run_ensemble(args, report):
             "flow")
     _tilt_rule(c, hbar, "--c/--hbar")
     f = bargmann.coherent_vector(c, args.nmax, hbar).normalized()
+    # the cloud is drawn from f cut at --nmax and renormalised; where that
+    # state's own mean lies a standard error of the mean at --samples or
+    # more from the oracle hbar conj(c), the mean check would measure the
+    # truncation, not the pushforward.  Re z and Im z of the coherent cloud
+    # have variance hbar/2
+    gap = abs(dynamics.cloud_centre(f) - hbar * c.conjugate())
+    stderr = math.sqrt(0.5 * hbar / args.samples)
+    if not gap < stderr:
+        raise argparse.ArgumentTypeError(
+            f"--nmax {args.nmax} is too small for --c/--hbar: the truncated "
+            f"state's mean lies {gap / stderr:.3g} standard errors at "
+            f"--samples {args.samples} from hbar conj(c)")
     t_max = args.t_max if args.t_max is not None else params.period
     if not math.isfinite(t_max):
         # one period 2 pi/omega that overflowed
@@ -849,12 +861,15 @@ def run_relax(args, report):
     target = 0.0
     if alpha > 0:
         target = alpha / 2.0
-        # every mode amplitude shrinks under the envelope e^{-alpha t / 2}
-        mags = np.abs(chain.mode_amplitudes(traj.q, traj.p, params)[0])
-        floor = 1e-8 * max(float(np.max(mags[0])), 1e-300)
+        # every mode amplitude shrinks under the envelope e^{-alpha t / 2};
+        # the amplitudes overwrite the snapshots, and |a| is taken a mode
+        # at a time
+        amps, _ = traj.into_amplitudes(params)
+        floor = 1e-8 * max(float(np.max(np.abs(amps[0]))), 1e-300)
         for j in range(params.n_sites):
-            if mags[0, j] > floor and np.all(mags[:, j] > 0):
-                rates[j] = fits.fit_decay_rate(times, mags[:, j])
+            mags = np.abs(amps[:, j])
+            if mags[0] > floor and np.all(mags > 0):
+                rates[j] = fits.fit_decay_rate(times, mags)
         fitted = rates[~np.isnan(rates)]
         report.add("mode-envelope-rates",
                    "every excited mode's amplitude envelope decays at half "

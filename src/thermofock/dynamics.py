@@ -29,6 +29,7 @@ __all__ = [
     "schrodinger_evolve",
     "damped_solution",
     "ensemble_evolve",
+    "cloud_centre",
 ]
 
 
@@ -168,7 +169,7 @@ def _trimmed(f: FockVector) -> FockVector:
     return FockVector(f.coeffs[:top], f.hbar, f.tail_mass)
 
 
-def _cloud_centre(f: FockVector) -> complex:
+def cloud_centre(f: FockVector) -> complex:
     """<z> under |f|^2 dmu, that is (f, z f) with z e_n = sqrt((n+1) hbar)
     e_{n+1}: sum_n conj(c_{n+1}) c_n sqrt((n+1) hbar).  0 for every e_n."""
     c = f.coeffs
@@ -249,7 +250,7 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     """Rejection-sample z from |f(z)|^2 exp(-|z|^2/hbar)/(pi hbar).
 
     The proposal is z = mu + u, centred on the cloud's mean mu
-    (`_cloud_centre`), with u the Gaussian widened by `proposal_scale` = s
+    (`cloud_centre`), with u the Gaussian widened by `proposal_scale` = s
     in variance.  With kappa = (1 - 1/s)/hbar and g(u) = f(mu + u)
     exp(-conj(mu) u / hbar), the density over the proposal's is exactly
         s |g(u)|^2 exp(-|mu|^2/hbar - kappa |u|^2),
@@ -275,7 +276,7 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     s = float(proposal_scale)
     hbar = f.hbar
     kappa = (1.0 - 1.0 / s) / hbar
-    mu = _cloud_centre(f)
+    mu = cloud_centre(f)
     mu2 = abs(mu) ** 2
 
     def reach(degree):

@@ -7,9 +7,9 @@ arrays a truncation or a time integration sizes."""
 # Gram basis or a coherent vector at truncation --nmax.  2**24 float64 is
 # 128 MiB: a dense operator stops at nmax 2895, the Gram basis at 160.
 # The largest benchmarked trajectory, chain-dispersion --sites 1024, fills
-# 2095 x 1024 = 2.1e6 (17 MB each for q and p), an eighth of the cap; a
-# chain run at the cap, spectral transform included, holds about 1 GiB of
-# arrays.
+# 2096 x 1024 = 2.1e6 (17 MB each for q and p), an eighth of the cap; a
+# chain run at the cap holds one 256 MiB complex snapshot buffer, in which
+# its mode amplitudes and time spectrum are taken in place.
 MAX_SNAPSHOT_FLOATS = 2 ** 24
 
 

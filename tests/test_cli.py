@@ -96,6 +96,8 @@ def test_usage_errors_exit_two(tmp_path, usage_error):
             (["coherent", "--hbar", "3000", "--c", "0.3"], "--nmax"),
             (["coherent", "--hbar", "1e6", "--c", "0.02"], "--nmax"),
             (["ensemble", "--seed", "1", "--c", "1e200"], "--c/--hbar"),
+            # the truncated state's own mean lies 160 se from hbar conj(c)
+            (["ensemble", "--nmax", "2", "--c", "1.2", "--seed", "7"], "--nmax"),
             (["tilt", "--seed", "1", "--c", "1e200"], "--c/--beta/--omega"),
             (["damp", "--q0", "1e200"], "--q0/--v0/--hbar"),
             # Monte Carlo without a seed is refused, not silently seeded

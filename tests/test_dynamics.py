@@ -315,7 +315,7 @@ def test_shifted_majorant_dominates_on_circles(c, hbar):
         f = FockVector(np.eye(4)[3], hbar)
     else:
         f = coherent_vector(c, 32, hbar).normalized()
-    mu = dynamics._cloud_centre(f)
+    mu = dynamics.cloud_centre(f)
     assert abs(mu - (0.0 if c is None else hbar * np.conj(c))) <= 1e-12
     _, majorant = dynamics._shifted_majorant(f, mu, 12.0)
     rng = np.random.default_rng(3)
