@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import MAX_SNAPSHOT_FLOATS, CapacityError
+
 __all__ = [
     "BathParams",
     "MomentReport",
@@ -59,10 +61,10 @@ class MomentReport:
     abs2_se: float
 
 
-# points per block of the second pass: as in `bargmann`'s point kernels,
-# 4096 values keep a block's buffers in L2 cache, and no buffer grows with
-# the sample
-_MOMENT_BLOCK = 4096
+# points per block of a pass over a sample: as in `bargmann`'s point
+# kernels, 4096 values keep a block's buffers in L2 cache, and no buffer
+# grows with the sample
+_POINT_BLOCK = 4096
 
 
 def moment_report(z: np.ndarray) -> MomentReport:
@@ -70,17 +72,17 @@ def moment_report(z: np.ndarray) -> MomentReport:
 
     Two passes: the sums of z and |z|^2 over the whole sample, which need
     no temporary, then the squared deviations from those means (the sample
-    variances with n - 1), block by block through buffers of _MOMENT_BLOCK
+    variances with n - 1), block by block through buffers of _POINT_BLOCK
     points."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     n = z.size
     mean = complex(np.sum(z)) / n
     abs2_mean = float(np.vdot(z, z).real) / n
-    dev = np.empty(min(n, _MOMENT_BLOCK), dtype=complex)
+    dev = np.empty(min(n, _POINT_BLOCK), dtype=complex)
     abs2 = np.empty(dev.size)
     squares = np.zeros(3)
-    for lo in range(0, n, _MOMENT_BLOCK):
-        block = z[lo:lo + _MOMENT_BLOCK]
+    for lo in range(0, n, _POINT_BLOCK):
+        block = z[lo:lo + _POINT_BLOCK]
         d, a = dev[:block.size], abs2[:block.size]
         np.subtract(block, mean, out=d)
         np.multiply(block.real, block.real, out=a)
@@ -108,6 +110,14 @@ def _energy(a: np.ndarray, x: np.ndarray):
     return total
 
 
+# floats of the Monte Carlo partition's draw buffer: a chunk of 200 000
+# points for one oscillator pair, fewer points as the pairs grow
+_DRAW_FLOATS = 2 * 200_000
+# floats of the transformed draws chol @ xi one block of a chunk holds:
+# blocks of _POINT_BLOCK points for up to 16 dimensions, fewer beyond
+_BLOCK_FLOATS = 2 ** 16
+
+
 def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
                        samples: int = 100_000, seed=None,
                        proposal_scale: float = 1.5) -> tuple:
@@ -120,6 +130,14 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
     `proposal_scale`); the integrand is summed term by term from A, without
     the determinant, so the estimate is an independent check of the closed
     form.
+
+    Memory: the draws come in chunks of _DRAW_FLOATS // 2n points (200 000
+    for one pair), each drawn into one reused (2n, chunk) buffer.  A chunk
+    is reduced in blocks of at most _POINT_BLOCK points and _BLOCK_FLOATS
+    transformed draws; each block's weights are written over the row-0
+    draws it has used, and their squares then fill row 1, so each sum runs
+    over one contiguous row.  Nothing else grows with `samples` or the
+    chunk.
     """
     d = a.shape[0]
     n_pairs = d // 2
@@ -133,18 +151,33 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
         log_norm = 0.5 * d * math.log(2.0 * math.pi) + float(
             np.sum(np.log(np.diag(chol)))
         )
+        width = max(1, _DRAW_FLOATS // d)
+        draws = np.empty(d * min(width, samples))
+        block = max(1, min(_POINT_BLOCK, _BLOCK_FLOATS // d))
         total = 0.0
         total_sq = 0.0
         done = 0
         while done < samples:
-            chunk = min(200_000, samples - done)
-            xi = rng.standard_normal((d, chunk))
-            x = chol @ xi
-            h_vals = _energy(a, x)
-            logw = -beta * h_vals + 0.5 * np.sum(xi ** 2, axis=0) + log_norm
-            w = np.exp(logw)
-            total += float(np.sum(w))
-            total_sq += float(np.sum(w ** 2))
+            chunk = min(width, samples - done)
+            xi = draws[:d * chunk].reshape(d, chunk)
+            rng.standard_normal(out=xi)
+            for lo in range(0, chunk, block):
+                cols = xi[:, lo:lo + block]
+                # logw = -beta H + |xi|^2 / 2 + log_norm, |xi|^2 summed
+                # over the rows in order
+                logw = _energy(a, chol @ cols)
+                logw *= -beta
+                squares = np.square(cols[0])
+                for row in cols[1:]:
+                    squares += np.square(row)
+                squares *= 0.5
+                logw += squares
+                logw += log_norm
+                np.exp(logw, out=cols[0])
+            weights = xi[0]
+            total += float(np.sum(weights))
+            np.square(weights, out=xi[1])
+            total_sq += float(np.sum(xi[1]))
             done += chunk
         z_val = total / samples
         var = max(total_sq / samples - z_val ** 2, 0.0)
@@ -196,24 +229,46 @@ def gibbs_first_order_defect(x, a: np.ndarray, generator: np.ndarray,
 def tilt_measure(bath: BathParams, c: complex, n_samples: int, seed) -> np.ndarray:
     """Draws z from the measure tilted by |exp(c z)|^2, the shifted Gaussian
     exp(-|z - hbar conj(c)|^2/hbar): mean hbar*conj(c), covariance unchanged
-    from equilibrium (hbar/2 per component, uncorrelated)."""
+    from equilibrium (hbar/2 per component, uncorrelated).
+
+    The real draws, then the imaginary ones, are shifted by the centre into
+    the real and imaginary parts of one complex array, so the run holds
+    that array and one component's draws.  A sample whose complex array
+    would pass MAX_SNAPSHOT_FLOATS raises CapacityError before a draw."""
+    if 2 * n_samples > MAX_SNAPSHOT_FLOATS:
+        raise CapacityError(
+            f"{n_samples} tilted draws would hold {2 * n_samples} floats, "
+            f"over the array cap of {MAX_SNAPSHOT_FLOATS}")
     rng = np.random.default_rng(seed)
     hbar = bath.hbar
     center = hbar * np.conj(complex(c))
     sigma = math.sqrt(hbar / 2.0)
-    return center + rng.normal(0.0, sigma, n_samples) + 1j * rng.normal(0.0, sigma, n_samples)
+    z = np.empty(n_samples, dtype=complex)
+    np.add(rng.normal(0.0, sigma, n_samples), center.real, out=z.real)
+    np.add(rng.normal(0.0, sigma, n_samples), center.imag, out=z.imag)
+    return z
 
 
 # -- sphere pushforward ------------------------------------------------------
 
 def ks_statistic(cdf_values: np.ndarray) -> float:
     """One-sample Kolmogorov-Smirnov distance from the model CDF at each draw:
-    D = max over the sorted values of i/n - F_(i) and F_(i) - (i-1)/n."""
-    f = np.sort(cdf_values)
+    D = max over the sorted values of i/n - F_(i) and F_(i) - (i-1)/n.
+
+    Sorts `cdf_values` in place, then forms both differences in blocks of
+    _POINT_BLOCK values; the maximum over the blocks is the whole-array
+    maximum exactly."""
+    f = cdf_values
+    f.sort()
     n = f.size
-    d_plus = np.max(np.arange(1.0, n + 1) / n - f)
-    d_minus = np.max(f - np.arange(0.0, n) / n)
-    return float(max(d_plus, d_minus))
+    worst = -math.inf
+    for lo in range(0, n, _POINT_BLOCK):
+        block = f[lo:lo + _POINT_BLOCK]
+        i = np.arange(lo + 1, lo + block.size + 1)
+        # np.max keeps a NaN that max() would drop
+        worst = np.max((worst, np.max(i / n - block),
+                        np.max(block - (i - 1) / n)))
+    return float(worst)
 
 
 def sphere_pushforward_check(radius: float, beta: float, n_samples: int,
@@ -227,15 +282,27 @@ def sphere_pushforward_check(radius: float, beta: float, n_samples: int,
     is exactly an exponential of rate beta shifted to start at t_min, and
     arg z stays uniform.  A radius outside (0, inf) is a float that left
     the range of the flags it was derived from.
+
+    t is computed in place in the array of the u draws, so the two returned
+    arrays are the only ones that grow with `n_samples`; a sample whose
+    arrays would each pass MAX_SNAPSHOT_FLOATS raises CapacityError before
+    a draw.
     """
     if not 0.0 < radius < math.inf:
         raise FloatingPointError(f"radius {radius:g} must be positive and finite")
+    if n_samples > MAX_SNAPSHOT_FLOATS:
+        raise CapacityError(
+            f"{n_samples} sphere draws would hold {n_samples} floats each, "
+            f"over the array cap of {MAX_SNAPSHOT_FLOATS}")
     rng = np.random.default_rng(seed)
     u_max = min(1.0, 1.0 / (2.0 * beta * radius ** 2))
     t_min = max(0.0, -math.log(2.0 * beta * radius ** 2) / beta)
-    u = rng.uniform(0.0, u_max, n_samples)
+    t = rng.uniform(0.0, u_max, n_samples)
     # guard the measure-zero event u == 0 (log divergence)
-    u = np.maximum(u, np.finfo(float).tiny)
+    np.maximum(t, np.finfo(float).tiny, out=t)
     phi = rng.uniform(0.0, 2.0 * math.pi, n_samples)
-    t = -np.log(2.0 * beta * radius ** 2 * u) / beta
+    t *= 2.0 * beta * radius ** 2
+    np.log(t, out=t)
+    np.negative(t, out=t)
+    t /= beta
     return t, phi, t_min

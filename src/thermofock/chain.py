@@ -143,13 +143,17 @@ def dispersion(k, params: ChainParams):
     return float(w) if np.isscalar(k) or k_arr.ndim == 0 else w
 
 
-_ROW_BLOCK = 256     # rows of q and p transformed at once into amplitudes
+# floats of q (and of p) transformed at once into amplitudes: a block of
+# max(1, _AMPLITUDE_FLOATS // N) rows, so its two rffts hold about 2**14
+# complex values (256 KiB) whatever N: 256 rows at 64 sites, 16 at 1024
+_AMPLITUDE_FLOATS = 2 ** 14
 
 
 def _write_amplitudes(q: np.ndarray, p: np.ndarray, out: np.ndarray,
                       params: ChainParams) -> np.ndarray:
     """Write the mode amplitudes of the (R, N) rows q and p into the complex
-    (R, N) rows `out`, _ROW_BLOCK rows at a time; returns omega.
+    (R, N) rows `out`, max(1, _AMPLITUDE_FLOATS // N) rows at a time;
+    returns omega.
 
     Each block takes the half-spectrum rfft of q and of p, forms a_j for
     0 <= j <= N/2, and fills the negative wavenumbers from the Hermitian
@@ -167,8 +171,9 @@ def _write_amplitudes(q: np.ndarray, p: np.ndarray, out: np.ndarray,
     root_2n = math.sqrt(2.0 * n)
     q_factor = weight / root_2n
     p_factor = 1j / (weight * root_2n)
-    for start in range(0, out.shape[0], _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
+    rows = max(1, _AMPLITUDE_FLOATS // n)
+    for start in range(0, out.shape[0], rows):
+        block = slice(start, start + rows)
         bigq = np.fft.rfft(q[block], axis=-1)
         bigq *= q_factor
         bigp = np.fft.rfft(p[block], axis=-1)

@@ -666,8 +666,15 @@ def run_sphere(args, report):
     radius = math.sqrt(radius2)
     t, phi, t_min = bath.sphere_pushforward_check(radius, beta, args.samples,
                                                   args.seed)
-    ks_radial = bath.ks_statistic(-np.expm1(-beta * (t - t_min)))
-    ks_angular = bath.ks_statistic(phi / (2.0 * math.pi))
+    # the model CDFs 1 - exp(-beta (t - t_min)) and phi/2pi, each written
+    # over its draws, which ks_statistic then sorts in place
+    t -= t_min
+    t *= -beta
+    np.expm1(t, out=t)
+    np.negative(t, out=t)
+    ks_radial = bath.ks_statistic(t)
+    phi /= 2.0 * math.pi
+    ks_angular = bath.ks_statistic(phi)
     # the asymptotic 99% Kolmogorov-Smirnov critical value
     threshold = 1.63 / math.sqrt(args.samples)
     report.add("sphere-radial-exponential",

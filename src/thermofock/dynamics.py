@@ -17,7 +17,8 @@ import numpy as np
 
 from .bargmann import FockVector, hamiltonian_matrix
 from .bath import moment_report
-from .errors import CapacityError, SamplerError, TruncationError
+from .errors import (MAX_SNAPSHOT_FLOATS, CapacityError, SamplerError,
+                     TruncationError)
 from .phasespace import OscillatorParams, PhasePoint, hamilton_step
 
 __all__ = [
@@ -344,9 +345,10 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
     pdot = -w q - alpha p, alpha = `friction`.
 
     Each interval between requested times is cut into the fewest equal
-    steps no longer than `dt`; the total is capped at MAX_CLOUD_STEPS
-    before any draw.  The leapfrog is linear, so those steps compose to one
-    2x2 interval map, built by stepping the two unit vectors with
+    steps no longer than `dt`; before any draw, the total is capped at
+    MAX_CLOUD_STEPS and each cloud array's 2 n_samples floats at
+    MAX_SNAPSHOT_FLOATS.  The leapfrog is linear, so those steps compose to
+    one 2x2 interval map, built by stepping the two unit vectors with
     hamilton_step; the cloud then moves once per interval by that map (the
     same scheme, up to rounding).  Moment reports (mean z and |z|^2 with
     standard errors) are recorded at each requested time.  Without
@@ -377,6 +379,10 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
     if total > MAX_CLOUD_STEPS:
         raise CapacityError(f"{total:.3g} leapfrog steps exceed the cap of "
                             f"{MAX_CLOUD_STEPS} per ensemble run")
+    if 2 * n_samples > MAX_SNAPSHOT_FLOATS:
+        raise CapacityError(
+            f"a cloud of {n_samples} particles would hold {2 * n_samples} "
+            f"floats per array, over the array cap of {MAX_SNAPSHOT_FLOATS}")
     z, efficiency = _rejection_sample(f, n_samples, seed, proposal_scale)
     # (q, p) rows, and a second pair the interval maps write into
     x = np.empty((2, n_samples))

@@ -4,8 +4,11 @@ arrays a truncation or a time integration sizes."""
 # Floats one array sized by a run's flags may hold: snapshots x sites for a
 # chain, the snapshot count for a single oscillator's orbit, and, counting
 # a complex entry as two floats, a dense operator matrix, the quadrature
-# Gram basis or a coherent vector at truncation --nmax.  2**24 float64 is
-# 128 MiB: a dense operator stops at nmax 2895, the Gram basis at 160.
+# Gram basis or a coherent vector at truncation --nmax, and the draws that
+# --samples sizes (the tilt's and the ensemble cloud's complex arrays, the
+# sphere map's two real ones).  2**24 float64 is 128 MiB: a dense operator
+# stops at nmax 2895, the Gram basis at 160, tilt and ensemble at 2**23
+# samples, sphere at 2**24.
 # The largest benchmarked trajectory, chain-dispersion --sites 1024, fills
 # 2096 x 1024 = 2.1e6 (17 MB each for q and p), an eighth of the cap; a
 # chain run at the cap holds one 256 MiB complex snapshot buffer, in which
@@ -18,8 +21,8 @@ class ThermoFockError(Exception):
 
 
 class CapacityError(ThermoFockError):
-    """An operator build, a truncation-sized array or a snapshot buffer
-    exceeded its size cap."""
+    """An operator build, a truncation-sized array, a sample-sized array
+    or a snapshot buffer exceeded its size cap."""
 
 
 class TruncationError(ThermoFockError):

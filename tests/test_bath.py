@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thermofock import cli
+from thermofock import bath, cli
 from thermofock.bargmann import FockVector
 from thermofock.bath import (
     BathParams,
@@ -127,6 +127,38 @@ def test_montecarlo_action_cell_matches_analytic():
     assert abs(h_cell - 2.0 * math.pi) <= 0.01 * 2.0 * math.pi
 
 
+def test_montecarlo_action_cell_is_pinned_at_the_a06_seed():
+    # a06's draw, as the whole-chunk route computed it: the blocked
+    # reduction keeps every float
+    got = partition_estimate(np.eye(2), 1.0, method="montecarlo",
+                             samples=10**6, seed=7)
+    assert got == (6.287185509546762, 6.287185509546762, 0.004200221439689635)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("pairs, samples", [(1, 10**6), (50, 20_000)])
+def test_partition_holds_little_beyond_its_draw_buffer(pairs, samples):
+    # the draws of a chunk are reduced in place in one (2n, chunk) buffer
+    # of at most 2 x 200 000 floats: 1.31x it at one pair, 5.7x on the
+    # whole-chunk route.  At 50 pairs the chunk shrinks to 4000 points;
+    # the whole-chunk route drew all 20 000 at once and peaked at 15x
+    dim = 2 * pairs
+    buffer_bytes = 8 * dim * min(bath._DRAW_FLOATS // dim, samples)
+    assert buffer_bytes <= 8 * bath._DRAW_FLOATS
+    peak = _traced_peak(lambda: partition_estimate(
+        np.eye(dim), 1.0, method="montecarlo", samples=samples, seed=7))
+    assert peak <= 1.5 * buffer_bytes
+
+
 def test_partition_rejects_bad_input(usage_error):
     usage_error(["partition", "--seed", "1", "--beta", "-1"], "--beta")
     usage_error(["partition"], "--seed")
@@ -218,6 +250,48 @@ def test_ks_statistic_matches_scipy(seed):
     angular = stats.kstest(phi / (2.0 * math.pi), "uniform")
     assert ks_statistic(-np.expm1(-(t - t_min))) == radial.statistic
     assert ks_statistic(phi / (2.0 * math.pi)) == angular.statistic
+
+
+def test_sphere_pipeline_holds_its_two_draw_arrays():
+    # run_sphere's route: t and both model CDFs are formed in the draws'
+    # arrays, and ks_statistic sorts in place and reads blocks, so the peak
+    # is the 2 x 8n bytes of the draws and little more (3.0x the draws when
+    # each step made a new array)
+    n = 2 ** 18
+
+    def pipeline(n):
+        t, phi, t_min = sphere_pushforward_check(math.sqrt(0.5), 1.0, n, 21)
+        t -= t_min
+        t *= -1.0
+        np.expm1(t, out=t)
+        np.negative(t, out=t)
+        ks_statistic(t)
+        phi /= 2.0 * math.pi
+        ks_statistic(phi)
+
+    pipeline(10)    # numpy's one-time set-up of the calls is not the pipeline's
+    assert _traced_peak(lambda: pipeline(n)) <= 2 * 8 * n + 8 * n // 8
+
+
+def test_ks_statistic_sorts_in_place_and_reads_blocks():
+    # several blocks, the last one short, and a sample of one block
+    for n in (3 * bath._POINT_BLOCK + 5, 7):
+        cdf = np.random.default_rng(n).uniform(size=n)
+        f = np.sort(cdf)
+        i = np.arange(1.0, n + 1)
+        want = max(np.max(i / n - f), np.max(f - (i - 1) / n))
+        assert ks_statistic(cdf) == want
+        assert np.array_equal(cdf, f)
+
+
+def test_tilt_holds_one_complex_array_and_one_component():
+    # 24 bytes a draw at the peak, 41 when the sum of the complex parts
+    # made its temporaries
+    n = 2 ** 17
+    bp = BathParams(1.0, 1.0)
+    tilt_measure(bp, 0.5 - 0.3j, 10, seed=9)    # numpy's one-time set-up
+    peak = _traced_peak(lambda: tilt_measure(bp, 0.5 - 0.3j, n, seed=9))
+    assert peak <= 16 * n + 8 * n + 8 * n // 8
 
 
 def test_sphere_area_is_the_action_cell(tmp_path):

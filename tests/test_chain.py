@@ -155,10 +155,11 @@ def _full_fft_amplitudes(q, p, params):
 @pytest.mark.parametrize("n_sites", [2, 3, 8, 17, 256])
 def test_half_spectrum_amplitudes_match_the_full_fft_formula(n_sites):
     # even and odd N (a Nyquist mode or none), 1-D states and (S, N)
-    # snapshots whose row count crosses a _ROW_BLOCK boundary
+    # snapshots whose row count crosses a row-block boundary
     params = ChainParams(n_sites=n_sites, mass=1.3, gamma=0.7, gamma_couple=2.1)
     rng = np.random.default_rng(n_sites)
-    for shape in [(n_sites,), (chain._ROW_BLOCK + 3, n_sites)]:
+    block_rows = chain._AMPLITUDE_FLOATS // n_sites
+    for shape in [(n_sites,), (block_rows + 3, n_sites)]:
         q, p = rng.standard_normal((2,) + shape)
         amps, omega = mode_amplitudes(q, p, params)
         want = _full_fft_amplitudes(q, p, params)
@@ -493,7 +494,7 @@ def test_spectral_dispersion_transient_memory_is_bounded():
 
 def test_spectral_dispersion_transient_memory_at_a09_length():
     # a09's 2096 snapshots on 256 sites: the blocks shrink against the
-    # buffer, 0.19x (1.19x on the copying route)
+    # buffer, 0.08x (0.19x with 256-row blocks, 1.19x on the copying route)
     params = ChainParams(n_sites=256)
     state = sample_thermal_state(params, beta=1.0, seed=3)
     traj = integrate_chain(state, params, duration=400.0 * math.pi, dt=0.05,
@@ -501,7 +502,7 @@ def test_spectral_dispersion_transient_memory_at_a09_length():
     assert traj.q.shape == (2096, 256)
     snapshot_bytes = traj.q.nbytes + traj.p.nbytes
     _, peak = _traced_peak(spectral_dispersion, traj, params)
-    assert peak <= 0.2 * snapshot_bytes
+    assert peak <= 0.1 * snapshot_bytes
 
 
 def test_integrate_chain_transient_memory_is_bounded():
@@ -518,7 +519,8 @@ def test_integrate_chain_transient_memory_is_bounded():
 def test_chain_dispersion_path_holds_one_snapshot_buffer():
     # integrate_chain then spectral_dispersion, as `chain-dispersion --sites
     # 1024` runs them: one buffer of the snapshots' bytes serves the whole
-    # path, 1.19x at the peak (2.19x on the copying route)
+    # path, 1.05x at the peak (1.19x with 256-row blocks of the mode
+    # transform, 2.19x on the copying route)
     params = ChainParams(n_sites=1024)
     state = sample_thermal_state(params, beta=1.0, seed=3)
     sizes = []
@@ -533,14 +535,15 @@ def test_chain_dispersion_path_holds_one_snapshot_buffer():
     (shape, snapshot_bytes), = sizes
     assert shape == (2096, 1024)
     assert not np.any(np.isnan(measured))
-    assert peak <= 1.25 * snapshot_bytes
+    assert peak <= 1.1 * snapshot_bytes
 
 
 def test_relax_amplitude_read_holds_no_second_buffer(monkeypatch, tmp_path):
     # what `relax` holds beyond its trajectory: the amplitudes overwrite the
     # snapshots and |a| is taken a mode at a time, so the row blocks of the
-    # mode transform set the peak, 0.39x at 256 sites (1.50x when a copied
-    # amplitude array and its |a| sat beside the snapshots)
+    # mode transform set the peak, 0.16x at 256 sites (0.39x with 256-row
+    # blocks, 1.50x when a copied amplitude array and its |a| sat beside the
+    # snapshots)
     sizes = []
 
     def integrate_then_trace(*args, **kwargs):
@@ -559,7 +562,7 @@ def test_relax_amplitude_read_holds_no_second_buffer(monkeypatch, tmp_path):
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak <= 0.45 * sizes[0]
+    assert peak <= 0.2 * sizes[0]
 
 
 def test_trajectory_holds_the_integrated_buffers_read_only():
@@ -582,8 +585,9 @@ def test_trajectory_holds_the_integrated_buffers_read_only():
 def test_amplitude_handover_matches_the_copying_route(monkeypatch):
     # several row blocks, the last one short: the handover writes over the
     # snapshots the very values mode_amplitudes gives for copies of them
-    monkeypatch.setattr(chain, "_ROW_BLOCK", 7)
     for n_sites in (15, 16):
+        # blocks of 7 rows
+        monkeypatch.setattr(chain, "_AMPLITUDE_FLOATS", 7 * n_sites)
         params = ChainParams(n_sites=n_sites)
         state = sample_thermal_state(params, beta=1.0, seed=n_sites)
         traj = integrate_chain(state, params, duration=30.0, dt=0.1, stride=2)

@@ -280,6 +280,30 @@ def test_oversize_truncation_exits_three(tmp_path, capsys, monkeypatch):
             "checks"][0]["measured"]
 
 
+def test_oversize_sample_exits_three(tmp_path, capsys):
+    # the arrays --samples sizes, one float past the cap of 2**24 each: a
+    # complex draw array (tilt, and the ensemble's cloud) or the two real
+    # draw arrays of the sphere map, refused before they are allocated (a
+    # missing check would allocate 130-260 MB here, and GBs at 1e9)
+    from thermofock.errors import MAX_SNAPSHOT_FLOATS
+
+    half = MAX_SNAPSHOT_FLOATS // 2
+    for command, *args in (("tilt", "--samples", str(half + 1)),
+                           ("ensemble", "--samples", str(half + 1)),
+                           ("sphere", "--samples", str(MAX_SNAPSHOT_FLOATS + 1)),
+                           ("tilt", "--samples", "1e9"),
+                           ("sphere", "--samples", "1e9"),
+                           ("ensemble", "--samples", "1e9")):
+        start = time.perf_counter()
+        code = cli.main([command, *args, "--seed", "1",
+                         "--outdir", str(tmp_path)])
+        assert time.perf_counter() - start < 5.0, (command, args)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_NUMERICAL, (command, args, err)
+        assert "CapacityError" in read_report(tmp_path, command)[
+            "checks"][0]["measured"]
+
+
 def test_evolve_check_fails_on_a_nan_distance(tmp_path, monkeypatch):
     # a NaN at one time must fail the worst-case check, not vanish in max()
     from thermofock import dynamics

@@ -1,7 +1,7 @@
 """Source-level rules for the package: modules share only public names,
 every `__all__` entry names something the module defines, every
 definition, method, property and field feeds some CLI run, and every line
-of the bracket modules and of `dynamics` runs in the runs that use them."""
+of the numerical modules runs in the runs that use them."""
 
 import ast
 import inspect
@@ -208,10 +208,21 @@ def test_every_member_is_reachable_from_the_cli():
 
 # Modules every line of whose functions must run in these invocations: the
 # bracket modules, which serve a02 and the single-oscillator runs,
-# `dynamics`, which serves evolve, damp and ensemble, and `chain`, which
-# serves the five chain runs.
-LINE_REACH_MODULES = ("exact", "phasespace", "dynamics", "chain")
+# `dynamics`, which serves evolve, damp and ensemble, `chain`, which serves
+# the five chain runs, `bath`, which serves partition, variation, tilt and
+# sphere, `bargmann`, which serves gram, coherent and the states of the
+# others, and `fits`.
+LINE_REACH_MODULES = ("exact", "phasespace", "dynamics", "chain", "bath",
+                      "bargmann", "fits")
 LINE_REACH_INVOCATIONS = (
+    "partition --seed 7",
+    "tilt --seed 1",
+    "sphere --seed 21",
+    "variation --seed 1",
+    "gram",
+    # the Monte Carlo Gram route
+    "gram --samples 1000 --seed 7",
+    "coherent",
     "commutator --hbar 1 --nmax 16",
     "commutator --hbar 0.5 --nmax 32",
     "commutator --hbar 2 --nmax 64",
