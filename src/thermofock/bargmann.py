@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from .errors import MAX_SNAPSHOT_FLOATS, CapacityError, TruncationError
+from .errors import TruncationError, check_capacity
 from .phasespace import OscillatorParams
 
 __all__ = [
@@ -39,15 +39,6 @@ DEFAULT_TRUNCATION = 32
 # block's working arrays stay in L2 cache.  On 6e5 points (2 cores, 2 MiB L2
 # each) blocks of 2048 or fewer ran evaluate slower, 8192-16384 no faster.
 _POINT_BLOCK = 4096
-
-
-def _check_floats(floats: int, what: str) -> None:
-    """Refuse, before it is allocated, an array whose size the truncation
-    sets once it would hold more than MAX_SNAPSHOT_FLOATS floats."""
-    if floats > MAX_SNAPSHOT_FLOATS:
-        raise CapacityError(
-            f"{what} would hold {floats} floats, over the array cap of "
-            f"{MAX_SNAPSHOT_FLOATS}")
 
 
 def _quad_grid(hbar: float, n_max: int):
@@ -178,8 +169,8 @@ class FockVector:
 def gram_quadrature(n_max: int, hbar: float) -> np.ndarray:
     """Gram matrix (e_i, e_j), i, j <= n_max, by the exact quadrature."""
     # the basis on the grid: n_max + 1 rows of (n_max + 1)(2 n_max + 3) points
-    _check_floats(2 * (n_max + 1) ** 2 * (2 * n_max + 3),
-                  f"the quadrature basis at truncation {n_max}")
+    check_capacity(2 * (n_max + 1) ** 2 * (2 * n_max + 3),
+                   f"the quadrature basis at truncation {n_max}")
     z, w = _quad_grid(hbar, n_max)
     basis = _basis_matrix(z, n_max, hbar)
     return (basis.conj() * w) @ basis.T
@@ -249,7 +240,7 @@ def coherent_vector(c: complex, n_max: int = DEFAULT_TRUNCATION,
     The squared norm of the full function is exp(hbar |c|^2); `tail_mass` on
     the returned vector is the part of it lost to the truncation.
     """
-    _check_floats(2 * (n_max + 1), f"a coherent vector at truncation {n_max}")
+    check_capacity(2 * (n_max + 1), f"a coherent vector at truncation {n_max}")
     c = complex(c)
     log_norm2 = hbar * abs(c) * abs(c)
     coeffs = _coherent_coeffs(c * math.sqrt(hbar), n_max)
@@ -265,8 +256,8 @@ def lowering_matrix(n_max: int, hbar: float) -> np.ndarray:
     The dtype is complex, as for every operator the commutators compare:
     numpy sums a complex trace in another order than a real one.
     """
-    _check_floats(2 * (n_max + 1) ** 2,
-                  f"the lowering matrix at truncation {n_max}")
+    check_capacity(2 * (n_max + 1) ** 2,
+                   f"the lowering matrix at truncation {n_max}")
     m = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     m[np.arange(n_max), np.arange(1, n_max + 1)] = np.sqrt(
         np.arange(1, n_max + 1) * hbar)
@@ -292,8 +283,8 @@ def hamiltonian_matrix(ordering: str, params: OscillatorParams, hbar: float,
     half-quantum and is built additively as normal + hbar w / 2 so the
     difference of the two matrices is that constant shift, exactly.
     """
-    _check_floats(2 * (n_max + 1) ** 2,
-                  f"the Hamiltonian matrix at truncation {n_max}")
+    check_capacity(2 * (n_max + 1) ** 2,
+                   f"the Hamiltonian matrix at truncation {n_max}")
     base = hbar * params.omega * np.arange(n_max + 1, dtype=float)
     if ordering == "normal":
         diag = base

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_SNAPSHOT_FLOATS, CapacityError
+from .errors import check_capacity
 
 __all__ = [
     "BathParams",
@@ -137,7 +137,8 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
     transformed draws; each block's weights are written over the row-0
     draws it has used, and their squares then fill row 1, so each sum runs
     over one contiguous row.  Nothing else grows with `samples` or the
-    chunk.
+    chunk; the proposal's 2n x 2n covariance and Cholesky factor are
+    refused past MAX_SNAPSHOT_FLOATS.
     """
     d = a.shape[0]
     n_pairs = d // 2
@@ -145,6 +146,7 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
         z_val = (2.0 * math.pi / beta) ** n_pairs / math.sqrt(np.linalg.det(a))
         return z_val, z_val ** (1.0 / n_pairs), 0.0
     if method == "montecarlo":
+        check_capacity(d * d, f"the {d} x {d} proposal covariance")
         rng = np.random.default_rng(seed)
         cov = proposal_scale ** 2 * np.linalg.inv(beta * a)
         chol = np.linalg.cholesky(cov)
@@ -195,6 +197,8 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
 
 def symplectic_generator(n_pairs: int) -> np.ndarray:
     """The block symplectic J: (q, p) -> (p, -q) pairwise."""
+    check_capacity((2 * n_pairs) ** 2,
+                   f"the {2 * n_pairs} x {2 * n_pairs} symplectic generator")
     m = np.zeros((2 * n_pairs, 2 * n_pairs))
     for k in range(n_pairs):
         m[2 * k, 2 * k + 1] = 1.0
@@ -204,6 +208,7 @@ def symplectic_generator(n_pairs: int) -> np.ndarray:
 
 def random_antisymmetric(dim: int, rng: np.random.Generator) -> np.ndarray:
     """The antisymmetric part of a matrix of standard normal entries."""
+    check_capacity(dim * dim, f"a {dim} x {dim} random generator")
     m = rng.standard_normal((dim, dim))
     return (m - m.T) / 2.0
 
@@ -235,10 +240,7 @@ def tilt_measure(bath: BathParams, c: complex, n_samples: int, seed) -> np.ndarr
     the real and imaginary parts of one complex array, so the run holds
     that array and one component's draws.  A sample whose complex array
     would pass MAX_SNAPSHOT_FLOATS raises CapacityError before a draw."""
-    if 2 * n_samples > MAX_SNAPSHOT_FLOATS:
-        raise CapacityError(
-            f"{n_samples} tilted draws would hold {2 * n_samples} floats, "
-            f"over the array cap of {MAX_SNAPSHOT_FLOATS}")
+    check_capacity(2 * n_samples, f"{n_samples} tilted draws")
     rng = np.random.default_rng(seed)
     hbar = bath.hbar
     center = hbar * np.conj(complex(c))
@@ -290,10 +292,7 @@ def sphere_pushforward_check(radius: float, beta: float, n_samples: int,
     """
     if not 0.0 < radius < math.inf:
         raise FloatingPointError(f"radius {radius:g} must be positive and finite")
-    if n_samples > MAX_SNAPSHOT_FLOATS:
-        raise CapacityError(
-            f"{n_samples} sphere draws would hold {n_samples} floats each, "
-            f"over the array cap of {MAX_SNAPSHOT_FLOATS}")
+    check_capacity(n_samples, f"each array of {n_samples} sphere draws")
     rng = np.random.default_rng(seed)
     u_max = min(1.0, 1.0 / (2.0 * beta * radius ** 2))
     t_min = max(0.0, -math.log(2.0 * beta * radius ** 2) / beta)

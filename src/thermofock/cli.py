@@ -137,10 +137,6 @@ def _tilt_rule(c: complex, hbar: float, flags: str) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, complex):
-        return f"{value.real:.6g}{value.imag:+.6g}j"
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
@@ -535,9 +531,21 @@ def run_ensemble(args, report):
               "abs2_oracle"], rows)]
 
 
-def run_partition(args, report):
+def _pairs_matrix(args):
+    """omega times the identity on the 2 --pairs phase-space coordinates:
+    the matrix of H = (omega/2) |x|^2, refused past the array cap before
+    it is allocated."""
     import numpy as np
 
+    from .errors import check_capacity
+
+    dim = 2 * args.pairs
+    check_capacity(dim * dim,
+                   f"the {dim} x {dim} matrix of --pairs {args.pairs}")
+    return args.omega * np.eye(dim)
+
+
+def run_partition(args, report):
     from . import bath
 
     oracle = bath.BathParams(args.beta, args.omega).h
@@ -547,7 +555,7 @@ def run_partition(args, report):
         raise FloatingPointError(
             f"action cell 2 pi/(beta omega) = {oracle:g} is not positive "
             "and finite")
-    a = args.omega * np.eye(2 * args.pairs)
+    a = _pairs_matrix(args)
 
     an_z, an_h, an_se = bath.partition_estimate(a, args.beta,
                                                 method="analytic")
@@ -581,15 +589,17 @@ def run_variation(args, report):
         raise argparse.ArgumentTypeError(
             "--dt-min must differ from --dt-max: a slope needs two distinct "
             "steps")
-    dim = 2 * args.pairs
-    a = args.omega * np.eye(dim)
+    a = _pairs_matrix(args)
+    dim = a.shape[0]
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal(dim)
 
-    generators = [bath.symplectic_generator(args.pairs)]
-    generators += [bath.random_antisymmetric(dim, rng)
-                   for _ in range(args.count - 1)]
-    defects = [bath.generator_defect(x, a, gen) for gen in generators]
+    # one random generator held at a time: each is drawn, measured, dropped
+    symplectic = bath.symplectic_generator(args.pairs)
+    defects = [bath.generator_defect(x, a, symplectic)]
+    defects += [
+        bath.generator_defect(x, a, bath.random_antisymmetric(dim, rng))
+        for _ in range(args.count - 1)]
     worst = float(np.max(defects))
     report.add("antisymmetric-defect",
                "the gradient is orthogonal to every antisymmetric image of "
@@ -598,7 +608,7 @@ def run_variation(args, report):
 
     dts = np.logspace(math.log10(args.dt_min), math.log10(args.dt_max),
                       args.dt_count)
-    changes = bath.gibbs_first_order_defect(x, a, generators[0], dts)
+    changes = bath.gibbs_first_order_defect(x, a, symplectic, dts)
     slope = fit_loglog_slope(dts, changes)
     report.add("taylor-slope-second-order",
                "the energy change along the generated flow scales "

@@ -17,8 +17,8 @@ import numpy as np
 
 from .bargmann import FockVector, hamiltonian_matrix
 from .bath import moment_report
-from .errors import (MAX_SNAPSHOT_FLOATS, CapacityError, SamplerError,
-                     TruncationError)
+from .errors import (CapacityError, SamplerError, TruncationError,
+                     check_capacity)
 from .phasespace import OscillatorParams, PhasePoint, hamilton_step
 
 __all__ = [
@@ -379,10 +379,8 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
     if total > MAX_CLOUD_STEPS:
         raise CapacityError(f"{total:.3g} leapfrog steps exceed the cap of "
                             f"{MAX_CLOUD_STEPS} per ensemble run")
-    if 2 * n_samples > MAX_SNAPSHOT_FLOATS:
-        raise CapacityError(
-            f"a cloud of {n_samples} particles would hold {2 * n_samples} "
-            f"floats per array, over the array cap of {MAX_SNAPSHOT_FLOATS}")
+    check_capacity(2 * n_samples,
+                   f"each array of a {n_samples}-particle cloud")
     z, efficiency = _rejection_sample(f, n_samples, seed, proposal_scale)
     # (q, p) rows, and a second pair the interval maps write into
     x = np.empty((2, n_samples))

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MAX_SNAPSHOT_FLOATS, CapacityError, StabilityError
+from .errors import StabilityError, check_capacity
 from .exact import SqrtTwoComplex
 
 __all__ = [
@@ -118,10 +118,7 @@ def hamilton_orbit(
             "stability bound 2")
     # the start, every stride-th step, and the last step
     n_snap = 1 + -(-n_steps // stride)
-    if n_snap > MAX_SNAPSHOT_FLOATS:
-        raise CapacityError(
-            f"{n_snap:.3g} orbit snapshots exceed the snapshot buffer cap of "
-            f"{MAX_SNAPSHOT_FLOATS}")
+    check_capacity(n_snap, f"an orbit of {n_snap} snapshots")
     times, qs, ps = np.empty(n_snap), np.empty(n_snap), np.empty(n_snap)
     times[0], qs[0], ps[0] = 0.0, point[0], point[1]
     x = PhasePoint(*point)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,20 +19,17 @@ SCHEMA_VERSION = "1"
 
 
 def _plain(value):
-    """Coerce numpy scalars / arrays / complex to JSON-friendly values."""
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
+    """Coerce complex values, nested in lists, tuples and dicts, to
+    JSON-friendly ones; a float64 is a float."""
     if isinstance(value, (np.complexfloating, complex)):
         return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
-    return repr(value)
+    raise TypeError(f"no JSON form for {type(value).__name__} {value!r}")
 
 
 @dataclass(frozen=True)
@@ -76,12 +74,14 @@ class ExperimentReport:
 
     def add(self, name: str, verifies: str, measured, oracle,
             tolerance: float, stderr: float = None) -> None:
-        """Record a check that passes exactly when |measured - oracle| <=
-        tolerance, so a NaN fails it and any verdict can be recomputed from
-        the report."""
+        """Record a check that passes exactly when the tolerance is finite
+        and |measured - oracle| <= tolerance, so a NaN fails it, and so does
+        an infinite tolerance, which any measurement would meet; any verdict
+        can be recomputed from the report."""
+        passed = math.isfinite(tolerance) and bool(
+            abs(measured - oracle) <= tolerance)
         self.checks.append(CheckRecord(
-            name, verifies, measured, oracle, tolerance,
-            bool(abs(measured - oracle) <= tolerance), stderr))
+            name, verifies, measured, oracle, tolerance, passed, stderr))
 
     def to_dict(self) -> dict:
         return {
@@ -102,14 +102,10 @@ class ExperimentReport:
 
 
 def _cell(value) -> str:
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, np.floating):
         value = float(value)
-    if isinstance(value, (np.integer,)):
-        value = int(value)
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (np.complexfloating, complex)):
-        return repr(complex(value))
     return str(value)
 
 

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thermofock import bargmann
+from thermofock import bargmann, errors
 from thermofock.bargmann import (
     FockVector,
     coherent_vector,
@@ -359,7 +359,7 @@ def test_truncation_sized_arrays_are_capped(monkeypatch, build, floats):
     # a cap patched low: an array of exactly the cap builds, one truncation
     # more is refused before it is allocated
     n = 6
-    monkeypatch.setattr(bargmann, "MAX_SNAPSHOT_FLOATS", floats(n))
+    monkeypatch.setattr(errors, "MAX_SNAPSHOT_FLOATS", floats(n))
     build(n)
     with pytest.raises(CapacityError):
         build(n + 1)

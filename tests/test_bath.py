@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thermofock import bath, cli
+from thermofock import bath, cli, errors
 from thermofock.bargmann import FockVector
 from thermofock.bath import (
     BathParams,
@@ -28,6 +28,7 @@ from thermofock.bath import (
     tilt_measure,
 )
 from thermofock.dynamics import ensemble_evolve
+from thermofock.errors import CapacityError
 from thermofock.fits import fit_loglog_slope
 from thermofock.phasespace import OscillatorParams
 
@@ -198,6 +199,21 @@ def test_generators_are_exactly_antisymmetric():
     rng = np.random.default_rng(5)
     for g in (j, *(random_antisymmetric(dim, rng) for dim in (1, 2, 5))):
         assert np.array_equal(g.T, -g)
+
+
+@pytest.mark.parametrize("build", [
+    symplectic_generator,
+    lambda n: random_antisymmetric(2 * n, np.random.default_rng(1)),
+    lambda n: partition_estimate(np.eye(2 * n), 1.0, method="montecarlo",
+                                 samples=10, seed=1),
+], ids=["symplectic", "random", "proposal"])
+def test_pairs_sized_matrices_are_capped(monkeypatch, build):
+    # a cap patched to one 2n x 2n matrix at n = 3 pairs: those build, one
+    # pair more is refused before the matrix is allocated
+    monkeypatch.setattr(errors, "MAX_SNAPSHOT_FLOATS", 6 ** 2)
+    build(3)
+    with pytest.raises(CapacityError):
+        build(4)
 
 
 # -- tilted measure ---------------------------------------------------------------

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -263,9 +264,9 @@ def test_oversize_truncation_exits_three(tmp_path, capsys, monkeypatch):
     # the cap on truncation-sized arrays, patched down to one dense 17 x 17
     # complex matrix: every --nmax that would build more is a numerical
     # failure, refused before numpy is asked for the memory
-    from thermofock import bargmann
+    from thermofock import errors
 
-    monkeypatch.setattr(bargmann, "MAX_SNAPSHOT_FLOATS", 2 * 17 ** 2)
+    monkeypatch.setattr(errors, "MAX_SNAPSHOT_FLOATS", 2 * 17 ** 2)
     assert cli.main(["commutator", "--nmax", "16",
                      "--outdir", str(tmp_path)]) == cli.EXIT_PASS
     for command, *args in (("commutator", "--nmax", "17"),
@@ -284,7 +285,8 @@ def test_oversize_sample_exits_three(tmp_path, capsys):
     # the arrays --samples sizes, one float past the cap of 2**24 each: a
     # complex draw array (tilt, and the ensemble's cloud) or the two real
     # draw arrays of the sphere map, refused before they are allocated (a
-    # missing check would allocate 130-260 MB here, and GBs at 1e9)
+    # missing check would allocate 130-260 MB here, and GBs at 1e9); and
+    # the 2n x 2n matrices --pairs sizes, 298 GiB each at 1e5 pairs
     from thermofock.errors import MAX_SNAPSHOT_FLOATS
 
     half = MAX_SNAPSHOT_FLOATS // 2
@@ -293,7 +295,9 @@ def test_oversize_sample_exits_three(tmp_path, capsys):
                            ("sphere", "--samples", str(MAX_SNAPSHOT_FLOATS + 1)),
                            ("tilt", "--samples", "1e9"),
                            ("sphere", "--samples", "1e9"),
-                           ("ensemble", "--samples", "1e9")):
+                           ("ensemble", "--samples", "1e9"),
+                           ("partition", "--pairs", "1e5"),
+                           ("variation", "--pairs", "1e5")):
         start = time.perf_counter()
         code = cli.main([command, *args, "--seed", "1",
                          "--outdir", str(tmp_path)])
@@ -302,6 +306,35 @@ def test_oversize_sample_exits_three(tmp_path, capsys):
         assert code == cli.EXIT_NUMERICAL, (command, args, err)
         assert "CapacityError" in read_report(tmp_path, command)[
             "checks"][0]["measured"]
+
+
+def test_variation_holds_one_random_generator_at_a_time():
+    # each random generator is drawn, measured and dropped: at 200 pairs a
+    # generator is 1.28 MB, and --count 40 held all of them at once
+    args = cli.build_parser().parse_args(
+        ["variation", "--pairs", "200", "--count", "40", "--seed", "1"])
+    report = ExperimentReport(args.command, cli._config_echo(args))
+    matrix_bytes = 8 * (2 * args.pairs) ** 2
+    tracemalloc.start()
+    try:
+        cli.RUNNERS[args.command](args, report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 6 * matrix_bytes
+
+
+def test_infinite_tolerance_fails_its_check():
+    # a tolerance no measurement can miss checks nothing: inf fails, as a
+    # NaN measurement or tolerance does; a finite one still decides
+    report = ExperimentReport("partition", {})
+    report.add("inf", "", 1.0, 2.0, math.inf, stderr=math.inf)
+    report.add("nan-tolerance", "", 1.0, 1.0, math.nan)
+    report.add("nan-measured", "", math.nan, 1.0, 1.0)
+    report.add("finite", "", 1.5, 1.0, 0.5)
+    assert [c.passed for c in report.checks] == [False, False, False, True]
+    assert not report.passed
 
 
 def test_evolve_check_fails_on_a_nan_distance(tmp_path, monkeypatch):

@@ -211,9 +211,9 @@ def test_every_member_is_reachable_from_the_cli():
 # `dynamics`, which serves evolve, damp and ensemble, `chain`, which serves
 # the five chain runs, `bath`, which serves partition, variation, tilt and
 # sphere, `bargmann`, which serves gram, coherent and the states of the
-# others, and `fits`.
+# others, `fits`, and `reports`, which writes every run's report and tables.
 LINE_REACH_MODULES = ("exact", "phasespace", "dynamics", "chain", "bath",
-                      "bargmann", "fits")
+                      "bargmann", "fits", "reports")
 LINE_REACH_INVOCATIONS = (
     "partition --seed 7",
     "tilt --seed 1",
@@ -260,10 +260,12 @@ LINE_REACH_ALLOWED = {
 }
 
 # Traces the invocations in argv[2:], run in-process through cli.RUNNERS as
-# the acceptance suite runs them, from before the package is imported, and
-# prints the lines each file in the JSON list argv[1] executed.
+# the acceptance suite runs them, from before the package is imported, each
+# report and table then serialised into a temporary directory as cli.main
+# writes them, and prints the lines each file in the JSON list argv[1]
+# executed.
 _LINE_REACH_CHILD = """
-import json, os, shlex, sys
+import json, os, shlex, sys, tempfile
 
 ran = {path: set() for path in json.loads(sys.argv[1])}
 seen = {}
@@ -284,13 +286,17 @@ def trace(frame, event, arg):
 
 sys.settrace(trace)
 from thermofock import cli
-from thermofock.reports import ExperimentReport
+from thermofock.reports import ExperimentReport, write_csv
 
 parser = cli.build_parser()
-for line in sys.argv[2:]:
-    args = parser.parse_args(shlex.split(line))
-    report = ExperimentReport(args.command, cli._config_echo(args))
-    cli.RUNNERS[args.command](args, report)
+with tempfile.TemporaryDirectory() as outdir:
+    for line in sys.argv[2:]:
+        args = parser.parse_args(shlex.split(line))
+        report = ExperimentReport(args.command, cli._config_echo(args))
+        tables = cli.RUNNERS[args.command](args, report)
+        report.write(os.path.join(outdir, "report.json"))
+        for name, header, rows in tables:
+            write_csv(os.path.join(outdir, name), header, rows)
 sys.settrace(None)
 print(json.dumps({path: sorted(lines) for path, lines in ran.items()}))
 """
