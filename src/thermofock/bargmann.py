@@ -35,8 +35,9 @@ __all__ = [
 ]
 
 DEFAULT_TRUNCATION = 32
-# points per block in the point kernels: 4096 complex values are 64 KiB, so a
-# block's working arrays stay in L2 cache.  On 6e5 points (2 cores, 2 MiB L2
+# points per block in the point kernels (and the ensemble sampler's density
+# blocks): 4096 complex values are 64 KiB, so a block's working arrays stay
+# in L2 cache.  On 6e5 points (2 cores, 2 MiB L2
 # each) blocks of 2048 or fewer ran evaluate slower, 8192-16384 no faster.
 _POINT_BLOCK = 4096
 
@@ -58,7 +59,7 @@ def _quad_grid(hbar: float, n_max: int):
     return z.ravel(), weights
 
 
-def _point_blocks(size: int) -> list:
+def point_blocks(size: int) -> list:
     """Slices cutting `size` points into near-equal blocks of at most
     _POINT_BLOCK points.
 
@@ -142,7 +143,7 @@ class FockVector:
         value itself shows up as inf or NaN, which `kernel_eval` and
         `dynamics.profile_from_fock` rely on.
 
-        The sum runs in the output itself, block by block (`_point_blocks`),
+        The sum runs in the output itself, block by block (`point_blocks`),
         so it needs no working memory besides the output (and a flat copy of
         a non-contiguous z) whatever the number of points.  Each value takes
         the same operations in the same order as the unblocked sum, so the
@@ -154,7 +155,7 @@ class FockVector:
         flat_out = out.reshape(-1)
         coeffs = self.coeffs
         scales = [1.0 / math.sqrt(n * self.hbar) for n in range(1, coeffs.size)]
-        for block in _point_blocks(z.size):
+        for block in point_blocks(z.size):
             zb = flat_z[block]
             total = flat_out[block]
             total.fill(coeffs[-1])
@@ -184,20 +185,25 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
     (i = j = 0) have zero variance by construction.
 
     Points are drawn in chunks of 100 000, which fixes the draws for a seed.
-    Each chunk's sums are accumulated block by block (`_point_blocks`), so
-    the basis matrix never exceeds (n_max + 1) x _POINT_BLOCK entries and
-    working memory is O(chunk + n_max _POINT_BLOCK) whatever `samples` is.
+    Each chunk's real, then imaginary, parts are drawn into one reused
+    complex buffer (the same bits as a + 1j b), and its sums are accumulated
+    block by block (`point_blocks`), so the basis matrix never exceeds
+    (n_max + 1) x _POINT_BLOCK entries and working memory is one chunk's
+    buffer, one real draw and one block's basis whatever `samples` is.
     """
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(hbar / 2.0)    # N(0, hbar/2) real and imaginary parts
     dim = n_max + 1
     acc = np.zeros((dim, dim), dtype=complex)
     acc_sq = np.zeros((dim, dim))
+    draws = np.empty(min(100_000, samples), dtype=complex)
     done = 0
     while done < samples:
         chunk = min(100_000, samples - done)
-        z = rng.normal(0.0, sigma, chunk) + 1j * rng.normal(0.0, sigma, chunk)
-        for block in _point_blocks(chunk):
+        z = draws[:chunk]
+        z.real = rng.normal(0.0, sigma, chunk)
+        z.imag = rng.normal(0.0, sigma, chunk)
+        for block in point_blocks(chunk):
             basis = _basis_matrix(z[block], n_max, hbar)
             acc += basis.conj() @ basis.T
             sq = basis.real ** 2 + basis.imag ** 2

@@ -28,6 +28,7 @@ __all__ = [
     "symplectic_generator",
     "random_antisymmetric",
     "generator_defect",
+    "defect_rounding_bound",
     "gibbs_first_order_defect",
     "tilt_measure",
     "sphere_pushforward_check",
@@ -218,6 +219,20 @@ def generator_defect(x, a: np.ndarray, generator: np.ndarray) -> float:
     energy change along the generated flow, zero for an antisymmetric Omega."""
     grad = a @ x
     return abs(float(grad @ (generator @ grad)))
+
+
+def defect_rounding_bound(x, a: np.ndarray, generator: np.ndarray) -> float:
+    """A bound on the rounding in `generator_defect` for an antisymmetric
+    generator, where g . Omega g is exactly 0 for whatever gradient g was
+    computed: gamma_2d |g| . |Omega| |g|, d the dimension and gamma_k =
+    k u / (1 - k u), u = eps / 2, since the matrix-vector and the dot
+    product each round by at most gamma_d (Higham, Accuracy and Stability
+    of Numerical Algorithms, sec. 3.5)."""
+    grad = np.abs(a @ x)
+    dim = grad.size
+    eps = float(np.finfo(float).eps)
+    gamma = dim * eps / (1.0 - dim * eps)
+    return gamma * float(grad @ (np.abs(generator) @ grad))
 
 
 def gibbs_first_order_defect(x, a: np.ndarray, generator: np.ndarray,

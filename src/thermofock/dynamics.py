@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bargmann import FockVector, hamiltonian_matrix
+from .bargmann import FockVector, hamiltonian_matrix, point_blocks
 from .bath import moment_report
 from .errors import (CapacityError, SamplerError, TruncationError,
                      check_capacity)
@@ -156,6 +156,9 @@ def damped_solution(q0: float, v0: float, params: OscillatorParams,
 # sixteen `bargmann` point blocks, so a chunk's working arrays stay a few MiB
 # whatever the number of samples.
 _PROPOSAL_CHUNK = 2 ** 16
+# Particles per block of an interval map, moved in place through a (2,
+# _MAP_BLOCK) scratch of 1 MiB; blocks of 4096 ran the maps about 5 % slower.
+_MAP_BLOCK = 2 ** 16
 # Terms of exp(-conj(mu) u / hbar) the shifted majorant keeps at most; past
 # them its Lagrange remainder still bounds the rest, only more loosely.
 _EXP_TERMS_MAX = 4096
@@ -265,11 +268,14 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     the proposal.  An efficiency collapse (< 1e-3) raises SamplerError
     instead of looping forever.
 
-    Memory: each chunk holds its proposals and their densities, at least
-    10 000 and 2 (n_samples - filled) points but no more than
-    _PROPOSAL_CHUNK; `FockVector.evaluate` sums the density's series by
-    Horner's rule in its own output, block by block, so evaluating it adds
-    one complex value per proposal and no working arrays.
+    Memory: besides the 16 bytes a sample of its output, the sampler holds
+    one complex proposal buffer and one real ratio buffer, sized to the
+    first and largest chunk (at least 10 000 and 2 (n_samples - filled)
+    points but no more than _PROPOSAL_CHUNK), into which each chunk's real,
+    then imaginary, parts are drawn (the same bits as a + 1j b).  The
+    shift, density and ratio are formed over `bargmann.point_blocks`, so
+    their temporaries stay a few hundred KiB; only the RNG's own draws, the
+    acceptance mask and the accepted points span a chunk.
     """
     if not f.is_normalized(1e-9):
         raise ValueError("f must be normalized for density sampling")
@@ -295,18 +301,25 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(s * hbar / 2.0)
     out = np.empty(n_samples, dtype=complex)
+    largest = min(_PROPOSAL_CHUNK, max(10_000, 2 * n_samples))
+    proposals = np.empty(largest, dtype=complex)
+    ratios = np.empty(largest)
     filled = 0
     accepted = 0
     proposed = 0
     while filled < n_samples:
         chunk = min(_PROPOSAL_CHUNK, max(10_000, 2 * (n_samples - filled)))
-        z = (rng.normal(mu.real, sigma, chunk)
-             + 1j * rng.normal(mu.imag, sigma, chunk))
-        u = z - mu
-        # |mu|^2 + 2 Re(conj(mu) u) = |z|^2 - |u|^2, 0 when mu = 0
-        shift = mu2 + 2.0 * (mu.real * u.real + mu.imag * u.imag)
-        dens = np.abs(f.evaluate(z)) ** 2
-        ratio = s * dens * np.exp(-shift / hbar - kappa * np.abs(u) ** 2)
+        z, ratio = proposals[:chunk], ratios[:chunk]
+        z.real = rng.normal(mu.real, sigma, chunk)
+        z.imag = rng.normal(mu.imag, sigma, chunk)
+        for block in point_blocks(chunk):
+            zb = z[block]
+            u = zb - mu
+            # |mu|^2 + 2 Re(conj(mu) u) = |z|^2 - |u|^2, 0 when mu = 0
+            shift = mu2 + 2.0 * (mu.real * u.real + mu.imag * u.imag)
+            dens = np.abs(f.evaluate(zb)) ** 2
+            ratio[block] = s * dens * np.exp(-shift / hbar
+                                             - kappa * np.abs(u) ** 2)
         if float(np.max(ratio)) > bound:
             raise SamplerError("dominating bound violated; majorant grid too coarse")
         accept = rng.uniform(0.0, bound, chunk) < ratio
@@ -355,10 +368,12 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
     friction, the exact law of the mean for a coherent state is
     hbar * conj(c) * exp(-i w t).
 
-    Memory: the cloud lives in three arrays of n_samples points, 48 bytes a
-    particle: (q, p) as one (2, n) array, a second one each interval map
-    writes into with `out=`, and the draws' complex storage, which holds
-    each report's z and finally `final_z`.
+    Memory: the cloud lives in two arrays of n_samples points, 32 bytes a
+    particle: (q, p) as one (2, n) array, which each interval map moves in
+    place block by block through a (2, _MAP_BLOCK) scratch, and the draws'
+    complex storage, which holds each report's z and finally `final_z`.
+    That is the floor for these numbers: the moments are sums over the
+    whole complex z, and (q, p) keeps full precision between intervals.
     """
     w = params.omega
     times = np.asarray(times, dtype=float)
@@ -382,11 +397,11 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
     check_capacity(2 * n_samples,
                    f"each array of a {n_samples}-particle cloud")
     z, efficiency = _rejection_sample(f, n_samples, seed, proposal_scale)
-    # (q, p) rows, and a second pair the interval maps write into
+    # (q, p) rows, and the scratch each block of an interval map goes through
     x = np.empty((2, n_samples))
     np.multiply(z.real, math.sqrt(2.0), out=x[0])
     np.multiply(z.imag, math.sqrt(2.0), out=x[1])
-    moved = np.empty_like(x)
+    scratch = np.empty((2, min(n_samples, _MAP_BLOCK)))
     reports = []
     t_prev = 0.0
     for t, n_sub in zip(times, plan):
@@ -397,14 +412,17 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
             for _ in range(n_sub):
                 m = hamilton_step(m, params, h, friction)
             # q' = m00 q + m01 p and p' = m10 q + m11 p, each product
-            # rounded before the sum; p's row takes m11 p once q is read
-            np.multiply(x[0], m.q[0], out=moved[0])
-            np.multiply(x[1], m.q[1], out=moved[1])
-            np.add(moved[0], moved[1], out=moved[0])
-            np.multiply(x[0], m.p[0], out=moved[1])
-            np.multiply(x[1], m.p[1], out=x[0])
-            np.add(moved[1], x[0], out=moved[1])
-            x, moved = moved, x
+            # rounded before the sum; p takes m11 p in place once q is read
+            for lo in range(0, n_samples, _MAP_BLOCK):
+                q, p = x[0, lo:lo + _MAP_BLOCK], x[1, lo:lo + _MAP_BLOCK]
+                q_new, term = scratch[0, :q.size], scratch[1, :q.size]
+                np.multiply(q, m.q[0], out=q_new)
+                np.multiply(p, m.q[1], out=term)
+                q_new += term
+                np.multiply(q, m.p[0], out=term)
+                p *= m.p[1]
+                p += term
+                q[...] = q_new
         t_prev = t
         # z = (q + i p) / sqrt2, written over the draws
         np.multiply(x[0], 2.0 ** -0.5, out=z.real)

@@ -8,6 +8,7 @@ Oracles used here, all independent of the quadrature code under test:
   a f_c = hbar c f_c                    (coherent states as eigenvectors)
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -105,6 +106,26 @@ def test_montecarlo_gram_memory_is_bounded(samples):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2 ** 20
+
+
+def test_montecarlo_gram_draws_as_before():
+    # sha256 of (G, se), pinned from the estimator that formed each chunk as
+    # a + 1j b; 200 001 samples end on a one-point chunk
+    mean, se = gram_montecarlo(8, 0.7, 200_001, 3)
+    assert hashlib.sha256(mean.tobytes() + se.tobytes()).hexdigest() == (
+        "c78c7b2f1bcec8a1f9de595e6120e5aa725f7bf707b052497e0f5c3b3a9c8bb9")
+
+
+def test_montecarlo_gram_at_a01_samples_holds_one_chunk_buffer():
+    # a chunk's 1.53 MiB complex buffer, one 0.76 MiB real draw and one
+    # block's basis work; forming a + 1j b took 6.27 MiB
+    tracemalloc.start()
+    try:
+        gram_montecarlo(16, 1.0, 10 ** 6, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2 ** 20
 
 
 def test_montecarlo_gram_requires_seed(usage_error):

@@ -325,6 +325,40 @@ def test_variation_holds_one_random_generator_at_a_time():
     assert peak <= 6 * matrix_bytes
 
 
+def _variation_defect_check(argv):
+    args = cli.build_parser().parse_args(["variation", *argv])
+    report = ExperimentReport(args.command, cli._config_echo(args))
+    cli.RUNNERS[args.command](args, report)
+    return {c.name: c for c in report.checks}["antisymmetric-defect"]
+
+
+def test_variation_defect_tolerance_grows_with_the_dimension():
+    # at 1000 pairs the defects are rounding of 2000-term sums: generator 29,
+    # the worst of the default 100, reads 3.6e-12, past the old absolute
+    # 1e-12; the rounding bound lets it pass
+    check = _variation_defect_check(["--pairs", "1000", "--count", "30",
+                                     "--seed", "1"])
+    assert check.measured > 1e-12
+    assert check.passed and check.tolerance > 1e-12
+
+
+def test_variation_defect_fails_a_generator_that_is_not_antisymmetric(
+        monkeypatch):
+    # a symmetric part a millionth of the antisymmetric one moves the defect
+    # far past the rounding bound, at the same 1000 pairs
+    from thermofock import bath
+
+    def skewed(dim, rng):
+        m = rng.standard_normal((dim, dim))
+        return (m - m.T) / 2.0 + 1e-6 * (m + m.T) / 2.0
+
+    monkeypatch.setattr(bath, "random_antisymmetric", skewed)
+    check = _variation_defect_check(["--pairs", "1000", "--count", "2",
+                                     "--seed", "1"])
+    assert not check.passed
+    assert check.measured > 100 * check.tolerance
+
+
 def test_infinite_tolerance_fails_its_check():
     # a tolerance no measurement can miss checks nothing: inf fails, as a
     # NaN measurement or tolerance does; a finite one still decides

@@ -371,6 +371,44 @@ def test_states_centred_at_zero_draw_as_before(key):
     assert hashlib.sha256(z.tobytes()).hexdigest() == UNCENTRED_DIGESTS[key]
 
 
+# sha256 of the draws' bytes for a state centred off 0 (c = 1.2, mu = 1.2),
+# pinned from the sampler that formed each chunk's density and ratio over
+# the whole chunk: 100 000 samples take a full chunk of _PROPOSAL_CHUNK
+# proposals, then a shorter one
+CENTRED_DIGEST = ("e1f628310648739e3f8bd41c568f9203"
+                  "922946d76f127b09e4caf76e7bebfc44")
+
+
+def test_state_centred_off_zero_draws_as_before():
+    f = coherent_vector(1.2, 32, 1.0).normalized()
+    z, rate = dynamics._rejection_sample(f, 100_000, 7, 2.0)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == CENTRED_DIGEST
+    assert rate.hex() == "0x1.e85b98221f944p-2"
+
+
+# sha256 of final_z and of the moment reports' floats, pinned from the cloud
+# that moved by whole-array interval maps: 2**16 + 1 particles leave a
+# one-point last block, 2**17 + 5 a five-point one
+ENSEMBLE_DIGESTS = {
+    2 ** 16 + 1: ("9ddfd3d6dbe5fbdc1c115d66ec14a4f863540f749aa3c6904c365b9738177bb9",
+                  "2ccc752dba526334d5a4f1c358119462f1e42c2dd249efe67414a208da0aea77"),
+    2 ** 17 + 5: ("8e6c591def283ef8baddb3299bb8c11860b8b5dfa00309c3dc07ce25ec3eab11",
+                  "ebc9cd403827c64be4418b124afe7392880326ff6c25dab93bdfd7f98b062a8c"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(ENSEMBLE_DIGESTS))
+def test_ensemble_blocks_move_the_cloud_as_before(n):
+    f = coherent_vector(0.5, 32, 1.0).normalized()
+    hist = ensemble_evolve(f, OscillatorParams(1.3),
+                           np.linspace(0.0, 2.0 * np.pi, 5), n, seed=11,
+                           friction=0.05)
+    moments = np.array([(m.mean.real, m.mean.imag, *m.mean_se, m.abs2_mean,
+                         m.abs2_se) for m in hist.moments])
+    assert (hashlib.sha256(hist.final_z.tobytes()).hexdigest(),
+            hashlib.sha256(moments.tobytes()).hexdigest()) == ENSEMBLE_DIGESTS[n]
+
+
 def test_trailing_zero_coefficients_leave_the_draws_unchanged():
     f = coherent_vector(0.7 - 0.2j, 20, 1.0).normalized()
     padded = FockVector(np.concatenate([f.coeffs, np.zeros(500)]), f.hbar)
@@ -380,11 +418,11 @@ def test_trailing_zero_coefficients_leave_the_draws_unchanged():
     assert a.tobytes() == b.tobytes() and rate_a == rate_b
 
 
-def test_ensemble_memory_is_three_particle_arrays():
-    # the draws, (q, p) and the buffer the interval maps write into: 48
+def test_ensemble_memory_is_two_particle_arrays():
+    # the draws and (q, p), moved in place through a 1 MiB block scratch: 32
     # bytes a particle; proposal chunks and moment blocks add no more than
-    # 2 MiB (the uncapped chunks and per-interval arrays took 115 bytes a
-    # particle, 34.5 MB here)
+    # 2 MiB (a second (q, p) pair for the interval maps to write into took
+    # 48.5 bytes a particle)
     n = 300_000
     f = coherent_vector(0.5, 32, 1.0).normalized()
     tracemalloc.start()
@@ -394,7 +432,24 @@ def test_ensemble_memory_is_three_particle_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * n + 2 * 2 ** 20
+    assert peak <= 32 * n + 2 * 2 ** 20
+
+
+def test_sampler_holds_one_proposal_chunk_beyond_its_output():
+    # one complex proposal buffer and one ratio buffer of _PROPOSAL_CHUNK
+    # points, the RNG's chunk-sized draws and the accepted points: 2.8 MiB
+    # over the 16 n bytes of output; forming a + 1j b and the density over
+    # whole chunks took 6.2 MiB
+    n = 300_000
+    f = coherent_vector(0.5, 32, 1.0).normalized()
+    dynamics._rejection_sample(f, 10, 1, 2.0)   # numpy's one-off allocations
+    tracemalloc.start()
+    try:
+        dynamics._rejection_sample(f, n, 7, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n + 4 * 2 ** 20
 
 
 def test_acceptance_rate_counts_every_accepted_draw():
