@@ -411,15 +411,20 @@ def run_damp(args, report):
                "of the initial scale",
                late, 0.0, 1e-4 * scale)
 
+    # the energies of q and p over a power of two at or above the initial
+    # scale: exact, so the drifts read as unscaled ones wherever those
+    # neither underflow nor overflow (at --q0 1e-300 they underflowed to 0/0)
+    unit = math.ldexp(1.0, math.frexp(scale)[1])
     sol0 = dynamics.damped_solution(args.q0, args.v0, params, 0.0, times)
-    energies = 0.5 * w * (np.asarray(sol0.q) ** 2 + np.asarray(sol0.p) ** 2)
+    energies = 0.5 * w * ((np.asarray(sol0.q) / unit) ** 2
+                          + (np.asarray(sol0.p) / unit) ** 2)
     drift = float(np.max(np.abs(energies - energies[0])) / energies[0])
     report.add("control-energy-constant",
                "the undamped closed form conserves energy",
                drift, 0.0, 1e-12)
 
     _, q0s, p0s = hamilton_orbit(point, params, dt, n_steps, stride=4)
-    e_lf = 0.5 * w * (q0s ** 2 + p0s ** 2)
+    e_lf = 0.5 * w * ((q0s / unit) ** 2 + (p0s / unit) ** 2)
     report.add("control-leapfrog-energy",
                "the frictionless integrator keeps energy within its "
                "step-size tolerance",

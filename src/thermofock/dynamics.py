@@ -269,13 +269,13 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     instead of looping forever.
 
     Memory: besides the 16 bytes a sample of its output, the sampler holds
-    one complex proposal buffer and one real ratio buffer, sized to the
-    first and largest chunk (at least 10 000 and 2 (n_samples - filled)
+    one complex proposal buffer and one boolean acceptance mask, sized to
+    the first and largest chunk (at least 10 000 and 2 (n_samples - filled)
     points but no more than _PROPOSAL_CHUNK), into which each chunk's real,
     then imaginary, parts are drawn (the same bits as a + 1j b).  The
-    shift, density and ratio are formed over `bargmann.point_blocks`, so
-    their temporaries stay a few hundred KiB; only the RNG's own draws, the
-    acceptance mask and the accepted points span a chunk.
+    shift, density, ratio and uniforms are formed over
+    `bargmann.point_blocks`, so their temporaries stay a few hundred KiB;
+    only the RNG's normal draws and the accepted points span a chunk.
     """
     if not f.is_normalized(1e-9):
         raise ValueError("f must be normalized for density sampling")
@@ -303,13 +303,13 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     out = np.empty(n_samples, dtype=complex)
     largest = min(_PROPOSAL_CHUNK, max(10_000, 2 * n_samples))
     proposals = np.empty(largest, dtype=complex)
-    ratios = np.empty(largest)
+    accepts = np.empty(largest, dtype=bool)
     filled = 0
     accepted = 0
     proposed = 0
     while filled < n_samples:
         chunk = min(_PROPOSAL_CHUNK, max(10_000, 2 * (n_samples - filled)))
-        z, ratio = proposals[:chunk], ratios[:chunk]
+        z, accept = proposals[:chunk], accepts[:chunk]
         z.real = rng.normal(mu.real, sigma, chunk)
         z.imag = rng.normal(mu.imag, sigma, chunk)
         for block in point_blocks(chunk):
@@ -318,11 +318,14 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
             # |mu|^2 + 2 Re(conj(mu) u) = |z|^2 - |u|^2, 0 when mu = 0
             shift = mu2 + 2.0 * (mu.real * u.real + mu.imag * u.imag)
             dens = np.abs(f.evaluate(zb)) ** 2
-            ratio[block] = s * dens * np.exp(-shift / hbar
-                                             - kappa * np.abs(u) ** 2)
-        if float(np.max(ratio)) > bound:
-            raise SamplerError("dominating bound violated; majorant grid too coarse")
-        accept = rng.uniform(0.0, bound, chunk) < ratio
+            ratio = s * dens * np.exp(-shift / hbar - kappa * np.abs(u) ** 2)
+            if float(np.max(ratio)) > bound:
+                raise SamplerError(
+                    "dominating bound violated; majorant grid too coarse")
+            # one uniform a point, in order: the same draws as one call
+            # over the whole chunk
+            np.less(rng.uniform(0.0, bound, ratio.size), ratio,
+                    out=accept[block])
         picked = z[accept]
         take = min(picked.size, n_samples - filled)
         out[filled:filled + take] = picked[:take]
@@ -359,7 +362,7 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
 
     Each interval between requested times is cut into the fewest equal
     steps no longer than `dt`; before any draw, the total is capped at
-    MAX_CLOUD_STEPS and each cloud array's 2 n_samples floats at
+    MAX_CLOUD_STEPS and the cloud's 2 n_samples floats at
     MAX_SNAPSHOT_FLOATS.  The leapfrog is linear, so those steps compose to
     one 2x2 interval map, built by stepping the two unit vectors with
     hamilton_step; the cloud then moves once per interval by that map (the
@@ -368,12 +371,10 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
     friction, the exact law of the mean for a coherent state is
     hbar * conj(c) * exp(-i w t).
 
-    Memory: the cloud lives in two arrays of n_samples points, 32 bytes a
-    particle: (q, p) as one (2, n) array, which each interval map moves in
-    place block by block through a (2, _MAP_BLOCK) scratch, and the draws'
-    complex storage, which holds each report's z and finally `final_z`.
-    That is the floor for these numbers: the moments are sums over the
-    whole complex z, and (q, p) keeps full precision between intervals.
+    Memory: the cloud is one complex array, 16 bytes a particle: the
+    draws themselves, whose real and imaginary parts each interval map
+    moves in place block by block through a (2, _MAP_BLOCK) scratch, and
+    which hold each report's z and finally `final_z`.
     """
     w = params.omega
     times = np.asarray(times, dtype=float)
@@ -394,13 +395,9 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
     if total > MAX_CLOUD_STEPS:
         raise CapacityError(f"{total:.3g} leapfrog steps exceed the cap of "
                             f"{MAX_CLOUD_STEPS} per ensemble run")
-    check_capacity(2 * n_samples,
-                   f"each array of a {n_samples}-particle cloud")
+    check_capacity(2 * n_samples, f"the {n_samples}-particle cloud")
     z, efficiency = _rejection_sample(f, n_samples, seed, proposal_scale)
-    # (q, p) rows, and the scratch each block of an interval map goes through
-    x = np.empty((2, n_samples))
-    np.multiply(z.real, math.sqrt(2.0), out=x[0])
-    np.multiply(z.imag, math.sqrt(2.0), out=x[1])
+    # the scratch each block of an interval map goes through
     scratch = np.empty((2, min(n_samples, _MAP_BLOCK)))
     reports = []
     t_prev = 0.0
@@ -411,22 +408,22 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
             m = PhasePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
             for _ in range(n_sub):
                 m = hamilton_step(m, params, h, friction)
-            # q' = m00 q + m01 p and p' = m10 q + m11 p, each product
-            # rounded before the sum; p takes m11 p in place once q is read
+            # the map is linear, so it moves (Re z, Im z) = (q, p) / sqrt2 as
+            # it moves (q, p): x' = m00 x + m01 y and y' = m10 x + m11 y, each
+            # product rounded before the sum; y takes m11 y in place once x
+            # is read
             for lo in range(0, n_samples, _MAP_BLOCK):
-                q, p = x[0, lo:lo + _MAP_BLOCK], x[1, lo:lo + _MAP_BLOCK]
-                q_new, term = scratch[0, :q.size], scratch[1, :q.size]
-                np.multiply(q, m.q[0], out=q_new)
-                np.multiply(p, m.q[1], out=term)
-                q_new += term
-                np.multiply(q, m.p[0], out=term)
-                p *= m.p[1]
-                p += term
-                q[...] = q_new
+                zb = z[lo:lo + _MAP_BLOCK]
+                x, y = zb.real, zb.imag
+                x_new, term = scratch[0, :x.size], scratch[1, :x.size]
+                np.multiply(x, m.q[0], out=x_new)
+                np.multiply(y, m.q[1], out=term)
+                x_new += term
+                np.multiply(x, m.p[0], out=term)
+                y *= m.p[1]
+                y += term
+                x[...] = x_new
         t_prev = t
-        # z = (q + i p) / sqrt2, written over the draws
-        np.multiply(x[0], 2.0 ** -0.5, out=z.real)
-        np.multiply(x[1], 2.0 ** -0.5, out=z.imag)
         reports.append(moment_report(z))
     return EnsembleHistory(times=times, moments=reports, final_z=z,
                            acceptance_rate=efficiency)

@@ -76,6 +76,16 @@ def test_relax_control_run_without_damping(tmp_path):
     assert (tmp_path / "relax_energy.csv").exists()
 
 
+def test_damp_energies_survive_a_tiny_amplitude(tmp_path):
+    # at --q0 1e-300 the squared amplitudes underflow to 0, and the energy
+    # drifts read 0/0 = NaN; scaled by a power of two they are plain ratios
+    proc = run_cli("damp", "--q0", "1e-300", outdir=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    checks = {c["name"]: c for c in read_report(tmp_path, "damp")["checks"]}
+    for name in ("control-energy-constant", "control-leapfrog-energy"):
+        assert math.isfinite(checks[name]["measured"]) and checks[name]["passed"]
+
+
 def test_usage_errors_exit_two(tmp_path, usage_error):
     # where the entry point matters: no subcommand at all, an unknown one,
     # a required seed left out entirely

@@ -14,6 +14,7 @@ import pytest
 
 from thermofock import cli, dynamics
 from thermofock.bargmann import FockVector, coherent_vector
+from thermofock.bath import moment_report
 from thermofock.dynamics import (
     damped_solution,
     ensemble_evolve,
@@ -387,13 +388,14 @@ def test_state_centred_off_zero_draws_as_before():
 
 
 # sha256 of final_z and of the moment reports' floats, pinned from the cloud
-# that moved by whole-array interval maps: 2**16 + 1 particles leave a
-# one-point last block, 2**17 + 5 a five-point one
+# whose interval maps move the draws' real and imaginary parts in place:
+# 2**16 + 1 particles leave a one-point last block, 2**17 + 5 a five-point
+# one
 ENSEMBLE_DIGESTS = {
-    2 ** 16 + 1: ("9ddfd3d6dbe5fbdc1c115d66ec14a4f863540f749aa3c6904c365b9738177bb9",
-                  "2ccc752dba526334d5a4f1c358119462f1e42c2dd249efe67414a208da0aea77"),
-    2 ** 17 + 5: ("8e6c591def283ef8baddb3299bb8c11860b8b5dfa00309c3dc07ce25ec3eab11",
-                  "ebc9cd403827c64be4418b124afe7392880326ff6c25dab93bdfd7f98b062a8c"),
+    2 ** 16 + 1: ("9531fa9da01b5e88d7b123b43f42a2c11b7974ec52854e35d8b649957d336c41",
+                  "1b105778302be9b9418bdf019cb38d50cc35dc0ac4405f3d3cac3c5b2b598deb"),
+    2 ** 17 + 5: ("79f0bdf7ad5f63a295982b7a8e70a88f5419fecbc2083d400b96377170d8cc62",
+                  "17acae4196fa32725f67fe70ed572100fa894edad4195698dacfa85df026affd"),
 }
 
 
@@ -418,11 +420,11 @@ def test_trailing_zero_coefficients_leave_the_draws_unchanged():
     assert a.tobytes() == b.tobytes() and rate_a == rate_b
 
 
-def test_ensemble_memory_is_two_particle_arrays():
-    # the draws and (q, p), moved in place through a 1 MiB block scratch: 32
-    # bytes a particle; proposal chunks and moment blocks add no more than
-    # 2 MiB (a second (q, p) pair for the interval maps to write into took
-    # 48.5 bytes a particle)
+def test_ensemble_memory_is_one_particle_array():
+    # the draws, moved in place through a 1 MiB block scratch: 16 bytes a
+    # particle; the sampler's proposal chunk and the moment blocks add no
+    # more than 3 MiB (a (2, n) array of (q, p) beside the draws took 36
+    # bytes a particle)
     n = 300_000
     f = coherent_vector(0.5, 32, 1.0).normalized()
     tracemalloc.start()
@@ -432,14 +434,15 @@ def test_ensemble_memory_is_two_particle_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * n + 2 * 2 ** 20
+    assert peak <= 16 * n + 3 * 2 ** 20
 
 
 def test_sampler_holds_one_proposal_chunk_beyond_its_output():
-    # one complex proposal buffer and one ratio buffer of _PROPOSAL_CHUNK
-    # points, the RNG's chunk-sized draws and the accepted points: 2.8 MiB
-    # over the 16 n bytes of output; forming a + 1j b and the density over
-    # whole chunks took 6.2 MiB
+    # one complex proposal buffer and one boolean mask of _PROPOSAL_CHUNK
+    # points, the RNG's chunk-sized normal draws and the accepted points:
+    # 2.3 MiB over the 16 n bytes of output; a chunk-sized ratio buffer and
+    # uniform draw took 2.8 MiB, forming a + 1j b and the density over whole
+    # chunks 6.2 MiB
     n = 300_000
     f = coherent_vector(0.5, 32, 1.0).normalized()
     dynamics._rejection_sample(f, 10, 1, 2.0)   # numpy's one-off allocations
@@ -449,7 +452,7 @@ def test_sampler_holds_one_proposal_chunk_beyond_its_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * n + 4 * 2 ** 20
+    assert peak <= 16 * n + 2.5 * 2 ** 20
 
 
 def test_acceptance_rate_counts_every_accepted_draw():
@@ -517,8 +520,9 @@ def _interval_map(params, h, n_sub, friction):
 
 
 def test_ensemble_cloud_moves_by_the_interval_maps_bit_for_bit():
-    # the cloud moves once per interval by the map of its leapfrog steps;
-    # each particle must get the same floats as moving it alone by those maps
+    # the cloud moves once per interval by the map of its leapfrog steps,
+    # applied to (Re z, Im z); each particle must get the same floats as
+    # moving it alone by those maps
     f = coherent_vector(0.5, 16, 1.0).normalized()
     params = OscillatorParams(1.3)
     times = [0.0, 0.6, 0.6, 1.2]
@@ -528,11 +532,24 @@ def test_ensemble_cloud_moves_by_the_interval_maps_bit_for_bit():
             for a, b in ((0.0, 0.6), (0.6, 1.2))]
     expected = []
     for z in _draws(f, 40, seed=11):
-        q, p = math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag
+        x, y = z.real, z.imag
         for (m00, m01), (m10, m11) in maps:
-            q, p = m00 * q + m01 * p, m10 * q + m11 * p
-        expected.append((q + 1j * p) * (2.0 ** -0.5))
+            x, y = m00 * x + m01 * y, m10 * x + m11 * y
+        expected.append(complex(x, y))
     assert hist.final_z.tobytes() == np.array(expected).tobytes()
+
+
+def test_ensemble_report_at_time_zero_is_the_draws():
+    # no map moves the cloud before t = 0, so the first report is the
+    # sampler's draws' own, bit for bit
+    f = coherent_vector(0.5 - 0.3j, 16, 1.0).normalized()
+    hist = ensemble_evolve(f, OscillatorParams(1.3), [0.0, 0.6], 5_000,
+                           seed=11, friction=0.2)
+    bits = [[float(v).hex() for v in (m.mean.real, m.mean.imag, *m.mean_se,
+                                      m.abs2_mean, m.abs2_se)]
+            for m in (hist.moments[0],
+                      moment_report(_draws(f, 5_000, seed=11)))]
+    assert bits[0] == bits[1]
 
 
 def test_ensemble_cloud_matches_per_draw_leapfrog_steps():

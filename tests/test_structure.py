@@ -211,9 +211,10 @@ def test_every_member_is_reachable_from_the_cli():
 # `dynamics`, which serves evolve, damp and ensemble, `chain`, which serves
 # the five chain runs, `bath`, which serves partition, variation, tilt and
 # sphere, `bargmann`, which serves gram, coherent and the states of the
-# others, `fits`, and `reports`, which writes every run's report and tables.
+# others, `fits`, `reports`, which writes every run's report and tables, and
+# `errors`, whose size check every array-sizing run makes.
 LINE_REACH_MODULES = ("exact", "phasespace", "dynamics", "chain", "bath",
-                      "bargmann", "fits", "reports")
+                      "bargmann", "fits", "reports", "errors")
 LINE_REACH_INVOCATIONS = (
     "partition --seed 7",
     "tilt --seed 1",
