@@ -74,15 +74,19 @@ def point_blocks(size: int) -> list:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _basis_matrix(z: np.ndarray, n_max: int, hbar: float) -> np.ndarray:
-    """Rows e_0..e_{n_max} evaluated on the points z (stable recurrence).
+def _basis_matrix(z: np.ndarray, n_max: int, hbar: float,
+                  out: np.ndarray = None) -> np.ndarray:
+    """Rows e_0..e_{n_max} evaluated on the points z (stable recurrence),
+    written into `out` (a C-contiguous (n_max + 1, z.size) complex array)
+    when it is given.
 
     Each row is the previous one times z, written in place, then scaled by
     the real 1/sqrt(n hbar) through its real view: no complex division and
     no temporaries.
     """
     z = np.asarray(z, dtype=complex)
-    out = np.empty((n_max + 1, z.size), dtype=complex)
+    if out is None:
+        out = np.empty((n_max + 1, z.size), dtype=complex)
     out[0] = 1.0
     parts = out.view(float)    # real and imaginary parts, interleaved
     flat = z.ravel()
@@ -184,29 +188,53 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
     Gaussian measure, and sqrt(var/samples) entrywise.  Constant entries
     (i = j = 0) have zero variance by construction.
 
-    Points are drawn in chunks of 100 000, which fixes the draws for a seed.
-    Each chunk's real, then imaginary, parts are drawn into one reused
-    complex buffer (the same bits as a + 1j b), and its sums are accumulated
-    block by block (`point_blocks`), so the basis matrix never exceeds
-    (n_max + 1) x _POINT_BLOCK entries and working memory is one chunk's
-    buffer, one real draw and one block's basis whatever `samples` is.
+    Points are drawn in chunks of 100 000, which fixes the draws for a seed:
+    each chunk's real parts, then its imaginary parts, N(0, hbar/2) each.
+    The real parts are drawn into one reused float buffer and scaled by
+    sigma in place; the imaginary parts are drawn block by block
+    (`point_blocks`), in the same stream order, as each block's points are
+    formed.  A block's basis and its conjugate are written into two fixed
+    complex buffers of (n_max + 1) x _POINT_BLOCK entries, and |e|^2 then
+    into the conjugate's, and its sums are accumulated into the
+    (n_max + 1)^2 totals, so the working memory is one chunk of real draws
+    and those two block buffers whatever `samples` is.
     """
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(hbar / 2.0)    # N(0, hbar/2) real and imaginary parts
     dim = n_max + 1
     acc = np.zeros((dim, dim), dtype=complex)
     acc_sq = np.zeros((dim, dim))
-    draws = np.empty(min(100_000, samples), dtype=complex)
+    real_parts = np.empty(min(100_000, samples))
+    width = min(_POINT_BLOCK, samples)
+    points = np.empty(width, dtype=complex)
+    imag_parts = np.empty(width)
+    basis_buf = np.empty(dim * width, dtype=complex)
+    conj_buf = np.empty(dim * width, dtype=complex)
+    # once the product with the conjugate is taken, its buffer's floats
+    # hold |e|^2 in their first half and Im(e)^2 in their second
+    floats = conj_buf.view(float)
     done = 0
     while done < samples:
         chunk = min(100_000, samples - done)
-        z = draws[:chunk]
-        z.real = rng.normal(0.0, sigma, chunk)
-        z.imag = rng.normal(0.0, sigma, chunk)
+        real = real_parts[:chunk]
+        rng.standard_normal(out=real)
+        real *= sigma
         for block in point_blocks(chunk):
-            basis = _basis_matrix(z[block], n_max, hbar)
-            acc += basis.conj() @ basis.T
-            sq = basis.real ** 2 + basis.imag ** 2
+            size = block.stop - block.start
+            entries = dim * size
+            z = points[:size]
+            imag = rng.standard_normal(out=imag_parts[:size])
+            z.real = real[block]
+            np.multiply(imag, sigma, out=z.imag)
+            basis = _basis_matrix(z, n_max, hbar,
+                                  out=basis_buf[:entries].reshape(dim, size))
+            conj = np.conjugate(basis,
+                                out=conj_buf[:entries].reshape(dim, size))
+            acc += conj @ basis.T
+            sq = np.square(basis.real,
+                           out=floats[:entries].reshape(dim, size))
+            sq += np.square(basis.imag,
+                            out=floats[entries:2 * entries].reshape(dim, size))
             acc_sq += sq @ sq.T
         done += chunk
     mean = acc / samples

@@ -362,6 +362,14 @@ def run_damp(args, report):
         raise argparse.ArgumentTypeError(
             "--q0 and --v0 are both 0: the checks measure the decay of a "
             "moving oscillator")
+    amplitude = max(abs(args.q0), abs(args.v0) / w)
+    if not amplitude >= sys.float_info.min:
+        # a subnormal amplitude (or |v0|/omega underflowed to 0): the
+        # closed-form orbit rounds to a few subnormal steps, so its energies
+        # read 0/0 and its envelope cannot decay smoothly
+        raise FloatingPointError(
+            f"--q0/--v0: the initial amplitude max(|q0|, |v0|/omega) = "
+            f"{amplitude:g} is below the normal float range")
     point = PhasePoint(args.q0, args.v0 / w)
     # the coherent centers along the orbit shrink from this one
     _tilt_rule(abs(point.to_z()) / args.hbar, args.hbar, "--q0/--v0/--hbar")

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bargmann import FockVector, hamiltonian_matrix, point_blocks
-from .bath import moment_report
-from .errors import (CapacityError, SamplerError, TruncationError,
-                     check_capacity)
+from .bath import SAMPLE_BLOCK, MomentSums
+from .errors import CapacityError, SamplerError, TruncationError
 from .phasespace import OscillatorParams, PhasePoint, hamilton_step
 
 __all__ = [
@@ -156,9 +155,6 @@ def damped_solution(q0: float, v0: float, params: OscillatorParams,
 # sixteen `bargmann` point blocks, so a chunk's working arrays stay a few MiB
 # whatever the number of samples.
 _PROPOSAL_CHUNK = 2 ** 16
-# Particles per block of an interval map, moved in place through a (2,
-# _MAP_BLOCK) scratch of 1 MiB; blocks of 4096 ran the maps about 5 % slower.
-_MAP_BLOCK = 2 ** 16
 # Terms of exp(-conj(mu) u / hbar) the shifted majorant keeps at most; past
 # them its Lagrange remainder still bounds the rest, only more loosely.
 _EXP_TERMS_MAX = 4096
@@ -251,7 +247,8 @@ def _shifted_majorant(f: FockVector, mu: complex, reach: float):
 
 
 def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float):
-    """Rejection-sample z from |f(z)|^2 exp(-|z|^2/hbar)/(pi hbar).
+    """Rejection-sample z from |f(z)|^2 exp(-|z|^2/hbar)/(pi hbar), as a
+    stream.
 
     The proposal is z = mu + u, centred on the cloud's mean mu
     (`cloud_centre`), with u the Gaussian widened by `proposal_scale` = s
@@ -262,20 +259,26 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     sampler is exact (Robert & Casella, Monte Carlo Statistical Methods,
     sec. 2.3).  For a coherent state g is nearly constant, so acceptance is
     near 1/(1.05 s) wherever the cloud sits; for mu = 0, g = f and the
-    draws are those of the uncentred Gaussian.  Returns the draws and the
-    acceptance rate, accepted over proposed: draws accepted past
-    `n_samples` in the last chunk count too, since they say the same about
-    the proposal.  An efficiency collapse (< 1e-3) raises SamplerError
-    instead of looping forever.
+    draws are those of the uncentred Gaussian.
 
-    Memory: besides the 16 bytes a sample of its output, the sampler holds
-    one complex proposal buffer and one boolean acceptance mask, sized to
-    the first and largest chunk (at least 10 000 and 2 (n_samples - filled)
-    points but no more than _PROPOSAL_CHUNK), into which each chunk's real,
-    then imaginary, parts are drawn (the same bits as a + 1j b).  The
-    shift, density, ratio and uniforms are formed over
-    `bargmann.point_blocks`, so their temporaries stay a few hundred KiB;
-    only the RNG's normal draws and the accepted points span a chunk.
+    Yields (block, rate): the n_samples accepted draws in order, in blocks
+    of `bath.SAMPLE_BLOCK` (the last one shorter), so block boundaries fall
+    at the same particle indices whatever the proposal chunks; and the
+    acceptance rate, accepted over proposed, over the chunks drawn so far.
+    With the last block that is the run's rate: draws accepted past
+    `n_samples` in the last chunk count too, since they say the same about
+    the proposal.  Every block is a view of one buffer, which the next
+    block overwrites; the caller may move it in place.  An efficiency
+    collapse (< 1e-3) raises SamplerError instead of looping forever.
+
+    Memory: one block buffer, one complex proposal buffer and one boolean
+    acceptance mask, sized to the first and largest chunk (at least 10 000
+    and 2 (n_samples - filled) points but no more than _PROPOSAL_CHUNK),
+    into which each chunk's real, then imaginary, parts are drawn (the same
+    bits as a + 1j b).  The shift, density, ratio and uniforms are formed,
+    and the accepted points picked, over `bargmann.point_blocks`, so their
+    temporaries stay a few hundred KiB; only the RNG's normal draws span a
+    chunk.  Nothing grows with n_samples.
     """
     if not f.is_normalized(1e-9):
         raise ValueError("f must be normalized for density sampling")
@@ -300,11 +303,12 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
         raise SamplerError("the dominating bound is not finite")
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(s * hbar / 2.0)
-    out = np.empty(n_samples, dtype=complex)
     largest = min(_PROPOSAL_CHUNK, max(10_000, 2 * n_samples))
     proposals = np.empty(largest, dtype=complex)
     accepts = np.empty(largest, dtype=bool)
-    filled = 0
+    out = np.empty(min(n_samples, SAMPLE_BLOCK), dtype=complex)
+    filled = 0      # draws handed on or held in `out`
+    held = 0        # draws held in `out`
     accepted = 0
     proposed = 0
     while filled < n_samples:
@@ -326,17 +330,23 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
             # over the whole chunk
             np.less(rng.uniform(0.0, bound, ratio.size), ratio,
                     out=accept[block])
-        picked = z[accept]
-        take = min(picked.size, n_samples - filled)
-        out[filled:filled + take] = picked[:take]
-        filled += take
-        accepted += picked.size
+        accepted += int(np.count_nonzero(accept))
         proposed += chunk
         if proposed >= 10_000 and accepted / proposed < 1e-3:
             raise SamplerError(
                 f"rejection efficiency {accepted / proposed:.2e} below 1e-3"
             )
-    return out, accepted / proposed
+        for block in point_blocks(chunk):
+            picked = z[block][accept[block]]
+            while picked.size and filled < n_samples:
+                take = min(picked.size, out.size - held, n_samples - filled)
+                out[held:held + take] = picked[:take]
+                picked = picked[take:]
+                held += take
+                filled += take
+                if held == out.size or filled == n_samples:
+                    yield out[:held], accepted / proposed
+                    held = 0
 
 
 # Leapfrog steps one ensemble run may take to build its interval maps.  A
@@ -344,48 +354,31 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
 # stepping: a thousand times the 1026 steps of the default run (one period
 # in 19 intervals of 54 steps), where --t-max 1e300 would ask for 1e302.
 MAX_CLOUD_STEPS = 2 ** 20
+# Particles one ensemble run may draw.  The cloud streams through buffers of
+# `bath.SAMPLE_BLOCK` particles, so this bounds the run's length, not its
+# memory: the default run (20 times) takes about 0.7 us a particle (one
+# x86_64 core), so 2**23 particles take about 6 s and 1e9 would take about
+# 12 min.
+MAX_CLOUD_PARTICLES = 2 ** 23
 
 
 @dataclass(frozen=True)
 class EnsembleHistory:
     times: np.ndarray
     moments: list            # MomentReport per requested time
-    final_z: np.ndarray
     acceptance_rate: float
 
 
-def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: int,
-                    seed, friction: float = 0.0, dt: float = None,
-                    proposal_scale: float = 2.0) -> EnsembleHistory:
-    """Draw a cloud from |f|^2 dmu and advance it classically under
-    pdot = -w q - alpha p, alpha = `friction`.
+def _interval_maps(params: OscillatorParams, times: np.ndarray, dt: float,
+                   friction: float) -> list:
+    """Per requested time, the 2x2 map of the leapfrog steps into it from
+    the time before (from 0 for the first), or None where time does not
+    advance.
 
-    Each interval between requested times is cut into the fewest equal
-    steps no longer than `dt`; before any draw, the total is capped at
-    MAX_CLOUD_STEPS and the cloud's 2 n_samples floats at
-    MAX_SNAPSHOT_FLOATS.  The leapfrog is linear, so those steps compose to
-    one 2x2 interval map, built by stepping the two unit vectors with
-    hamilton_step; the cloud then moves once per interval by that map (the
-    same scheme, up to rounding).  Moment reports (mean z and |z|^2 with
-    standard errors) are recorded at each requested time.  Without
-    friction, the exact law of the mean for a coherent state is
-    hbar * conj(c) * exp(-i w t).
-
-    Memory: the cloud is one complex array, 16 bytes a particle: the
-    draws themselves, whose real and imaginary parts each interval map
-    moves in place block by block through a (2, _MAP_BLOCK) scratch, and
-    which hold each report's z and finally `final_z`.
-    """
-    w = params.omega
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("times must be a 1d array")
-    if dt is None:
-        dt = (2.0 * math.pi / w) / 1024.0
-    if not (np.all(np.isfinite(times)) and math.isfinite(dt)):
-        raise FloatingPointError("requested times and step must be finite")
-    # steps into each requested time: the fewest equal ones no longer than
-    # dt, none where time does not advance
+    Each interval is cut into the fewest equal steps no longer than `dt`,
+    and their total is capped at MAX_CLOUD_STEPS before a step is taken.
+    The leapfrog is linear, so the steps compose to one map, whose columns
+    are the two unit vectors stepped with hamilton_step."""
     plan, t_prev = [], 0.0
     for t in times:
         plan.append(max(1, math.ceil((t - t_prev) / dt - 1e-12))
@@ -395,35 +388,82 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
     if total > MAX_CLOUD_STEPS:
         raise CapacityError(f"{total:.3g} leapfrog steps exceed the cap of "
                             f"{MAX_CLOUD_STEPS} per ensemble run")
-    check_capacity(2 * n_samples, f"the {n_samples}-particle cloud")
-    z, efficiency = _rejection_sample(f, n_samples, seed, proposal_scale)
-    # the scratch each block of an interval map goes through
-    scratch = np.empty((2, min(n_samples, _MAP_BLOCK)))
-    reports = []
-    t_prev = 0.0
+    maps, t_prev = [], 0.0
     for t, n_sub in zip(times, plan):
+        m = None
         if n_sub:
             h = (t - t_prev) / n_sub
-            # columns of the interval map: the unit vectors stepped n_sub times
             m = PhasePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
             for _ in range(n_sub):
                 m = hamilton_step(m, params, h, friction)
-            # the map is linear, so it moves (Re z, Im z) = (q, p) / sqrt2 as
-            # it moves (q, p): x' = m00 x + m01 y and y' = m10 x + m11 y, each
-            # product rounded before the sum; y takes m11 y in place once x
-            # is read
-            for lo in range(0, n_samples, _MAP_BLOCK):
-                zb = z[lo:lo + _MAP_BLOCK]
-                x, y = zb.real, zb.imag
-                x_new, term = scratch[0, :x.size], scratch[1, :x.size]
-                np.multiply(x, m.q[0], out=x_new)
-                np.multiply(y, m.q[1], out=term)
-                x_new += term
-                np.multiply(x, m.p[0], out=term)
-                y *= m.p[1]
-                y += term
-                x[...] = x_new
+        maps.append(m)
         t_prev = t
-        reports.append(moment_report(z))
-    return EnsembleHistory(times=times, moments=reports, final_z=z,
+    return maps
+
+
+def _move_cloud(z: np.ndarray, m: PhasePoint, scratch: np.ndarray) -> None:
+    """Move the particles z in place by the interval map m.
+
+    The map is linear, so it moves (Re z, Im z) = (q, p) / sqrt2 as it moves
+    (q, p): x' = m00 x + m01 y and y' = m10 x + m11 y, each product rounded
+    before the sum; y takes m11 y in place once x is read.  `scratch` holds
+    (2, z.size) floats or more."""
+    x, y = z.real, z.imag
+    x_new, term = scratch[0, :z.size], scratch[1, :z.size]
+    np.multiply(x, m.q[0], out=x_new)
+    np.multiply(y, m.q[1], out=term)
+    x_new += term
+    np.multiply(x, m.p[0], out=term)
+    y *= m.p[1]
+    y += term
+    x[...] = x_new
+
+
+def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: int,
+                    seed, friction: float = 0.0, dt: float = None,
+                    proposal_scale: float = 2.0) -> EnsembleHistory:
+    """Draw a cloud from |f|^2 dmu and advance it classically under
+    pdot = -w q - alpha p, alpha = `friction`.
+
+    Before any draw, n_samples is capped at MAX_CLOUD_PARTICLES and the
+    interval maps are built (`_interval_maps`, each interval in the fewest
+    equal steps no longer than `dt`, their total capped at
+    MAX_CLOUD_STEPS); each particle then moves once per interval by its map
+    (the leapfrog's scheme, up to rounding).  Moment reports (mean z and
+    |z|^2 with standard errors) are recorded at each requested time.
+    Without friction, the exact law of the mean for a coherent state is
+    hbar * conj(c) * exp(-i w t).
+
+    Memory: the cloud is never whole.  The sampler hands on its draws in
+    blocks of `bath.SAMPLE_BLOCK` particles in one reused buffer; each block
+    moves in place through every interval map in turn (`_move_cloud`, via a
+    (2, SAMPLE_BLOCK) scratch) and is folded, while still in cache, into
+    the `bath.MomentSums` of each requested time.  The working set is a few
+    MiB whatever n_samples is, and each report is `bath.moment_report` of
+    the cloud at that time, float for float.
+    """
+    w = params.omega
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("times must be a 1d array")
+    if dt is None:
+        dt = (2.0 * math.pi / w) / 1024.0
+    if not (np.all(np.isfinite(times)) and math.isfinite(dt)):
+        raise FloatingPointError("requested times and step must be finite")
+    if n_samples > MAX_CLOUD_PARTICLES:
+        raise CapacityError(
+            f"{n_samples} particles exceed the cap of {MAX_CLOUD_PARTICLES} "
+            f"per ensemble run, which bounds its length (the cloud streams "
+            f"in fixed blocks, so not its memory)")
+    maps = _interval_maps(params, times, dt, friction)
+    sums = [MomentSums() for _ in maps]
+    scratch = np.empty((2, min(n_samples, SAMPLE_BLOCK)))
+    for block, efficiency in _rejection_sample(f, n_samples, seed,
+                                               proposal_scale):
+        for m, moments in zip(maps, sums):
+            if m is not None:
+                _move_cloud(block, m, scratch)
+            moments.add(block)
+    return EnsembleHistory(times=times,
+                           moments=[moments.report() for moments in sums],
                            acceptance_rate=efficiency)

@@ -5,12 +5,12 @@ arrays a run's flags size, with the one check against it."""
 # chain, the snapshot count for a single oscillator's orbit, and, counting
 # a complex entry as two floats, a dense operator matrix, the quadrature
 # Gram basis or a coherent vector at truncation --nmax, the draws that
-# --samples sizes (the tilt's complex array, the ensemble cloud's one, in
-# which it moves, and the sphere map's two real ones), and the 2n x 2n
-# matrices of n = --pairs oscillator pairs.  2**24 float64 is 128 MiB: a
-# dense operator stops at nmax 2895, the Gram basis at 160, tilt and
-# ensemble at 2**23 samples, sphere at 2**24, and the bath's matrices at
-# 2048 pairs.
+# --samples sizes (the tilt's complex array and the sphere map's two real
+# ones), and the 2n x 2n matrices of n = --pairs oscillator pairs.  2**24
+# float64 is 128 MiB: a dense operator stops at nmax 2895, the Gram basis
+# at 160, tilt at 2**23 samples, sphere at 2**24, and the bath's matrices
+# at 2048 pairs.  The ensemble cloud streams in fixed blocks; its own cap,
+# dynamics.MAX_CLOUD_PARTICLES, bounds a run's length.
 # The largest benchmarked trajectory, chain-dispersion --sites 1024, fills
 # 2096 x 1024 = 2.1e6 (17 MB each for q and p), an eighth of the cap; a
 # chain run at the cap holds one 256 MiB complex snapshot buffer, in which

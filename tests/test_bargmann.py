@@ -117,15 +117,16 @@ def test_montecarlo_gram_draws_as_before():
 
 
 def test_montecarlo_gram_at_a01_samples_holds_one_chunk_buffer():
-    # a chunk's 1.53 MiB complex buffer, one 0.76 MiB real draw and one
-    # block's basis work; forming a + 1j b took 6.27 MiB
+    # a chunk's 0.76 MiB of real draws and one block's fixed buffers, the
+    # basis and its conjugate at 1.06 MiB each: 3.0 MiB; a chunk's complex
+    # buffer and per-block temporaries took 4.1 MiB, forming a + 1j b 6.27
     tracemalloc.start()
     try:
         gram_montecarlo(16, 1.0, 10 ** 6, 7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 2 ** 20
+    assert peak <= 3.25 * 2 ** 20
 
 
 def test_montecarlo_gram_requires_seed(usage_error):

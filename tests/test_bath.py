@@ -13,9 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thermofock import bath, cli, errors
+from thermofock import bath, cli, dynamics, errors
 from thermofock.bargmann import FockVector
 from thermofock.bath import (
+    SAMPLE_BLOCK,
     BathParams,
     generator_defect,
     gibbs_first_order_defect,
@@ -58,12 +59,17 @@ def test_equilibrium_moments():
     assert abs(rep.mean.real) <= 4 * se_re
     assert abs(rep.mean.imag) <= 4 * se_im
     assert abs(rep.abs2_mean - bp.hbar) <= 4 * rep.abs2_se
-    a4 = np.abs(hist.final_z) ** 4
+    draws = np.concatenate([block.copy() for block, _ in
+                            dynamics._rejection_sample(vacuum, 200_000, 7, 2.0)])
+    a4 = np.abs(draws) ** 4
     abs4_se = np.std(a4, ddof=1) / math.sqrt(a4.size)
     assert abs(np.mean(a4) - 2 * bp.hbar ** 2) <= 4 * abs4_se
 
 
-@pytest.mark.parametrize("n", [2, 4097, 3 * 4096 + 5])
+@pytest.mark.parametrize("n", [2, 4097, 3 * 4096 + 5,
+                               # several cloud blocks, the last one short
+                               # or of a single point
+                               3 * SAMPLE_BLOCK + 4099, 4 * SAMPLE_BLOCK + 1])
 def test_blocked_moments_match_the_whole_array_formulas(n):
     rng = np.random.default_rng(n)
     z = rng.normal(1.5, 0.7, n) + 1j * rng.normal(-0.4, 0.3, n)

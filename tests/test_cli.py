@@ -252,6 +252,10 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
             ("relax", "--seed", "1", "--alpha", "1e300"),
             ("relax", "--seed", "1", "--t-max", "1e-320"),
             ("damp", "--omega", "1e300"),
+            # a subnormal initial amplitude, whose closed-form orbit
+            # rounds to a few subnormal steps
+            ("damp", "--q0", "5e-324"),
+            ("damp", "--q0", "1e-315"),
             # more snapshots than the buffer cap, or more cloud steps than
             # the step cap: refused before a step
             ("chain-dispersion", "--seed", "1", "--periods", "1e300"),

@@ -14,7 +14,7 @@ import pytest
 
 from thermofock import cli, dynamics
 from thermofock.bargmann import FockVector, coherent_vector
-from thermofock.bath import moment_report
+from thermofock.bath import SAMPLE_BLOCK, moment_report
 from thermofock.dynamics import (
     damped_solution,
     ensemble_evolve,
@@ -263,9 +263,41 @@ def test_coefficient_majorant_dominates_the_state():
         assert np.max(np.abs(f.evaluate(z))) <= bound.real * (1 + 1e-12)
 
 
+def _sample(f, n_samples, seed, scale=2.0):
+    """The sampler's streamed blocks joined into one array, and the rate
+    handed on with the last block."""
+    blocks = []
+    for block, rate in dynamics._rejection_sample(f, n_samples, seed, scale):
+        blocks.append(block.copy())    # the next block reuses the buffer
+    return np.concatenate(blocks), rate
+
+
 def _draws(f, n_samples, seed):
     """The ensemble's initial cloud: the sampler's draws, bit for bit."""
-    return dynamics._rejection_sample(f, n_samples, seed, 2.0)[0]
+    return _sample(f, n_samples, seed)[0]
+
+
+def _final_cloud(f, params, times, n_samples, seed, friction=0.0, dt=None):
+    """The cloud at the last of `times`, as ensemble_evolve moves it: each
+    streamed block through every interval map by the block kernel."""
+    if dt is None:
+        dt = (2.0 * math.pi / params.omega) / 1024.0
+    maps = dynamics._interval_maps(params, np.asarray(times, dtype=float),
+                                   dt, friction)
+    scratch = np.empty((2, SAMPLE_BLOCK))
+    blocks = []
+    for block, _ in dynamics._rejection_sample(f, n_samples, seed, 2.0):
+        for m in maps:
+            if m is not None:
+                dynamics._move_cloud(block, m, scratch)
+        blocks.append(block.copy())
+    return np.concatenate(blocks)
+
+
+def _report_bits(report):
+    return [float(v).hex() for v in (report.mean.real, report.mean.imag,
+                                     *report.mean_se, report.abs2_mean,
+                                     report.abs2_se)]
 
 
 def _initial_cloud(f, n_samples, seed, **kwargs):
@@ -277,7 +309,7 @@ def test_sampled_density_moments_match_the_gaussian():
     # |f_c|^2 dmu is a Gaussian centered at hbar conj(c) with variance hbar
     c, hbar = 0.5, 1.0
     f = coherent_vector(c, 32, hbar).normalized()
-    z = _initial_cloud(f, 100_000, seed=7).final_z
+    z = _draws(f, 100_000, seed=7)
     n = z.size
     center = hbar * np.conj(c)
     se_mean = np.std(z.real, ddof=1) / math.sqrt(n)
@@ -332,7 +364,7 @@ def test_centred_sampler_accepts_near_its_slack(c):
     # 1/(1.05 s) = 0.476 wherever the cloud is (uncentred: 11 % at c = 1.2,
     # 0.87 % at c = 2)
     f = coherent_vector(c, 32, 1.0).normalized()
-    z, rate = dynamics._rejection_sample(f, 20_000, 7, 2.0)
+    z, rate = _sample(f, 20_000, 7)
     assert rate >= 0.45
     assert abs(np.mean(z) - np.conj(c)) <= 4 * np.std(z) / math.sqrt(z.size)
 
@@ -368,7 +400,7 @@ def test_states_centred_at_zero_draw_as_before(key):
     name, hbar, scale, seed = key
     level = int(name[1])
     f = FockVector(np.eye(level + 1)[level], hbar)
-    z, _ = dynamics._rejection_sample(f, 20_000, seed, scale)
+    z, _ = _sample(f, 20_000, seed, scale)
     assert hashlib.sha256(z.tobytes()).hexdigest() == UNCENTRED_DIGESTS[key]
 
 
@@ -382,50 +414,53 @@ CENTRED_DIGEST = ("e1f628310648739e3f8bd41c568f9203"
 
 def test_state_centred_off_zero_draws_as_before():
     f = coherent_vector(1.2, 32, 1.0).normalized()
-    z, rate = dynamics._rejection_sample(f, 100_000, 7, 2.0)
+    z, rate = _sample(f, 100_000, 7)
     assert hashlib.sha256(z.tobytes()).hexdigest() == CENTRED_DIGEST
     assert rate.hex() == "0x1.e85b98221f944p-2"
 
 
-# sha256 of final_z and of the moment reports' floats, pinned from the cloud
-# whose interval maps move the draws' real and imaginary parts in place:
-# 2**16 + 1 particles leave a one-point last block, 2**17 + 5 a five-point
-# one
+# sha256 of the final cloud and of the moment reports' floats.  The cloud's
+# is pinned from the ensemble that held every particle and moved the draws'
+# real and imaginary parts in place; the moments' from the one that streams
+# blocks of SAMPLE_BLOCK particles and merges their moments (the whole-array
+# sums differed by at most 9.1e-16 relative).  2**16 + 1 particles leave a
+# one-point last block, 2**17 + 5 a five-point one
 ENSEMBLE_DIGESTS = {
     2 ** 16 + 1: ("9531fa9da01b5e88d7b123b43f42a2c11b7974ec52854e35d8b649957d336c41",
-                  "1b105778302be9b9418bdf019cb38d50cc35dc0ac4405f3d3cac3c5b2b598deb"),
+                  "2c2d5c791cfd71797fddbeb8c3f5532e53b5546e7463e9dc9af2a7ec3b526879"),
     2 ** 17 + 5: ("79f0bdf7ad5f63a295982b7a8e70a88f5419fecbc2083d400b96377170d8cc62",
-                  "17acae4196fa32725f67fe70ed572100fa894edad4195698dacfa85df026affd"),
+                  "0e3f6d5829360dd761ebf6b5a47c939fee91925cc44d92953598c74628e86b77"),
 }
 
 
 @pytest.mark.parametrize("n", sorted(ENSEMBLE_DIGESTS))
 def test_ensemble_blocks_move_the_cloud_as_before(n):
     f = coherent_vector(0.5, 32, 1.0).normalized()
-    hist = ensemble_evolve(f, OscillatorParams(1.3),
-                           np.linspace(0.0, 2.0 * np.pi, 5), n, seed=11,
-                           friction=0.05)
+    params, times = OscillatorParams(1.3), np.linspace(0.0, 2.0 * np.pi, 5)
+    hist = ensemble_evolve(f, params, times, n, seed=11, friction=0.05)
+    final = _final_cloud(f, params, times, n, seed=11, friction=0.05)
     moments = np.array([(m.mean.real, m.mean.imag, *m.mean_se, m.abs2_mean,
                          m.abs2_se) for m in hist.moments])
-    assert (hashlib.sha256(hist.final_z.tobytes()).hexdigest(),
+    assert (hashlib.sha256(final.tobytes()).hexdigest(),
             hashlib.sha256(moments.tobytes()).hexdigest()) == ENSEMBLE_DIGESTS[n]
+    assert _report_bits(hist.moments[-1]) == _report_bits(moment_report(final))
 
 
 def test_trailing_zero_coefficients_leave_the_draws_unchanged():
     f = coherent_vector(0.7 - 0.2j, 20, 1.0).normalized()
     padded = FockVector(np.concatenate([f.coeffs, np.zeros(500)]), f.hbar)
     assert dynamics._trimmed(padded).truncation == f.truncation
-    a, rate_a = dynamics._rejection_sample(f, 5_000, 2, 2.0)
-    b, rate_b = dynamics._rejection_sample(padded, 5_000, 2, 2.0)
+    a, rate_a = _sample(f, 5_000, 2)
+    b, rate_b = _sample(padded, 5_000, 2)
     assert a.tobytes() == b.tobytes() and rate_a == rate_b
 
 
-def test_ensemble_memory_is_one_particle_array():
-    # the draws, moved in place through a 1 MiB block scratch: 16 bytes a
-    # particle; the sampler's proposal chunk and the moment blocks add no
-    # more than 3 MiB (a (2, n) array of (q, p) beside the draws took 36
-    # bytes a particle)
-    n = 300_000
+def test_ensemble_memory_is_fixed_whatever_the_samples():
+    # one block of SAMPLE_BLOCK particles and its (2, SAMPLE_BLOCK) map
+    # scratch (0.5 MiB each), the sampler's 1 MiB proposal chunk, its normal
+    # draws and point-block temporaries: 2.8 MiB at a million particles, as
+    # at 3e5, against 18.2 MiB for the ensemble that held every particle
+    n = 10 ** 6
     f = coherent_vector(0.5, 32, 1.0).normalized()
     tracemalloc.start()
     try:
@@ -434,25 +469,25 @@ def test_ensemble_memory_is_one_particle_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * n + 3 * 2 ** 20
+    assert peak <= 3 * 2 ** 20
 
 
 def test_sampler_holds_one_proposal_chunk_beyond_its_output():
+    # its output is one block of SAMPLE_BLOCK draws (0.5 MiB); besides it,
     # one complex proposal buffer and one boolean mask of _PROPOSAL_CHUNK
-    # points, the RNG's chunk-sized normal draws and the accepted points:
-    # 2.3 MiB over the 16 n bytes of output; a chunk-sized ratio buffer and
-    # uniform draw took 2.8 MiB, forming a + 1j b and the density over whole
-    # chunks 6.2 MiB
+    # points and the RNG's chunk-sized normal draws: 2.3 MiB, where the
+    # sampler that returned every draw held 16 n + 2.3 MiB
     n = 300_000
     f = coherent_vector(0.5, 32, 1.0).normalized()
-    dynamics._rejection_sample(f, 10, 1, 2.0)   # numpy's one-off allocations
+    _sample(f, 10, 1)   # numpy's one-off allocations
     tracemalloc.start()
     try:
-        dynamics._rejection_sample(f, n, 7, 2.0)
+        for _ in dynamics._rejection_sample(f, n, 7, 2.0):
+            pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * n + 2.5 * 2 ** 20
+    assert peak <= 2.5 * 2 ** 20
 
 
 def test_acceptance_rate_counts_every_accepted_draw():
@@ -522,7 +557,8 @@ def _interval_map(params, h, n_sub, friction):
 def test_ensemble_cloud_moves_by_the_interval_maps_bit_for_bit():
     # the cloud moves once per interval by the map of its leapfrog steps,
     # applied to (Re z, Im z); each particle must get the same floats as
-    # moving it alone by those maps
+    # moving it alone by those maps, and the last report must be the
+    # moments of those particles
     f = coherent_vector(0.5, 16, 1.0).normalized()
     params = OscillatorParams(1.3)
     times = [0.0, 0.6, 0.6, 1.2]
@@ -536,7 +572,10 @@ def test_ensemble_cloud_moves_by_the_interval_maps_bit_for_bit():
         for (m00, m01), (m10, m11) in maps:
             x, y = m00 * x + m01 * y, m10 * x + m11 * y
         expected.append(complex(x, y))
-    assert hist.final_z.tobytes() == np.array(expected).tobytes()
+    expected = np.array(expected)
+    final = _final_cloud(f, params, times, 40, seed=11, friction=0.2, dt=0.3)
+    assert final.tobytes() == expected.tobytes()
+    assert _report_bits(hist.moments[-1]) == _report_bits(moment_report(expected))
 
 
 def test_ensemble_report_at_time_zero_is_the_draws():
@@ -557,8 +596,8 @@ def test_ensemble_cloud_matches_per_draw_leapfrog_steps():
     f = coherent_vector(0.5, 16, 1.0).normalized()
     params = OscillatorParams(1.3)
     period = params.period
-    hist = ensemble_evolve(f, params, [0.0, period / 2, period], 64, seed=11,
-                           friction=0.05)
+    final = _final_cloud(f, params, [0.0, period / 2, period], 64, seed=11,
+                         friction=0.05)
     expected = []
     for z in _draws(f, 64, seed=11):
         x = PhasePoint(math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag)
@@ -566,7 +605,7 @@ def test_ensemble_cloud_matches_per_draw_leapfrog_steps():
             for _ in range(512):
                 x = hamilton_step(x, params, (b - a) / 512, friction=0.05)
         expected.append((x.q + 1j * x.p) * (2.0 ** -0.5))
-    np.testing.assert_allclose(hist.final_z, expected, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(final, expected, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.05])
@@ -593,11 +632,10 @@ def test_ensemble_interval_map_matches_the_cayley_hamilton_power(alpha):
     power = d ** (n / 2) / math.sin(theta) * (
         math.sin(n * theta) * a_hat - math.sin((n - 1) * theta) * np.eye(2))
     f = coherent_vector(0.5, 16, 1.0).normalized()
-    hist = ensemble_evolve(f, params, [0.0, t], 64, seed=11,
-                           friction=alpha)
+    final = _final_cloud(f, params, [0.0, t], 64, seed=11, friction=alpha)
     z0 = _draws(f, 64, seed=11)
     x = power @ np.array([z0.real, z0.imag])
-    np.testing.assert_allclose(hist.final_z, x[0] + 1j * x[1],
+    np.testing.assert_allclose(final, x[0] + 1j * x[1],
                                rtol=1e-12, atol=0.0)
 
 

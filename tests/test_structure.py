@@ -186,10 +186,7 @@ def test_every_export_is_reachable_from_the_cli():
 
 # Members no CLI run reads, kept because tests compare them against
 # independent references.
-UNREACHED_BY_DESIGN = {
-    # the per-draw and bitwise tests of the composed interval map
-    ("dynamics", "EnsembleHistory", "final_z"),
-}
+UNREACHED_BY_DESIGN = set()
 
 
 def test_every_member_is_reachable_from_the_cli():
