@@ -56,12 +56,16 @@ class BathParams:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Low moments of a complex sample with standard errors."""
+    """Low moments of a complex sample with standard errors, and the sample
+    variances of Re z and Im z with their covariance (n - 1 divisor)."""
 
     mean: complex
     mean_se: tuple
     abs2_mean: float
     abs2_se: float
+    var_re: float
+    var_im: float
+    cov: float
 
 
 # points per block of a pass over a sample: as in `bargmann`'s point
@@ -82,7 +86,8 @@ SAMPLE_BLOCK = 2 ** 15
 
 def _block_moments(z: np.ndarray):
     """(means, squares) of one block: the means of Re z, Im z and |z|^2,
-    and the sums of their squared deviations from those means.
+    the sums of their squared deviations from those means, and the sum of
+    the products of the Re z and Im z deviations.
 
     Two passes: the sums of z and |z|^2 over the block, which need no
     temporary, then the squared deviations, through buffers of _POINT_BLOCK
@@ -92,7 +97,7 @@ def _block_moments(z: np.ndarray):
     abs2_mean = float(np.vdot(z, z).real) / n
     dev = np.empty(min(n, _POINT_BLOCK), dtype=complex)
     abs2 = np.empty(dev.size)
-    squares = np.zeros(3)
+    squares = np.zeros(4)
     for lo in range(0, n, _POINT_BLOCK):
         block = z[lo:lo + _POINT_BLOCK]
         d, a = dev[:block.size], abs2[:block.size]
@@ -101,7 +106,7 @@ def _block_moments(z: np.ndarray):
         a += block.imag * block.imag
         a -= abs2_mean
         squares += (np.dot(d.real, d.real), np.dot(d.imag, d.imag),
-                    np.dot(a, a))
+                    np.dot(a, a), np.dot(d.real, d.imag))
     return np.array([mean.real, mean.imag, abs2_mean]), squares
 
 
@@ -112,13 +117,15 @@ class MomentSums:
     (`_block_moments`), then merged into the running ones by the pairwise
     update of Chan, Golub and LeVeque (Am. Stat. 37 (1983) 242): with
     delta the difference of the two means, the mean moves by delta n_b / n
-    and the squares gain delta^2 n_a n_b / n.  The first block is taken as
-    it is, so a sample of one block reads the two-pass floats exactly."""
+    and the squares gain delta^2 n_a n_b / n (the cross term delta_re
+    delta_im n_a n_b / n).  The first block is taken as it is, so a sample
+    of one block reads the two-pass floats exactly."""
 
     def __init__(self):
         self.count = 0
         self.means = np.zeros(3)       # Re z, Im z, |z|^2
-        self.squares = np.zeros(3)     # their summed squared deviations
+        # their summed squared deviations, then the Re-Im cross products
+        self.squares = np.zeros(4)
 
     def add(self, z: np.ndarray) -> None:
         means, squares = _block_moments(z)
@@ -128,25 +135,31 @@ class MomentSums:
         total = self.count + z.size
         delta = means - self.means
         self.squares += squares
-        self.squares += delta * delta * (self.count * z.size / total)
+        self.squares += (delta[[0, 1, 2, 0]] * delta[[0, 1, 2, 1]]
+                         * (self.count * z.size / total))
         self.means += delta * (z.size / total)
         self.count = total
 
     def report(self) -> MomentReport:
-        """Means of z and |z|^2 with their standard errors (sample
-        variances with n - 1)."""
+        """Means of z and |z|^2 with their standard errors, and the
+        variances and covariance of Re z and Im z (all with n - 1)."""
         n = self.count
-        se = np.sqrt(self.squares / (n - 1) / n)
+        var = self.squares / (n - 1)
+        se = np.sqrt(var[:3] / n)
         return MomentReport(
             mean=complex(self.means[0], self.means[1]),
             mean_se=(float(se[0]), float(se[1])),
             abs2_mean=float(self.means[2]),
             abs2_se=float(se[2]),
+            var_re=float(var[0]),
+            var_im=float(var[1]),
+            cov=float(var[3]),
         )
 
 
 def moment_report(z: np.ndarray) -> MomentReport:
-    """Means of z and |z|^2 with their standard errors: z folded into
+    """Means of z and |z|^2 with their standard errors, and the variances
+    and covariance of Re z and Im z: z folded into
     `MomentSums` in blocks of SAMPLE_BLOCK points, as the ensemble folds
     its cloud."""
     z = np.asarray(z, dtype=complex).reshape(-1)

@@ -473,7 +473,7 @@ def spectral_dispersion(traj: ChainTrajectory, params: ChainParams):
     scale = float(np.max(peaks))
     for j, (i_peak, low, peak, high) in enumerate(zip(
             i_peaks.tolist(), below.tolist(), peaks.tolist(), above.tolist())):
-        if peak <= 1e-12 * max(scale, 1.0):
+        if peak <= 1e-12 * scale:
             continue
         lm = math.log(max(low, 1e-300))
         l0 = math.log(peak)

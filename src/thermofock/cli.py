@@ -9,6 +9,10 @@ flag caps library parallelism without changing any result.
 
 Heavy imports happen inside the runners, after --threads is applied, so the
 thread cap reaches the numerics libraries before they start their pools.
+For the same reason `main` keeps OpenSSL's libcrypto out before numpy
+loads: numpy.random loads it (through `secrets` and `hashlib`) only to seed
+unseeded generators, and every draw here is seeded.  Importing the package
+as a library changes nothing.
 """
 
 from __future__ import annotations
@@ -659,12 +663,13 @@ def run_tilt(args, report):
                "tilting the Gaussian by a coherent weight shifts the mean "
                "to hbar conj(c)",
                ratio, 0.0, 4.0, stderr=max(se_re, se_im))
-    # the sampling spreads of a Gaussian variance and covariance
-    var_re = float(np.var(z.real, ddof=1))
-    var_im = float(np.var(z.imag, ddof=1))
-    cov = float(np.cov(z.real, z.imag, ddof=1)[0, 1])
+    # the sampling spreads of a Gaussian variance and covariance; cov_se's
+    # root is taken of each factor before the product, which underflows
+    # where the variances are near the least normal float (--beta 1e300)
+    var_re, var_im, cov = moments.var_re, moments.var_im, moments.cov
     var_se = max(var_re, var_im) * math.sqrt(2.0 / (n - 1))
-    cov_se = math.sqrt((var_re * var_im + cov ** 2) / (n - 1))
+    cov_se = (math.hypot(math.sqrt(var_re) * math.sqrt(var_im), cov)
+              / math.sqrt(n - 1))
     half = bp.hbar / 2.0
     var_dev = max(abs(var_re - half), abs(var_im - half))
     report.add("tilt-variance-unchanged",
@@ -692,6 +697,16 @@ def run_sphere(args, report):
     if radius2 is None:
         radius2 = bp.hbar / 2.0
     radius = math.sqrt(radius2)
+    # the map's scale 2 beta R^2 multiplies each uniform draw before its
+    # log: a subnormal scale rounds the small products to 0, whose log
+    # diverges, and an infinite one leaves no admissible cap
+    scale = 2.0 * beta * radius ** 2
+    if not sys.float_info.min <= scale <= sys.float_info.max:
+        flags = ("--radius2/--beta" if args.radius2 is not None
+                 else "--beta/--omega")
+        raise FloatingPointError(
+            f"{flags}: 2 beta R^2 = {scale:g} is outside the normal float "
+            "range")
     t, phi, t_min = bath.sphere_pushforward_check(radius, beta, args.samples,
                                                   args.seed)
     # the model CDFs 1 - exp(-beta (t - t_min)) and phi/2pi, each written
@@ -1141,6 +1156,12 @@ def main(argv=None) -> int:
     if args.threads is not None:
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
+    # numpy.random imports `secrets` for unseeded entropy, and with it
+    # hashlib's OpenSSL backend, libcrypto: about 3.5 MiB of every run's
+    # peak RSS.  Every draw here is seeded and nothing here computes a
+    # hash, so hashlib serves its builtin digests (secrets still reads the
+    # OS's entropy).  A module already loaded is left as it is.
+    sys.modules.setdefault("_hashlib", None)
     outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
     os.makedirs(outdir, exist_ok=True)
     report_path = os.path.join(

@@ -82,6 +82,10 @@ def test_blocked_moments_match_the_whole_array_formulas(n):
     got = (rep.mean.real, rep.mean.imag, *rep.mean_se, rep.abs2_mean,
            rep.abs2_se)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        (rep.var_re, rep.var_im, rep.cov),
+        (np.var(z.real, ddof=1), np.var(z.imag, ddof=1),
+         np.cov(z.real, z.imag, ddof=1)[0, 1]), rtol=1e-12, atol=0.0)
 
 
 def test_moment_report_makes_no_sample_sized_temporary():

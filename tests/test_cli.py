@@ -195,6 +195,19 @@ def test_few_sample_ensemble_is_no_sampler_collapse(tmp_path):
     assert efficiency["passed"]
 
 
+@pytest.mark.parametrize("args", [("tilt", "--beta", "1e300", "--seed", "1"),
+                                  ("tilt", "--omega", "1e300", "--seed", "1"),
+                                  ("chain-dispersion", "--beta", "1e300",
+                                   "--seed", "42")])
+def test_runs_at_a_tiny_hbar_pass(tmp_path, args):
+    # hbar = 1/(beta omega) = 1e-300: the tilt's covariance spread is taken
+    # without the product of the variances, which underflows, and the
+    # chain's spectral peaks are weighed against the largest one alone
+    proc = run_cli(*args, outdir=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("args", [("--omega", "1e-200"),
                                   ("--omega", "1e-300", "--alpha", "1e-301")])
 def test_ensemble_at_tiny_omega_completes(tmp_path, args):
@@ -263,14 +276,18 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
             ("ensemble", "--seed", "1", "--t-max", "1e300")):
         exits_three(command, *args)
     # refused where the overflow is derived, before numpy meets it: an
-    # action cell 2 pi/(beta omega) and a radius sqrt(hbar/2) of 0, one
-    # period of inf, the cloud's run length
+    # action cell 2 pi/(beta omega) and a radius sqrt(hbar/2) of 0, the
+    # sphere map's scale 2 beta R^2 subnormal or inf, one period of inf,
+    # the cloud's run length
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         exits_three("partition", "--seed", "1", "--beta", "1e300",
                     "--omega", "1e300", "--samples", "1000")
         exits_three("sphere", "--seed", "1", "--beta", "1e300",
                     "--omega", "1e300")
+        exits_three("sphere", "--seed", "1", "--radius2", "5e-324")
+        exits_three("sphere", "--seed", "1", "--radius2", "1e300",
+                    "--beta", "1e300")
         exits_three("ensemble", "--seed", "1", "--omega", "1e-320")
 
 
@@ -467,6 +484,21 @@ def test_outdir_env_variable_routes_output(tmp_path):
     proc = run_cli("coherent", env_extra={"THERMOFOCK_OUTDIR": str(target)})
     assert proc.returncode == 0, proc.stderr
     assert (target / "coherent_report.json").exists()
+
+
+def test_seeded_run_leaves_openssl_unloaded(tmp_path):
+    # numpy.random imports secrets, and through hashlib OpenSSL's libcrypto,
+    # only to seed unseeded generators; `main` keeps it out of every run
+    child = ("import sys\n"
+             "from thermofock import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "print(code, 'numpy.random' in sys.modules,\n"
+             "      sys.modules.get('_hashlib') is None)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "tilt", "--seed", "1", "--samples",
+         "1000", "--outdir", str(tmp_path)], capture_output=True, text=True)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "0 True True"
 
 
 def test_thread_cap_is_validated(tmp_path):
