@@ -4,15 +4,15 @@ Each subcommand runs a cluster of checks, prints one line per check, writes
 a versioned JSON report plus CSV data tables into the output directory, and
 exits 0 only if every check passed (1 = check failure, 2 = usage error,
 3 = numerical failure, 4 = internal error).  Stochastic runs require an
-explicit --seed and are bit-reproducible from (config, seed); the --threads
-flag caps library parallelism without changing any result.
+explicit --seed.  A report is bit-reproducible from (config, seed) apart
+from its duration, whatever --threads is; a CSV table is at a fixed
+--threads, since the thread cap moves the last bits of blocked sums.
 
-Heavy imports happen inside the runners, after --threads is applied, so the
-thread cap reaches the numerics libraries before they start their pools.
-For the same reason `main` keeps OpenSSL's libcrypto out before numpy
-loads: numpy.random loads it (through `secrets` and `hashlib`) only to seed
-unseeded generators, and every draw here is seeded.  Importing the package
-as a library changes nothing.
+`evaluate` runs one parsed invocation in memory; `main` parses, sets up the
+process, evaluates, then writes and prints.  Heavy imports happen inside
+the runners, so the set-up reaches them first: the thread cap before the
+numerics libraries start their pools, and the block on OpenSSL before
+numpy loads.  Importing the package as a library changes nothing.
 """
 
 from __future__ import annotations
@@ -141,9 +141,7 @@ def _tilt_rule(c: complex, hbar: float, flags: str) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def format_check(check) -> str:
@@ -153,14 +151,9 @@ def format_check(check) -> str:
             f"oracle={_fmt(check.oracle)} tol={_fmt(check.tolerance)}{extra}")
 
 
-def _config_echo(args) -> dict:
-    skip = {"command", "outdir", "threads"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
 # ---------------------------------------------------------------------------
-# subcommand runners: each adds its checks to the report `main` built and
-# returns its tables, [(csv_name, header, rows)]
+# subcommand runners: run_<command>, `-` written `_`, adds its checks to the
+# report `evaluate` built and returns its tables, [(csv_name, header, rows)]
 # ---------------------------------------------------------------------------
 
 def run_gram(args, report):
@@ -636,11 +629,10 @@ def run_variation(args, report):
                "the energy change along the generated flow scales "
                "quadratically in the step",
                slope, 2.0, 0.1)
-    tables = [("variation_defects.csv", ["index", "defect"],
-               list(enumerate(defects))),
-              ("variation_taylor.csv", ["dt", "energy_change"],
-               list(zip(dts.tolist(), changes.tolist())))]
-    return tables
+    return [("variation_defects.csv", ["index", "defect"],
+             list(enumerate(defects))),
+            ("variation_taylor.csv", ["dt", "energy_change"],
+             list(zip(dts.tolist(), changes.tolist())))]
 
 
 def run_tilt(args, report):
@@ -693,9 +685,7 @@ def run_sphere(args, report):
 
     bp = bath.BathParams(args.beta, args.omega)
     beta = args.beta
-    radius2 = args.radius2
-    if radius2 is None:
-        radius2 = bp.hbar / 2.0
+    radius2 = args.radius2 if args.radius2 is not None else bp.hbar / 2.0
     radius = math.sqrt(radius2)
     # the map's scale 2 beta R^2 multiplies each uniform draw before its
     # log: a subnormal scale rounds the small products to 0, whose log
@@ -953,23 +943,8 @@ def run_relax(args, report):
             ("relax_rates.csv", ["k", "rate", "target_rate"], rate_rows)]
 
 
-RUNNERS = {
-    "gram": run_gram,
-    "coherent": run_coherent,
-    "commutator": run_commutator,
-    "evolve": run_evolve,
-    "damp": run_damp,
-    "ensemble": run_ensemble,
-    "partition": run_partition,
-    "variation": run_variation,
-    "tilt": run_tilt,
-    "sphere": run_sphere,
-    "chain-dispersion": run_chain_dispersion,
-    "continuum": run_continuum,
-    "rescale": run_rescale,
-    "mode-commutator": run_mode_commutator,
-    "relax": run_relax,
-}
+RUNNERS = {name[4:].replace("_", "-"): fn
+           for name, fn in globals().items() if name.startswith("run_")}
 
 
 # ---------------------------------------------------------------------------
@@ -989,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="thermofock",
         description="verification experiments for the thermal-oscillator "
                     "quantization toolkit")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gram", parents=[common],
                        help="orthonormality of the holomorphic basis")
@@ -1147,15 +1122,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class Outcome:
+    """One run in memory: exit code, report, the tables to write beside it,
+    and, for a run that ended early, what standard error is told."""
+
+    def __init__(self, code, report, tables=(), error=""):
+        self.code, self.report = code, report
+        self.tables, self.error = tables, error
+
+
+def evaluate(args) -> Outcome:
+    """Run the parsed `args`, mapping what the runner raises to exit code
+    2, 3 or 4 as the module docstring says.  Writes and prints nothing."""
+    from .errors import ThermoFockError
+    from .reports import CheckRecord, ExperimentReport
+
+    report = ExperimentReport(args.command, {
+        k: v for k, v in vars(args).items()
+        if k not in ("command", "outdir", "threads")})
+
+    def stopped(code, exc, name, verifies, trace=""):
+        # a run that stopped early reports why in place of what it measured:
+        # the one verdict that no tolerance derives
+        report.checks = [CheckRecord(name, verifies,
+                                     f"{type(exc).__name__}: {exc}",
+                                     "completion", 0.0, False)]
+        report.duration_seconds = time.perf_counter() - start
+        return Outcome(code, report,
+                       error=f"{trace}{name.replace('-', ' ')}: {exc}")
+
+    start = time.perf_counter()
+    try:
+        tables = RUNNERS[args.command](args, report)
+    except argparse.ArgumentTypeError as exc:
+        return Outcome(EXIT_USAGE, report, error=f"usage error: {exc}")
+    except (ThermoFockError, ArithmeticError) as exc:
+        return stopped(EXIT_NUMERICAL, exc, "numerical-failure",
+                       "the run completes inside its numerical validity region")
+    except Exception as exc:
+        import traceback
+
+        return stopped(EXIT_INTERNAL, exc, "internal-error",
+                       "the run completes without an unexpected exception",
+                       traceback.format_exc())
+    report.duration_seconds = time.perf_counter() - start
+    return Outcome(EXIT_PASS if report.passed else EXIT_CHECK_FAILURE,
+                   report, tables)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     if args.threads is not None:
-        for var in _THREAD_VARS:
-            os.environ[var] = str(args.threads)
+        os.environ.update(dict.fromkeys(_THREAD_VARS, str(args.threads)))
     # numpy.random imports `secrets` for unseeded entropy, and with it
     # hashlib's OpenSSL backend, libcrypto: about 3.5 MiB of every run's
     # peak RSS.  Every draw here is seeded and nothing here computes a
@@ -1163,52 +1181,34 @@ def main(argv=None) -> int:
     # OS's entropy).  A module already loaded is left as it is.
     sys.modules.setdefault("_hashlib", None)
     outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        print(f"usage error: --outdir: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    outcome = evaluate(args)
+    if outcome.error:
+        print(outcome.error, file=sys.stderr)
+    if outcome.code == EXIT_USAGE:
+        return EXIT_USAGE
+    from .reports import write_csv
+
     report_path = os.path.join(
         outdir, args.command.replace("-", "_") + "_report.json")
-
-    from .errors import ThermoFockError
-    from .reports import CheckRecord, ExperimentReport, write_csv
-
-    report = ExperimentReport(args.command, _config_echo(args))
-
-    def diagnose(exc, name, verifies, label, code):
-        # a run that stopped early reports why in place of what it measured:
-        # the one verdict that no tolerance derives
-        report.checks = [CheckRecord(name, verifies,
-                                     f"{type(exc).__name__}: {exc}",
-                                     "completion", 0.0, False)]
-        report.duration_seconds = time.perf_counter() - start
-        report.write(report_path)
-        print(f"{label}: {exc}", file=sys.stderr)
-        return code
-
-    start = time.perf_counter()
     try:
-        tables = RUNNERS[args.command](args, report)
-    except argparse.ArgumentTypeError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ThermoFockError, ArithmeticError) as exc:
-        return diagnose(exc, "numerical-failure",
-                        "the run completes inside its numerical validity region",
-                        "numerical failure", EXIT_NUMERICAL)
-    except Exception as exc:
-        import traceback
-
-        traceback.print_exc()
-        return diagnose(exc, "internal-error",
-                        "the run completes without an unexpected exception",
-                        "internal error", EXIT_INTERNAL)
-    report.duration_seconds = time.perf_counter() - start
-    report.write(report_path)
-    for name, header, rows in tables:
-        write_csv(os.path.join(outdir, name), header, rows)
-    for check in report.checks:
+        outcome.report.write(report_path)
+        for name, header, rows in outcome.tables:
+            write_csv(os.path.join(outdir, name), header, rows)
+    except OSError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    if outcome.error:
+        return outcome.code
+    for check in outcome.report.checks:
         print(f"[{'PASS' if check.passed else 'FAIL'}] {format_check(check)}")
-    print(("PASS " if report.passed else "FAIL ") + args.command
+    print(("PASS " if outcome.report.passed else "FAIL ") + args.command
           + " -> " + report_path)
-    return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
+    return outcome.code
 
 
 if __name__ == "__main__":

@@ -1,77 +1,98 @@
-"""Acceptance suite: the twelve numbered claims a01-a12, each defined by the
-`thermofock` subcommands that check it.  A row names the claim, the CLI
-invocations it runs and its wall-clock bound; the invocations are parsed by
-the CLI's own parser and run in-process through its runners, each into a
-report built as `main` builds it, so the suite and the command line share
-one definition of every check.  Each row prints a
-single [PASS]/[FAIL] line with every check's measured value, oracle and
-tolerance.  Seeds are pinned; nothing here is free to drift between runs.
+"""Acceptance suite: the twelve numbered claims a01-a12, one CLAIMS row
+each: its label, the CLI invocations it runs, its wall-clock bound and the
+checks that must meet their oracle exactly.  The invocations run in-process
+through the CLI's own parser and `cli.evaluate`, as `main` runs them, so
+the suite and the command line share one definition of every check and of
+every exit code.  Each row prints a single [PASS]/[FAIL] line with every
+check's measured value, oracle and tolerance.  Seeds are pinned; nothing
+here is free to drift between runs.
 """
 
 import math
+import re
 import shlex
 import time
+from pathlib import Path
+
+import pytest
 
 from thermofock import cli
-from thermofock.reports import ExperimentReport
+
+CLAIMS = (
+    ("a01 basis-orthonormality",
+     ("gram --nmax 16 --hbar 1.0 --samples 1e6 --seed 7",), 10, ()),
+    ("a02 ladder-commutators",
+     ("commutator --hbar 1 --nmax 16", "commutator --hbar 0.5 --nmax 32",
+      "commutator --hbar 2 --nmax 64", "commutator --hbar 1 --nmax 64"),
+     None, ()),
+    ("a03 ordering-gap-and-phase",
+     ("commutator --nmax 32", "evolve --nmax 32 --seed 3"), None, ()),
+    ("a04 transport-matches-schrodinger",
+     ("evolve --nmax 19 --n-times 6 --seed 3",), 5, ()),
+    ("a05 coherent-ensemble-mean", ("ensemble --seed 7",), 30, ()),
+    ("a06 action-cell-estimate", ("partition --seed 7",), None,
+     ("analytic-action-cell",)),
+    ("a07 gibbs-variation-split", ("variation --seed 123",), None, ()),
+    ("a08 damped-relaxation",
+     (f"damp --dt {2 * math.pi / 512!r} --t-max 400 --nmax 24",), None, ()),
+    ("a09 chain-dispersion", ("chain-dispersion --seed 42",), 60, ()),
+    ("a10 continuum-limit", ("continuum",), None, ()),
+    ("a11 multimode-commutators", ("mode-commutator",), None, ()),
+    ("a12 sphere-pushforward", ("sphere --seed 21",), None, ()),
+)
 
 
-def acceptance(label, *invocations, bound=None, exact=()):
-    """The test of one claim: it passes when every check of every invocation
-    passed, each check named in `exact` measured its oracle exactly, and the
-    row finished inside `bound` seconds."""
+def acceptance(label, invocations, bound, exact):
+    """The test of one claim: it passes when every invocation exited 0,
+    each check named in `exact` measured its oracle exactly, and the row
+    finished inside `bound` seconds."""
 
     def test(capsys):
         parser = cli.build_parser()
         start = time.perf_counter()
-        checks = []
-        for line in invocations:
-            args = parser.parse_args(shlex.split(line))
-            report = ExperimentReport(args.command, cli._config_echo(args))
-            cli.RUNNERS[args.command](args, report)
-            checks += report.checks
+        outcomes = [cli.evaluate(parser.parse_args(shlex.split(line)))
+                    for line in invocations]
         elapsed = time.perf_counter() - start
+        checks = [c for outcome in outcomes for c in outcome.report.checks]
         exact_ok = {c.name for c in checks if c.measured == c.oracle} >= set(exact)
-        ok = (all(c.passed for c in checks) and exact_ok
+        ok = (all(o.code == cli.EXIT_PASS for o in outcomes) and exact_ok
               and (bound is None or elapsed < bound))
-        detail = "; ".join(cli.format_check(c) for c in checks)
+        detail = "; ".join([cli.format_check(c) for c in checks] + [
+            o.error for o in outcomes if o.code == cli.EXIT_USAGE])
         if exact:
             detail += f"; {', '.join(exact)} exact: {exact_ok}"
         detail += f"; {elapsed:.1f}s" + (f" (bound {bound}s)" if bound else "")
+        line = f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}"
         with capsys.disabled():
-            print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}", flush=True)
-        assert ok, f"{label}: {detail}"
+            print(line, flush=True)
+        assert ok, line
 
     return test
 
 
-test_a01_basis_orthonormality = acceptance(
-    "a01 basis-orthonormality",
-    "gram --nmax 16 --hbar 1.0 --samples 1e6 --seed 7", bound=10)
-test_a02_ladder_commutators = acceptance(
-    "a02 ladder-commutators",
-    *(f"commutator --hbar {hbar} --nmax {nmax}"
-      for hbar, nmax in ((1, 16), (0.5, 32), (2, 64), (1, 64))))
-test_a03_ordering_gap_and_phase = acceptance(
-    "a03 ordering-gap-and-phase",
-    "commutator --nmax 32", "evolve --nmax 32 --seed 3")
-test_a04_transport_matches_schrodinger = acceptance(
-    "a04 transport-matches-schrodinger",
-    "evolve --nmax 19 --n-times 6 --seed 3", bound=5)
-test_a05_coherent_ensemble_mean = acceptance(
-    "a05 coherent-ensemble-mean", "ensemble --seed 7", bound=30)
-test_a06_action_cell_estimate = acceptance(
-    "a06 action-cell-estimate", "partition --seed 7",
-    exact=("analytic-action-cell",))
-test_a07_gibbs_variation_split = acceptance(
-    "a07 gibbs-variation-split", "variation --seed 123")
-test_a08_damped_relaxation = acceptance(
-    "a08 damped-relaxation",
-    f"damp --dt {2 * math.pi / 512!r} --t-max 400 --nmax 24")
-test_a09_chain_dispersion = acceptance(
-    "a09 chain-dispersion", "chain-dispersion --seed 42", bound=60)
-test_a10_continuum_limit = acceptance("a10 continuum-limit", "continuum")
-test_a11_multimode_commutators = acceptance(
-    "a11 multimode-commutators", "mode-commutator")
-test_a12_sphere_pushforward = acceptance(
-    "a12 sphere-pushforward", "sphere --seed 21")
+for _label, *_row in CLAIMS:
+    globals()["test_" + re.sub(r"[ -]", "_", _label)] = acceptance(_label, *_row)
+
+
+def test_readme_table_lists_the_claims():
+    # each row of the README's acceptance table: its label, and the
+    # backticked invocations of its invocation column
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = [line.split(" | ") for line in readme.read_text("utf-8").split("\n")
+            if re.match(r"\| a\d\d ", line)]
+    assert [(row[0][2:], tuple(re.findall(r"`([^`]*)`", row[2])))
+            for row in rows] == [claim[:2] for claim in CLAIMS]
+
+
+def test_a_raising_row_fails_on_its_diagnostic_record(monkeypatch, capsys):
+    # a runner that raises is the exit-3 run a user would see: the row fails
+    # on its numerical-failure record instead of erroring out of pytest
+    def overflow(args, report):
+        raise FloatingPointError("overflow")
+
+    monkeypatch.setitem(cli.RUNNERS, "continuum", overflow)
+    label = "a10 continuum-limit, runner patched to raise"
+    with pytest.raises(AssertionError, match=re.escape(
+            f"[FAIL] {label}: numerical-failure: "
+            "measured=FloatingPointError: overflow oracle=completion tol=0;")):
+        acceptance(label, *CLAIMS[9][1:])(capsys)

@@ -6,7 +6,6 @@ integral Z = 2 pi/(beta omega) per oscillator pair, the shifted Gaussian of
 the tilt, and the exponential radial law of the sphere map.
 """
 
-import json
 import math
 import tracemalloc
 
@@ -320,7 +319,7 @@ def test_tilt_holds_one_complex_array_and_one_component():
     assert peak <= 16 * n + 8 * n + 8 * n // 8
 
 
-def test_sphere_area_is_the_action_cell(tmp_path):
+def test_sphere_area_is_the_action_cell():
     # R^2 = 1/(2 beta omega) makes the sphere area equal h = 2 pi/(beta omega)
     beta, omega = 2.0, 0.25
     _, _, t_min = sphere_pushforward_check(
@@ -328,14 +327,13 @@ def test_sphere_area_is_the_action_cell(tmp_path):
     assert t_min == pytest.approx(0.0, abs=1e-15)
 
     def area_check(*argv):
-        code = cli.main(["sphere", *argv, "--outdir", str(tmp_path)])
-        assert code == cli.EXIT_PASS
-        report = json.loads((tmp_path / "sphere_report.json").read_text())
-        return {c["name"]: c for c in report["checks"]}[
+        outcome = cli.evaluate(cli.build_parser().parse_args(["sphere", *argv]))
+        assert outcome.code == cli.EXIT_PASS
+        return {c.name: c for c in outcome.report.checks}[
             "sphere-area-matches-action-cell"]
 
     area = area_check("--seed", "1", "--beta", str(beta), "--omega", str(omega))
-    assert area["measured"] == pytest.approx(2.0 * math.pi / (beta * omega),
+    assert area.measured == pytest.approx(2.0 * math.pi / (beta * omega),
                                              rel=1e-12)
     # --radius2 varies only the KS checks: the area is taken at the matching
     # radius, so the check reads as at the default radius

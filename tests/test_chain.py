@@ -7,7 +7,6 @@ sin^2(ka/2), exact energy bookkeeping sum_j w_j |a_j|^2 = H (Parseval), and
 the continuum law w^2 = k^2 + M^2 with leading lattice error k^4 a^2 / 12.
 """
 
-import csv
 import math
 import tracemalloc
 
@@ -32,7 +31,6 @@ from thermofock.chain import (
     spectral_dispersion,
 )
 from thermofock.errors import CapacityError, StabilityError
-from thermofock.reports import ExperimentReport
 
 
 def _mode_energy(state, params):
@@ -538,7 +536,7 @@ def test_chain_dispersion_path_holds_one_snapshot_buffer():
     assert peak <= 1.1 * snapshot_bytes
 
 
-def test_relax_amplitude_read_holds_no_second_buffer(monkeypatch, tmp_path):
+def test_relax_amplitude_read_holds_no_second_buffer(monkeypatch):
     # what `relax` holds beyond its trajectory: the amplitudes overwrite the
     # snapshots and |a| is taken a mode at a time, so the row blocks of the
     # mode transform set the peak, 0.16x at 256 sites (0.39x with 256-row
@@ -554,14 +552,13 @@ def test_relax_amplitude_read_holds_no_second_buffer(monkeypatch, tmp_path):
 
     monkeypatch.setattr(chain, "integrate_chain", integrate_then_trace)
     args = cli.build_parser().parse_args(
-        ["relax", "--sites", "256", "--seed", "5", "--outdir", str(tmp_path)])
-    report = ExperimentReport(args.command, cli._config_echo(args))
+        ["relax", "--sites", "256", "--seed", "5"])
     try:
-        cli.RUNNERS["relax"](args, report)
+        outcome = cli.evaluate(args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.passed
+    assert outcome.code == cli.EXIT_PASS
     assert peak <= 0.2 * sizes[0]
 
 
@@ -771,36 +768,33 @@ def test_massless_dispersion_is_nearly_linear():
 
 # -- rescaled modes, through the CLI -------------------------------------------
 
-def _passes_every_check(argv, outdir):
-    """Runs the CLI in-process and returns the rows of each CSV it wrote,
-    by file name, after asserting exit 0: every check passed."""
-    assert cli.main([*argv, "--outdir", str(outdir)]) == cli.EXIT_PASS, argv
-    tables = {}
-    for path in outdir.glob("*.csv"):
-        with open(path, encoding="utf-8", newline="") as fh:
-            tables[path.name] = list(csv.DictReader(fh))
-    return tables
+def _passes_every_check(*argv):
+    """Runs the CLI in-process and returns the rows of each table, as dicts
+    by column, by CSV name, after asserting exit 0: every check passed."""
+    outcome = cli.evaluate(cli.build_parser().parse_args(argv))
+    assert outcome.code == cli.EXIT_PASS, argv
+    return {name: [dict(zip(header, row)) for row in rows]
+            for name, header, rows in outcome.tables}
 
 
-def test_rescale_preserves_energy(tmp_path):
+def test_rescale_preserves_energy():
     # rescaled-single-frequency-energy: w0 sum |a~|^2 is the chain energy
-    _passes_every_check(["rescale", "--seed", "1"], tmp_path)
+    _passes_every_check("rescale", "--seed", "1")
 
 
-def test_rescale_is_identity_on_a_flat_band(tmp_path):
-    rows = _passes_every_check(["rescale", "--seed", "1", "--sites", "8",
-                                "--gamma-couple", "0"],
-                               tmp_path)["rescale_modes.csv"]
+def test_rescale_is_identity_on_a_flat_band():
+    rows = _passes_every_check("rescale", "--seed", "1", "--sites", "8",
+                               "--gamma-couple", "0")["rescale_modes.csv"]
     assert len(rows) == 8
     for row in rows:
         assert float(row["lambda"]) == 1.0
         assert row["abs_amplitude_rescaled"] == row["abs_amplitude"]
 
 
-def test_rescaled_equipartition_shares_one_hbar(tmp_path):
+def test_rescaled_equipartition_shares_one_hbar():
     # uniform-action-equipartition: beta w0 sum |a~|^2 within 4 sqrt(N) of
     # the mode count N = 64
-    _passes_every_check(["rescale", "--seed", "42"], tmp_path)
+    _passes_every_check("rescale", "--seed", "42")
 
 
 # -- multimode commutators ---------------------------------------------------------------------
@@ -832,19 +826,18 @@ def test_commutator_capacity_caps(usage_error):
 
 # -- relaxation, through the CLI -----------------------------------------------
 
-def test_relaxation_rates_and_energy_decay(tmp_path):
+def test_relaxation_rates_and_energy_decay():
     # mode-envelope-rates, energy-exponential-decay and
     # energy-monotone-nonincreasing at the defaults: 16 sites, alpha = 0.01
-    rows = _passes_every_check(["relax", "--seed", "5"],
-                               tmp_path)["relax_rates.csv"]
+    rows = _passes_every_check("relax", "--seed", "5")["relax_rates.csv"]
     rates = np.array([float(row["rate"]) for row in rows])
     assert np.all(rates[~np.isnan(rates)] > 0) and not np.all(np.isnan(rates))
 
 
-def test_relaxation_control_run_conserves_energy(tmp_path):
+def test_relaxation_control_run_conserves_energy():
     # control-energy-conserved: without friction no rate is fitted
-    rows = _passes_every_check(["relax", "--alpha", "0", "--seed", "5"],
-                               tmp_path)["relax_rates.csv"]
+    rows = _passes_every_check("relax", "--alpha", "0",
+                               "--seed", "5")["relax_rates.csv"]
     assert all(math.isnan(float(row["rate"])) for row in rows)
     assert all(float(row["target_rate"]) == 0.0 for row in rows)
 

@@ -33,6 +33,16 @@ def read_report(outdir, command):
         return json.load(fh)
 
 
+def evaluate(*argv):
+    """One in-process run of argv, in memory."""
+    return cli.evaluate(cli.build_parser().parse_args(argv))
+
+
+def _checks(*argv):
+    """The checks of one in-process run, by name."""
+    return {check.name: check for check in evaluate(*argv).report.checks}
+
+
 def test_gram_passes_and_writes_artifacts(tmp_path):
     proc = run_cli("gram", "--nmax", "12", "--hbar", "1.0", outdir=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -62,11 +72,8 @@ def test_partition_monte_carlo_example(tmp_path):
 @pytest.mark.parametrize("argv", [("--c", "0.3+0.4j"), ("--nmax", "4"),
                                   ("--nmax", "12", "--c", "3")],
                          ids=["complex-c", "nmax-4", "nmax-12-c-3"])
-def test_coherent_accepts_complex_literals(tmp_path, argv):
-    proc = run_cli("coherent", *argv, outdir=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    report = read_report(tmp_path, "coherent")
-    assert all(check["passed"] for check in report["checks"])
+def test_coherent_accepts_complex_literals(argv):
+    assert evaluate("coherent", *argv).code == cli.EXIT_PASS
 
 
 def test_relax_control_run_without_damping(tmp_path):
@@ -76,14 +83,14 @@ def test_relax_control_run_without_damping(tmp_path):
     assert (tmp_path / "relax_energy.csv").exists()
 
 
-def test_damp_energies_survive_a_tiny_amplitude(tmp_path):
+def test_damp_energies_survive_a_tiny_amplitude():
     # at --q0 1e-300 the squared amplitudes underflow to 0, and the energy
     # drifts read 0/0 = NaN; scaled by a power of two they are plain ratios
-    proc = run_cli("damp", "--q0", "1e-300", outdir=tmp_path)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    checks = {c["name"]: c for c in read_report(tmp_path, "damp")["checks"]}
+    outcome = evaluate("damp", "--q0", "1e-300")
+    assert outcome.code == cli.EXIT_PASS, outcome.error
+    checks = {c.name: c for c in outcome.report.checks}
     for name in ("control-energy-constant", "control-leapfrog-energy"):
-        assert math.isfinite(checks[name]["measured"]) and checks[name]["passed"]
+        assert math.isfinite(checks[name].measured)
 
 
 def test_usage_errors_exit_two(tmp_path, usage_error):
@@ -142,21 +149,13 @@ _INTERIOR = ("ladder-commutator-interior",
              "position-momentum-commutator-interior")
 
 
-def _commutator_checks(hbar, nmax=64):
-    args = cli.build_parser().parse_args(
-        ["commutator", "--hbar", str(hbar), "--nmax", str(nmax)])
-    report = ExperimentReport(args.command, cli._config_echo(args))
-    cli.RUNNERS[args.command](args, report)
-    return {check.name: check for check in report.checks}
-
-
 @pytest.mark.parametrize("hbar, nmax", [(1, 16), (0.5, 32), (2, 64), (1, 64)])
 def test_a02_commutator_tolerance_stays_at_its_floor(hbar, nmax):
     # the scaled term 4 eps nmax hbar is at most 1.1e-13 at a02's invocations
     scaled = 4.0 * sys.float_info.epsilon * nmax * hbar
     print(f"hbar {hbar}, nmax {nmax}: scaled term {scaled:.3g}, floor 1e-12")
     assert scaled <= 1.2e-13
-    checks = _commutator_checks(hbar, nmax)
+    checks = _checks("commutator", "--hbar", str(hbar), "--nmax", str(nmax))
     for name in _INTERIOR:
         assert checks[name].tolerance == 1e-12 and checks[name].passed
 
@@ -165,34 +164,29 @@ def test_a02_commutator_tolerance_stays_at_its_floor(hbar, nmax):
 def test_commutator_interior_verdicts_hold_at_every_hbar(hbar):
     # residual / hbar is the same at every power-of-four hbar, and the
     # tolerance grows with the entries once 4 eps nmax hbar passes 1e-12
-    checks = _commutator_checks(hbar)
+    checks = _checks("commutator", "--hbar", str(hbar), "--nmax", "64")
     for name in _INTERIOR:
         assert checks[name].passed, cli.format_check(checks[name])
         assert checks[name].tolerance == max(
             1e-12, 4.0 * sys.float_info.epsilon * 64 * hbar)
     ladder = checks["ladder-commutator-interior"].measured
     if hbar in (0.25, 4, 64):
-        assert ladder / hbar == _commutator_checks(1)[
-            "ladder-commutator-interior"].measured
+        unit = _checks("commutator", "--hbar", "1", "--nmax", "64")
+        assert ladder / hbar == unit["ladder-commutator-interior"].measured
 
 
-def test_damped_ensemble_passes_against_the_exact_flow(tmp_path):
+def test_damped_ensemble_passes_against_the_exact_flow():
     # at alpha = 0.05 a first-order oracle (one damped branch) reads 6.85 se
     # off the mean at this seed; the exact underdamped flow passes
-    proc = run_cli("ensemble", "--alpha", "0.05", "--seed", "3", outdir=tmp_path)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    report = read_report(tmp_path, "ensemble")
-    assert all(check["passed"] for check in report["checks"])
+    outcome = evaluate("ensemble", "--alpha", "0.05", "--seed", "3")
+    assert outcome.code == cli.EXIT_PASS, outcome.error
 
 
-def test_few_sample_ensemble_is_no_sampler_collapse(tmp_path):
+def test_few_sample_ensemble_is_no_sampler_collapse():
     # the first chunk of 10 000 proposals accepts thousands of draws for 5
     # samples; counting only the 5 kept ones read as an efficiency collapse
-    proc = run_cli("ensemble", "--samples", "5", "--seed", "1", outdir=tmp_path)
-    assert proc.returncode in (0, 1), proc.stdout + proc.stderr
-    report = read_report(tmp_path, "ensemble")
-    efficiency = {c["name"]: c for c in report["checks"]}["sampler-efficiency"]
-    assert efficiency["passed"]
+    assert _checks("ensemble", "--samples", "5", "--seed", "1")[
+        "sampler-efficiency"].passed
 
 
 @pytest.mark.parametrize("args", [("tilt", "--beta", "1e300", "--seed", "1"),
@@ -210,10 +204,10 @@ def test_runs_at_a_tiny_hbar_pass(tmp_path, args):
 
 @pytest.mark.parametrize("args", [("--omega", "1e-200"),
                                   ("--omega", "1e-300", "--alpha", "1e-301")])
-def test_ensemble_at_tiny_omega_completes(tmp_path, args):
+def test_ensemble_at_tiny_omega_completes(args):
     # omega^2 underflows to 0; the oracle's frequency must not divide by it
-    proc = run_cli("ensemble", "--seed", "1", *args, outdir=tmp_path)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    outcome = evaluate("ensemble", "--seed", "1", *args)
+    assert outcome.code == cli.EXIT_PASS, outcome.error
 
 
 # the overflows these runs provoke warn in numpy before a check trips
@@ -291,28 +285,25 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
         exits_three("ensemble", "--seed", "1", "--omega", "1e-320")
 
 
-def test_oversize_truncation_exits_three(tmp_path, capsys, monkeypatch):
+def test_oversize_truncation_exits_three(monkeypatch):
     # the cap on truncation-sized arrays, patched down to one dense 17 x 17
     # complex matrix: every --nmax that would build more is a numerical
     # failure, refused before numpy is asked for the memory
     from thermofock import errors
 
     monkeypatch.setattr(errors, "MAX_SNAPSHOT_FLOATS", 2 * 17 ** 2)
-    assert cli.main(["commutator", "--nmax", "16",
-                     "--outdir", str(tmp_path)]) == cli.EXIT_PASS
-    for command, *args in (("commutator", "--nmax", "17"),
-                           ("gram", "--nmax", "17"),
-                           ("evolve", "--nmax", "17", "--seed", "1"),
-                           ("coherent", "--nmax", "17"),
-                           ("damp", "--nmax", "300")):
-        code = cli.main([command, *args, "--outdir", str(tmp_path)])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_NUMERICAL, (command, args, err)
-        assert "CapacityError" in read_report(tmp_path, command)[
-            "checks"][0]["measured"]
+    assert evaluate("commutator", "--nmax", "16").code == cli.EXIT_PASS
+    for argv in (("commutator", "--nmax", "17"),
+                 ("gram", "--nmax", "17"),
+                 ("evolve", "--nmax", "17", "--seed", "1"),
+                 ("coherent", "--nmax", "17"),
+                 ("damp", "--nmax", "300")):
+        outcome = evaluate(*argv)
+        assert outcome.code == cli.EXIT_NUMERICAL, (argv, outcome.error)
+        assert "CapacityError" in outcome.report.checks[0].measured
 
 
-def test_oversize_sample_exits_three(tmp_path, capsys):
+def test_oversize_sample_exits_three():
     # the arrays --samples sizes, one float past the cap of 2**24 each: a
     # complex draw array (tilt, and the ensemble's cloud) or the two real
     # draw arrays of the sphere map, refused before they are allocated (a
@@ -330,13 +321,11 @@ def test_oversize_sample_exits_three(tmp_path, capsys):
                            ("partition", "--pairs", "1e5"),
                            ("variation", "--pairs", "1e5")):
         start = time.perf_counter()
-        code = cli.main([command, *args, "--seed", "1",
-                         "--outdir", str(tmp_path)])
+        outcome = evaluate(command, *args, "--seed", "1")
         assert time.perf_counter() - start < 5.0, (command, args)
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_NUMERICAL, (command, args, err)
-        assert "CapacityError" in read_report(tmp_path, command)[
-            "checks"][0]["measured"]
+        assert outcome.code == cli.EXIT_NUMERICAL, (command, args,
+                                                    outcome.error)
+        assert "CapacityError" in outcome.report.checks[0].measured
 
 
 def test_variation_holds_one_random_generator_at_a_time():
@@ -344,31 +333,23 @@ def test_variation_holds_one_random_generator_at_a_time():
     # generator is 1.28 MB, and --count 40 held all of them at once
     args = cli.build_parser().parse_args(
         ["variation", "--pairs", "200", "--count", "40", "--seed", "1"])
-    report = ExperimentReport(args.command, cli._config_echo(args))
     matrix_bytes = 8 * (2 * args.pairs) ** 2
     tracemalloc.start()
     try:
-        cli.RUNNERS[args.command](args, report)
+        outcome = cli.evaluate(args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.passed
+    assert outcome.code == cli.EXIT_PASS
     assert peak <= 6 * matrix_bytes
-
-
-def _variation_defect_check(argv):
-    args = cli.build_parser().parse_args(["variation", *argv])
-    report = ExperimentReport(args.command, cli._config_echo(args))
-    cli.RUNNERS[args.command](args, report)
-    return {c.name: c for c in report.checks}["antisymmetric-defect"]
 
 
 def test_variation_defect_tolerance_grows_with_the_dimension():
     # at 1000 pairs the defects are rounding of 2000-term sums: generator 29,
     # the worst of the default 100, reads 3.6e-12, past the old absolute
     # 1e-12; the rounding bound lets it pass
-    check = _variation_defect_check(["--pairs", "1000", "--count", "30",
-                                     "--seed", "1"])
+    check = _checks("variation", "--pairs", "1000", "--count", "30",
+                    "--seed", "1")["antisymmetric-defect"]
     assert check.measured > 1e-12
     assert check.passed and check.tolerance > 1e-12
 
@@ -384,8 +365,8 @@ def test_variation_defect_fails_a_generator_that_is_not_antisymmetric(
         return (m - m.T) / 2.0 + 1e-6 * (m + m.T) / 2.0
 
     monkeypatch.setattr(bath, "random_antisymmetric", skewed)
-    check = _variation_defect_check(["--pairs", "1000", "--count", "2",
-                                     "--seed", "1"])
+    check = _checks("variation", "--pairs", "1000", "--count", "2",
+                    "--seed", "1")["antisymmetric-defect"]
     assert not check.passed
     assert check.measured > 100 * check.tolerance
 
@@ -402,7 +383,7 @@ def test_infinite_tolerance_fails_its_check():
     assert not report.passed
 
 
-def test_evolve_check_fails_on_a_nan_distance(tmp_path, monkeypatch):
+def test_evolve_check_fails_on_a_nan_distance(monkeypatch):
     # a NaN at one time must fail the worst-case check, not vanish in max()
     from thermofock import dynamics
 
@@ -414,14 +395,11 @@ def test_evolve_check_fails_on_a_nan_distance(tmp_path, monkeypatch):
         return math.nan if len(calls) == 2 else real(a, b)
 
     monkeypatch.setattr(dynamics, "l2_grid_distance", nan_once)
-    code = cli.main(["evolve", "--seed", "1", "--outdir", str(tmp_path)])
-    assert code == cli.EXIT_CHECK_FAILURE
-    checks = {c["name"]: c for c in read_report(tmp_path, "evolve")["checks"]}
-    assert math.isnan(checks["transport-vs-schrodinger"]["measured"])
-    assert not checks["transport-vs-schrodinger"]["passed"]
+    check = _checks("evolve", "--seed", "1")["transport-vs-schrodinger"]
+    assert math.isnan(check.measured) and not check.passed
 
 
-def test_ensemble_checks_fail_on_nan_moments(tmp_path, monkeypatch):
+def test_ensemble_checks_fail_on_nan_moments(monkeypatch):
     from thermofock import dynamics
 
     real = dynamics.ensemble_evolve
@@ -434,13 +412,10 @@ def test_ensemble_checks_fail_on_nan_moments(tmp_path, monkeypatch):
         return history
 
     monkeypatch.setattr(dynamics, "ensemble_evolve", nan_moments)
-    code = cli.main(["ensemble", "--seed", "1", "--samples", "2000",
-                     "--outdir", str(tmp_path)])
-    assert code == cli.EXIT_CHECK_FAILURE
-    checks = {c["name"]: c for c in read_report(tmp_path, "ensemble")["checks"]}
+    checks = _checks("ensemble", "--seed", "1", "--samples", "2000")
     for name in ("ensemble-mean-trace", "ensemble-second-moment"):
-        assert math.isnan(checks[name]["measured"]), name
-        assert not checks[name]["passed"], name
+        assert math.isnan(checks[name].measured), name
+        assert not checks[name].passed, name
 
 
 def test_internal_error_exits_four_with_diagnostic_report(tmp_path, monkeypatch,
@@ -468,15 +443,38 @@ def test_internal_error_exits_four_with_diagnostic_report(tmp_path, monkeypatch,
 
 
 def test_reports_are_reproducible_across_directories(tmp_path):
+    # a report is the same whatever --threads is; a CSV table only at a
+    # fixed --threads, since the thread cap moves the last bits of BLAS sums
     args = ("gram", "--nmax", "8", "--samples", "20000", "--seed", "7")
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert run_cli(*args, outdir=out_a).returncode == 0
-    assert run_cli(*args, outdir=out_b).returncode == 0
-    rep_a, rep_b = read_report(out_a, "gram"), read_report(out_b, "gram")
-    rep_a.pop("duration_seconds"), rep_b.pop("duration_seconds")
-    assert rep_a == rep_b
+    outs = [tmp_path / "a", tmp_path / "b", tmp_path / "c"]
+    for out, threads in zip(outs, ("1", "1", "2")):
+        assert run_cli(*args, "--threads", threads, outdir=out).returncode == 0
+    reports = [read_report(out, "gram") for out in outs]
+    for report in reports:
+        report.pop("duration_seconds")
+    assert reports[0] == reports[1] == reports[2]
     for name in ("gram_quadrature.csv", "gram_montecarlo.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_output_failures_keep_the_exit_code_contract(tmp_path, capsys,
+                                                    monkeypatch):
+    # an output directory that cannot be made is a usage error, met before
+    # the runner; a table or report that cannot be written is an internal
+    # error, not a failed check
+    ran = []
+    monkeypatch.setitem(cli.RUNNERS, "coherent", lambda args, report: (
+        ran.append(args) or [("t.csv", ["x"], [(1,)])]))
+    (tmp_path / "file").write_text("")
+    argv = ["coherent", "--outdir", str(tmp_path / "file")]
+    assert cli.main(argv) == cli.EXIT_USAGE and not ran
+    assert capsys.readouterr().err.startswith("usage error: --outdir: ")
+    for name in ("t.csv", "coherent_report.json"):
+        (tmp_path / name / name).mkdir(parents=True)
+        argv = ["coherent", "--outdir", str(tmp_path / name)]
+        assert cli.main(argv) == cli.EXIT_INTERNAL, name
+        assert capsys.readouterr().err.startswith("internal error: "), name
+    assert len(ran) == 2
 
 
 def test_outdir_env_variable_routes_output(tmp_path):

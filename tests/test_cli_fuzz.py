@@ -1,4 +1,4 @@
-"""Property tests of the exit-code contract, run in-process through cli.main.
+"""Property tests of the exit-code contract, run in-process through the CLI.
 
 The walker: every value-taking flag of every subcommand declares its domain
 as its argparse `type=`, and the walker reads those domains off
@@ -29,13 +29,7 @@ times.
 """
 
 import argparse
-import contextlib
-import io
-import json
 import math
-import os
-import tempfile
-from unittest import mock
 
 import pytest
 
@@ -84,44 +78,38 @@ FAILURES = {cli.EXIT_NUMERICAL: ["numerical-failure"],
 DT_BOUND = 2.0 / math.sqrt(5.0)     # 2 / w_max at the default stiffnesses
 
 
-def run_cli(argv, outdir):
-    """cli.main in-process; returns (exit code, standard error).  An
-    argument argparse rejects exits 2 through SystemExit.  The environment
-    that --threads sets is restored afterwards."""
-    err = io.StringIO()
-    with mock.patch.dict(os.environ), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv + ["--outdir", outdir])
-        except SystemExit as exc:
-            code = exc.code
-    return code, err.getvalue()
+def evaluate(argv):
+    """cli.evaluate on argv, in memory; a value the parser refuses is the
+    exit 2 of `main`."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return cli.Outcome(exc.code, None)
+    return cli.evaluate(args)
 
 
 def assert_contract(argv, key):
-    """Run argv; its exit code must be in the contract, and a report must
-    carry the complete check set of `key` (or the failure record of exit 3
-    or 4) and agree with the exit code.  Every check's verdict must be
-    |measured - oracle| <= tolerance, recomputed from the written report.
-    Returns (exit code, stderr)."""
-    command = argv[0]
-    with tempfile.TemporaryDirectory() as outdir:
-        code, err = run_cli(argv, outdir)
-        assert code in (0, 1, 2, 3, 4), argv
-        if code == cli.EXIT_USAGE:
-            return code, err
-        path = os.path.join(outdir, command.replace("-", "_") + "_report.json")
-        with open(path, encoding="utf-8") as fh:
-            report = json.load(fh)
-    names = [check["name"] for check in report["checks"]]
+    """Evaluate argv; its exit code must be in the contract, and its report
+    must carry the complete check set of `key` (or the failure record of
+    exit 3 or 4) and agree with the exit code.  Every check's verdict must
+    be |measured - oracle| <= tolerance, recomputed from the report.
+    Returns the outcome."""
+    outcome = evaluate(argv)
+    code = outcome.code
+    assert code in (0, 1, 2, 3, 4), argv
+    if code == cli.EXIT_USAGE:
+        return outcome
+    checks = outcome.report.checks
+    names = [check.name for check in checks]
     if code in FAILURES:
         assert names == FAILURES[code], argv
     else:
         assert names == CHECKS[key], argv
-        assert report["passed"] == (code == cli.EXIT_PASS)
-        for check in report["checks"]:
-            gap = abs(check["measured"] - check["oracle"])
-            assert check["passed"] == (gap <= check["tolerance"]), (argv, check)
-    return code, err
+        assert outcome.report.passed == (code == cli.EXIT_PASS)
+        for check in checks:
+            gap = abs(check.measured - check.oracle)
+            assert check.passed == (gap <= check.tolerance), (argv, check)
+    return outcome
 
 
 # -- the walker ------------------------------------------------------------------
@@ -216,21 +204,19 @@ def test_walker_keeps_the_exit_code_contract(command, data):
     key = command
     if command == "relax" and float(values["--alpha"]) == 0:
         key = "relax-control"
-    code, err = assert_contract(argv, key)
-    assert code != cli.EXIT_INTERNAL, (argv, err)
-    if code == cli.EXIT_USAGE:
-        assert err.startswith("usage error: --"), (argv, err)
+    outcome = assert_contract(argv, key)
+    assert outcome.code != cli.EXIT_INTERNAL, (argv, outcome.error)
+    if outcome.code == cli.EXIT_USAGE:
+        assert outcome.error.startswith("usage error: --"), (argv, outcome.error)
 
 
-def test_every_out_of_domain_edge_exits_two_naming_its_flag(tmp_path):
+def test_every_out_of_domain_edge_exits_two_naming_its_flag(usage_error):
     for command, flags in TABLE.items():
         required = [f"{flag}=1" for flag, _, needed, _ in flags if needed]
         for flag, domain, _, _ in flags:
             for edge in _domain(command, flag, domain)[1](domain):
-                argv = [command, *required, f"{flag}={edge}"]
-                code, err = run_cli(argv, str(tmp_path))
-                assert code == cli.EXIT_USAGE, (argv, code, err)
-                assert f"argument {flag}" in err, (argv, err)
+                usage_error([command, *required, f"{flag}={edge}"],
+                            f"argument {flag}")
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)

@@ -4,7 +4,6 @@ classical ensembles; plus the weakly damped extensions of each.
 """
 
 import hashlib
-import json
 import math
 import tracemalloc
 import warnings
@@ -369,13 +368,12 @@ def test_centred_sampler_accepts_near_its_slack(c):
     assert abs(np.mean(z) - np.conj(c)) <= 4 * np.std(z) / math.sqrt(z.size)
 
 
-def test_ensemble_at_c_two_passes_with_high_acceptance(tmp_path, capsys):
-    assert cli.main(["ensemble", "--c", "2", "--seed", "7",
-                     "--outdir", str(tmp_path)]) == 0
-    capsys.readouterr()
-    with open(tmp_path / "ensemble_report.json", encoding="utf-8") as fh:
-        checks = {c["name"]: c for c in json.load(fh)["checks"]}
-    assert checks["sampler-efficiency"]["measured"] >= 0.45
+def test_ensemble_at_c_two_passes_with_high_acceptance():
+    outcome = cli.evaluate(cli.build_parser().parse_args(
+        ["ensemble", "--c", "2", "--seed", "7"]))
+    assert outcome.code == cli.EXIT_PASS
+    checks = {c.name: c for c in outcome.report.checks}
+    assert checks["sampler-efficiency"].measured >= 0.45
 
 
 # sha256 of the draws' bytes, pinned from the sampler that proposed around

@@ -37,6 +37,17 @@ def test_no_private_name_is_imported_across_modules(path):
     assert not private, private
 
 
+def test_no_test_reads_a_private_cli_name():
+    # tests drive the CLI through its public names, `evaluate` and `main`
+    private = [
+        f"{path.name}:{node.lineno}: cli.{node.attr}"
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and getattr(node.value, "id", None) == "cli"]
+    assert not private, private
+
+
 def _top_level_names(tree):
     names = set()
     for node in tree.body:
@@ -257,11 +268,9 @@ LINE_REACH_ALLOWED = {
     ("chain", "spectral_dispersion", "denom >= 0.0"),
 }
 
-# Traces the invocations in argv[2:], run in-process through cli.RUNNERS as
-# the acceptance suite runs them, from before the package is imported, each
-# report and table then serialised into a temporary directory as cli.main
-# writes them, and prints the lines each file in the JSON list argv[1]
-# executed.
+# Traces the invocations in argv[2:], each run in-process through cli.main
+# into a temporary directory, from before the package is imported, and
+# prints the lines each file in the JSON list argv[1] executed.
 _LINE_REACH_CHILD = """
 import json, os, shlex, sys, tempfile
 
@@ -284,17 +293,10 @@ def trace(frame, event, arg):
 
 sys.settrace(trace)
 from thermofock import cli
-from thermofock.reports import ExperimentReport, write_csv
 
-parser = cli.build_parser()
 with tempfile.TemporaryDirectory() as outdir:
     for line in sys.argv[2:]:
-        args = parser.parse_args(shlex.split(line))
-        report = ExperimentReport(args.command, cli._config_echo(args))
-        tables = cli.RUNNERS[args.command](args, report)
-        report.write(os.path.join(outdir, "report.json"))
-        for name, header, rows in tables:
-            write_csv(os.path.join(outdir, name), header, rows)
+        cli.main(shlex.split(line) + ["--outdir", outdir])
 sys.settrace(None)
 print(json.dumps({path: sorted(lines) for path, lines in ran.items()}))
 """
