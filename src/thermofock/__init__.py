@@ -2,9 +2,9 @@
 
 Submodules
 ----------
-exact        numbers of the field Q(i, sqrt(2)) for the exact brackets
-phasespace   linear observables, their exact Poisson bracket, leapfrog
-             integration
+exact        numbers of the field Q(i, sqrt(2)) and the linear observables
+             whose coefficients lie in it
+phasespace   the Poisson bracket, phase-space points, leapfrog integration
 bargmann     the holomorphic function space, its basis, operators, kernels
 bath         Gibbs measure: moments, partition integrals of a quadratic form,
              tilts, the sphere map
@@ -14,6 +14,7 @@ fits         log-log slope and decay-rate fits used by the checks
 errors       typed numerical failures
 reports      machine-readable check records
 cli          the experiment harness (`thermofock` entry point)
+commands     the subcommand runners, one module per command
 """
 
 __version__ = "0.1.0"

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
 from .errors import TruncationError, check_capacity
 from .phasespace import OscillatorParams
@@ -49,6 +48,10 @@ def _quad_grid(hbar: float, n_max: int):
     n_max + 1 nodes (exact for radial degree <= 2 n_max + 1) times a uniform
     angular grid with 2 n_max + 3 points (exact for harmonics |m| <= 2n_max+2).
     """
+    # imported here, not at the top: numpy.polynomial loads all six of its
+    # families, and only the quadrature Gram route needs one
+    from numpy.polynomial.laguerre import laggauss
+
     n_radial = n_max + 1
     n_angular = 2 * n_max + 3
     s, w = laggauss(n_radial)

@@ -1,0 +1,57 @@
+"""`thermofock commutator`: ladder and quadrature commutators, ordering gap."""
+
+import sys
+
+
+def run(args, report):
+    import numpy as np
+
+    from .. import bargmann
+    from ..exact import P, Q, Z, ZBAR
+    from ..phasespace import OscillatorParams, poisson_bracket
+
+    nmax, hbar = args.nmax, args.hbar
+    params = OscillatorParams(args.omega)
+    # Dirac's correspondence [A, B] = i hbar {A, B}: the targets are i hbar
+    # times the exact classical brackets, with z -> lower and zbar -> raise
+    # under quadrature_operators' convention, so {z, zbar} = -i gives hbar
+
+    def dirac_target(f, g):
+        return 1j * hbar * complex(poisson_bracket(f, g)) * np.eye(nmax + 1)
+
+    # interior residuals round like entries of size nmax hbar: gamma_2 per
+    # product entry, two products (Higham, Accuracy and Stability, ch. 3)
+    interior_tol = max(1e-12, 4.0 * sys.float_info.epsilon * nmax * hbar)
+    low = bargmann.lowering_matrix(nmax, hbar)
+    ladder_comm = bargmann.commutator(low, low.T)
+    target = dirac_target(Z, ZBAR)
+    ladder_dev = np.abs(ladder_comm - target)
+    worst_ladder = float(np.max(ladder_dev[:nmax, :nmax]))
+    report.add("ladder-commutator-interior",
+               "[lower, raise] = hbar on the interior block",
+               worst_ladder, 0.0, interior_tol)
+
+    pos, mom = bargmann.quadrature_operators(hbar, nmax)
+    qp_comm = bargmann.commutator(pos, mom)
+    qp_dev = np.abs(qp_comm - dirac_target(Q, P))
+    worst_qp = float(np.max(qp_dev[:nmax, :nmax]))
+    report.add("position-momentum-commutator-interior",
+               "[position, momentum] = i hbar on the interior block",
+               worst_qp, 0.0, interior_tol)
+
+    report.add("commutator-trace-zero",
+               "finite truncation balances: the commutator is traceless",
+               abs(complex(np.trace(ladder_comm))), 0.0, 1e-12 * nmax * hbar)
+
+    h_sym = bargmann.hamiltonian_matrix("symmetric", params, hbar, nmax)
+    h_norm = bargmann.hamiltonian_matrix("normal", params, hbar, nmax)
+    gap = h_sym - h_norm
+    gap_dev = float(np.max(np.abs(gap - 0.5 * hbar * args.omega * np.eye(nmax + 1))))
+    report.add("ordering-gap-half-quantum",
+               "symmetric minus normal ordering is exactly half a quantum "
+               "times the identity",
+               gap_dev, 0.0, 0.0)
+
+    rows = [(n, ladder_dev[n, n], qp_dev[n, n]) for n in range(nmax)]
+    return [("commutator_residuals.csv",
+             ["n", "ladder_residual", "quadrature_residual"], rows)]

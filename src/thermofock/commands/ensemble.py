@@ -1,0 +1,88 @@
+"""`thermofock ensemble`: particle ensemble pushforward of |f|^2 dmu."""
+
+import argparse
+import math
+
+from . import tilt_rule
+
+
+def run(args, report):
+    import numpy as np
+
+    from .. import bargmann, dynamics
+    from ..phasespace import OscillatorParams
+
+    c = args.c
+    hbar = args.hbar
+    w, alpha = args.omega, args.alpha
+    params = OscillatorParams(w)
+    if not alpha < 2.0 * w:
+        raise argparse.ArgumentTypeError(
+            "--alpha must be below 2 --omega: the oracle is the underdamped "
+            "flow")
+    tilt_rule(c, hbar, "--c/--hbar")
+    f = bargmann.coherent_vector(c, args.nmax, hbar).normalized()
+    # the cloud is drawn from f cut at --nmax and renormalised; where that
+    # state's own mean lies a standard error of the mean at --samples or
+    # more from the oracle hbar conj(c), the mean check would measure the
+    # truncation, not the pushforward.  Re z and Im z of the coherent cloud
+    # have variance hbar/2
+    gap = abs(dynamics.cloud_centre(f) - hbar * c.conjugate())
+    stderr = math.sqrt(0.5 * hbar / args.samples)
+    if not gap < stderr:
+        raise argparse.ArgumentTypeError(
+            f"--nmax {args.nmax} is too small for --c/--hbar: the truncated "
+            f"state's mean lies {gap / stderr:.3g} standard errors at "
+            f"--samples {args.samples} from hbar conj(c)")
+    t_max = args.t_max if args.t_max is not None else params.period
+    if not math.isfinite(t_max):
+        # one period 2 pi/omega that overflowed
+        raise FloatingPointError(f"run length {t_max:g} is not finite")
+    times = np.linspace(0.0, t_max, args.n_times)
+    history = dynamics.ensemble_evolve(f, params, times, args.samples,
+                                       args.seed, friction=alpha,
+                                       proposal_scale=args.proposal_scale)
+    # exact linear flow of (q, p) under qdot = w p, pdot = -w q - alpha p:
+    # M(t) = e^{-alpha t/2} [cos(W t) I + sin(W t)/W (A + alpha/2 I)]
+    # w * w underflows for tiny omega; the factored form does not
+    big_w = w * math.sqrt(1.0 - (0.5 * alpha / w) ** 2)
+    shifted = np.array([[0.5 * alpha, w], [-w, -0.5 * alpha]])
+    center = hbar * np.conj(c)
+    x0 = math.sqrt(2.0) * np.array([center.real, center.imag])
+    # per-time deviations; np.max keeps a NaN that max() would drop
+    mean_devs, abs2_devs = [], []
+    rows = []
+    for t, rep in zip(times, history.moments):
+        flow = math.exp(-0.5 * alpha * t) * (
+            math.cos(big_w * t) * np.eye(2)
+            + (math.sin(big_w * t) / big_w) * shifted)
+        mean = flow @ x0
+        oracle = complex(mean[0], mean[1]) / math.sqrt(2.0)
+        se_re, se_im = rep.mean_se
+        mean_devs += [abs(rep.mean.real - oracle.real) / se_re,
+                      abs(rep.mean.imag - oracle.imag) / se_im]
+        # the cloud starts Gaussian with covariance hbar I in (q, p), so
+        # <|z|^2> = (hbar |M|_F^2 + |M x0|^2) / 2
+        abs2_oracle = 0.5 * (hbar * float(np.sum(flow * flow))
+                             + float(mean @ mean))
+        abs2_devs.append(abs(rep.abs2_mean - abs2_oracle) / rep.abs2_se)
+        rows.append((float(t), rep.mean.real, rep.mean.imag, se_re, se_im,
+                     oracle.real, oracle.imag, rep.abs2_mean, rep.abs2_se,
+                     abs2_oracle))
+    worst_mean = float(np.max(mean_devs))
+    worst_abs2 = float(np.max(abs2_devs))
+    report.add("ensemble-mean-trace",
+               "the ensemble mean of z follows hbar conj(c) times the "
+               "rotating (damped) phase at every sampled time",
+               worst_mean, 0.0, 4.0)
+    report.add("ensemble-second-moment",
+               "the ensemble mean of |z|^2 follows the contracted Gaussian "
+               "moment at every sampled time",
+               worst_abs2, 0.0, 4.0)
+    report.add("sampler-efficiency",
+               "rejection sampling stayed above the efficiency floor",
+               history.acceptance_rate, 1.0, 1.0 - 1e-3)
+    return [("ensemble_moments.csv",
+             ["t", "mean_re", "mean_im", "se_re", "se_im",
+              "oracle_re", "oracle_im", "abs2", "abs2_se",
+              "abs2_oracle"], rows)]

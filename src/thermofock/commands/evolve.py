@@ -1,0 +1,50 @@
+"""`thermofock evolve`: classical transport vs Schrodinger evolution."""
+
+import math
+
+
+def run(args, report):
+    import numpy as np
+
+    from .. import bargmann, dynamics
+    from ..phasespace import OscillatorParams
+
+    params = OscillatorParams(args.omega)
+    rng = np.random.default_rng(args.seed)
+    coeffs = rng.standard_normal(args.nmax + 1) + 1j * rng.standard_normal(args.nmax + 1)
+    f = bargmann.FockVector(coeffs, args.hbar).normalized()
+    t_max = args.t_max if args.t_max is not None else 10.0 / args.omega
+    radius = args.radius if args.radius is not None else math.sqrt(args.hbar)
+    times = np.linspace(0.0, t_max, args.n_times)
+    prof0 = dynamics.profile_from_fock(f, radius, args.grid)
+
+    # per-time deviations; np.max keeps a NaN that max() would drop
+    dists, route_devs, phase_devs = [], [], []
+    rows = []
+    for t in times:
+        ft = dynamics.schrodinger_evolve(f, float(t), "normal", params)
+        transported = dynamics.transport_solve(prof0, float(t), params, "spectral")
+        dist = dynamics.l2_grid_distance(
+            transported, dynamics.profile_from_fock(ft, radius, args.grid))
+        dists.append(dist)
+        exact = dynamics.evolve_exact(f, float(t), params)
+        route_devs.append(np.max(np.abs(ft.coeffs - exact.coeffs)))
+        sym = dynamics.schrodinger_evolve(f, float(t), "symmetric", params)
+        phase = np.exp(-0.5j * args.omega * float(t))
+        phase_devs.append(np.max(np.abs(sym.coeffs - phase * ft.coeffs)))
+        rows.append((float(t), dist))
+    worst_l2 = float(np.max(dists))
+    worst_route = float(np.max(route_devs))
+    worst_phase = float(np.max(phase_devs))
+    report.add("transport-vs-schrodinger",
+               "rigid rotation of the angular profile matches the "
+               "normal-ordered Schrodinger evolution on the grid",
+               worst_l2, 0.0, 1e-8)
+    report.add("schrodinger-normal-vs-exact",
+               "normal-ordered Schrodinger evolution reproduces the exact "
+               "per-level phases",
+               worst_route, 0.0, 1e-12)
+    report.add("symmetric-global-phase",
+               "symmetric ordering differs only by the half-quantum global phase",
+               worst_phase, 0.0, 1e-12)
+    return [("evolve_distance.csv", ["t", "l2_distance"], rows)]

@@ -1,0 +1,55 @@
+"""`thermofock rescale`: frequency rescaling gives all modes one action
+scale."""
+
+import math
+
+from . import chain_params
+
+
+def run(args, report):
+    import numpy as np
+
+    from .. import chain
+
+    params = chain_params(args)
+    state = chain.sample_thermal_state(params, args.beta, args.seed)
+    energy = chain.chain_energy(state, params)
+    amps, omega = chain.mode_amplitudes(state.q, state.p, params)
+    dev_direct = abs(float(np.sum(omega * np.abs(amps) ** 2)) - energy) / energy
+    report.add("mode-sum-diagonalizes-energy",
+               "the frequency-weighted amplitude sum reproduces the chain energy",
+               dev_direct, 0.0, 1e-10)
+    # a~_j = sqrt(w_j / w0) a_j: every mode then shares the k = 0 frequency,
+    # the energy is w0 sum |a~|^2, and one hbar = 1/(beta w0) serves all
+    w0 = float(omega[0])
+    lam = omega / w0
+    rescaled = np.sqrt(lam) * amps
+    rescaled_sum = float(np.sum(np.abs(rescaled) ** 2))
+    dev_rescaled = abs(w0 * rescaled_sum - energy) / energy
+    report.add("rescaled-single-frequency-energy",
+               "after rescaling the energy is omega(0) times the plain "
+               "amplitude sum",
+               dev_rescaled, 0.0, 1e-10)
+    back = chain.reconstruct_state(amps, params)
+    scale = float(max(np.max(np.abs(state.q)), np.max(np.abs(state.p)), 1e-300))
+    roundtrip = float(max(np.max(np.abs(back.q - state.q)),
+                          np.max(np.abs(back.p - state.p)))) / scale
+    report.add("mode-transform-roundtrip",
+               "forward then inverse mode transform returns the state",
+               roundtrip, 0.0, 1e-12)
+    report.add("zero-mode-unrescaled",
+               "the k = 0 mode keeps its amplitude (unit rescale factor)",
+               float(lam[0]), 1.0, 0.0)
+    n = params.n_sites
+    dev_stat = abs(args.beta * w0 * rescaled_sum - n)
+    report.add("uniform-action-equipartition",
+               "rescaled thermal amplitudes share one action scale "
+               "1/(beta omega(0)) across all modes",
+               dev_stat, 0.0, 4.0 * math.sqrt(n), stderr=math.sqrt(n))
+    k = params.wavenumbers
+    rows = [(float(k[j]), float(omega[j]), float(lam[j]),
+             float(abs(amps[j])), float(abs(rescaled[j])))
+            for j in range(n)]
+    return [("rescale_modes.csv",
+             ["k", "omega", "lambda", "abs_amplitude",
+              "abs_amplitude_rescaled"], rows)]

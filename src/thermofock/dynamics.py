@@ -378,7 +378,8 @@ def _interval_maps(params: OscillatorParams, times: np.ndarray, dt: float,
     Each interval is cut into the fewest equal steps no longer than `dt`,
     and their total is capped at MAX_CLOUD_STEPS before a step is taken.
     The leapfrog is linear, so the steps compose to one map, whose columns
-    are the two unit vectors stepped with hamilton_step."""
+    are the two unit vectors stepped with hamilton_step, each as a float
+    point: the map is PhasePoint((m00, m01), (m10, m11)), its rows."""
     plan, t_prev = [], 0.0
     for t in times:
         plan.append(max(1, math.ceil((t - t_prev) / dt - 1e-12))
@@ -393,9 +394,11 @@ def _interval_maps(params: OscillatorParams, times: np.ndarray, dt: float,
         m = None
         if n_sub:
             h = (t - t_prev) / n_sub
-            m = PhasePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+            e1, e2 = PhasePoint(1.0, 0.0), PhasePoint(0.0, 1.0)
             for _ in range(n_sub):
-                m = hamilton_step(m, params, h, friction)
+                e1 = hamilton_step(e1, params, h, friction)
+                e2 = hamilton_step(e2, params, h, friction)
+            m = PhasePoint((e1.q, e2.q), (e1.p, e2.p))
         maps.append(m)
         t_prev = t
     return maps

@@ -6,6 +6,11 @@ a linear observable in q and p lives in the field
 {(a + b*sqrt2) : a, b Gaussian rational}.  Keeping the four rational
 components explicit makes {q, p} = 1 and {z, zbar} = -i equalities of
 Fractions instead of floating-point values within a tolerance.
+
+A linear observable a q + b p is its coefficient pair (a, b): the constants
+Q, P, Z and ZBAR here, whose Poisson brackets (`phasespace.poisson_bracket`)
+are the commutator targets of `thermofock commutator`.  Only that command
+loads this module, and with it `fractions`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["SqrtTwoComplex"]
+__all__ = ["SqrtTwoComplex", "Q", "P", "Z", "ZBAR"]
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -67,3 +72,12 @@ class SqrtTwoComplex:
         ur, ui = _cmul(self.ar, self.ai, other.br, other.bi)
         vr, vi = _cmul(self.br, self.bi, other.ar, other.ai)
         return SqrtTwoComplex(ar + 2 * wr, ai + 2 * wi, ur + vr, ui + vi)
+
+
+# (coefficient of q, coefficient of p); sqrt2/2 is SqrtTwoComplex(0, 0, 1/2)
+Q = (SqrtTwoComplex(1), SqrtTwoComplex(0))
+P = (SqrtTwoComplex(0), SqrtTwoComplex(1))
+Z = (SqrtTwoComplex(0, 0, Fraction(1, 2)),           # (q + i p)/sqrt2
+     SqrtTwoComplex(0, 0, 0, Fraction(1, 2)))
+ZBAR = (SqrtTwoComplex(0, 0, Fraction(1, 2)),        # (q - i p)/sqrt2
+        SqrtTwoComplex(0, 0, 0, Fraction(-1, 2)))

@@ -1,29 +1,22 @@
-"""Linear phase-space observables, their exact Poisson bracket, and a
-leapfrog stepper.
+"""The Poisson bracket of linear observables, phase-space points of one
+oscillator and their leapfrog stepper.
 
-A linear observable a q + b p is its coefficient pair (a, b), exact in
-Q(i, sqrt2), so the canonical brackets {q, p} = 1 and {z, zbar} = -i of the
-complex coordinate z = (q + i p)/sqrt2 hold as equalities, not up to
-tolerance.
+A linear observable a q + b p is its coefficient pair (a, b).  The exact
+ones, whose coefficients lie in Q(i, sqrt2), live in `exact`, so that the
+runs that only step points do not load its Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import StabilityError, check_capacity
-from .exact import SqrtTwoComplex
 
 __all__ = [
-    "Q",
-    "P",
-    "Z",
-    "ZBAR",
     "PhasePoint",
     "OscillatorParams",
     "poisson_bracket",
@@ -31,17 +24,10 @@ __all__ = [
     "hamilton_orbit",
 ]
 
-# (coefficient of q, coefficient of p); sqrt2/2 is SqrtTwoComplex(0, 0, 1/2)
-Q = (SqrtTwoComplex(1), SqrtTwoComplex(0))
-P = (SqrtTwoComplex(0), SqrtTwoComplex(1))
-Z = (SqrtTwoComplex(0, 0, Fraction(1, 2)),           # (q + i p)/sqrt2
-     SqrtTwoComplex(0, 0, 0, Fraction(1, 2)))
-ZBAR = (SqrtTwoComplex(0, 0, Fraction(1, 2)),        # (q - i p)/sqrt2
-        SqrtTwoComplex(0, 0, 0, Fraction(-1, 2)))
 
-
-def poisson_bracket(f, g) -> SqrtTwoComplex:
-    """{f, g} = df/dq dg/dp - df/dp dg/dq of two linear observables, exactly."""
+def poisson_bracket(f, g):
+    """{f, g} = df/dq dg/dp - df/dp dg/dq of two linear observables, in the
+    arithmetic of their coefficients: exact for `exact`'s Q, P, Z, ZBAR."""
     return f[0] * g[1] - f[1] * g[0]
 
 
@@ -81,9 +67,11 @@ def hamilton_step(
     drift, so friction = 0 reproduces the frictionless step bit for bit, and
     the one-step map contracts areas by exactly exp(-alpha dt).
 
-    q and p may be equal-shape arrays, each element getting the same floats
-    as when stepped alone: ensemble_evolve steps the two unit vectors this
-    way to build the 2x2 map of a whole interval.
+    Its callers step float points: hamilton_orbit, the orbit `damp` fits,
+    and dynamics' interval maps, which step the two unit vectors one at a
+    time to build the 2x2 map of an ensemble interval.  q and p may also be
+    equal-shape arrays, each element getting the same floats as when
+    stepped alone.
     """
     w = params.omega
     q, p = point[0], point[1]

@@ -278,10 +278,10 @@ def test_ks_statistic_matches_scipy(seed):
 
 
 def test_sphere_pipeline_holds_its_two_draw_arrays():
-    # run_sphere's route: t and both model CDFs are formed in the draws'
-    # arrays, and ks_statistic sorts in place and reads blocks, so the peak
-    # is the 2 x 8n bytes of the draws and little more (3.0x the draws when
-    # each step made a new array)
+    # the sphere runner's route: t and both model CDFs are formed in the
+    # draws' arrays, and ks_statistic sorts in place and reads blocks, so
+    # the peak is the 2 x 8n bytes of the draws and little more (3.0x the
+    # draws when each step made a new array)
     n = 2 ** 18
 
     def pipeline(n):

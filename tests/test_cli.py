@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line harness: exit codes, report files,
 CSV outputs, and run-to-run reproducibility."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -497,6 +498,59 @@ def test_seeded_run_leaves_openssl_unloaded(tmp_path):
          "1000", "--outdir", str(tmp_path)], capture_output=True, text=True)
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == "0 True True"
+
+
+# A quick passing invocation of each subcommand, flags after the name.
+QUICK_FLAGS = {
+    "gram": ("--nmax", "4"),
+    "commutator": ("--nmax", "8"),
+    "evolve": ("--seed", "1"),
+    "ensemble": ("--samples", "2000", "--seed", "7"),
+    "partition": ("--samples", "100000", "--seed", "7"),
+    "variation": ("--seed", "1"),
+    "tilt": ("--samples", "1000", "--seed", "1"),
+    "sphere": ("--samples", "1000", "--seed", "21"),
+    "chain-dispersion": ("--sites", "16", "--seed", "42"),
+    "rescale": ("--seed", "1"),
+    "relax": ("--seed", "5"),
+}
+
+# Runs the CLI as `python -m thermofock.cli` does, then prints its exit
+# code and the loaded modules that the start-up cost depends on.
+_IMPORTS_CHILD = """
+import json, runpy, sys
+sys.argv[0] = "thermofock"
+try:
+    runpy.run_module("thermofock.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith(
+    ("thermofock.", "numpy.polynomial", "fractions")))]))
+"""
+
+
+def _subcommands():
+    return sorted(next(action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)))
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_a_run_loads_only_its_own_command(command, tmp_path):
+    # a run compiles its own runner and no other, never a second copy of
+    # the CLI module, and only gram the quadrature's numpy.polynomial and
+    # only commutator the exact brackets' fractions
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_CHILD, command,
+         *QUICK_FLAGS.get(command, ()), "--outdir", str(tmp_path)],
+        capture_output=True, text=True)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert "thermofock.cli" not in loaded
+    assert [name for name in loaded
+            if name.startswith("thermofock.commands.")] == [
+        "thermofock.commands." + command.replace("-", "_")]
+    assert ("numpy.polynomial" in loaded) == (command == "gram")
+    assert ("fractions" in loaded) == (command == "commutator")
 
 
 def test_thread_cap_is_validated(tmp_path):

@@ -14,13 +14,9 @@ import numpy as np
 import pytest
 
 from thermofock.errors import StabilityError
-from thermofock.exact import SqrtTwoComplex
+from thermofock.exact import P, Q, Z, ZBAR, SqrtTwoComplex
 from thermofock.fits import fit_loglog_slope
 from thermofock.phasespace import (
-    P,
-    Q,
-    Z,
-    ZBAR,
     OscillatorParams,
     PhasePoint,
     hamilton_orbit,

@@ -1,7 +1,8 @@
 """Source-level rules for the package: modules share only public names,
 every `__all__` entry names something the module defines, every
 definition, method, property and field feeds some CLI run, and every line
-of the numerical modules runs in the runs that use them."""
+of every module, the CLI and its command runners included, runs in the
+runs that use it."""
 
 import ast
 import inspect
@@ -16,14 +17,21 @@ import pytest
 
 import thermofock
 
-MODULES = sorted(Path(thermofock.__file__).parent.glob("*.py"))
+PACKAGE = Path(thermofock.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted(PACKAGE.glob("commands/*.py"))
+
+
+def _name(path):
+    """A module's dotted name below the package: `cli`, `commands.gram`;
+    a package's own file is `__init__` or `commands.__init__`."""
+    return ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
 
 
 def _tree(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES, ids=_name)
 def test_no_private_name_is_imported_across_modules(path):
     private = [
         f"line {node.lineno}: from {'.' * node.level}{node.module or ''} "
@@ -72,7 +80,7 @@ def _declared_all(tree):
     return []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES, ids=_name)
 def test_every_export_is_defined(path):
     tree = _tree(path)
     missing = sorted(set(_declared_all(tree)) - _top_level_names(tree))
@@ -92,18 +100,32 @@ def _definitions(tree):
     return defs
 
 
-def _package_imports(tree, package):
-    """(names, modules): local name -> (x, y) for `from .x import y` and
-    local name -> x for `from . import x`, wherever the import sits."""
+def _package_imports(mod, tree, trees):
+    """(names, modules) of module `mod`: local name -> (x, y) for a name y
+    bound by `from .x import y` or `from ..x import y`, or by `from . import
+    y` where y is defined in the package's `__init__`; local name -> x for a
+    module x bound by `from . import x` or `from .. import x`.  Wherever the
+    import sits; `x` is a key of `trees`, as `_name` gives it."""
+    package = mod.split(".")[:-1]
     names, modules = {}, {}
+
+    def key(parts):
+        dotted = ".".join(parts)
+        return dotted if dotted in trees else ".".join([*parts, "__init__"])
+
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            for alias in node.names:
-                local = alias.asname or alias.name
-                if node.module is None and alias.name in package:
-                    modules[local] = alias.name
-                elif node.module in package:
-                    names[local] = (node.module, alias.name)
+        if not (isinstance(node, ast.ImportFrom) and node.level):
+            continue
+        base = package[:len(package) - node.level + 1]
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if node.module is not None:
+                names[local] = (key([*base, *node.module.split(".")]),
+                                alias.name)
+            elif key([*base, alias.name]) in trees:
+                modules[local] = key([*base, alias.name])
+            else:
+                names[local] = (key(base), alias.name)
     return names, modules
 
 
@@ -128,21 +150,26 @@ def _is_dunder(name):
 
 
 def _reach():
-    """Closure from the `cli` runners and `main`; returns (reached, classes).
+    """Closure from `cli.main` and each command module's `run`; returns
+    (reached, classes).
 
     `reached` holds (module, name) for top-level definitions and (module,
     class, member) for class members; `classes` maps each reached class to
-    its members.  The closure follows a name bound by `from .x import y`, an
-    attribute `x.attr` of a module bound by `from . import x`, and a name
-    defined in the same module; an import alone reaches nothing.  Reaching a
-    class walks its decorators and bases and roots its dunder methods
-    (`__post_init__` included); any other member is reached once its name
-    appears as an attribute anywhere in reached code."""
-    trees = {path.stem: _tree(path) for path in MODULES}
+    its members.  The closure follows a name a relative import binds, an
+    attribute `x.attr` of a module a relative import binds (see
+    `_package_imports`), and a name defined in the same module; an import
+    alone reaches nothing.  `cli.RUNNERS` imports the command modules by
+    name, which the closure cannot follow, so each `run` is a root.
+    Reaching a class walks its decorators and bases and roots its dunder
+    methods (`__post_init__` included); any other member is reached once
+    its name appears as an attribute anywhere in reached code."""
+    trees = {_name(path): _tree(path) for path in MODULES}
     defs = {mod: _definitions(tree) for mod, tree in trees.items()}
-    imports = {mod: _package_imports(tree, trees) for mod, tree in trees.items()}
-    todo = [("cli", name) for name in defs["cli"]
-            if name == "main" or name.startswith("run_")]
+    imports = {mod: _package_imports(mod, tree, trees)
+               for mod, tree in trees.items()}
+    todo = [("cli", "main")] + [(mod, "run") for mod in trees
+                                if mod.startswith("commands.")
+                                and mod != "commands.__init__"]
     reached, classes, attrs = set(), {}, set()
     while todo:
         key = todo.pop()
@@ -182,7 +209,7 @@ def _reach():
 def test_every_export_is_reachable_from_the_cli():
     """Every `__all__` entry and every top-level function or class feeds
     some run of the closure in `_reach`."""
-    trees = {path.stem: _tree(path) for path in MODULES}
+    trees = {_name(path): _tree(path) for path in MODULES}
     reached, _ = _reach()
     unreached = sorted(
         f"{mod}.{name}" for mod, tree in trees.items()
@@ -219,18 +246,23 @@ def test_every_member_is_reachable_from_the_cli():
 # `dynamics`, which serves evolve, damp and ensemble, `chain`, which serves
 # the five chain runs, `bath`, which serves partition, variation, tilt and
 # sphere, `bargmann`, which serves gram, coherent and the states of the
-# others, `fits`, `reports`, which writes every run's report and tables, and
-# `errors`, whose size check every array-sizing run makes.
+# others, `fits`, `reports`, which writes every run's report and tables,
+# `errors`, whose size check every array-sizing run makes, `cli`, which
+# parses and dispatches every run, and `commands`, the package of the
+# runners (every module in it).
 LINE_REACH_MODULES = ("exact", "phasespace", "dynamics", "chain", "bath",
-                      "bargmann", "fits", "reports", "errors")
+                      "bargmann", "fits", "reports", "errors", "cli",
+                      "commands")
+# Each runs in the same temporary working directory, after those before it,
+# with no --outdir but its own.
 LINE_REACH_INVOCATIONS = (
     "partition --seed 7",
     "tilt --seed 1",
     "sphere --seed 21",
     "variation --seed 1",
     "gram",
-    # the Monte Carlo Gram route
-    "gram --samples 1000 --seed 7",
+    # the Monte Carlo Gram route, its count in scientific notation
+    "gram --samples 1e3 --seed 7",
     "coherent",
     "commutator --hbar 1 --nmax 16",
     "commutator --hbar 0.5 --nmax 32",
@@ -252,10 +284,24 @@ LINE_REACH_INVOCATIONS = (
     "relax --alpha 0 --seed 5",
     "rescale --seed 1",
     "continuum",
-    "mode-commutator",
+    "mode-commutator --threads 1",
+    # flag values the parser refuses: not a number, and a real out of its
+    # domain after a power of two it takes
+    "coherent --hbar x",
+    "relax --sites 16 --dt 0",
+    # a cross-flag usage error a runner raises, after spacings it takes
+    "continuum --spacings 1,0.5 --k-phys 4",
+    # a numerical failure: 2 beta R^2 below the normal float range
+    "sphere --omega 1e308 --seed 21",
+    # an --outdir that names the report file `coherent` wrote above
+    "coherent --outdir coherent_report.json",
+    # a report path that is a directory: the first run makes it one
+    "coherent --outdir blocked/coherent_report.json",
+    "coherent --outdir blocked",
 )
-# `if` statements whose body no invocation enters, by module, function and
-# test, each named where CHANGES.md says why no CLI run reaches it yet.
+# `if` statements and `except` clauses whose body no invocation enters, by
+# module, function and test (`except <type>` for a clause), each named where
+# CHANGES.md says why no CLI run reaches it yet.
 LINE_REACH_ALLOWED = {
     # the upwind transport route, which no CLI run checks (FOUND line)
     ("dynamics", "transport_solve", "scheme == 'upwind'"),
@@ -266,11 +312,15 @@ LINE_REACH_ALLOWED = {
     # excites every mode with a curved peak, so only tests reach these
     ("chain", "spectral_dispersion", "peak <= 1e-12 * scale"),
     ("chain", "spectral_dispersion", "denom >= 0.0"),
+    # an exception outside the exit-code contract: a fault of the program,
+    # which no valid invocation raises; test_cli's monkeypatched runners
+    # reach it
+    ("cli", "evaluate", "except Exception"),
 }
 
 # Traces the invocations in argv[2:], each run in-process through cli.main
-# into a temporary directory, from before the package is imported, and
-# prints the lines each file in the JSON list argv[1] executed.
+# in a temporary working directory, from before the package is imported,
+# and prints the lines each file in the JSON list argv[1] executed.
 _LINE_REACH_CHILD = """
 import json, os, shlex, sys, tempfile
 
@@ -294,9 +344,16 @@ def trace(frame, event, arg):
 sys.settrace(trace)
 from thermofock import cli
 
-with tempfile.TemporaryDirectory() as outdir:
+os.environ.pop("THERMOFOCK_OUTDIR", None)
+home = os.getcwd()
+with tempfile.TemporaryDirectory() as workdir:
+    os.chdir(workdir)
     for line in sys.argv[2:]:
-        cli.main(shlex.split(line) + ["--outdir", outdir])
+        try:
+            cli.main(shlex.split(line))
+        except SystemExit:
+            pass
+    os.chdir(home)
 sys.settrace(None)
 print(json.dumps({path: sorted(lines) for path, lines in ran.items()}))
 """
@@ -318,18 +375,27 @@ def _function_lines(path):
     return lines - raising
 
 
+def _clause(node):
+    """How LINE_REACH_ALLOWED names an `if` statement or `except` clause."""
+    if isinstance(node, ast.If):
+        return ast.unparse(node.test)
+    if isinstance(node, ast.ExceptHandler) and node.type:
+        return f"except {ast.unparse(node.type)}"
+    return None
+
+
 def _allowed_lines():
-    """LINE_REACH_ALLOWED entry -> (the lines of the `if` statement it names
-    from its test to the end of its body, the lines of that body).  The test
-    may run or not; the body must not; an `else` is not excused."""
+    """LINE_REACH_ALLOWED entry -> (the lines of the `if` statement or
+    `except` clause it names from its test to the end of its body, the lines
+    of that body).  The test may run or not; the body must not; an `else`
+    is not excused."""
     found = {entry: (set(), set()) for entry in LINE_REACH_ALLOWED}
     for path in MODULES:
         for node in ast.walk(_tree(path)):
             if not isinstance(node, ast.FunctionDef):
                 continue
             for sub in ast.walk(node):
-                entry = (path.stem, node.name,
-                         ast.unparse(sub.test) if isinstance(sub, ast.If) else None)
+                entry = (_name(path), node.name, _clause(sub))
                 if entry in found:
                     excused, body = found[entry]
                     end = sub.body[-1].end_lineno + 1
@@ -345,7 +411,7 @@ def test_every_bracket_module_line_runs():
     They run in a fresh interpreter, so the constants the modules build as
     they are imported count as part of every run."""
     paths = {os.path.realpath(path): path for path in MODULES
-             if path.stem in LINE_REACH_MODULES}
+             if _name(path).split(".")[0] in LINE_REACH_MODULES}
     package_root = str(Path(thermofock.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
@@ -358,10 +424,10 @@ def test_every_bracket_module_line_runs():
     gone = sorted(".".join(entry) for entry, lines in found.items() if not lines[0])
     assert not gone, "allowlisted `if` statements not found: " + ", ".join(gone)
     excused = {name: {line for (mod, *_), (lines, _) in found.items()
-                      if mod == path.stem for line in lines}
+                      if mod == _name(path) for line in lines}
                for name, path in paths.items()}
     bodies = {name: {line for (mod, *_), (_, lines) in found.items()
-                     if mod == path.stem for line in lines}
+                     if mod == _name(path) for line in lines}
               for name, path in paths.items()}
     missed = sorted(
         f"{path.name}:{line}" for name, path in paths.items()
