@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError, check_capacity
-from .phasespace import OscillatorParams
 
 __all__ = [
     "FockVector",
@@ -101,15 +100,10 @@ def _basis_matrix(z: np.ndarray, n_max: int, hbar: float,
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
-    """Truncated expansion sum_n coeffs[n] e_n over the measure with `hbar`.
-
-    `tail_mass` records probability that leaked past the truncation when the
-    vector came from expanding an analytic function (None otherwise).
-    """
+    """Truncated expansion sum_n coeffs[n] e_n over the measure with `hbar`."""
 
     coeffs: np.ndarray
     hbar: float
-    tail_mass: float = None
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=complex)
@@ -134,7 +128,7 @@ class FockVector:
         n = self.norm()
         if n == 0:
             raise ValueError("cannot normalize the zero vector")
-        return FockVector(self.coeffs / n, self.hbar, self.tail_mass)
+        return FockVector(self.coeffs / n, self.hbar)
 
     def evaluate(self, z):
         """Pointwise value sum_n c_n e_n(z); z may be scalar or an array.
@@ -274,15 +268,12 @@ def coherent_vector(c: complex, n_max: int = DEFAULT_TRUNCATION,
                     hbar: float = 1.0) -> FockVector:
     """Expansion of exp(c z) in the orthonormal basis: c_n = (c sqrt(hbar))^n/sqrt(n!).
 
-    The squared norm of the full function is exp(hbar |c|^2); `tail_mass` on
-    the returned vector is the part of it lost to the truncation.
+    The squared norm of the full function is exp(hbar |c|^2); the
+    truncation keeps the part sum_n |c_n|^2 of it.
     """
     check_capacity(2 * (n_max + 1), f"a coherent vector at truncation {n_max}")
     c = complex(c)
-    log_norm2 = hbar * abs(c) * abs(c)
-    coeffs = _coherent_coeffs(c * math.sqrt(hbar), n_max)
-    tail = max(math.exp(log_norm2) - float(np.sum(np.abs(coeffs) ** 2)), 0.0)
-    return FockVector(coeffs, hbar, tail_mass=tail)
+    return FockVector(_coherent_coeffs(c * math.sqrt(hbar), n_max), hbar)
 
 
 def lowering_matrix(n_max: int, hbar: float) -> np.ndarray:
@@ -312,7 +303,7 @@ def quadrature_operators(hbar: float, n_max: int):
     return (a.T + a) * s, 1j * (a.T - a) * s
 
 
-def hamiltonian_matrix(ordering: str, params: OscillatorParams, hbar: float,
+def hamiltonian_matrix(ordering: str, omega: float, hbar: float,
                        n_max: int) -> np.ndarray:
     """Diagonal oscillator Hamiltonian.
 
@@ -322,11 +313,11 @@ def hamiltonian_matrix(ordering: str, params: OscillatorParams, hbar: float,
     """
     check_capacity(2 * (n_max + 1) ** 2,
                    f"the Hamiltonian matrix at truncation {n_max}")
-    base = hbar * params.omega * np.arange(n_max + 1, dtype=float)
+    base = hbar * omega * np.arange(n_max + 1, dtype=float)
     if ordering == "normal":
         diag = base
     elif ordering == "symmetric":
-        diag = base + hbar * params.omega / 2.0
+        diag = base + hbar * omega / 2.0
     else:
         raise ValueError("ordering must be 'normal' or 'symmetric'")
     return np.diag(diag.astype(complex))

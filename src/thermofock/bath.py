@@ -201,6 +201,14 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
     the determinant, so the estimate is an independent check of the closed
     form.
 
+    Both routes keep Z and its standard error in range wherever they are
+    floats.  sqrt(det A) is the product of the diagonal of A's Cholesky
+    factor, which stays in range where det A would not.  The weights are
+    squared, and the variance and its propagation to h carried, in units of
+    2^e, e the exponent of the first chunk's largest weight, and 2^e is
+    multiplied back in last: an exact scaling, which changes no float where
+    the unscaled sums stay in range.
+
     Memory: the draws come in chunks of _DRAW_FLOATS // 2n points (200 000
     for one pair), each drawn into one reused (2n, chunk) buffer.  A chunk
     is reduced in blocks of at most _POINT_BLOCK points and _BLOCK_FLOATS
@@ -213,7 +221,8 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
     d = a.shape[0]
     n_pairs = d // 2
     if method == "analytic":
-        z_val = (2.0 * math.pi / beta) ** n_pairs / math.sqrt(np.linalg.det(a))
+        root_det = float(np.prod(np.diag(np.linalg.cholesky(a))))
+        z_val = (2.0 * math.pi / beta) ** n_pairs / root_det
         return z_val, z_val ** (1.0 / n_pairs), 0.0
     if method == "montecarlo":
         check_capacity(d * d, f"the {d} x {d} proposal covariance")
@@ -227,7 +236,8 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
         draws = np.empty(d * min(width, samples))
         block = max(1, min(_POINT_BLOCK, _BLOCK_FLOATS // d))
         total = 0.0
-        total_sq = 0.0
+        total_sq = 0.0          # of the weights over 2^e
+        e = None
         done = 0
         while done < samples:
             chunk = min(width, samples - done)
@@ -248,14 +258,17 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
                 np.exp(logw, out=cols[0])
             weights = xi[0]
             total += float(np.sum(weights))
-            np.square(weights, out=xi[1])
+            if e is None:
+                e = math.frexp(float(np.max(weights)))[1]
+            np.ldexp(weights, -e, out=xi[1])
+            np.square(xi[1], out=xi[1])
             total_sq += float(np.sum(xi[1]))
             done += chunk
         z_val = total / samples
-        var = max(total_sq / samples - z_val ** 2, 0.0)
+        var = max(total_sq / samples - math.ldexp(z_val, -e) ** 2, 0.0)
         se_z = math.sqrt(var / samples)
         h = z_val ** (1.0 / n_pairs)
-        se_h = se_z * h / (n_pairs * z_val)
+        se_h = math.ldexp(se_z * h / (n_pairs * z_val), e)
         return z_val, h, se_h
     raise ValueError(f"unknown method {method!r}")
 

@@ -24,7 +24,6 @@ from .errors import CapacityError, StabilityError, check_capacity
 
 __all__ = [
     "ChainParams",
-    "ChainState",
     "ChainTrajectory",
     "chain_energy",
     "dispersion",
@@ -78,30 +77,6 @@ class ChainParams:
         return math.sqrt((self.gamma + 4.0 * self.gamma_couple) / self.mass)
 
 
-@dataclass(frozen=True, eq=False)
-class ChainState:
-    """Site displacements and momenta at one instant."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        q = np.array(self.q, dtype=float)
-        p = np.array(self.p, dtype=float)
-        if q.ndim != 1 or q.shape != p.shape:
-            raise ValueError("q and p must be 1d arrays of equal length")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise FloatingPointError("state entries must be finite")
-        q.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def n_sites(self) -> int:
-        return self.q.size
-
-
 def _check_sites(n_sites: int, params: ChainParams):
     if n_sites != params.n_sites:
         raise ValueError(
@@ -109,22 +84,17 @@ def _check_sites(n_sites: int, params: ChainParams):
         )
 
 
-def _energy(q: np.ndarray, p: np.ndarray, params: ChainParams):
-    """Chain energy of each state along the last axis, with periodic boundary
-    q_0 = q_N.  An axis -1 sum over a block of rows gives each row's own sum
-    bit for bit."""
+def chain_energy(q: np.ndarray, p: np.ndarray, params: ChainParams):
+    """Chain energy of each state (q, p) along the last axis, with periodic
+    boundary q_0 = q_N: a scalar for one state, an array for a batch.  An
+    axis -1 sum over a block of rows gives each row's own sum bit for bit."""
+    _check_sites(q.shape[-1], params)
     stretch = np.empty_like(q)
     np.subtract(q[..., 1:], q[..., :-1], out=stretch[..., 1:])
     np.subtract(q[..., :1], q[..., -1:], out=stretch[..., :1])
     return 0.5 * (np.sum(p * p, axis=-1) / params.mass
                   + params.gamma_couple * np.sum(stretch * stretch, axis=-1)
                   + params.gamma * np.sum(q * q, axis=-1))
-
-
-def chain_energy(state: ChainState, params: ChainParams) -> float:
-    """Total energy with periodic boundary q_0 = q_N."""
-    _check_sites(state.n_sites, params)
-    return float(_energy(state.q, state.p, params))
 
 
 def dispersion(k, params: ChainParams):
@@ -205,9 +175,11 @@ def mode_amplitudes(q: np.ndarray, p: np.ndarray, params: ChainParams):
     return amps, omega
 
 
-def reconstruct_state(amps: np.ndarray, params: ChainParams) -> ChainState:
-    """Invert mode_amplitudes: amplitudes back to (q, p).  The mirror
-    conjugates make the state real for any amplitude vector."""
+def reconstruct_state(amps: np.ndarray, params: ChainParams):
+    """Invert mode_amplitudes: amplitudes back to (q, p), two new float
+    arrays.  The mirror conjugates make the state real for any amplitude
+    vector; a state with an entry that is not finite raises
+    FloatingPointError."""
     n = params.n_sites
     if amps.shape != (n,):
         raise ValueError(f"{amps.shape} amplitudes, params expect ({n},)")
@@ -216,14 +188,18 @@ def reconstruct_state(amps: np.ndarray, params: ChainParams) -> ChainState:
     bigq = (amps + mirror) / (math.sqrt(2.0) * weight)
     bigp = weight * (amps - mirror) / (1j * math.sqrt(2.0))
     root_n = math.sqrt(n)
-    q = np.real(np.fft.ifft(bigq * root_n))
-    p = np.real(np.fft.ifft(bigp * root_n))
-    return ChainState(q, p)
+    q = np.fft.ifft(bigq * root_n).real.copy()
+    p = np.fft.ifft(bigp * root_n).real.copy()
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        raise FloatingPointError("state entries must be finite")
+    return q, p
 
 
-def sample_thermal_state(params: ChainParams, beta: float, seed) -> ChainState:
+def sample_thermal_state(params: ChainParams, beta: float, seed):
     """Draw (q, p) from the Gibbs weight e^{-beta H}: each mode amplitude is
-    an independent complex Gaussian with E|a_j|^2 = 1/(beta w_j)."""
+    an independent complex Gaussian with E|a_j|^2 = 1/(beta w_j).  At a
+    subnormal beta 1/(beta w_j) overflows, and reconstruct_state raises
+    FloatingPointError."""
     omega = dispersion(params.wavenumbers, params)
     if np.any(omega <= 0):
         raise ValueError("thermal sampling needs gamma > 0 (all modes bound)")
@@ -336,10 +312,11 @@ def _stride_kernel(params: ChainParams, h: float, decay: float,
     return np.take(np.stack((q, p)), (width // 2 - np.arange(width)) % n, axis=-1)
 
 
-def integrate_chain(state: ChainState, params: ChainParams, duration: float,
-                    dt: float, friction: float = 0.0,
+def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,
+                    duration: float, dt: float, friction: float = 0.0,
                     stride: int = 1) -> ChainTrajectory:
-    """Leapfrog (kick-drift-kick) evolution with optional per-site friction.
+    """Leapfrog (kick-drift-kick) evolution of the state (q, p) with optional
+    per-site friction.
 
     Friction enters as the exact momentum decay e^{-alpha dt/2} on either
     side of the drift.  The step must satisfy dt < 2/w_max or the scheme is
@@ -365,7 +342,7 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
     never applied by FFT, which would step in mode space, where
     spectral_dispersion measures.
     """
-    _check_sites(state.n_sites, params)
+    _check_sites(q.shape[-1], params)
     if not (duration > 0 and math.isfinite(duration)):
         raise FloatingPointError(
             f"duration {duration:g} must be positive and finite")
@@ -378,7 +355,7 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
     n_steps = stride * math.ceil(n_steps / stride)
     h = duration / n_steps
     decay = math.exp(-friction * h / 2.0)
-    e0 = chain_energy(state, params)
+    e0 = float(chain_energy(q, p, params))
     e_cap = 10.0 * max(e0, 1e-300)
     if not math.isfinite(e_cap):
         # an infinite cap would let every inf snapshot through the check below
@@ -391,7 +368,7 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
     snapshots = np.empty((n_snap, n), dtype=complex)
     qs, ps = snapshots.real, snapshots.imag
     energies = np.empty(n_snap)
-    qs[0], ps[0], energies[0] = state.q, state.p, e0
+    qs[0], ps[0], energies[0] = q, p, e0
 
     kernel = _stride_kernel(params, h, decay, stride)
     width = kernel.shape[-1]
@@ -402,7 +379,7 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
     wrapped = np.empty((2, n + width - 1))
     # windows[c, i, n] is channel c at site n + i - width // 2
     windows = np.lib.stride_tricks.sliding_window_view(wrapped, n, axis=1)
-    x = np.stack((state.q, state.p))
+    x = np.stack((q, p))
     kernels = {t: kernel[..., t:t + taps].reshape(2, -1) for t in range(0, width, taps)}
     blocks = []     # windows, their copy, kernel taps, output sites, add in
     for lo in range(0, n, sites):
@@ -423,7 +400,7 @@ def integrate_chain(state: ChainState, params: ChainParams, duration: float,
         if s % check_rows and s < n_snap - 1:
             continue
         block = slice(s - (s - 1) % check_rows, s + 1)
-        energies[block] = _energy(qs[block], ps[block], params)
+        energies[block] = chain_energy(qs[block], ps[block], params)
         over = np.flatnonzero(~(energies[block] <= e_cap))
         if over.size:
             raise StabilityError(

@@ -14,9 +14,9 @@ def run(args, report):
 
     params = chain_params(args)
     w0 = chain.dispersion(0.0, params)
-    state = chain.sample_thermal_state(params, args.beta, args.seed)
+    q, p = chain.sample_thermal_state(params, args.beta, args.seed)
     duration = args.periods * 2.0 * math.pi / w0
-    traj = chain.integrate_chain(state, params, duration, args.dt,
+    traj = chain.integrate_chain(q, p, params, duration, args.dt,
                                  stride=args.stride)
     if traj.n_snapshots < 8:
         raise argparse.ArgumentTypeError(

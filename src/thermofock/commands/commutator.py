@@ -8,10 +8,9 @@ def run(args, report):
 
     from .. import bargmann
     from ..exact import P, Q, Z, ZBAR
-    from ..phasespace import OscillatorParams, poisson_bracket
+    from ..phasespace import poisson_bracket
 
     nmax, hbar = args.nmax, args.hbar
-    params = OscillatorParams(args.omega)
     # Dirac's correspondence [A, B] = i hbar {A, B}: the targets are i hbar
     # times the exact classical brackets, with z -> lower and zbar -> raise
     # under quadrature_operators' convention, so {z, zbar} = -i gives hbar
@@ -43,8 +42,8 @@ def run(args, report):
                "finite truncation balances: the commutator is traceless",
                abs(complex(np.trace(ladder_comm))), 0.0, 1e-12 * nmax * hbar)
 
-    h_sym = bargmann.hamiltonian_matrix("symmetric", params, hbar, nmax)
-    h_norm = bargmann.hamiltonian_matrix("normal", params, hbar, nmax)
+    h_sym = bargmann.hamiltonian_matrix("symmetric", args.omega, hbar, nmax)
+    h_norm = bargmann.hamiltonian_matrix("normal", args.omega, hbar, nmax)
     gap = h_sym - h_norm
     gap_dev = float(np.max(np.abs(gap - 0.5 * hbar * args.omega * np.eye(nmax + 1))))
     report.add("ordering-gap-half-quantum",

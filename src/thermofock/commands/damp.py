@@ -11,10 +11,9 @@ def run(args, report):
     import numpy as np
 
     from .. import bargmann, dynamics, fits
-    from ..phasespace import OscillatorParams, PhasePoint, hamilton_orbit
+    from ..phasespace import PhasePoint, hamilton_orbit
 
-    params = OscillatorParams(args.omega)
-    w = params.omega
+    w = args.omega
     if args.q0 == 0 and args.v0 == 0:
         raise argparse.ArgumentTypeError(
             "--q0 and --v0 are both 0: the checks measure the decay of a "
@@ -31,7 +30,7 @@ def run(args, report):
     # the coherent centers along the orbit shrink from this one
     tilt_rule(abs(point.to_z()) / args.hbar, args.hbar, "--q0/--v0/--hbar")
     alpha = args.alpha if args.alpha is not None else 0.01 * w
-    dt = args.dt if args.dt is not None else params.period / 256.0
+    dt = args.dt if args.dt is not None else (2 * math.pi / w) / 256.0
     t_max = args.t_max if args.t_max is not None else 5.0 / alpha
     steps = t_max / dt
     if not math.isfinite(steps):
@@ -40,7 +39,7 @@ def run(args, report):
             f"t-max / dt = {t_max:g} / {dt:g} is no finite step count")
     n_steps = int(math.ceil(steps))
 
-    times, qs, ps = hamilton_orbit(point, params, dt, n_steps,
+    times, qs, ps = hamilton_orbit(point, w, dt, n_steps,
                                    friction=alpha, stride=4)
     z_mag = np.hypot(qs, ps) * (2.0 ** -0.5)
     usable = z_mag > 0
@@ -60,7 +59,7 @@ def run(args, report):
                "half-rate exponential",
                ratio, ratio_oracle, 0.02 * ratio_oracle)
 
-    closed = dynamics.damped_solution(args.q0, args.v0, params, alpha, times)
+    closed = dynamics.damped_solution(args.q0, args.v0, w, alpha, times)
     scale = max(abs(args.q0), abs(args.v0) / w, 1e-300)
     traj_dev = float(np.max(np.abs(closed.q - qs)))
     report.add("closed-form-vs-leapfrog",
@@ -68,8 +67,7 @@ def run(args, report):
                "trajectory",
                traj_dev, 0.0, 0.01 * scale)
 
-    far = dynamics.damped_solution(args.q0, args.v0, params, alpha,
-                                   20.0 / alpha)
+    far = dynamics.damped_solution(args.q0, args.v0, w, alpha, 20.0 / alpha)
     late = abs(far.q)
     report.add("long-time-decay",
                "displacement after twenty relaxation times is below 1e-4 "
@@ -80,7 +78,7 @@ def run(args, report):
     # scale: exact, so the drifts read as unscaled ones wherever those
     # neither underflow nor overflow (at --q0 1e-300 they underflowed to 0/0)
     unit = math.ldexp(1.0, math.frexp(scale)[1])
-    sol0 = dynamics.damped_solution(args.q0, args.v0, params, 0.0, times)
+    sol0 = dynamics.damped_solution(args.q0, args.v0, w, 0.0, times)
     energies = 0.5 * w * ((np.asarray(sol0.q) / unit) ** 2
                           + (np.asarray(sol0.p) / unit) ** 2)
     drift = float(np.max(np.abs(energies - energies[0])) / energies[0])
@@ -88,7 +86,7 @@ def run(args, report):
                "the undamped closed form conserves energy",
                drift, 0.0, 1e-12)
 
-    _, q0s, p0s = hamilton_orbit(point, params, dt, n_steps, stride=4)
+    _, q0s, p0s = hamilton_orbit(point, w, dt, n_steps, stride=4)
     e_lf = 0.5 * w * ((q0s / unit) ** 2 + (p0s / unit) ** 2)
     report.add("control-leapfrog-energy",
                "the frictionless integrator keeps energy within its "

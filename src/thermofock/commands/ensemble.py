@@ -10,12 +10,10 @@ def run(args, report):
     import numpy as np
 
     from .. import bargmann, dynamics
-    from ..phasespace import OscillatorParams
 
     c = args.c
     hbar = args.hbar
     w, alpha = args.omega, args.alpha
-    params = OscillatorParams(w)
     if not alpha < 2.0 * w:
         raise argparse.ArgumentTypeError(
             "--alpha must be below 2 --omega: the oracle is the underdamped "
@@ -34,13 +32,14 @@ def run(args, report):
             f"--nmax {args.nmax} is too small for --c/--hbar: the truncated "
             f"state's mean lies {gap / stderr:.3g} standard errors at "
             f"--samples {args.samples} from hbar conj(c)")
-    t_max = args.t_max if args.t_max is not None else params.period
+    period = 2 * math.pi / w
+    t_max = args.t_max if args.t_max is not None else period
     if not math.isfinite(t_max):
         # one period 2 pi/omega that overflowed
         raise FloatingPointError(f"run length {t_max:g} is not finite")
     times = np.linspace(0.0, t_max, args.n_times)
-    history = dynamics.ensemble_evolve(f, params, times, args.samples,
-                                       args.seed, friction=alpha,
+    history = dynamics.ensemble_evolve(f, w, times, args.samples, args.seed,
+                                       dt=period / 1024.0, friction=alpha,
                                        proposal_scale=args.proposal_scale)
     # exact linear flow of (q, p) under qdot = w p, pdot = -w q - alpha p:
     # M(t) = e^{-alpha t/2} [cos(W t) I + sin(W t)/W (A + alpha/2 I)]

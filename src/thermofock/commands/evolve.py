@@ -7,9 +7,8 @@ def run(args, report):
     import numpy as np
 
     from .. import bargmann, dynamics
-    from ..phasespace import OscillatorParams
 
-    params = OscillatorParams(args.omega)
+    w = args.omega
     rng = np.random.default_rng(args.seed)
     coeffs = rng.standard_normal(args.nmax + 1) + 1j * rng.standard_normal(args.nmax + 1)
     f = bargmann.FockVector(coeffs, args.hbar).normalized()
@@ -22,15 +21,15 @@ def run(args, report):
     dists, route_devs, phase_devs = [], [], []
     rows = []
     for t in times:
-        ft = dynamics.schrodinger_evolve(f, float(t), "normal", params)
-        transported = dynamics.transport_solve(prof0, float(t), params, "spectral")
+        ft = dynamics.schrodinger_evolve(f, float(t), "normal", w)
+        transported = dynamics.transport_solve(prof0, float(t), w, "spectral")
         dist = dynamics.l2_grid_distance(
             transported, dynamics.profile_from_fock(ft, radius, args.grid))
         dists.append(dist)
-        exact = dynamics.evolve_exact(f, float(t), params)
+        exact = dynamics.evolve_exact(f, float(t), w)
         route_devs.append(np.max(np.abs(ft.coeffs - exact.coeffs)))
-        sym = dynamics.schrodinger_evolve(f, float(t), "symmetric", params)
-        phase = np.exp(-0.5j * args.omega * float(t))
+        sym = dynamics.schrodinger_evolve(f, float(t), "symmetric", w)
+        phase = np.exp(-0.5j * w * float(t))
         phase_devs.append(np.max(np.abs(sym.coeffs - phase * ft.coeffs)))
         rows.append((float(t), dist))
     worst_l2 = float(np.max(dists))

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bargmann import FockVector, hamiltonian_matrix, point_blocks
-from .bath import SAMPLE_BLOCK, MomentSums
 from .errors import CapacityError, SamplerError, TruncationError
-from .phasespace import OscillatorParams, PhasePoint, hamilton_step
+from .phasespace import PhasePoint, hamilton_step
 
 __all__ = [
     "EnsembleHistory",
@@ -66,17 +65,17 @@ def l2_grid_distance(a, b) -> float:
     return scale * float(np.sqrt(np.mean((diff / scale) ** 2)))
 
 
-def transport_solve(values: np.ndarray, t: float, params: OscillatorParams,
+def transport_solve(values: np.ndarray, t: float, omega: float,
                     scheme: str = "spectral", dt: float = None) -> np.ndarray:
-    """Advance the transport equation df/dt + w df/dphi = 0 on the circle,
-    from the profile `values` at uniform angles.
+    """Advance the transport equation df/dt + w df/dphi = 0, w = `omega`, on
+    the circle, from the profile `values` at uniform angles.
 
     The exact solution is rigid rotation of the profile by w t.  "spectral"
     applies the per-harmonic phases exp(-i m w t) (exact for band-limited
     data); "upwind" runs the first-order finite-difference scheme with step
     `dt` and enforces the CFL bound w dt <= dphi.
     """
-    w = params.omega
+    w = omega
     if scheme == "spectral":
         modes = np.fft.fftfreq(values.size, d=1.0 / values.size)
         return np.fft.ifft(np.fft.fft(values) * np.exp(-1j * modes * w * t))
@@ -100,28 +99,28 @@ def transport_solve(values: np.ndarray, t: float, params: OscillatorParams,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def evolve_exact(f: FockVector, t: float, params: OscillatorParams) -> FockVector:
-    """Free oscillator evolution: c_n -> c_n exp(-i w n t)."""
+def evolve_exact(f: FockVector, t: float, omega: float) -> FockVector:
+    """Free oscillator evolution: c_n -> c_n exp(-i w n t), w = `omega`."""
     n = np.arange(f.coeffs.size)
-    return FockVector(f.coeffs * np.exp(-1j * params.omega * n * t), f.hbar, f.tail_mass)
+    return FockVector(f.coeffs * np.exp(-1j * omega * n * t), f.hbar)
 
 
 def schrodinger_evolve(f: FockVector, t: float, ordering: str,
-                       params: OscillatorParams) -> FockVector:
+                       omega: float) -> FockVector:
     """Evolve with the diagonal Hamiltonian: c_n -> c_n exp(-i E_n t / hbar).
 
     Normal ordering reproduces evolve_exact; symmetric ordering differs by the
     global zero-point phase exp(-i w t / 2) only.
     """
-    h = hamiltonian_matrix(ordering, params, f.hbar, f.truncation)
+    h = hamiltonian_matrix(ordering, omega, f.hbar, f.truncation)
     energies = np.real(np.diag(h))
-    return FockVector(f.coeffs * np.exp(-1j * energies * t / f.hbar), f.hbar, f.tail_mass)
+    return FockVector(f.coeffs * np.exp(-1j * energies * t / f.hbar), f.hbar)
 
 
-def damped_solution(q0: float, v0: float, params: OscillatorParams,
+def damped_solution(q0: float, v0: float, omega: float,
                     friction: float, t) -> PhasePoint:
-    """Closed-form motion of pdot = -w q - alpha p, alpha = `friction`,
-    weakly damped with envelope exp(-alpha t / 2).
+    """Closed-form motion of pdot = -w q - alpha p, w = `omega` and alpha =
+    `friction`, weakly damped with envelope exp(-alpha t / 2).
 
     q(t) = c1 exp(-i(w - i a/2) t) + c2 exp(+i(w + i a/2) t), both branches
     decaying like exp(-a t/2), with c1, c2 fixed by q(0) = q0 and the raw
@@ -129,7 +128,7 @@ def damped_solution(q0: float, v0: float, params: OscillatorParams,
     the rescaled phase point (q, p = qdot/w); with an array `t` the fields
     hold arrays.
     """
-    w = params.omega
+    w = omega
     a = friction
     if a >= 0.1 * w:
         warnings.warn(
@@ -166,7 +165,7 @@ def _trimmed(f: FockVector) -> FockVector:
     top = int(np.flatnonzero(f.coeffs)[-1]) + 1
     if top == f.coeffs.size:
         return f
-    return FockVector(f.coeffs[:top], f.hbar, f.tail_mass)
+    return FockVector(f.coeffs[:top], f.hbar)
 
 
 def cloud_centre(f: FockVector) -> complex:
@@ -280,6 +279,10 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     temporaries stay a few hundred KiB; only the RNG's normal draws span a
     chunk.  Nothing grows with n_samples.
     """
+    # imported here, not at the top: of the runs that load this module,
+    # only `ensemble` draws a cloud, and `evolve` and `damp` never need bath
+    from .bath import SAMPLE_BLOCK
+
     if not f.is_normalized(1e-9):
         raise ValueError("f must be normalized for density sampling")
     f = _trimmed(f)
@@ -369,7 +372,7 @@ class EnsembleHistory:
     acceptance_rate: float
 
 
-def _interval_maps(params: OscillatorParams, times: np.ndarray, dt: float,
+def _interval_maps(omega: float, times: np.ndarray, dt: float,
                    friction: float) -> list:
     """Per requested time, the 2x2 map of the leapfrog steps into it from
     the time before (from 0 for the first), or None where time does not
@@ -379,7 +382,7 @@ def _interval_maps(params: OscillatorParams, times: np.ndarray, dt: float,
     and their total is capped at MAX_CLOUD_STEPS before a step is taken.
     The leapfrog is linear, so the steps compose to one map, whose columns
     are the two unit vectors stepped with hamilton_step, each as a float
-    point: the map is PhasePoint((m00, m01), (m10, m11)), its rows."""
+    point: the map is ((m00, m01), (m10, m11)), its rows."""
     plan, t_prev = [], 0.0
     for t in times:
         plan.append(max(1, math.ceil((t - t_prev) / dt - 1e-12))
@@ -396,15 +399,15 @@ def _interval_maps(params: OscillatorParams, times: np.ndarray, dt: float,
             h = (t - t_prev) / n_sub
             e1, e2 = PhasePoint(1.0, 0.0), PhasePoint(0.0, 1.0)
             for _ in range(n_sub):
-                e1 = hamilton_step(e1, params, h, friction)
-                e2 = hamilton_step(e2, params, h, friction)
-            m = PhasePoint((e1.q, e2.q), (e1.p, e2.p))
+                e1 = hamilton_step(e1, omega, h, friction)
+                e2 = hamilton_step(e2, omega, h, friction)
+            m = ((e1.q, e2.q), (e1.p, e2.p))
         maps.append(m)
         t_prev = t
     return maps
 
 
-def _move_cloud(z: np.ndarray, m: PhasePoint, scratch: np.ndarray) -> None:
+def _move_cloud(z: np.ndarray, m: tuple, scratch: np.ndarray) -> None:
     """Move the particles z in place by the interval map m.
 
     The map is linear, so it moves (Re z, Im z) = (q, p) / sqrt2 as it moves
@@ -413,20 +416,21 @@ def _move_cloud(z: np.ndarray, m: PhasePoint, scratch: np.ndarray) -> None:
     (2, z.size) floats or more."""
     x, y = z.real, z.imag
     x_new, term = scratch[0, :z.size], scratch[1, :z.size]
-    np.multiply(x, m.q[0], out=x_new)
-    np.multiply(y, m.q[1], out=term)
+    (m00, m01), (m10, m11) = m
+    np.multiply(x, m00, out=x_new)
+    np.multiply(y, m01, out=term)
     x_new += term
-    np.multiply(x, m.p[0], out=term)
-    y *= m.p[1]
+    np.multiply(x, m10, out=term)
+    y *= m11
     y += term
     x[...] = x_new
 
 
-def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: int,
-                    seed, friction: float = 0.0, dt: float = None,
+def ensemble_evolve(f: FockVector, omega: float, times, n_samples: int,
+                    seed, dt: float, friction: float = 0.0,
                     proposal_scale: float = 2.0) -> EnsembleHistory:
     """Draw a cloud from |f|^2 dmu and advance it classically under
-    pdot = -w q - alpha p, alpha = `friction`.
+    qdot = w p, pdot = -w q - alpha p, w = `omega` and alpha = `friction`.
 
     Before any draw, n_samples is capped at MAX_CLOUD_PARTICLES and the
     interval maps are built (`_interval_maps`, each interval in the fewest
@@ -445,12 +449,11 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
     MiB whatever n_samples is, and each report is `bath.moment_report` of
     the cloud at that time, float for float.
     """
-    w = params.omega
+    from .bath import SAMPLE_BLOCK, MomentSums    # as in _rejection_sample
+
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1d array")
-    if dt is None:
-        dt = (2.0 * math.pi / w) / 1024.0
     if not (np.all(np.isfinite(times)) and math.isfinite(dt)):
         raise FloatingPointError("requested times and step must be finite")
     if n_samples > MAX_CLOUD_PARTICLES:
@@ -458,7 +461,7 @@ def ensemble_evolve(f: FockVector, params: OscillatorParams, times, n_samples: i
             f"{n_samples} particles exceed the cap of {MAX_CLOUD_PARTICLES} "
             f"per ensemble run, which bounds its length (the cloud streams "
             f"in fixed blocks, so not its memory)")
-    maps = _interval_maps(params, times, dt, friction)
+    maps = _interval_maps(omega, times, dt, friction)
     sums = [MomentSums() for _ in maps]
     scratch = np.empty((2, min(n_samples, SAMPLE_BLOCK)))
     for block, efficiency in _rejection_sample(f, n_samples, seed,

@@ -9,7 +9,6 @@ runs that only step points do not load its Fraction arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +17,6 @@ from .errors import StabilityError, check_capacity
 
 __all__ = [
     "PhasePoint",
-    "OscillatorParams",
     "poisson_bracket",
     "hamilton_step",
     "hamilton_orbit",
@@ -41,31 +39,20 @@ class PhasePoint(NamedTuple):
         return complex(self.q, self.p) * (2.0 ** -0.5)
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
-    """Frequency of one oscillator, positive and finite: the rescaled
-    variables of the leapfrog are singular at omega = 0, and there the
-    half-quantum every ordering check measures vanishes.  The CLI's
-    --omega domain holds it there."""
-
-    omega: float
-
-    @property
-    def period(self) -> float:
-        return 2 * math.pi / self.omega
-
-
 def hamilton_step(
     point: PhasePoint,
-    params: OscillatorParams,
+    omega: float,
     dt: float,
     friction: float = 0.0,
 ) -> PhasePoint:
-    """One kick-drift-kick leapfrog step of qdot = w p, pdot = -w q - alpha p.
+    """One kick-drift-kick leapfrog step of qdot = w p, pdot = -w q - alpha p,
+    with w = `omega` and alpha = `friction`.
 
     Friction enters as the exact exponential decay of the momentum around the
     drift, so friction = 0 reproduces the frictionless step bit for bit, and
-    the one-step map contracts areas by exactly exp(-alpha dt).
+    the one-step map contracts areas by exactly exp(-alpha dt).  omega is
+    positive and finite, as the CLI's --omega domain holds it: the rescaled
+    variables are singular at omega = 0.
 
     Its callers step float points: hamilton_orbit, the orbit `damp` fits,
     and dynamics' interval maps, which step the two unit vectors one at a
@@ -73,20 +60,19 @@ def hamilton_step(
     equal-shape arrays, each element getting the same floats as when
     stepped alone.
     """
-    w = params.omega
     q, p = point[0], point[1]
     decay = math.exp(-friction * dt / 2.0)
-    p = p - 0.5 * dt * w * q
+    p = p - 0.5 * dt * omega * q
     p = p * decay
-    q = q + dt * w * p
+    q = q + dt * omega * p
     p = p * decay
-    p = p - 0.5 * dt * w * q
+    p = p - 0.5 * dt * omega * q
     return PhasePoint(q, p)
 
 
 def hamilton_orbit(
     point: PhasePoint,
-    params: OscillatorParams,
+    omega: float,
     dt: float,
     n_steps: int,
     friction: float = 0.0,
@@ -100,9 +86,9 @@ def hamilton_orbit(
     """
     if n_steps < 1 or stride < 1:
         raise ValueError("n_steps and stride must be >= 1")
-    if not params.omega * dt < 2.0:
+    if not omega * dt < 2.0:
         raise StabilityError(
-            f"w dt = {params.omega * dt:.4g} at or beyond the leapfrog "
+            f"w dt = {omega * dt:.4g} at or beyond the leapfrog "
             "stability bound 2")
     # the start, every stride-th step, and the last step
     n_snap = 1 + -(-n_steps // stride)
@@ -112,7 +98,7 @@ def hamilton_orbit(
     x = PhasePoint(*point)
     s = 0
     for k in range(1, n_steps + 1):
-        x = hamilton_step(x, params, dt, friction)
+        x = hamilton_step(x, omega, dt, friction)
         if k % stride == 0 or k == n_steps:
             s += 1
             times[s], qs[s], ps[s] = k * dt, x.q, x.p

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thermofock import bargmann, errors
+from thermofock import bargmann, cli, errors
 from thermofock.bargmann import (
     FockVector,
     coherent_vector,
@@ -28,7 +28,6 @@ from thermofock.bargmann import (
     quadrature_operators,
 )
 from thermofock.errors import CapacityError, TruncationError
-from thermofock.phasespace import OscillatorParams
 
 
 # -- Gram matrices ------------------------------------------------------------
@@ -163,12 +162,26 @@ def test_coherent_coefficients_past_underflow_are_bit_identical(amp):
                 == recurrence(n_max).tobytes()), n_max
 
 
-def test_coherent_norm_and_tail_mass():
-    c, hbar = 0.5, 1.0
-    f = coherent_vector(c, 32, hbar)
-    full = math.exp(hbar * abs(c) ** 2)
-    assert f.norm() ** 2 + f.tail_mass == pytest.approx(full, rel=1e-12)
-    assert f.tail_mass < 1e-30   # truncation 32 is far past the mass of c=0.5
+def test_coherent_norm_completeness_record():
+    # the `coherent` runner measures the squared norm plus the tail the
+    # truncation lost against exp(hbar |c|^2)
+    outcome = cli.evaluate(cli.build_parser().parse_args(
+        ["coherent", "--c", "0.5", "--nmax", "32", "--hbar", "1"]))
+    check = {c.name: c for c in outcome.report.checks}[
+        "coherent-norm-completeness"]
+    full = math.exp(0.25)
+    assert check.passed and check.oracle == full
+    assert check.measured == pytest.approx(full, rel=1e-12)
+    tail = check.measured - coherent_vector(0.5, 32, 1.0).norm() ** 2
+    assert 0.0 <= tail < 1e-30   # truncation 32 is far past the mass of c=0.5
+
+
+def test_coherent_vacuum_passes_at_large_hbar():
+    # c = 0 is the vacuum at any hbar: no check reads the squared norm
+    # exp(0.13 hbar) of the second coherent vector, which overflows here
+    outcome = cli.evaluate(cli.build_parser().parse_args(
+        ["coherent", "--c", "0", "--hbar", "1e4"]))
+    assert outcome.code == cli.EXIT_PASS
 
 
 def test_coherent_is_ladder_eigenvector():
@@ -326,19 +339,17 @@ def test_position_momentum_commutator():
 
 
 def test_ordering_gap_is_half_quantum():
-    params = OscillatorParams(1.0)
-    h_norm = hamiltonian_matrix("normal", params, 1.0, 24)
-    h_sym = hamiltonian_matrix("symmetric", params, 1.0, 24)
+    h_norm = hamiltonian_matrix("normal", 1.0, 1.0, 24)
+    h_sym = hamiltonian_matrix("symmetric", 1.0, 1.0, 24)
     gap = h_sym - h_norm
     # additive construction at hbar*omega = 1: the difference is exact
     np.testing.assert_array_equal(gap, 0.5 * np.eye(25))
 
 
 def test_ordering_gap_generic_frequency():
-    params = OscillatorParams(math.pi)
     hbar = 0.37
-    h_norm = hamiltonian_matrix("normal", params, hbar, 10)
-    h_sym = hamiltonian_matrix("symmetric", params, hbar, 10)
+    h_norm = hamiltonian_matrix("normal", math.pi, hbar, 10)
+    h_sym = hamiltonian_matrix("symmetric", math.pi, hbar, 10)
     # generic hbar*omega: the additive construction leaves at most 1 ulp
     np.testing.assert_allclose(h_sym - h_norm,
                                0.5 * hbar * math.pi * np.eye(11), rtol=4e-15)
@@ -370,7 +381,7 @@ def test_normalized_and_zero_vector_guards():
 
 @pytest.mark.parametrize("build, floats", [
     (lambda n: lowering_matrix(n, 1.0), lambda n: 2 * (n + 1) ** 2),
-    (lambda n: hamiltonian_matrix("normal", OscillatorParams(1.0), 1.0, n),
+    (lambda n: hamiltonian_matrix("normal", 1.0, 1.0, n),
      lambda n: 2 * (n + 1) ** 2),
     (lambda n: coherent_vector(0.5, n).coeffs, lambda n: 2 * (n + 1)),
     # the basis behind the Gram matrix: n + 1 rows over the quadrature grid

@@ -30,7 +30,6 @@ from thermofock.bath import (
 from thermofock.dynamics import ensemble_evolve
 from thermofock.errors import CapacityError
 from thermofock.fits import fit_loglog_slope
-from thermofock.phasespace import OscillatorParams
 
 
 # -- bath parameters -----------------------------------------------------------
@@ -51,8 +50,8 @@ def test_equilibrium_moments():
     # ensemble's vacuum: <z> = 0, <|z|^2> = hbar, <|z|^4> = 2 hbar^2
     bp = BathParams(1.0, 2.0)   # hbar = 0.5
     vacuum = FockVector(np.eye(9)[0], bp.hbar)
-    hist = ensemble_evolve(vacuum, OscillatorParams(bp.omega), [0.0],
-                           200_000, seed=7)
+    hist = ensemble_evolve(vacuum, bp.omega, [0.0], 200_000, seed=7,
+                           dt=(2.0 * math.pi / bp.omega) / 1024.0)
     rep = hist.moments[0]
     se_re, se_im = rep.mean_se
     assert abs(rep.mean.real) <= 4 * se_re
@@ -143,6 +142,19 @@ def test_montecarlo_action_cell_is_pinned_at_the_a06_seed():
     got = partition_estimate(np.eye(2), 1.0, method="montecarlo",
                              samples=10**6, seed=7)
     assert got == (6.287185509546762, 6.287185509546762, 0.004200221439689635)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--beta", "1e300"), ("--omega", "1e300"),
+    ("--beta", "1e-300"), ("--omega", "1e-300")])
+def test_partition_keeps_z_and_its_standard_error_in_range(flag, value):
+    # Z = 2 pi/(beta omega) near 6e-300 or 6e300: det A = omega^2 and the
+    # squared weights leave the float range, sqrt(det A) and the weights
+    # over a power of two do not, and every check passes
+    outcome = cli.evaluate(cli.build_parser().parse_args(
+        ["partition", "--seed", "1", flag, value]))
+    assert outcome.code == cli.EXIT_PASS, outcome.report.checks
+    assert all(c.stderr is None or c.stderr > 0 for c in outcome.report.checks)
 
 
 def _traced_peak(fn):

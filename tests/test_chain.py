@@ -18,7 +18,6 @@ from thermofock.chain import (
     _leapfrog_stride,
     _stride_kernel,
     ChainParams,
-    ChainState,
     chain_energy,
     continuum_error,
     continuum_params_for,
@@ -34,8 +33,8 @@ from thermofock.errors import CapacityError, StabilityError
 
 
 def _mode_energy(state, params):
-    """sum_j w_j |a_j|^2 over the state's normal modes."""
-    amps, omega = mode_amplitudes(state.q, state.p, params)
+    """sum_j w_j |a_j|^2 over the normal modes of the state (q, p)."""
+    amps, omega = mode_amplitudes(*state, params)
     return float(np.sum(omega * np.abs(amps) ** 2))
 
 
@@ -61,14 +60,14 @@ def test_chain_params_validation(usage_error):
 
 def test_energy_of_simple_states():
     params = ChainParams(n_sites=8, mass=2.0, gamma=3.0, gamma_couple=5.0)
-    zero = ChainState(np.zeros(8), np.zeros(8))
-    assert chain_energy(zero, params) == 0.0
+    zero = (np.zeros(8), np.zeros(8))
+    assert chain_energy(*zero, params) == 0.0
     # uniform displacement stretches nothing: E = N gamma u^2 / 2
-    uniform = ChainState(np.full(8, 0.7), np.zeros(8))
-    assert chain_energy(uniform, params) == pytest.approx(8 * 3.0 * 0.49 / 2)
+    uniform = (np.full(8, 0.7), np.zeros(8))
+    assert chain_energy(*uniform, params) == pytest.approx(8 * 3.0 * 0.49 / 2)
     # a single momentum kick: E = p^2 / 2m
-    kick = ChainState(np.zeros(8), np.eye(8)[3] * 1.5)
-    assert chain_energy(kick, params) == pytest.approx(1.5 ** 2 / (2 * 2.0))
+    kick = (np.zeros(8), np.eye(8)[3] * 1.5)
+    assert chain_energy(*kick, params) == pytest.approx(1.5 ** 2 / (2 * 2.0))
 
 
 def test_dispersion_closed_form():
@@ -96,8 +95,8 @@ def test_two_site_antisymmetric_mode():
     # k = pi/a: the out-of-phase mode, w = sqrt((gamma + 4 gamma_c)/m)
     w_edge = dispersion(params.zone_boundary, params)
     assert w_edge == pytest.approx(math.sqrt(8.5 / 1.5))
-    state = ChainState(np.array([1.0, -1.0]), np.zeros(2))
-    energy = chain_energy(state, params)
+    state = (np.array([1.0, -1.0]), np.zeros(2))
+    energy = chain_energy(*state, params)
     assert _mode_energy(state, params) == pytest.approx(energy, rel=1e-12)
 
 
@@ -114,8 +113,8 @@ def test_parseval_on_random_states():
     params = ChainParams(n_sites=8, mass=1.3, gamma=0.7, gamma_couple=2.1)
     rng = np.random.default_rng(42)
     for _ in range(1000):
-        state = ChainState(rng.standard_normal(8), rng.standard_normal(8))
-        e_site = chain_energy(state, params)
+        state = (rng.standard_normal(8), rng.standard_normal(8))
+        e_site = chain_energy(*state, params)
         e_mode = _mode_energy(state, params)
         assert abs(e_mode - e_site) <= 1e-10 * e_site
 
@@ -124,11 +123,11 @@ def test_mode_round_trip_reconstructs_the_state():
     params = ChainParams(n_sites=16, mass=0.8, gamma=1.2, gamma_couple=0.9)
     rng = np.random.default_rng(7)
     for _ in range(50):
-        state = ChainState(rng.standard_normal(16), rng.standard_normal(16))
-        amps, _ = mode_amplitudes(state.q, state.p, params)
-        back = reconstruct_state(amps, params)
-        np.testing.assert_allclose(back.q, state.q, atol=1e-12)
-        np.testing.assert_allclose(back.p, state.p, atol=1e-12)
+        q, p = rng.standard_normal(16), rng.standard_normal(16)
+        amps, _ = mode_amplitudes(q, p, params)
+        back_q, back_p = reconstruct_state(amps, params)
+        np.testing.assert_allclose(back_q, q, atol=1e-12)
+        np.testing.assert_allclose(back_p, p, atol=1e-12)
 
 
 def test_any_amplitude_vector_is_a_real_state():
@@ -136,9 +135,9 @@ def test_any_amplitude_vector_is_a_real_state():
     params = ChainParams(n_sites=8)
     rng = np.random.default_rng(9)
     amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    state = reconstruct_state(amps, params)
-    assert state.q.dtype == float and state.p.dtype == float
-    again, _ = mode_amplitudes(state.q, state.p, params)
+    q, p = reconstruct_state(amps, params)
+    assert q.dtype == float and p.dtype == float
+    again, _ = mode_amplitudes(q, p, params)
     np.testing.assert_allclose(again, amps, atol=1e-12)
 
 
@@ -164,16 +163,17 @@ def test_half_spectrum_amplitudes_match_the_full_fft_formula(n_sites):
         assert amps.shape == shape and amps.dtype == complex
         assert np.array_equal(omega, dispersion(params.wavenumbers, params))
         assert np.max(np.abs(amps - want)) <= 1e-15 * np.max(np.abs(want))
-    back = reconstruct_state(mode_amplitudes(q[-1], p[-1], params)[0], params)
-    np.testing.assert_allclose(back.q, q[-1], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(back.p, p[-1], rtol=0, atol=1e-12)
+    back_q, back_p = reconstruct_state(
+        mode_amplitudes(q[-1], p[-1], params)[0], params)
+    np.testing.assert_allclose(back_q, q[-1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(back_p, p[-1], rtol=0, atol=1e-12)
 
 
 def test_single_mode_excitation_is_a_plane_wave():
     params = ChainParams(n_sites=16)
-    state = _plane_wave(params, 3, 1.0)
+    q, _ = _plane_wave(params, 3, 1.0)
     # |q_n| has a uniform envelope: a traveling wave, not a standing one
-    fftq = np.abs(np.fft.fft(state.q))
+    fftq = np.abs(np.fft.fft(q))
     support = np.sort(np.argsort(fftq)[-2:])
     np.testing.assert_array_equal(support, [3, 13])   # +k and its mirror
 
@@ -182,7 +182,7 @@ def test_thermal_state_equipartition():
     params = ChainParams(n_sites=64)
     beta = 2.0
     state = sample_thermal_state(params, beta, seed=42)
-    amps, omega = mode_amplitudes(state.q, state.p, params)
+    amps, omega = mode_amplitudes(*state, params)
     # each mode carries E_j = w_j |a_j|^2 ~ Exp(1/beta): sum ~ N/beta
     scaled = beta * omega * np.abs(amps) ** 2
     assert abs(float(np.sum(scaled)) - 64) <= 4 * math.sqrt(64)
@@ -198,29 +198,42 @@ def test_thermal_sampling_guards(usage_error):
         sample_thermal_state(free, 1.0, seed=1)    # unbound zero mode
 
 
+# the overflowing amplitudes warn in numpy before the state is refused
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["rescale", "relax", "chain-dispersion"])
+def test_a_state_too_hot_to_be_finite_exits_three(command):
+    # at a subnormal beta the mode variances 1/(beta w) overflow, and so do
+    # the sampled state's entries
+    outcome = cli.evaluate(cli.build_parser().parse_args(
+        [command, "--beta", "5e-324", "--seed", "1"]))
+    assert outcome.code == cli.EXIT_NUMERICAL
+    [check] = outcome.report.checks
+    assert "state entries must be finite" in check.measured
+
+
 # -- integration --------------------------------------------------------------------
 
 def test_integrator_rejects_unstable_step():
     params = ChainParams(n_sites=8)
-    state = ChainState(np.zeros(8), np.ones(8))
+    state = (np.zeros(8), np.ones(8))
     with pytest.raises(StabilityError):
-        integrate_chain(state, params, duration=1.0, dt=2.0 / params.omega_max)
+        integrate_chain(*state, params, duration=1.0, dt=2.0 / params.omega_max)
 
 
 def test_integrator_conserves_energy_without_friction():
     params = ChainParams(n_sites=16)
     state = sample_thermal_state(params, 1.0, seed=3)
-    e0 = chain_energy(state, params)
+    e0 = chain_energy(*state, params)
     dt = 0.1 / params.omega_max
-    traj = integrate_chain(state, params, duration=50.0, dt=dt, stride=100)
-    energies = [chain_energy(ChainState(traj.q[i], traj.p[i]), params) for i in range(traj.n_snapshots)]
+    traj = integrate_chain(*state, params, duration=50.0, dt=dt, stride=100)
+    energies = [chain_energy(traj.q[i], traj.p[i], params) for i in range(traj.n_snapshots)]
     ripple = (params.omega_max * dt) ** 2 / 2.0
     assert np.max(np.abs(np.array(energies) - e0)) / e0 <= ripple
 
 
 def test_zero_state_stays_zero():
     params = ChainParams(n_sites=8)
-    traj = integrate_chain(ChainState(np.zeros(8), np.zeros(8)), params,
+    traj = integrate_chain(np.zeros(8), np.zeros(8), params,
                            duration=5.0, dt=0.1)
     assert float(np.max(np.abs(traj.q))) == 0.0
     assert float(np.max(np.abs(traj.p))) == 0.0
@@ -228,8 +241,8 @@ def test_zero_state_stays_zero():
 
 def test_snapshots_are_uniform_and_cover_the_duration():
     params = ChainParams(n_sites=8)
-    state = ChainState(np.zeros(8), np.ones(8))
-    traj = integrate_chain(state, params, duration=1.0, dt=0.03, stride=7)
+    state = (np.zeros(8), np.ones(8))
+    traj = integrate_chain(*state, params, duration=1.0, dt=0.03, stride=7)
     np.testing.assert_allclose(np.diff(traj.times), traj.times[1] - traj.times[0],
                                rtol=1e-12)
     assert traj.times[0] == 0.0
@@ -254,8 +267,7 @@ def _roll_leapfrog(state, params, duration, dt, friction=0.0, stride=1):
     n_steps, h = _step_size(duration, dt, stride)
     decay = math.exp(-friction * h / 2.0)
     m = params.mass
-    q = state.q.copy()
-    p = state.p.copy()
+    q, p = (np.array(x, dtype=float) for x in state)
     n_snap = n_steps // stride + 1
     qs = np.empty((n_snap, params.n_sites))
     ps = np.empty_like(qs)
@@ -276,7 +288,7 @@ def _roll_leapfrog(state, params, duration, dt, friction=0.0, stride=1):
 
 def _random_state(n, seed):
     rng = np.random.default_rng(seed)
-    return ChainState(rng.standard_normal(n), rng.standard_normal(n))
+    return (rng.standard_normal(n), rng.standard_normal(n))
 
 
 def _assert_matches_roll_reference(traj, params, state, run):
@@ -289,7 +301,7 @@ def _assert_matches_roll_reference(traj, params, state, run):
     want = np.concatenate((qs, ps), axis=1)
     err = np.linalg.norm(got - want, axis=1)
     assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
-    energies = [chain_energy(ChainState(traj.q[i], traj.p[i]), params)
+    energies = [chain_energy(traj.q[i], traj.p[i], params)
                 for i in range(traj.n_snapshots)]
     assert traj.energies.tolist() == energies
     return times, qs, ps
@@ -309,7 +321,7 @@ def _assert_matches_roll_reference(traj, params, state, run):
      dict(duration=40.0, dt=0.05, stride=3)),
 ], ids=["two-sites", "gamma-zero", "coupling-zero", "friction-stride", "thermal-64"])
 def test_buffered_leapfrog_matches_roll_reference_bit_for_bit(params, state, run):
-    traj = integrate_chain(state, params, **run)
+    traj = integrate_chain(*state, params, **run)
     _, qs, ps = _assert_matches_roll_reference(traj, params, state, run)
     # one stride of the buffered batch step takes every reference snapshot
     # to the next one, signed zeros included
@@ -328,17 +340,17 @@ def test_blow_up_to_nan_raises_stability_error():
     # test_blow_up_to_inf_raises_stability_error_on_either_route
     params = ChainParams(n_sites=8)
     q = 1e308 * np.array([1.0, -1.0] * 4)
-    state = ChainState(q, np.zeros(8))
+    state = (q, np.zeros(8))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StabilityError):
-        integrate_chain(state, params, duration=0.1, dt=0.1)
+        integrate_chain(*state, params, duration=0.1, dt=0.1)
 
 
 def test_infinite_initial_energy_raises_stability_error():
     # q^2 = 1e310 overflows, so e0 = inf and a 10x cap could never trip
     params = ChainParams(n_sites=8)
-    state = ChainState(np.full(8, 1e155), np.zeros(8))
+    state = (np.full(8, 1e155), np.zeros(8))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StabilityError):
-        integrate_chain(state, params, duration=0.1, dt=0.1)
+        integrate_chain(*state, params, duration=0.1, dt=0.1)
 
 
 def _roll_stride_map(params, h, stride, friction):
@@ -346,7 +358,7 @@ def _roll_stride_map(params, h, stride, friction):
     n = params.n_sites
     rows = []
     for unit in np.eye(2 * n):
-        _, qs, ps = _roll_leapfrog(ChainState(unit[:n], unit[n:]), params,
+        _, qs, ps = _roll_leapfrog((unit[:n], unit[n:]), params,
                                    duration=stride * h, dt=h,
                                    friction=friction, stride=stride)
         rows.append(np.concatenate((qs[-1], ps[-1])))
@@ -392,12 +404,13 @@ def test_stride_map_route_is_the_unit_vector_map_bit_for_bit():
 def test_stride_map_route_matches_roll_reference(params, friction):
     state = _random_state(16, 7)
     run = dict(duration=100.0, dt=0.025, friction=friction, stride=40)
-    traj = integrate_chain(state, params, **run)
+    traj = integrate_chain(*state, params, **run)
     times, _, _ = _assert_matches_roll_reference(traj, params, state, run)
     if params.gamma == 0.0:
         # the centre of mass really moves: sum q grows by sum p per unit time
-        drift = float(np.sum(state.p)) * (times[-1] - times[0])
-        assert abs(np.sum(traj.q[-1]) - np.sum(state.q) - drift) <= 1e-9 * abs(drift)
+        q, p = state
+        drift = float(np.sum(p)) * (times[-1] - times[0])
+        assert abs(np.sum(traj.q[-1]) - np.sum(q) - drift) <= 1e-9 * abs(drift)
 
 
 @pytest.mark.parametrize("window_floats", [2 ** 18, 64, 16],
@@ -410,7 +423,7 @@ def test_windowed_product_matches_roll_reference_in_blocks(monkeypatch,
     params = ChainParams(n_sites=256)
     state = sample_thermal_state(params, 1.0, 3)
     run = dict(duration=30.0, dt=0.05, friction=0.01, stride=12)
-    traj = integrate_chain(state, params, **run)
+    traj = integrate_chain(*state, params, **run)
     _assert_matches_roll_reference(traj, params, state, run)
 
 
@@ -421,7 +434,7 @@ def test_window_buffer_is_capped_whatever_the_kernel_width():
     state = sample_thermal_state(params, 1.0, 1)
     tracemalloc.start()
     try:
-        traj = integrate_chain(state, params, duration=100.0, dt=0.05,
+        traj = integrate_chain(*state, params, duration=100.0, dt=0.05,
                                stride=1000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -439,11 +452,11 @@ def test_blow_up_to_inf_raises_stability_error_on_either_route(stride):
     # stride 1 and wraps at stride 16
     params = ChainParams(n_sites=8)
     dt = (1.0 - 1e-4) * 2.0 / params.omega_max
-    state = ChainState(np.zeros(8), 2e153 * np.array([1.0, -1.0] * 4))
-    assert math.isfinite(10.0 * chain_energy(state, params))
+    state = (np.zeros(8), 2e153 * np.array([1.0, -1.0] * 4))
+    assert math.isfinite(10.0 * chain_energy(*state, params))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(StabilityError, match="grew to (inf|nan)"):
-        integrate_chain(state, params, duration=640 * dt, dt=dt, stride=stride)
+        integrate_chain(*state, params, duration=640 * dt, dt=dt, stride=stride)
 
 
 def test_blow_up_raises_at_the_end_of_its_energy_block(monkeypatch):
@@ -454,14 +467,14 @@ def test_blow_up_raises_at_the_end_of_its_energy_block(monkeypatch):
     params = ChainParams(n_sites=8)
     run = dict(duration=640 * 0.99 * 2.0 / params.omega_max,
                dt=0.99 * 2.0 / params.omega_max)
-    state = ChainState(np.zeros(8), 1e-3 * np.array([1.0, -1.0] * 4))
+    state = (np.zeros(8), 1e-3 * np.array([1.0, -1.0] * 4))
     _, qs, ps = _roll_leapfrog(state, params, **run)
-    energies = np.array([chain_energy(ChainState(q, p), params)
+    energies = np.array([chain_energy(q, p, params)
                          for q, p in zip(qs, ps)])
     first = int(np.flatnonzero(energies > 10.0 * energies[0])[0])
     assert first % 5 != 0
     with pytest.raises(StabilityError, match=f"grew to {energies[first]:.3g} "):
-        integrate_chain(state, params, **run)
+        integrate_chain(*state, params, **run)
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -483,7 +496,7 @@ def test_spectral_dispersion_transient_memory_is_bounded():
     # read 1.32x
     params = ChainParams(n_sites=64)
     state = sample_thermal_state(params, beta=1.0, seed=3)
-    traj = integrate_chain(state, params, duration=200.0, dt=0.1)
+    traj = integrate_chain(*state, params, duration=200.0, dt=0.1)
     assert traj.q.shape == (2001, 64)
     snapshot_bytes = traj.q.nbytes + traj.p.nbytes
     _, peak = _traced_peak(spectral_dispersion, traj, params)
@@ -495,7 +508,7 @@ def test_spectral_dispersion_transient_memory_at_a09_length():
     # buffer, 0.08x (0.19x with 256-row blocks, 1.19x on the copying route)
     params = ChainParams(n_sites=256)
     state = sample_thermal_state(params, beta=1.0, seed=3)
-    traj = integrate_chain(state, params, duration=400.0 * math.pi, dt=0.05,
+    traj = integrate_chain(*state, params, duration=400.0 * math.pi, dt=0.05,
                            stride=12)
     assert traj.q.shape == (2096, 256)
     snapshot_bytes = traj.q.nbytes + traj.p.nbytes
@@ -508,7 +521,7 @@ def test_integrate_chain_transient_memory_is_bounded():
     # of it come the window buffer and one energy block's temporaries
     params = ChainParams(n_sites=1024)
     state = sample_thermal_state(params, beta=1.0, seed=3)
-    traj, peak = _traced_peak(integrate_chain, state, params,
+    traj, peak = _traced_peak(integrate_chain, *state, params,
                               duration=400.0 * math.pi, dt=0.05, stride=12)
     assert traj.q.shape == (2096, 1024)
     assert peak <= 1.1 * (traj.q.nbytes + traj.p.nbytes)
@@ -524,7 +537,7 @@ def test_chain_dispersion_path_holds_one_snapshot_buffer():
     sizes = []
 
     def path():
-        traj = integrate_chain(state, params, duration=400.0 * math.pi,
+        traj = integrate_chain(*state, params, duration=400.0 * math.pi,
                                dt=0.05, stride=12)
         sizes.append((traj.q.shape, traj.q.nbytes + traj.p.nbytes))
         return spectral_dispersion(traj, params)
@@ -564,7 +577,7 @@ def test_relax_amplitude_read_holds_no_second_buffer(monkeypatch):
 
 def test_trajectory_holds_the_integrated_buffers_read_only():
     params = ChainParams(n_sites=8)
-    traj = integrate_chain(_random_state(8, 4), params, duration=5.0, dt=0.1)
+    traj = integrate_chain(*_random_state(8, 4), params, duration=5.0, dt=0.1)
     again = chain.ChainTrajectory(traj.times, traj.q.base, traj.energies)
     for name in ("times", "q", "p", "energies"):
         arr = getattr(traj, name)
@@ -587,7 +600,7 @@ def test_amplitude_handover_matches_the_copying_route(monkeypatch):
         monkeypatch.setattr(chain, "_AMPLITUDE_FLOATS", 7 * n_sites)
         params = ChainParams(n_sites=n_sites)
         state = sample_thermal_state(params, beta=1.0, seed=n_sites)
-        traj = integrate_chain(state, params, duration=30.0, dt=0.1, stride=2)
+        traj = integrate_chain(*state, params, duration=30.0, dt=0.1, stride=2)
         assert traj.n_snapshots % 7
         want, want_omega = mode_amplitudes(traj.q.copy(), traj.p.copy(), params)
         buffer = traj.q.base
@@ -601,7 +614,7 @@ def test_snapshots_raise_once_handed_over():
     state = sample_thermal_state(params, beta=1.0, seed=2)
     for hand_over in (lambda traj: traj.into_amplitudes(params),
                       lambda traj: spectral_dispersion(traj, params)):
-        traj = integrate_chain(state, params, duration=20.0, dt=0.1)
+        traj = integrate_chain(*state, params, duration=20.0, dt=0.1)
         hand_over(traj)
         for read in (lambda: traj.q, lambda: traj.p,
                      lambda: traj.into_amplitudes(params)):
@@ -614,7 +627,7 @@ def test_snapshots_raise_once_handed_over():
 def test_handover_checks_the_sites_before_writing():
     params = ChainParams(n_sites=8)
     state = sample_thermal_state(params, beta=1.0, seed=2)
-    traj = integrate_chain(state, params, duration=5.0, dt=0.1)
+    traj = integrate_chain(*state, params, duration=5.0, dt=0.1)
     before = traj.q.copy()
     with pytest.raises(ValueError, match="params expect 16"):
         traj.into_amplitudes(ChainParams(n_sites=16))
@@ -623,12 +636,12 @@ def test_handover_checks_the_sites_before_writing():
 
 def test_single_mode_oscillates_at_its_dispersion_frequency():
     params = ChainParams(n_sites=16)
-    state = _plane_wave(params, 2, 0.9)
+    q, p = _plane_wave(params, 2, 0.9)
     w2 = dispersion(params.wavenumbers[2], params)
     period = 2.0 * math.pi / w2
-    traj = integrate_chain(state, params, duration=period, dt=period / 4096)
-    np.testing.assert_allclose(traj.q[-1], state.q, atol=5e-5)
-    np.testing.assert_allclose(traj.p[-1], state.p, atol=5e-5)
+    traj = integrate_chain(q, p, params, duration=period, dt=period / 4096)
+    np.testing.assert_allclose(traj.q[-1], q, atol=5e-5)
+    np.testing.assert_allclose(traj.p[-1], p, atol=5e-5)
 
 
 # -- spectral dispersion ---------------------------------------------------------------
@@ -637,7 +650,7 @@ def test_spectral_peak_of_a_single_mode():
     params = ChainParams(n_sites=16)
     omega = dispersion(params.wavenumbers, params)
     state = _plane_wave(params, 5, 1.0)
-    traj = integrate_chain(state, params, duration=60.0 * math.pi, dt=0.05,
+    traj = integrate_chain(*state, params, duration=60.0 * math.pi, dt=0.05,
                            stride=8)
     # the reference amplitudes are taken before spectral_dispersion writes
     # over the snapshots
@@ -694,11 +707,11 @@ def _full_array_spectral_dispersion(traj, params):
 def test_blocked_spectrum_matches_the_full_array_reference(monkeypatch, params,
                                                            state, run):
     want = _full_array_spectral_dispersion(
-        integrate_chain(state, params, **run), params)
+        integrate_chain(*state, params, **run), params)
     # one block of all modes, and blocks of 3 modes with a short last one;
     # each spectrum is taken in a fresh trajectory's snapshot buffer
     for modes in (None, 3):
-        traj = integrate_chain(state, params, **run)
+        traj = integrate_chain(*state, params, **run)
         if modes:
             monkeypatch.setattr(chain, "_SPECTRUM_FLOATS",
                                 modes * traj.n_snapshots)
@@ -713,7 +726,7 @@ def test_spectral_dispersion_full_thermal_band():
     params = ChainParams(n_sites=32)
     state = sample_thermal_state(params, 1.0, seed=42)
     t_max = 40.0 * 2.0 * math.pi / dispersion(0.0, params)
-    traj = integrate_chain(state, params, duration=t_max, dt=0.05, stride=12)
+    traj = integrate_chain(*state, params, duration=t_max, dt=0.05, stride=12)
     measured, resolution = spectral_dispersion(traj, params)
     omega = dispersion(params.wavenumbers, params)
     assert np.max(np.abs(measured - omega)) <= resolution     # NaN fails
@@ -722,7 +735,7 @@ def test_spectral_dispersion_full_thermal_band():
 def test_spectral_dispersion_flat_band():
     params = ChainParams(n_sites=8, gamma=4.0, gamma_couple=0.0)
     state = sample_thermal_state(params, 1.0, seed=5)
-    traj = integrate_chain(state, params, duration=100.0, dt=0.05, stride=4)
+    traj = integrate_chain(*state, params, duration=100.0, dt=0.05, stride=4)
     measured, resolution = spectral_dispersion(traj, params)
     good = ~np.isnan(measured)
     assert np.all(np.abs(measured[good] - 2.0) <= resolution)

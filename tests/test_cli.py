@@ -250,6 +250,8 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
             ("evolve", "--seed", "1", "--omega", "1e-320"),
             ("mode-commutator", "--beta", "1e200", "--omega0", "1e200"),
             ("rescale", "--seed", "1", "--beta", "1e-320"),
+            # Z = h^2 of two pairs near 4e-599
+            ("partition", "--seed", "1", "--pairs", "2", "--omega", "1e300"),
             ("continuum", "--spacings", "1,1e-160"),
             # a radius sqrt(hbar/2) of inf; a period 2 pi/omega and a run
             # 5/alpha of inf, whose step count inf/inf is NaN
@@ -534,11 +536,18 @@ def _subcommands():
                        if isinstance(action, argparse._SubParsersAction)))
 
 
+# The runs that draw from or describe the Gibbs bath, the only ones that
+# load `bath`.
+BATH_COMMANDS = ("partition", "variation", "tilt", "sphere", "mode-commutator",
+                 "ensemble")
+
+
 @pytest.mark.parametrize("command", _subcommands())
 def test_a_run_loads_only_its_own_command(command, tmp_path):
     # a run compiles its own runner and no other, never a second copy of
-    # the CLI module, and only gram the quadrature's numpy.polynomial and
-    # only commutator the exact brackets' fractions
+    # the CLI module, only gram the quadrature's numpy.polynomial, only
+    # commutator the exact brackets' fractions, and only the bath runs
+    # `bath`
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORTS_CHILD, command,
          *QUICK_FLAGS.get(command, ()), "--outdir", str(tmp_path)],
@@ -551,6 +560,7 @@ def test_a_run_loads_only_its_own_command(command, tmp_path):
         "thermofock.commands." + command.replace("-", "_")]
     assert ("numpy.polynomial" in loaded) == (command == "gram")
     assert ("fractions" in loaded) == (command == "commutator")
+    assert ("thermofock.bath" in loaded) == (command in BATH_COMMANDS)
 
 
 def test_thread_cap_is_validated(tmp_path):

@@ -25,7 +25,7 @@ from thermofock.dynamics import (
 )
 from thermofock.errors import SamplerError
 from thermofock.fits import fit_decay_rate
-from thermofock.phasespace import OscillatorParams, PhasePoint, hamilton_step
+from thermofock.phasespace import PhasePoint, hamilton_step
 
 
 # -- profiles -------------------------------------------------------------------
@@ -76,8 +76,8 @@ def test_l2_distance_does_not_overflow():
 def test_spectral_transport_full_revolution_is_identity():
     rng = np.random.default_rng(0)
     prof = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    params = OscillatorParams(2.0)
-    out = transport_solve(prof, params.period, params)
+    omega = 2.0
+    out = transport_solve(prof, 2 * math.pi / omega, omega)
     assert l2_grid_distance(out, prof) <= 1e-12
 
 
@@ -86,34 +86,34 @@ def test_spectral_transport_of_a_pure_harmonic():
     g = 64
     phi = 2.0 * np.pi * np.arange(g) / g
     prof = np.exp(3j * phi)
-    params = OscillatorParams(1.0)
+    omega = 1.0
     t = 0.7
-    out = transport_solve(prof, t, params)
+    out = transport_solve(prof, t, omega)
     np.testing.assert_allclose(out, np.exp(-3j * t) * prof, atol=1e-12)
 
 
 def test_spectral_transport_agrees_with_schrodinger_profile():
     # evolve the state, then sample -- or sample, then transport: same grid
     f = coherent_vector(0.5, 24, 1.0).normalized()
-    params = OscillatorParams(1.0)
-    t = 10.0 / params.omega
+    omega = 1.0
+    t = 10.0 / omega
     prof0 = profile_from_fock(f, radius=1.0, grid_size=512)
-    transported = transport_solve(prof0, t, params)
-    evolved = profile_from_fock(schrodinger_evolve(f, t, "normal", params),
+    transported = transport_solve(prof0, t, omega)
+    evolved = profile_from_fock(schrodinger_evolve(f, t, "normal", omega),
                                 radius=1.0, grid_size=512)
     assert l2_grid_distance(transported, evolved) <= 1e-8
 
 
 def test_upwind_transport_on_a_smooth_profile():
     f = coherent_vector(0.5, 24, 1.0).normalized()
-    params = OscillatorParams(1.0)
+    omega = 1.0
     g = 512
     dphi = 2.0 * np.pi / g
-    dt = 0.5 * dphi / params.omega          # CFL number 0.5
-    t = 1.0 / params.omega
+    dt = 0.5 * dphi / omega          # CFL number 0.5
+    t = 1.0 / omega
     prof0 = profile_from_fock(f, radius=1.0, grid_size=g)
-    upwind = transport_solve(prof0, t, params, scheme="upwind", dt=dt)
-    exact = transport_solve(prof0, t, params)
+    upwind = transport_solve(prof0, t, omega, scheme="upwind", dt=dt)
+    exact = transport_solve(prof0, t, omega)
     assert l2_grid_distance(upwind, exact) < 1e-2
 
 
@@ -121,96 +121,96 @@ def test_upwind_error_is_first_order_under_refinement():
     # refine grid and step together at fixed CFL: the error halves each time
     # (at fixed grid, shrinking dt alone *raises* the numerical diffusion)
     f = coherent_vector(0.5, 24, 1.0).normalized()
-    params = OscillatorParams(1.0)
+    omega = 1.0
     errs = []
     for g in (256, 512, 1024):
         dt = 0.5 * (2.0 * np.pi / g)
         prof0 = profile_from_fock(f, radius=1.0, grid_size=g)
-        exact = transport_solve(prof0, 1.0, params)
+        exact = transport_solve(prof0, 1.0, omega)
         errs.append(l2_grid_distance(
-            transport_solve(prof0, 1.0, params, "upwind", dt), exact))
+            transport_solve(prof0, 1.0, omega, "upwind", dt), exact))
     assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.2)
     assert errs[1] / errs[2] == pytest.approx(2.0, abs=0.2)
 
 
 def test_upwind_rejects_cfl_violation():
     prof = np.ones(16, dtype=complex)
-    params = OscillatorParams(1.0)
+    omega = 1.0
     dphi = 2.0 * np.pi / 16
     with pytest.raises(ValueError):
-        transport_solve(prof, 10.0, params, scheme="upwind", dt=3.0 * dphi)
+        transport_solve(prof, 10.0, omega, scheme="upwind", dt=3.0 * dphi)
 
 
 def test_transport_argument_validation(usage_error):
     prof = np.ones(16, dtype=complex)
-    params = OscillatorParams(1.0)
+    omega = 1.0
     usage_error(["evolve", "--seed", "1", "--t-max", "-1"], "--t-max")
     with pytest.raises(ValueError):
-        transport_solve(prof, 1.0, params, scheme="upwind")   # dt missing
+        transport_solve(prof, 1.0, omega, scheme="upwind")   # dt missing
     with pytest.raises(ValueError):
-        transport_solve(prof, 1.0, params, scheme="lax")
+        transport_solve(prof, 1.0, omega, scheme="lax")
 
 
 # -- quantum evolution --------------------------------------------------------------
 
 def test_exact_evolution_rotates_the_coherent_center():
     c, hbar, t = 0.6 - 0.1j, 1.0, 1.234
-    params = OscillatorParams(1.0)
+    omega = 1.0
     f = coherent_vector(c, 32, hbar)
-    rotated = coherent_vector(c * np.exp(-1j * params.omega * t), 32, hbar)
-    np.testing.assert_allclose(evolve_exact(f, t, params).coeffs, rotated.coeffs,
+    rotated = coherent_vector(c * np.exp(-1j * omega * t), 32, hbar)
+    np.testing.assert_allclose(evolve_exact(f, t, omega).coeffs, rotated.coeffs,
                                atol=1e-12)
 
 
 def test_schrodinger_normal_matches_exact():
     rng = np.random.default_rng(3)
     f = FockVector(rng.standard_normal(25) + 1j * rng.standard_normal(25), 0.7)
-    params = OscillatorParams(1.3)
-    a = schrodinger_evolve(f, 2.1, "normal", params)
-    b = evolve_exact(f, 2.1, params)
+    omega = 1.3
+    a = schrodinger_evolve(f, 2.1, "normal", omega)
+    b = evolve_exact(f, 2.1, omega)
     np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-12)
 
 
 def test_symmetric_ordering_adds_a_global_phase_only():
     rng = np.random.default_rng(4)
     f = FockVector(rng.standard_normal(16) + 1j * rng.standard_normal(16), 1.0)
-    params = OscillatorParams(1.0)
+    omega = 1.0
     t = 3.7
-    sym = schrodinger_evolve(f, t, "symmetric", params)
-    norm = schrodinger_evolve(f, t, "normal", params)
-    phase = np.exp(-1j * params.omega * t / 2.0)
+    sym = schrodinger_evolve(f, t, "symmetric", omega)
+    norm = schrodinger_evolve(f, t, "normal", omega)
+    phase = np.exp(-1j * omega * t / 2.0)
     np.testing.assert_allclose(sym.coeffs, phase * norm.coeffs, atol=1e-12)
 
 
 def test_evolution_preserves_the_norm():
     f = coherent_vector(0.8, 40, 1.0).normalized()
-    params = OscillatorParams(2.0)
-    assert schrodinger_evolve(f, 5.0, "symmetric", params).norm() == pytest.approx(1.0)
+    omega = 2.0
+    assert schrodinger_evolve(f, 5.0, "symmetric", omega).norm() == pytest.approx(1.0)
 
 
 # -- damped motion --------------------------------------------------------------------
 
 def test_damped_solution_alpha_zero_is_the_free_oscillation():
-    params = OscillatorParams(1.5)
+    omega = 1.5
     t = np.linspace(0.0, 10.0, 200)
-    sol = damped_solution(1.0, 0.0, params, 0.0, t)
+    sol = damped_solution(1.0, 0.0, omega, 0.0, t)
     np.testing.assert_allclose(sol.q, np.cos(1.5 * t), atol=1e-12)
     np.testing.assert_allclose(sol.p, -np.sin(1.5 * t), atol=1e-12)
 
 
 def test_damped_solution_initial_conditions():
-    params = OscillatorParams(2.0)
+    omega = 2.0
     q0, v0 = 0.7, -0.4
-    sol0 = damped_solution(q0, v0, params, 0.02, 0.0)
+    sol0 = damped_solution(q0, v0, omega, 0.02, 0.0)
     assert sol0.q == pytest.approx(q0, rel=1e-12)
-    assert sol0.p * params.omega == pytest.approx(v0, rel=1e-12)
+    assert sol0.p * omega == pytest.approx(v0, rel=1e-12)
 
 
 def test_damped_solution_envelope_rate():
-    params = OscillatorParams(1.0)
+    omega = 1.0
     alpha = 0.01
     t = np.linspace(0.0, 400.0, 4001)
-    sol = damped_solution(1.0, 0.0, params, alpha, t)
+    sol = damped_solution(1.0, 0.0, omega, alpha, t)
     amp = np.sqrt(0.5 * (sol.q ** 2 + sol.p ** 2))
     rate = fit_decay_rate(t, amp)
     assert rate == pytest.approx(alpha / 2.0, rel=0.01)
@@ -219,27 +219,27 @@ def test_damped_solution_envelope_rate():
 def test_damped_solution_matches_leapfrog():
     # the closed form keeps the undamped frequency, so it trails the true
     # (leapfrog) dynamics by the alpha^2/(8 w) frequency shift -- budget it
-    params = OscillatorParams(1.0)
+    omega = 1.0
     alpha = 0.01
-    dt = params.period / 2048
+    dt = 2 * math.pi / omega / 2048
     n = 4096
     t = n * dt
     x = PhasePoint(1.0, 0.0)
     for _ in range(n):
-        x = hamilton_step(x, params, dt, friction=alpha)
-    closed = damped_solution(1.0, 0.0, params, alpha, t)
-    budget = 2.0 * alpha ** 2 * t / (8.0 * params.omega) + 10.0 * dt ** 2
+        x = hamilton_step(x, omega, dt, friction=alpha)
+    closed = damped_solution(1.0, 0.0, omega, alpha, t)
+    budget = 2.0 * alpha ** 2 * t / (8.0 * omega) + 10.0 * dt ** 2
     assert x.q == pytest.approx(closed.q, abs=budget)
     assert x.p == pytest.approx(closed.p, abs=budget)
 
 
 def test_damped_solution_warns_when_damping_is_not_small():
-    params = OscillatorParams(1.0)
+    omega = 1.0
     with pytest.warns(UserWarning):
-        damped_solution(1.0, 0.0, params, 0.5, 1.0)
+        damped_solution(1.0, 0.0, omega, 0.5, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        damped_solution(1.0, 0.0, params, 0.01, 1.0)
+        damped_solution(1.0, 0.0, omega, 0.01, 1.0)
 
 
 def test_damping_params_validation(usage_error):
@@ -276,12 +276,17 @@ def _draws(f, n_samples, seed):
     return _sample(f, n_samples, seed)[0]
 
 
-def _final_cloud(f, params, times, n_samples, seed, friction=0.0, dt=None):
+def _step(omega):
+    """The step the `ensemble` runner passes: 1024 to a period."""
+    return (2.0 * math.pi / omega) / 1024.0
+
+
+def _final_cloud(f, omega, times, n_samples, seed, friction=0.0, dt=None):
     """The cloud at the last of `times`, as ensemble_evolve moves it: each
     streamed block through every interval map by the block kernel."""
     if dt is None:
-        dt = (2.0 * math.pi / params.omega) / 1024.0
-    maps = dynamics._interval_maps(params, np.asarray(times, dtype=float),
+        dt = _step(omega)
+    maps = dynamics._interval_maps(omega, np.asarray(times, dtype=float),
                                    dt, friction)
     scratch = np.empty((2, SAMPLE_BLOCK))
     blocks = []
@@ -300,7 +305,7 @@ def _report_bits(report):
 
 
 def _initial_cloud(f, n_samples, seed, **kwargs):
-    return ensemble_evolve(f, OscillatorParams(1.0), [0.0], n_samples, seed,
+    return ensemble_evolve(f, 1.0, [0.0], n_samples, seed, _step(1.0),
                            **kwargs)
 
 
@@ -434,9 +439,10 @@ ENSEMBLE_DIGESTS = {
 @pytest.mark.parametrize("n", sorted(ENSEMBLE_DIGESTS))
 def test_ensemble_blocks_move_the_cloud_as_before(n):
     f = coherent_vector(0.5, 32, 1.0).normalized()
-    params, times = OscillatorParams(1.3), np.linspace(0.0, 2.0 * np.pi, 5)
-    hist = ensemble_evolve(f, params, times, n, seed=11, friction=0.05)
-    final = _final_cloud(f, params, times, n, seed=11, friction=0.05)
+    omega, times = 1.3, np.linspace(0.0, 2.0 * np.pi, 5)
+    hist = ensemble_evolve(f, omega, times, n, seed=11, dt=_step(omega),
+                           friction=0.05)
+    final = _final_cloud(f, omega, times, n, seed=11, friction=0.05)
     moments = np.array([(m.mean.real, m.mean.imag, *m.mean_se, m.abs2_mean,
                          m.abs2_se) for m in hist.moments])
     assert (hashlib.sha256(final.tobytes()).hexdigest(),
@@ -462,8 +468,8 @@ def test_ensemble_memory_is_fixed_whatever_the_samples():
     f = coherent_vector(0.5, 32, 1.0).normalized()
     tracemalloc.start()
     try:
-        ensemble_evolve(f, OscillatorParams(1.0),
-                        np.linspace(0.0, 2.0 * np.pi, 20), n, seed=7)
+        ensemble_evolve(f, 1.0, np.linspace(0.0, 2.0 * np.pi, 20), n,
+                        seed=7, dt=_step(1.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -501,9 +507,9 @@ def test_acceptance_rate_counts_every_accepted_draw():
 
 def test_vacuum_ensemble_is_stationary():
     f = FockVector(np.eye(9)[0], 1.0)
-    params = OscillatorParams(1.0)
+    omega = 1.0
     times = np.linspace(0.0, 2.0 * np.pi, 5)
-    hist = ensemble_evolve(f, params, times, 20_000, seed=7)
+    hist = ensemble_evolve(f, omega, times, 20_000, seed=7, dt=_step(omega))
     for rep in hist.moments:
         se_re, se_im = rep.mean_se
         assert abs(rep.mean.real) <= 4 * se_re
@@ -515,11 +521,11 @@ def test_vacuum_ensemble_is_stationary():
 def test_coherent_ensemble_mean_follows_the_rotating_center():
     c, hbar = 0.5, 1.0
     f = coherent_vector(c, 32, hbar).normalized()
-    params = OscillatorParams(1.0)
+    omega = 1.0
     times = np.linspace(0.0, 2.0 * np.pi, 8)
-    hist = ensemble_evolve(f, params, times, 50_000, seed=7)
+    hist = ensemble_evolve(f, omega, times, 50_000, seed=7, dt=_step(omega))
     for t, rep in zip(times, hist.moments):
-        expected = hbar * np.conj(c) * np.exp(-1j * params.omega * t)
+        expected = hbar * np.conj(c) * np.exp(-1j * omega * t)
         se_re, se_im = rep.mean_se
         assert abs(rep.mean.real - expected.real) <= 4 * se_re
         assert abs(rep.mean.imag - expected.imag) <= 4 * se_im
@@ -531,12 +537,12 @@ def test_damped_ensemble_contracts_both_moments():
     c, hbar = 0.5, 1.0
     alpha = 0.01   # weak damping, where the constant-frequency form is valid
     f = coherent_vector(c, 32, hbar).normalized()
-    params = OscillatorParams(1.0)
+    omega = 1.0
     times = np.array([0.0, 20.0, 40.0])
-    hist = ensemble_evolve(f, params, times, 50_000, seed=7,
+    hist = ensemble_evolve(f, omega, times, 50_000, seed=7, dt=_step(omega),
                            friction=alpha)
     for t, rep in zip(times, hist.moments):
-        mean_exp = hbar * np.conj(c) * np.exp((-1j * params.omega - alpha / 2.0) * t)
+        mean_exp = hbar * np.conj(c) * np.exp((-1j * omega - alpha / 2.0) * t)
         se_re, se_im = rep.mean_se
         assert abs(rep.mean.real - mean_exp.real) <= 4 * se_re
         assert abs(rep.mean.imag - mean_exp.imag) <= 4 * se_im
@@ -544,11 +550,11 @@ def test_damped_ensemble_contracts_both_moments():
         assert abs(rep.abs2_mean - abs2_exp) <= 4 * rep.abs2_se
 
 
-def _interval_map(params, h, n_sub, friction):
+def _interval_map(omega, h, n_sub, friction):
     # the unit vectors stepped n_sub times: columns of the interval's 2x2 map
     m = PhasePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     for _ in range(n_sub):
-        m = hamilton_step(m, params, h, friction=friction)
+        m = hamilton_step(m, omega, h, friction=friction)
     return (float(m.q[0]), float(m.q[1])), (float(m.p[0]), float(m.p[1]))
 
 
@@ -558,11 +564,11 @@ def test_ensemble_cloud_moves_by_the_interval_maps_bit_for_bit():
     # moving it alone by those maps, and the last report must be the
     # moments of those particles
     f = coherent_vector(0.5, 16, 1.0).normalized()
-    params = OscillatorParams(1.3)
+    omega = 1.3
     times = [0.0, 0.6, 0.6, 1.2]
-    hist = ensemble_evolve(f, params, times, 40, seed=11,
+    hist = ensemble_evolve(f, omega, times, 40, seed=11,
                            friction=0.2, dt=0.3)
-    maps = [_interval_map(params, (b - a) / 2, 2, 0.2)
+    maps = [_interval_map(omega, (b - a) / 2, 2, 0.2)
             for a, b in ((0.0, 0.6), (0.6, 1.2))]
     expected = []
     for z in _draws(f, 40, seed=11):
@@ -571,7 +577,7 @@ def test_ensemble_cloud_moves_by_the_interval_maps_bit_for_bit():
             x, y = m00 * x + m01 * y, m10 * x + m11 * y
         expected.append(complex(x, y))
     expected = np.array(expected)
-    final = _final_cloud(f, params, times, 40, seed=11, friction=0.2, dt=0.3)
+    final = _final_cloud(f, omega, times, 40, seed=11, friction=0.2, dt=0.3)
     assert final.tobytes() == expected.tobytes()
     assert _report_bits(hist.moments[-1]) == _report_bits(moment_report(expected))
 
@@ -580,8 +586,8 @@ def test_ensemble_report_at_time_zero_is_the_draws():
     # no map moves the cloud before t = 0, so the first report is the
     # sampler's draws' own, bit for bit
     f = coherent_vector(0.5 - 0.3j, 16, 1.0).normalized()
-    hist = ensemble_evolve(f, OscillatorParams(1.3), [0.0, 0.6], 5_000,
-                           seed=11, friction=0.2)
+    hist = ensemble_evolve(f, 1.3, [0.0, 0.6], 5_000,
+                           seed=11, dt=_step(1.3), friction=0.2)
     bits = [[float(v).hex() for v in (m.mean.real, m.mean.imag, *m.mean_se,
                                       m.abs2_mean, m.abs2_se)]
             for m in (hist.moments[0],
@@ -592,16 +598,16 @@ def test_ensemble_report_at_time_zero_is_the_draws():
 def test_ensemble_cloud_matches_per_draw_leapfrog_steps():
     # composing an interval's 512 steps into one map only reorders rounding
     f = coherent_vector(0.5, 16, 1.0).normalized()
-    params = OscillatorParams(1.3)
-    period = params.period
-    final = _final_cloud(f, params, [0.0, period / 2, period], 64, seed=11,
+    omega = 1.3
+    period = 2 * math.pi / omega
+    final = _final_cloud(f, omega, [0.0, period / 2, period], 64, seed=11,
                          friction=0.05)
     expected = []
     for z in _draws(f, 64, seed=11):
         x = PhasePoint(math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag)
         for a, b in ((0.0, period / 2), (period / 2, period)):
             for _ in range(512):
-                x = hamilton_step(x, params, (b - a) / 512, friction=0.05)
+                x = hamilton_step(x, omega, (b - a) / 512, friction=0.05)
         expected.append((x.q + 1j * x.p) * (2.0 ** -0.5))
     np.testing.assert_allclose(final, expected, rtol=1e-13, atol=0.0)
 
@@ -612,11 +618,11 @@ def test_ensemble_interval_map_matches_the_cayley_hamilton_power(alpha):
     # exp(-alpha h); for A_hat = A / sqrt(d), cos(theta) = tr(A_hat) / 2,
     # Cayley-Hamilton gives A^n = d^{n/2} [sin(n theta) A_hat
     # - sin((n-1) theta) I] / sin(theta)
-    params = OscillatorParams(1.0)
+    omega = 1.0
     n = 54
-    t = n * params.period / 1024           # 54 steps of the default dt
+    t = n * (2 * math.pi / omega) / 1024   # 54 steps of the runner's dt
     h = t / n
-    wh = params.omega * h
+    wh = omega * h
     kick = np.array([[1.0, 0.0], [-0.5 * wh, 1.0]])
     decay = np.diag([1.0, math.exp(-0.5 * alpha * h)])
     drift = np.array([[1.0, wh], [0.0, 1.0]])
@@ -630,7 +636,7 @@ def test_ensemble_interval_map_matches_the_cayley_hamilton_power(alpha):
     power = d ** (n / 2) / math.sin(theta) * (
         math.sin(n * theta) * a_hat - math.sin((n - 1) * theta) * np.eye(2))
     f = coherent_vector(0.5, 16, 1.0).normalized()
-    final = _final_cloud(f, params, [0.0, t], 64, seed=11, friction=alpha)
+    final = _final_cloud(f, omega, [0.0, t], 64, seed=11, friction=alpha)
     z0 = _draws(f, 64, seed=11)
     x = power @ np.array([z0.real, z0.imag])
     np.testing.assert_allclose(final, x[0] + 1j * x[1],
@@ -640,7 +646,7 @@ def test_ensemble_interval_map_matches_the_cayley_hamilton_power(alpha):
 def test_ensemble_validation(usage_error):
     f = FockVector(np.eye(5)[0], 1.0)
     with pytest.raises(ValueError):
-        ensemble_evolve(f, OscillatorParams(1.0), [[0.5]], 100, seed=1)
+        ensemble_evolve(f, 1.0, [[0.5]], 100, seed=1, dt=_step(1.0))
     # the CLI's time grids run forward from 0 over at least one time
     for flag, value in (("--omega", "0"), ("--t-max", "-1"),
                         ("--t-max", "nan"), ("--n-times", "0")):

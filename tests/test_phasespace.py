@@ -17,7 +17,6 @@ from thermofock.errors import StabilityError
 from thermofock.exact import P, Q, Z, ZBAR, SqrtTwoComplex
 from thermofock.fits import fit_loglog_slope
 from thermofock.phasespace import (
-    OscillatorParams,
     PhasePoint,
     hamilton_orbit,
     hamilton_step,
@@ -95,30 +94,30 @@ def test_bracket_commutes_with_coordinate_change():
 # -- point dynamics -----------------------------------------------------------
 
 def test_leapfrog_returns_after_one_period():
-    params = OscillatorParams(math.sqrt(2.0))
+    omega = math.sqrt(2.0)
     n = 4096
-    dt = params.period / n
+    dt = 2 * math.pi / omega / n
     x = PhasePoint(0.7, -0.2)
     y = x
     for _ in range(n):
-        y = hamilton_step(y, params, dt)
+        y = hamilton_step(y, omega, dt)
     assert y.q == pytest.approx(x.q, abs=5e-6)
     assert y.p == pytest.approx(x.p, abs=5e-6)
 
 
 def test_energy_error_scales_as_dt_squared():
-    params = OscillatorParams(1.0)
+    omega = 1.0
     x0 = PhasePoint(1.0, 0.0)
 
     def oscillator_energy(q, p):
-        return 0.5 * params.omega * (q ** 2 + p ** 2)
+        return 0.5 * omega * (q ** 2 + p ** 2)
 
     e0 = oscillator_energy(*x0)
     dts = np.array([1e-3 * 2 ** k for k in range(6)])
     errs = []
     for dt in dts:
         n = int(round(1.0 / dt))
-        _, qs, ps = hamilton_orbit(x0, params, dt, n)
+        _, qs, ps = hamilton_orbit(x0, omega, dt, n)
         e = oscillator_energy(qs[-1], ps[-1])
         errs.append(abs(e - e0))
     slope = fit_loglog_slope(dts, np.array(errs))
@@ -127,12 +126,11 @@ def test_energy_error_scales_as_dt_squared():
 
 def test_friction_contracts_areas_exactly_per_step():
     # the two half-step decays make the one-step Jacobian e^{-alpha dt}
-    params = OscillatorParams(1.3)
     alpha, dt = 0.21, 0.037
     eps = 1e-7
 
     def step(q, p):
-        out = hamilton_step(PhasePoint(q, p), params, dt, friction=alpha)
+        out = hamilton_step(PhasePoint(q, p), 1.3, dt, friction=alpha)
         return out.q, out.p
 
     q0, p0 = 0.4, -0.9
@@ -145,16 +143,14 @@ def test_friction_contracts_areas_exactly_per_step():
 
 
 def test_frictionless_step_matches_friction_zero_bitwise():
-    params = OscillatorParams(0.8)
     x = PhasePoint(0.3, 1.1)
-    a = hamilton_step(x, params, 0.05)
-    b = hamilton_step(x, params, 0.05, friction=0.0)
+    a = hamilton_step(x, 0.8, 0.05)
+    b = hamilton_step(x, 0.8, 0.05, friction=0.0)
     assert a == b
 
 
 def test_orbit_sampling_and_stride():
-    params = OscillatorParams(1.0)
-    times, qs, ps = hamilton_orbit(PhasePoint(1.0, 0.0), params, 0.01, 100, stride=10)
+    times, qs, ps = hamilton_orbit(PhasePoint(1.0, 0.0), 1.0, 0.01, 100, stride=10)
     assert times.shape == qs.shape == ps.shape == (11,)
     np.testing.assert_allclose(np.diff(times), 0.1, rtol=1e-12)
 
@@ -164,16 +160,14 @@ def test_phase_point_to_z():
     assert x.to_z() == pytest.approx(complex(0.6, -1.7) / math.sqrt(2.0))
 
 
-def test_oscillator_params_validation(usage_error):
-    # every OscillatorParams takes --omega; omega = 0 has no period and no
-    # half-quantum
+def test_omega_validation(usage_error):
+    # every single-oscillator run takes --omega; omega = 0 has no period and
+    # no half-quantum
     for argv in (["commutator", "--omega", "-1"],
                  ["evolve", "--seed", "1", "--omega", "inf"],
                  ["damp", "--omega", "0"],
                  ["ensemble", "--seed", "1", "--omega", "nan"]):
         usage_error(argv, "--omega")
-    p = OscillatorParams(2.0)
-    assert p.period == pytest.approx(math.pi)
 
 
 def test_hamilton_step_rejects_bad_arguments(usage_error):
@@ -186,9 +180,8 @@ def test_hamilton_step_rejects_bad_arguments(usage_error):
 @pytest.mark.parametrize("dt", [2.0, 2.5, 1e3])
 def test_hamilton_orbit_refuses_steps_past_the_stability_bound(dt):
     # w dt >= 2 makes the leapfrog linearly unstable; just below it is not
-    params = OscillatorParams(1.0)
     with pytest.raises(StabilityError):
-        hamilton_orbit(PhasePoint(1.0, 0.0), params, dt, 10)
-    _, qs, ps = hamilton_orbit(PhasePoint(1.0, 0.0), params,
+        hamilton_orbit(PhasePoint(1.0, 0.0), 1.0, dt, 10)
+    _, qs, ps = hamilton_orbit(PhasePoint(1.0, 0.0), 1.0,
                                np.nextafter(2.0, 0.0), 10)
     assert np.all(np.isfinite(qs)) and np.all(np.isfinite(ps))
