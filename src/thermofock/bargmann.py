@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError, check_capacity
+from .errors import POINT_BLOCK, TruncationError, check_capacity
 
 __all__ = [
     "FockVector",
@@ -33,11 +33,6 @@ __all__ = [
 ]
 
 DEFAULT_TRUNCATION = 32
-# points per block in the point kernels (and the ensemble sampler's density
-# blocks): 4096 complex values are 64 KiB, so a block's working arrays stay
-# in L2 cache.  On 6e5 points (2 cores, 2 MiB L2
-# each) blocks of 2048 or fewer ran evaluate slower, 8192-16384 no faster.
-_POINT_BLOCK = 4096
 
 
 def _quad_grid(hbar: float, n_max: int):
@@ -63,7 +58,7 @@ def _quad_grid(hbar: float, n_max: int):
 
 def point_blocks(size: int) -> list:
     """Slices cutting `size` points into near-equal blocks of at most
-    _POINT_BLOCK points.
+    POINT_BLOCK points.
 
     No block holds a single point unless `size` is 1: numpy multiplies a
     one-element array in place by its scalar loop (`total *= zb` in
@@ -71,7 +66,7 @@ def point_blocks(size: int) -> list:
     fused multiply-add of its vector loop, so a lone tail point would differ
     in the last bit from the unblocked sum.
     """
-    count = max(1, -(-size // _POINT_BLOCK))
+    count = max(1, -(-size // POINT_BLOCK))
     bounds = [size * k // count for k in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -191,7 +186,7 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
     sigma in place; the imaginary parts are drawn block by block
     (`point_blocks`), in the same stream order, as each block's points are
     formed.  A block's basis and its conjugate are written into two fixed
-    complex buffers of (n_max + 1) x _POINT_BLOCK entries, and |e|^2 then
+    complex buffers of (n_max + 1) x POINT_BLOCK entries, and |e|^2 then
     into the conjugate's, and its sums are accumulated into the
     (n_max + 1)^2 totals, so the working memory is one chunk of real draws
     and those two block buffers whatever `samples` is.
@@ -202,7 +197,7 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
     acc = np.zeros((dim, dim), dtype=complex)
     acc_sq = np.zeros((dim, dim))
     real_parts = np.empty(min(100_000, samples))
-    width = min(_POINT_BLOCK, samples)
+    width = min(POINT_BLOCK, samples)
     points = np.empty(width, dtype=complex)
     imag_parts = np.empty(width)
     basis_buf = np.empty(dim * width, dtype=complex)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_capacity
+from .errors import POINT_BLOCK, check_capacity
 
 __all__ = [
     "BathParams",
@@ -68,10 +68,6 @@ class MomentReport:
     cov: float
 
 
-# points per block of a pass over a sample: as in `bargmann`'s point
-# kernels, 4096 values keep a block's buffers in L2 cache, and no buffer
-# grows with the sample
-_POINT_BLOCK = 4096
 # points per block whose moments are taken as over a whole sample, before
 # they are merged into the running ones (`MomentSums`).  The ensemble cloud
 # streams in blocks of this size, so that its moments are `moment_report`
@@ -90,16 +86,16 @@ def _block_moments(z: np.ndarray):
     the products of the Re z and Im z deviations.
 
     Two passes: the sums of z and |z|^2 over the block, which need no
-    temporary, then the squared deviations, through buffers of _POINT_BLOCK
+    temporary, then the squared deviations, through buffers of POINT_BLOCK
     points."""
     n = z.size
     mean = complex(np.sum(z)) / n
     abs2_mean = float(np.vdot(z, z).real) / n
-    dev = np.empty(min(n, _POINT_BLOCK), dtype=complex)
+    dev = np.empty(min(n, POINT_BLOCK), dtype=complex)
     abs2 = np.empty(dev.size)
     squares = np.zeros(4)
-    for lo in range(0, n, _POINT_BLOCK):
-        block = z[lo:lo + _POINT_BLOCK]
+    for lo in range(0, n, POINT_BLOCK):
+        block = z[lo:lo + POINT_BLOCK]
         d, a = dev[:block.size], abs2[:block.size]
         np.subtract(block, mean, out=d)
         np.multiply(block.real, block.real, out=a)
@@ -184,7 +180,7 @@ def _energy(a: np.ndarray, x: np.ndarray):
 # points for one oscillator pair, fewer points as the pairs grow
 _DRAW_FLOATS = 2 * 200_000
 # floats of the transformed draws chol @ xi one block of a chunk holds:
-# blocks of _POINT_BLOCK points for up to 16 dimensions, fewer beyond
+# blocks of POINT_BLOCK points for up to 16 dimensions, fewer beyond
 _BLOCK_FLOATS = 2 ** 16
 
 
@@ -211,7 +207,7 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
 
     Memory: the draws come in chunks of _DRAW_FLOATS // 2n points (200 000
     for one pair), each drawn into one reused (2n, chunk) buffer.  A chunk
-    is reduced in blocks of at most _POINT_BLOCK points and _BLOCK_FLOATS
+    is reduced in blocks of at most POINT_BLOCK points and _BLOCK_FLOATS
     transformed draws; each block's weights are written over the row-0
     draws it has used, and their squares then fill row 1, so each sum runs
     over one contiguous row.  Nothing else grows with `samples` or the
@@ -234,7 +230,7 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
         )
         width = max(1, _DRAW_FLOATS // d)
         draws = np.empty(d * min(width, samples))
-        block = max(1, min(_POINT_BLOCK, _BLOCK_FLOATS // d))
+        block = max(1, min(POINT_BLOCK, _BLOCK_FLOATS // d))
         total = 0.0
         total_sq = 0.0          # of the weights over 2^e
         e = None
@@ -355,14 +351,14 @@ def ks_statistic(cdf_values: np.ndarray) -> float:
     D = max over the sorted values of i/n - F_(i) and F_(i) - (i-1)/n.
 
     Sorts `cdf_values` in place, then forms both differences in blocks of
-    _POINT_BLOCK values; the maximum over the blocks is the whole-array
+    POINT_BLOCK values; the maximum over the blocks is the whole-array
     maximum exactly."""
     f = cdf_values
     f.sort()
     n = f.size
     worst = -math.inf
-    for lo in range(0, n, _POINT_BLOCK):
-        block = f[lo:lo + _POINT_BLOCK]
+    for lo in range(0, n, POINT_BLOCK):
+        block = f[lo:lo + POINT_BLOCK]
         i = np.arange(lo + 1, lo + block.size + 1)
         # np.max keeps a NaN that max() would drop
         worst = np.max((worst, np.max(i / n - block),

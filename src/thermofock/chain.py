@@ -198,13 +198,17 @@ def reconstruct_state(amps: np.ndarray, params: ChainParams):
 def sample_thermal_state(params: ChainParams, beta: float, seed):
     """Draw (q, p) from the Gibbs weight e^{-beta H}: each mode amplitude is
     an independent complex Gaussian with E|a_j|^2 = 1/(beta w_j).  At a
-    subnormal beta 1/(beta w_j) overflows, and reconstruct_state raises
-    FloatingPointError."""
+    subnormal beta 1/(beta w_j) overflows, and the state is refused with
+    FloatingPointError before numpy can warn about it."""
     omega = dispersion(params.wavenumbers, params)
     if np.any(omega <= 0):
         raise ValueError("thermal sampling needs gamma > 0 (all modes bound)")
+    with np.errstate(over="ignore", divide="ignore"):
+        variance = 0.5 / (beta * omega)
+    if not np.all(np.isfinite(variance)):
+        raise FloatingPointError("state entries must be finite")
     rng = np.random.default_rng(seed)
-    sigma = np.sqrt(0.5 / (beta * omega))
+    sigma = np.sqrt(variance)
     amps = sigma * (rng.standard_normal(params.n_sites)
                     + 1j * rng.standard_normal(params.n_sites))
     return reconstruct_state(amps, params)
@@ -334,13 +338,17 @@ def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,
     Geometric Numerical Integration, ch. IX): a circulant whose kernel,
     w = min(N, 2 stride + 3) sites wide, _stride_kernel builds with the
     stencil.  Each snapshot gathers the (2, N) state into a wrapped buffer,
-    copies its windows into a (2w, N) matrix, in blocks of sites (and of taps
-    for the widest kernels) of at most _WINDOW_FLOATS floats, and multiplies
-    that by the (2, 2w) kernel: 4wN multiply-adds in a few calls, where the
-    stencil makes about 20N * stride in about 20 * stride.  The product sums
-    in another order than the stencil, so the two agree to rounding.  It is
-    never applied by FFT, which would step in mode space, where
-    spectral_dispersion measures.
+    copies its windows into a (2w, N) matrix, in blocks of sites of at most
+    _WINDOW_FLOATS floats, and multiplies each by the whole (2, 2w) kernel:
+    4wN multiply-adds in a few calls, where the stencil makes about
+    20N * stride in about 20 * stride.  A block holds at least one site, so
+    the window buffer passes the cap only where 2w > _WINDOW_FLOATS = 2**18,
+    that is --stride >= 65 535 on --sites >= 262 144; there it holds 2w <= 2N
+    floats, at most half the snapshot buffer of two or more 2N-float rows,
+    and at most an eighth of it at the 8 snapshots a spectrum needs.  The
+    product sums in another order than the stencil, so the two agree to
+    rounding.  It is never applied by FFT, which would step in mode space,
+    where spectral_dispersion measures.
     """
     _check_sites(q.shape[-1], params)
     if not (duration > 0 and math.isfinite(duration)):
@@ -372,30 +380,25 @@ def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,
 
     kernel = _stride_kernel(params, h, decay, stride)
     width = kernel.shape[-1]
-    taps = min(width, _WINDOW_FLOATS // 2)
-    sites = min(n, _WINDOW_FLOATS // (2 * taps))
-    buffer = np.empty(2 * taps * sites)
+    k = kernel.reshape(2, 2 * width)
+    sites = min(n, max(1, _WINDOW_FLOATS // (2 * width)))
+    buffer = np.empty(2 * width * sites)
     wrap = (np.arange(n + width - 1) - width // 2) % n
     wrapped = np.empty((2, n + width - 1))
     # windows[c, i, n] is channel c at site n + i - width // 2
     windows = np.lib.stride_tricks.sliding_window_view(wrapped, n, axis=1)
     x = np.stack((q, p))
-    kernels = {t: kernel[..., t:t + taps].reshape(2, -1) for t in range(0, width, taps)}
-    blocks = []     # windows, their copy, kernel taps, output sites, add in
+    blocks = []     # windows, their copy, output sites
     for lo in range(0, n, sites):
-        for t, k in kernels.items():
-            window = windows[:, t:t + taps, lo:lo + sites]
-            blocks.append((window, buffer[:window.size].reshape(window.shape),
-                           k, x[:, lo:lo + sites], t > 0))
+        window = windows[:, :, lo:lo + sites]
+        blocks.append((window, buffer[:window.size].reshape(window.shape),
+                       x[:, lo:lo + sites]))
     check_rows = max(1, _ENERGY_FLOATS // n)
     for s in range(1, n_snap):
         x.take(wrap, axis=1, out=wrapped)
-        for window, copy, k, out, add in blocks:
+        for window, copy, out in blocks:
             np.copyto(copy, window)
-            if add:
-                out += k @ copy.reshape(k.shape[1], -1)
-            else:
-                np.matmul(k, copy.reshape(k.shape[1], -1), out=out)
+            np.matmul(k, copy.reshape(2 * width, -1), out=out)
         qs[s], ps[s] = x
         if s % check_rows and s < n_snap - 1:
             continue

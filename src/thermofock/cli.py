@@ -418,7 +418,9 @@ def main(argv=None) -> int:
         outcome.report.write(report_path)
         for name, header, rows in outcome.tables:
             write_csv(os.path.join(outdir, name), header, rows)
-    except OSError as exc:
+    except (OSError, TypeError) as exc:
+        # a file that cannot be written, or a report value with no JSON
+        # form, which write refuses before it opens the file
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if outcome.error:

@@ -1,7 +1,9 @@
 """Machine-readable run reports: per-check records, JSON, and CSV tables.
 
 Reports are deterministic functions of (config, seed) -- identical runs
-produce byte-identical JSON except for the wall-clock duration field.
+produce byte-identical JSON except for the wall-clock duration field.  A
+report's JSON is its dataclass fields plus its verdict, with each complex
+value written as {"re", "im"}.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,17 +20,10 @@ __all__ = ["CheckRecord", "ExperimentReport", "write_csv"]
 SCHEMA_VERSION = "1"
 
 
-def _plain(value):
-    """Coerce complex values, nested in lists, tuples and dicts, to
-    JSON-friendly ones; a float64 is a float."""
+def _json_form(value):
+    """The JSON form of a complex value, Python or numpy: {"re", "im"}."""
     if isinstance(value, (np.complexfloating, complex)):
         return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
     raise TypeError(f"no JSON form for {type(value).__name__} {value!r}")
 
 
@@ -47,17 +42,6 @@ class CheckRecord:
     tolerance: float
     passed: bool
     stderr: float = None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "verifies": self.verifies,
-            "measured": _plain(self.measured),
-            "oracle": _plain(self.oracle),
-            "tolerance": _plain(self.tolerance),
-            "passed": bool(self.passed),
-            "stderr": _plain(self.stderr),
-        }
 
 
 @dataclass
@@ -83,22 +67,16 @@ class ExperimentReport:
         self.checks.append(CheckRecord(
             name, verifies, measured, oracle, tolerance, passed, stderr))
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "config": _plain(self.config),
-            "checks": [c.to_dict() for c in self.checks],
-            "passed": self.passed,
-            "duration_seconds": float(self.duration_seconds),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps({**asdict(self), "passed": self.passed},
+                          sort_keys=True, indent=2, default=_json_form) + "\n"
 
     def write(self, path):
+        """Encode, then write: a report with no JSON form raises TypeError
+        before the file is opened."""
+        text = self.to_json()
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+            fh.write(text)
 
 
 def _cell(value) -> str:

@@ -96,7 +96,7 @@ def test_montecarlo_gram_matches_unblocked_reference(n_max, hbar, samples):
 
 @pytest.mark.parametrize("samples", [100_000, 300_000])
 def test_montecarlo_gram_memory_is_bounded(samples):
-    # one 100 000-draw chunk plus one (n_max + 1) x _POINT_BLOCK basis block;
+    # one 100 000-draw chunk plus one (n_max + 1) x POINT_BLOCK basis block;
     # a basis matrix over a whole chunk would alone take 26 MiB here
     tracemalloc.start()
     try:
@@ -227,10 +227,10 @@ def _unblocked_horner(coeffs, hbar, z):
     return total
 
 
-@pytest.mark.parametrize("points", [0, 1, bargmann._POINT_BLOCK - 1,
-                                    bargmann._POINT_BLOCK,
-                                    bargmann._POINT_BLOCK + 1,
-                                    3 * bargmann._POINT_BLOCK + 7])
+@pytest.mark.parametrize("points", [0, 1, errors.POINT_BLOCK - 1,
+                                    errors.POINT_BLOCK,
+                                    errors.POINT_BLOCK + 1,
+                                    3 * errors.POINT_BLOCK + 7])
 def test_blocked_evaluate_is_bit_identical_to_the_recurrence(points):
     rng = np.random.default_rng(points)
     coeffs = rng.standard_normal(21) + 1j * rng.standard_normal(21)
@@ -245,7 +245,7 @@ def test_blocked_evaluate_keeps_shape_and_scalars():
     rng = np.random.default_rng(4)
     coeffs = rng.standard_normal(21) + 1j * rng.standard_normal(21)
     f = FockVector(coeffs, 0.8)
-    grid = rng.standard_normal((3, bargmann._POINT_BLOCK // 2 + 5)) + 1j
+    grid = rng.standard_normal((3, errors.POINT_BLOCK // 2 + 5)) + 1j
     for z in (grid, grid.T):    # C-ordered and strided 2-D inputs
         values = f.evaluate(z)
         assert values.shape == z.shape

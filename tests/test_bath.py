@@ -312,7 +312,7 @@ def test_sphere_pipeline_holds_its_two_draw_arrays():
 
 def test_ks_statistic_sorts_in_place_and_reads_blocks():
     # several blocks, the last one short, and a sample of one block
-    for n in (3 * bath._POINT_BLOCK + 5, 7):
+    for n in (3 * errors.POINT_BLOCK + 5, 7):
         cdf = np.random.default_rng(n).uniform(size=n)
         f = np.sort(cdf)
         i = np.arange(1.0, n + 1)

@@ -9,6 +9,7 @@ the continuum law w^2 = k^2 + M^2 with leading lattice error k^4 a^2 / 12.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -198,14 +199,15 @@ def test_thermal_sampling_guards(usage_error):
         sample_thermal_state(free, 1.0, seed=1)    # unbound zero mode
 
 
-# the overflowing amplitudes warn in numpy before the state is refused
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["rescale", "relax", "chain-dispersion"])
 def test_a_state_too_hot_to_be_finite_exits_three(command):
-    # at a subnormal beta the mode variances 1/(beta w) overflow, and so do
-    # the sampled state's entries
-    outcome = cli.evaluate(cli.build_parser().parse_args(
-        [command, "--beta", "5e-324", "--seed", "1"]))
+    # at a subnormal beta the mode variances 1/(beta w) overflow, and the
+    # state is refused before numpy warns: a warning here is an error, which
+    # would end the run as an internal one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = cli.evaluate(cli.build_parser().parse_args(
+            [command, "--beta", "5e-324", "--seed", "1"]))
     assert outcome.code == cli.EXIT_NUMERICAL
     [check] = outcome.report.checks
     assert "state entries must be finite" in check.measured
@@ -414,11 +416,12 @@ def test_stride_map_route_matches_roll_reference(params, friction):
 
 
 @pytest.mark.parametrize("window_floats", [2 ** 18, 64, 16],
-                         ids=["whole", "site-blocks", "tap-blocks"])
+                         ids=["whole", "site-blocks", "site-past-cap"])
 def test_windowed_product_matches_roll_reference_in_blocks(monkeypatch,
                                                            window_floats):
     # a09's 256 sites at stride 12, a kernel 27 sites wide: one window matrix,
-    # one site per block, and blocks of 8 taps that sum into each site
+    # one site per block, and one site per block whose 54-float column
+    # passes the cap
     monkeypatch.setattr(chain, "_WINDOW_FLOATS", window_floats)
     params = ChainParams(n_sites=256)
     state = sample_thermal_state(params, 1.0, 3)

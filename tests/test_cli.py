@@ -480,6 +480,43 @@ def test_output_failures_keep_the_exit_code_contract(tmp_path, capsys,
     assert len(ran) == 2
 
 
+def test_an_unencodable_report_is_an_internal_error(tmp_path, capsys,
+                                                   monkeypatch):
+    # a numpy integer has no JSON form: the run ends as an internal error,
+    # and no empty or partial report is left on disk
+    import numpy as np
+
+    monkeypatch.setitem(cli.RUNNERS, "coherent", lambda args, report: (
+        report.add("int64", "", np.int64(0), 0, 0.0) or []))
+    assert cli.main(["coherent", "--outdir", str(tmp_path)]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: no JSON form for int64 ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "coherent_report.json").exists()
+
+
+def test_a_report_writes_complex_as_re_im_and_numpy_floats_as_numbers(
+        tmp_path, monkeypatch):
+    import numpy as np
+
+    real = cli.RUNNERS["coherent"]
+
+    def run(args, report):
+        tables = real(args, report)
+        report.add("float64", "", np.float64(0.25), 0.25, 0.0)
+        return tables
+
+    monkeypatch.setitem(cli.RUNNERS, "coherent", run)
+    argv = ["coherent", "--c", "0.3+0.4j", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_PASS
+    report = read_report(tmp_path, "coherent")
+    assert report["config"]["c"] == {"re": 0.3, "im": 0.4}
+    [check] = [c for c in report["checks"] if c["name"] == "float64"]
+    assert type(check["measured"]) is float and check["measured"] == 0.25
+    text = (tmp_path / "coherent_report.json").read_text(encoding="utf-8")
+    assert '"measured": 0.25,' in text
+
+
 def test_outdir_env_variable_routes_output(tmp_path):
     target = tmp_path / "routed"
     proc = run_cli("coherent", env_extra={"THERMOFOCK_OUTDIR": str(target)})

@@ -149,6 +149,14 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _fields(cls):
+    """The field names of the class `cls` (a ClassDef), if a dataclass."""
+    if not any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+        return set()
+    return {node.target.id for node in cls.body
+            if isinstance(node, ast.AnnAssign)}
+
+
 def _reach():
     """Closure from `cli.main` and each command module's `run`; returns
     (reached, classes).
@@ -162,7 +170,9 @@ def _reach():
     name, which the closure cannot follow, so each `run` is a root.
     Reaching a class walks its decorators and bases and roots its dunder
     methods (`__post_init__` included); any other member is reached once
-    its name appears as an attribute anywhere in reached code."""
+    its name appears as an attribute anywhere in reached code.  A call to
+    `asdict` in reached code reads every field of the dataclasses its
+    module defines."""
     trees = {_name(path): _tree(path) for path in MODULES}
     defs = {mod: _definitions(tree) for mod, tree in trees.items()}
     imports = {mod: _package_imports(mod, tree, trees)
@@ -170,7 +180,7 @@ def _reach():
     todo = [("cli", "main")] + [(mod, "run") for mod in trees
                                 if mod.startswith("commands.")
                                 and mod != "commands.__init__"]
-    reached, classes, attrs = set(), {}, set()
+    reached, classes, attrs, dumped = set(), {}, set(), set()
     while todo:
         key = todo.pop()
         mod = key[0]
@@ -188,7 +198,8 @@ def _reach():
                 members = classes[key] = _members(node)
                 nodes += [*node.decorator_list, *node.bases, *node.keywords]
                 todo += [(*key, name) for name in members
-                         if _is_dunder(name) or name in attrs]
+                         if _is_dunder(name) or name in attrs
+                         or (mod in dumped and name in _fields(node))]
         names, modules = imports[mod]
         for sub in (sub for node in nodes for sub in ast.walk(node)):
             if isinstance(sub, ast.Name):
@@ -203,6 +214,12 @@ def _reach():
                     attrs.add(sub.attr)
                     todo += [(*cls, sub.attr) for cls, members in classes.items()
                              if sub.attr in members]
+            elif (isinstance(sub, ast.Call) and mod not in dumped
+                  and "asdict" in (getattr(sub.func, "id", None),
+                                   getattr(sub.func, "attr", None))):
+                dumped.add(mod)
+                todo += [(*cls, name) for cls in classes if cls[0] == mod
+                         for name in _fields(defs[mod][cls[1]][0])]
     return reached, classes
 
 
@@ -305,9 +322,6 @@ LINE_REACH_INVOCATIONS = (
 LINE_REACH_ALLOWED = {
     # the upwind transport route, which no CLI run checks (FOUND line)
     ("dynamics", "transport_solve", "scheme == 'upwind'"),
-    # taps past the first block of the window buffer: kernels wider than
-    # 2**17 taps, strides past 65 535
-    ("chain", "integrate_chain", "add"),
     # an unexcited mode, and a peak without curvature: a thermal state
     # excites every mode with a curved peak, so only tests reach these
     ("chain", "spectral_dispersion", "peak <= 1e-12 * scale"),
