@@ -85,24 +85,23 @@ def _block_moments(z: np.ndarray):
     the sums of their squared deviations from those means, and the sum of
     the products of the Re z and Im z deviations.
 
-    Two passes: the sums of z and |z|^2 over the block, which need no
-    temporary, then the squared deviations, through buffers of POINT_BLOCK
-    points."""
+    Two passes: the sums of z and |z|^2, then the squared deviations, all
+    but the sum of z over sub-blocks of POINT_BLOCK points, so that their
+    temporaries stay small.  Every sum is numpy's pairwise one and no BLAS
+    call is made, so the moments do not depend on --threads."""
     n = z.size
+    blocks = [z[lo:lo + POINT_BLOCK] for lo in range(0, n, POINT_BLOCK)]
+
+    def abs2(block):
+        return block.real * block.real + block.imag * block.imag
+
     mean = complex(np.sum(z)) / n
-    abs2_mean = float(np.vdot(z, z).real) / n
-    dev = np.empty(min(n, POINT_BLOCK), dtype=complex)
-    abs2 = np.empty(dev.size)
+    abs2_mean = sum(float(abs2(block).sum()) for block in blocks) / n
     squares = np.zeros(4)
-    for lo in range(0, n, POINT_BLOCK):
-        block = z[lo:lo + POINT_BLOCK]
-        d, a = dev[:block.size], abs2[:block.size]
-        np.subtract(block, mean, out=d)
-        np.multiply(block.real, block.real, out=a)
-        a += block.imag * block.imag
-        a -= abs2_mean
-        squares += (np.dot(d.real, d.real), np.dot(d.imag, d.imag),
-                    np.dot(a, a), np.dot(d.real, d.imag))
+    for block in blocks:
+        d, a = block - mean, abs2(block) - abs2_mean
+        squares += [float((x * y).sum()) for x, y in (
+            (d.real, d.real), (d.imag, d.imag), (a, a), (d.real, d.imag))]
     return np.array([mean.real, mean.imag, abs2_mean]), squares
 
 

@@ -438,34 +438,31 @@ def spectral_dispersion(traj: ChainTrajectory, params: ChainParams):
     width = max(1, _SPECTRUM_FLOATS // n_snap)      # modes per block
     mag = np.empty((min(width, n), n_snap))
     i_peaks = np.empty(n, dtype=int)
-    below, peaks, above = np.empty((3, n))
+    around = np.empty((3, n))           # |X| below, at and above each peak
     for lo in range(0, n, width):
         cols = slice(lo, min(lo + width, n))
         block = mag[:cols.stop - lo]
         np.abs(spectrum[:, cols].T, out=block)
-        i_peak = np.argmax(block, axis=1)
-        rows = np.arange(block.shape[0])
-        i_peaks[cols] = i_peak
-        below[cols] = block[rows, (i_peak - 1) % n_snap]
-        peaks[cols] = block[rows, i_peak]
-        above[cols] = block[rows, (i_peak + 1) % n_snap]
+        i_peaks[cols] = i_peak = np.argmax(block, axis=1)
+        around[:, cols] = block[np.arange(block.shape[0]),
+                                (i_peak + np.arange(-1, 2)[:, None]) % n_snap]
     measured = np.full(n, np.nan)
-    scale = float(np.max(peaks))
-    for j, (i_peak, low, peak, high) in enumerate(zip(
-            i_peaks.tolist(), below.tolist(), peaks.tolist(), above.tolist())):
-        if peak <= 1e-12 * scale:
-            continue
-        lm = math.log(max(low, 1e-300))
-        l0 = math.log(peak)
-        lp = math.log(max(high, 1e-300))
+    excited = np.flatnonzero(~(around[1] <= 1e-12 * float(np.max(around[1]))))
+    # the neighbours floored at 1e-300, and libm's log of each value, one
+    # call a value: np.log moves the last bit of a few
+    floored = np.maximum(around[:, excited], [[1e-300], [0.0], [1e-300]])
+    lm, l0, lp = np.reshape([math.log(v) for v in floored.ravel().tolist()],
+                            floored.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
         denom = lm - 2.0 * l0 + lp
-        if denom >= 0.0:
-            continue                                    # no curvature: flat spectrum
         shift = 0.5 * (lm - lp) / denom
-        shift = min(0.5, max(-0.5, shift))
-        signed_bin = i_peak if i_peak < n_snap - n_snap // 2 else i_peak - n_snap
-        nu = (signed_bin + shift) / (n_snap * dt_snap)
-        measured[j] = -2.0 * math.pi * nu
+    # clamped to [-0.5, 0.5] as Python's max and min clamp it, NaN to -0.5
+    shift = np.fmin(0.5, np.fmax(-0.5, shift))
+    i_peak = i_peaks[excited]
+    signed_bin = np.where(i_peak < n_snap - n_snap // 2, i_peak, i_peak - n_snap)
+    nu = (signed_bin + shift) / (n_snap * dt_snap)
+    # a peak without curvature (a flat spectrum) measures NaN
+    measured[excited] = np.where(denom >= 0.0, np.nan, -2.0 * math.pi * nu)
     return measured, 2.0 * math.pi / (n_snap * dt_snap)
 
 
@@ -494,14 +491,6 @@ def continuum_error(k_phys: float, params: ChainParams) -> float:
 
 # -- multimode Fock commutators ------------------------------------------------
 
-def _ladder_product(r1: float, r2: float) -> float:
-    """Product sqrt(r1) sqrt(r2), collapsing an equal pair to the radicand
-    so that a raise-then-lower round trip costs no square-root rounding."""
-    if r1 == r2:
-        return r1
-    return math.sqrt(r1) * math.sqrt(r2)
-
-
 def mode_commutator_check(n_modes: int, n_levels: int, hbar: float) -> np.ndarray:
     """Residuals max_n |<n|[a_j, a+_l]|n'> - hbar delta_jl| on interior states.
 
@@ -512,28 +501,23 @@ def mode_commutator_check(n_modes: int, n_levels: int, hbar: float) -> np.ndarra
     radicands (n+1) hbar and n hbar before any square root is taken, so the
     residual is exactly zero whenever those products are exact (hbar = 1 in
     particular).  Interior means every occupation stays at least one level
-    below the truncation so no raise can overflow.
+    below the truncation so no raise can overflow.  Arrays over (j, l,
+    occupation) take every residual at once.
     """
     if n_modes > 4 or n_levels > 6:
         raise CapacityError("tensor product capped at 4 modes x 6 levels")
     if not (hbar > 0 and math.isfinite(hbar)):
         raise FloatingPointError(f"hbar = {hbar:g} must be positive and finite")
     interior = n_levels - 1          # occupations 0 .. n_levels-2 inclusive
-    residual = np.zeros((n_modes, n_modes))
-    occupations = np.indices((interior,) * n_modes).reshape(n_modes, -1).T
-    for j in range(n_modes):
-        for l in range(n_modes):
-            worst = 0.0
-            for occ in occupations:
-                n_l = int(occ[l])
-                n_j = int(occ[j])
-                # apply a+_l then a_j
-                forward = _ladder_product((n_l + 1) * hbar,
-                                          (n_j + (1 if j == l else 0)) * hbar)
-                # apply a_j then a+_l
-                backward = _ladder_product(n_j * hbar,
-                                           (n_l + (0 if j == l else 1)) * hbar)
-                target = forward - backward - (hbar if j == l else 0.0)
-                worst = max(worst, abs(target))
-            residual[j, l] = worst
-    return residual
+    occupations = np.indices((interior,) * n_modes).reshape(n_modes, -1)
+    n_j, n_l = occupations[:, None], occupations[None, :]
+    same = np.eye(n_modes, dtype=int)[:, :, None]
+    # the radicand pairs of a+_l then a_j, and of a_j then a+_l; each product
+    # sqrt(r1) sqrt(r2) of an equal pair collapses to the radicand, so that a
+    # raise-then-lower round trip costs no square-root rounding
+    r1 = np.stack(np.broadcast_arrays(n_l + 1, n_j)) * hbar
+    r2 = np.stack(np.broadcast_arrays(n_j + same, n_l + 1 - same)) * hbar
+    forward, backward = np.where(r1 == r2, r1, np.sqrt(r1) * np.sqrt(r2))
+    target = forward - backward - same * hbar
+    # fmax, as Python's max, passes over a NaN residual
+    return np.fmax.reduce(np.abs(target), axis=-1, initial=0.0)

@@ -5,8 +5,8 @@ a versioned JSON report plus CSV data tables into the output directory, and
 exits 0 only if every check passed (1 = check failure, 2 = usage error,
 3 = numerical failure, 4 = internal error).  Stochastic runs require an
 explicit --seed.  A report is bit-reproducible from (config, seed) apart
-from its duration, whatever --threads is; a CSV table is at a fixed
---threads, since the thread cap moves the last bits of blocked sums.
+from its duration, whatever --threads is; so is each CSV table but gram's,
+whose zgemm sums move in their last bits with the thread cap.
 
 `evaluate` runs one parsed invocation in memory; `main` parses, sets up the
 process, evaluates, then writes and prints.  The runners live in
@@ -352,7 +352,12 @@ class Outcome:
 
 def evaluate(args) -> Outcome:
     """Run the parsed `args`, mapping what the runner raises to exit code
-    2, 3 or 4 as the module docstring says.  Writes and prints nothing."""
+    2, 3 or 4 as the module docstring says.  Writes and prints nothing.
+    numpy's overflow, division by zero and invalid operation raise
+    FloatingPointError, an exit 3, where they would warn; underflow stays
+    silent, and a kernel that meets them on purpose says so itself."""
+    import numpy as np
+
     from .errors import ThermoFockError
     from .reports import CheckRecord, ExperimentReport
 
@@ -372,7 +377,8 @@ def evaluate(args) -> Outcome:
 
     start = time.perf_counter()
     try:
-        tables = RUNNERS[args.command](args, report)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            tables = RUNNERS[args.command](args, report)
     except argparse.ArgumentTypeError as exc:
         return Outcome(EXIT_USAGE, report, error=f"usage error: {exc}")
     except (ThermoFockError, ArithmeticError) as exc:

@@ -32,6 +32,15 @@ def tilt_rule(c: complex, hbar: float, flags: str) -> None:
             "norm exp(hbar |c|^2) overflows a float")
 
 
+def underdamped_rule(alpha: float, omega: float) -> None:
+    """--alpha below 2 --omega, as the underdamped oracles of `damp` and
+    `ensemble` need: a cross-flag rule, raising the usage error type."""
+    if not alpha < 2.0 * omega:
+        raise argparse.ArgumentTypeError(
+            "--alpha must be below 2 --omega: the oracle is the underdamped "
+            "flow")
+
+
 def pairs_matrix(args):
     """omega times the identity on the 2 --pairs phase-space coordinates:
     the matrix of H = (omega/2) |x|^2, refused past the array cap before

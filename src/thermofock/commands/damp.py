@@ -4,7 +4,7 @@ import argparse
 import math
 import sys
 
-from . import tilt_rule
+from . import tilt_rule, underdamped_rule
 
 
 def run(args, report):
@@ -30,6 +30,7 @@ def run(args, report):
     # the coherent centers along the orbit shrink from this one
     tilt_rule(abs(point.to_z()) / args.hbar, args.hbar, "--q0/--v0/--hbar")
     alpha = args.alpha if args.alpha is not None else 0.01 * w
+    underdamped_rule(alpha, w)
     dt = args.dt if args.dt is not None else (2 * math.pi / w) / 256.0
     t_max = args.t_max if args.t_max is not None else 5.0 / alpha
     steps = t_max / dt

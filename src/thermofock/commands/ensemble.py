@@ -3,7 +3,7 @@
 import argparse
 import math
 
-from . import tilt_rule
+from . import tilt_rule, underdamped_rule
 
 
 def run(args, report):
@@ -14,10 +14,7 @@ def run(args, report):
     c = args.c
     hbar = args.hbar
     w, alpha = args.omega, args.alpha
-    if not alpha < 2.0 * w:
-        raise argparse.ArgumentTypeError(
-            "--alpha must be below 2 --omega: the oracle is the underdamped "
-            "flow")
+    underdamped_rule(alpha, w)
     tilt_rule(c, hbar, "--c/--hbar")
     f = bargmann.coherent_vector(c, args.nmax, hbar).normalized()
     # the cloud is drawn from f cut at --nmax and renormalised; where that

@@ -381,8 +381,9 @@ def _interval_maps(omega: float, times: np.ndarray, dt: float,
     Each interval is cut into the fewest equal steps no longer than `dt`,
     and their total is capped at MAX_CLOUD_STEPS before a step is taken.
     The leapfrog is linear, so the steps compose to one map, whose columns
-    are the two unit vectors stepped with hamilton_step, each as a float
-    point: the map is ((m00, m01), (m10, m11)), its rows."""
+    are the two unit vectors stepped with hamilton_step as one array pair,
+    each element getting the floats of a float point stepped alone: the map
+    is ((m00, m01), (m10, m11)), its rows, as floats."""
     plan, t_prev = [], 0.0
     for t in times:
         plan.append(max(1, math.ceil((t - t_prev) / dt - 1e-12))
@@ -397,11 +398,10 @@ def _interval_maps(omega: float, times: np.ndarray, dt: float,
         m = None
         if n_sub:
             h = (t - t_prev) / n_sub
-            e1, e2 = PhasePoint(1.0, 0.0), PhasePoint(0.0, 1.0)
+            units = PhasePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
             for _ in range(n_sub):
-                e1 = hamilton_step(e1, omega, h, friction)
-                e2 = hamilton_step(e2, omega, h, friction)
-            m = ((e1.q, e2.q), (e1.p, e2.p))
+                units = hamilton_step(units, omega, h, friction)
+            m = (tuple(units.q.tolist()), tuple(units.p.tolist()))
         maps.append(m)
         t_prev = t
     return maps

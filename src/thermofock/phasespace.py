@@ -54,11 +54,11 @@ def hamilton_step(
     positive and finite, as the CLI's --omega domain holds it: the rescaled
     variables are singular at omega = 0.
 
-    Its callers step float points: hamilton_orbit, the orbit `damp` fits,
-    and dynamics' interval maps, which step the two unit vectors one at a
-    time to build the 2x2 map of an ensemble interval.  q and p may also be
-    equal-shape arrays, each element getting the same floats as when
-    stepped alone.
+    q and p may be floats or equal-shape arrays, each element getting the
+    floats it gets stepped alone, since every operation is elementwise:
+    hamilton_orbit steps the float point `damp` fits, and dynamics' interval
+    maps step the two unit vectors as one array pair, the 2x2 map of an
+    ensemble interval.
     """
     q, p = point[0], point[1]
     decay = math.exp(-friction * dt / 2.0)

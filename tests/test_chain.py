@@ -725,6 +725,65 @@ def test_blocked_spectrum_matches_the_full_array_reference(monkeypatch, params,
                       <= 1e-12 * np.abs(want[good]))
 
 
+def _loop_spectral_dispersion(traj, params):
+    """Reference: each mode's peak refined by its own scalar loop pass, with
+    libm's log, from the |spectrum| of the trajectory's amplitudes taken
+    whole.  Reads traj.q and traj.p, so it runs before spectral_dispersion
+    takes the snapshots over."""
+    n_snap = traj.n_snapshots
+    dt_snap = float(traj.times[1] - traj.times[0])
+    amps, _ = mode_amplitudes(traj.q, traj.p, params)
+    mag = np.abs(np.fft.fft(amps, axis=0, out=amps)).T
+    del amps
+    i_peaks = np.argmax(mag, axis=1)
+    rows = np.arange(params.n_sites)
+    below = mag[rows, (i_peaks - 1) % n_snap]
+    peaks = mag[rows, i_peaks]
+    above = mag[rows, (i_peaks + 1) % n_snap]
+    measured = np.full(params.n_sites, np.nan)
+    scale = float(np.max(peaks))
+    for j, (i_peak, low, peak, high) in enumerate(zip(
+            i_peaks.tolist(), below.tolist(), peaks.tolist(), above.tolist())):
+        if peak <= 1e-12 * scale:
+            continue
+        lm = math.log(max(low, 1e-300))
+        l0 = math.log(peak)
+        lp = math.log(max(high, 1e-300))
+        denom = lm - 2.0 * l0 + lp
+        if denom >= 0.0:
+            continue
+        shift = 0.5 * (lm - lp) / denom
+        shift = min(0.5, max(-0.5, shift))
+        signed_bin = i_peak if i_peak < n_snap - n_snap // 2 else i_peak - n_snap
+        nu = (signed_bin + shift) / (n_snap * dt_snap)
+        measured[j] = -2.0 * math.pi * nu
+    return measured
+
+
+# a09's run, 200 periods at dt 0.05 and stride 12: 2096 snapshots
+_A09_RUN = dict(duration=400.0 * math.pi, dt=0.05, stride=12)
+
+
+@pytest.mark.parametrize("params, state", [
+    *[(ChainParams(n_sites=n), sample_thermal_state(ChainParams(n_sites=n),
+                                                    1.0, 42))
+      for n in (16, 64, 256, 1024)],
+    # a chain whose peak logs np.log rounds otherwise than libm's (with
+    # numpy's AVX-512 log), moving one peak by 2e-16; 14 unexcited modes;
+    # a state with no peak at all
+    (ChainParams(n_sites=256), sample_thermal_state(ChainParams(n_sites=256),
+                                                    1.0, 35)),
+    (ChainParams(n_sites=16), _plane_wave(ChainParams(n_sites=16), 5, 1.0)),
+    (ChainParams(n_sites=16), (np.zeros(16), np.zeros(16))),
+], ids=["thermal-16", "thermal-64", "thermal-256", "thermal-1024",
+        "thermal-256-seed-35", "plane-wave-16", "zero-16"])
+def test_peak_refinement_is_the_per_mode_loop_bit_for_bit(params, state):
+    traj = integrate_chain(*state, params, **_A09_RUN)
+    want = _loop_spectral_dispersion(traj, params)
+    measured, _ = spectral_dispersion(traj, params)
+    assert measured.tobytes() == want.tobytes()
+
+
 def test_spectral_dispersion_full_thermal_band():
     params = ChainParams(n_sites=32)
     state = sample_thermal_state(params, 1.0, seed=42)
@@ -829,6 +888,41 @@ def test_same_mode_commutators_exact_at_unit_hbar():
 def test_same_mode_commutators_generic_hbar():
     residual = mode_commutator_check(2, 4, hbar=0.3)
     assert np.max(np.abs(residual)) <= 1e-15
+
+
+def _loop_mode_commutator_check(n_modes, n_levels, hbar):
+    """Reference: the residuals one (j, l, occupation) at a time."""
+
+    def ladder_product(r1, r2):
+        if r1 == r2:
+            return r1
+        return math.sqrt(r1) * math.sqrt(r2)
+
+    interior = n_levels - 1
+    residual = np.zeros((n_modes, n_modes))
+    occupations = np.indices((interior,) * n_modes).reshape(n_modes, -1).T
+    for j in range(n_modes):
+        for l in range(n_modes):
+            worst = 0.0
+            for occ in occupations:
+                n_l = int(occ[l])
+                n_j = int(occ[j])
+                forward = ladder_product((n_l + 1) * hbar,
+                                         (n_j + (1 if j == l else 0)) * hbar)
+                backward = ladder_product(n_j * hbar,
+                                          (n_l + (0 if j == l else 1)) * hbar)
+                target = forward - backward - (hbar if j == l else 0.0)
+                worst = max(worst, abs(target))
+            residual[j, l] = worst
+    return residual
+
+
+@pytest.mark.parametrize("modes, levels, hbar", [
+    (3, 5, 1.0), (4, 6, 0.3), (2, 3, 1e-300), (4, 6, 1e300)])
+def test_commutator_residuals_are_the_occupation_loop_bit_for_bit(
+        modes, levels, hbar):
+    assert (mode_commutator_check(modes, levels, hbar).tobytes()
+            == _loop_mode_commutator_check(modes, levels, hbar).tobytes())
 
 
 def test_commutator_capacity_caps(usage_error):

@@ -121,8 +121,9 @@ def test_usage_errors_exit_two(tmp_path, usage_error):
             (["damp", "--q0", "1e200"], "--q0/--v0/--hbar"),
             # Monte Carlo without a seed is refused, not silently seeded
             (["gram", "--samples", "1000"], "--seed"),
-            # ensemble friction that is not underdamped (alpha >= 2 omega)
+            # friction that is not underdamped (alpha >= 2 omega)
             (["ensemble", "--seed", "1", "--alpha", "2"], "--alpha"),
+            (["damp", "--alpha", "2"], "--alpha"),
             # one distinct step, no Taylor slope to fit
             (["variation", "--seed", "1", "--dt-min", "1e-3",
               "--dt-max", "1e-3"], "--dt-min"),
@@ -211,8 +212,9 @@ def test_ensemble_at_tiny_omega_completes(args):
     assert outcome.code == cli.EXIT_PASS, outcome.error
 
 
-# the overflows these runs provoke warn in numpy before a check trips
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# numpy's overflow, division by zero and invalid operation raise under
+# cli.evaluate, so none of these runs warns on its way to exit 3
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
     def exits_three(command, *args):
         start = time.perf_counter()
@@ -242,6 +244,11 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
             # every energy change underflows to 0: no log-log slope
             ("variation", "--seed", "1", "--dt-min", "1e-300",
              "--dt-max", "1e-299"),
+            # the gradient's products at omega 1e300, or the energy a step
+            # of 1e300 reaches, overflow
+            ("variation", "--seed", "1", "--omega", "1e300"),
+            ("variation", "--seed", "1", "--dt-min", "1e300"),
+            ("variation", "--seed", "1", "--dt-max", "1e300"),
             # in-domain flags whose derived quantities leave the float
             # range: a run length 10/alpha or 10/omega of inf, hbar =
             # 1/(beta omega) of 0, a thermal state too hot to be finite, a
@@ -250,6 +257,7 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
             ("evolve", "--seed", "1", "--omega", "1e-320"),
             ("mode-commutator", "--beta", "1e200", "--omega0", "1e200"),
             ("rescale", "--seed", "1", "--beta", "1e-320"),
+            ("rescale", "--seed", "1", "--gamma", "5e-324"),
             # Z = h^2 of two pairs near 4e-599
             ("partition", "--seed", "1", "--pairs", "2", "--omega", "1e300"),
             ("continuum", "--spacings", "1,1e-160"),
@@ -446,18 +454,28 @@ def test_internal_error_exits_four_with_diagnostic_report(tmp_path, monkeypatch,
 
 
 def test_reports_are_reproducible_across_directories(tmp_path):
-    # a report is the same whatever --threads is; a CSV table only at a
-    # fixed --threads, since the thread cap moves the last bits of BLAS sums
-    args = ("gram", "--nmax", "8", "--samples", "20000", "--seed", "7")
-    outs = [tmp_path / "a", tmp_path / "b", tmp_path / "c"]
-    for out, threads in zip(outs, ("1", "1", "2")):
-        assert run_cli(*args, "--threads", threads, outdir=out).returncode == 0
-    reports = [read_report(out, "gram") for out in outs]
-    for report in reports:
-        report.pop("duration_seconds")
-    assert reports[0] == reports[1] == reports[2]
-    for name in ("gram_quadrature.csv", "gram_montecarlo.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # a report is the same whatever --threads is; gram's CSV tables only at
+    # a fixed --threads, since the thread cap moves the last bits of its
+    # zgemm sums.  The ensemble's moments make no BLAS call, so its table
+    # is the same at any --threads too
+    for args, at_fixed_threads, at_any_threads in (
+            (("gram", "--nmax", "8", "--samples", "20000", "--seed", "7"),
+             ("gram_quadrature.csv", "gram_montecarlo.csv"), ()),
+            (("ensemble", "--seed", "7", "--samples", "40000"), (),
+             ("ensemble_moments.csv",))):
+        command = args[0]
+        outs = [tmp_path / command / name for name in "abc"]
+        for out, threads in zip(outs, ("1", "1", "2")):
+            proc = run_cli(*args, "--threads", threads, outdir=out)
+            assert proc.returncode == 0, proc.stderr
+        reports = [read_report(out, command) for out in outs]
+        for report in reports:
+            report.pop("duration_seconds")
+        assert reports[0] == reports[1] == reports[2]
+        for name in at_fixed_threads:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        for name in at_any_threads:
+            assert len({(out / name).read_bytes() for out in outs}) == 1
 
 
 def test_output_failures_keep_the_exit_code_contract(tmp_path, capsys,

@@ -426,13 +426,14 @@ def test_state_centred_off_zero_draws_as_before():
 # is pinned from the ensemble that held every particle and moved the draws'
 # real and imaginary parts in place; the moments' from the one that streams
 # blocks of SAMPLE_BLOCK particles and merges their moments (the whole-array
-# sums differed by at most 9.1e-16 relative).  2**16 + 1 particles leave a
-# one-point last block, 2**17 + 5 a five-point one
+# sums differed by at most 9.1e-16 relative), each block summed pairwise
+# without BLAS (the BLAS dot products differed by at most 4.2e-16 relative).
+# 2**16 + 1 particles leave a one-point last block, 2**17 + 5 a five-point one
 ENSEMBLE_DIGESTS = {
     2 ** 16 + 1: ("9531fa9da01b5e88d7b123b43f42a2c11b7974ec52854e35d8b649957d336c41",
-                  "2c2d5c791cfd71797fddbeb8c3f5532e53b5546e7463e9dc9af2a7ec3b526879"),
+                  "957e18a619e0fa9bb819240990a70f73ca82f48d110e8ae0f3866d2c57d7f961"),
     2 ** 17 + 5: ("79f0bdf7ad5f63a295982b7a8e70a88f5419fecbc2083d400b96377170d8cc62",
-                  "0e3f6d5829360dd761ebf6b5a47c939fee91925cc44d92953598c74628e86b77"),
+                  "f1952be74b0a81cf76a80baaf9a765b3e750bb361ca18c9ddeb0b9c0d69e7e95"),
 }
 
 
@@ -548,6 +549,43 @@ def test_damped_ensemble_contracts_both_moments():
         assert abs(rep.mean.imag - mean_exp.imag) <= 4 * se_im
         abs2_exp = math.exp(-alpha * t) * (hbar + hbar ** 2 * abs(c) ** 2)
         assert abs(rep.abs2_mean - abs2_exp) <= 4 * rep.abs2_se
+
+
+def _scalar_interval_maps(omega, times, dt, friction):
+    """Reference: each interval's map from e1 and e2 stepped as float points,
+    one hamilton_step call each per step."""
+    maps, t_prev = [], 0.0
+    for t in times:
+        m = None
+        if t > t_prev:
+            n_sub = max(1, math.ceil((t - t_prev) / dt - 1e-12))
+            h = (t - t_prev) / n_sub
+            e1, e2 = PhasePoint(1.0, 0.0), PhasePoint(0.0, 1.0)
+            for _ in range(n_sub):
+                e1 = hamilton_step(e1, omega, h, friction)
+                e2 = hamilton_step(e2, omega, h, friction)
+            m = ((e1.q, e2.q), (e1.p, e2.p))
+        maps.append(m)
+        t_prev = t
+    return maps
+
+
+@pytest.mark.parametrize("omega, times, dt, friction", [
+    (1.0, np.linspace(0.0, 2.0 * math.pi, 20), _step(1.0), 0.0),
+    (1.0, np.linspace(0.0, 2.0 * math.pi, 20), _step(1.0), 0.05),
+    (1.3, [0.0, 0.6, 0.6, 1.2], 0.3, 0.2),
+    (1e-300, [0.0, 1.0, 2.5], 0.3, 1e-301),
+])
+def test_interval_maps_are_the_scalar_steps_bit_for_bit(omega, times, dt,
+                                                        friction):
+    def bits(maps):
+        return [m and [float(x).hex() for row in m for x in row]
+                for m in maps]
+
+    maps = dynamics._interval_maps(omega, np.asarray(times, dtype=float), dt,
+                                   friction)
+    assert bits(maps) == bits(_scalar_interval_maps(omega, times, dt,
+                                                    friction))
 
 
 def _interval_map(omega, h, n_sub, friction):

@@ -322,10 +322,6 @@ LINE_REACH_INVOCATIONS = (
 LINE_REACH_ALLOWED = {
     # the upwind transport route, which no CLI run checks (FOUND line)
     ("dynamics", "transport_solve", "scheme == 'upwind'"),
-    # an unexcited mode, and a peak without curvature: a thermal state
-    # excites every mode with a curved peak, so only tests reach these
-    ("chain", "spectral_dispersion", "peak <= 1e-12 * scale"),
-    ("chain", "spectral_dispersion", "denom >= 0.0"),
     # an exception outside the exit-code contract: a fault of the program,
     # which no valid invocation raises; test_cli's monkeypatched runners
     # reach it
