@@ -175,11 +175,9 @@ def _energy(a: np.ndarray, x: np.ndarray):
     return total
 
 
-# floats of the Monte Carlo partition's draw buffer: a chunk of 200 000
-# points for one oscillator pair, fewer points as the pairs grow
-_DRAW_FLOATS = 2 * 200_000
-# floats of the transformed draws chol @ xi one block of a chunk holds:
-# blocks of POINT_BLOCK points for up to 16 dimensions, fewer beyond
+# floats of the Monte Carlo partition's draw block, (2n, block) normals:
+# blocks of POINT_BLOCK points for up to 16 dimensions, fewer beyond, so
+# the draw buffer and the transformed draws chol @ xi stay 512 KiB each
 _BLOCK_FLOATS = 2 ** 16
 
 
@@ -200,18 +198,17 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
     floats.  sqrt(det A) is the product of the diagonal of A's Cholesky
     factor, which stays in range where det A would not.  The weights are
     squared, and the variance and its propagation to h carried, in units of
-    2^e, e the exponent of the first chunk's largest weight, and 2^e is
+    2^e, e the exponent of the first block's largest weight, and 2^e is
     multiplied back in last: an exact scaling, which changes no float where
     the unscaled sums stay in range.
 
-    Memory: the draws come in chunks of _DRAW_FLOATS // 2n points (200 000
-    for one pair), each drawn into one reused (2n, chunk) buffer.  A chunk
-    is reduced in blocks of at most POINT_BLOCK points and _BLOCK_FLOATS
-    transformed draws; each block's weights are written over the row-0
-    draws it has used, and their squares then fill row 1, so each sum runs
-    over one contiguous row.  Nothing else grows with `samples` or the
-    chunk; the proposal's 2n x 2n covariance and Cholesky factor are
-    refused past MAX_SNAPSHOT_FLOATS.
+    Memory: the draws come in blocks of at most POINT_BLOCK points and
+    _BLOCK_FLOATS normals, min(POINT_BLOCK, _BLOCK_FLOATS // 2n) points
+    (4096 for one pair), each drawn as one (2n, block) array into one
+    reused buffer and reduced at once: its weights, then their scaled
+    squares, are formed in place in the block's own temporaries and summed.
+    Nothing grows with `samples`; the proposal's 2n x 2n covariance and
+    Cholesky factor are refused past MAX_SNAPSHOT_FLOATS.
     """
     d = a.shape[0]
     n_pairs = d // 2
@@ -227,38 +224,31 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
         log_norm = 0.5 * d * math.log(2.0 * math.pi) + float(
             np.sum(np.log(np.diag(chol)))
         )
-        width = max(1, _DRAW_FLOATS // d)
-        draws = np.empty(d * min(width, samples))
         block = max(1, min(POINT_BLOCK, _BLOCK_FLOATS // d))
+        draws = np.empty(d * min(block, samples))
         total = 0.0
         total_sq = 0.0          # of the weights over 2^e
         e = None
-        done = 0
-        while done < samples:
-            chunk = min(width, samples - done)
-            xi = draws[:d * chunk].reshape(d, chunk)
+        for lo in range(0, samples, block):
+            size = min(block, samples - lo)
+            xi = draws[:d * size].reshape(d, size)
             rng.standard_normal(out=xi)
-            for lo in range(0, chunk, block):
-                cols = xi[:, lo:lo + block]
-                # logw = -beta H + |xi|^2 / 2 + log_norm, |xi|^2 summed
-                # over the rows in order
-                logw = _energy(a, chol @ cols)
-                logw *= -beta
-                squares = np.square(cols[0])
-                for row in cols[1:]:
-                    squares += np.square(row)
-                squares *= 0.5
-                logw += squares
-                logw += log_norm
-                np.exp(logw, out=cols[0])
-            weights = xi[0]
+            # logw = -beta H + |xi|^2 / 2 + log_norm, |xi|^2 summed over
+            # the rows in order
+            logw = _energy(a, chol @ xi)
+            logw *= -beta
+            squares = np.square(xi[0])
+            for row in xi[1:]:
+                squares += np.square(row)
+            squares *= 0.5
+            logw += squares
+            logw += log_norm
+            weights = np.exp(logw, out=logw)
             total += float(np.sum(weights))
             if e is None:
                 e = math.frexp(float(np.max(weights)))[1]
-            np.ldexp(weights, -e, out=xi[1])
-            np.square(xi[1], out=xi[1])
-            total_sq += float(np.sum(xi[1]))
-            done += chunk
+            scaled = np.ldexp(weights, -e, out=squares)
+            total_sq += float(np.sum(np.square(scaled, out=scaled)))
         z_val = total / samples
         var = max(total_sq / samples - math.ldexp(z_val, -e) ** 2, 0.0)
         se_z = math.sqrt(var / samples)
@@ -328,18 +318,22 @@ def tilt_measure(bath: BathParams, c: complex, n_samples: int, seed) -> np.ndarr
     exp(-|z - hbar conj(c)|^2/hbar): mean hbar*conj(c), covariance unchanged
     from equilibrium (hbar/2 per component, uncorrelated).
 
-    The real draws, then the imaginary ones, are shifted by the centre into
-    the real and imaginary parts of one complex array, so the run holds
-    that array and one component's draws.  A sample whose complex array
-    would pass MAX_SNAPSHOT_FLOATS raises CapacityError before a draw."""
+    The real draws, then the imaginary ones, are drawn in pieces of
+    POINT_BLOCK and shifted by the centre straight into the real and
+    imaginary parts of one complex array: the same floats as one draw per
+    part, while the run holds that array and one piece of draws.  A sample
+    whose complex array would pass MAX_SNAPSHOT_FLOATS raises CapacityError
+    before a draw."""
     check_capacity(2 * n_samples, f"{n_samples} tilted draws")
     rng = np.random.default_rng(seed)
     hbar = bath.hbar
     center = hbar * np.conj(complex(c))
     sigma = math.sqrt(hbar / 2.0)
     z = np.empty(n_samples, dtype=complex)
-    np.add(rng.normal(0.0, sigma, n_samples), center.real, out=z.real)
-    np.add(rng.normal(0.0, sigma, n_samples), center.imag, out=z.imag)
+    for part, shift in ((z.real, center.real), (z.imag, center.imag)):
+        for lo in range(0, n_samples, POINT_BLOCK):
+            piece = part[lo:lo + POINT_BLOCK]
+            np.add(rng.normal(0.0, sigma, piece.size), shift, out=piece)
     return z
 
 

@@ -61,6 +61,14 @@ class ChainParams:
             raise FloatingPointError("gamma and gamma_couple must be finite")
         if self.gamma == 0 and self.gamma_couple == 0:
             raise ValueError("gamma and gamma_couple cannot both vanish")
+        # a subnormal mass or spacing: named here, before numpy meets them
+        if not math.isfinite(self.omega_max):
+            raise FloatingPointError(
+                f"top mode frequency sqrt((gamma + 4 gamma_c)/m) = "
+                f"{self.omega_max:g} must be finite")
+        if not math.isfinite(self.zone_boundary):
+            raise FloatingPointError(
+                f"zone boundary pi/a = {self.zone_boundary:g} must be finite")
 
     @property
     def zone_boundary(self) -> float:

@@ -273,11 +273,11 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     Memory: one block buffer, one complex proposal buffer and one boolean
     acceptance mask, sized to the first and largest chunk (at least 10 000
     and 2 (n_samples - filled) points but no more than _PROPOSAL_CHUNK),
-    into which each chunk's real, then imaginary, parts are drawn (the same
-    bits as a + 1j b).  The shift, density, ratio and uniforms are formed,
-    and the accepted points picked, over `bargmann.point_blocks`, so their
-    temporaries stay a few hundred KiB; only the RNG's normal draws span a
-    chunk.  Nothing grows with n_samples.
+    into which each chunk's real, then imaginary, parts are drawn block by
+    block (the same bits as a + 1j b drawn whole).  The normals, shift,
+    density, ratio and uniforms are formed, and the accepted points picked,
+    over `bargmann.point_blocks`, so their temporaries stay a few hundred
+    KiB.  Nothing grows with n_samples.
     """
     # imported here, not at the top: of the runs that load this module,
     # only `ensemble` draws a cloud, and `evolve` and `damp` never need bath
@@ -317,8 +317,10 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     while filled < n_samples:
         chunk = min(_PROPOSAL_CHUNK, max(10_000, 2 * (n_samples - filled)))
         z, accept = proposals[:chunk], accepts[:chunk]
-        z.real = rng.normal(mu.real, sigma, chunk)
-        z.imag = rng.normal(mu.imag, sigma, chunk)
+        for part, centre in ((z.real, mu.real), (z.imag, mu.imag)):
+            for block in point_blocks(chunk):
+                piece = part[block]
+                piece[...] = rng.normal(centre, sigma, piece.size)
         for block in point_blocks(chunk):
             zb = z[block]
             u = zb - mu

@@ -6,6 +6,7 @@ integral Z = 2 pi/(beta omega) per oscillator pair, the shifted Gaussian of
 the tilt, and the exponential radial law of the sphere map.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -137,11 +138,52 @@ def test_montecarlo_action_cell_matches_analytic():
 
 
 def test_montecarlo_action_cell_is_pinned_at_the_a06_seed():
-    # a06's draw, as the whole-chunk route computed it: the blocked
-    # reduction keeps every float
+    # a06's draw.  Each block's normals are drawn as one (2n, block) array,
+    # so a point pairs other normals than when the draws came in chunks of
+    # 200 000 points; the triple moved from (6.287185509546762,
+    # 6.287185509546762, 0.004200221439689635), by 0.0024 standard errors
     got = partition_estimate(np.eye(2), 1.0, method="montecarlo",
                              samples=10**6, seed=7)
-    assert got == (6.287185509546762, 6.287185509546762, 0.004200221439689635)
+    assert got == (6.287175283267554, 6.287175283267554, 0.004199112277769641)
+
+
+def _whole_sample_partition(a, beta, samples, seed, proposal_scale=1.5):
+    """The Monte Carlo (Z, h, stderr of h) from the normals
+    `partition_estimate` draws, regenerated block by block and reduced in
+    one pass over the whole sample, with H = (1/2) x . A x and the
+    proposal's log density written out."""
+    d = a.shape[0]
+    n_pairs = d // 2
+    block = min(errors.POINT_BLOCK, bath._BLOCK_FLOATS // d)
+    rng = np.random.default_rng(seed)
+    xi = np.concatenate([rng.standard_normal((d, min(block, samples - lo)))
+                         for lo in range(0, samples, block)], axis=1)
+    chol = np.linalg.cholesky(proposal_scale ** 2 * np.linalg.inv(beta * a))
+    x = chol @ xi
+    log_proposal = (-0.5 * np.sum(xi * xi, axis=0)
+                    - np.sum(np.log(np.diag(chol)))
+                    - 0.5 * d * math.log(2.0 * math.pi))
+    w = np.exp(-beta * 0.5 * np.sum(x * (a @ x), axis=0) - log_proposal)
+    z = np.mean(w)
+    h = z ** (1.0 / n_pairs)
+    return z, h, math.sqrt(np.var(w) / samples) * h / (n_pairs * z)
+
+
+@pytest.mark.parametrize("pairs, samples", [
+    (1, 2 * errors.POINT_BLOCK + 1001),
+    (3, 3 * errors.POINT_BLOCK + 7),
+    # 20 dimensions: blocks of _BLOCK_FLOATS // 20 = 3276 points
+    (10, 2 * 3276 + 5)])
+def test_montecarlo_partition_is_the_whole_sample_reduction(pairs, samples):
+    # each block is drawn as one (2n, block) array and reduced at once;
+    # the sample's last block is short
+    d = 2 * pairs
+    m = np.random.default_rng(pairs).standard_normal((d, d))
+    a = m @ m.T / d + np.eye(d)
+    got = partition_estimate(a, 0.7, method="montecarlo", samples=samples,
+                             seed=11)
+    np.testing.assert_allclose(
+        got, _whole_sample_partition(a, 0.7, samples, 11), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -169,16 +211,18 @@ def _traced_peak(fn):
 
 @pytest.mark.parametrize("pairs, samples", [(1, 10**6), (50, 20_000)])
 def test_partition_holds_little_beyond_its_draw_buffer(pairs, samples):
-    # the draws of a chunk are reduced in place in one (2n, chunk) buffer
-    # of at most 2 x 200 000 floats: 1.31x it at one pair, 5.7x on the
-    # whole-chunk route.  At 50 pairs the chunk shrinks to 4000 points;
-    # the whole-chunk route drew all 20 000 at once and peaked at 15x
+    # each block's (2n, block) draws and their transform chol @ xi, six
+    # rows of a block's temporaries and four 2n x 2n matrices: 0.28 MiB at
+    # one pair (4096-point blocks) and 1.26 MiB at 50 (655-point blocks).
+    # Drawn in chunks of 2 x 200 000 floats, one pair peaked at 3.27 MiB
     dim = 2 * pairs
-    buffer_bytes = 8 * dim * min(bath._DRAW_FLOATS // dim, samples)
-    assert buffer_bytes <= 8 * bath._DRAW_FLOATS
+    block = min(errors.POINT_BLOCK, bath._BLOCK_FLOATS // dim)
+    assert 8 * dim * block <= 8 * bath._BLOCK_FLOATS
+    partition_estimate(np.eye(dim), 1.0, method="montecarlo", samples=10,
+                       seed=7)      # numpy's one-time set-up
     peak = _traced_peak(lambda: partition_estimate(
         np.eye(dim), 1.0, method="montecarlo", samples=samples, seed=7))
-    assert peak <= 1.5 * buffer_bytes
+    assert peak <= 8 * (2 * dim * block + 6 * block + 4 * dim * dim)
 
 
 def test_partition_rejects_bad_input(usage_error):
@@ -322,13 +366,22 @@ def test_ks_statistic_sorts_in_place_and_reads_blocks():
 
 
 def test_tilt_holds_one_complex_array_and_one_component():
-    # 24 bytes a draw at the peak, 41 when the sum of the complex parts
-    # made its temporaries
+    # 16 bytes a draw and one block of normals at the peak; 24 bytes a
+    # draw when each part was drawn whole, 41 when the sum of the complex
+    # parts made its temporaries
     n = 2 ** 17
     bp = BathParams(1.0, 1.0)
     tilt_measure(bp, 0.5 - 0.3j, 10, seed=9)    # numpy's one-time set-up
     peak = _traced_peak(lambda: tilt_measure(bp, 0.5 - 0.3j, n, seed=9))
-    assert peak <= 16 * n + 8 * n + 8 * n // 8
+    assert peak <= 16 * n + 2 * 8 * errors.POINT_BLOCK
+
+
+def test_tilt_draws_are_pinned():
+    # taken when each part was one rng.normal call over the whole sample:
+    # its pieces, the last one short, draw the same floats
+    z = tilt_measure(BathParams(1, 1), 0.5 - 0.3j, 100_003, seed=9)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == (
+        "c4d1af4935a5efed1bb04b854415ae075ac4e4da9532229d6ebdfeaffc88e17d")
 
 
 def test_sphere_area_is_the_action_cell():

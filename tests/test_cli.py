@@ -216,13 +216,14 @@ def test_ensemble_at_tiny_omega_completes(args):
 # cli.evaluate, so none of these runs warns on its way to exit 3
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
-    def exits_three(command, *args):
+    def exits_three(command, *args, names=""):
         start = time.perf_counter()
         code = cli.main([command, *args, "--outdir", str(tmp_path)])
         assert time.perf_counter() - start < 5.0, (command, args)
         err = capsys.readouterr().err
         assert code == cli.EXIT_NUMERICAL, (command, args, err)
         assert "numerical failure" in err
+        assert names in err, (command, args, err)
         report = read_report(tmp_path, command)
         assert [check["name"] for check in report["checks"]] == ["numerical-failure"]
         assert not report["checks"][0]["passed"]
@@ -280,6 +281,14 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
             ("damp", "--t-max", "1e300"),
             ("ensemble", "--seed", "1", "--t-max", "1e300")):
         exits_three(command, *args)
+    # a subnormal mass or spacing: the chain names the derived quantity
+    # that left the float range, where numpy's message named an operation
+    for flag, quantity in (
+            ("--mass", "top mode frequency sqrt((gamma + 4 gamma_c)/m) = inf"),
+            ("--spacing", "zone boundary pi/a = inf")):
+        for command in ("chain-dispersion", "rescale", "relax"):
+            exits_three(command, "--seed", "1", flag, "5e-324",
+                        names=quantity)
     # refused where the overflow is derived, before numpy meets it: an
     # action cell 2 pi/(beta omega) and a radius sqrt(hbar/2) of 0, the
     # sphere map's scale 2 beta R^2 subnormal or inf, one period of inf,
@@ -353,6 +362,26 @@ def test_variation_holds_one_random_generator_at_a_time():
         tracemalloc.stop()
     assert outcome.code == cli.EXIT_PASS
     assert peak <= 6 * matrix_bytes
+
+
+def test_largest_sweep_runs_trace_at_most_two_mib():
+    # the three runs that set the benchmark's sweep peak RSS, each after a
+    # 10-sample run has made its imports and numpy's one-time set-up: 0.29,
+    # 1.78 and 1.65 MiB.  Partition read 3.27 MiB when its draws came in
+    # chunks of 2 x 200 000 floats, tilt 2.29 MiB when each part of its
+    # complex array was drawn whole
+    for args in (["partition", "--seed", "7"], ["tilt", "--seed", "1"],
+                 ["sphere", "--seed", "21"]):
+        evaluate(*args, "--samples", "10")     # its verdict is not asked
+        parsed = cli.build_parser().parse_args(args)
+        tracemalloc.start()
+        try:
+            outcome = cli.evaluate(parsed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcome.code == cli.EXIT_PASS, (args, outcome.error)
+        assert peak <= 2 * 2 ** 20, (args, peak)
 
 
 def test_variation_defect_tolerance_grows_with_the_dimension():

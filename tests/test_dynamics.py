@@ -462,26 +462,29 @@ def test_trailing_zero_coefficients_leave_the_draws_unchanged():
 
 def test_ensemble_memory_is_fixed_whatever_the_samples():
     # one block of SAMPLE_BLOCK particles and its (2, SAMPLE_BLOCK) map
-    # scratch (0.5 MiB each), the sampler's 1 MiB proposal chunk, its normal
-    # draws and point-block temporaries: 2.8 MiB at a million particles, as
-    # at 3e5, against 18.2 MiB for the ensemble that held every particle
+    # scratch (0.5 MiB each), the sampler's 1 MiB proposal chunk and its
+    # point-block temporaries: 2.6 MiB at a million particles, as at 3e5,
+    # against 2.8 MiB when the normals were drawn a whole chunk at a time
+    # and 18.2 MiB for the ensemble that held every particle
     n = 10 ** 6
     f = coherent_vector(0.5, 32, 1.0).normalized()
+    times = np.linspace(0.0, 2.0 * np.pi, 20)
+    ensemble_evolve(f, 1.0, times, 10, seed=1, dt=_step(1.0))  # one-off
     tracemalloc.start()
     try:
-        ensemble_evolve(f, 1.0, np.linspace(0.0, 2.0 * np.pi, 20), n,
-                        seed=7, dt=_step(1.0))
+        ensemble_evolve(f, 1.0, times, n, seed=7, dt=_step(1.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 2 ** 20
+    assert peak <= 2.75 * 2 ** 20
 
 
 def test_sampler_holds_one_proposal_chunk_beyond_its_output():
     # its output is one block of SAMPLE_BLOCK draws (0.5 MiB); besides it,
     # one complex proposal buffer and one boolean mask of _PROPOSAL_CHUNK
-    # points and the RNG's chunk-sized normal draws: 2.3 MiB, where the
-    # sampler that returned every draw held 16 n + 2.3 MiB
+    # points and point-block temporaries: 1.95 MiB, where the RNG's
+    # chunk-sized normal draws made it 2.3 MiB and the sampler that
+    # returned every draw held 16 n + 2.3 MiB
     n = 300_000
     f = coherent_vector(0.5, 32, 1.0).normalized()
     _sample(f, 10, 1)   # numpy's one-off allocations
@@ -492,7 +495,7 @@ def test_sampler_holds_one_proposal_chunk_beyond_its_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 2 ** 20
+    assert peak <= 2.0 * 2 ** 20
 
 
 def test_acceptance_rate_counts_every_accepted_draw():
