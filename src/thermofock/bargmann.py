@@ -34,6 +34,11 @@ __all__ = [
 
 DEFAULT_TRUNCATION = 32
 
+# complex entries of each of the Monte Carlo Gram's two block buffers, the
+# basis and its conjugate over a block's points: 256 KiB each, so a
+# block's points narrow as the truncation grows, (n_max + 1) x 963 at 16
+_GRAM_BLOCK_ENTRIES = 2 ** 14
+
 
 def _quad_grid(hbar: float, n_max: int):
     """Nodes/weights exact for conj(f)*g with f, g truncated at n_max.
@@ -56,9 +61,9 @@ def _quad_grid(hbar: float, n_max: int):
     return z.ravel(), weights
 
 
-def point_blocks(size: int) -> list:
+def point_blocks(size: int, width: int = POINT_BLOCK) -> list:
     """Slices cutting `size` points into near-equal blocks of at most
-    POINT_BLOCK points.
+    `width` points.
 
     No block holds a single point unless `size` is 1: numpy multiplies a
     one-element array in place by its scalar loop (`total *= zb` in
@@ -66,7 +71,7 @@ def point_blocks(size: int) -> list:
     fused multiply-add of its vector loop, so a lone tail point would differ
     in the last bit from the unblocked sum.
     """
-    count = max(1, -(-size // POINT_BLOCK))
+    count = max(1, -(-size // width))
     bounds = [size * k // count for k in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -164,13 +169,31 @@ class FockVector:
 
 
 def gram_quadrature(n_max: int, hbar: float) -> np.ndarray:
-    """Gram matrix (e_i, e_j), i, j <= n_max, by the exact quadrature."""
+    """Gram matrix (e_i, e_j), i, j <= n_max, by the exact quadrature.
+
+    The sum over the grid of conj(e_i) w e_j is taken block by block
+    (`point_blocks`): row i adds, for each block, the block's weighted
+    conj(e_i) times the basis rows j >= i, each product row summed by
+    numpy's pairwise sum, and the entries below the diagonal are the
+    conjugates of those above it.  No BLAS call takes part, so every entry
+    is summed in one fixed order whatever the thread count, and beside the
+    basis the working memory is two (n_max + 1) x POINT_BLOCK blocks.
+    """
     # the basis on the grid: n_max + 1 rows of (n_max + 1)(2 n_max + 3) points
     check_capacity(2 * (n_max + 1) ** 2 * (2 * n_max + 3),
                    f"the quadrature basis at truncation {n_max}")
     z, w = _quad_grid(hbar, n_max)
     basis = _basis_matrix(z, n_max, hbar)
-    return (basis.conj() * w) @ basis.T
+    gram = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for block in point_blocks(z.size):
+        rows = basis[:, block]
+        weighted = np.conjugate(rows)
+        weighted *= w[block]
+        for i, row in enumerate(weighted):
+            gram[i, i:] += (row * rows[i:]).sum(axis=1)
+    lower = np.tril_indices(n_max + 1, -1)
+    gram[lower] = gram.T[lower].conj()
+    return gram
 
 
 def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
@@ -182,14 +205,18 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
 
     Points are drawn in chunks of 100 000, which fixes the draws for a seed:
     each chunk's real parts, then its imaginary parts, N(0, hbar/2) each.
-    The real parts are drawn into one reused float buffer and scaled by
-    sigma in place; the imaginary parts are drawn block by block
-    (`point_blocks`), in the same stream order, as each block's points are
-    formed.  A block's basis and its conjugate are written into two fixed
-    complex buffers of (n_max + 1) x POINT_BLOCK entries, and |e|^2 then
-    into the conjugate's, and its sums are accumulated into the
-    (n_max + 1)^2 totals, so the working memory is one chunk of real draws
-    and those two block buffers whatever `samples` is.
+    A chunk is cut into near-equal blocks (`point_blocks`) of at most
+    min(POINT_BLOCK, _GRAM_BLOCK_ENTRIES // (n_max + 1)) points: 963 at
+    n_max 16, and at least 101 up to the quadrature's cap, n_max 160.  The
+    imaginary parts are drawn block by block, in the same stream order, as
+    each block's points are formed, and each block's sums are added to the
+    (n_max + 1)^2 totals, so the block only sets the order of the sums.
+
+    Memory: one reused float buffer of a chunk's real draws (0.76 MiB),
+    scaled by sigma in place, and two fixed complex block buffers, the
+    basis and its conjugate, of at most _GRAM_BLOCK_ENTRIES entries
+    (256 KiB) each, |e|^2 then written into the conjugate's.  That holds
+    whatever `samples` and `n_max` are.
     """
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(hbar / 2.0)    # N(0, hbar/2) real and imaginary parts
@@ -197,11 +224,12 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
     acc = np.zeros((dim, dim), dtype=complex)
     acc_sq = np.zeros((dim, dim))
     real_parts = np.empty(min(100_000, samples))
-    width = min(POINT_BLOCK, samples)
-    points = np.empty(width, dtype=complex)
-    imag_parts = np.empty(width)
-    basis_buf = np.empty(dim * width, dtype=complex)
-    conj_buf = np.empty(dim * width, dtype=complex)
+    width = max(1, min(POINT_BLOCK, _GRAM_BLOCK_ENTRIES // dim))
+    largest = min(width, samples)
+    points = np.empty(largest, dtype=complex)
+    imag_parts = np.empty(largest)
+    basis_buf = np.empty(dim * largest, dtype=complex)
+    conj_buf = np.empty(dim * largest, dtype=complex)
     # once the product with the conjugate is taken, its buffer's floats
     # hold |e|^2 in their first half and Im(e)^2 in their second
     floats = conj_buf.view(float)
@@ -211,7 +239,7 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
         real = real_parts[:chunk]
         rng.standard_normal(out=real)
         real *= sigma
-        for block in point_blocks(chunk):
+        for block in point_blocks(chunk, width):
             size = block.stop - block.start
             entries = dim * size
             z = points[:size]
@@ -229,9 +257,13 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
                             out=floats[entries:2 * entries].reshape(dim, size))
             acc_sq += sq @ sq.T
         done += chunk
-    mean = acc / samples
-    var = np.maximum(acc_sq / samples - np.abs(mean) ** 2, 0.0)
-    return mean, np.sqrt(var / samples)
+    # the same floats as mean = acc / samples and so on, formed in place
+    mean = np.divide(acc, samples, out=acc)
+    var = np.divide(acc_sq, samples, out=acc_sq)
+    var -= np.abs(mean) ** 2
+    np.maximum(var, 0.0, out=var)
+    var /= samples
+    return mean, np.sqrt(var, out=var)
 
 
 def _coherent_coeffs(amp: complex, n_max: int) -> np.ndarray:

@@ -5,8 +5,9 @@ a versioned JSON report plus CSV data tables into the output directory, and
 exits 0 only if every check passed (1 = check failure, 2 = usage error,
 3 = numerical failure, 4 = internal error).  Stochastic runs require an
 explicit --seed.  A report is bit-reproducible from (config, seed) apart
-from its duration, whatever --threads is; so is each CSV table but gram's,
-whose zgemm sums move in their last bits with the thread cap.
+from its duration, whatever --threads is; so is each CSV table but gram's
+Monte Carlo one, whose zgemm sums move in their last bits with the thread
+cap.
 
 `evaluate` runs one parsed invocation in memory; `main` parses, sets up the
 process, evaluates, then writes and prints.  The runners live in

@@ -267,8 +267,11 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     With the last block that is the run's rate: draws accepted past
     `n_samples` in the last chunk count too, since they say the same about
     the proposal.  Every block is a view of one buffer, which the next
-    block overwrites; the caller may move it in place.  An efficiency
-    collapse (< 1e-3) raises SamplerError instead of looping forever.
+    block overwrites; the caller may move it in place.  The density over
+    the proposal's has mean 1 under the proposal, so the expected
+    acceptance rate is 1/bound: a run where that is below 1e-3 raises
+    SamplerError before any draw, and one whose observed rate collapses
+    below it after 10 000 proposals raises it instead of looping forever.
 
     Memory: one block buffer, one complex proposal buffer and one boolean
     acceptance mask, sized to the first and largest chunk (at least 10 000
@@ -304,6 +307,13 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     bound = 1.05 * float(np.max(ratio_grid))
     if not math.isfinite(bound):
         raise SamplerError("the dominating bound is not finite")
+    # the ratio's mean under the proposal is 1, so a proposal is accepted
+    # with probability 1/bound exactly: below the floor, no draw is worth it
+    # (a bound of 0, all ratios underflowed, is left to the observed rate)
+    if bound > 1e3:
+        raise SamplerError(
+            f"expected rejection efficiency 1/bound = {1.0 / bound:.2e} "
+            f"below 1e-3")
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(s * hbar / 2.0)
     largest = min(_PROPOSAL_CHUNK, max(10_000, 2 * n_samples))

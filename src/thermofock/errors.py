@@ -23,7 +23,11 @@ MAX_SNAPSHOT_FLOATS = 2 ** 24
 # over a sample.  4096 complex values are 64 KiB, so a block's working
 # arrays stay in L2 cache, and no buffer grows with the sample.  On 6e5
 # points (2 cores, 2 MiB L2 each) blocks of 2048 or fewer ran
-# FockVector.evaluate slower, 8192-16384 no faster.
+# FockVector.evaluate slower, 8192-16384 no faster.  A pass that holds
+# many values a point narrows its blocks to an entry budget instead:
+# bargmann.gram_montecarlo's n_max + 1 basis entries a point to 2**14
+# complex entries a buffer (963 points at n_max 16), and
+# bath.partition_estimate's 2n normals a point to _BLOCK_FLOATS.
 POINT_BLOCK = 4096
 
 

@@ -85,9 +85,12 @@ def _unblocked_gram_montecarlo(n_max, hbar, samples, seed):
 
 
 @pytest.mark.parametrize("n_max,hbar,samples", [(12, 1.0, 150_000),
-                                                (3, 0.4, 4097)])
+                                                (3, 0.4, 4097),
+                                                (16, 1.0, 200_001)])
 def test_montecarlo_gram_matches_unblocked_reference(n_max, hbar, samples):
-    # same draws; only the summation order of the block products differs
+    # same draws; only the summation order of the block products differs.
+    # At n_max 16 a chunk's blocks of at most 963 points come out ragged
+    # (104 of them, 961 or 962 points), and 200 001 ends on a one-point chunk
     mean, se = gram_montecarlo(n_max, hbar, samples, seed=5)
     ref_mean, ref_se = _unblocked_gram_montecarlo(n_max, hbar, samples, 5)
     np.testing.assert_allclose(mean, ref_mean, rtol=1e-12)
@@ -107,25 +110,54 @@ def test_montecarlo_gram_memory_is_bounded(samples):
     assert peak <= 8 * 2 ** 20
 
 
+def _traced_peak(run):
+    """The peak traced memory of run(), after a 10-sample Monte Carlo Gram
+    has made numpy.random's first-call allocations (0.7 MiB)."""
+    gram_montecarlo(2, 1.0, 10, 7)
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_montecarlo_gram_draws_as_before():
-    # sha256 of (G, se), pinned from the estimator that formed each chunk as
-    # a + 1j b; 200 001 samples end on a one-point chunk
+    # sha256 of (G, se); 200 001 samples end on a one-point chunk.  The
+    # draws are those of the estimator that formed each chunk as a + 1j b;
+    # blocks sized by their entries moved only the order of the block sums
+    # (c78c7b2f1bce... with blocks of POINT_BLOCK points)
     mean, se = gram_montecarlo(8, 0.7, 200_001, 3)
     assert hashlib.sha256(mean.tobytes() + se.tobytes()).hexdigest() == (
-        "c78c7b2f1bcec8a1f9de595e6120e5aa725f7bf707b052497e0f5c3b3a9c8bb9")
+        "6b170347df40589c6a5b5519df09625f85c602c44c9e42887ba0cd86eba9d282")
 
 
 def test_montecarlo_gram_at_a01_samples_holds_one_chunk_buffer():
     # a chunk's 0.76 MiB of real draws and one block's fixed buffers, the
-    # basis and its conjugate at 1.06 MiB each: 3.0 MiB; a chunk's complex
-    # buffer and per-block temporaries took 4.1 MiB, forming a + 1j b 6.27
-    tracemalloc.start()
-    try:
-        gram_montecarlo(16, 1.0, 10 ** 6, 7)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.25 * 2 ** 20
+    # basis and its conjugate at 17 x 963 entries, 0.25 MiB each: 1.31 MiB.
+    # Blocks of POINT_BLOCK points took 1.06 MiB a buffer, 3.0 MiB in all; a
+    # chunk's complex buffer and per-block temporaries 4.1 MiB, forming
+    # a + 1j b 6.27
+    assert _traced_peak(lambda: gram_montecarlo(16, 1.0, 10 ** 6, 7)) <= (
+        1.5 * 2 ** 20)
+
+
+def test_montecarlo_gram_block_buffers_do_not_grow_with_the_truncation():
+    # at n_max 100 a block is 162 points, so each block buffer stays within
+    # 2**14 complex entries: 1.31 MiB with the 50 000 real draws.  Blocks of
+    # POINT_BLOCK points held 101 x 4096 entries a buffer, 13.7 MiB in all
+    assert _traced_peak(lambda: gram_montecarlo(100, 1.0, 50_000, 7)) <= (
+        1.5 * 2 ** 20)
+
+
+def test_quadrature_gram_holds_the_basis_and_two_blocks():
+    # at n_max 100 the basis over the 20 503-point grid is 31.6 MiB, and the
+    # weighted conjugate and a row's products over a block of 3418 points
+    # 5.3 MiB each: 42.9 MiB.  The zgemm product's full-size weighted
+    # conjugate and its temporary took 95.4 MiB
+    gram_quadrature(2, 1.0)     # a first call imports numpy.polynomial
+    assert _traced_peak(lambda: gram_quadrature(100, 1.0)) <= 45 * 2 ** 20
 
 
 def test_montecarlo_gram_requires_seed(usage_error):

@@ -289,6 +289,16 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
         for command in ("chain-dispersion", "rescale", "relax"):
             exits_three(command, "--seed", "1", flag, "5e-324",
                         names=quantity)
+    # the sampler's expected acceptance 1/bound below its 1e-3 floor is
+    # refused before a draw: the first run overflowed in its proposals, the
+    # other three collapsed after 10 000 of them
+    for args, efficiency in (
+            (("--proposal-scale", "1e300", "--seed", "1"), "9.52e-301"),
+            (("--c", "2.5", "--seed", "7"), "7.08e-07"),
+            (("--c", "3", "--seed", "7"), "1.66e-13"),
+            (("--proposal-scale", "1.02", "--seed", "7"), "5.19e-19")):
+        exits_three("ensemble", *args, names=(
+            f"expected rejection efficiency 1/bound = {efficiency} below 1e-3"))
     # refused where the overflow is derived, before numpy meets it: an
     # action cell 2 pi/(beta omega) and a radius sqrt(hbar/2) of 0, the
     # sphere map's scale 2 beta R^2 subnormal or inf, one period of inf,
@@ -382,6 +392,24 @@ def test_largest_sweep_runs_trace_at_most_two_mib():
             tracemalloc.stop()
         assert outcome.code == cli.EXIT_PASS, (args, outcome.error)
         assert peak <= 2 * 2 ** 20, (args, peak)
+
+
+def test_cloud_gram_run_traces_at_most_one_and_a_half_mib():
+    # the cloud workload's gram run, after a 10-sample run has made its
+    # imports (8.6 MiB on a cold first call): a chunk's 0.76 MiB of real
+    # draws and two block buffers of at most 2**14 complex entries, 1.34 MiB.
+    # Blocks of POINT_BLOCK points read 3.03 MiB
+    evaluate("gram", "--samples", "10", "--seed", "7")  # its verdict is not asked
+    parsed = cli.build_parser().parse_args(["gram", "--samples", "1e6",
+                                            "--seed", "7"])
+    tracemalloc.start()
+    try:
+        outcome = cli.evaluate(parsed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.code == cli.EXIT_PASS, outcome.error
+    assert peak <= 1.5 * 2 ** 20, peak
 
 
 def test_variation_defect_tolerance_grows_with_the_dimension():
@@ -483,13 +511,13 @@ def test_internal_error_exits_four_with_diagnostic_report(tmp_path, monkeypatch,
 
 
 def test_reports_are_reproducible_across_directories(tmp_path):
-    # a report is the same whatever --threads is; gram's CSV tables only at
-    # a fixed --threads, since the thread cap moves the last bits of its
-    # zgemm sums.  The ensemble's moments make no BLAS call, so its table
-    # is the same at any --threads too
+    # a report is the same whatever --threads is; gram's Monte Carlo table
+    # only at a fixed --threads, since the thread cap moves the last bits of
+    # its zgemm sums.  The quadrature Gram and the ensemble's moments make
+    # no BLAS call, so their tables are the same at any --threads too
     for args, at_fixed_threads, at_any_threads in (
             (("gram", "--nmax", "8", "--samples", "20000", "--seed", "7"),
-             ("gram_quadrature.csv", "gram_montecarlo.csv"), ()),
+             ("gram_montecarlo.csv",), ("gram_quadrature.csv",)),
             (("ensemble", "--seed", "7", "--samples", "40000"), (),
              ("ensemble_moments.csv",))):
         command = args[0]
@@ -505,6 +533,18 @@ def test_reports_are_reproducible_across_directories(tmp_path):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         for name in at_any_threads:
             assert len({(out / name).read_bytes() for out in outs}) == 1
+
+
+def test_gram_quadrature_table_is_the_same_at_any_threads(tmp_path):
+    # at the defaults, zgemm's sums moved 848 of the table's 1450 cells
+    # between --threads 1 and 2; row sums in a fixed order move none
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = run_cli("gram", "--threads", threads, outdir=out)
+        assert proc.returncode == 0, proc.stderr
+        tables.append((out / "gram_quadrature.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_output_failures_keep_the_exit_code_contract(tmp_path, capsys,
