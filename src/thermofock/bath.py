@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import POINT_BLOCK, check_capacity
+from .errors import (
+    POINT_BLOCK, SAMPLE_BLOCK, block_width, check_capacity, point_blocks)
 
 __all__ = [
     "BathParams",
     "MomentReport",
     "MomentSums",
-    "SAMPLE_BLOCK",
     "moment_report",
     "partition_estimate",
     "symplectic_generator",
@@ -68,18 +68,6 @@ class MomentReport:
     cov: float
 
 
-# points per block whose moments are taken as over a whole sample, before
-# they are merged into the running ones (`MomentSums`).  The ensemble cloud
-# streams in blocks of this size, so that its moments are `moment_report`
-# of its particles as one array, float for float.  A block of 2**15 complex
-# values is 512 KiB, which, with the cloud's map scratch of the same size,
-# stays in a 2 MiB L2 cache.  `dynamics.ensemble_evolve` at 20 times (one
-# thread, medians of 6 interleaved rounds): at 3e5 particles 0.18 s, against
-# 0.16 at 2**14, 0.20 at 2**16 and 0.21 for a cloud held whole; at c = 1.2
-# and 1e5 particles 0.076 s, against 0.087 at 2**14 and 0.090 held whole.
-SAMPLE_BLOCK = 2 ** 15
-
-
 def _block_moments(z: np.ndarray):
     """(means, squares) of one block: the means of Re z, Im z and |z|^2,
     the sums of their squared deviations from those means, and the sum of
@@ -90,6 +78,7 @@ def _block_moments(z: np.ndarray):
     temporaries stay small.  Every sum is numpy's pairwise one and no BLAS
     call is made, so the moments do not depend on --threads."""
     n = z.size
+    # a fixed stride, not point_blocks: it fixes the order of the sums
     blocks = [z[lo:lo + POINT_BLOCK] for lo in range(0, n, POINT_BLOCK)]
 
     def abs2(block):
@@ -159,6 +148,8 @@ def moment_report(z: np.ndarray) -> MomentReport:
     its cloud."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     sums = MomentSums()
+    # a fixed stride, not point_blocks: it fixes the merge points, which
+    # the ensemble's streaming sampler reproduces
     for lo in range(0, z.size, SAMPLE_BLOCK):
         sums.add(z[lo:lo + SAMPLE_BLOCK])
     return sums.report()
@@ -173,12 +164,6 @@ def _energy(a: np.ndarray, x: np.ndarray):
     for i, j in zip(*np.nonzero(a)):
         total = total + (0.5 * a[i, j]) * (x[i] * x[j])
     return total
-
-
-# floats of the Monte Carlo partition's draw block, (2n, block) normals:
-# blocks of POINT_BLOCK points for up to 16 dimensions, fewer beyond, so
-# the draw buffer and the transformed draws chol @ xi stay 512 KiB each
-_BLOCK_FLOATS = 2 ** 16
 
 
 def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
@@ -202,10 +187,10 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
     multiplied back in last: an exact scaling, which changes no float where
     the unscaled sums stay in range.
 
-    Memory: the draws come in blocks of at most POINT_BLOCK points and
-    _BLOCK_FLOATS normals, min(POINT_BLOCK, _BLOCK_FLOATS // 2n) points
-    (4096 for one pair), each drawn as one (2n, block) array into one
-    reused buffer and reduced at once: its weights, then their scaled
+    Memory: the draws come in blocks of min(POINT_BLOCK, block_width(2n))
+    points, a point's normals holding 2n floats (4096 points for one pair,
+    655 for 50), each drawn as one (2n, block) array into one reused
+    buffer, and each reduced at once: its weights, then their scaled
     squares, are formed in place in the block's own temporaries and summed.
     Nothing grows with `samples`; the proposal's 2n x 2n covariance and
     Cholesky factor are refused past MAX_SNAPSHOT_FLOATS.
@@ -224,11 +209,12 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
         log_norm = 0.5 * d * math.log(2.0 * math.pi) + float(
             np.sum(np.log(np.diag(chol)))
         )
-        block = max(1, min(POINT_BLOCK, _BLOCK_FLOATS // d))
+        block = min(POINT_BLOCK, block_width(d))
         draws = np.empty(d * min(block, samples))
         total = 0.0
         total_sq = 0.0          # of the weights over 2^e
         e = None
+        # a fixed stride, not point_blocks: it fixes the layout of the draws
         for lo in range(0, samples, block):
             size = min(block, samples - lo)
             xi = draws[:d * size].reshape(d, size)
@@ -318,8 +304,8 @@ def tilt_measure(bath: BathParams, c: complex, n_samples: int, seed) -> np.ndarr
     exp(-|z - hbar conj(c)|^2/hbar): mean hbar*conj(c), covariance unchanged
     from equilibrium (hbar/2 per component, uncorrelated).
 
-    The real draws, then the imaginary ones, are drawn in pieces of
-    POINT_BLOCK and shifted by the centre straight into the real and
+    The real draws, then the imaginary ones, are drawn in pieces
+    (`point_blocks`) and shifted by the centre straight into the real and
     imaginary parts of one complex array: the same floats as one draw per
     part, while the run holds that array and one piece of draws.  A sample
     whose complex array would pass MAX_SNAPSHOT_FLOATS raises CapacityError
@@ -331,8 +317,8 @@ def tilt_measure(bath: BathParams, c: complex, n_samples: int, seed) -> np.ndarr
     sigma = math.sqrt(hbar / 2.0)
     z = np.empty(n_samples, dtype=complex)
     for part, shift in ((z.real, center.real), (z.imag, center.imag)):
-        for lo in range(0, n_samples, POINT_BLOCK):
-            piece = part[lo:lo + POINT_BLOCK]
+        for block in point_blocks(n_samples):
+            piece = part[block]
             np.add(rng.normal(0.0, sigma, piece.size), shift, out=piece)
     return z
 
@@ -343,16 +329,16 @@ def ks_statistic(cdf_values: np.ndarray) -> float:
     """One-sample Kolmogorov-Smirnov distance from the model CDF at each draw:
     D = max over the sorted values of i/n - F_(i) and F_(i) - (i-1)/n.
 
-    Sorts `cdf_values` in place, then forms both differences in blocks of
-    POINT_BLOCK values; the maximum over the blocks is the whole-array
+    Sorts `cdf_values` in place, then forms both differences in blocks
+    (`point_blocks`); the maximum over the blocks is the whole-array
     maximum exactly."""
     f = cdf_values
     f.sort()
     n = f.size
     worst = -math.inf
-    for lo in range(0, n, POINT_BLOCK):
-        block = f[lo:lo + POINT_BLOCK]
-        i = np.arange(lo + 1, lo + block.size + 1)
+    for cut in point_blocks(n):
+        block = f[cut]
+        i = np.arange(cut.start + 1, cut.stop + 1)
         # np.max keeps a NaN that max() would drop
         worst = np.max((worst, np.max(i / n - block),
                         np.max(block - (i - 1) / n)))

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, StabilityError, check_capacity
+from .errors import (
+    CapacityError, StabilityError, block_width, check_capacity, point_blocks)
 
 __all__ = [
     "ChainParams",
@@ -121,17 +122,11 @@ def dispersion(k, params: ChainParams):
     return float(w) if np.isscalar(k) or k_arr.ndim == 0 else w
 
 
-# floats of q (and of p) transformed at once into amplitudes: a block of
-# max(1, _AMPLITUDE_FLOATS // N) rows, so its two rffts hold about 2**14
-# complex values (256 KiB) whatever N: 256 rows at 64 sites, 16 at 1024
-_AMPLITUDE_FLOATS = 2 ** 14
-
-
 def _write_amplitudes(q: np.ndarray, p: np.ndarray, out: np.ndarray,
                       params: ChainParams) -> np.ndarray:
     """Write the mode amplitudes of the (R, N) rows q and p into the complex
-    (R, N) rows `out`, max(1, _AMPLITUDE_FLOATS // N) rows at a time;
-    returns omega.
+    (R, N) rows `out` in blocks of block_width(4N) rows at most, 4N floats
+    a row's two rffts: 64 rows at 256 sites; returns omega.
 
     Each block takes the half-spectrum rfft of q and of p, forms a_j for
     0 <= j <= N/2, and fills the negative wavenumbers from the Hermitian
@@ -149,9 +144,7 @@ def _write_amplitudes(q: np.ndarray, p: np.ndarray, out: np.ndarray,
     root_2n = math.sqrt(2.0 * n)
     q_factor = weight / root_2n
     p_factor = 1j / (weight * root_2n)
-    rows = max(1, _AMPLITUDE_FLOATS // n)
-    for start in range(0, out.shape[0], rows):
-        block = slice(start, start + rows)
+    for block in point_blocks(out.shape[0], block_width(4 * n)):
         bigq = np.fft.rfft(q[block], axis=-1)
         bigq *= q_factor
         bigp = np.fft.rfft(p[block], axis=-1)
@@ -206,15 +199,20 @@ def reconstruct_state(amps: np.ndarray, params: ChainParams):
 def sample_thermal_state(params: ChainParams, beta: float, seed):
     """Draw (q, p) from the Gibbs weight e^{-beta H}: each mode amplitude is
     an independent complex Gaussian with E|a_j|^2 = 1/(beta w_j).  At a
-    subnormal beta 1/(beta w_j) overflows, and the state is refused with
+    subnormal beta 1/(beta w_j) overflows, at a subnormal gamma the mode
+    displacement variance 1/(2 beta m w_j^2), and the state is refused with
     FloatingPointError before numpy can warn about it."""
     omega = dispersion(params.wavenumbers, params)
     if np.any(omega <= 0):
         raise ValueError("thermal sampling needs gamma > 0 (all modes bound)")
     with np.errstate(over="ignore", divide="ignore"):
         variance = 0.5 / (beta * omega)
+        displacement = variance / (params.mass * omega)
     if not np.all(np.isfinite(variance)):
         raise FloatingPointError("state entries must be finite")
+    if not np.all(np.isfinite(displacement)):
+        raise FloatingPointError("mode displacement variance 1/(2 beta m w^2)"
+                                 f" = {np.max(displacement):g} must be finite")
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(variance)
     amps = sigma * (rng.standard_normal(params.n_sites)
@@ -282,11 +280,6 @@ class ChainTrajectory:
         return buffer, omega
 
 
-_WINDOW_FLOATS = 2 ** 18    # cap on the stride kernel's window buffer, 2 MiB
-_ENERGY_FLOATS = 2 ** 16    # snapshot floats per stability-check block
-_SPECTRUM_FLOATS = 2 ** 16  # |spectrum| floats per block of modes
-
-
 def _leapfrog_stride(q0: np.ndarray, p0: np.ndarray, params: ChainParams,
                      h: float, decay: float, stride: int):
     """`stride` kick-drift-kick steps of the (..., N) states (q0, p0) along the
@@ -333,30 +326,31 @@ def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,
     Friction enters as the exact momentum decay e^{-alpha dt/2} on either
     side of the drift.  The step must satisfy dt < 2/w_max or the scheme is
     linearly unstable; energy growth past 10x the initial value, or to NaN,
-    aborts with StabilityError at the end of the first block of snapshots
-    that holds one, and so does an initial energy whose 10x cap is not
-    finite.  Snapshots are taken every `stride` steps (the step count is
-    rounded up to a multiple of stride so the run ends on one), each with
-    its chain_energy, the numbers the stability check tested.  q and p are
-    written into one complex (S, N) buffer, q its real part and p its
-    imaginary part, which the trajectory keeps without a copy.
+    aborts with StabilityError at the end of the first block of
+    block_width(N) snapshots that holds one, and so does an initial energy
+    whose 10x cap is not finite.  Snapshots are taken every `stride` steps
+    (the step count is rounded up to a multiple of stride so the run ends
+    on one), each with its chain_energy, the numbers the stability check
+    tested.  q and p are written into one complex (S, N) buffer, q its real
+    part and p its imaginary part, which the trajectory keeps without a
+    copy.
 
     The scheme is linear and the chain uniform and periodic, so `stride`
     steps are one translation-invariant map (Hairer, Lubich & Wanner,
     Geometric Numerical Integration, ch. IX): a circulant whose kernel,
     w = min(N, 2 stride + 3) sites wide, _stride_kernel builds with the
     stencil.  Each snapshot gathers the (2, N) state into a wrapped buffer,
-    copies its windows into a (2w, N) matrix, in blocks of sites of at most
-    _WINDOW_FLOATS floats, and multiplies each by the whole (2, 2w) kernel:
-    4wN multiply-adds in a few calls, where the stencil makes about
-    20N * stride in about 20 * stride.  A block holds at least one site, so
-    the window buffer passes the cap only where 2w > _WINDOW_FLOATS = 2**18,
-    that is --stride >= 65 535 on --sites >= 262 144; there it holds 2w <= 2N
-    floats, at most half the snapshot buffer of two or more 2N-float rows,
-    and at most an eighth of it at the 8 snapshots a spectrum needs.  The
-    product sums in another order than the stencil, so the two agree to
-    rounding.  It is never applied by FFT, which would step in mode space,
-    where spectral_dispersion measures.
+    copies its windows into a (2w, N) matrix, in blocks of at most
+    block_width(2w) sites (past 1213 sites at stride 12), and multiplies
+    each by the whole (2, 2w) kernel: 4wN multiply-adds in a few calls,
+    where the stencil makes about 20N * stride in about 20 * stride.  A
+    block holds at least one site, so the window buffer passes the budget
+    only where 2w > 2**16, that is --stride >= 16 383 on --sites >= 32 769;
+    there it holds 2w <= 2N floats, at most half the snapshot buffer of two
+    or more 2N-float rows, and at most an eighth of it at the 8 snapshots a
+    spectrum needs.  The product sums in another order than the stencil, so
+    the two agree to rounding.  It is never applied by FFT, which would
+    step in mode space, where spectral_dispersion measures.
     """
     _check_sites(q.shape[-1], params)
     if not (duration > 0 and math.isfinite(duration)):
@@ -389,7 +383,7 @@ def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,
     kernel = _stride_kernel(params, h, decay, stride)
     width = kernel.shape[-1]
     k = kernel.reshape(2, 2 * width)
-    sites = min(n, max(1, _WINDOW_FLOATS // (2 * width)))
+    sites = min(n, block_width(2 * width))
     buffer = np.empty(2 * width * sites)
     wrap = (np.arange(n + width - 1) - width // 2) % n
     wrapped = np.empty((2, n + width - 1))
@@ -397,11 +391,11 @@ def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,
     windows = np.lib.stride_tricks.sliding_window_view(wrapped, n, axis=1)
     x = np.stack((q, p))
     blocks = []     # windows, their copy, output sites
-    for lo in range(0, n, sites):
-        window = windows[:, :, lo:lo + sites]
+    for cut in point_blocks(n, sites):
+        window = windows[:, :, cut]
         blocks.append((window, buffer[:window.size].reshape(window.shape),
-                       x[:, lo:lo + sites]))
-    check_rows = max(1, _ENERGY_FLOATS // n)
+                       x[:, cut]))
+    check_rows = block_width(n)
     for s in range(1, n_snap):
         x.take(wrap, axis=1, out=wrapped)
         for window, copy, out in blocks:
@@ -434,22 +428,22 @@ def spectral_dispersion(traj: ChainTrajectory, params: ChainParams):
     The trajectory hands its snapshot buffer over (into_amplitudes): the
     mode amplitudes are written over the snapshots and the time spectrum X
     is taken in place in them, so no second array of the trajectory's size
-    is made, and traj.q and traj.p raise afterwards.  |X| is formed in blocks
-    of modes of at most _SPECTRUM_FLOATS floats, each block giving its
-    modes' peaks and the two neighbours of each in one argmax.
+    is made, and traj.q and traj.p raise afterwards.  |X| is formed in
+    blocks of block_width(S) modes at most, S snapshots a mode (31 modes at
+    a09's 2096), each block giving its modes' peaks and the two neighbours
+    of each in one argmax.
     """
     n_snap = traj.n_snapshots
     n = params.n_sites
     dt_snap = float(traj.times[1] - traj.times[0])
     amps, _ = traj.into_amplitudes(params)
     spectrum = np.fft.fft(amps, axis=0, out=amps)
-    width = max(1, _SPECTRUM_FLOATS // n_snap)      # modes per block
+    width = block_width(n_snap)         # modes per block
     mag = np.empty((min(width, n), n_snap))
     i_peaks = np.empty(n, dtype=int)
     around = np.empty((3, n))           # |X| below, at and above each peak
-    for lo in range(0, n, width):
-        cols = slice(lo, min(lo + width, n))
-        block = mag[:cols.stop - lo]
+    for cols in point_blocks(n, width):
+        block = mag[:cols.stop - cols.start]
         np.abs(spectrum[:, cols].T, out=block)
         i_peaks[cols] = i_peak = np.argmax(block, axis=1)
         around[:, cols] = block[np.arange(block.shape[0]),

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bargmann import FockVector, hamiltonian_matrix, point_blocks
-from .errors import CapacityError, SamplerError, TruncationError
+from .bargmann import FockVector, hamiltonian_matrix
+from .errors import (
+    SAMPLE_BLOCK, CapacityError, SamplerError, TruncationError, point_blocks)
 from .phasespace import PhasePoint, hamilton_step
 
 __all__ = [
@@ -151,8 +152,8 @@ def damped_solution(q0: float, v0: float, omega: float,
 # -- ensembles ----------------------------------------------------------------
 
 # Proposals one rejection chunk draws at most: 2^16 complex points are 1 MiB,
-# sixteen `bargmann` point blocks, so a chunk's working arrays stay a few MiB
-# whatever the number of samples.
+# sixteen point blocks, so a chunk's working arrays stay a few MiB whatever
+# the number of samples.  Not a block width: the chunks fix the draws.
 _PROPOSAL_CHUNK = 2 ** 16
 # Terms of exp(-conj(mu) u / hbar) the shifted majorant keeps at most; past
 # them its Lagrange remainder still bounds the rest, only more loosely.
@@ -261,7 +262,7 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     draws are those of the uncentred Gaussian.
 
     Yields (block, rate): the n_samples accepted draws in order, in blocks
-    of `bath.SAMPLE_BLOCK` (the last one shorter), so block boundaries fall
+    of `errors.SAMPLE_BLOCK` (the last one shorter), so block boundaries fall
     at the same particle indices whatever the proposal chunks; and the
     acceptance rate, accepted over proposed, over the chunks drawn so far.
     With the last block that is the run's rate: draws accepted past
@@ -273,19 +274,15 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
     SamplerError before any draw, and one whose observed rate collapses
     below it after 10 000 proposals raises it instead of looping forever.
 
-    Memory: one block buffer, one complex proposal buffer and one boolean
-    acceptance mask, sized to the first and largest chunk (at least 10 000
-    and 2 (n_samples - filled) points but no more than _PROPOSAL_CHUNK),
-    into which each chunk's real, then imaginary, parts are drawn block by
-    block (the same bits as a + 1j b drawn whole).  The normals, shift,
-    density, ratio and uniforms are formed, and the accepted points picked,
-    over `bargmann.point_blocks`, so their temporaries stay a few hundred
-    KiB.  Nothing grows with n_samples.
+    Memory: one block buffer of SAMPLE_BLOCK draws, one complex proposal
+    buffer and one boolean acceptance mask, sized to the first and largest
+    chunk (at least 10 000 and 2 (n_samples - filled) points but no more
+    than _PROPOSAL_CHUNK), into which each chunk's real, then imaginary,
+    parts are drawn block by block (the same bits as a + 1j b drawn
+    whole).  The normals, shift, density, ratio and uniforms are formed,
+    and the accepted points picked, over `errors.point_blocks`, so their
+    temporaries stay a few hundred KiB.  Nothing grows with n_samples.
     """
-    # imported here, not at the top: of the runs that load this module,
-    # only `ensemble` draws a cloud, and `evolve` and `damp` never need bath
-    from .bath import SAMPLE_BLOCK
-
     if not f.is_normalized(1e-9):
         raise ValueError("f must be normalized for density sampling")
     f = _trimmed(f)
@@ -370,7 +367,7 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
 # in 19 intervals of 54 steps), where --t-max 1e300 would ask for 1e302.
 MAX_CLOUD_STEPS = 2 ** 20
 # Particles one ensemble run may draw.  The cloud streams through buffers of
-# `bath.SAMPLE_BLOCK` particles, so this bounds the run's length, not its
+# `errors.SAMPLE_BLOCK` particles, so this bounds the run's length, not its
 # memory: the default run (20 times) takes about 0.7 us a particle (one
 # x86_64 core), so 2**23 particles take about 6 s and 1e9 would take about
 # 12 min.
@@ -454,14 +451,16 @@ def ensemble_evolve(f: FockVector, omega: float, times, n_samples: int,
     hbar * conj(c) * exp(-i w t).
 
     Memory: the cloud is never whole.  The sampler hands on its draws in
-    blocks of `bath.SAMPLE_BLOCK` particles in one reused buffer; each block
+    blocks of `errors.SAMPLE_BLOCK` particles in one reused buffer; each block
     moves in place through every interval map in turn (`_move_cloud`, via a
     (2, SAMPLE_BLOCK) scratch) and is folded, while still in cache, into
     the `bath.MomentSums` of each requested time.  The working set is a few
     MiB whatever n_samples is, and each report is `bath.moment_report` of
     the cloud at that time, float for float.
     """
-    from .bath import SAMPLE_BLOCK, MomentSums    # as in _rejection_sample
+    # imported here, not at the top: of the runs that load this module,
+    # only `ensemble` draws a cloud, and `evolve` and `damp` never need bath
+    from .bath import MomentSums
 
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:

@@ -1,6 +1,6 @@
 """Exception types shared across the package, the size cap on the arrays
-a run's flags size, with the one check against it, and the block size of
-the passes over points."""
+a run's flags size, with the one check against it, and the block rule of
+every pass that works in blocks."""
 
 # Floats one array sized by a run's flags may hold: snapshots x sites for a
 # chain, the snapshot count for a single oscillator's orbit, and, counting
@@ -18,17 +18,27 @@ the passes over points."""
 # its mode amplitudes and time spectrum are taken in place.
 MAX_SNAPSHOT_FLOATS = 2 ** 24
 
-# Points per block of a pass over points or draws: `bargmann`'s point
-# kernels (and the ensemble sampler's density blocks) and `bath`'s passes
-# over a sample.  4096 complex values are 64 KiB, so a block's working
-# arrays stay in L2 cache, and no buffer grows with the sample.  On 6e5
+# Floats one block of any pass that works in blocks may hold, 512 KiB, so
+# a block and its temporaries stay in a 2 MiB L2 cache whatever a run's
+# flags are.  A pass states only how many floats one item (a point, row,
+# site or mode) holds and takes block_width of that.
+BLOCK_FLOATS = 2 ** 16
+
+# Points per block of a pass over single points, and the cap of the point
+# passes sized by block_width.  4096 complex values are 64 KiB; on 6e5
 # points (2 cores, 2 MiB L2 each) blocks of 2048 or fewer ran
-# FockVector.evaluate slower, 8192-16384 no faster.  A pass that holds
-# many values a point narrows its blocks to an entry budget instead:
-# bargmann.gram_montecarlo's n_max + 1 basis entries a point to 2**14
-# complex entries a buffer (963 points at n_max 16), and
-# bath.partition_estimate's 2n normals a point to _BLOCK_FLOATS.
+# FockVector.evaluate slower, 8192-16384 no faster.
 POINT_BLOCK = 4096
+
+# Points per block whose moments are taken as over a whole sample before
+# they are merged (`bath.MomentSums`): the ensemble cloud streams in such
+# blocks, so its moments are `bath.moment_report` of it float for float.
+# 2**15 complex values fill the budget.  `dynamics.ensemble_evolve` at 20
+# times (one thread, medians of 6 interleaved rounds): at 3e5 particles
+# 0.18 s, against 0.16 at 2**14, 0.20 at 2**16 and 0.21 for a cloud held
+# whole; at c = 1.2 and 1e5 particles 0.076 s, against 0.087 at 2**14 and
+# 0.090 held whole.
+SAMPLE_BLOCK = BLOCK_FLOATS // 2
 
 
 class ThermoFockError(Exception):
@@ -60,3 +70,24 @@ def check_capacity(floats: int, what: str) -> None:
         raise CapacityError(
             f"{what} would hold {floats} floats, over the array cap of "
             f"{MAX_SNAPSHOT_FLOATS}")
+
+
+def block_width(floats_per_item: int) -> int:
+    """Items of `floats_per_item` floats one block holds, at least 1;
+    BLOCK_FLOATS is read when called."""
+    return max(1, BLOCK_FLOATS // floats_per_item)
+
+
+def point_blocks(size: int, width: int = POINT_BLOCK) -> list:
+    """Slices cutting `size` items into near-equal blocks of at most
+    `width` items.
+
+    No block holds a single item unless `size` or `width` is 1: numpy
+    multiplies a one-element array in place by its scalar loop
+    (`total *= zb` in `bargmann.FockVector.evaluate`), which rounds the
+    imaginary part without the fused multiply-add of its vector loop, so a
+    lone tail point would differ in the last bit from the unblocked sum.
+    """
+    count = max(1, -(-size // width))
+    bounds = [size * k // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

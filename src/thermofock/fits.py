@@ -27,9 +27,11 @@ def fit_decay_rate(t, amplitude) -> float:
         raise ValueError("need matching arrays with at least 2 points")
     if np.any(a <= 0):
         raise ValueError("decay fit needs strictly positive amplitudes")
-    if not (np.all(np.isfinite(a)) and 0.0 < np.sum(t * t) < np.inf):
+    with np.errstate(over="ignore"):
+        norm2 = np.sum(t * t)
+    if not (np.all(np.isfinite(a)) and 0.0 < norm2 < np.inf):
         # np.polyfit divides the column t by its norm, which here is 0, inf
-        # or NaN: times that underflow when squared leave no fit
+        # or NaN: times that underflow or overflow when squared leave no fit
         raise FloatingPointError("decay fit needs finite amplitudes and a "
                                  "finite, nonzero norm of the times")
     return float(-np.polyfit(t, np.log(a), 1)[0])

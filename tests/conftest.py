@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import tracemalloc
+
 import pytest
 
 from thermofock import cli
@@ -21,3 +23,23 @@ def usage_error(tmp_path, capsys):
         assert flag in err, (argv, err)
 
     return check
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(run, warm_up=None) -> (run(), the peak of memory traced while
+    run() ran).  warm_up(), when given, runs first, untraced, so that
+    imports and numpy's one-time allocations do not land in the peak."""
+
+    def peak(run, warm_up=None):
+        if warm_up is not None:
+            warm_up()
+        tracemalloc.start()
+        try:
+            result = run()
+            _, traced = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, traced
+
+    return peak

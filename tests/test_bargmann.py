@@ -10,7 +10,6 @@ Oracles used here, all independent of the quadrature code under test:
 
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,29 +97,17 @@ def test_montecarlo_gram_matches_unblocked_reference(n_max, hbar, samples):
 
 
 @pytest.mark.parametrize("samples", [100_000, 300_000])
-def test_montecarlo_gram_memory_is_bounded(samples):
+def test_montecarlo_gram_memory_is_bounded(traced_peak, samples):
     # one 100 000-draw chunk plus one (n_max + 1) x POINT_BLOCK basis block;
     # a basis matrix over a whole chunk would alone take 26 MiB here
-    tracemalloc.start()
-    try:
-        gram_montecarlo(16, 1.0, samples, 7)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: gram_montecarlo(16, 1.0, samples, 7))
     assert peak <= 8 * 2 ** 20
 
 
-def _traced_peak(run):
-    """The peak traced memory of run(), after a 10-sample Monte Carlo Gram
-    has made numpy.random's first-call allocations (0.7 MiB)."""
+def _first_draws():
+    """A 10-sample Monte Carlo Gram, which makes numpy.random's first-call
+    allocations (0.7 MiB)."""
     gram_montecarlo(2, 1.0, 10, 7)
-    tracemalloc.start()
-    try:
-        run()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
 
 
 def test_montecarlo_gram_draws_as_before():
@@ -133,31 +120,36 @@ def test_montecarlo_gram_draws_as_before():
         "6b170347df40589c6a5b5519df09625f85c602c44c9e42887ba0cd86eba9d282")
 
 
-def test_montecarlo_gram_at_a01_samples_holds_one_chunk_buffer():
+def test_montecarlo_gram_at_a01_samples_holds_one_chunk_buffer(traced_peak):
     # a chunk's 0.76 MiB of real draws and one block's fixed buffers, the
     # basis and its conjugate at 17 x 963 entries, 0.25 MiB each: 1.31 MiB.
     # Blocks of POINT_BLOCK points took 1.06 MiB a buffer, 3.0 MiB in all; a
     # chunk's complex buffer and per-block temporaries 4.1 MiB, forming
     # a + 1j b 6.27
-    assert _traced_peak(lambda: gram_montecarlo(16, 1.0, 10 ** 6, 7)) <= (
-        1.5 * 2 ** 20)
+    _, peak = traced_peak(lambda: gram_montecarlo(16, 1.0, 10 ** 6, 7),
+                          _first_draws)
+    assert peak <= 1.5 * 2 ** 20
 
 
-def test_montecarlo_gram_block_buffers_do_not_grow_with_the_truncation():
+def test_montecarlo_gram_block_buffers_do_not_grow_with_the_truncation(
+        traced_peak):
     # at n_max 100 a block is 162 points, so each block buffer stays within
     # 2**14 complex entries: 1.31 MiB with the 50 000 real draws.  Blocks of
     # POINT_BLOCK points held 101 x 4096 entries a buffer, 13.7 MiB in all
-    assert _traced_peak(lambda: gram_montecarlo(100, 1.0, 50_000, 7)) <= (
-        1.5 * 2 ** 20)
+    _, peak = traced_peak(lambda: gram_montecarlo(100, 1.0, 50_000, 7),
+                          _first_draws)
+    assert peak <= 1.5 * 2 ** 20
 
 
-def test_quadrature_gram_holds_the_basis_and_two_blocks():
+def test_quadrature_gram_holds_the_basis_and_two_blocks(traced_peak):
     # at n_max 100 the basis over the 20 503-point grid is 31.6 MiB, and the
     # weighted conjugate and a row's products over a block of 3418 points
     # 5.3 MiB each: 42.9 MiB.  The zgemm product's full-size weighted
     # conjugate and its temporary took 95.4 MiB
-    gram_quadrature(2, 1.0)     # a first call imports numpy.polynomial
-    assert _traced_peak(lambda: gram_quadrature(100, 1.0)) <= 45 * 2 ** 20
+    # a first call imports numpy.polynomial
+    _, peak = traced_peak(lambda: gram_quadrature(100, 1.0),
+                          lambda: gram_quadrature(2, 1.0))
+    assert peak <= 45 * 2 ** 20
 
 
 def test_montecarlo_gram_requires_seed(usage_error):
@@ -316,17 +308,12 @@ def test_evaluate_error_is_bounded_by_the_coefficient_majorant(n_max, hbar,
     assert float(np.max(units)) <= 2 * (n_max + 1)
 
 
-def test_evaluate_allocates_no_basis_matrix():
+def test_evaluate_allocates_no_basis_matrix(traced_peak):
     # the (nmax + 1) x points basis matrix alone would be 33 z.nbytes here
     f = coherent_vector(0.6, 32, 1.0)
     rng = np.random.default_rng(1)
     z = rng.standard_normal(100_000) + 1j * rng.standard_normal(100_000)
-    tracemalloc.start()
-    try:
-        values = f.evaluate(z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    values, peak = traced_peak(lambda: f.evaluate(z))
     assert values.shape == z.shape
     # the output and nothing else: the sum runs in place
     assert peak <= 1.05 * z.nbytes

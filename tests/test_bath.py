@@ -8,15 +8,13 @@ the tilt, and the exponential radial law of the sphere map.
 
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from thermofock import bath, cli, dynamics, errors
+from thermofock import cli, dynamics, errors
 from thermofock.bargmann import FockVector
 from thermofock.bath import (
-    SAMPLE_BLOCK,
     BathParams,
     generator_defect,
     gibbs_first_order_defect,
@@ -29,7 +27,7 @@ from thermofock.bath import (
     tilt_measure,
 )
 from thermofock.dynamics import ensemble_evolve
-from thermofock.errors import CapacityError
+from thermofock.errors import SAMPLE_BLOCK, CapacityError
 from thermofock.fits import fit_loglog_slope
 
 
@@ -87,14 +85,9 @@ def test_blocked_moments_match_the_whole_array_formulas(n):
          np.cov(z.real, z.imag, ddof=1)[0, 1]), rtol=1e-12, atol=0.0)
 
 
-def test_moment_report_makes_no_sample_sized_temporary():
+def test_moment_report_makes_no_sample_sized_temporary(traced_peak):
     z = np.random.default_rng(1).standard_normal(2 ** 20) * (1 + 1j)
-    tracemalloc.start()
-    try:
-        moment_report(z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: moment_report(z))
     assert peak <= z.nbytes // 16    # 1 MiB against the sample's 16 MiB
 
 
@@ -154,7 +147,7 @@ def _whole_sample_partition(a, beta, samples, seed, proposal_scale=1.5):
     proposal's log density written out."""
     d = a.shape[0]
     n_pairs = d // 2
-    block = min(errors.POINT_BLOCK, bath._BLOCK_FLOATS // d)
+    block = min(errors.POINT_BLOCK, errors.block_width(d))
     rng = np.random.default_rng(seed)
     xi = np.concatenate([rng.standard_normal((d, min(block, samples - lo)))
                          for lo in range(0, samples, block)], axis=1)
@@ -172,7 +165,7 @@ def _whole_sample_partition(a, beta, samples, seed, proposal_scale=1.5):
 @pytest.mark.parametrize("pairs, samples", [
     (1, 2 * errors.POINT_BLOCK + 1001),
     (3, 3 * errors.POINT_BLOCK + 7),
-    # 20 dimensions: blocks of _BLOCK_FLOATS // 20 = 3276 points
+    # 20 dimensions: blocks of BLOCK_FLOATS // 20 = 3276 points
     (10, 2 * 3276 + 5)])
 def test_montecarlo_partition_is_the_whole_sample_reduction(pairs, samples):
     # each block is drawn as one (2n, block) array and reduced at once;
@@ -199,29 +192,22 @@ def test_partition_keeps_z_and_its_standard_error_in_range(flag, value):
     assert all(c.stderr is None or c.stderr > 0 for c in outcome.report.checks)
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
 @pytest.mark.parametrize("pairs, samples", [(1, 10**6), (50, 20_000)])
-def test_partition_holds_little_beyond_its_draw_buffer(pairs, samples):
+def test_partition_holds_little_beyond_its_draw_buffer(traced_peak, pairs,
+                                                      samples):
     # each block's (2n, block) draws and their transform chol @ xi, six
     # rows of a block's temporaries and four 2n x 2n matrices: 0.28 MiB at
     # one pair (4096-point blocks) and 1.26 MiB at 50 (655-point blocks).
     # Drawn in chunks of 2 x 200 000 floats, one pair peaked at 3.27 MiB
     dim = 2 * pairs
-    block = min(errors.POINT_BLOCK, bath._BLOCK_FLOATS // dim)
-    assert 8 * dim * block <= 8 * bath._BLOCK_FLOATS
-    partition_estimate(np.eye(dim), 1.0, method="montecarlo", samples=10,
-                       seed=7)      # numpy's one-time set-up
-    peak = _traced_peak(lambda: partition_estimate(
-        np.eye(dim), 1.0, method="montecarlo", samples=samples, seed=7))
+    block = min(errors.POINT_BLOCK, errors.block_width(dim))
+    assert 8 * dim * block <= 8 * errors.BLOCK_FLOATS
+    _, peak = traced_peak(
+        lambda: partition_estimate(np.eye(dim), 1.0, method="montecarlo",
+                                   samples=samples, seed=7),
+        # numpy's one-time set-up
+        lambda: partition_estimate(np.eye(dim), 1.0, method="montecarlo",
+                                   samples=10, seed=7))
     assert peak <= 8 * (2 * dim * block + 6 * block + 4 * dim * dim)
 
 
@@ -333,7 +319,7 @@ def test_ks_statistic_matches_scipy(seed):
     assert ks_statistic(phi / (2.0 * math.pi)) == angular.statistic
 
 
-def test_sphere_pipeline_holds_its_two_draw_arrays():
+def test_sphere_pipeline_holds_its_two_draw_arrays(traced_peak):
     # the sphere runner's route: t and both model CDFs are formed in the
     # draws' arrays, and ks_statistic sorts in place and reads blocks, so
     # the peak is the 2 x 8n bytes of the draws and little more (3.0x the
@@ -350,12 +336,13 @@ def test_sphere_pipeline_holds_its_two_draw_arrays():
         phi /= 2.0 * math.pi
         ks_statistic(phi)
 
-    pipeline(10)    # numpy's one-time set-up of the calls is not the pipeline's
-    assert _traced_peak(lambda: pipeline(n)) <= 2 * 8 * n + 8 * n // 8
+    # numpy's one-time set-up of the calls is not the pipeline's
+    _, peak = traced_peak(lambda: pipeline(n), lambda: pipeline(10))
+    assert peak <= 2 * 8 * n + 8 * n // 8
 
 
 def test_ks_statistic_sorts_in_place_and_reads_blocks():
-    # several blocks, the last one short, and a sample of one block
+    # several near-equal blocks, and a sample of one block
     for n in (3 * errors.POINT_BLOCK + 5, 7):
         cdf = np.random.default_rng(n).uniform(size=n)
         f = np.sort(cdf)
@@ -365,20 +352,21 @@ def test_ks_statistic_sorts_in_place_and_reads_blocks():
         assert np.array_equal(cdf, f)
 
 
-def test_tilt_holds_one_complex_array_and_one_component():
+def test_tilt_holds_one_complex_array_and_one_component(traced_peak):
     # 16 bytes a draw and one block of normals at the peak; 24 bytes a
     # draw when each part was drawn whole, 41 when the sum of the complex
     # parts made its temporaries
     n = 2 ** 17
     bp = BathParams(1.0, 1.0)
-    tilt_measure(bp, 0.5 - 0.3j, 10, seed=9)    # numpy's one-time set-up
-    peak = _traced_peak(lambda: tilt_measure(bp, 0.5 - 0.3j, n, seed=9))
+    _, peak = traced_peak(lambda: tilt_measure(bp, 0.5 - 0.3j, n, seed=9),
+                          # numpy's one-time set-up
+                          lambda: tilt_measure(bp, 0.5 - 0.3j, 10, seed=9))
     assert peak <= 16 * n + 2 * 8 * errors.POINT_BLOCK
 
 
 def test_tilt_draws_are_pinned():
     # taken when each part was one rng.normal call over the whole sample:
-    # its pieces, the last one short, draw the same floats
+    # its near-equal pieces draw the same floats
     z = tilt_measure(BathParams(1, 1), 0.5 - 0.3j, 100_003, seed=9)
     assert hashlib.sha256(z.tobytes()).hexdigest() == (
         "c4d1af4935a5efed1bb04b854415ae075ac4e4da9532229d6ebdfeaffc88e17d")

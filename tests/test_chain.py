@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from thermofock import chain, cli
+from thermofock import chain, cli, errors
 from thermofock.chain import (
     _leapfrog_stride,
     _stride_kernel,
@@ -156,7 +156,7 @@ def test_half_spectrum_amplitudes_match_the_full_fft_formula(n_sites):
     # snapshots whose row count crosses a row-block boundary
     params = ChainParams(n_sites=n_sites, mass=1.3, gamma=0.7, gamma_couple=2.1)
     rng = np.random.default_rng(n_sites)
-    block_rows = chain._AMPLITUDE_FLOATS // n_sites
+    block_rows = errors.block_width(4 * n_sites)
     for shape in [(n_sites,), (block_rows + 3, n_sites)]:
         q, p = rng.standard_normal((2,) + shape)
         amps, omega = mode_amplitudes(q, p, params)
@@ -415,14 +415,14 @@ def test_stride_map_route_matches_roll_reference(params, friction):
         assert abs(np.sum(traj.q[-1]) - np.sum(q) - drift) <= 1e-9 * abs(drift)
 
 
-@pytest.mark.parametrize("window_floats", [2 ** 18, 64, 16],
+@pytest.mark.parametrize("block_floats", [2 ** 18, 64, 16],
                          ids=["whole", "site-blocks", "site-past-cap"])
 def test_windowed_product_matches_roll_reference_in_blocks(monkeypatch,
-                                                           window_floats):
+                                                           block_floats):
     # a09's 256 sites at stride 12, a kernel 27 sites wide: one window matrix,
     # one site per block, and one site per block whose 54-float column
-    # passes the cap
-    monkeypatch.setattr(chain, "_WINDOW_FLOATS", window_floats)
+    # passes the budget
+    monkeypatch.setattr(errors, "BLOCK_FLOATS", block_floats)
     params = ChainParams(n_sites=256)
     state = sample_thermal_state(params, 1.0, 3)
     run = dict(duration=30.0, dt=0.05, friction=0.01, stride=12)
@@ -430,21 +430,20 @@ def test_windowed_product_matches_roll_reference_in_blocks(monkeypatch,
     _assert_matches_roll_reference(traj, params, state, run)
 
 
-def test_window_buffer_is_capped_whatever_the_kernel_width():
+def test_window_buffer_is_capped_whatever_the_kernel_width(traced_peak):
     # 4096 sites at stride 1000: the kernel is 2003 sites wide, and one
     # window matrix would hold 4096 x 4006 floats, 125 MiB
     params = ChainParams(n_sites=4096)
     state = sample_thermal_state(params, 1.0, 1)
-    tracemalloc.start()
-    try:
-        traj = integrate_chain(*state, params, duration=100.0, dt=0.05,
-                               stride=1000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    traj, peak = traced_peak(lambda: integrate_chain(
+        *state, params, duration=100.0, dt=0.05, stride=1000))
     assert traj.n_snapshots == 3
-    # the window buffer and a few arrays of N + w floats
-    assert peak <= 2 * 8 * chain._WINDOW_FLOATS
+    # the window buffer of the block budget, 16 sites here, and a fixed
+    # part of 16 arrays of 2N floats, 1 MiB: the three snapshots, the
+    # stride kernel's delta batch and the stencil temporaries that step it,
+    # and the wrapped state with its gather indices (0.79 MiB traced).  A
+    # 2 MiB window buffer traced 2.69 MiB in all
+    assert peak <= 8 * errors.BLOCK_FLOATS + 16 * 8 * 2 * params.n_sites
 
 
 @pytest.mark.parametrize("stride", [1, 16], ids=["stencil", "stride-map"])
@@ -466,7 +465,7 @@ def test_blow_up_raises_at_the_end_of_its_energy_block(monkeypatch):
     # blocks of 5 snapshots, the first ending at snapshot 5: the energy of the
     # zone-boundary mode passes the cap mid-block, and the block's first
     # snapshot over the cap is the one reported
-    monkeypatch.setattr(chain, "_ENERGY_FLOATS", 5 * 8)
+    monkeypatch.setattr(errors, "BLOCK_FLOATS", 5 * 8)
     params = ChainParams(n_sites=8)
     run = dict(duration=640 * 0.99 * 2.0 / params.omega_max,
                dt=0.99 * 2.0 / params.omega_max)
@@ -480,18 +479,7 @@ def test_blow_up_raises_at_the_end_of_its_energy_block(monkeypatch):
         integrate_chain(*state, params, **run)
 
 
-def _traced_peak(fn, *args, **kwargs):
-    """fn's result and the peak of memory traced while it runs."""
-    tracemalloc.start()
-    try:
-        result = fn(*args, **kwargs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
-def test_spectral_dispersion_transient_memory_is_bounded():
+def test_spectral_dispersion_transient_memory_is_bounded(traced_peak):
     # the mode amplitudes, and then in place their time spectrum, overwrite
     # the trajectory's snapshot buffer, so only the row blocks of the mode
     # transform and the blocks of |spectrum| come on top of it: 0.32x here.
@@ -502,11 +490,11 @@ def test_spectral_dispersion_transient_memory_is_bounded():
     traj = integrate_chain(*state, params, duration=200.0, dt=0.1)
     assert traj.q.shape == (2001, 64)
     snapshot_bytes = traj.q.nbytes + traj.p.nbytes
-    _, peak = _traced_peak(spectral_dispersion, traj, params)
+    _, peak = traced_peak(lambda: spectral_dispersion(traj, params))
     assert peak <= 0.35 * snapshot_bytes
 
 
-def test_spectral_dispersion_transient_memory_at_a09_length():
+def test_spectral_dispersion_transient_memory_at_a09_length(traced_peak):
     # a09's 2096 snapshots on 256 sites: the blocks shrink against the
     # buffer, 0.08x (0.19x with 256-row blocks, 1.19x on the copying route)
     params = ChainParams(n_sites=256)
@@ -515,22 +503,22 @@ def test_spectral_dispersion_transient_memory_at_a09_length():
                            stride=12)
     assert traj.q.shape == (2096, 256)
     snapshot_bytes = traj.q.nbytes + traj.p.nbytes
-    _, peak = _traced_peak(spectral_dispersion, traj, params)
+    _, peak = traced_peak(lambda: spectral_dispersion(traj, params))
     assert peak <= 0.1 * snapshot_bytes
 
 
-def test_integrate_chain_transient_memory_is_bounded():
+def test_integrate_chain_transient_memory_is_bounded(traced_peak):
     # the snapshot buffer becomes the trajectory's without a copy; on top
     # of it come the window buffer and one energy block's temporaries
     params = ChainParams(n_sites=1024)
     state = sample_thermal_state(params, beta=1.0, seed=3)
-    traj, peak = _traced_peak(integrate_chain, *state, params,
-                              duration=400.0 * math.pi, dt=0.05, stride=12)
+    traj, peak = traced_peak(lambda: integrate_chain(
+        *state, params, duration=400.0 * math.pi, dt=0.05, stride=12))
     assert traj.q.shape == (2096, 1024)
     assert peak <= 1.1 * (traj.q.nbytes + traj.p.nbytes)
 
 
-def test_chain_dispersion_path_holds_one_snapshot_buffer():
+def test_chain_dispersion_path_holds_one_snapshot_buffer(traced_peak):
     # integrate_chain then spectral_dispersion, as `chain-dispersion --sites
     # 1024` runs them: one buffer of the snapshots' bytes serves the whole
     # path, 1.05x at the peak (1.19x with 256-row blocks of the mode
@@ -545,7 +533,7 @@ def test_chain_dispersion_path_holds_one_snapshot_buffer():
         sizes.append((traj.q.shape, traj.q.nbytes + traj.p.nbytes))
         return spectral_dispersion(traj, params)
 
-    (measured, _), peak = _traced_peak(path)
+    (measured, _), peak = traced_peak(path)
     (shape, snapshot_bytes), = sizes
     assert shape == (2096, 1024)
     assert not np.any(np.isnan(measured))
@@ -596,11 +584,11 @@ def test_trajectory_holds_the_integrated_buffers_read_only():
 
 
 def test_amplitude_handover_matches_the_copying_route(monkeypatch):
-    # several row blocks, the last one short: the handover writes over the
-    # snapshots the very values mode_amplitudes gives for copies of them
+    # several near-equal row blocks: the handover writes over the snapshots
+    # the very values mode_amplitudes gives for copies of them
     for n_sites in (15, 16):
-        # blocks of 7 rows
-        monkeypatch.setattr(chain, "_AMPLITUDE_FLOATS", 7 * n_sites)
+        # blocks of at most 7 rows of 4N floats
+        monkeypatch.setattr(errors, "BLOCK_FLOATS", 7 * 4 * n_sites)
         params = ChainParams(n_sites=n_sites)
         state = sample_thermal_state(params, beta=1.0, seed=n_sites)
         traj = integrate_chain(*state, params, duration=30.0, dt=0.1, stride=2)
@@ -711,12 +699,12 @@ def test_blocked_spectrum_matches_the_full_array_reference(monkeypatch, params,
                                                            state, run):
     want = _full_array_spectral_dispersion(
         integrate_chain(*state, params, **run), params)
-    # one block of all modes, and blocks of 3 modes with a short last one;
+    # one block of all modes, and near-equal blocks of at most 3 modes;
     # each spectrum is taken in a fresh trajectory's snapshot buffer
     for modes in (None, 3):
         traj = integrate_chain(*state, params, **run)
         if modes:
-            monkeypatch.setattr(chain, "_SPECTRUM_FLOATS",
+            monkeypatch.setattr(errors, "BLOCK_FLOATS",
                                 modes * traj.n_snapshots)
         measured, _ = spectral_dispersion(traj, params)
         assert np.array_equal(np.isnan(measured), np.isnan(want))

@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 import warnings
 
 import pytest
@@ -289,6 +288,15 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
         for command in ("chain-dispersion", "rescale", "relax"):
             exits_three(command, "--seed", "1", flag, "5e-324",
                         names=quantity)
+    # a subnormal gamma: a mode's displacement variance is not finite,
+    # refused before the state's energy q . q overflows
+    for command in ("chain-dispersion", "rescale", "relax"):
+        exits_three(command, "--gamma", "5e-324", "--seed", "1", names=(
+            "mode displacement variance 1/(2 beta m w^2) = inf must be finite"))
+    # times whose squares overflow leave the decay fit no norm either
+    exits_three("damp", "--omega", "1e-300", names=(
+        "decay fit needs finite amplitudes and a finite, nonzero norm of "
+        "the times"))
     # the sampler's expected acceptance 1/bound below its 1e-3 floor is
     # refused before a draw: the first run overflowed in its proposals, the
     # other three collapsed after 10 000 of them
@@ -358,23 +366,18 @@ def test_oversize_sample_exits_three():
         assert "CapacityError" in outcome.report.checks[0].measured
 
 
-def test_variation_holds_one_random_generator_at_a_time():
+def test_variation_holds_one_random_generator_at_a_time(traced_peak):
     # each random generator is drawn, measured and dropped: at 200 pairs a
     # generator is 1.28 MB, and --count 40 held all of them at once
     args = cli.build_parser().parse_args(
         ["variation", "--pairs", "200", "--count", "40", "--seed", "1"])
     matrix_bytes = 8 * (2 * args.pairs) ** 2
-    tracemalloc.start()
-    try:
-        outcome = cli.evaluate(args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    outcome, peak = traced_peak(lambda: cli.evaluate(args))
     assert outcome.code == cli.EXIT_PASS
     assert peak <= 6 * matrix_bytes
 
 
-def test_largest_sweep_runs_trace_at_most_two_mib():
+def test_largest_sweep_runs_trace_at_most_two_mib(traced_peak):
     # the three runs that set the benchmark's sweep peak RSS, each after a
     # 10-sample run has made its imports and numpy's one-time set-up: 0.29,
     # 1.78 and 1.65 MiB.  Partition read 3.27 MiB when its draws came in
@@ -382,32 +385,26 @@ def test_largest_sweep_runs_trace_at_most_two_mib():
     # complex array was drawn whole
     for args in (["partition", "--seed", "7"], ["tilt", "--seed", "1"],
                  ["sphere", "--seed", "21"]):
-        evaluate(*args, "--samples", "10")     # its verdict is not asked
         parsed = cli.build_parser().parse_args(args)
-        tracemalloc.start()
-        try:
-            outcome = cli.evaluate(parsed)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        outcome, peak = traced_peak(
+            lambda: cli.evaluate(parsed),
+            # its verdict is not asked
+            lambda: evaluate(*args, "--samples", "10"))
         assert outcome.code == cli.EXIT_PASS, (args, outcome.error)
         assert peak <= 2 * 2 ** 20, (args, peak)
 
 
-def test_cloud_gram_run_traces_at_most_one_and_a_half_mib():
+def test_cloud_gram_run_traces_at_most_one_and_a_half_mib(traced_peak):
     # the cloud workload's gram run, after a 10-sample run has made its
     # imports (8.6 MiB on a cold first call): a chunk's 0.76 MiB of real
     # draws and two block buffers of at most 2**14 complex entries, 1.34 MiB.
     # Blocks of POINT_BLOCK points read 3.03 MiB
-    evaluate("gram", "--samples", "10", "--seed", "7")  # its verdict is not asked
     parsed = cli.build_parser().parse_args(["gram", "--samples", "1e6",
                                             "--seed", "7"])
-    tracemalloc.start()
-    try:
-        outcome = cli.evaluate(parsed)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    outcome, peak = traced_peak(
+        lambda: cli.evaluate(parsed),
+        # its verdict is not asked
+        lambda: evaluate("gram", "--samples", "10", "--seed", "7"))
     assert outcome.code == cli.EXIT_PASS, outcome.error
     assert peak <= 1.5 * 2 ** 20, peak
 

@@ -5,7 +5,6 @@ classical ensembles; plus the weakly damped extensions of each.
 
 import hashlib
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 
 from thermofock import cli, dynamics
 from thermofock.bargmann import FockVector, coherent_vector
-from thermofock.bath import SAMPLE_BLOCK, moment_report
+from thermofock.bath import moment_report
 from thermofock.dynamics import (
     damped_solution,
     ensemble_evolve,
@@ -23,7 +22,7 @@ from thermofock.dynamics import (
     schrodinger_evolve,
     transport_solve,
 )
-from thermofock.errors import SamplerError
+from thermofock.errors import SAMPLE_BLOCK, SamplerError
 from thermofock.fits import fit_decay_rate
 from thermofock.phasespace import PhasePoint, hamilton_step
 
@@ -460,7 +459,7 @@ def test_trailing_zero_coefficients_leave_the_draws_unchanged():
     assert a.tobytes() == b.tobytes() and rate_a == rate_b
 
 
-def test_ensemble_memory_is_fixed_whatever_the_samples():
+def test_ensemble_memory_is_fixed_whatever_the_samples(traced_peak):
     # one block of SAMPLE_BLOCK particles and its (2, SAMPLE_BLOCK) map
     # scratch (0.5 MiB each), the sampler's 1 MiB proposal chunk and its
     # point-block temporaries: 2.6 MiB at a million particles, as at 3e5,
@@ -469,17 +468,14 @@ def test_ensemble_memory_is_fixed_whatever_the_samples():
     n = 10 ** 6
     f = coherent_vector(0.5, 32, 1.0).normalized()
     times = np.linspace(0.0, 2.0 * np.pi, 20)
-    ensemble_evolve(f, 1.0, times, 10, seed=1, dt=_step(1.0))  # one-off
-    tracemalloc.start()
-    try:
-        ensemble_evolve(f, 1.0, times, n, seed=7, dt=_step(1.0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        lambda: ensemble_evolve(f, 1.0, times, n, seed=7, dt=_step(1.0)),
+        # one-off
+        lambda: ensemble_evolve(f, 1.0, times, 10, seed=1, dt=_step(1.0)))
     assert peak <= 2.75 * 2 ** 20
 
 
-def test_sampler_holds_one_proposal_chunk_beyond_its_output():
+def test_sampler_holds_one_proposal_chunk_beyond_its_output(traced_peak):
     # its output is one block of SAMPLE_BLOCK draws (0.5 MiB); besides it,
     # one complex proposal buffer and one boolean mask of _PROPOSAL_CHUNK
     # points and point-block temporaries: 1.95 MiB, where the RNG's
@@ -487,14 +483,9 @@ def test_sampler_holds_one_proposal_chunk_beyond_its_output():
     # returned every draw held 16 n + 2.3 MiB
     n = 300_000
     f = coherent_vector(0.5, 32, 1.0).normalized()
-    _sample(f, 10, 1)   # numpy's one-off allocations
-    tracemalloc.start()
-    try:
-        for _ in dynamics._rejection_sample(f, n, 7, 2.0):
-            pass
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        lambda: sum(1 for _ in dynamics._rejection_sample(f, n, 7, 2.0)),
+        lambda: _sample(f, 10, 1))      # numpy's one-off allocations
     assert peak <= 2.0 * 2 ** 20
 
 

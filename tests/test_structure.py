@@ -87,6 +87,80 @@ def test_every_export_is_defined(path):
     assert not missing, missing
 
 
+def test_errors_alone_sets_the_block_budget():
+    # every blocked pass states its floats per item and takes
+    # errors.block_width of the one budget, so no other module defines a
+    # *_FLOATS constant.  errors declares no __all__: bench/tracer.py wraps
+    # the functions an __all__ names, and bench/run.py counts only the
+    # layers it knows, so a traced block_width would fail every traced run
+    budgets = sorted(f"{_name(path)}.{name}" for path in MODULES
+                     for name in _definitions(_tree(path))
+                     if name.endswith("_FLOATS"))
+    assert budgets == ["errors.BLOCK_FLOATS", "errors.MAX_SNAPSHOT_FLOATS"]
+    assert "__all__" not in _definitions(_tree(PACKAGE / "errors.py"))
+
+
+def test_block_widths_are_pinned(monkeypatch):
+    # the widths the blocked passes take from the one budget at the sizes
+    # the benchmark runs and a few larger ones, read off the passes
+    # themselves: a change to errors.BLOCK_FLOATS or to a pass's floats per
+    # item moves one of them
+    import numpy as np
+    from thermofock import bargmann, bath, chain, errors
+
+    seen = []
+
+    def recorder(what, fn):
+        def recorded(*args, **kwargs):
+            seen.append((what, args))
+            return fn(*args, **kwargs)
+        return recorded
+
+    def calls(what, run):
+        """The arguments of each recorded call of `what` while run() runs."""
+        seen.clear()
+        run()
+        return [args for name, args in seen if name == what]
+
+    for module in (bargmann, chain):
+        monkeypatch.setattr(module, "point_blocks",
+                            recorder(module.__name__, errors.point_blocks))
+    monkeypatch.setattr(bath, "_energy", recorder("draws", bath._energy))
+    monkeypatch.setattr(chain, "chain_energy",
+                        recorder("energy", chain.chain_energy))
+
+    # gram's points, 4 (n_max + 1) floats each, capped at POINT_BLOCK
+    assert calls(bargmann.__name__, lambda: bargmann.gram_montecarlo(
+        16, 1.0, 2000, 7)) == [(2000, 963)]
+    # partition's points, 2n normals each, capped at POINT_BLOCK
+    for pairs, width in ((1, 4096), (50, 655)):
+        assert max(x.shape[1] for _, x in calls("draws", lambda: (
+            bath.partition_estimate(np.eye(2 * pairs), 1.0,
+                                    method="montecarlo", samples=5000,
+                                    seed=1)))) == width
+    for n, amplitude_rows, energy_rows in ((256, 64, 256), (1024, 16, 64)):
+        params = chain.ChainParams(n_sites=n)
+        # rows of the mode transform, 4N floats each
+        assert calls(chain.__name__, lambda: chain.mode_amplitudes(
+            np.zeros((2, n)), np.zeros((2, n)), params)) == [
+                (2, amplitude_rows)]
+        # rows of the stability check, N floats each
+        assert max(len(q) for q, *_ in calls("energy", lambda: (
+            chain.integrate_chain(np.zeros(n), np.ones(n), params,
+                                  duration=300 * 0.05, dt=0.05)))
+                   if np.ndim(q) == 2) == energy_rows
+    # window sites at stride 12, 2w = 54 floats each
+    assert calls(chain.__name__, lambda: chain.integrate_chain(
+        np.zeros(2048), np.ones(2048), chain.ChainParams(n_sites=2048),
+        duration=0.6, dt=0.05, stride=12)) == [(2048, 1213)]
+    # spectrum modes at a09's 2096 snapshots, 2096 floats each
+    traj = chain.ChainTrajectory(
+        0.1 * np.arange(2096), np.ones((2096, 8)) * (1 + 1j), np.zeros(2096))
+    assert calls(chain.__name__, lambda: chain.spectral_dispersion(
+        traj, chain.ChainParams(n_sites=8)))[-1] == (8, 31)
+    assert errors.SAMPLE_BLOCK == 32768
+
+
 def _definitions(tree):
     """Top-level name -> the nodes that bind it (defs, classes, assignments)."""
     defs = {}
