@@ -3,7 +3,9 @@ scale, constrained variations, the coherent tilt and the sphere map.
 
 The functions return plain numbers, matrices and draws; the tilt and the
 sphere map return their samples, and the CLI runners compute the moments
-and Kolmogorov-Smirnov distances their checks measure.
+and Kolmogorov-Smirnov distances their checks measure.  The sphere map
+hands out its angles only on request, after its radial draws, so a runner
+reduces one coordinate and drops it before the next is drawn.
 
 The bath is a harmonic oscillator ensemble at inverse temperature beta; in
 rescaled variables the Gibbs weight exp(-beta w (q^2+p^2)/2) is an isotropic
@@ -269,9 +271,16 @@ def random_antisymmetric(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def generator_defect(x, a: np.ndarray, generator: np.ndarray) -> float:
     """|grad H . Omega grad H| at x for H = (1/2) x^T A x: the first-order
-    energy change along the generated flow, zero for an antisymmetric Omega."""
+    energy change along the generated flow, zero for an antisymmetric Omega.
+    A gradient so large that the products overflow is refused by name."""
     grad = a @ x
-    return abs(float(grad @ (generator @ grad)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = abs(float(grad @ (generator @ grad)))
+    if not math.isfinite(defect):
+        raise FloatingPointError(
+            f"first-order energy change grad H . Omega grad H = {defect:g} "
+            "must be finite")
+    return defect
 
 
 def defect_rounding_bound(x, a: np.ndarray, generator: np.ndarray) -> float:
@@ -290,11 +299,20 @@ def defect_rounding_bound(x, a: np.ndarray, generator: np.ndarray) -> float:
 
 def gibbs_first_order_defect(x, a: np.ndarray, generator: np.ndarray,
                              dts) -> np.ndarray:
-    """|H(x + Omega grad H * dt) - H(x)| over the dt values (expected O(dt^2))."""
+    """|H(x + Omega grad H * dt) - H(x)| over the dt values (expected O(dt^2)).
+    A step so long that the energy it reaches overflows is refused by name."""
     direction = generator @ (a @ x)
     h0 = _energy(a, x)
-    return np.array([abs(_energy(a, x + direction * dt) - h0)
-                     for dt in dts])
+    changes = []
+    for dt in dts:
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = _energy(a, x + direction * dt)
+        if not math.isfinite(energy):
+            raise FloatingPointError(
+                f"energy H(x + Omega grad H dt) = {energy:g} at dt = {dt:g} "
+                "must be finite")
+        changes.append(abs(energy - h0))
+    return np.array(changes)
 
 
 # -- tilted measure ----------------------------------------------------------
@@ -330,8 +348,9 @@ def ks_statistic(cdf_values: np.ndarray) -> float:
     D = max over the sorted values of i/n - F_(i) and F_(i) - (i-1)/n.
 
     Sorts `cdf_values` in place, then forms both differences in blocks
-    (`point_blocks`); the maximum over the blocks is the whole-array
-    maximum exactly."""
+    (`point_blocks`), each in place in one temporary beside the block's
+    ranks; the maximum over the blocks is the whole-array maximum
+    exactly."""
     f = cdf_values
     f.sort()
     n = f.size
@@ -339,9 +358,14 @@ def ks_statistic(cdf_values: np.ndarray) -> float:
     for cut in point_blocks(n):
         block = f[cut]
         i = np.arange(cut.start + 1, cut.stop + 1)
+        d = i / n
+        d -= block
+        above = np.max(d)
+        i -= 1
+        np.divide(i, n, out=d)
+        np.subtract(block, d, out=d)
         # np.max keeps a NaN that max() would drop
-        worst = np.max((worst, np.max(i / n - block),
-                        np.max(block - (i - 1) / n)))
+        worst = np.max((worst, above, np.max(d)))
     return float(worst)
 
 
@@ -349,7 +373,8 @@ def sphere_pushforward_check(radius: float, beta: float, n_samples: int,
                              seed) -> tuple:
     """Push uniform area on the sphere of radius R through the map
     |z|^2 = -ln(2 beta R^2 sin^2(theta/2))/beta, arg z = phi; returns the
-    draws (t = |z|^2, phi) and t_min, the smallest attainable |z|^2.
+    radial draws t = |z|^2, a function `angles()` that draws phi, and
+    t_min, the smallest attainable |z|^2.
 
     Uniform area in (phi, u = sin^2(theta/2)) is uniform in both; on the
     admissible cap u <= u_max, where the log stays >= 0, the radial image t
@@ -357,10 +382,12 @@ def sphere_pushforward_check(radius: float, beta: float, n_samples: int,
     arg z stays uniform.  A radius outside (0, inf) is a float that left
     the range of the flags it was derived from.
 
-    t is computed in place in the array of the u draws, so the two returned
-    arrays are the only ones that grow with `n_samples`; a sample whose
-    arrays would each pass MAX_SNAPSHOT_FLOATS raises CapacityError before
-    a draw.
+    t is computed in place in the array of the u draws.  The angles come
+    from the same generator after the u draws, as when both were drawn
+    here, but only when `angles()` is called: a caller that reduces t and
+    drops it before drawing phi holds one array that grows with
+    `n_samples` at a time.  A sample whose arrays would each pass
+    MAX_SNAPSHOT_FLOATS raises CapacityError before a draw.
     """
     if not 0.0 < radius < math.inf:
         raise FloatingPointError(f"radius {radius:g} must be positive and finite")
@@ -371,9 +398,12 @@ def sphere_pushforward_check(radius: float, beta: float, n_samples: int,
     t = rng.uniform(0.0, u_max, n_samples)
     # guard the measure-zero event u == 0 (log divergence)
     np.maximum(t, np.finfo(float).tiny, out=t)
-    phi = rng.uniform(0.0, 2.0 * math.pi, n_samples)
     t *= 2.0 * beta * radius ** 2
     np.log(t, out=t)
     np.negative(t, out=t)
     t /= beta
-    return t, phi, t_min
+
+    def angles() -> np.ndarray:
+        return rng.uniform(0.0, 2.0 * math.pi, n_samples)
+
+    return t, angles, t_min

@@ -308,13 +308,19 @@ def _stride_kernel(params: ChainParams, h: float, decay: float,
     entry [d, c, i] is what channel c (0 for q, 1 for p) at site n + i - w // 2
     adds to channel d at site n.  Kicks couple nearest neighbours, so a delta
     moves q by at most `stride` sites and p by one more; the kernel is read
-    off a q-delta and a p-delta at site 0, stepped as one (2, N) batch."""
+    off a q-delta and a p-delta at site 0, stepped as one (2, M) batch on a
+    ring of M = min(N, 2 stride + 5) sites.  Where M < N the two fronts
+    stay two untouched sites apart, so every site of the kernel sees the
+    operations it sees on the whole chain: the same floats for O(stride^2)
+    work in place of O(stride N)."""
     n = params.n_sites
-    delta = np.zeros((2, n))
+    ring = min(n, 2 * stride + 5)
+    delta = np.zeros((2, ring))
     delta[0, 0] = 1.0
     q, p = _leapfrog_stride(delta, delta[::-1], params, h, decay, stride)
     width = min(n, 2 * stride + 3)
-    return np.take(np.stack((q, p)), (width // 2 - np.arange(width)) % n, axis=-1)
+    return np.take(np.stack((q, p)), (width // 2 - np.arange(width)) % ring,
+                   axis=-1)
 
 
 def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,

@@ -13,6 +13,10 @@ def run(args, report):
     coeffs = rng.standard_normal(args.nmax + 1) + 1j * rng.standard_normal(args.nmax + 1)
     f = bargmann.FockVector(coeffs, args.hbar).normalized()
     t_max = args.t_max if args.t_max is not None else 10.0 / args.omega
+    if not math.isfinite(t_max):
+        # a subnormal --omega: named here, before numpy meets it
+        raise FloatingPointError(f"run length 10/omega = {t_max:g} must be "
+                                 "finite")
     radius = args.radius if args.radius is not None else math.sqrt(args.hbar)
     times = np.linspace(0.0, t_max, args.n_times)
     prof0 = dynamics.profile_from_fock(f, radius, args.grid)

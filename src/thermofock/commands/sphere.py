@@ -23,15 +23,18 @@ def run(args, report):
         raise FloatingPointError(
             f"{flags}: 2 beta R^2 = {scale:g} is outside the normal float "
             "range")
-    t, phi, t_min = bath.sphere_pushforward_check(radius, beta, args.samples,
-                                                  args.seed)
+    t, angles, t_min = bath.sphere_pushforward_check(
+        radius, beta, args.samples, args.seed)
     # the model CDFs 1 - exp(-beta (t - t_min)) and phi/2pi, each written
-    # over its draws, which ks_statistic then sorts in place
+    # over its draws, which ks_statistic then sorts in place; t is dropped
+    # before the angles are drawn, so one array of draws is held at a time
     t -= t_min
     t *= -beta
     np.expm1(t, out=t)
     np.negative(t, out=t)
     ks_radial = bath.ks_statistic(t)
+    del t
+    phi = angles()
     phi /= 2.0 * math.pi
     ks_angular = bath.ks_statistic(phi)
     # the asymptotic 99% Kolmogorov-Smirnov critical value

@@ -111,8 +111,12 @@ def schrodinger_evolve(f: FockVector, t: float, ordering: str,
     """Evolve with the diagonal Hamiltonian: c_n -> c_n exp(-i E_n t / hbar).
 
     Normal ordering reproduces evolve_exact; symmetric ordering differs by the
-    global zero-point phase exp(-i w t / 2) only.
+    global zero-point phase exp(-i w t / 2) only.  A subnormal hbar, whose
+    reciprocal the complex division by hbar forms, is refused by name.
     """
+    rate = 1.0 / float(f.hbar)
+    if not math.isfinite(rate):
+        raise FloatingPointError(f"phase rate 1/hbar = {rate:g} must be finite")
     h = hamiltonian_matrix(ordering, omega, f.hbar, f.truncation)
     energies = np.real(np.diag(h))
     return FockVector(f.coeffs * np.exp(-1j * energies * t / f.hbar), f.hbar)

@@ -294,10 +294,10 @@ def test_tilt_shifts_the_mean_not_the_covariance():
 
 def _sphere_distances(radius, beta, n_samples, seed):
     """The KS distances of both marginals, as `sphere` measures them, and
-    the draws."""
-    t, phi, t_min = sphere_pushforward_check(radius, beta, n_samples, seed)
+    the radial draws."""
+    t, angles, t_min = sphere_pushforward_check(radius, beta, n_samples, seed)
     ks_radial = ks_statistic(-np.expm1(-beta * (t - t_min)))
-    ks_angular = ks_statistic(phi / (2.0 * math.pi))
+    ks_angular = ks_statistic(angles() / (2.0 * math.pi))
     return ks_radial, ks_angular, t, t_min
 
 
@@ -312,33 +312,50 @@ def test_sphere_pushforward_both_marginals():
 @pytest.mark.parametrize("seed", [21, 3])
 def test_ks_statistic_matches_scipy(seed):
     stats = pytest.importorskip("scipy.stats")
-    t, phi, t_min = sphere_pushforward_check(math.sqrt(0.5), 1.0, 100_000, seed)
+    t, angles, t_min = sphere_pushforward_check(math.sqrt(0.5), 1.0, 100_000,
+                                                seed)
+    phi = angles()
     radial = stats.kstest(t - t_min, stats.expon(scale=1.0).cdf)
     angular = stats.kstest(phi / (2.0 * math.pi), "uniform")
     assert ks_statistic(-np.expm1(-(t - t_min))) == radial.statistic
     assert ks_statistic(phi / (2.0 * math.pi)) == angular.statistic
 
 
-def test_sphere_pipeline_holds_its_two_draw_arrays(traced_peak):
+def test_sphere_pipeline_holds_one_draw_array(traced_peak):
     # the sphere runner's route: t and both model CDFs are formed in the
-    # draws' arrays, and ks_statistic sorts in place and reads blocks, so
-    # the peak is the 2 x 8n bytes of the draws and little more (3.0x the
-    # draws when each step made a new array)
+    # draws' arrays, ks_statistic sorts in place and reads blocks, and t is
+    # dropped before the angles are drawn, so the peak is the 8n bytes of
+    # one coordinate's draws and little more (2 x 8n when both were drawn
+    # at once, 3.0x that when each step made a new array)
     n = 2 ** 18
 
     def pipeline(n):
-        t, phi, t_min = sphere_pushforward_check(math.sqrt(0.5), 1.0, n, 21)
+        t, angles, t_min = sphere_pushforward_check(math.sqrt(0.5), 1.0, n, 21)
         t -= t_min
         t *= -1.0
         np.expm1(t, out=t)
         np.negative(t, out=t)
         ks_statistic(t)
+        del t
+        phi = angles()
         phi /= 2.0 * math.pi
         ks_statistic(phi)
 
     # numpy's one-time set-up of the calls is not the pipeline's
     _, peak = traced_peak(lambda: pipeline(n), lambda: pipeline(10))
-    assert peak <= 2 * 8 * n + 8 * n // 8
+    assert peak <= 8 * n + 8 * n // 8
+
+
+def test_sphere_draws_are_pinned():
+    # taken when t and phi were both drawn before the function returned:
+    # the angles drawn on request after t are the same floats
+    t, angles, t_min = sphere_pushforward_check(math.sqrt(0.5), 1.0, 100_003,
+                                                9)
+    assert hashlib.sha256(t.tobytes()).hexdigest() == (
+        "3939206e17f5b34602c10b56878d7a125c42368fb59566d6284db6cc18682857")
+    assert hashlib.sha256(angles().tobytes()).hexdigest() == (
+        "ac5310bc571d2a49b25b8a766bd42c4ec3d8f3753ef55b0e26e4b8d31debdd4c")
+    assert t_min == 0.0
 
 
 def test_ks_statistic_sorts_in_place_and_reads_blocks():

@@ -398,6 +398,35 @@ def test_stride_map_route_is_the_unit_vector_map_bit_for_bit():
         assert _kernel_map(kernel, params.n_sites).tobytes() == want.tobytes()
 
 
+def _full_ring_kernel(params, h, decay, stride):
+    """The stride kernel read off deltas stepped on the whole N-site ring."""
+    n = params.n_sites
+    delta = np.zeros((2, n))
+    delta[0, 0] = 1.0
+    q, p = _leapfrog_stride(delta, delta[::-1], params, h, decay, stride)
+    width = min(n, 2 * stride + 3)
+    return np.take(np.stack((q, p)), (width // 2 - np.arange(width)) % n,
+                   axis=-1)
+
+
+def test_stride_kernel_on_a_short_ring_is_the_full_ring_kernel_bit_for_bit():
+    # the ring is N sites up to 2 stride + 5 and shorter beyond; signed
+    # zeros included, with and without friction, pinning or coupling
+    h = 0.05
+    for n_sites, stride in ((4, 1), (5, 1), (6, 1), (7, 1), (8, 1), (9, 2),
+                            (16, 7), (17, 6), (18, 6), (19, 6), (64, 12),
+                            (256, 12), (1024, 40), (4096, 1000)):
+        for params in (ChainParams(n_sites=n_sites),
+                       ChainParams(n_sites=n_sites, gamma=0.0),
+                       ChainParams(n_sites=n_sites, gamma_couple=0.0)):
+            for friction in (0.0, 0.05):
+                decay = math.exp(-friction * h / 2.0)
+                got = _stride_kernel(params, h, decay, stride)
+                want = _full_ring_kernel(params, h, decay, stride)
+                assert got.tobytes() == want.tobytes(), (n_sites, stride,
+                                                         params, friction)
+
+
 @pytest.mark.parametrize("params, friction", [
     (ChainParams(n_sites=16), 0.05),
     # no pinning and no friction: the k = 0 mode drifts freely
