@@ -5,12 +5,14 @@ every pass that works in blocks."""
 # Floats one array sized by a run's flags may hold: snapshots x sites for a
 # chain, the snapshot count for a single oscillator's orbit, and, counting
 # a complex entry as two floats, a dense operator matrix, the quadrature
-# Gram basis or a coherent vector at truncation --nmax, the draws that
-# --samples sizes (the tilt's complex array and the sphere map's two real
-# ones), and the 2n x 2n matrices of n = --pairs oscillator pairs.  2**24
-# float64 is 128 MiB: a dense operator stops at nmax 2895, the Gram basis
-# at 160, tilt at 2**23 samples, sphere at 2**24, and the bath's matrices
-# at 2048 pairs.  The ensemble cloud streams in fixed blocks; its own cap,
+# Gram's angular powers or a coherent vector at truncation --nmax, the
+# draws that --samples sizes (the tilt's complex array and the sphere
+# map's two real ones), and the 2n x 2n matrices of n = --pairs oscillator
+# pairs.  2**24 float64 is 128 MiB: a dense operator stops at nmax 2895,
+# the angular powers at 2046, tilt at 2**23 samples, sphere at 2**24, and
+# the bath's matrices at 2048 pairs.  Below that cap the quadrature Gram
+# stops first at its Gauss-Laguerre rule, at nmax 185 (numpy 2.4.6).
+# The ensemble cloud streams in fixed blocks; its own cap,
 # dynamics.MAX_CLOUD_PARTICLES, bounds a run's length.
 # The largest benchmarked trajectory, chain-dispersion --sites 1024, fills
 # 2096 x 1024 = 2.1e6 (17 MB each for q and p), an eighth of the cap; a
@@ -46,8 +48,8 @@ class ThermoFockError(Exception):
 
 
 class CapacityError(ThermoFockError):
-    """An operator build, a truncation-sized array, a sample-sized array
-    or a snapshot buffer exceeded its size cap."""
+    """An operator build, a truncation-sized array or quadrature rule, a
+    sample-sized array or a snapshot buffer exceeded its size cap."""
 
 
 class TruncationError(ThermoFockError):

@@ -312,6 +312,11 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
     exits_three("damp", "--omega", "1e-300", names=(
         "decay fit needs finite amplitudes and a finite, nonzero norm of "
         "the times"))
+    # the quadrature Gram's rule: numpy 2.4.6's 187-node Gauss-Laguerre
+    # weights overflow, refused by name and without a numpy warning (the
+    # node count where they overflow may move with numpy and LAPACK)
+    exits_three("gram", "--nmax", "186",
+                names="187-node Gauss-Laguerre rule of truncation 186")
     # the sampler's expected acceptance 1/bound below its 1e-3 floor is
     # refused before a draw: the first run overflowed in its proposals, the
     # other three collapsed after 10 000 of them
@@ -344,6 +349,11 @@ def test_oversize_truncation_exits_three(monkeypatch):
     # failure, refused before numpy is asked for the memory
     from thermofock import errors
 
+    # at the real cap too: a 1e6-node Gauss-Laguerre rule would ask numpy
+    # for an 8 TB companion matrix before its weights could be checked
+    outcome = evaluate("gram", "--nmax", "1e6")
+    assert outcome.code == cli.EXIT_NUMERICAL, outcome.error
+    assert "CapacityError" in outcome.report.checks[0].measured
     monkeypatch.setattr(errors, "MAX_SNAPSHOT_FLOATS", 2 * 17 ** 2)
     assert evaluate("commutator", "--nmax", "16").code == cli.EXIT_PASS
     for argv in (("commutator", "--nmax", "17"),
