@@ -1,4 +1,5 @@
-"""`thermofock damp`: weakly damped motion and its envelope."""
+"""`thermofock damp`: damped motion, leapfrog against the exact flow, and
+its envelope."""
 
 import argparse
 import math
@@ -11,7 +12,8 @@ def run(args, report):
     import numpy as np
 
     from .. import bargmann, dynamics, fits
-    from ..phasespace import PhasePoint, hamilton_orbit
+    from ..errors import check_capacity
+    from ..phasespace import PhasePoint, leapfrog_map
 
     w = args.omega
     if args.q0 == 0 and args.v0 == 0:
@@ -39,9 +41,35 @@ def run(args, report):
         raise FloatingPointError(
             f"t-max / dt = {t_max:g} / {dt:g} is no finite step count")
     n_steps = int(math.ceil(steps))
+    # the start, every stride-th step and the last step; the largest array
+    # is the closed form's 2x2 flow at each snapshot
+    stride = 4
+    n_full, tail = divmod(n_steps, stride)
+    n_snap = 1 + n_full + (tail > 0)
+    check_capacity(4 * n_snap, f"the flows of an orbit of {n_snap} snapshots")
+    times = np.minimum(np.arange(n_snap) * stride, n_steps) * dt
 
-    times, qs, ps = hamilton_orbit(point, w, dt, n_steps,
-                                   friction=alpha, stride=4)
+    def orbit(friction):
+        """(q, p) at `times`: each snapshot the one before moved by one
+        stride's leapfrog map, the last by that of its own steps."""
+        full, last = (leapfrog_map(w, dt, n, friction)
+                      for n in (stride, tail or stride))
+        qs, ps = np.empty(n_snap), np.empty(n_snap)
+        x, y = point
+        qs[0], ps[0] = x, y
+        for s in range(1, n_snap):
+            (m00, m01), (m10, m11) = full if s < n_snap - 1 else last
+            x, y = m00 * x + m01 * y, m10 * x + m11 * y
+            qs[s], ps[s] = x, y
+        return qs, ps
+
+    def closed_form(friction, t):
+        """(q, p) at t of the exact damped flow from the start point."""
+        flow = dynamics.damped_flow(w, friction, t)
+        return (flow[..., 0, 0] * point.q + flow[..., 0, 1] * point.p,
+                flow[..., 1, 0] * point.q + flow[..., 1, 1] * point.p)
+
+    qs, ps = orbit(alpha)
     z_mag = np.hypot(qs, ps) * (2.0 ** -0.5)
     usable = z_mag > 0
     rate = fits.fit_decay_rate(times[usable], z_mag[usable])
@@ -60,16 +88,14 @@ def run(args, report):
                "half-rate exponential",
                ratio, ratio_oracle, 0.02 * ratio_oracle)
 
-    closed = dynamics.damped_solution(args.q0, args.v0, w, alpha, times)
+    q_closed, p_closed = closed_form(alpha, times)
     scale = max(abs(args.q0), abs(args.v0) / w, 1e-300)
-    traj_dev = float(np.max(np.abs(closed.q - qs)))
+    traj_dev = float(np.max(np.abs(q_closed - qs)))
     report.add("closed-form-vs-leapfrog",
-               "closed-form weakly damped motion tracks the integrated "
-               "trajectory",
+               "the exact damped flow tracks the integrated trajectory",
                traj_dev, 0.0, 0.01 * scale)
 
-    far = dynamics.damped_solution(args.q0, args.v0, w, alpha, 20.0 / alpha)
-    late = abs(far.q)
+    late = float(abs(closed_form(alpha, 20.0 / alpha)[0]))
     report.add("long-time-decay",
                "displacement after twenty relaxation times is below 1e-4 "
                "of the initial scale",
@@ -79,15 +105,14 @@ def run(args, report):
     # scale: exact, so the drifts read as unscaled ones wherever those
     # neither underflow nor overflow (at --q0 1e-300 they underflowed to 0/0)
     unit = math.ldexp(1.0, math.frexp(scale)[1])
-    sol0 = dynamics.damped_solution(args.q0, args.v0, w, 0.0, times)
-    energies = 0.5 * w * ((np.asarray(sol0.q) / unit) ** 2
-                          + (np.asarray(sol0.p) / unit) ** 2)
+    q_free, p_free = closed_form(0.0, times)
+    energies = 0.5 * w * ((q_free / unit) ** 2 + (p_free / unit) ** 2)
     drift = float(np.max(np.abs(energies - energies[0])) / energies[0])
     report.add("control-energy-constant",
                "the undamped closed form conserves energy",
                drift, 0.0, 1e-12)
 
-    _, q0s, p0s = hamilton_orbit(point, w, dt, n_steps, stride=4)
+    q0s, p0s = orbit(0.0)
     e_lf = 0.5 * w * ((q0s / unit) ** 2 + (p0s / unit) ** 2)
     report.add("control-leapfrog-energy",
                "the frictionless integrator keeps energy within its "
@@ -96,12 +121,13 @@ def run(args, report):
                (w * dt) ** 2 / 2.0)
 
     # the largest rise of any coefficient magnitude between consecutive
-    # sample times, holding two vectors at a time
-    c0 = np.conj(point.to_z()) / args.hbar
+    # sample times, holding two vectors at a time; each vector's centre is
+    # the simulated snapshot nearest its time, c_t = conj(z_t) / hbar
     increase, prev = -math.inf, None
     for t in np.linspace(0.0, t_max, 30):
-        ct = c0 * np.exp((-1j * w - 0.5 * alpha) * t)
-        mags = np.abs(bargmann.coherent_vector(complex(ct), args.nmax,
+        k = int(np.argmin(np.abs(times - t)))
+        c_t = PhasePoint(qs[k], ps[k]).to_z().conjugate() / args.hbar
+        mags = np.abs(bargmann.coherent_vector(c_t, args.nmax,
                                                args.hbar).coeffs)
         if prev is not None:
             increase = max(increase, float(np.max(mags - prev)))
@@ -111,8 +137,8 @@ def run(args, report):
                "monotonically under damping",
                increase, 0.0, 0.0)
 
-    rows = list(zip(times.tolist(), np.asarray(closed.q).tolist(),
-                    np.asarray(closed.p).tolist(), qs.tolist(), ps.tolist()))
+    rows = list(zip(times.tolist(), q_closed.tolist(), p_closed.tolist(),
+                    qs.tolist(), ps.tolist()))
     return [("damp_trajectory.csv",
              ["t", "q_closed", "p_closed", "q_leapfrog", "p_leapfrog"],
              rows)]

@@ -38,20 +38,14 @@ def run(args, report):
     history = dynamics.ensemble_evolve(f, w, times, args.samples, args.seed,
                                        dt=period / 1024.0, friction=alpha,
                                        proposal_scale=args.proposal_scale)
-    # exact linear flow of (q, p) under qdot = w p, pdot = -w q - alpha p:
-    # M(t) = e^{-alpha t/2} [cos(W t) I + sin(W t)/W (A + alpha/2 I)]
-    # w * w underflows for tiny omega; the factored form does not
-    big_w = w * math.sqrt(1.0 - (0.5 * alpha / w) ** 2)
-    shifted = np.array([[0.5 * alpha, w], [-w, -0.5 * alpha]])
+    # the exact flow M(t) of (q, p) moves the cloud's mean and covariance
     center = hbar * np.conj(c)
     x0 = math.sqrt(2.0) * np.array([center.real, center.imag])
     # per-time deviations; np.max keeps a NaN that max() would drop
     mean_devs, abs2_devs = [], []
     rows = []
-    for t, rep in zip(times, history.moments):
-        flow = math.exp(-0.5 * alpha * t) * (
-            math.cos(big_w * t) * np.eye(2)
-            + (math.sin(big_w * t) / big_w) * shifted)
+    for t, flow, rep in zip(times, dynamics.damped_flow(w, alpha, times),
+                            history.moments):
         mean = flow @ x0
         oracle = complex(mean[0], mean[1]) / math.sqrt(2.0)
         se_re, se_im = rep.mean_se

@@ -10,7 +10,6 @@ agreement is what the harness checks.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .bargmann import FockVector, hamiltonian_matrix
 from .errors import (
     SAMPLE_BLOCK, CapacityError, SamplerError, TruncationError, point_blocks)
-from .phasespace import PhasePoint, hamilton_step
+from .phasespace import leapfrog_map
 
 __all__ = [
     "EnsembleHistory",
@@ -27,7 +26,7 @@ __all__ = [
     "transport_solve",
     "evolve_exact",
     "schrodinger_evolve",
-    "damped_solution",
+    "damped_flow",
     "ensemble_evolve",
     "cloud_centre",
 ]
@@ -122,35 +121,22 @@ def schrodinger_evolve(f: FockVector, t: float, ordering: str,
     return FockVector(f.coeffs * np.exp(-1j * energies * t / f.hbar), f.hbar)
 
 
-def damped_solution(q0: float, v0: float, omega: float,
-                    friction: float, t) -> PhasePoint:
-    """Closed-form motion of pdot = -w q - alpha p, w = `omega` and alpha =
-    `friction`, weakly damped with envelope exp(-alpha t / 2).
-
-    q(t) = c1 exp(-i(w - i a/2) t) + c2 exp(+i(w + i a/2) t), both branches
-    decaying like exp(-a t/2), with c1, c2 fixed by q(0) = q0 and the raw
-    velocity qdot(0) = v0.  Valid for a << w; warns at a >= 0.1 w.  Returns
-    the rescaled phase point (q, p = qdot/w); with an array `t` the fields
-    hold arrays.
+def damped_flow(omega: float, friction: float, t) -> np.ndarray:
+    """The exact flow of qdot = w p, pdot = -w q - alpha p, w = `omega` and
+    alpha = `friction` below 2 w (underdamped): x(t) = M(t) x(0) for a
+    phase point x = (q, p), with A = ((0, w), (-w, -alpha)) and
+        M(t) = exp(-alpha t/2) [cos(W t) I + sin(W t)/W (A + alpha/2 I)],
+    W = w sqrt(1 - (alpha/2w)^2), since (A + alpha/2 I)^2 = -W^2 I.  The
+    envelope times cos(W t) and sin(W t) are the parts of one complex
+    exponential exp((-alpha/2 + i W) t): libm's exp times its cos and sin.
+    Returns an array of shape t.shape + (2, 2).
     """
-    w = omega
-    a = friction
-    if a >= 0.1 * w:
-        warnings.warn(
-            "damping is not small (alpha >= 0.1 omega); the constant-envelope "
-            "form neglects the O(alpha^2) frequency shift",
-            stacklevel=2,
-        )
     t = np.asarray(t, dtype=float)
-    c1 = 0.5 * (q0 + 1j * (v0 + 0.5 * a * q0) / w)
-    branch = np.exp((-1j * w - 0.5 * a) * t)
-    # real initial data: the second branch is the conjugate of the first
-    q = 2.0 * np.real(c1 * branch)
-    qdot = 2.0 * np.real(c1 * (-1j * w - 0.5 * a) * branch)
-    p = qdot / w
-    if t.ndim == 0:
-        return PhasePoint(float(q), float(p))
-    return PhasePoint(q, p)
+    # w * w underflows for tiny omega; the factored form does not
+    big_w = omega * math.sqrt(1.0 - (0.5 * friction / omega) ** 2)
+    shifted = np.array([[0.5 * friction, omega], [-omega, -0.5 * friction]])
+    rotation = np.exp((-0.5 * friction + 1j * big_w) * t)[..., None, None]
+    return rotation.real * np.eye(2) + (rotation.imag / big_w) * shifted
 
 
 # -- ensembles ----------------------------------------------------------------
@@ -393,10 +379,9 @@ def _interval_maps(omega: float, times: np.ndarray, dt: float,
 
     Each interval is cut into the fewest equal steps no longer than `dt`,
     and their total is capped at MAX_CLOUD_STEPS before a step is taken.
-    The leapfrog is linear, so the steps compose to one map, whose columns
-    are the two unit vectors stepped with hamilton_step as one array pair,
-    each element getting the floats of a float point stepped alone: the map
-    is ((m00, m01), (m10, m11)), its rows, as floats."""
+    The leapfrog is linear, so the steps compose to one map,
+    `phasespace.leapfrog_map`: ((m00, m01), (m10, m11)), its rows, as
+    floats."""
     plan, t_prev = [], 0.0
     for t in times:
         plan.append(max(1, math.ceil((t - t_prev) / dt - 1e-12))
@@ -408,14 +393,8 @@ def _interval_maps(omega: float, times: np.ndarray, dt: float,
                             f"{MAX_CLOUD_STEPS} per ensemble run")
     maps, t_prev = [], 0.0
     for t, n_sub in zip(times, plan):
-        m = None
-        if n_sub:
-            h = (t - t_prev) / n_sub
-            units = PhasePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-            for _ in range(n_sub):
-                units = hamilton_step(units, omega, h, friction)
-            m = (tuple(units.q.tolist()), tuple(units.p.tolist()))
-        maps.append(m)
+        maps.append(leapfrog_map(omega, (t - t_prev) / n_sub, n_sub, friction)
+                    if n_sub else None)
         t_prev = t
     return maps
 

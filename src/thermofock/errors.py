@@ -3,7 +3,7 @@ a run's flags size, with the one check against it, and the block rule of
 every pass that works in blocks."""
 
 # Floats one array sized by a run's flags may hold: snapshots x sites for a
-# chain, the snapshot count for a single oscillator's orbit, and, counting
+# chain, the 2x2 flows at a single oscillator's orbit snapshots, and, counting
 # a complex entry as two floats, a dense operator matrix, the quadrature
 # Gram's angular powers or a coherent vector at truncation --nmax, the
 # draws that --samples sizes (the tilt's complex array and the sphere

@@ -1,5 +1,5 @@
 """The Poisson bracket of linear observables, phase-space points of one
-oscillator and their leapfrog stepper.
+oscillator, their leapfrog stepper and the 2x2 map of its steps.
 
 A linear observable a q + b p is its coefficient pair (a, b).  The exact
 ones, whose coefficients lie in Q(i, sqrt2), live in `exact`, so that the
@@ -13,13 +13,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import StabilityError, check_capacity
+from .errors import StabilityError
 
 __all__ = [
     "PhasePoint",
     "poisson_bracket",
     "hamilton_step",
-    "hamilton_orbit",
+    "leapfrog_map",
 ]
 
 
@@ -56,9 +56,9 @@ def hamilton_step(
 
     q and p may be floats or equal-shape arrays, each element getting the
     floats it gets stepped alone, since every operation is elementwise:
-    hamilton_orbit steps the float point `damp` fits, and dynamics' interval
-    maps step the two unit vectors as one array pair, the 2x2 map of an
-    ensemble interval.
+    leapfrog_map steps the two unit vectors as one array pair, the 2x2 map
+    of n steps that `damp` iterates along its orbit and that moves the
+    ensemble cloud over an interval.
     """
     q, p = point[0], point[1]
     decay = math.exp(-friction * dt / 2.0)
@@ -70,36 +70,22 @@ def hamilton_step(
     return PhasePoint(q, p)
 
 
-def hamilton_orbit(
-    point: PhasePoint,
-    omega: float,
-    dt: float,
-    n_steps: int,
-    friction: float = 0.0,
-    stride: int = 1,
-):
-    """Iterate hamilton_step; returns (times, q, p) sampled every `stride` steps.
+def leapfrog_map(omega: float, h: float, n_steps: int,
+                 friction: float = 0.0) -> tuple:
+    """The 2x2 map of `n_steps` hamilton_step steps of length h, as its rows
+    ((m00, m01), (m10, m11)) of floats: the leapfrog is linear, so the steps
+    move (q, p) to (m00 q + m01 p, m10 q + m11 p), up to rounding.
 
-    The leapfrog is linearly unstable once w dt >= 2: such a step raises
-    StabilityError instead of returning a growing orbit.  An orbit of more
-    snapshots than MAX_SNAPSHOT_FLOATS raises CapacityError before it steps.
+    Its columns are the two unit vectors stepped as one array pair, each
+    element getting the floats of a float point stepped alone.  The
+    leapfrog is linearly unstable once w h >= 2: such a step raises
+    StabilityError before any step is taken.
     """
-    if n_steps < 1 or stride < 1:
-        raise ValueError("n_steps and stride must be >= 1")
-    if not omega * dt < 2.0:
+    if not omega * h < 2.0:
         raise StabilityError(
-            f"w dt = {omega * dt:.4g} at or beyond the leapfrog "
+            f"w dt = {omega * h:.4g} at or beyond the leapfrog "
             "stability bound 2")
-    # the start, every stride-th step, and the last step
-    n_snap = 1 + -(-n_steps // stride)
-    check_capacity(n_snap, f"an orbit of {n_snap} snapshots")
-    times, qs, ps = np.empty(n_snap), np.empty(n_snap), np.empty(n_snap)
-    times[0], qs[0], ps[0] = 0.0, point[0], point[1]
-    x = PhasePoint(*point)
-    s = 0
-    for k in range(1, n_steps + 1):
-        x = hamilton_step(x, omega, dt, friction)
-        if k % stride == 0 or k == n_steps:
-            s += 1
-            times[s], qs[s], ps[s] = k * dt, x.q, x.p
-    return times, qs, ps
+    units = PhasePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    for _ in range(n_steps):
+        units = hamilton_step(units, omega, h, friction)
+    return tuple(units.q.tolist()), tuple(units.p.tolist())

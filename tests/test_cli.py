@@ -183,6 +183,44 @@ def test_damped_ensemble_passes_against_the_exact_flow():
     assert outcome.code == cli.EXIT_PASS, outcome.error
 
 
+def test_strongly_damped_closed_form_tracks_the_leapfrog_silently(tmp_path):
+    # at alpha = 0.5 omega the exact flow tracks the orbit to 2.8e-5 and
+    # nothing warns; the two envelope checks assume alpha << omega, so the
+    # run exits 1
+    proc = run_cli("damp", "--alpha", "0.5", outdir=tmp_path)
+    assert proc.returncode == cli.EXIT_CHECK_FAILURE, proc.stderr
+    assert proc.stderr == ""
+    checks = {check["name"]: check
+              for check in read_report(tmp_path, "damp")["checks"]}
+    assert checks["closed-form-vs-leapfrog"]["passed"]
+    assert checks["closed-form-vs-leapfrog"]["measured"] < 1e-4
+
+
+def test_damp_orbit_refusals_come_before_a_step(monkeypatch):
+    # a step at the leapfrog's stability bound w dt = 2, and an orbit whose
+    # 5094 default snapshots, 4 floats each in their closed-form flows, are
+    # one float over the cap: each is refused before the leapfrog takes a
+    # step; at the cap the run passes
+    from thermofock import errors, phasespace
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a leapfrog step was taken")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(phasespace, "hamilton_step", no_step)
+        for argv, error in ((("damp", "--dt", "2"), "StabilityError"),
+                            (("damp", "--t-max", "1e300"), "CapacityError")):
+            outcome = evaluate(*argv)
+            assert outcome.code == cli.EXIT_NUMERICAL, (argv, outcome.error)
+            assert outcome.report.checks[0].measured.startswith(error)
+        patch.setattr(errors, "MAX_SNAPSHOT_FLOATS", 4 * 5094 - 1)
+        outcome = evaluate("damp")
+        assert outcome.code == cli.EXIT_NUMERICAL, outcome.error
+        assert outcome.report.checks[0].measured.startswith("CapacityError")
+    monkeypatch.setattr(errors, "MAX_SNAPSHOT_FLOATS", 4 * 5094)
+    assert evaluate("damp").code == cli.EXIT_PASS
+
+
 def test_few_sample_ensemble_is_no_sampler_collapse():
     # the first chunk of 10 000 proposals accepts thousands of draws for 5
     # samples; counting only the 5 kept ones read as an efficiency collapse
@@ -238,7 +276,8 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
             ("ensemble", "--seed", "1", "--hbar", "1e-300"),
             ("evolve", "--seed", "1", "--radius", "1e20"),
             ("evolve", "--seed", "1", "--radius", "1e200"),
-            # past the leapfrog's stability bound w dt = 2
+            # at or past the leapfrog's stability bound w dt = 2
+            ("damp", "--dt", "2"),
             ("damp", "--dt", "2.5"),
             ("damp", "--dt", "1e3"),
             # every energy change underflows to 0: no log-log slope

@@ -186,8 +186,8 @@ def test_every_value_flag_declares_its_domain():
 
 
 @pytest.mark.parametrize("command", sorted(TABLE))
-@pytest.mark.filterwarnings("ignore:damping is not small")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("error::UserWarning")
 @settings(max_examples=8, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_walker_keeps_the_exit_code_contract(command, data):

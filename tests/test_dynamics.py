@@ -1,6 +1,6 @@
 """Four independent realizations of the same rotation, checked against each
 other: coefficient phases, circle transport, the diagonal propagator, and
-classical ensembles; plus the weakly damped extensions of each.
+classical ensembles; plus the damped extensions of each.
 """
 
 import hashlib
@@ -14,7 +14,7 @@ from thermofock import cli, dynamics
 from thermofock.bargmann import FockVector, coherent_vector
 from thermofock.bath import moment_report
 from thermofock.dynamics import (
-    damped_solution,
+    damped_flow,
     ensemble_evolve,
     evolve_exact,
     l2_grid_distance,
@@ -192,32 +192,49 @@ def test_evolution_preserves_the_norm():
 def test_damped_solution_alpha_zero_is_the_free_oscillation():
     omega = 1.5
     t = np.linspace(0.0, 10.0, 200)
-    sol = damped_solution(1.0, 0.0, omega, 0.0, t)
-    np.testing.assert_allclose(sol.q, np.cos(1.5 * t), atol=1e-12)
-    np.testing.assert_allclose(sol.p, -np.sin(1.5 * t), atol=1e-12)
+    q, p = damped_flow(omega, 0.0, t)[:, :, 0].T     # from (q, p) = (1, 0)
+    np.testing.assert_allclose(q, np.cos(1.5 * t), atol=1e-12)
+    np.testing.assert_allclose(p, -np.sin(1.5 * t), atol=1e-12)
 
 
 def test_damped_solution_initial_conditions():
-    omega = 2.0
-    q0, v0 = 0.7, -0.4
-    sol0 = damped_solution(q0, v0, omega, 0.02, 0.0)
-    assert sol0.q == pytest.approx(q0, rel=1e-12)
-    assert sol0.p * omega == pytest.approx(v0, rel=1e-12)
+    # M(0) is the identity exactly, so the flow starts at the start point
+    flow = damped_flow(2.0, 0.02, 0.0)
+    assert flow.shape == (2, 2)
+    assert flow.tobytes() == np.eye(2).tobytes()
 
 
 def test_damped_solution_envelope_rate():
     omega = 1.0
     alpha = 0.01
     t = np.linspace(0.0, 400.0, 4001)
-    sol = damped_solution(1.0, 0.0, omega, alpha, t)
-    amp = np.sqrt(0.5 * (sol.q ** 2 + sol.p ** 2))
+    q, p = damped_flow(omega, alpha, t)[:, :, 0].T
+    amp = np.sqrt(0.5 * (q ** 2 + p ** 2))
     rate = fit_decay_rate(t, amp)
     assert rate == pytest.approx(alpha / 2.0, rel=0.01)
 
 
+@pytest.mark.parametrize("ratio", [0.0, 0.01, 0.5, 1.9])
+def test_damped_flow_is_the_matrix_exponential(ratio):
+    # x(t) = expm(t A) x(0) with A = ((0, w), (-w, -alpha)), for any
+    # underdamped alpha = ratio * w, not only alpha << w; and det M(t) =
+    # exp(t tr A) = exp(-alpha t)
+    expm = pytest.importorskip("scipy.linalg").expm
+    omega = 1.3
+    alpha = ratio * omega
+    a = np.array([[0.0, omega], [-omega, -alpha]])
+    t = np.array([0.0, 0.37, 2.0, 11.5])
+    flows = damped_flow(omega, alpha, t)
+    assert flows.shape == (4, 2, 2)
+    assert flows[0].tobytes() == np.eye(2).tobytes()
+    for tk, flow in zip(t, flows):
+        np.testing.assert_allclose(flow, expm(tk * a), rtol=0.0, atol=1e-13)
+        assert np.linalg.det(flow) == pytest.approx(math.exp(-alpha * tk),
+                                                    rel=1e-12)
+
+
 def test_damped_solution_matches_leapfrog():
-    # the closed form keeps the undamped frequency, so it trails the true
-    # (leapfrog) dynamics by the alpha^2/(8 w) frequency shift -- budget it
+    # the exact flow leaves only the leapfrog's own O((w dt)^2) phase error
     omega = 1.0
     alpha = 0.01
     dt = 2 * math.pi / omega / 2048
@@ -226,19 +243,10 @@ def test_damped_solution_matches_leapfrog():
     x = PhasePoint(1.0, 0.0)
     for _ in range(n):
         x = hamilton_step(x, omega, dt, friction=alpha)
-    closed = damped_solution(1.0, 0.0, omega, alpha, t)
-    budget = 2.0 * alpha ** 2 * t / (8.0 * omega) + 10.0 * dt ** 2
-    assert x.q == pytest.approx(closed.q, abs=budget)
-    assert x.p == pytest.approx(closed.p, abs=budget)
-
-
-def test_damped_solution_warns_when_damping_is_not_small():
-    omega = 1.0
-    with pytest.warns(UserWarning):
-        damped_solution(1.0, 0.0, omega, 0.5, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        damped_solution(1.0, 0.0, omega, 0.01, 1.0)
+    closed = damped_flow(omega, alpha, t) @ np.array([1.0, 0.0])
+    budget = 10.0 * dt ** 2
+    assert x.q == pytest.approx(closed[0], abs=budget)
+    assert x.p == pytest.approx(closed[1], abs=budget)
 
 
 def test_damping_params_validation(usage_error):

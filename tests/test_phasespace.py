@@ -13,13 +13,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from thermofock import cli
 from thermofock.errors import StabilityError
 from thermofock.exact import P, Q, Z, ZBAR, SqrtTwoComplex
 from thermofock.fits import fit_loglog_slope
 from thermofock.phasespace import (
     PhasePoint,
-    hamilton_orbit,
     hamilton_step,
+    leapfrog_map,
     poisson_bracket,
 )
 
@@ -117,8 +118,9 @@ def test_energy_error_scales_as_dt_squared():
     errs = []
     for dt in dts:
         n = int(round(1.0 / dt))
-        _, qs, ps = hamilton_orbit(x0, omega, dt, n)
-        e = oscillator_energy(qs[-1], ps[-1])
+        (m00, m01), (m10, m11) = leapfrog_map(omega, dt, n)
+        e = oscillator_energy(m00 * x0.q + m01 * x0.p,
+                              m10 * x0.q + m11 * x0.p)
         errs.append(abs(e - e0))
     slope = fit_loglog_slope(dts, np.array(errs))
     assert slope == pytest.approx(2.0, abs=0.1)
@@ -150,9 +152,23 @@ def test_frictionless_step_matches_friction_zero_bitwise():
 
 
 def test_orbit_sampling_and_stride():
-    times, qs, ps = hamilton_orbit(PhasePoint(1.0, 0.0), 1.0, 0.01, 100, stride=10)
-    assert times.shape == qs.shape == ps.shape == (11,)
-    np.testing.assert_allclose(np.diff(times), 0.1, rtol=1e-12)
+    # damp samples its orbit every 4th step and at the last one: 1019 steps
+    # at --alpha 0.2, so 254 full strides and a last stride of 3 steps, each
+    # snapshot the one before moved by its stride's leapfrog map
+    outcome = cli.evaluate(cli.build_parser().parse_args(
+        ["damp", "--alpha", "0.2"]))
+    (_, header, rows), = outcome.tables
+    t, q, p = (np.array([row[header.index(name)] for row in rows])
+               for name in ("t", "q_leapfrog", "p_leapfrog"))
+    dt = 2 * math.pi / 256
+    steps = np.r_[np.arange(0, 1017, 4), 1019]
+    assert t.tobytes() == (steps * dt).tobytes()
+    full, last = (leapfrog_map(1.0, dt, n, friction=0.2) for n in (4, 3))
+    x, y = 1.0, 0.0
+    for k in range(1, t.size):
+        (m00, m01), (m10, m11) = full if k < t.size - 1 else last
+        x, y = m00 * x + m01 * y, m10 * x + m11 * y
+        assert (q[k], p[k]) == (x, y)
 
 
 def test_phase_point_to_z():
@@ -178,10 +194,9 @@ def test_hamilton_step_rejects_bad_arguments(usage_error):
 
 
 @pytest.mark.parametrize("dt", [2.0, 2.5, 1e3])
-def test_hamilton_orbit_refuses_steps_past_the_stability_bound(dt):
+def test_leapfrog_map_refuses_steps_past_the_stability_bound(dt):
     # w dt >= 2 makes the leapfrog linearly unstable; just below it is not
     with pytest.raises(StabilityError):
-        hamilton_orbit(PhasePoint(1.0, 0.0), 1.0, dt, 10)
-    _, qs, ps = hamilton_orbit(PhasePoint(1.0, 0.0), 1.0,
-                               np.nextafter(2.0, 0.0), 10)
-    assert np.all(np.isfinite(qs)) and np.all(np.isfinite(ps))
+        leapfrog_map(1.0, dt, 10)
+    m = leapfrog_map(1.0, np.nextafter(2.0, 0.0), 10)
+    assert np.all(np.isfinite(m))

@@ -360,7 +360,7 @@ LINE_REACH_INVOCATIONS = (
     "commutator --hbar 2 --nmax 64",
     "commutator --hbar 1 --nmax 64",
     "damp",
-    # past alpha = 0.1 omega the closed form warns (and its checks fail)
+    # 1019 steps: the orbit ends on a partial stride of 3
     "damp --alpha 0.2",
     "ensemble --seed 7",
     "ensemble --c 1.2 --seed 7",
