@@ -2,8 +2,8 @@
 
 Submodules
 ----------
-exact        numbers of the field Q(i, sqrt(2)) and the linear observables
-             whose coefficients lie in it
+exact        the linear observables q, p and sqrt(2) z, sqrt(2) zbar as
+             Gaussian-integer coefficient pairs, whose brackets are exact
 phasespace   the Poisson bracket, phase-space points, leapfrog integration
 bargmann     the holomorphic function space, its basis, operators, kernels
 bath         Gibbs measure: moments, partition integrals of a quadratic form,

@@ -245,26 +245,11 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
 
 def _coherent_coeffs(amp: complex, n_max: int) -> np.ndarray:
     """c_n = amp^n / sqrt(n!) for n = 0..n_max, by the ratio recurrence;
-    an overflow is left for the caller to catch or rule out.
-
-    Once a coefficient underflows to an exact zero, every later one is zero
-    too, and only the signs of its two zero parts still change.  They follow
-    a map of four states, which cycles with a period dividing 12 from the
-    third step on, so the recurrence stops 15 steps past the first zero and
-    the rest repeats the last 12 values: the same bits, not one Python step
-    per coefficient.
-    """
+    an overflow is left for the caller to catch or rule out."""
     coeffs = np.empty(n_max + 1, dtype=complex)
     coeffs[0] = 1.0
-    first_zero = None
     for n in range(1, n_max + 1):
         coeffs[n] = coeffs[n - 1] * amp / math.sqrt(n)
-        if first_zero is None:
-            if coeffs[n] == 0:
-                first_zero = n
-        elif n == first_zero + 15:
-            coeffs[n + 1:] = np.resize(coeffs[n - 11:n + 1], n_max - n)
-            break
     return coeffs
 
 

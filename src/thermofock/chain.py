@@ -96,14 +96,17 @@ def _check_sites(n_sites: int, params: ChainParams):
 def chain_energy(q: np.ndarray, p: np.ndarray, params: ChainParams):
     """Chain energy of each state (q, p) along the last axis, with periodic
     boundary q_0 = q_N: a scalar for one state, an array for a batch.  An
-    axis -1 sum over a block of rows gives each row's own sum bit for bit."""
+    axis -1 sum over a block of rows gives each row's own sum bit for bit.
+    The three squares are formed in turn in the one `stretch` temporary."""
     _check_sites(q.shape[-1], params)
     stretch = np.empty_like(q)
     np.subtract(q[..., 1:], q[..., :-1], out=stretch[..., 1:])
     np.subtract(q[..., :1], q[..., -1:], out=stretch[..., :1])
-    return 0.5 * (np.sum(p * p, axis=-1) / params.mass
-                  + params.gamma_couple * np.sum(stretch * stretch, axis=-1)
-                  + params.gamma * np.sum(q * q, axis=-1))
+    stretch_sq = np.sum(np.multiply(stretch, stretch, out=stretch), axis=-1)
+    p_sq = np.sum(np.multiply(p, p, out=stretch), axis=-1)
+    q_sq = np.sum(np.multiply(q, q, out=stretch), axis=-1)
+    return 0.5 * (p_sq / params.mass + params.gamma_couple * stretch_sq
+                  + params.gamma * q_sq)
 
 
 def dispersion(k, params: ChainParams):

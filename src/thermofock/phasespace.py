@@ -1,9 +1,9 @@
 """The Poisson bracket of linear observables, phase-space points of one
 oscillator, their leapfrog stepper and the 2x2 map of its steps.
 
-A linear observable a q + b p is its coefficient pair (a, b).  The exact
-ones, whose coefficients lie in Q(i, sqrt2), live in `exact`, so that the
-runs that only step points do not load its Fraction arithmetic.
+A linear observable a q + b p is its coefficient pair (a, b); the ones
+whose brackets are a02's commutator targets live in `exact`, their
+coefficients Gaussian integers.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ __all__ = [
 
 def poisson_bracket(f, g):
     """{f, g} = df/dq dg/dp - df/dp dg/dq of two linear observables, in the
-    arithmetic of their coefficients: exact for `exact`'s Q, P, Z, ZBAR."""
+    arithmetic of their coefficients: exact for the Gaussian integers of
+    `exact`'s Q, P, SQRT2_Z and SQRT2_ZBAR."""
     return f[0] * g[1] - f[1] * g[0]
 
 

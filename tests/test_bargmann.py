@@ -205,23 +205,6 @@ def test_coherent_pairing_oracle():
         assert np.vdot(fa.coeffs, fb.coeffs) == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("amp", [0.5, -0.5, 0.3 - 0.4j, -0.3 + 0.4j,
-                                 complex(-0.0, -0.5), 0j, 1e-320])
-def test_coherent_coefficients_past_underflow_are_bit_identical(amp):
-    # the recurrence stops 15 steps past the first exact zero and repeats
-    # the last 12 values; the signs of the zeros must come out the same
-    def recurrence(n_max):
-        coeffs = np.empty(n_max + 1, dtype=complex)
-        coeffs[0] = 1.0
-        for n in range(1, n_max + 1):
-            coeffs[n] = coeffs[n - 1] * amp / math.sqrt(n)
-        return coeffs
-
-    for n_max in (0, 3, 40, 700, 1501):
-        assert (bargmann._coherent_coeffs(amp, n_max).tobytes()
-                == recurrence(n_max).tobytes()), n_max
-
-
 def test_coherent_norm_completeness_record():
     # the `coherent` runner measures the squared norm plus the tail the
     # truncation lost against exp(hbar |c|^2)

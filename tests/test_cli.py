@@ -732,9 +732,9 @@ BATH_COMMANDS = ("partition", "variation", "tilt", "sphere", "mode-commutator",
 @pytest.mark.parametrize("command", _subcommands())
 def test_a_run_loads_only_its_own_command(command, tmp_path):
     # a run compiles its own runner and no other, never a second copy of
-    # the CLI module, only gram the quadrature's numpy.polynomial, only
-    # commutator the exact brackets' fractions, and only the bath runs
-    # `bath`
+    # the CLI module, only gram the quadrature's numpy.polynomial, none
+    # `fractions` (the exact brackets are Gaussian integers), and only the
+    # bath runs `bath`
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORTS_CHILD, command,
          *QUICK_FLAGS.get(command, ()), "--outdir", str(tmp_path)],
@@ -746,7 +746,7 @@ def test_a_run_loads_only_its_own_command(command, tmp_path):
             if name.startswith("thermofock.commands.")] == [
         "thermofock.commands." + command.replace("-", "_")]
     assert ("numpy.polynomial" in loaded) == (command == "gram")
-    assert ("fractions" in loaded) == (command == "commutator")
+    assert "fractions" not in loaded
     assert ("thermofock.bath" in loaded) == (command in BATH_COMMANDS)
 
 

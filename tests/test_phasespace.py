@@ -1,21 +1,20 @@
 """Exact Poisson brackets of linear observables and the leapfrog point
 dynamics.
 
-A linear observable a q + b p is its coefficient pair (a, b) over
-Q(i, sqrt2), so the bracket identities are asserted on the four Fraction
-parts of each value, not with tolerances; tolerances only appear once
-floating-point integration enters.
+A linear observable a q + b p is its coefficient pair (a, b) of Gaussian
+integers, so the bracket identities are exact equalities of Python complex
+values, not tolerances; tolerances only appear once floating-point
+integration enters.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from thermofock import cli
+from thermofock import bargmann, cli
 from thermofock.errors import StabilityError
-from thermofock.exact import P, Q, Z, ZBAR, SqrtTwoComplex
+from thermofock.exact import SQRT2_Z, SQRT2_ZBAR, P, Q
 from thermofock.fits import fit_loglog_slope
 from thermofock.phasespace import (
     PhasePoint,
@@ -25,15 +24,9 @@ from thermofock.phasespace import (
 )
 
 
-def _parts(x):
-    return (x.ar, x.ai, x.br, x.bi)
-
-
 def _random_coefficient(rng):
-    """A Gaussian rational plus a Gaussian rational times sqrt2."""
-    return SqrtTwoComplex(*(Fraction(int(rng.integers(-9, 10)),
-                                     int(rng.integers(1, 6)))
-                            for _ in range(4)))
+    """A Gaussian integer with parts in [-9, 9]."""
+    return complex(*rng.integers(-9, 10, size=2).tolist())
 
 
 def _random_pair(rng):
@@ -48,16 +41,16 @@ def _combine(a, f, b, g):
 # -- exact bracket identities -------------------------------------------------
 
 def test_canonical_pair_bracket():
-    assert _parts(poisson_bracket(Q, P)) == (1, 0, 0, 0)
-    assert _parts(poisson_bracket(P, Q)) == (-1, 0, 0, 0)
-    assert _parts(poisson_bracket(Q, Q)) == (0, 0, 0, 0)
+    assert poisson_bracket(Q, P) == 1
+    assert poisson_bracket(P, Q) == -1
+    assert poisson_bracket(Q, Q) == 0
 
 
 def test_zbar_z_bracket_is_i():
-    # {zbar, z}_(q,p) = i and {z, zbar} = -i, exactly, including the 1/sqrt2
-    # factors
-    assert _parts(poisson_bracket(ZBAR, Z)) == (0, 1, 0, 0)
-    assert _parts(poisson_bracket(Z, ZBAR)) == (0, -1, 0, 0)
+    # {zbar, z}_(q,p) = i and {z, zbar} = -i, exactly: the sqrt2-scaled
+    # brackets are 2i and -2i, and halving them rounds nothing
+    assert poisson_bracket(SQRT2_ZBAR, SQRT2_Z) / 2 == 1j
+    assert poisson_bracket(SQRT2_Z, SQRT2_ZBAR) / 2 == -1j
 
 
 def test_bracket_antisymmetry_and_bilinearity():
@@ -65,31 +58,54 @@ def test_bracket_antisymmetry_and_bilinearity():
     for _ in range(20):
         f, g, h = _random_pair(rng), _random_pair(rng), _random_pair(rng)
         a, b = _random_coefficient(rng), _random_coefficient(rng)
-        assert _parts(poisson_bracket(f, g)) == _parts(-poisson_bracket(g, f))
-        assert _parts(poisson_bracket(f, _combine(a, g, b, h))) == _parts(
+        assert poisson_bracket(f, g) == -poisson_bracket(g, f)
+        assert poisson_bracket(f, _combine(a, g, b, h)) == (
             a * poisson_bracket(f, g) + b * poisson_bracket(f, h))
 
 
 def test_round_trip_is_the_identity():
-    # q = (z + zbar)/sqrt2 and p = -i (z - zbar)/sqrt2 recover the pair exactly
-    inv_sqrt2 = SqrtTwoComplex(0, 0, Fraction(1, 2))
-    minus_i_inv_sqrt2 = SqrtTwoComplex(0, 0, 0, Fraction(-1, 2))
+    # q = (z + zbar)/sqrt2 and p = -i (z - zbar)/sqrt2 recover the pair
+    # exactly: on the sqrt2-scaled pairs, halves of a sum and a difference
     for k in range(2):
-        assert _parts((Z[k] + ZBAR[k]) * inv_sqrt2) == _parts(Q[k])
-        assert _parts((Z[k] - ZBAR[k]) * minus_i_inv_sqrt2) == _parts(P[k])
+        assert (SQRT2_Z[k] + SQRT2_ZBAR[k]) / 2 == Q[k]
+        assert -1j * (SQRT2_Z[k] - SQRT2_ZBAR[k]) / 2 == P[k]
 
 
 def test_bracket_commutes_with_coordinate_change():
     # on linear functions of z, zbar the canonical bracket is
     # -i (dF/dz dG/dzbar - dF/dzbar dG/dz): for F = a z + b zbar and
-    # G = c z + d zbar that is -i (a d - b c), exactly
+    # G = c z + d zbar that is -i (a d - b c), exactly; with the sqrt2-scaled
+    # pairs both sides carry a factor 2
     rng = np.random.default_rng(5)
-    minus_i = SqrtTwoComplex(0, -1)
     for _ in range(10):
         a, b, c, d = (_random_coefficient(rng) for _ in range(4))
-        bracket = poisson_bracket(_combine(a, Z, b, ZBAR),
-                                  _combine(c, Z, d, ZBAR))
-        assert _parts(bracket) == _parts(minus_i * (a * d - b * c))
+        bracket = poisson_bracket(_combine(a, SQRT2_Z, b, SQRT2_ZBAR),
+                                  _combine(c, SQRT2_Z, d, SQRT2_ZBAR))
+        assert bracket == -2j * (a * d - b * c)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.3, 1e-300, 1e300])
+def test_commutator_dirac_targets_are_hbar_and_i_hbar(hbar, monkeypatch):
+    # the runner subtracts i hbar {z, zbar} I and i hbar {q, p} I from its
+    # two commutators; standing in zero matrices that record what is
+    # subtracted from them reads those targets bit for bit
+    targets = []
+
+    class Recording(np.ndarray):
+        def __sub__(self, other):
+            targets.append(other)
+            return np.asarray(self) - other
+
+    def commutator(a, b):
+        return np.zeros(a.shape, dtype=complex).view(Recording)
+
+    monkeypatch.setattr(bargmann, "commutator", commutator)
+    nmax = 8
+    cli.evaluate(cli.build_parser().parse_args(
+        ["commutator", "--hbar", repr(hbar), "--nmax", str(nmax)]))
+    identity = np.eye(nmax + 1, dtype=complex)
+    assert [t.tobytes() for t in targets] == [
+        (hbar * identity).tobytes(), (1j * hbar * identity).tobytes()]
 
 
 # -- point dynamics -----------------------------------------------------------

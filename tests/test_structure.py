@@ -332,8 +332,9 @@ def test_every_member_is_reachable_from_the_cli():
     assert not stale, "allowlisted members that a run now reaches: " + ", ".join(stale)
 
 
-# Modules every line of whose functions must run in these invocations: the
-# bracket modules, which serve a02 and the single-oscillator runs,
+# Modules every line of whose functions must run in these invocations:
+# `phasespace`, whose bracket serves a02 and whose steps serve the
+# single-oscillator runs,
 # `dynamics`, which serves evolve, damp and ensemble, `chain`, which serves
 # the five chain runs, `bath`, which serves partition, variation, tilt and
 # sphere, `bargmann`, which serves gram, coherent and the states of the
@@ -341,9 +342,8 @@ def test_every_member_is_reachable_from_the_cli():
 # `errors`, whose size check every array-sizing run makes, `cli`, which
 # parses and dispatches every run, and `commands`, the package of the
 # runners (every module in it).
-LINE_REACH_MODULES = ("exact", "phasespace", "dynamics", "chain", "bath",
-                      "bargmann", "fits", "reports", "errors", "cli",
-                      "commands")
+LINE_REACH_MODULES = ("phasespace", "dynamics", "chain", "bath", "bargmann",
+                      "fits", "reports", "errors", "cli", "commands")
 # Each runs in the same temporary working directory, after those before it,
 # with no --outdir but its own.
 LINE_REACH_INVOCATIONS = (
