@@ -34,8 +34,6 @@ __all__ = [
     "kernel_eval",
 ]
 
-DEFAULT_TRUNCATION = 32
-
 
 def _basis_matrix(z: np.ndarray, n_max: int, hbar: float,
                   out: np.ndarray = None) -> np.ndarray:
@@ -253,8 +251,7 @@ def _coherent_coeffs(amp: complex, n_max: int) -> np.ndarray:
     return coeffs
 
 
-def coherent_vector(c: complex, n_max: int = DEFAULT_TRUNCATION,
-                    hbar: float = 1.0) -> FockVector:
+def coherent_vector(c: complex, n_max: int, hbar: float) -> FockVector:
     """Expansion of exp(c z) in the orthonormal basis: c_n = (c sqrt(hbar))^n/sqrt(n!).
 
     The squared norm of the full function is exp(hbar |c|^2); the

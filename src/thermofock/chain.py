@@ -97,10 +97,14 @@ def chain_energy(q: np.ndarray, p: np.ndarray, params: ChainParams):
     """Chain energy of each state (q, p) along the last axis, with periodic
     boundary q_0 = q_N: a scalar for one state, an array for a batch.  An
     axis -1 sum over a block of rows gives each row's own sum bit for bit.
-    The three squares are formed in turn in the one `stretch` temporary."""
+    The three squares are formed in turn in the one `stretch` temporary.
+    The stretch is one flat difference over the whole block, then each row's
+    boundary column: a difference taken row by row over a strided block
+    would run through numpy's buffered iterator and its buffers."""
     _check_sites(q.shape[-1], params)
-    stretch = np.empty_like(q)
-    np.subtract(q[..., 1:], q[..., :-1], out=stretch[..., 1:])
+    stretch = np.empty_like(q, order="C")
+    flat_q, flat = q.reshape(-1), stretch.reshape(-1)
+    np.subtract(flat_q[1:], flat_q[:-1], out=flat[1:])
     np.subtract(q[..., :1], q[..., -1:], out=stretch[..., :1])
     stretch_sq = np.sum(np.multiply(stretch, stretch, out=stretch), axis=-1)
     p_sq = np.sum(np.multiply(p, p, out=stretch), axis=-1)

@@ -5,9 +5,11 @@ a versioned JSON report plus CSV data tables into the output directory, and
 exits 0 only if every check passed (1 = check failure, 2 = usage error,
 3 = numerical failure, 4 = internal error).  Stochastic runs require an
 explicit --seed.  A report is bit-reproducible from (config, seed) apart
-from its duration, whatever --threads is; so is each CSV table but gram's
-Monte Carlo one, whose zgemm sums move in their last bits with the thread
-cap.
+from its duration, whatever --threads is; so is each CSV table.  The one
+exception is gram's Monte Carlo check: its zgemm sums move in their last
+bits with the thread cap, and with them gram_montecarlo.csv and the check's
+report values (at --samples 1e6 --seed 7 its measured value moves by one
+ulp between --threads 1 and 2).
 
 `evaluate` runs one parsed invocation in memory; `main` parses, sets up the
 process, evaluates, then writes and prints.  The runners live in
@@ -173,12 +175,34 @@ RUNNERS = {command: _runner(command) for command in (
 
 def build_parser() -> argparse.ArgumentParser:
     """The 15 subcommands; every value-taking flag but --outdir declares its
-    domain as its `type=`, so a value outside it never reaches a runner."""
+    domain as its `type=`, so a value outside it never reaches a runner.  A
+    flag that several subcommands share with one domain and default is
+    declared once, in a parent parser that each of them lists."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--outdir", default=None,
                         help=f"output directory (default: ${OUTDIR_ENV} or .)")
     common.add_argument("--threads", type=Count(1), default=None,
                         help="cap internal numerics parallelism")
+
+    def shared(*flags, **kwargs):
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*flags, **kwargs)
+        return parent
+
+    seed = shared("--seed", type=Count(0), required=True)
+    # at zero frequency the leapfrog's rescaled variables are singular, the
+    # half-quantum vanishes and variation's slope has nothing to fit
+    omega = shared("--omega", type=POSITIVE, default=1.0)
+    beta = shared("--beta", type=POSITIVE, default=1.0)
+    hbar = shared("--hbar", type=POSITIVE, default=1.0)
+    c = shared("--c", type=Complex(), default=0.5 + 0j)
+
+    lattice = argparse.ArgumentParser(add_help=False)
+    lattice.add_argument("--mass", type=POSITIVE, default=1.0)
+    # thermal sampling needs every mode bound, the k = 0 one included
+    lattice.add_argument("--gamma", type=POSITIVE, default=1.0)
+    lattice.add_argument("--gamma-couple", type=NON_NEGATIVE, default=1.0)
+    lattice.add_argument("--spacing", type=POSITIVE, default=1.0)
 
     parser = argparse.ArgumentParser(
         prog="thermofock",
@@ -186,33 +210,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "quantization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gram", parents=[common],
+    p = sub.add_parser("gram", parents=[common, hbar],
                        help="orthonormality of the holomorphic basis")
     p.add_argument("--nmax", type=Count(0), default=16)
-    p.add_argument("--hbar", type=POSITIVE, default=1.0)
     p.add_argument("--samples", type=Count(2), default=0,
                    help="also run the Monte Carlo Gram check on this many "
                         "draws (by default it is skipped)")
     p.add_argument("--seed", type=Count(0), default=None)
 
-    p = sub.add_parser("coherent", parents=[common],
+    p = sub.add_parser("coherent", parents=[common, c, hbar],
                        help="coherent vectors: norm, kernel pairing, ladder")
-    p.add_argument("--c", type=Complex(), default=0.5 + 0j)
     # the ladder check compares the coefficients below the truncation
     p.add_argument("--nmax", type=Count(1), default=32)
-    p.add_argument("--hbar", type=POSITIVE, default=1.0)
 
-    p = sub.add_parser("commutator", parents=[common],
+    p = sub.add_parser("commutator", parents=[common, hbar, omega],
                        help="ladder and quadrature commutators, ordering gap")
     # the checks read the interior block below the truncation
     p.add_argument("--nmax", type=Count(1), default=64)
-    p.add_argument("--hbar", type=POSITIVE, default=1.0)
-    p.add_argument("--omega", type=POSITIVE, default=1.0)
 
-    p = sub.add_parser("evolve", parents=[common],
+    p = sub.add_parser("evolve", parents=[common, omega, hbar, seed],
                        help="classical transport vs Schrodinger evolution")
-    p.add_argument("--omega", type=POSITIVE, default=1.0)
-    p.add_argument("--hbar", type=POSITIVE, default=1.0)
     p.add_argument("--nmax", type=Count(0), default=24)
     p.add_argument("--grid", type=Count(4), default=512)
     p.add_argument("--t-max", type=NON_NEGATIVE, default=None,
@@ -220,27 +237,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-times", type=Count(1), default=11)
     p.add_argument("--radius", type=POSITIVE, default=None,
                    help="default sqrt(hbar)")
-    p.add_argument("--seed", type=Count(0), required=True)
 
-    p = sub.add_parser("damp", parents=[common],
+    p = sub.add_parser("damp", parents=[common, omega, hbar],
                        help="weakly damped motion and its envelope")
-    p.add_argument("--omega", type=POSITIVE, default=1.0)
     p.add_argument("--alpha", type=POSITIVE, default=None,
                    help="default 0.01*omega")
     p.add_argument("--q0", type=FINITE, default=1.0)
     p.add_argument("--v0", type=FINITE, default=0.0)
-    p.add_argument("--hbar", type=POSITIVE, default=1.0)
     p.add_argument("--nmax", type=Count(0), default=16)
     p.add_argument("--dt", type=POSITIVE, default=None,
                    help="default one 256th of the period")
     p.add_argument("--t-max", type=POSITIVE, default=None,
                    help="default five relaxation times")
 
-    p = sub.add_parser("ensemble", parents=[common],
+    p = sub.add_parser("ensemble", parents=[common, c, hbar, omega, seed],
                        help="particle ensemble pushforward of |f|^2 dmu")
-    p.add_argument("--c", type=Complex(), default=0.5 + 0j)
-    p.add_argument("--hbar", type=POSITIVE, default=1.0)
-    p.add_argument("--omega", type=POSITIVE, default=1.0)
     p.add_argument("--nmax", type=Count(0), default=32)
     p.add_argument("--samples", type=Count(2), default=100_000)
     p.add_argument("--n-times", type=Count(1), default=20)
@@ -249,64 +260,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=NON_NEGATIVE, default=0.0)
     # the proposal must be wider than the measure it dominates
     p.add_argument("--proposal-scale", type=Real(1.0), default=2.0)
-    p.add_argument("--seed", type=Count(0), required=True)
 
-    p = sub.add_parser("partition", parents=[common],
+    p = sub.add_parser("partition", parents=[common, beta, omega, seed],
                        help="action cell h from the partition integral")
-    p.add_argument("--beta", type=POSITIVE, default=1.0)
-    p.add_argument("--omega", type=POSITIVE, default=1.0)
     p.add_argument("--pairs", type=Count(1), default=1)
     p.add_argument("--samples", type=Count(2), default=1_000_000)
     # the variance of the importance weights diverges once scale^2 <= 1/2
     p.add_argument("--proposal-scale", type=Real(2.0 ** -0.5), default=1.5)
-    p.add_argument("--seed", type=Count(0), required=True)
 
-    p = sub.add_parser("variation", parents=[common],
+    p = sub.add_parser("variation", parents=[common, omega, seed],
                        help="antisymmetric variations leave Gibbs weights "
                             "stationary to first order")
     p.add_argument("--pairs", type=Count(1), default=2)
-    # at zero frequency the Hamiltonian vanishes: the slope has nothing to fit
-    p.add_argument("--omega", type=POSITIVE, default=1.0)
     # the standard generator is always among those checked
     p.add_argument("--count", type=Count(1), default=100)
     p.add_argument("--dt-min", type=POSITIVE, default=1e-4)
     p.add_argument("--dt-max", type=POSITIVE, default=1e-2)
     p.add_argument("--dt-count", type=Count(2), default=9)
-    p.add_argument("--seed", type=Count(0), required=True)
 
-    p = sub.add_parser("tilt", parents=[common],
+    p = sub.add_parser("tilt", parents=[common, beta, omega, c, seed],
                        help="coherent tilt of the equilibrium Gaussian")
-    p.add_argument("--beta", type=POSITIVE, default=1.0)
-    p.add_argument("--omega", type=POSITIVE, default=1.0)
-    p.add_argument("--c", type=Complex(), default=0.5 + 0j)
     p.add_argument("--samples", type=Count(2), default=100_000)
-    p.add_argument("--seed", type=Count(0), required=True)
 
-    p = sub.add_parser("sphere", parents=[common],
+    p = sub.add_parser("sphere", parents=[common, beta, omega, seed],
                        help="uniform sphere area pushed to the phase plane")
-    p.add_argument("--beta", type=POSITIVE, default=1.0)
-    p.add_argument("--omega", type=POSITIVE, default=1.0)
     p.add_argument("--radius2", type=POSITIVE, default=None,
                    help="squared radius; default 1/(2 beta omega)")
     p.add_argument("--samples", type=Count(10), default=100_000)
-    p.add_argument("--seed", type=Count(0), required=True)
 
-    def chain_flags(p, sites):
-        p.add_argument("--sites", type=PowerOfTwo(2), default=sites)
-        p.add_argument("--mass", type=POSITIVE, default=1.0)
-        # thermal sampling needs every mode bound, the k = 0 one included
-        p.add_argument("--gamma", type=POSITIVE, default=1.0)
-        p.add_argument("--gamma-couple", type=NON_NEGATIVE, default=1.0)
-        p.add_argument("--spacing", type=POSITIVE, default=1.0)
-
-    p = sub.add_parser("chain-dispersion", parents=[common],
+    p = sub.add_parser("chain-dispersion", parents=[common, lattice, beta, seed],
                        help="measure the dispersion relation spectrally")
-    chain_flags(p, 256)
-    p.add_argument("--beta", type=POSITIVE, default=1.0)
+    p.add_argument("--sites", type=PowerOfTwo(2), default=256)
     p.add_argument("--periods", type=POSITIVE, default=200.0)
     p.add_argument("--dt", type=POSITIVE, default=0.05)
     p.add_argument("--stride", type=Count(1), default=12)
-    p.add_argument("--seed", type=Count(0), required=True)
 
     p = sub.add_parser("continuum", parents=[common],
                        help="lattice dispersion converges to k^2 + M^2")
@@ -315,29 +302,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-phys", type=POSITIVE, default=math.pi / 4.0)
     p.add_argument("--spacings", type=Spacings(), default=[1.0, 0.5, 0.25])
 
-    p = sub.add_parser("rescale", parents=[common],
+    p = sub.add_parser("rescale", parents=[common, lattice, beta, seed],
                        help="frequency rescaling gives all modes one action scale")
-    chain_flags(p, 64)
-    p.add_argument("--beta", type=POSITIVE, default=1.0)
-    p.add_argument("--seed", type=Count(0), required=True)
+    p.add_argument("--sites", type=PowerOfTwo(2), default=64)
 
-    p = sub.add_parser("mode-commutator", parents=[common],
+    p = sub.add_parser("mode-commutator", parents=[common, beta],
                        help="tensor-product ladder commutators vanish exactly")
     p.add_argument("--modes", type=Count(1), default=3)
     p.add_argument("--levels", type=Count(2), default=5)
-    p.add_argument("--beta", type=POSITIVE, default=1.0)
     p.add_argument("--omega0", type=POSITIVE, default=1.0)
 
-    p = sub.add_parser("relax", parents=[common],
+    p = sub.add_parser("relax", parents=[common, lattice, beta, seed],
                        help="coherent chain motion dies away under friction")
-    chain_flags(p, 16)
+    p.add_argument("--sites", type=PowerOfTwo(2), default=16)
     p.add_argument("--alpha", type=NON_NEGATIVE, default=0.01)
-    p.add_argument("--beta", type=POSITIVE, default=1.0)
     p.add_argument("--t-max", type=POSITIVE, default=None,
                    help="default ten relaxation times")
     p.add_argument("--dt", type=POSITIVE, default=0.025)
     p.add_argument("--stride", type=Count(1), default=40)
-    p.add_argument("--seed", type=Count(0), required=True)
 
     return parser
 

@@ -421,7 +421,7 @@ def test_normalized_and_zero_vector_guards():
     (lambda n: lowering_matrix(n, 1.0), lambda n: 2 * (n + 1) ** 2),
     (lambda n: hamiltonian_matrix("normal", 1.0, 1.0, n),
      lambda n: 2 * (n + 1) ** 2),
-    (lambda n: coherent_vector(0.5, n).coeffs, lambda n: 2 * (n + 1)),
+    (lambda n: coherent_vector(0.5, n, 1.0).coeffs, lambda n: 2 * (n + 1)),
     # the quadrature Gram's angular powers, n + 1 rows of 2n + 3 roots
     (lambda n: gram_quadrature(n, 1.0), lambda n: 2 * (n + 1) * (2 * n + 3)),
 ], ids=["lowering", "hamiltonian", "coherent", "gram"])

@@ -718,9 +718,13 @@ print(json.dumps([code, sorted(name for name in sys.modules if name.startswith(
 """
 
 
+def _subparsers():
+    return next(action.choices for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
 def _subcommands():
-    return sorted(next(action.choices for action in cli.build_parser()._actions
-                       if isinstance(action, argparse._SubParsersAction)))
+    return sorted(_subparsers())
 
 
 # The runs that draw from or describe the Gibbs bath, the only ones that
@@ -748,6 +752,37 @@ def test_a_run_loads_only_its_own_command(command, tmp_path):
     assert ("numpy.polynomial" in loaded) == (command == "gram")
     assert "fractions" not in loaded
     assert ("thermofock.bath" in loaded) == (command in BATH_COMMANDS)
+
+
+_CHAIN_COMMANDS = ("chain-dispersion", "rescale", "relax")
+
+# Each flag that several subcommands take with one domain and default, and
+# the subcommands that take it.  gram's optional --seed is not this flag.
+SHARED_FLAGS = {
+    "--seed": ("evolve", "ensemble", "partition", "variation", "tilt",
+               "sphere", *_CHAIN_COMMANDS),
+    "--omega": ("commutator", "evolve", "damp", "ensemble", "partition",
+                "variation", "tilt", "sphere"),
+    "--beta": ("partition", "tilt", "sphere", "mode-commutator",
+               *_CHAIN_COMMANDS),
+    "--hbar": ("gram", "coherent", "commutator", "evolve", "damp", "ensemble"),
+    "--c": ("coherent", "ensemble", "tilt"),
+    **dict.fromkeys(("--mass", "--gamma", "--gamma-couple", "--spacing"),
+                    _CHAIN_COMMANDS),
+}
+
+
+@pytest.mark.parametrize("flag", SHARED_FLAGS)
+def test_a_shared_flag_is_one_declaration(flag):
+    # every subcommand that takes the flag holds the same action object, so
+    # its domain, default and help cannot drift apart between them
+    actions = {name: parser._option_string_actions[flag]
+               for name, parser in _subparsers().items()
+               if flag in parser._option_string_actions
+               and not (flag == "--seed" and name == "gram")}
+    assert sorted(actions) == sorted(SHARED_FLAGS[flag])
+    assert len({id(action) for action in actions.values()}) == 1
+    assert next(iter(actions.values())).required == (flag == "--seed")
 
 
 def test_thread_cap_is_validated(tmp_path):
