@@ -129,21 +129,31 @@ def dispersion(k, params: ChainParams):
     return float(w) if np.isscalar(k) or k_arr.ndim == 0 else w
 
 
-def _write_amplitudes(q: np.ndarray, p: np.ndarray, out: np.ndarray,
-                      params: ChainParams) -> np.ndarray:
-    """Write the mode amplitudes of the (R, N) rows q and p into the complex
-    (R, N) rows `out` in blocks of block_width(4N) rows at most, 4N floats
-    a row's two rffts: 64 rows at 256 sites; returns omega.
+def mode_amplitudes(q: np.ndarray, p: np.ndarray, params: ChainParams,
+                    out: np.ndarray = None):
+    """Complex normal-mode amplitudes in FFT order, along the last axis:
+    a_j = (sqrt(m w_j) Q_j + i P_j / sqrt(m w_j)) / sqrt(2), Q and P the
+    unitary DFTs of q and p, so that sum_j w_j |a_j|^2 is the chain energy;
+    returns (a, omega).  Every w_j must be positive, as in a chain that
+    sample_thermal_state accepts.
 
-    Each block takes the half-spectrum rfft of q and of p, forms a_j for
-    0 <= j <= N/2, and fills the negative wavenumbers from the Hermitian
-    symmetry of a real input, Q_{-j} = conj(Q_j) and P_{-j} = conj(P_j), so
-    a_{-j} = conj(W_j Q_j - i P_j / W_j) / sqrt(2) (Sorensen et al., IEEE
-    TASSP 35 (1987)).  A block's two rffts are taken before the block is
-    written and blocks are disjoint, so `out` may be the very buffer whose
-    real and imaginary parts q and p are.
+    a is written into `out`, a complex array of q's shape, when one is
+    given, and into a new one otherwise.  The rows are taken in blocks of
+    block_width(4N) rows at most, 4N floats a row's two rffts: 64 rows at
+    256 sites.  Each block takes the half-spectrum rfft of q and of p, forms
+    a_j for 0 <= j <= N/2, and fills the negative wavenumbers from the
+    Hermitian symmetry of a real input, Q_{-j} = conj(Q_j) and P_{-j} =
+    conj(P_j), so a_{-j} = conj(W_j Q_j - i P_j / W_j) / sqrt(2) (Sorensen
+    et al., IEEE TASSP 35 (1987)).  A block's two rffts are taken before
+    the block is written and blocks are disjoint, so `out` may be the very
+    buffer whose real and imaginary parts q and p are: a trajectory's
+    snapshots become their mode amplitudes in place.
     """
     n = params.n_sites
+    _check_sites(q.shape[-1], params)
+    if out is None:
+        out = np.empty(q.shape, dtype=complex)
+    q, p, rows = (np.reshape(x, (-1, n)) for x in (q, p, out))
     omega = dispersion(params.wavenumbers, params)
     half = n // 2 + 1                   # wavenumbers 0 .. N/2
     mirrored = n - half                 # wavenumbers -1 .. -(N-1)/2
@@ -151,36 +161,18 @@ def _write_amplitudes(q: np.ndarray, p: np.ndarray, out: np.ndarray,
     root_2n = math.sqrt(2.0 * n)
     q_factor = weight / root_2n
     p_factor = 1j / (weight * root_2n)
-    for block in point_blocks(out.shape[0], block_width(4 * n)):
+    for block in point_blocks(rows.shape[0], block_width(4 * n)):
         bigq = np.fft.rfft(q[block], axis=-1)
         bigq *= q_factor
         bigp = np.fft.rfft(p[block], axis=-1)
         bigp *= p_factor
         # columns N-1 down to `half` hold wavenumbers -1 .. -mirrored
-        negative = out[block, half:][:, ::-1]
+        negative = rows[block, half:][:, ::-1]
         np.subtract(bigq[:, 1:mirrored + 1], bigp[:, 1:mirrored + 1],
                     out=negative)
         np.conjugate(negative, out=negative)
-        np.add(bigq, bigp, out=out[block, :half])
-    return omega
-
-
-def mode_amplitudes(q: np.ndarray, p: np.ndarray, params: ChainParams):
-    """Complex normal-mode amplitudes in FFT order, along the last axis:
-    a_j = (sqrt(m w_j) Q_j + i P_j / sqrt(m w_j)) / sqrt(2), Q and P the
-    unitary DFTs of q and p, so that sum_j w_j |a_j|^2 is the chain energy;
-    returns (a, omega).  Every w_j must be positive, as in a chain that
-    sample_thermal_state accepts.
-
-    a is a new complex array of q's shape; ChainTrajectory.into_amplitudes
-    runs the same row-block kernel in place over a trajectory's snapshots.
-    """
-    n = params.n_sites
-    _check_sites(q.shape[-1], params)
-    amps = np.empty(q.shape, dtype=complex)
-    omega = _write_amplitudes(np.reshape(q, (-1, n)), np.reshape(p, (-1, n)),
-                              amps.reshape(-1, n), params)
-    return amps, omega
+        np.add(bigq, bigp, out=rows[block, :half])
+    return out, omega
 
 
 def reconstruct_state(amps: np.ndarray, params: ChainParams):
@@ -208,7 +200,11 @@ def sample_thermal_state(params: ChainParams, beta: float, seed):
     an independent complex Gaussian with E|a_j|^2 = 1/(beta w_j).  At a
     subnormal beta 1/(beta w_j) overflows, at a subnormal gamma the mode
     displacement variance 1/(2 beta m w_j^2), and the state is refused with
-    FloatingPointError before numpy can warn about it."""
+    FloatingPointError before numpy can warn about it.  A chain whose N
+    complex amplitudes pass MAX_SNAPSHOT_FLOATS raises CapacityError before
+    a draw."""
+    check_capacity(2 * params.n_sites,
+                   f"the thermal state of {params.n_sites} sites")
     omega = dispersion(params.wavenumbers, params)
     if np.any(omega <= 0):
         raise ValueError("thermal sampling needs gamma > 0 (all modes bound)")
@@ -229,62 +225,28 @@ def sample_thermal_state(params: ChainParams, beta: float, seed):
 
 # -- integration ---------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
 class ChainTrajectory:
-    """Strided leapfrog snapshots: times (S,), the chain energy of each
-    snapshot (S,), and the (S, N) site states in one complex buffer, whose
-    real part is q and imaginary part p.  The buffer is taken as it is, not
-    copied, so integrate_chain's fresh one becomes the trajectory's; times
-    and energies are made read-only in place, and q and p are read-only
-    views of the buffer.
+    """Strided leapfrog snapshots: times (S,), the (S, N) site states in one
+    complex buffer, whose real part is q and imaginary part p, and the chain
+    energy of each snapshot (S,).  A complex row of N amplitudes takes
+    exactly the bytes of one q row and one p row, so
+    mode_amplitudes(traj.q, traj.p, params, out=traj.snapshots) writes the
+    mode amplitudes over the snapshots."""
 
-    A complex row of N amplitudes takes exactly the bytes of one q row and
-    one p row, so into_amplitudes writes the mode amplitudes over the
-    snapshots and hands the buffer on; from then on q and p raise.
-    """
-
-    def __init__(self, times, snapshots, energies):
-        self.times = np.asarray(times, dtype=float)
-        self.energies = np.asarray(energies, dtype=float)
-        self.times.setflags(write=False)
-        self.energies.setflags(write=False)
-        buffer = np.asarray(snapshots, dtype=complex)
-        if (buffer.ndim != 2 or buffer.shape[0] != self.times.size
-                or self.energies.shape != self.times.shape):
-            raise ValueError("inconsistent snapshot shapes")
-        self._buffer = buffer
-
-    def _part(self, name: str) -> np.ndarray:
-        if self._buffer is None:
-            raise ValueError("the snapshots were overwritten by their mode "
-                             "amplitudes")
-        view = getattr(self._buffer, name)
-        view.setflags(write=False)
-        return view
+    times: np.ndarray
+    snapshots: np.ndarray
+    energies: np.ndarray
 
     @property
     def q(self) -> np.ndarray:
         """Site displacements (S, N), the buffer's real part."""
-        return self._part("real")
+        return self.snapshots.real
 
     @property
     def p(self) -> np.ndarray:
         """Site momenta (S, N), the buffer's imaginary part."""
-        return self._part("imag")
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.times.size
-
-    def into_amplitudes(self, params: ChainParams):
-        """Hand the snapshot buffer over as the snapshots' mode amplitudes:
-        returns (amps, omega) with the values mode_amplitudes(q, p, params)
-        gives, amps the buffer itself, written over in place block by block
-        (_write_amplitudes).  q and p raise from then on."""
-        q, p = self.q, self.p
-        _check_sites(q.shape[1], params)
-        buffer, self._buffer = self._buffer, None
-        omega = _write_amplitudes(q, p, buffer, params)
-        return buffer, omega
+        return self.snapshots.imag
 
 
 def _leapfrog_stride(q0: np.ndarray, p0: np.ndarray, params: ChainParams,
@@ -346,7 +308,7 @@ def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,
     on one), each with its chain_energy, the numbers the stability check
     tested.  q and p are written into one complex (S, N) buffer, q its real
     part and p its imaginary part, which the trajectory keeps without a
-    copy.
+    copy; its times and energies are read-only.
 
     The scheme is linear and the chain uniform and periodic, so `stride`
     steps are one translation-invariant map (Hairer, Lubich & Wanner,
@@ -425,6 +387,8 @@ def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,
                 f"energy grew to {energies[block][over[0]]:.3g} (initial {e0:.3g}); "
                 "reduce dt")
     times = h * stride * np.arange(n_snap)
+    times.setflags(write=False)
+    energies.setflags(write=False)
     return ChainTrajectory(times, snapshots, energies)
 
 
@@ -438,18 +402,17 @@ def spectral_dispersion(traj: ChainTrajectory, params: ChainParams):
     interpolation on log|X| and reported as a positive frequency.  A mode
     with no excitation (or no curvature at the peak) measures NaN.
 
-    The trajectory hands its snapshot buffer over (into_amplitudes): the
-    mode amplitudes are written over the snapshots and the time spectrum X
-    is taken in place in them, so no second array of the trajectory's size
-    is made, and traj.q and traj.p raise afterwards.  |X| is formed in
-    blocks of block_width(S) modes at most, S snapshots a mode (31 modes at
-    a09's 2096), each block giving its modes' peaks and the two neighbours
-    of each in one argmax.
+    The mode amplitudes are written over the trajectory's snapshots and the
+    time spectrum X is taken in place in them, so no second array of the
+    trajectory's size is made, and traj.snapshots holds X afterwards.  |X|
+    is formed in blocks of block_width(S) modes at most, S snapshots a mode
+    (31 modes at a09's 2096), each block giving its modes' peaks and the two
+    neighbours of each in one argmax.
     """
-    n_snap = traj.n_snapshots
+    n_snap = traj.times.size
     n = params.n_sites
     dt_snap = float(traj.times[1] - traj.times[0])
-    amps, _ = traj.into_amplitudes(params)
+    amps, _ = mode_amplitudes(traj.q, traj.p, params, out=traj.snapshots)
     spectrum = np.fft.fft(amps, axis=0, out=amps)
     width = block_width(n_snap)         # modes per block
     mag = np.empty((min(width, n), n_snap))

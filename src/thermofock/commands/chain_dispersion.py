@@ -18,9 +18,9 @@ def run(args, report):
     duration = args.periods * 2.0 * math.pi / w0
     traj = chain.integrate_chain(q, p, params, duration, args.dt,
                                  stride=args.stride)
-    if traj.n_snapshots < 8:
+    if traj.times.size < 8:
         raise argparse.ArgumentTypeError(
-            f"--periods, --dt and --stride give {traj.n_snapshots} snapshots: "
+            f"--periods, --dt and --stride give {traj.times.size} snapshots: "
             "a spectrum needs at least 8")
     measured, resolution = chain.spectral_dispersion(traj, params)
     k = params.wavenumbers

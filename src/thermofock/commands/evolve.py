@@ -1,5 +1,6 @@
 """`thermofock evolve`: classical transport vs Schrodinger evolution."""
 
+import argparse
 import math
 
 
@@ -7,7 +8,19 @@ def run(args, report):
     import numpy as np
 
     from .. import bargmann, dynamics
+    from ..errors import check_capacity
 
+    if not args.grid >= 2 * args.nmax + 1:
+        # harmonic nmax would land in a negative FFT bin of the grid
+        raise argparse.ArgumentTypeError(
+            f"--grid {args.grid} must be at least 2 --nmax + 1 = "
+            f"{2 * args.nmax + 1}: the profile's harmonics alias")
+    # the arrays the flags size, before the draw: the dense Hamiltonian,
+    # the complex profile on the grid and the requested times
+    check_capacity(2 * (args.nmax + 1) ** 2,
+                   f"the Hamiltonian at truncation {args.nmax}")
+    check_capacity(2 * args.grid, f"a profile on a grid of {args.grid}")
+    check_capacity(args.n_times, f"{args.n_times} times")
     w = args.omega
     rng = np.random.default_rng(args.seed)
     coeffs = rng.standard_normal(args.nmax + 1) + 1j * rng.standard_normal(args.nmax + 1)

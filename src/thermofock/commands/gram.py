@@ -8,6 +8,8 @@ def run(args, report):
 
     from .. import bargmann
 
+    if args.samples and args.seed is None:
+        raise argparse.ArgumentTypeError("--samples requires --seed")
     dim = args.nmax + 1
     g = bargmann.gram_quadrature(args.nmax, args.hbar)
     dev = np.abs(g - np.eye(dim))
@@ -20,8 +22,6 @@ def run(args, report):
     tables = [("gram_quadrature.csv",
                ["i", "j", "real", "imag", "deviation"], rows)]
     if args.samples:
-        if args.seed is None:
-            raise argparse.ArgumentTypeError("--samples requires --seed")
         gm, se = bargmann.gram_montecarlo(args.nmax, args.hbar,
                                           args.samples, args.seed)
         devm = np.abs(gm - np.eye(dim))

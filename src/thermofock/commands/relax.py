@@ -27,7 +27,8 @@ def run(args, report):
         # every mode amplitude shrinks under the envelope e^{-alpha t / 2};
         # the amplitudes overwrite the snapshots, and |a| is taken a mode
         # at a time
-        amps, _ = traj.into_amplitudes(params)
+        amps, _ = chain.mode_amplitudes(traj.q, traj.p, params,
+                                        out=traj.snapshots)
         floor = 1e-8 * max(float(np.max(np.abs(amps[0]))), 1e-300)
         for j in range(params.n_sites):
             mags = np.abs(amps[:, j])

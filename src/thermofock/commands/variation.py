@@ -11,12 +11,16 @@ def run(args, report):
     import numpy as np
 
     from .. import bath
+    from ..errors import check_capacity
     from ..fits import fit_loglog_slope
 
     if args.dt_min == args.dt_max:
         raise argparse.ArgumentTypeError(
             "--dt-min must differ from --dt-max: a slope needs two distinct "
             "steps")
+    # the defects --count sizes and the steps --dt-count sizes
+    check_capacity(args.count, f"the defects of {args.count} generators")
+    check_capacity(args.dt_count, f"{args.dt_count} steps")
     a = pairs_matrix(args)
     dim = a.shape[0]
     rng = np.random.default_rng(args.seed)

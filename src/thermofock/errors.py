@@ -7,11 +7,14 @@ every pass that works in blocks."""
 # a complex entry as two floats, a dense operator matrix, the quadrature
 # Gram's angular powers or a coherent vector at truncation --nmax, the
 # draws that --samples sizes (the tilt's complex array and the sphere
-# map's two real ones), and the 2n x 2n matrices of n = --pairs oscillator
-# pairs.  2**24 float64 is 128 MiB: a dense operator stops at nmax 2895,
-# the angular powers at 2046, tilt at 2**23 samples, sphere at 2**24, and
-# the bath's matrices at 2048 pairs.  Below that cap the quadrature Gram
-# stops first at its Gauss-Laguerre rule, at nmax 185 (numpy 2.4.6).
+# map's two real ones), the 2n x 2n matrices of n = --pairs oscillator
+# pairs, evolve's complex profile on --grid points and its --n-times times,
+# variation's --count defects and --dt-count steps, and a chain's complex
+# thermal state of --sites amplitudes.  2**24 float64 is 128 MiB: a dense
+# operator stops at nmax 2895, the angular powers at 2046, tilt at 2**23
+# samples, sphere at 2**24, and the bath's matrices at 2048 pairs.  Below
+# that cap the quadrature Gram stops first at its Gauss-Laguerre rule, at
+# nmax 185 (numpy 2.4.6).
 # The ensemble cloud streams in fixed blocks; its own cap,
 # dynamics.MAX_CLOUD_PARTICLES, bounds a run's length.
 # The largest benchmarked trajectory, chain-dispersion --sites 1024, fills

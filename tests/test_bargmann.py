@@ -188,9 +188,16 @@ def test_quadrature_gram_holds_a_few_square_arrays(traced_peak):
     assert peak <= 1.8 * 2 ** 20
 
 
-def test_montecarlo_gram_requires_seed(usage_error):
-    # Monte Carlo without a seed is refused before gram_montecarlo runs
-    usage_error(["gram", "--samples", "1000"], "--seed")
+def test_montecarlo_gram_requires_seed(usage_error, monkeypatch):
+    # Monte Carlo without a seed is refused before any numerics: at --nmax
+    # 1e6 the quadrature's CapacityError (exit 3) came first, and at 185 a
+    # quarter second of quadrature
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the quadrature Gram ran")
+
+    monkeypatch.setattr(bargmann, "gram_quadrature", no_quadrature)
+    for nmax in ("16", "185", "1e6"):
+        usage_error(["gram", "--nmax", nmax, "--samples", "1000"], "--seed")
 
 
 # -- coherent states ----------------------------------------------------------

@@ -228,7 +228,7 @@ def test_integrator_conserves_energy_without_friction():
     e0 = chain_energy(*state, params)
     dt = 0.1 / params.omega_max
     traj = integrate_chain(*state, params, duration=50.0, dt=dt, stride=100)
-    energies = [chain_energy(traj.q[i], traj.p[i], params) for i in range(traj.n_snapshots)]
+    energies = [chain_energy(traj.q[i], traj.p[i], params) for i in range(traj.times.size)]
     ripple = (params.omega_max * dt) ** 2 / 2.0
     assert np.max(np.abs(np.array(energies) - e0)) / e0 <= ripple
 
@@ -304,7 +304,7 @@ def _assert_matches_roll_reference(traj, params, state, run):
     err = np.linalg.norm(got - want, axis=1)
     assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
     energies = [chain_energy(traj.q[i], traj.p[i], params)
-                for i in range(traj.n_snapshots)]
+                for i in range(traj.times.size)]
     assert traj.energies.tolist() == energies
     return times, qs, ps
 
@@ -466,7 +466,7 @@ def test_window_buffer_is_capped_whatever_the_kernel_width(traced_peak):
     state = sample_thermal_state(params, 1.0, 1)
     traj, peak = traced_peak(lambda: integrate_chain(
         *state, params, duration=100.0, dt=0.05, stride=1000))
-    assert traj.n_snapshots == 3
+    assert traj.times.size == 3
     # the window buffer of the block budget, 16 sites here, and a fixed
     # part of 16 arrays of 2N floats, 1 MiB: the three snapshots, the
     # stride kernel's delta batch and the stencil temporaries that step it,
@@ -615,63 +615,46 @@ def test_relax_amplitude_read_holds_no_second_buffer(monkeypatch):
     assert peak <= 0.2 * sizes[0]
 
 
-def test_trajectory_holds_the_integrated_buffers_read_only():
+def test_trajectory_holds_the_integrated_buffers():
     params = ChainParams(n_sites=8)
     traj = integrate_chain(*_random_state(8, 4), params, duration=5.0, dt=0.1)
-    again = chain.ChainTrajectory(traj.times, traj.q.base, traj.energies)
-    for name in ("times", "q", "p", "energies"):
-        arr = getattr(traj, name)
-        assert not arr.flags.writeable
-        # the buffers integrate_chain filled, taken as they are by both
-        assert np.shares_memory(getattr(again, name), arr)
+    assert not traj.times.flags.writeable
+    assert not traj.energies.flags.writeable
     # q and p are the real and imaginary parts of one complex buffer: they
     # interleave, so they share its extent but no byte
-    assert traj.q.base is traj.p.base
-    assert traj.q.base.dtype == complex and traj.q.base.shape == traj.q.shape
+    assert traj.q.base is traj.p.base is traj.snapshots
+    assert traj.snapshots.dtype == complex
+    assert traj.snapshots.shape == traj.q.shape == (traj.times.size, 8)
     assert np.may_share_memory(traj.q, traj.p)
-    assert traj.q.nbytes + traj.p.nbytes == traj.q.base.nbytes
+    assert traj.q.nbytes + traj.p.nbytes == traj.snapshots.nbytes
 
 
-def test_amplitude_handover_matches_the_copying_route(monkeypatch):
-    # several near-equal row blocks: the handover writes over the snapshots
-    # the very values mode_amplitudes gives for copies of them
+def test_amplitudes_written_in_place_match_the_copying_route(monkeypatch):
+    # several near-equal row blocks: the amplitudes written over the
+    # snapshots are the very values mode_amplitudes gives for copies of them
     for n_sites in (15, 16):
         # blocks of at most 7 rows of 4N floats
         monkeypatch.setattr(errors, "BLOCK_FLOATS", 7 * 4 * n_sites)
         params = ChainParams(n_sites=n_sites)
         state = sample_thermal_state(params, beta=1.0, seed=n_sites)
         traj = integrate_chain(*state, params, duration=30.0, dt=0.1, stride=2)
-        assert traj.n_snapshots % 7
+        assert traj.times.size % 7
         want, want_omega = mode_amplitudes(traj.q.copy(), traj.p.copy(), params)
-        buffer = traj.q.base
-        amps, omega = traj.into_amplitudes(params)
-        assert amps is buffer
+        amps, omega = mode_amplitudes(traj.q, traj.p, params,
+                                      out=traj.snapshots)
+        assert amps is traj.snapshots
         assert np.array_equal(amps, want) and np.array_equal(omega, want_omega)
 
 
-def test_snapshots_raise_once_handed_over():
-    params = ChainParams(n_sites=8)
-    state = sample_thermal_state(params, beta=1.0, seed=2)
-    for hand_over in (lambda traj: traj.into_amplitudes(params),
-                      lambda traj: spectral_dispersion(traj, params)):
-        traj = integrate_chain(*state, params, duration=20.0, dt=0.1)
-        hand_over(traj)
-        for read in (lambda: traj.q, lambda: traj.p,
-                     lambda: traj.into_amplitudes(params)):
-            with pytest.raises(ValueError, match="overwritten"):
-                read()
-        # times and energies are not part of the buffer
-        assert traj.times.size == traj.energies.size == traj.n_snapshots
-
-
-def test_handover_checks_the_sites_before_writing():
+def test_amplitudes_in_place_check_the_sites_before_writing():
     params = ChainParams(n_sites=8)
     state = sample_thermal_state(params, beta=1.0, seed=2)
     traj = integrate_chain(*state, params, duration=5.0, dt=0.1)
-    before = traj.q.copy()
+    before = traj.snapshots.copy()
     with pytest.raises(ValueError, match="params expect 16"):
-        traj.into_amplitudes(ChainParams(n_sites=16))
-    assert np.array_equal(traj.q, before)
+        mode_amplitudes(traj.q, traj.p, ChainParams(n_sites=16),
+                        out=traj.snapshots)
+    assert np.array_equal(traj.snapshots, before)
 
 
 def test_single_mode_oscillates_at_its_dispersion_frequency():
@@ -705,7 +688,7 @@ def test_spectral_peak_of_a_single_mode():
     # picks is left to rounding
     mag = np.abs(np.fft.fft(amps, axis=0))
     peak = int(np.argmax(mag[:, 5]))
-    mirror = traj.n_snapshots - peak
+    mirror = traj.times.size - peak
     assert abs(mag[peak, 11] - mag[mirror, 11]) <= 1e-9 * mag[peak, 11]
     h = traj.times[1] / 8
     leakage = np.max(mag[:, 11]) / np.max(mag[:, 5])
@@ -715,7 +698,7 @@ def test_spectral_peak_of_a_single_mode():
 def _full_array_spectral_dispersion(traj, params):
     """Reference: the peak finder over one full |spectrum| array of the
     full-FFT amplitudes, one argmax per mode."""
-    n_snap = traj.n_snapshots
+    n_snap = traj.times.size
     dt_snap = float(traj.times[1] - traj.times[0])
     mag = np.abs(np.fft.fft(_full_fft_amplitudes(traj.q, traj.p, params), axis=0))
     measured = np.full(params.n_sites, np.nan)
@@ -754,7 +737,7 @@ def test_blocked_spectrum_matches_the_full_array_reference(monkeypatch, params,
         traj = integrate_chain(*state, params, **run)
         if modes:
             monkeypatch.setattr(errors, "BLOCK_FLOATS",
-                                modes * traj.n_snapshots)
+                                modes * traj.times.size)
         measured, _ = spectral_dispersion(traj, params)
         assert np.array_equal(np.isnan(measured), np.isnan(want))
         good = ~np.isnan(want)
@@ -767,7 +750,7 @@ def _loop_spectral_dispersion(traj, params):
     libm's log, from the |spectrum| of the trajectory's amplitudes taken
     whole.  Reads traj.q and traj.p, so it runs before spectral_dispersion
     takes the snapshots over."""
-    n_snap = traj.n_snapshots
+    n_snap = traj.times.size
     dt_snap = float(traj.times[1] - traj.times[0])
     amps, _ = mode_amplitudes(traj.q, traj.p, params)
     mag = np.abs(np.fft.fft(amps, axis=0, out=amps)).T

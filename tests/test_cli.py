@@ -430,6 +430,62 @@ def test_oversize_sample_exits_three():
         assert "CapacityError" in outcome.report.checks[0].measured
 
 
+def test_flag_sized_arrays_are_refused_before_the_draw(monkeypatch):
+    # the cap patched down to one dense 17 x 17 complex matrix, 578 floats:
+    # evolve's Hamiltonian, grid profile and times, variation's defects and
+    # steps, and the chain's thermal state are each refused one float past
+    # it, before a random number is drawn (at 1e6 sites, steps or a
+    # truncation the draw came first and ran for seconds to minutes)
+    import numpy as np
+
+    from thermofock import errors
+
+    monkeypatch.setattr(errors, "MAX_SNAPSHOT_FLOATS", 2 * 17 ** 2)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random generator was made")
+
+    evolve = ("evolve", "--nmax", "4", "--grid", "16")
+    variation = ("variation", "--count", "1")
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", no_draw)
+        for argv, what in (
+                (("evolve", "--nmax", "17", "--grid", "64"), "Hamiltonian"),
+                (("evolve", "--nmax", "16", "--grid", "290"), "grid of 290"),
+                ((*evolve, "--n-times", "579"), "579 times"),
+                (("variation", "--count", "579"), "579 generators"),
+                ((*variation, "--dt-count", "579"), "579 steps"),
+                (("rescale", "--sites", "512"), "thermal state of 512"),
+                (("relax", "--sites", "512"), "thermal state of 512"),
+                (("chain-dispersion", "--sites", "512"),
+                 "thermal state of 512")):
+            outcome = evaluate(*argv, "--seed", "1")
+            assert outcome.code == cli.EXIT_NUMERICAL, (argv, outcome.error)
+            measured = outcome.report.checks[0].measured
+            assert measured.startswith("CapacityError") and what in measured
+    # at the cap each passes it
+    for argv in (("evolve", "--nmax", "16", "--grid", "289"),
+                 (*evolve, "--n-times", "578"),
+                 ("variation", "--count", "578"),
+                 (*variation, "--dt-count", "578"),
+                 ("rescale", "--sites", "256")):
+        outcome = evaluate(*argv, "--seed", "1")
+        assert outcome.code in (cli.EXIT_PASS, cli.EXIT_CHECK_FAILURE), (
+            argv, outcome.error)
+
+
+def test_evolve_grid_must_resolve_every_harmonic(usage_error):
+    # harmonic nmax of a grid of 2 nmax points or fewer lands in a negative
+    # FFT bin, and transport-vs-schrodinger read 1.6e-7 for aliasing, not
+    # physics: a usage error naming both flags, before the draw
+    for flag in ("--grid", "--nmax"):
+        usage_error(["evolve", "--nmax", "16", "--grid", "32", "--seed", "1"],
+                    flag)
+    check = _checks("evolve", "--nmax", "16", "--grid", "33", "--seed", "1")[
+        "transport-vs-schrodinger"]
+    assert check.passed and check.measured <= 1e-14
+
+
 def test_variation_holds_one_random_generator_at_a_time(traced_peak):
     # each random generator is drawn, measured and dropped: at 200 pairs a
     # generator is 1.28 MB, and --count 40 held all of them at once
