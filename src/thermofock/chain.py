@@ -31,6 +31,7 @@ __all__ = [
     "mode_amplitudes",
     "reconstruct_state",
     "sample_thermal_state",
+    "snapshot_count",
     "integrate_chain",
     "spectral_dispersion",
     "continuum_error",
@@ -227,26 +228,25 @@ def sample_thermal_state(params: ChainParams, beta: float, seed):
 
 @dataclass(frozen=True, eq=False)
 class ChainTrajectory:
-    """Strided leapfrog snapshots: times (S,), the (S, N) site states in one
-    complex buffer, whose real part is q and imaginary part p, and the chain
-    energy of each snapshot (S,).  A complex row of N amplitudes takes
-    exactly the bytes of one q row and one p row, so
+    """Strided leapfrog snapshots: times (S,), the snapshot buffer, the
+    chain energy of each snapshot (S,), and the site displacements q and
+    momenta p, views into the buffer.
+
+    A trajectory that recorded momenta holds one complex (S, N) buffer, q
+    its real part and p its imaginary part: a complex row of N amplitudes
+    takes exactly the bytes of one q row and one p row, so
     mode_amplitudes(traj.q, traj.p, params, out=traj.snapshots) writes the
-    mode amplitudes over the snapshots."""
+    mode amplitudes over the snapshots.  A displacement-only trajectory
+    holds one float (S, W) buffer, W = 2 (N//2 + 1), N + 2 at even N: q is
+    its first S N floats, a C-ordered (S, N) array, and p an (S, 0) view,
+    no momenta.  Each row has room for the N//2 + 1 complex values of a
+    half spectrum, which spectral_dispersion writes over the buffer."""
 
     times: np.ndarray
     snapshots: np.ndarray
     energies: np.ndarray
-
-    @property
-    def q(self) -> np.ndarray:
-        """Site displacements (S, N), the buffer's real part."""
-        return self.snapshots.real
-
-    @property
-    def p(self) -> np.ndarray:
-        """Site momenta (S, N), the buffer's imaginary part."""
-        return self.snapshots.imag
+    q: np.ndarray
+    p: np.ndarray
 
 
 def _leapfrog_stride(q0: np.ndarray, p0: np.ndarray, params: ChainParams,
@@ -292,9 +292,28 @@ def _stride_kernel(params: ChainParams, h: float, decay: float,
                    axis=-1)
 
 
+def snapshot_count(params: ChainParams, duration: float, dt: float,
+                   stride: int = 1) -> int:
+    """Snapshots integrate_chain takes of a run: the initial state and one
+    every `stride` steps, the step count ceil(duration / dt), at least 1,
+    rounded up to a multiple of stride so that the run ends on one.  A
+    duration that is not positive and finite raises FloatingPointError, and
+    a step at or beyond the stability bound 2/w_max StabilityError."""
+    if not (duration > 0 and math.isfinite(duration)):
+        raise FloatingPointError(
+            f"duration {duration:g} must be positive and finite")
+    w_max = params.omega_max
+    if dt >= 2.0 / w_max:
+        raise StabilityError(
+            f"dt = {dt:.4g} at or beyond the stability bound 2/w_max = {2.0 / w_max:.4g}"
+        )
+    n_steps = max(1, math.ceil(duration / dt - 1e-12))
+    return math.ceil(n_steps / stride) + 1
+
+
 def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,
                     duration: float, dt: float, friction: float = 0.0,
-                    stride: int = 1) -> ChainTrajectory:
+                    stride: int = 1, momenta: bool = True) -> ChainTrajectory:
     """Leapfrog (kick-drift-kick) evolution of the state (q, p) with optional
     per-site friction.
 
@@ -303,12 +322,15 @@ def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,
     linearly unstable; energy growth past 10x the initial value, or to NaN,
     aborts with StabilityError at the end of the first block of
     block_width(N) snapshots that holds one, and so does an initial energy
-    whose 10x cap is not finite.  Snapshots are taken every `stride` steps
-    (the step count is rounded up to a multiple of stride so the run ends
-    on one), each with its chain_energy, the numbers the stability check
-    tested.  q and p are written into one complex (S, N) buffer, q its real
-    part and p its imaginary part, which the trajectory keeps without a
-    copy; its times and energies are read-only.
+    whose 10x cap is not finite.  Snapshots are taken every `stride` steps,
+    snapshot_count of them, each with its chain_energy, the numbers the
+    stability check tested.  With `momenta`, q and p are written into one
+    complex (S, N) buffer, q its real part and p its imaginary part;
+    without, q alone is written into the first S N floats of one float
+    (S, 2 (N//2 + 1)) buffer, and the stability check takes each block's
+    momenta from a rolling (block_width(N), N) block, so that each energy
+    is the same float either way.  The trajectory keeps the buffer without
+    a copy (ChainTrajectory); its times and energies are read-only.
 
     The scheme is linear and the chain uniform and periodic, so `stride`
     steps are one translation-invariant map (Hairer, Lubich & Wanner,
@@ -328,16 +350,8 @@ def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,
     step in mode space, where spectral_dispersion measures.
     """
     _check_sites(q.shape[-1], params)
-    if not (duration > 0 and math.isfinite(duration)):
-        raise FloatingPointError(
-            f"duration {duration:g} must be positive and finite")
-    w_max = params.omega_max
-    if dt >= 2.0 / w_max:
-        raise StabilityError(
-            f"dt = {dt:.4g} at or beyond the stability bound 2/w_max = {2.0 / w_max:.4g}"
-        )
-    n_steps = max(1, math.ceil(duration / dt - 1e-12))
-    n_steps = stride * math.ceil(n_steps / stride)
+    n_snap = snapshot_count(params, duration, dt, stride)
+    n_steps = stride * (n_snap - 1)
     h = duration / n_steps
     decay = math.exp(-friction * h / 2.0)
     e0 = float(chain_energy(q, p, params))
@@ -348,12 +362,17 @@ def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,
             f"initial energy {e0:.3g} leaves no finite cap for the stability check"
         )
     n = params.n_sites
-    n_snap = n_steps // stride + 1
     check_capacity(n_snap * n, f"{n_snap} snapshots of {n} sites")
-    snapshots = np.empty((n_snap, n), dtype=complex)
-    qs, ps = snapshots.real, snapshots.imag
+    if momenta:
+        snapshots = np.empty((n_snap, n), dtype=complex)
+        qs, ps = snapshots.real, snapshots.imag
+        ps[0] = p
+    else:
+        snapshots = np.empty((n_snap, 2 * (n // 2 + 1)))
+        qs = snapshots.reshape(-1)[:n_snap * n].reshape(n_snap, n)
+        ps = qs[:, :0]
     energies = np.empty(n_snap)
-    qs[0], ps[0], energies[0] = q, p, e0
+    qs[0], energies[0] = q, e0
 
     kernel = _stride_kernel(params, h, decay, stride)
     width = kernel.shape[-1]
@@ -371,59 +390,93 @@ def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,
         blocks.append((window, buffer[:window.size].reshape(window.shape),
                        x[:, cut]))
     check_rows = block_width(n)
+    # the momenta: the snapshot buffer's, or a rolling block that holds the
+    # current energy block's
+    held = ps if momenta else np.empty((check_rows, n))
     for s in range(1, n_snap):
         x.take(wrap, axis=1, out=wrapped)
         for window, copy, out in blocks:
             np.copyto(copy, window)
             np.matmul(k, copy.reshape(2 * width, -1), out=out)
-        qs[s], ps[s] = x
+        first = s - (s - 1) % check_rows     # s's energy block starts here
+        lag = 0 if momenta else first        # s's momenta are held[s - lag]
+        qs[s], held[s - lag] = x
         if s % check_rows and s < n_snap - 1:
             continue
-        block = slice(s - (s - 1) % check_rows, s + 1)
-        energies[block] = chain_energy(qs[block], ps[block], params)
-        over = np.flatnonzero(~(energies[block] <= e_cap))
+        block = energies[first:s + 1]
+        block[...] = chain_energy(qs[first:s + 1],
+                                  held[first - lag:s + 1 - lag], params)
+        over = np.flatnonzero(~(block <= e_cap))
         if over.size:
             raise StabilityError(
-                f"energy grew to {energies[block][over[0]]:.3g} (initial {e0:.3g}); "
+                f"energy grew to {block[over[0]]:.3g} (initial {e0:.3g}); "
                 "reduce dt")
     times = h * stride * np.arange(n_snap)
     times.setflags(write=False)
     energies.setflags(write=False)
-    return ChainTrajectory(times, snapshots, energies)
+    return ChainTrajectory(times, snapshots, energies, qs, ps)
 
 
 def spectral_dispersion(traj: ChainTrajectory, params: ChainParams):
-    """Measure w(k) from trajectory data, one FFT peak per mode; returns
-    (measured, resolution), the frequencies in FFT order and the frequency
-    bin 2 pi / T_window.
+    """Measure w(k) from a displacement-only trajectory (integrate_chain
+    with momenta=False), one FFT peak per mode; returns (measured,
+    resolution), the frequencies in FFT order and the frequency bin
+    2 pi / T_window.  A trajectory that recorded momenta raises ValueError.
 
-    Each amplitude evolves as a_j(t) ~ e^{-i w_j t}, so the time spectrum
-    peaks at signed frequency -w_j; the peak is refined by parabolic
-    interpolation on log|X| and reported as a positive frequency.  A mode
-    with no excitation (or no curvature at the peak) measures NaN.
+    The unitary DFT of q is Q_j = (a_j + conj(a_-j)) / sqrt(2 m w_j), and
+    each amplitude evolves as a_j(t) ~ e^{-i w_j t}, so the time spectrum
+    of Q_j peaks at -w_j for mode j and at +w_j for mode -j.  Mode j, for
+    0 <= j <= N/2, is read on the negative-frequency half of column j, and
+    mode -j on its positive half with the sign flipped; each peak is refined
+    by parabolic interpolation on log|X| and reported as a positive
+    frequency.  A mode whose peak is at most 1e-12 of the largest (no
+    excitation), or has no curvature, measures NaN.
 
-    The mode amplitudes are written over the trajectory's snapshots and the
-    time spectrum X is taken in place in them, so no second array of the
-    trajectory's size is made, and traj.snapshots holds X afterwards.  |X|
-    is formed in blocks of block_width(S) modes at most, S snapshots a mode
-    (31 modes at a09's 2096), each block giving its modes' peaks and the two
-    neighbours of each in one argmax.
+    The spectrum is taken in place in the trajectory's buffer, so no second
+    array of its size is made, and traj.snapshots holds X afterwards: the
+    half-spectrum rfft of q in blocks of block_width(N + 2) rows at most,
+    a row's N//2 + 1 complex values (63 rows at 1024 sites), each written
+    over its own row, then the time FFT of the N//2 + 1 columns.  |X| is
+    formed in blocks of block_width(S) columns at most, S snapshots a
+    column (31 columns at a09's 2096), each block giving the peaks of its
+    columns' modes and the two neighbours of each in one argmax a half.
     """
-    n_snap = traj.times.size
+    if traj.p.shape[-1]:
+        raise ValueError("spectral_dispersion reads a displacement-only "
+                         "trajectory: integrate_chain(..., momenta=False)")
     n = params.n_sites
+    _check_sites(traj.q.shape[-1], params)
+    n_snap = traj.times.size
     dt_snap = float(traj.times[1] - traj.times[0])
-    amps, _ = mode_amplitudes(traj.q, traj.p, params, out=traj.snapshots)
-    spectrum = np.fft.fft(amps, axis=0, out=amps)
-    width = block_width(n_snap)         # modes per block
-    mag = np.empty((min(width, n), n_snap))
+    half = n // 2 + 1                   # wavenumbers 0 .. N/2
+    mirrored = n - half                 # wavenumbers -1 .. -(N-1)/2
+    spectrum = traj.snapshots.view(complex)
+    # q's row r is floats [r N, r N + N) of the buffer, and its half
+    # spectrum goes to floats [r W, r W + W), W = 2 half >= N: blocks
+    # written from the last to the first write over rows of q already read
+    for rows in reversed(point_blocks(n_snap, block_width(2 * half))):
+        spectrum[rows] = np.fft.rfft(traj.q[rows], axis=-1)
+    np.fft.fft(spectrum, axis=0, out=spectrum)
+    split = n_snap - n_snap // 2        # bins below it: frequencies >= 0
+    width = block_width(n_snap)         # columns per block
+    mag = np.empty((min(width, half), n_snap))
     i_peaks = np.empty(n, dtype=int)
     around = np.empty((3, n))           # |X| below, at and above each peak
-    for cols in point_blocks(n, width):
+    offsets = np.arange(-1, 2)[:, None]
+    for cols in point_blocks(half, width):
         block = mag[:cols.stop - cols.start]
         np.abs(spectrum[:, cols].T, out=block)
-        i_peaks[cols] = i_peak = np.argmax(block, axis=1)
-        around[:, cols] = block[np.arange(block.shape[0]),
-                                (i_peak + np.arange(-1, 2)[:, None]) % n_snap]
+        # the columns j of the block, and those of them with a mode -j
+        lo, hi = max(cols.start, 1), min(cols.stop, mirrored + 1)
+        for modes, rows, bins in (
+                (np.arange(cols.start, cols.stop), block,
+                 slice(split, n_snap)),
+                (n - np.arange(lo, hi),
+                 block[lo - cols.start:hi - cols.start], slice(0, split))):
+            i_peaks[modes] = i_peak = bins.start + np.argmax(rows[:, bins],
+                                                             axis=1)
+            around[:, modes] = rows[np.arange(rows.shape[0]),
+                                    (i_peak + offsets) % n_snap]
     measured = np.full(n, np.nan)
     excited = np.flatnonzero(~(around[1] <= 1e-12 * float(np.max(around[1]))))
     # the neighbours floored at 1e-300, and libm's log of each value, one
@@ -437,10 +490,12 @@ def spectral_dispersion(traj: ChainTrajectory, params: ChainParams):
     # clamped to [-0.5, 0.5] as Python's max and min clamp it, NaN to -0.5
     shift = np.fmin(0.5, np.fmax(-0.5, shift))
     i_peak = i_peaks[excited]
-    signed_bin = np.where(i_peak < n_snap - n_snap // 2, i_peak, i_peak - n_snap)
+    signed_bin = np.where(i_peak < split, i_peak, i_peak - n_snap)
     nu = (signed_bin + shift) / (n_snap * dt_snap)
+    # mode j read at -w_j, mode -j at +w_j
+    sign = np.where(excited < half, -2.0 * math.pi, 2.0 * math.pi)
     # a peak without curvature (a flat spectrum) measures NaN
-    measured[excited] = np.where(denom >= 0.0, np.nan, -2.0 * math.pi * nu)
+    measured[excited] = np.where(denom >= 0.0, np.nan, sign * nu)
     return measured, 2.0 * math.pi / (n_snap * dt_snap)
 
 

@@ -14,14 +14,17 @@ def run(args, report):
 
     params = chain_params(args)
     w0 = chain.dispersion(0.0, params)
-    q, p = chain.sample_thermal_state(params, args.beta, args.seed)
     duration = args.periods * 2.0 * math.pi / w0
-    traj = chain.integrate_chain(q, p, params, duration, args.dt,
-                                 stride=args.stride)
-    if traj.times.size < 8:
+    # refused before the draw; an unstable step is refused first, exit 3
+    n_snap = chain.snapshot_count(params, duration, args.dt, args.stride)
+    if n_snap < 8:
         raise argparse.ArgumentTypeError(
-            f"--periods, --dt and --stride give {traj.times.size} snapshots: "
+            f"--periods, --dt and --stride give {n_snap} snapshots: "
             "a spectrum needs at least 8")
+    q, p = chain.sample_thermal_state(params, args.beta, args.seed)
+    # the spectrum reads the displacements alone
+    traj = chain.integrate_chain(q, p, params, duration, args.dt,
+                                 stride=args.stride, momenta=False)
     measured, resolution = chain.spectral_dispersion(traj, params)
     k = params.wavenumbers
     expected = chain.dispersion(k, params)

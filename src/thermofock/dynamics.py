@@ -362,6 +362,14 @@ MAX_CLOUD_STEPS = 2 ** 20
 # x86_64 core), so 2**23 particles take about 6 s and 1e9 would take about
 # 12 min.
 MAX_CLOUD_PARTICLES = 2 ** 23
+# Requested times x particle blocks one ensemble run may fold: every block
+# of `errors.SAMPLE_BLOCK` particles is folded into each requested time's
+# moment sums, whether or not time advances there.  An `ensemble` run
+# spends about 0.12 ms a fold on a block of 1000 particles and 0.85 ms on a
+# full block, drawing, moving and its report row included (one x86_64
+# core), so the cap is about 1 s of one-block folds and 7 s of full ones;
+# the run at the particle cap folds 5120 blocks at the default 20 times.
+MAX_CLOUD_FOLDS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -424,7 +432,8 @@ def ensemble_evolve(f: FockVector, omega: float, times, n_samples: int,
     """Draw a cloud from |f|^2 dmu and advance it classically under
     qdot = w p, pdot = -w q - alpha p, w = `omega` and alpha = `friction`.
 
-    Before any draw, n_samples is capped at MAX_CLOUD_PARTICLES and the
+    Before any draw, n_samples is capped at MAX_CLOUD_PARTICLES, the
+    requested times x particle blocks at MAX_CLOUD_FOLDS, and the
     interval maps are built (`_interval_maps`, each interval in the fewest
     equal steps no longer than `dt`, their total capped at
     MAX_CLOUD_STEPS); each particle then moves once per interval by its map
@@ -455,6 +464,12 @@ def ensemble_evolve(f: FockVector, omega: float, times, n_samples: int,
             f"{n_samples} particles exceed the cap of {MAX_CLOUD_PARTICLES} "
             f"per ensemble run, which bounds its length (the cloud streams "
             f"in fixed blocks, so not its memory)")
+    blocks = -(-n_samples // SAMPLE_BLOCK)
+    if times.size * blocks > MAX_CLOUD_FOLDS:
+        raise CapacityError(
+            f"{times.size} times x {blocks} blocks of {SAMPLE_BLOCK} "
+            f"particles are {times.size * blocks} moment folds, over the cap "
+            f"of {MAX_CLOUD_FOLDS} per ensemble run")
     maps = _interval_maps(omega, times, dt, friction)
     sums = [MomentSums() for _ in maps]
     scratch = np.empty((2, min(n_samples, SAMPLE_BLOCK)))

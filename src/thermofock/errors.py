@@ -18,9 +18,11 @@ every pass that works in blocks."""
 # The ensemble cloud streams in fixed blocks; its own cap,
 # dynamics.MAX_CLOUD_PARTICLES, bounds a run's length.
 # The largest benchmarked trajectory, chain-dispersion --sites 1024, fills
-# 2096 x 1024 = 2.1e6 (17 MB each for q and p), an eighth of the cap; a
-# chain run at the cap holds one 256 MiB complex snapshot buffer, in which
-# its mode amplitudes and time spectrum are taken in place.
+# 2096 x 1024 = 2.1e6 (17 MB of displacements q, recorded alone), an eighth
+# of the cap; a chain-dispersion run at the cap holds one ~128 MiB float
+# snapshot buffer of q, in which its half spectrum and time spectrum are
+# taken in place, and a relax run one 256 MiB complex buffer of q and p,
+# in which its mode amplitudes are.
 MAX_SNAPSHOT_FLOATS = 2 ** 24
 
 # Floats one block of any pass that works in blocks may hold, 512 KiB, so

@@ -29,8 +29,9 @@ def test_benchmark_harness_tests_pass():
 def test_traced_chain_run_counts_the_snapshot_buffer(tmp_path):
     """`bench/tracer.py` reads the trajectory that `integrate_chain` returns
     (its `q`, `p` and `times`) to count the `chain` workload's snapshot bytes,
-    so a traced chain run must still complete and count 16 S N + 8 S bytes:
-    q and p at 8 bytes a float each, and the S times."""
+    so a traced chain run must still complete and count 8 S N + 8 S bytes:
+    q at 8 bytes a float, no momenta (`chain-dispersion` records
+    displacements alone, p an (S, 0) view), and the S times."""
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
@@ -44,4 +45,4 @@ def test_traced_chain_run_counts_the_snapshot_buffer(tmp_path):
     counts = json.loads(spans.read_text(encoding="utf-8"))["counts"]
     snapshots, sites, stride = 2096, 64, 12     # a09's run length
     assert counts["chain.site_steps"] == (snapshots - 1) * stride * sites
-    assert counts["chain.snapshot_bytes"] == 16 * snapshots * sites + 8 * snapshots
+    assert counts["chain.snapshot_bytes"] == 8 * snapshots * sites + 8 * snapshots

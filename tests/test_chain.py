@@ -8,6 +8,7 @@ the continuum law w^2 = k^2 + M^2 with leading lattice error k^4 a^2 / 12.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -509,31 +510,34 @@ def test_blow_up_raises_at_the_end_of_its_energy_block(monkeypatch):
 
 
 def test_spectral_dispersion_transient_memory_is_bounded(traced_peak):
-    # the mode amplitudes, and then in place their time spectrum, overwrite
-    # the trajectory's snapshot buffer, so only the row blocks of the mode
-    # transform and the blocks of |spectrum| come on top of it: 0.32x here.
-    # The copying route, a second complex buffer beside the snapshots,
-    # read 1.32x
+    # the half spectrum of q, and then in place its time spectrum, overwrite
+    # the trajectory's S x (N + 2) float buffer, so only the row blocks of
+    # the rfft and the blocks of |spectrum| come on top of it: 0.62x of that
+    # buffer here, 0.32x of the (q, p) buffer of 2 S N floats that the mode
+    # amplitudes were taken in (bounded at 0.35x of it).  The copying route,
+    # a second complex buffer beside the (q, p) snapshots, read 1.32x of them
     params = ChainParams(n_sites=64)
     state = sample_thermal_state(params, beta=1.0, seed=3)
-    traj = integrate_chain(*state, params, duration=200.0, dt=0.1)
+    traj = integrate_chain(*state, params, duration=200.0, dt=0.1,
+                           momenta=False)
     assert traj.q.shape == (2001, 64)
-    snapshot_bytes = traj.q.nbytes + traj.p.nbytes
+    assert traj.snapshots.nbytes == 8 * 2001 * 66
     _, peak = traced_peak(lambda: spectral_dispersion(traj, params))
-    assert peak <= 0.35 * snapshot_bytes
+    assert peak <= 0.65 * traj.snapshots.nbytes
 
 
 def test_spectral_dispersion_transient_memory_at_a09_length(traced_peak):
     # a09's 2096 snapshots on 256 sites: the blocks shrink against the
-    # buffer, 0.08x (0.19x with 256-row blocks, 1.19x on the copying route)
+    # buffer, 0.17x of its S x (N + 2) floats, 0.09x of the (q, p) buffer
+    # that the mode amplitudes were taken in (bounded at 0.1x of it; 0.19x
+    # with 256-row blocks of the mode transform, 1.19x on the copying route)
     params = ChainParams(n_sites=256)
     state = sample_thermal_state(params, beta=1.0, seed=3)
     traj = integrate_chain(*state, params, duration=400.0 * math.pi, dt=0.05,
-                           stride=12)
+                           stride=12, momenta=False)
     assert traj.q.shape == (2096, 256)
-    snapshot_bytes = traj.q.nbytes + traj.p.nbytes
     _, peak = traced_peak(lambda: spectral_dispersion(traj, params))
-    assert peak <= 0.1 * snapshot_bytes
+    assert peak <= 0.18 * traj.snapshots.nbytes
 
 
 def test_integrate_chain_transient_memory_is_bounded(traced_peak):
@@ -567,19 +571,42 @@ def test_stability_check_holds_one_energy_block(traced_peak):
     assert excess <= check_bytes + window_bytes + 0.1 * 2 ** 20, excess
 
 
+def test_displacement_only_stability_check_holds_one_momentum_block(
+        traced_peak):
+    # the same run recording q alone: past its S x (N + 2) buffer it holds
+    # what the run above holds, and the rolling block of the energy block's
+    # momenta, 1.49 MiB.  Its q is C-ordered, so the stretch is still one
+    # flat difference: q as the first N columns of each row read 2.11 MiB,
+    # each energy block's q copied and its squares run through numpy's
+    # iteration buffers
+    n, stride = 1024, _A09_RUN["stride"]
+    params = ChainParams(n_sites=n)
+    state = sample_thermal_state(params, 1.0, 42)
+    traj, peak = traced_peak(
+        lambda: integrate_chain(*state, params, **_A09_RUN, momenta=False),
+        lambda: integrate_chain(*state, params, duration=10.0, dt=0.05,
+                                momenta=False))
+    width = min(n, 2 * stride + 3)
+    window_bytes = 8 * 2 * width * min(n, errors.block_width(2 * width))
+    check_bytes = 8 * n * errors.block_width(n)
+    excess = peak - traj.snapshots.nbytes
+    assert excess <= 2 * check_bytes + window_bytes + 0.1 * 2 ** 20, excess
+
+
 def test_chain_dispersion_path_holds_one_snapshot_buffer(traced_peak):
     # integrate_chain then spectral_dispersion, as `chain-dispersion --sites
-    # 1024` runs them: one buffer of the snapshots' bytes serves the whole
-    # path, 1.05x at the peak (1.19x with 256-row blocks of the mode
-    # transform, 2.19x on the copying route)
+    # 1024` runs them: one buffer of S x (N + 2) floats serves the whole
+    # path, 1.09x of it at the peak, 0.55x of the (q, p) buffer that the
+    # mode amplitudes were taken in (1.03x of that; 1.19x with 256-row
+    # blocks of the mode transform, 2.19x on the copying route)
     params = ChainParams(n_sites=1024)
     state = sample_thermal_state(params, beta=1.0, seed=3)
     sizes = []
 
     def path():
         traj = integrate_chain(*state, params, duration=400.0 * math.pi,
-                               dt=0.05, stride=12)
-        sizes.append((traj.q.shape, traj.q.nbytes + traj.p.nbytes))
+                               dt=0.05, stride=12, momenta=False)
+        sizes.append((traj.q.shape, traj.snapshots.nbytes))
         return spectral_dispersion(traj, params)
 
     (measured, _), peak = traced_peak(path)
@@ -627,6 +654,62 @@ def test_trajectory_holds_the_integrated_buffers():
     assert traj.snapshots.shape == traj.q.shape == (traj.times.size, 8)
     assert np.may_share_memory(traj.q, traj.p)
     assert traj.q.nbytes + traj.p.nbytes == traj.snapshots.nbytes
+    # displacements alone, at even and odd N: q is the first S N floats of
+    # one float buffer with room for each row's N//2 + 1 complex half
+    # spectrum, and p holds no column
+    for n in (8, 7):
+        traj = integrate_chain(*_random_state(n, 4), ChainParams(n_sites=n),
+                               duration=5.0, dt=0.1, momenta=False)
+        rows = traj.times.size
+        assert traj.snapshots.dtype == float
+        assert traj.snapshots.shape == (rows, 2 * (n // 2 + 1))
+        assert traj.q.shape == (rows, n) and traj.q.flags.c_contiguous
+        assert traj.q.base is traj.p.base is traj.snapshots
+        assert np.shares_memory(traj.q, traj.snapshots[0])
+        assert traj.p.shape == (rows, 0)
+        assert not traj.energies.flags.writeable
+
+
+@pytest.mark.parametrize("block_floats", [2 ** 16, 5 * 16],
+                         ids=["a09-blocks", "blocks-of-5"])
+def test_displacement_only_run_keeps_every_float(monkeypatch, block_floats):
+    # q and every energy are those of the run that records momenta, bit for
+    # bit, on the stencil and the stride map, whole energy blocks or blocks
+    # of 5 rows whose last is short; a blow-up raises the same error
+    monkeypatch.setattr(errors, "BLOCK_FLOATS", block_floats)
+    params = ChainParams(n_sites=16)
+    state = sample_thermal_state(params, 1.0, 8)
+    for run in (dict(duration=10.0, dt=0.1),
+                dict(duration=30.0, dt=0.05, friction=0.02, stride=12)):
+        want = integrate_chain(*state, params, **run)
+        traj = integrate_chain(*state, params, **run, momenta=False)
+        assert traj.q.tobytes() == want.q.tobytes()
+        assert traj.energies.tobytes() == want.energies.tobytes()
+        assert traj.times.tobytes() == want.times.tobytes()
+    dt = 0.99 * 2.0 / params.omega_max
+    blow_up = (np.zeros(16), 1e-3 * np.array([1.0, -1.0] * 8))
+    with pytest.raises(StabilityError) as want:
+        integrate_chain(*blow_up, params, duration=640 * dt, dt=dt)
+    with pytest.raises(StabilityError, match=re.escape(str(want.value))):
+        integrate_chain(*blow_up, params, duration=640 * dt, dt=dt,
+                        momenta=False)
+
+
+def test_snapshot_count_is_the_integrated_count():
+    params = ChainParams(n_sites=8)
+    for run in (dict(duration=1.0, dt=0.03, stride=7),
+                dict(duration=400.0 * math.pi, dt=0.05, stride=12),
+                dict(duration=0.05, dt=0.05, stride=1),
+                dict(duration=1e-9, dt=0.05, stride=3)):
+        traj = integrate_chain(np.zeros(8), np.ones(8), params, **run)
+        assert chain.snapshot_count(params, **run) == traj.times.size
+    assert chain.snapshot_count(params, **_A09_RUN) == 2096
+    # the run's own refusals, in integrate_chain's order
+    with pytest.raises(StabilityError):
+        chain.snapshot_count(params, 1.0, 2.0 / params.omega_max)
+    for duration in (0.0, math.inf, math.nan):
+        with pytest.raises(FloatingPointError, match="positive and finite"):
+            chain.snapshot_count(params, duration, 0.1)
 
 
 def test_amplitudes_written_in_place_match_the_copying_route(monkeypatch):
@@ -673,39 +756,76 @@ def test_spectral_peak_of_a_single_mode():
     params = ChainParams(n_sites=16)
     omega = dispersion(params.wavenumbers, params)
     state = _plane_wave(params, 5, 1.0)
-    traj = integrate_chain(*state, params, duration=60.0 * math.pi, dt=0.05,
-                           stride=8)
-    # the reference amplitudes are taken before spectral_dispersion writes
+    run = dict(duration=60.0 * math.pi, dt=0.05, stride=8)
+    traj = integrate_chain(*state, params, **run, momenta=False)
+    # the reference spectrum is taken before spectral_dispersion writes
     # over the snapshots
-    amps, _ = mode_amplitudes(traj.q, traj.p, params)
+    column = np.abs(np.fft.fft(np.fft.rfft(traj.q, axis=-1)[:, 5]))
     measured, resolution = spectral_dispersion(traj, params)
-    # every mode but 5 and its mirror 11 measures NaN as unexcited, not a
-    # faked frequency
-    np.testing.assert_array_equal(np.flatnonzero(~np.isnan(measured)), [5, 11])
+    # every mode but 5 measures NaN as unexcited, not a faked frequency
+    np.testing.assert_array_equal(np.flatnonzero(~np.isnan(measured)), [5])
     assert abs(measured[5] - omega[5]) <= resolution
-    # mode 11 holds only leapfrog leakage of mode 5, of relative size
-    # (w h)^2 / 16, with equal peaks at +w and -w: which sign its argmax
-    # picks is left to rounding
+    # mode 11 = -5 holds only leapfrog leakage of mode 5, of relative size
+    # (w h)^2 / 16 (the amplitudes of the run that records momenta).  It is
+    # read on the positive half of column 5, below the sidelobes of mode
+    # 5's peak at -w, ten times larger: it has no peak of its own there
+    recorded = integrate_chain(*state, params, **run)
+    amps, _ = mode_amplitudes(recorded.q, recorded.p, params)
     mag = np.abs(np.fft.fft(amps, axis=0))
-    peak = int(np.argmax(mag[:, 5]))
-    mirror = traj.times.size - peak
-    assert abs(mag[peak, 11] - mag[mirror, 11]) <= 1e-9 * mag[peak, 11]
     h = traj.times[1] / 8
     leakage = np.max(mag[:, 11]) / np.max(mag[:, 5])
     assert leakage == pytest.approx((omega[5] * h) ** 2 / 16.0, rel=0.01)
+    split = traj.times.size - traj.times.size // 2
+    assert np.max(column[:split]) >= 10 * leakage * np.max(column[split:])
+
+
+def test_equal_peaks_at_plus_and_minus_omega_read_as_two_modes():
+    # a 16-site standing wave, a_k and a_-k of equal size at any phase: the
+    # time spectrum of rfft(q)'s column k has equal peaks at -w and +w, and
+    # which is larger is left to rounding.  Mode k is read on the negative
+    # half and mode -k on the positive half, so both measure +w
+    params = ChainParams(n_sites=16)
+    omega = dispersion(params.wavenumbers, params)
+    for k in range(1, 8):
+        for phase in (0.0, 0.3, math.pi / 2):
+            amps = np.zeros(16, dtype=complex)
+            amps[k], amps[-k] = 1.0, np.exp(1j * phase)
+            state = reconstruct_state(amps, params)
+            traj = integrate_chain(*state, params, duration=60.0 * math.pi,
+                                   dt=0.05, stride=8, momenta=False)
+            column = np.abs(np.fft.fft(np.fft.rfft(traj.q, axis=-1)[:, k]))
+            peak = int(np.argmax(column))
+            mirror = -peak % traj.times.size
+            assert abs(column[peak] - column[mirror]) <= 1e-12 * column[peak]
+            measured, resolution = spectral_dispersion(traj, params)
+            assert np.flatnonzero(~np.isnan(measured)).tolist() == [k, 16 - k]
+            assert abs(measured[k] - omega[k]) <= resolution
+            assert abs(measured[-k] - omega[k]) <= resolution
+
+
+def test_spectral_dispersion_refuses_a_trajectory_with_momenta():
+    params = ChainParams(n_sites=8)
+    traj = integrate_chain(*_random_state(8, 1), params, duration=5.0, dt=0.1)
+    before = traj.snapshots.copy()
+    with pytest.raises(ValueError, match="momenta=False"):
+        spectral_dispersion(traj, params)
+    assert np.array_equal(traj.snapshots, before)
 
 
 def _full_array_spectral_dispersion(traj, params):
     """Reference: the peak finder over one full |spectrum| array of the
-    full-FFT amplitudes, one argmax per mode."""
+    full FFT of q, every wavenumber transformed, one argmax per mode: mode
+    j on the negative-frequency half of its own column, Q_j ~ e^{-i w_j t}
+    there."""
     n_snap = traj.times.size
     dt_snap = float(traj.times[1] - traj.times[0])
-    mag = np.abs(np.fft.fft(_full_fft_amplitudes(traj.q, traj.p, params), axis=0))
+    mag = np.abs(np.fft.fft(np.fft.fft(traj.q, axis=-1), axis=0))
+    negative = n_snap - n_snap // 2
     measured = np.full(params.n_sites, np.nan)
-    scale = float(np.max(mag))
+    scale = float(np.max(mag[negative:]))
     for j in range(params.n_sites):
         col = mag[:, j]
-        i_peak = int(np.argmax(col))
+        i_peak = negative + int(np.argmax(col[negative:]))
         peak = col[i_peak]
         if peak <= 1e-12 * max(scale, 1.0):
             continue
@@ -731,13 +851,14 @@ def test_blocked_spectrum_matches_the_full_array_reference(monkeypatch, params,
                                                            state, run):
     want = _full_array_spectral_dispersion(
         integrate_chain(*state, params, **run), params)
-    # one block of all modes, and near-equal blocks of at most 3 modes;
-    # each spectrum is taken in a fresh trajectory's snapshot buffer
-    for modes in (None, 3):
-        traj = integrate_chain(*state, params, **run)
-        if modes:
+    # one block of all columns, and near-equal blocks of at most 3 columns
+    # and of rfft rows; each spectrum is taken in a fresh trajectory's
+    # snapshot buffer
+    for columns in (None, 3):
+        traj = integrate_chain(*state, params, **run, momenta=False)
+        if columns:
             monkeypatch.setattr(errors, "BLOCK_FLOATS",
-                                modes * traj.times.size)
+                                columns * traj.times.size)
         measured, _ = spectral_dispersion(traj, params)
         assert np.array_equal(np.isnan(measured), np.isnan(want))
         good = ~np.isnan(want)
@@ -746,24 +867,33 @@ def test_blocked_spectrum_matches_the_full_array_reference(monkeypatch, params,
 
 
 def _loop_spectral_dispersion(traj, params):
-    """Reference: each mode's peak refined by its own scalar loop pass, with
-    libm's log, from the |spectrum| of the trajectory's amplitudes taken
-    whole.  Reads traj.q and traj.p, so it runs before spectral_dispersion
-    takes the snapshots over."""
-    n_snap = traj.times.size
+    """Reference: each mode's peak found and refined by its own scalar loop
+    pass, with libm's log, from the |spectrum| of the half-spectrum rfft of
+    the trajectory's q taken whole: mode j <= N/2 on the negative half of
+    column j, mode -j on the positive half of column j with the sign
+    flipped.  Reads traj.q, so it runs before spectral_dispersion takes the
+    snapshots over."""
+    n, n_snap = params.n_sites, traj.times.size
     dt_snap = float(traj.times[1] - traj.times[0])
-    amps, _ = mode_amplitudes(traj.q, traj.p, params)
-    mag = np.abs(np.fft.fft(amps, axis=0, out=amps)).T
-    del amps
-    i_peaks = np.argmax(mag, axis=1)
-    rows = np.arange(params.n_sites)
-    below = mag[rows, (i_peaks - 1) % n_snap]
-    peaks = mag[rows, i_peaks]
-    above = mag[rows, (i_peaks + 1) % n_snap]
-    measured = np.full(params.n_sites, np.nan)
-    scale = float(np.max(peaks))
-    for j, (i_peak, low, peak, high) in enumerate(zip(
-            i_peaks.tolist(), below.tolist(), peaks.tolist(), above.tolist())):
+    spectrum = np.fft.rfft(traj.q, axis=-1)
+    mag = np.abs(np.fft.fft(spectrum, axis=0, out=spectrum)).T
+    del spectrum
+    split = n_snap - n_snap // 2
+    i_peaks, sides = [], []
+    for j in range(n):
+        if j <= n // 2:
+            column, sign, first, last = j, -1.0, split, n_snap
+        else:
+            column, sign, first, last = n - j, 1.0, 0, split
+        i_peaks.append(first + int(np.argmax(mag[column, first:last])))
+        sides.append((column, sign))
+    below = [mag[c, (i - 1) % n_snap] for i, (c, _) in zip(i_peaks, sides)]
+    peaks = [mag[c, i] for i, (c, _) in zip(i_peaks, sides)]
+    above = [mag[c, (i + 1) % n_snap] for i, (c, _) in zip(i_peaks, sides)]
+    measured = np.full(n, np.nan)
+    scale = float(max(peaks))
+    for j, (i_peak, (_, sign), low, peak, high) in enumerate(zip(
+            i_peaks, sides, below, peaks, above)):
         if peak <= 1e-12 * scale:
             continue
         lm = math.log(max(low, 1e-300))
@@ -776,7 +906,7 @@ def _loop_spectral_dispersion(traj, params):
         shift = min(0.5, max(-0.5, shift))
         signed_bin = i_peak if i_peak < n_snap - n_snap // 2 else i_peak - n_snap
         nu = (signed_bin + shift) / (n_snap * dt_snap)
-        measured[j] = -2.0 * math.pi * nu
+        measured[j] = sign * 2.0 * math.pi * nu
     return measured
 
 
@@ -798,7 +928,7 @@ _A09_RUN = dict(duration=400.0 * math.pi, dt=0.05, stride=12)
 ], ids=["thermal-16", "thermal-64", "thermal-256", "thermal-1024",
         "thermal-256-seed-35", "plane-wave-16", "zero-16"])
 def test_peak_refinement_is_the_per_mode_loop_bit_for_bit(params, state):
-    traj = integrate_chain(*state, params, **_A09_RUN)
+    traj = integrate_chain(*state, params, **_A09_RUN, momenta=False)
     want = _loop_spectral_dispersion(traj, params)
     measured, _ = spectral_dispersion(traj, params)
     assert measured.tobytes() == want.tobytes()
@@ -808,7 +938,8 @@ def test_spectral_dispersion_full_thermal_band():
     params = ChainParams(n_sites=32)
     state = sample_thermal_state(params, 1.0, seed=42)
     t_max = 40.0 * 2.0 * math.pi / dispersion(0.0, params)
-    traj = integrate_chain(*state, params, duration=t_max, dt=0.05, stride=12)
+    traj = integrate_chain(*state, params, duration=t_max, dt=0.05, stride=12,
+                           momenta=False)
     measured, resolution = spectral_dispersion(traj, params)
     omega = dispersion(params.wavenumbers, params)
     assert np.max(np.abs(measured - omega)) <= resolution     # NaN fails
@@ -817,7 +948,8 @@ def test_spectral_dispersion_full_thermal_band():
 def test_spectral_dispersion_flat_band():
     params = ChainParams(n_sites=8, gamma=4.0, gamma_couple=0.0)
     state = sample_thermal_state(params, 1.0, seed=5)
-    traj = integrate_chain(*state, params, duration=100.0, dt=0.05, stride=4)
+    traj = integrate_chain(*state, params, duration=100.0, dt=0.05, stride=4,
+                           momenta=False)
     measured, resolution = spectral_dispersion(traj, params)
     good = ~np.isnan(measured)
     assert np.all(np.abs(measured[good] - 2.0) <= resolution)

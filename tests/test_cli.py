@@ -486,6 +486,58 @@ def test_evolve_grid_must_resolve_every_harmonic(usage_error):
     assert check.passed and check.measured <= 1e-14
 
 
+def test_short_chain_dispersion_is_refused_before_the_draw(monkeypatch,
+                                                          usage_error):
+    # the snapshot count follows from --periods, --dt and --stride alone
+    # (chain.snapshot_count, the count integrate_chain takes): fewer than
+    # the 8 a spectrum needs is a usage error before the thermal draw, which
+    # at 65536 sites traced 16.8 MiB and took 0.6 s; an unstable step is
+    # still refused first, a numerical failure
+    from thermofock import chain
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the thermal state was drawn")
+
+    monkeypatch.setattr(chain, "sample_thermal_state", no_draw)
+    usage_error(["chain-dispersion", "--sites", "65536", "--periods", "1e-3",
+                 "--seed", "1"], "--periods")
+    outcome = evaluate("chain-dispersion", "--periods", "1e-3", "--dt", "1",
+                       "--seed", "1")
+    assert outcome.code == cli.EXIT_NUMERICAL
+    assert outcome.report.checks[0].measured.startswith("StabilityError")
+
+
+def test_ensemble_fold_work_is_capped_before_the_draw(monkeypatch):
+    # every particle block is folded into each requested time's moment sums,
+    # also where time does not advance: --n-times 1e5 at --t-max 0 on one
+    # block of 1000 particles ran 4.8 s and exited 0.  Times x blocks past
+    # dynamics.MAX_CLOUD_FOLDS are refused before the interval maps and the
+    # draw; at the cap a run passes
+    import numpy as np
+
+    from thermofock import dynamics
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run went past its refusal")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", no_work)
+        patch.setattr(dynamics, "_interval_maps", no_work)
+        for argv in (("--n-times", "1e5", "--t-max", "0", "--samples", "1000"),
+                     ("--n-times", "8193", "--samples", "1000")):
+            outcome = evaluate("ensemble", *argv, "--seed", "1")
+            assert outcome.code == cli.EXIT_NUMERICAL, (argv, outcome.error)
+            measured = outcome.report.checks[0].measured
+            assert measured.startswith("CapacityError") and "folds" in measured
+    # the cap patched down to 20 times of two blocks
+    monkeypatch.setattr(dynamics, "MAX_CLOUD_FOLDS", 40)
+    outcome = evaluate("ensemble", "--samples", "65537", "--seed", "1")
+    assert outcome.code == cli.EXIT_NUMERICAL
+    assert "60 moment folds" in outcome.report.checks[0].measured
+    assert evaluate("ensemble", "--samples", "65536",
+                    "--seed", "1").code == cli.EXIT_PASS
+
+
 def test_variation_holds_one_random_generator_at_a_time(traced_peak):
     # each random generator is drawn, measured and dropped: at 200 pairs a
     # generator is 1.28 MB, and --count 40 held all of them at once

@@ -153,11 +153,21 @@ def test_block_widths_are_pinned(monkeypatch):
     assert calls(chain.__name__, lambda: chain.integrate_chain(
         np.zeros(2048), np.ones(2048), chain.ChainParams(n_sites=2048),
         duration=0.6, dt=0.05, stride=12)) == [(2048, 1213)]
-    # spectrum modes at a09's 2096 snapshots, 2096 floats each
-    traj = chain.ChainTrajectory(
-        0.1 * np.arange(2096), np.ones((2096, 8)) * (1 + 1j), np.zeros(2096))
+    # rows of the spectrum's rfft, N + 2 floats each, on 8 snapshots
+    for n, rfft_rows in ((256, 254), (1024, 63)):
+        traj = chain.integrate_chain(np.zeros(n), np.zeros(n),
+                                     chain.ChainParams(n_sites=n),
+                                     duration=0.35, dt=0.05, momenta=False)
+        assert calls(chain.__name__, lambda: chain.spectral_dispersion(
+            traj, chain.ChainParams(n_sites=n)))[0] == (8, rfft_rows)
+    # spectrum columns at a09's 2096 snapshots, 2096 floats each: the
+    # N/2 + 1 columns of 16 sites
+    snapshots = np.ones((2096, 18))
+    q = snapshots.reshape(-1)[:2096 * 16].reshape(2096, 16)
+    traj = chain.ChainTrajectory(0.1 * np.arange(2096), snapshots,
+                                 np.zeros(2096), q, q[:, :0])
     assert calls(chain.__name__, lambda: chain.spectral_dispersion(
-        traj, chain.ChainParams(n_sites=8)))[-1] == (8, 31)
+        traj, chain.ChainParams(n_sites=16)))[-1] == (9, 31)
     assert errors.SAMPLE_BLOCK == 32768
 
 
