@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (
     POINT_BLOCK, CapacityError, TruncationError, block_width, check_capacity,
-    point_blocks)
+    check_samples, point_blocks)
 
 __all__ = [
     "FockVector",
@@ -145,7 +145,7 @@ def gram_quadrature(n_max: int, hbar: float) -> np.ndarray:
 
     dim, count = n_max + 1, 2 * n_max + 3
     # the angular powers, the largest array; laggauss's are dim x dim
-    check_capacity(2 * dim * count, f"the quadrature Gram at nmax {n_max}")
+    check_capacity(2 * dim * count, f"the quadrature Gram at nmax {n_max:.3g}")
     with np.errstate(over="ignore", invalid="ignore"):
         s, w = laggauss(dim)
     if not all(map(math.isfinite, [*s, *w])):
@@ -175,34 +175,41 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
 
     Returns (G, se); the sample mean of conj(e_i) e_j over draws from the
     Gaussian measure, and sqrt(var/samples) entrywise.  Constant entries
-    (i = j = 0) have zero variance by construction.
+    (i = j = 0) have zero variance by construction.  More than
+    `errors.MAX_SAMPLES` samples are refused before any draw.
 
     Points are drawn in chunks of 100 000, which fixes the draws for a seed:
     each chunk's real parts, then its imaginary parts, N(0, hbar/2) each.
     A chunk is cut into near-equal blocks (`point_blocks`) of at most
     min(POINT_BLOCK, block_width(4 (n_max + 1))) points, a point's basis
     and conjugate columns holding 4 (n_max + 1) floats: 963 at n_max 16,
-    and at least 88 up to the quadrature's cap, n_max 185.  The imaginary
-    parts are drawn block by block, in the same stream order, as each
-    block's points are formed, and each block's sums are added to the
+    and at least 88 up to the quadrature's cap, n_max 185.  At each chunk
+    the generator's state is copied, and the generator skips the chunk's
+    real parts, drawn block by block; each block's real parts are then
+    replayed from the copy beside its imaginary parts, drawn from the
+    generator, in the same stream order: the bits of the chunk drawn whole,
+    for one more normal a sample.  Each block's sums are added to the
     (n_max + 1)^2 totals, so the block only sets the order of the sums.
 
-    Memory: one reused float buffer of a chunk's real draws (0.76 MiB),
-    scaled by sigma in place, and two fixed complex block buffers, the
-    basis and its conjugate, of at most half the block budget
-    (`errors.BLOCK_FLOATS`, 256 KiB) each, |e|^2 then written into the
-    conjugate's.  That holds whatever `samples` and `n_max` are.
+    Memory: one reused float buffer of a block's normals (7.5 KiB at n_max
+    16), scaled by sigma into the block's points, and two fixed complex
+    block buffers, the basis and its conjugate, of at most half the block
+    budget (`errors.BLOCK_FLOATS`, 256 KiB) each, |e|^2 then written into
+    the conjugate's.  That holds whatever `samples` and `n_max` are.
     """
+    check_samples(samples, "the Monte Carlo Gram")
     rng = np.random.default_rng(seed)
+    bits = rng.bit_generator
+    # a generator of the same kind, set to each chunk's start to replay it
+    replay = np.random.Generator(type(bits)(0))
     sigma = math.sqrt(hbar / 2.0)    # N(0, hbar/2) real and imaginary parts
     dim = n_max + 1
     acc = np.zeros((dim, dim), dtype=complex)
     acc_sq = np.zeros((dim, dim))
-    real_parts = np.empty(min(100_000, samples))
     width = min(POINT_BLOCK, block_width(4 * dim))
     largest = min(width, samples)
     points = np.empty(largest, dtype=complex)
-    imag_parts = np.empty(largest)
+    normals = np.empty(largest)
     basis_buf = np.empty(dim * largest, dtype=complex)
     conj_buf = np.empty(dim * largest, dtype=complex)
     # once the product with the conjugate is taken, its buffer's floats
@@ -211,16 +218,18 @@ def gram_montecarlo(n_max: int, hbar: float, samples: int, seed):
     done = 0
     while done < samples:
         chunk = min(100_000, samples - done)
-        real = real_parts[:chunk]
-        rng.standard_normal(out=real)
-        real *= sigma
-        for block in point_blocks(chunk, width):
+        blocks = point_blocks(chunk, width)
+        replay.bit_generator.state = bits.state
+        for block in blocks:
+            rng.standard_normal(out=normals[:block.stop - block.start])
+        for block in blocks:
             size = block.stop - block.start
             entries = dim * size
             z = points[:size]
-            imag = rng.standard_normal(out=imag_parts[:size])
-            z.real = real[block]
-            np.multiply(imag, sigma, out=z.imag)
+            np.multiply(replay.standard_normal(out=normals[:size]), sigma,
+                        out=z.real)
+            np.multiply(rng.standard_normal(out=normals[:size]), sigma,
+                        out=z.imag)
             basis = _basis_matrix(z, n_max, hbar,
                                   out=basis_buf[:entries].reshape(dim, size))
             conj = np.conjugate(basis,
@@ -257,7 +266,8 @@ def coherent_vector(c: complex, n_max: int, hbar: float) -> FockVector:
     The squared norm of the full function is exp(hbar |c|^2); the
     truncation keeps the part sum_n |c_n|^2 of it.
     """
-    check_capacity(2 * (n_max + 1), f"a coherent vector at truncation {n_max}")
+    check_capacity(2 * (n_max + 1),
+                   f"a coherent vector at truncation {n_max:.3g}")
     c = complex(c)
     return FockVector(_coherent_coeffs(c * math.sqrt(hbar), n_max), hbar)
 
@@ -271,7 +281,7 @@ def lowering_matrix(n_max: int, hbar: float) -> np.ndarray:
     numpy sums a complex trace in another order than a real one.
     """
     check_capacity(2 * (n_max + 1) ** 2,
-                   f"the lowering matrix at truncation {n_max}")
+                   f"the lowering matrix at truncation {n_max:.3g}")
     m = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     m[np.arange(n_max), np.arange(1, n_max + 1)] = np.sqrt(
         np.arange(1, n_max + 1) * hbar)
@@ -301,7 +311,7 @@ def hamiltonian_matrix(ordering: str, omega: float, hbar: float,
     largest entry: 1.4e-15 at hbar 0.3, w 1 and truncation 64.
     """
     check_capacity(2 * (n_max + 1) ** 2,
-                   f"the Hamiltonian matrix at truncation {n_max}")
+                   f"the Hamiltonian matrix at truncation {n_max:.3g}")
     base = hbar * omega * np.arange(n_max + 1, dtype=float)
     if ordering == "normal":
         diag = base

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    POINT_BLOCK, SAMPLE_BLOCK, block_width, check_capacity, point_blocks)
+    POINT_BLOCK, SAMPLE_BLOCK, block_width, check_capacity, check_samples,
+    point_blocks)
 
 __all__ = [
     "BathParams",
@@ -194,8 +195,9 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
     655 for 50), each drawn as one (2n, block) array into one reused
     buffer, and each reduced at once: its weights, then their scaled
     squares, are formed in place in the block's own temporaries and summed.
-    Nothing grows with `samples`; the proposal's 2n x 2n covariance and
-    Cholesky factor are refused past MAX_SNAPSHOT_FLOATS.
+    Nothing grows with `samples`, which is refused past MAX_SAMPLES before
+    any draw; the proposal's 2n x 2n covariance and Cholesky factor are
+    refused past MAX_SNAPSHOT_FLOATS.
     """
     d = a.shape[0]
     n_pairs = d // 2
@@ -204,7 +206,8 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
         z_val = (2.0 * math.pi / beta) ** n_pairs / root_det
         return z_val, z_val ** (1.0 / n_pairs), 0.0
     if method == "montecarlo":
-        check_capacity(d * d, f"the {d} x {d} proposal covariance")
+        check_samples(samples, "the Monte Carlo partition integral")
+        check_capacity(d * d, f"the {d:.3g} x {d:.3g} proposal covariance")
         rng = np.random.default_rng(seed)
         cov = proposal_scale ** 2 * np.linalg.inv(beta * a)
         chol = np.linalg.cholesky(cov)
@@ -253,9 +256,10 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
 
 def symplectic_generator(n_pairs: int) -> np.ndarray:
     """The block symplectic J: (q, p) -> (p, -q) pairwise."""
-    check_capacity((2 * n_pairs) ** 2,
-                   f"the {2 * n_pairs} x {2 * n_pairs} symplectic generator")
-    m = np.zeros((2 * n_pairs, 2 * n_pairs))
+    dim = 2 * n_pairs
+    check_capacity(dim * dim,
+                   f"the {dim:.3g} x {dim:.3g} symplectic generator")
+    m = np.zeros((dim, dim))
     for k in range(n_pairs):
         m[2 * k, 2 * k + 1] = 1.0
         m[2 * k + 1, 2 * k] = -1.0
@@ -264,7 +268,7 @@ def symplectic_generator(n_pairs: int) -> np.ndarray:
 
 def random_antisymmetric(dim: int, rng: np.random.Generator) -> np.ndarray:
     """The antisymmetric part of a matrix of standard normal entries."""
-    check_capacity(dim * dim, f"a {dim} x {dim} random generator")
+    check_capacity(dim * dim, f"a {dim:.3g} x {dim:.3g} random generator")
     m = rng.standard_normal((dim, dim))
     return (m - m.T) / 2.0
 
@@ -328,7 +332,7 @@ def tilt_measure(bath: BathParams, c: complex, n_samples: int, seed) -> np.ndarr
     part, while the run holds that array and one piece of draws.  A sample
     whose complex array would pass MAX_SNAPSHOT_FLOATS raises CapacityError
     before a draw."""
-    check_capacity(2 * n_samples, f"{n_samples} tilted draws")
+    check_capacity(2 * n_samples, f"{n_samples:.3g} tilted draws")
     rng = np.random.default_rng(seed)
     hbar = bath.hbar
     center = hbar * np.conj(complex(c))
@@ -391,7 +395,7 @@ def sphere_pushforward_check(radius: float, beta: float, n_samples: int,
     """
     if not 0.0 < radius < math.inf:
         raise FloatingPointError(f"radius {radius:g} must be positive and finite")
-    check_capacity(n_samples, f"each array of {n_samples} sphere draws")
+    check_capacity(n_samples, f"each array of {n_samples:.3g} sphere draws")
     rng = np.random.default_rng(seed)
     u_max = min(1.0, 1.0 / (2.0 * beta * radius ** 2))
     t_min = max(0.0, -math.log(2.0 * beta * radius ** 2) / beta)

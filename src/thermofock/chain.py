@@ -205,7 +205,7 @@ def sample_thermal_state(params: ChainParams, beta: float, seed):
     complex amplitudes pass MAX_SNAPSHOT_FLOATS raises CapacityError before
     a draw."""
     check_capacity(2 * params.n_sites,
-                   f"the thermal state of {params.n_sites} sites")
+                   f"the thermal state of {params.n_sites:.3g} sites")
     omega = dispersion(params.wavenumbers, params)
     if np.any(omega <= 0):
         raise ValueError("thermal sampling needs gamma > 0 (all modes bound)")
@@ -292,13 +292,24 @@ def _stride_kernel(params: ChainParams, h: float, decay: float,
                    axis=-1)
 
 
+# Leapfrog steps one chain run may take, its step count rounded up to a
+# multiple of its stride.  The default relax run takes 40 000 and its ten
+# relaxation times at --alpha 1e-4 4.0e6 (1.0 s at stride 40, one x86_64
+# core).  A step costs from 0.25 us at stride 40 to 11 us at stride 1 on 2
+# sites and 36 us while a stride's kernel is built (`_stride_kernel`), so
+# the cap bounds a run at about 2.5 min, where --stride 1e12 made one stride
+# of 1e12 steps.
+MAX_CHAIN_STEPS = 2 ** 22
+
+
 def snapshot_count(params: ChainParams, duration: float, dt: float,
                    stride: int = 1) -> int:
     """Snapshots integrate_chain takes of a run: the initial state and one
     every `stride` steps, the step count ceil(duration / dt), at least 1,
     rounded up to a multiple of stride so that the run ends on one.  A
-    duration that is not positive and finite raises FloatingPointError, and
-    a step at or beyond the stability bound 2/w_max StabilityError."""
+    duration that is not positive and finite raises FloatingPointError, a
+    step at or beyond the stability bound 2/w_max StabilityError, and a run
+    of more than MAX_CHAIN_STEPS steps CapacityError."""
     if not (duration > 0 and math.isfinite(duration)):
         raise FloatingPointError(
             f"duration {duration:g} must be positive and finite")
@@ -308,7 +319,13 @@ def snapshot_count(params: ChainParams, duration: float, dt: float,
             f"dt = {dt:.4g} at or beyond the stability bound 2/w_max = {2.0 / w_max:.4g}"
         )
     n_steps = max(1, math.ceil(duration / dt - 1e-12))
-    return math.ceil(n_steps / stride) + 1
+    strides = math.ceil(n_steps / stride)
+    if stride * strides > MAX_CHAIN_STEPS:
+        raise CapacityError(
+            f"--stride {stride:.3g} leapfrog steps a snapshot x "
+            f"{strides:.3g} snapshots after the first exceed the cap of "
+            f"{MAX_CHAIN_STEPS} steps per chain run")
+    return strides + 1
 
 
 def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,
@@ -362,7 +379,7 @@ def integrate_chain(q: np.ndarray, p: np.ndarray, params: ChainParams,
             f"initial energy {e0:.3g} leaves no finite cap for the stability check"
         )
     n = params.n_sites
-    check_capacity(n_snap * n, f"{n_snap} snapshots of {n} sites")
+    check_capacity(n_snap * n, f"{n_snap:.3g} snapshots of {n:.3g} sites")
     if momenta:
         snapshots = np.empty((n_snap, n), dtype=complex)
         qs, ps = snapshots.real, snapshots.imag

@@ -50,8 +50,8 @@ def pairs_matrix(args):
     from ..errors import check_capacity
 
     dim = 2 * args.pairs
-    check_capacity(dim * dim,
-                   f"the {dim} x {dim} matrix of --pairs {args.pairs}")
+    check_capacity(dim * dim, f"the {dim:.3g} x {dim:.3g} matrix of "
+                              f"--pairs {args.pairs:.3g}")
     return args.omega * np.eye(dim)
 
 

@@ -46,7 +46,11 @@ def run(args, report):
     stride = 4
     n_full, tail = divmod(n_steps, stride)
     n_snap = 1 + n_full + (tail > 0)
-    check_capacity(4 * n_snap, f"the flows of an orbit of {n_snap} snapshots")
+    check_capacity(4 * n_snap,
+                   f"the flows of an orbit of {n_snap:.3g} snapshots")
+    # and the coherent vectors of the last check, before a step is taken
+    check_capacity(2 * (args.nmax + 1),
+                   f"a coherent vector at truncation {args.nmax:.3g}")
     times = np.minimum(np.arange(n_snap) * stride, n_steps) * dt
 
     def orbit(friction):

@@ -10,6 +10,7 @@ def run(args, report):
     import numpy as np
 
     from .. import bargmann, dynamics
+    from ..errors import check_capacity
 
     c = args.c
     hbar = args.hbar
@@ -28,12 +29,13 @@ def run(args, report):
         raise argparse.ArgumentTypeError(
             f"--nmax {args.nmax} is too small for --c/--hbar: the truncated "
             f"state's mean lies {gap / stderr:.3g} standard errors at "
-            f"--samples {args.samples} from hbar conj(c)")
+            f"--samples {args.samples:.3g} from hbar conj(c)")
     period = 2 * math.pi / w
     t_max = args.t_max if args.t_max is not None else period
     if not math.isfinite(t_max):
         # one period 2 pi/omega that overflowed
         raise FloatingPointError(f"run length {t_max:g} is not finite")
+    check_capacity(args.n_times, f"{args.n_times:.3g} times")
     times = np.linspace(0.0, t_max, args.n_times)
     history = dynamics.ensemble_evolve(f, w, times, args.samples, args.seed,
                                        dt=period / 1024.0, friction=alpha,

@@ -13,14 +13,14 @@ def run(args, report):
     if not args.grid >= 2 * args.nmax + 1:
         # harmonic nmax would land in a negative FFT bin of the grid
         raise argparse.ArgumentTypeError(
-            f"--grid {args.grid} must be at least 2 --nmax + 1 = "
-            f"{2 * args.nmax + 1}: the profile's harmonics alias")
+            f"--grid {args.grid:.3g} must be at least 2 --nmax + 1 = "
+            f"{2 * args.nmax + 1:.3g}: the profile's harmonics alias")
     # the arrays the flags size, before the draw: the dense Hamiltonian,
     # the complex profile on the grid and the requested times
     check_capacity(2 * (args.nmax + 1) ** 2,
-                   f"the Hamiltonian at truncation {args.nmax}")
-    check_capacity(2 * args.grid, f"a profile on a grid of {args.grid}")
-    check_capacity(args.n_times, f"{args.n_times} times")
+                   f"the Hamiltonian at truncation {args.nmax:.3g}")
+    check_capacity(2 * args.grid, f"a profile on a grid of {args.grid:.3g}")
+    check_capacity(args.n_times, f"{args.n_times:.3g} times")
     w = args.omega
     rng = np.random.default_rng(args.seed)
     coeffs = rng.standard_normal(args.nmax + 1) + 1j * rng.standard_normal(args.nmax + 1)

@@ -11,11 +11,13 @@ def run(args, report):
     from .. import chain, fits
 
     params = chain_params(args)
-    q, p = chain.sample_thermal_state(params, args.beta, args.seed)
     alpha = args.alpha
     t_max = args.t_max
     if t_max is None:
         t_max = 10.0 / alpha if alpha > 0 else 200.0
+    # the run's refusals, before the draw
+    chain.snapshot_count(params, t_max, args.dt, args.stride)
+    q, p = chain.sample_thermal_state(params, args.beta, args.seed)
     traj = chain.integrate_chain(q, p, params, t_max, args.dt,
                                  friction=alpha, stride=args.stride)
     times, energies = traj.times, traj.energies

@@ -19,8 +19,8 @@ def run(args, report):
             "--dt-min must differ from --dt-max: a slope needs two distinct "
             "steps")
     # the defects --count sizes and the steps --dt-count sizes
-    check_capacity(args.count, f"the defects of {args.count} generators")
-    check_capacity(args.dt_count, f"{args.dt_count} steps")
+    check_capacity(args.count, f"the defects of {args.count:.3g} generators")
+    check_capacity(args.dt_count, f"{args.dt_count:.3g} steps")
     a = pairs_matrix(args)
     dim = a.shape[0]
     rng = np.random.default_rng(args.seed)

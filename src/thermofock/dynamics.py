@@ -16,7 +16,8 @@ import numpy as np
 
 from .bargmann import FockVector, hamiltonian_matrix
 from .errors import (
-    SAMPLE_BLOCK, CapacityError, SamplerError, TruncationError, point_blocks)
+    POINT_BLOCK, SAMPLE_BLOCK, CapacityError, SamplerError, TruncationError,
+    block_width, check_samples, point_blocks)
 from .phasespace import leapfrog_map
 
 __all__ = [
@@ -352,16 +353,12 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
 
 
 # Leapfrog steps one ensemble run may take to build its interval maps.  A
-# 2x2 step takes about 7 us (one x86_64 core), so the cap is about 7 s of
-# stepping: a thousand times the 1026 steps of the default run (one period
-# in 19 intervals of 54 steps), where --t-max 1e300 would ask for 1e302.
+# step of the 2x2 maps of one step count takes about 8 us for one interval
+# and 10 us for the 19 of the default run (one x86_64 core), so the cap is
+# at most about 8 s of stepping: a thousand times the 1026 steps of the
+# default run (one period in 19 intervals of 54 steps, 0.54 ms), where
+# --t-max 1e300 would ask for 1e302.
 MAX_CLOUD_STEPS = 2 ** 20
-# Particles one ensemble run may draw.  The cloud streams through buffers of
-# `errors.SAMPLE_BLOCK` particles, so this bounds the run's length, not its
-# memory: the default run (20 times) takes about 0.7 us a particle (one
-# x86_64 core), so 2**23 particles take about 6 s and 1e9 would take about
-# 12 min.
-MAX_CLOUD_PARTICLES = 2 ** 23
 # Requested times x particle blocks one ensemble run may fold: every block
 # of `errors.SAMPLE_BLOCK` particles is folded into each requested time's
 # moment sums, whether or not time advances there.  An `ensemble` run
@@ -389,41 +386,49 @@ def _interval_maps(omega: float, times: np.ndarray, dt: float,
     and their total is capped at MAX_CLOUD_STEPS before a step is taken.
     The leapfrog is linear, so the steps compose to one map,
     `phasespace.leapfrog_map`: ((m00, m01), (m10, m11)), its rows, as
-    floats."""
-    plan, t_prev = [], 0.0
-    for t in times:
-        plan.append(max(1, math.ceil((t - t_prev) / dt - 1e-12))
-                    if t > t_prev else 0)
+    floats.  The intervals of one step count are stepped at once, as one
+    array of step lengths, each map the floats of its interval's alone."""
+    counts, lengths, t_prev = [], [], 0.0
+    for t in times.tolist():
+        count = (max(1, math.ceil((t - t_prev) / dt - 1e-12))
+                 if t > t_prev else 0)
+        counts.append(count)
+        lengths.append((t - t_prev) / count if count else 0.0)
         t_prev = t
-    total = sum(plan)
+    total = sum(counts)
     if total > MAX_CLOUD_STEPS:
         raise CapacityError(f"{total:.3g} leapfrog steps exceed the cap of "
                             f"{MAX_CLOUD_STEPS} per ensemble run")
-    maps, t_prev = [], 0.0
-    for t, n_sub in zip(times, plan):
-        maps.append(leapfrog_map(omega, (t - t_prev) / n_sub, n_sub, friction)
-                    if n_sub else None)
-        t_prev = t
+    maps = [None] * len(counts)
+    for count in set(counts) - {0}:
+        where = [k for k, n in enumerate(counts) if n == count]
+        (m00, m01), (m10, m11) = leapfrog_map(
+            omega, np.array([lengths[k] for k in where]), count, friction)
+        for j, k in enumerate(where):
+            maps[k] = (m00[j], m01[j]), (m10[j], m11[j])
     return maps
 
 
 def _move_cloud(z: np.ndarray, m: tuple, scratch: np.ndarray) -> None:
-    """Move the particles z in place by the interval map m.
+    """Move the particles z in place by the interval map m, a point pass
+    over `errors.point_blocks` of the width of `scratch`, (2, width) floats.
 
     The map is linear, so it moves (Re z, Im z) = (q, p) / sqrt2 as it moves
     (q, p): x' = m00 x + m01 y and y' = m10 x + m11 y, each product rounded
-    before the sum; y takes m11 y in place once x is read.  `scratch` holds
-    (2, z.size) floats or more."""
-    x, y = z.real, z.imag
-    x_new, term = scratch[0, :z.size], scratch[1, :z.size]
+    before the sum; y takes m11 y in place once x is read.  Every particle
+    takes the same operations whatever the width, so a block's floats are
+    those of the whole cloud moved at once."""
     (m00, m01), (m10, m11) = m
-    np.multiply(x, m00, out=x_new)
-    np.multiply(y, m01, out=term)
-    x_new += term
-    np.multiply(x, m10, out=term)
-    y *= m11
-    y += term
-    x[...] = x_new
+    for block in point_blocks(z.size, scratch.shape[1]):
+        x, y = z.real[block], z.imag[block]
+        x_new, term = scratch[0, :x.size], scratch[1, :x.size]
+        np.multiply(x, m00, out=x_new)
+        np.multiply(y, m01, out=term)
+        x_new += term
+        np.multiply(x, m10, out=term)
+        y *= m11
+        y += term
+        x[...] = x_new
 
 
 def ensemble_evolve(f: FockVector, omega: float, times, n_samples: int,
@@ -432,7 +437,7 @@ def ensemble_evolve(f: FockVector, omega: float, times, n_samples: int,
     """Draw a cloud from |f|^2 dmu and advance it classically under
     qdot = w p, pdot = -w q - alpha p, w = `omega` and alpha = `friction`.
 
-    Before any draw, n_samples is capped at MAX_CLOUD_PARTICLES, the
+    Before any draw, n_samples is capped at `errors.MAX_SAMPLES`, the
     requested times x particle blocks at MAX_CLOUD_FOLDS, and the
     interval maps are built (`_interval_maps`, each interval in the fewest
     equal steps no longer than `dt`, their total capped at
@@ -444,10 +449,11 @@ def ensemble_evolve(f: FockVector, omega: float, times, n_samples: int,
 
     Memory: the cloud is never whole.  The sampler hands on its draws in
     blocks of `errors.SAMPLE_BLOCK` particles in one reused buffer; each block
-    moves in place through every interval map in turn (`_move_cloud`, via a
-    (2, SAMPLE_BLOCK) scratch) and is folded, while still in cache, into
-    the `bath.MomentSums` of each requested time.  The working set is a few
-    MiB whatever n_samples is, and each report is `bath.moment_report` of
+    moves in place through every interval map in turn, a point pass
+    (`_move_cloud`, via a (2, min(POINT_BLOCK, block_width(2))) scratch of
+    64 KiB), and is folded, while still in cache, into the
+    `bath.MomentSums` of each requested time.  The working set is about
+    2 MiB whatever n_samples is, and each report is `bath.moment_report` of
     the cloud at that time, float for float.
     """
     # imported here, not at the top: of the runs that load this module,
@@ -459,11 +465,7 @@ def ensemble_evolve(f: FockVector, omega: float, times, n_samples: int,
         raise ValueError("times must be a 1d array")
     if not (np.all(np.isfinite(times)) and math.isfinite(dt)):
         raise FloatingPointError("requested times and step must be finite")
-    if n_samples > MAX_CLOUD_PARTICLES:
-        raise CapacityError(
-            f"{n_samples} particles exceed the cap of {MAX_CLOUD_PARTICLES} "
-            f"per ensemble run, which bounds its length (the cloud streams "
-            f"in fixed blocks, so not its memory)")
+    check_samples(n_samples, "the ensemble cloud")
     blocks = -(-n_samples // SAMPLE_BLOCK)
     if times.size * blocks > MAX_CLOUD_FOLDS:
         raise CapacityError(
@@ -472,7 +474,8 @@ def ensemble_evolve(f: FockVector, omega: float, times, n_samples: int,
             f"of {MAX_CLOUD_FOLDS} per ensemble run")
     maps = _interval_maps(omega, times, dt, friction)
     sums = [MomentSums() for _ in maps]
-    scratch = np.empty((2, min(n_samples, SAMPLE_BLOCK)))
+    # a point pass: x' and m10 x, two floats a point
+    scratch = np.empty((2, min(n_samples, POINT_BLOCK, block_width(2))))
     for block, efficiency in _rejection_sample(f, n_samples, seed,
                                                proposal_scale):
         for m, moments in zip(maps, sums):

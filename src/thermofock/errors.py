@@ -1,6 +1,7 @@
 """Exception types shared across the package, the size cap on the arrays
-a run's flags size, with the one check against it, and the block rule of
-every pass that works in blocks."""
+a run's flags size and the cap on a Monte Carlo run's samples, each with
+the one check against it, and the block rule of every pass that works in
+blocks."""
 
 # Floats one array sized by a run's flags may hold: snapshots x sites for a
 # chain, the 2x2 flows at a single oscillator's orbit snapshots, and, counting
@@ -15,8 +16,8 @@ every pass that works in blocks."""
 # samples, sphere at 2**24, and the bath's matrices at 2048 pairs.  Below
 # that cap the quadrature Gram stops first at its Gauss-Laguerre rule, at
 # nmax 185 (numpy 2.4.6).
-# The ensemble cloud streams in fixed blocks; its own cap,
-# dynamics.MAX_CLOUD_PARTICLES, bounds a run's length.
+# The Monte Carlo draws of gram, partition and ensemble stream in fixed
+# blocks; their own cap, MAX_SAMPLES, bounds a run's length.
 # The largest benchmarked trajectory, chain-dispersion --sites 1024, fills
 # 2096 x 1024 = 2.1e6 (17 MB of displacements q, recorded alone), an eighth
 # of the cap; a chain-dispersion run at the cap holds one ~128 MiB float
@@ -25,6 +26,15 @@ every pass that works in blocks."""
 # in which its mode amplitudes are.
 MAX_SNAPSHOT_FLOATS = 2 ** 24
 
+# Samples one Monte Carlo run may draw: gram's Monte Carlo Gram, partition's
+# integral and the ensemble's cloud.  Each streams its draws through
+# buffers of fixed size, so this bounds a run's length, not its memory: on
+# one x86_64 core the default ensemble run (20 times) takes about 0.6 us a
+# particle, the Gram at --nmax 16 about 0.22 us a sample and the partition
+# of one pair about 0.04 us, so 2**23 samples take about 5, 2 and 0.3 s,
+# where --samples 1e300 never ended.
+MAX_SAMPLES = 2 ** 23
+
 # Floats one block of any pass that works in blocks may hold, 512 KiB, so
 # a block and its temporaries stay in a 2 MiB L2 cache whatever a run's
 # flags are.  A pass states only how many floats one item (a point, row,
@@ -32,19 +42,20 @@ MAX_SNAPSHOT_FLOATS = 2 ** 24
 BLOCK_FLOATS = 2 ** 16
 
 # Points per block of a pass over single points, and the cap of the point
-# passes sized by block_width.  4096 complex values are 64 KiB; on 6e5
-# points (2 cores, 2 MiB L2 each) blocks of 2048 or fewer ran
-# FockVector.evaluate slower, 8192-16384 no faster.
+# passes sized by block_width: the ensemble moves each of its SAMPLE_BLOCK
+# blocks in such blocks, through one (2, POINT_BLOCK) scratch.  4096
+# complex values are 64 KiB; on 6e5 points (2 cores, 2 MiB L2 each) blocks
+# of 2048 or fewer ran FockVector.evaluate slower, 8192-16384 no faster.
 POINT_BLOCK = 4096
 
 # Points per block whose moments are taken as over a whole sample before
 # they are merged (`bath.MomentSums`): the ensemble cloud streams in such
 # blocks, so its moments are `bath.moment_report` of it float for float.
-# 2**15 complex values fill the budget.  `dynamics.ensemble_evolve` at 20
-# times (one thread, medians of 6 interleaved rounds): at 3e5 particles
-# 0.18 s, against 0.16 at 2**14, 0.20 at 2**16 and 0.21 for a cloud held
-# whole; at c = 1.2 and 1e5 particles 0.076 s, against 0.087 at 2**14 and
-# 0.090 held whole.
+# 2**15 complex values fill the budget; no scratch of a block's size is
+# held beside it.  `dynamics.ensemble_evolve` at 20 times (one thread,
+# medians of 6 interleaved rounds): at 3e5 particles 0.18 s, against 0.16
+# at 2**14, 0.20 at 2**16 and 0.21 for a cloud held whole; at c = 1.2 and
+# 1e5 particles 0.076 s, against 0.087 at 2**14 and 0.090 held whole.
 SAMPLE_BLOCK = BLOCK_FLOATS // 2
 
 
@@ -70,13 +81,31 @@ class StabilityError(ThermoFockError):
     """A time integration violated its stability bound or blew up."""
 
 
+def _figure(count: int) -> str:
+    """A whole number of four or more digits as f"{count:.3g}" writes it,
+    also past the largest float: 2 (nmax + 1)^2 at --nmax 1e300 is 2e+600."""
+    digits = str(round(count, 3 - len(str(count))))
+    mantissa = f"{digits[0]}.{digits[1:3]}".rstrip("0").rstrip(".")
+    return f"{mantissa}e+{len(digits) - 1:02d}"
+
+
 def check_capacity(floats: int, what: str) -> None:
     """Refuse, before it is allocated, an array whose size a run's flags set
     once it would hold more than MAX_SNAPSHOT_FLOATS floats."""
     if floats > MAX_SNAPSHOT_FLOATS:
         raise CapacityError(
-            f"{what} would hold {floats} floats, over the array cap of "
-            f"{MAX_SNAPSHOT_FLOATS}")
+            f"{what} would hold {_figure(floats)} floats, over the array cap "
+            f"of {MAX_SNAPSHOT_FLOATS}")
+
+
+def check_samples(samples: int, what: str) -> None:
+    """Refuse, before any draw, a Monte Carlo run of more than MAX_SAMPLES
+    samples, its --samples; `what` names the run."""
+    if samples > MAX_SAMPLES:
+        raise CapacityError(
+            f"{what}: --samples {_figure(samples)} is over the cap of "
+            f"{MAX_SAMPLES} samples a run, which bounds its length (its "
+            f"draws stream in fixed blocks, so not its memory)")
 
 
 def block_width(floats_per_item: int) -> int:

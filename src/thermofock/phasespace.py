@@ -59,15 +59,21 @@ def hamilton_step(
     floats it gets stepped alone, since every operation is elementwise:
     leapfrog_map steps the two unit vectors as one array pair, the 2x2 map
     of n steps that `damp` iterates along its orbit and that moves the
-    ensemble cloud over an interval.
+    ensemble cloud over an interval.  dt may be an array too, broadcast
+    against q and p along their last axis, each element's decay still
+    libm's exp of its own step (`math.exp`).
     """
     q, p = point[0], point[1]
-    decay = math.exp(-friction * dt / 2.0)
-    p = p - 0.5 * dt * omega * q
+    kick, drift = 0.5 * dt * omega, dt * omega
+    if np.ndim(dt):
+        decay = np.array([math.exp(-friction * h / 2.0) for h in dt.tolist()])
+    else:
+        decay = math.exp(-friction * dt / 2.0)
+    p = p - kick * q
     p = p * decay
-    q = q + dt * omega * p
+    q = q + drift * p
     p = p * decay
-    p = p - 0.5 * dt * omega * q
+    p = p - kick * q
     return PhasePoint(q, p)
 
 
@@ -78,15 +84,18 @@ def leapfrog_map(omega: float, h: float, n_steps: int,
     move (q, p) to (m00 q + m01 p, m10 q + m11 p), up to rounding.
 
     Its columns are the two unit vectors stepped as one array pair, each
-    element getting the floats of a float point stepped alone.  The
+    element getting the floats of a float point stepped alone.  h may be a
+    1d array of step lengths, all stepped at once: each m is then a list,
+    its entry j the float of the map of steps of length h[j] alone.  The
     leapfrog is linearly unstable once w h >= 2: such a step raises
     StabilityError before any step is taken.
     """
-    if not omega * h < 2.0:
+    if not np.all(omega * h < 2.0):
         raise StabilityError(
-            f"w dt = {omega * h:.4g} at or beyond the leapfrog "
+            f"w dt = {np.max(omega * h):.4g} at or beyond the leapfrog "
             "stability bound 2")
-    units = PhasePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    one, zero = np.ones(np.shape(h)), np.zeros(np.shape(h))
+    units = PhasePoint(np.array([one, zero]), np.array([zero, one]))
     for _ in range(n_steps):
         units = hamilton_step(units, omega, h, friction)
     return tuple(units.q.tolist()), tuple(units.p.tolist())

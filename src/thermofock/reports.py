@@ -8,8 +8,6 @@ value written as {"re", "im"}.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -68,6 +66,10 @@ class ExperimentReport:
             name, verifies, measured, oracle, tolerance, passed, stderr))
 
     def to_json(self) -> str:
+        # imported here, not at the top, as `csv` in write_csv: a run loads
+        # them once its checks are done, so they are not at its peak memory
+        import json
+
         return json.dumps({**asdict(self), "passed": self.passed},
                           sort_keys=True, indent=2, default=_json_form) + "\n"
 
@@ -89,6 +91,8 @@ def _cell(value) -> str:
 
 def write_csv(path, header, rows):
     """UTF-8 CSV with a header row; floats at full round-trip precision."""
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

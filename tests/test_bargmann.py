@@ -133,8 +133,8 @@ def test_montecarlo_gram_matches_unblocked_reference(n_max, hbar, samples):
 
 @pytest.mark.parametrize("samples", [100_000, 300_000])
 def test_montecarlo_gram_memory_is_bounded(traced_peak, samples):
-    # one 100 000-draw chunk plus one (n_max + 1) x POINT_BLOCK basis block;
-    # a basis matrix over a whole chunk would alone take 26 MiB here
+    # one (n_max + 1) x 963 basis block and its conjugate; a basis matrix
+    # over a whole 100 000-draw chunk would alone take 26 MiB here
     _, peak = traced_peak(lambda: gram_montecarlo(16, 1.0, samples, 7))
     assert peak <= 8 * 2 ** 20
 
@@ -155,25 +155,28 @@ def test_montecarlo_gram_draws_as_before():
         "6b170347df40589c6a5b5519df09625f85c602c44c9e42887ba0cd86eba9d282")
 
 
-def test_montecarlo_gram_at_a01_samples_holds_one_chunk_buffer(traced_peak):
-    # a chunk's 0.76 MiB of real draws and one block's fixed buffers, the
-    # basis and its conjugate at 17 x 963 entries, 0.25 MiB each: 1.31 MiB.
-    # Blocks of POINT_BLOCK points took 1.06 MiB a buffer, 3.0 MiB in all; a
-    # chunk's complex buffer and per-block temporaries 4.1 MiB, forming
-    # a + 1j b 6.27
+def test_montecarlo_gram_at_a01_samples_holds_no_chunk_buffer(traced_peak):
+    # one block's fixed buffers, the basis and its conjugate at 17 x 963
+    # entries, 0.25 MiB each, and a block's 963 normals: 0.55 MiB.  A
+    # chunk's 0.76 MiB of real draws, held while its blocks ran, made it
+    # 1.31 MiB; blocks of POINT_BLOCK points took 1.06 MiB a buffer, 3.0 MiB
+    # in all; a chunk's complex buffer and per-block temporaries 4.1 MiB,
+    # forming a + 1j b 6.27
     _, peak = traced_peak(lambda: gram_montecarlo(16, 1.0, 10 ** 6, 7),
                           _first_draws)
-    assert peak <= 1.5 * 2 ** 20
+    assert peak <= 0.6 * 2 ** 20
 
 
 def test_montecarlo_gram_block_buffers_do_not_grow_with_the_truncation(
         traced_peak):
     # at n_max 100 a block is 162 points, so each block buffer stays within
-    # 2**14 complex entries: 1.31 MiB with the 50 000 real draws.  Blocks of
-    # POINT_BLOCK points held 101 x 4096 entries a buffer, 13.7 MiB in all
+    # 2**14 complex entries: 0.92 MiB with the 101 x 101 totals and one
+    # block's products, 1.31 MiB when a chunk's 50 000 real draws were held.
+    # Blocks of POINT_BLOCK points held 101 x 4096 entries a buffer,
+    # 13.7 MiB in all
     _, peak = traced_peak(lambda: gram_montecarlo(100, 1.0, 50_000, 7),
                           _first_draws)
-    assert peak <= 1.5 * 2 ** 20
+    assert peak <= 1.0 * 2 ** 20
 
 
 def test_quadrature_gram_holds_a_few_square_arrays(traced_peak):

@@ -322,10 +322,16 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
             exits_three(command, "--seed", "1", flag, "5e-324",
                         names=quantity)
     # a subnormal gamma: a mode's displacement variance is not finite,
-    # refused before the state's energy q . q overflows
-    for command in ("chain-dispersion", "rescale", "relax"):
-        exits_three(command, "--gamma", "5e-324", "--seed", "1", names=(
-            "mode displacement variance 1/(2 beta m w^2) = inf must be finite"))
+    # refused before the state's energy q . q overflows.  chain-dispersion's
+    # 200 periods of its k = 0 mode, 2.8e+162 each, are refused before the
+    # draw at the chain's step cap; 1e-160 periods (5700 steps) reach it
+    for command, *run in (("chain-dispersion", "--periods", "1e-160"),
+                          ("rescale",), ("relax",)):
+        exits_three(command, *run, "--gamma", "5e-324", "--seed", "1",
+                    names=("mode displacement variance 1/(2 beta m w^2) = "
+                           "inf must be finite"))
+    exits_three("chain-dispersion", "--gamma", "5e-324", "--seed", "1",
+                names="leapfrog steps a snapshot x 9.42e+164 snapshots")
     # a run length 10/omega of inf, a phase rate 1/hbar of inf, and the
     # gradient's products at omega 1e300 or the energy a step of 1e300
     # reaches: each named before numpy meets it, where numpy's message
@@ -538,6 +544,78 @@ def test_ensemble_fold_work_is_capped_before_the_draw(monkeypatch):
                     "--seed", "1").code == cli.EXIT_PASS
 
 
+def test_runaway_runs_are_refused_before_the_draw(monkeypatch):
+    # --samples 1e300 ran gram's and partition's Monte Carlo loops for ever,
+    # and relax --stride 1e12 built its stride kernel in 1e12 leapfrog
+    # steps: each is refused in under a second, exit 3 naming its flag,
+    # before a random number is drawn or a step taken
+    import numpy as np
+
+    from thermofock import chain
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run went past its refusal")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", no_work)
+        patch.setattr(chain, "_leapfrog_stride", no_work)
+        for argv, named in ((("gram", "--samples", "1e300"),
+                             "--samples 1e+300"),
+                            (("partition", "--samples", "1e300"),
+                             "--samples 1e+300"),
+                            (("ensemble", "--samples", "1e9"),
+                             "--samples 1e+09"),
+                            (("relax", "--stride", "1e12"), "--stride 1e+12")):
+            start = time.perf_counter()
+            outcome = evaluate(*argv, "--seed", "1")
+            assert time.perf_counter() - start < 1.0, argv
+            assert outcome.code == cli.EXIT_NUMERICAL, (argv, outcome.error)
+            measured = outcome.report.checks[0].measured
+            assert measured.startswith("CapacityError") and named in measured
+
+
+def test_sample_and_chain_step_caps_pass_a_run_at_the_cap(monkeypatch):
+    # errors.MAX_SAMPLES is the one Monte Carlo cap of gram, partition and
+    # ensemble, and chain.MAX_CHAIN_STEPS caps a chain run's leapfrog steps
+    # (the default relax run takes 40 000): each refuses one past it, and a
+    # run at it goes on to its checks
+    from thermofock import chain, errors
+
+    monkeypatch.setattr(errors, "MAX_SAMPLES", 1000)
+    monkeypatch.setattr(chain, "MAX_CHAIN_STEPS", 40_000)
+    for argv, at_cap, past in (
+            (("gram", "--samples"), "1000", "1001"),
+            (("partition", "--samples"), "1000", "1001"),
+            (("ensemble", "--samples"), "1000", "1001"),
+            (("relax", "--dt"), "0.025", "0.0249")):
+        outcome = evaluate(*argv, past, "--seed", "1")
+        assert outcome.code == cli.EXIT_NUMERICAL, (argv, outcome.error)
+        assert outcome.report.checks[0].measured.startswith("CapacityError")
+        outcome = evaluate(*argv, at_cap, "--seed", "1")
+        assert outcome.code in (cli.EXIT_PASS, cli.EXIT_CHECK_FAILURE), (
+            argv, outcome.error)
+
+
+def test_capacity_messages_write_counts_to_three_digits():
+    # the counts of a refused array are written as :.3g writes them, also
+    # past the largest float: --samples 1e300 printed a 301-digit count
+    import re
+
+    for argv, text in (
+            (("tilt", "--samples", "1e300", "--seed", "1"),
+             "1e+300 tilted draws would hold 2e+300 floats"),
+            (("gram", "--nmax", "1e300"),
+             "the quadrature Gram at nmax 1e+300 would hold 4e+600 floats"),
+            (("sphere", "--samples", "16777217", "--seed", "1"),
+             "array of 1.68e+07 sphere draws would hold 1.68e+07 floats")):
+        outcome = evaluate(*argv)
+        assert outcome.code == cli.EXIT_NUMERICAL, (argv, outcome.error)
+        measured = outcome.report.checks[0].measured
+        assert text in measured, measured
+        # no figure longer than the cap's own, 16777216
+        assert max(map(len, re.findall(r"\d+", measured))) <= 8, measured
+
+
 def test_variation_holds_one_random_generator_at_a_time(traced_peak):
     # each random generator is drawn, measured and dropped: at 200 pairs a
     # generator is 1.28 MB, and --count 40 held all of them at once
@@ -568,11 +646,12 @@ def test_largest_sweep_runs_trace_at_most_two_mib(traced_peak):
         assert peak <= mib * 2 ** 20, (args, peak)
 
 
-def test_cloud_gram_run_traces_at_most_one_and_a_half_mib(traced_peak):
+def test_cloud_gram_run_traces_at_most_five_eighths_of_a_mib(traced_peak):
     # the cloud workload's gram run, after a 10-sample run has made its
-    # imports (8.6 MiB on a cold first call): a chunk's 0.76 MiB of real
-    # draws and two block buffers of at most 2**14 complex entries, 1.34 MiB.
-    # Blocks of POINT_BLOCK points read 3.03 MiB
+    # imports (8.6 MiB on a cold first call): two block buffers of at most
+    # 2**14 complex entries and a block's normals, 0.58 MiB.  A chunk's
+    # 0.76 MiB of real draws made it 1.34 MiB; blocks of POINT_BLOCK points
+    # read 3.03 MiB
     parsed = cli.build_parser().parse_args(["gram", "--samples", "1e6",
                                             "--seed", "7"])
     outcome, peak = traced_peak(
@@ -580,7 +659,7 @@ def test_cloud_gram_run_traces_at_most_one_and_a_half_mib(traced_peak):
         # its verdict is not asked
         lambda: evaluate("gram", "--samples", "10", "--seed", "7"))
     assert outcome.code == cli.EXIT_PASS, outcome.error
-    assert peak <= 1.5 * 2 ** 20, peak
+    assert peak <= 0.625 * 2 ** 20, peak
 
 
 def test_variation_defect_tolerance_grows_with_the_dimension():
@@ -795,6 +874,28 @@ def test_seeded_run_leaves_openssl_unloaded(tmp_path):
          "1000", "--outdir", str(tmp_path)], capture_output=True, text=True)
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == "0 True True"
+
+
+def test_reports_load_json_and_csv_only_to_write(tmp_path):
+    # importing the report module, and a run up to its verdict, load
+    # neither json nor csv (0.24 MiB at every run's peak); writing the
+    # report loads json, and writing its table csv
+    child = ("import sys\n"
+             "import thermofock.reports\n"
+             "from thermofock import cli\n"
+             "loaded = lambda: ('json' in sys.modules, 'csv' in sys.modules)\n"
+             "before = loaded()\n"
+             "outcome = cli.evaluate(cli.build_parser().parse_args(\n"
+             "    ['tilt', '--seed', '1', '--samples', '1000']))\n"
+             "evaluated = loaded()\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "print(code, before, evaluated, loaded())\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "tilt", "--seed", "1", "--samples",
+         "1000", "--outdir", str(tmp_path)], capture_output=True, text=True)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == (
+        "0 (False, False) (False, False) (True, True)")
 
 
 # A quick passing invocation of each subcommand, flags after the name.

@@ -23,6 +23,9 @@ Sampling commands: gram (Monte Carlo route) and ensemble at truncations up
 to 20 and 2 to 5000 draws, with the point-block edges 4095, 4096 and 4097
 among the fixed examples.
 
+Huge counts: the walker draws every count a few steps above its floor,
+where no runaway loop shows, so every count flag is also run at 1e300.
+
 evolve: truncations -1 to 40, circle radii log-uniform over 1e-3 to 1e30
 (far past where the series overflows), grids of 0 to 64 angles and 0 to 5
 times.
@@ -218,6 +221,56 @@ def test_every_out_of_domain_edge_exits_two_naming_its_flag(usage_error):
             for edge in _domain(command, flag, domain)[1](domain):
                 usage_error([command, *required, f"{flag}={edge}"],
                             f"argument {flag}")
+
+
+# Count flags that size no work: a seed, and --threads, which `evaluate`
+# leaves to `main`.
+SIZES_NO_WORK = ("--seed", "--threads")
+
+
+class Reached(BaseException):
+    """Raised by a patched random generator or leapfrog step; not an
+    Exception, so `cli.evaluate` passes it on."""
+
+
+def test_every_count_flag_at_1e300_is_refused_before_any_work(monkeypatch):
+    """Every cli.Count flag of every subcommand at 1e300, with --seed 1
+    where the subcommand takes one: a run either exits 2 or 3 before it
+    draws a random number or takes a leapfrog step, or completes normally
+    without either.  Only --seed and --threads may reach a draw or a step,
+    and their runs then complete normally (tilt --seed 1e300 exits 0)."""
+    import numpy as np
+
+    from thermofock import chain, phasespace
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    for command, flags in TABLE.items():
+        names = [flag for flag, *_ in flags]
+        for flag, domain, _, _ in flags:
+            if not isinstance(domain, cli.Count):
+                continue
+            argv = [command, f"{flag}=1e300"]
+            if "--seed" in names and flag != "--seed":
+                argv.append("--seed=1")
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", reached)
+                patch.setattr(phasespace, "hamilton_step", reached)
+                patch.setattr(chain, "_leapfrog_stride", reached)
+                try:
+                    outcome = evaluate(argv)
+                except Reached:
+                    assert flag in SIZES_NO_WORK, argv
+                    outcome = None
+            if outcome is None:
+                outcome = evaluate(argv)
+                assert outcome.code in (cli.EXIT_PASS,
+                                        cli.EXIT_CHECK_FAILURE), (
+                    argv, outcome.error)
+            assert outcome.code in (cli.EXIT_PASS, cli.EXIT_CHECK_FAILURE,
+                                    cli.EXIT_USAGE, cli.EXIT_NUMERICAL), (
+                argv, outcome.error)
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)

@@ -22,9 +22,10 @@ from thermofock.dynamics import (
     schrodinger_evolve,
     transport_solve,
 )
-from thermofock.errors import SAMPLE_BLOCK, SamplerError
+from thermofock.errors import (
+    POINT_BLOCK, SAMPLE_BLOCK, SamplerError, block_width)
 from thermofock.fits import fit_decay_rate
-from thermofock.phasespace import PhasePoint, hamilton_step
+from thermofock.phasespace import PhasePoint, hamilton_step, leapfrog_map
 
 
 # -- profiles -------------------------------------------------------------------
@@ -468,11 +469,12 @@ def test_trailing_zero_coefficients_leave_the_draws_unchanged():
 
 
 def test_ensemble_memory_is_fixed_whatever_the_samples(traced_peak):
-    # one block of SAMPLE_BLOCK particles and its (2, SAMPLE_BLOCK) map
-    # scratch (0.5 MiB each), the sampler's 1 MiB proposal chunk and its
-    # point-block temporaries: 2.6 MiB at a million particles, as at 3e5,
-    # against 2.8 MiB when the normals were drawn a whole chunk at a time
-    # and 18.2 MiB for the ensemble that held every particle
+    # one block of SAMPLE_BLOCK particles (0.5 MiB) and its (2, POINT_BLOCK)
+    # map scratch (64 KiB), the sampler's 1 MiB proposal chunk and its
+    # point-block temporaries: 2.14 MiB at a million particles, as at 3e5,
+    # against 2.6 MiB with a (2, SAMPLE_BLOCK) scratch, 2.8 MiB when the
+    # normals were drawn a whole chunk at a time and 18.2 MiB for the
+    # ensemble that held every particle
     n = 10 ** 6
     f = coherent_vector(0.5, 32, 1.0).normalized()
     times = np.linspace(0.0, 2.0 * np.pi, 20)
@@ -480,7 +482,7 @@ def test_ensemble_memory_is_fixed_whatever_the_samples(traced_peak):
         lambda: ensemble_evolve(f, 1.0, times, n, seed=7, dt=_step(1.0)),
         # one-off
         lambda: ensemble_evolve(f, 1.0, times, 10, seed=1, dt=_step(1.0)))
-    assert peak <= 2.75 * 2 ** 20
+    assert peak <= 2.25 * 2 ** 20
 
 
 def test_sampler_holds_one_proposal_chunk_beyond_its_output(traced_peak):
@@ -588,6 +590,53 @@ def test_interval_maps_are_the_scalar_steps_bit_for_bit(omega, times, dt,
                                    friction)
     assert bits(maps) == bits(_scalar_interval_maps(omega, times, dt,
                                                     friction))
+
+
+@pytest.mark.parametrize("friction", [0.0, 0.05, 0.2])
+def test_batched_interval_maps_are_one_leapfrog_map_per_interval(friction):
+    # the intervals of one step count are stepped as one array of lengths;
+    # each map must be the floats of its own leapfrog_map call.  Step counts
+    # 1, 2, 3 and 54 mixed, 1 and 2 twice each, a time repeated and a time
+    # run back
+    def bits(maps):
+        return [m and [float(x).hex() for row in m for x in row]
+                for m in maps]
+
+    omega, dt = 1.3, 0.1
+    times = [0.0, 0.05, 0.25, 0.25, 0.52, 0.5, 0.6, 5.99, 6.0, 6.2]
+    expected, counts, t_prev = [], [], 0.0
+    for t in times:
+        n_sub = max(1, math.ceil((t - t_prev) / dt - 1e-12))
+        expected.append(leapfrog_map(omega, (t - t_prev) / n_sub, n_sub,
+                                     friction) if t > t_prev else None)
+        counts += [n_sub] if t > t_prev else []
+        t_prev = t
+    assert counts == [1, 2, 3, 1, 54, 1, 2]
+    maps = dynamics._interval_maps(omega, np.array(times), dt, friction)
+    assert bits(maps) == bits(expected)
+
+
+@pytest.mark.parametrize("size", [1, 2, POINT_BLOCK - 1, POINT_BLOCK + 1,
+                                  3 * POINT_BLOCK + 5, SAMPLE_BLOCK])
+def test_point_block_move_is_the_whole_block_move_bit_for_bit(size):
+    # the cloud moves in point blocks of its (2, POINT_BLOCK) scratch, tails
+    # included; every particle gets the floats of the whole block moved at
+    # once through a (2, size) scratch
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    m = dynamics._interval_maps(1.3, np.array([0.0, 0.6]), 0.1, 0.05)[1]
+    whole = z.copy()
+    x, y = whole.real, whole.imag
+    (m00, m01), (m10, m11) = m
+    x_new, term = x * m00, y * m01
+    x_new += term
+    np.multiply(x, m10, out=term)
+    y *= m11
+    y += term
+    x[...] = x_new
+    dynamics._move_cloud(z, m, np.empty((2, min(POINT_BLOCK,
+                                                block_width(2)))))
+    assert z.tobytes() == whole.tobytes()
 
 
 def _interval_map(omega, h, n_sub, friction):

@@ -216,3 +216,18 @@ def test_leapfrog_map_refuses_steps_past_the_stability_bound(dt):
         leapfrog_map(1.0, dt, 10)
     m = leapfrog_map(1.0, np.nextafter(2.0, 0.0), 10)
     assert np.all(np.isfinite(m))
+
+
+@pytest.mark.parametrize("friction", [0.0, 0.05, 0.2])
+def test_leapfrog_map_of_step_lengths_is_each_length_alone(friction):
+    # an array of step lengths is stepped at once; entry j of each m is the
+    # float of the map of steps of length h[j] alone, each decay libm's
+    lengths = np.array([0.3, 1e-3, 0.0061, 1.5, 0.3])
+    batched = leapfrog_map(1.3, lengths, 7, friction)
+    for j, h in enumerate(lengths.tolist()):
+        alone = leapfrog_map(1.3, h, 7, friction)
+        assert [row[k][j].hex() for row in batched for k in (0, 1)] == [
+            x.hex() for row in alone for x in row]
+    # one unstable length refuses them all, before a step
+    with pytest.raises(StabilityError):
+        leapfrog_map(1.0, np.array([0.5, 2.0]), 3)

@@ -394,6 +394,8 @@ LINE_REACH_INVOCATIONS = (
     "continuum --spacings 1,0.5 --k-phys 4",
     # a numerical failure: 2 beta R^2 below the normal float range
     "sphere --omega 1e308 --seed 21",
+    # one past the array cap: its float count written to three digits
+    "tilt --samples 1e300 --seed 1",
     # an --outdir that names the report file `coherent` wrote above
     "coherent --outdir coherent_report.json",
     # a report path that is a directory: the first run makes it one
