@@ -4,7 +4,7 @@ Submodules
 ----------
 exact        the linear observables q, p and sqrt(2) z, sqrt(2) zbar as
              Gaussian-integer coefficient pairs, whose brackets are exact
-phasespace   the Poisson bracket, phase-space points, leapfrog integration
+phasespace   the Poisson bracket and the 2x2 map of leapfrog steps
 bargmann     the holomorphic function space, its basis, operators, kernels
 bath         Gibbs measure: moments, partition integrals of a quadratic form,
              tilts, the sphere map

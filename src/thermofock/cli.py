@@ -87,7 +87,8 @@ NON_NEGATIVE = Real(0.0, closed=True)
 
 
 class Count:
-    """A whole number >= `low`; scientific notation too: --samples 1e6."""
+    """A whole number from `low` to the largest float, so that it formats as
+    a float; scientific notation too: --samples 1e6."""
 
     def __init__(self, low: int):
         self.low = low
@@ -98,9 +99,9 @@ class Count:
         except ValueError:
             number = _parse(float, text)
             value = int(number) if number.is_integer() else None
-        if value is None or value < self.low:
+        if value is None or not self.low <= value <= sys.float_info.max:
             raise argparse.ArgumentTypeError(
-                f"need a whole number >= {self.low}, got {text!r}")
+                f"need a whole number in [{self.low}, max float], got {text!r}")
         return value
 
 

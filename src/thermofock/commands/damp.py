@@ -13,7 +13,7 @@ def run(args, report):
 
     from .. import bargmann, dynamics, fits
     from ..errors import check_capacity
-    from ..phasespace import PhasePoint, leapfrog_map
+    from ..phasespace import leapfrog_map
 
     w = args.omega
     if args.q0 == 0 and args.v0 == 0:
@@ -28,9 +28,10 @@ def run(args, report):
         raise FloatingPointError(
             f"--q0/--v0: the initial amplitude max(|q0|, |v0|/omega) = "
             f"{amplitude:g} is below the normal float range")
-    point = PhasePoint(args.q0, args.v0 / w)
+    q0, p0 = args.q0, args.v0 / w
     # the coherent centers along the orbit shrink from this one
-    tilt_rule(abs(point.to_z()) / args.hbar, args.hbar, "--q0/--v0/--hbar")
+    tilt_rule(abs(complex(q0, p0) * 2.0 ** -0.5) / args.hbar, args.hbar,
+              "--q0/--v0/--hbar")
     alpha = args.alpha if args.alpha is not None else 0.01 * w
     underdamped_rule(alpha, w)
     dt = args.dt if args.dt is not None else (2 * math.pi / w) / 256.0
@@ -59,7 +60,7 @@ def run(args, report):
         full, last = (leapfrog_map(w, dt, n, friction)
                       for n in (stride, tail or stride))
         qs, ps = np.empty(n_snap), np.empty(n_snap)
-        x, y = point
+        x, y = q0, p0
         qs[0], ps[0] = x, y
         for s in range(1, n_snap):
             (m00, m01), (m10, m11) = full if s < n_snap - 1 else last
@@ -70,8 +71,8 @@ def run(args, report):
     def closed_form(friction, t):
         """(q, p) at t of the exact damped flow from the start point."""
         flow = dynamics.damped_flow(w, friction, t)
-        return (flow[..., 0, 0] * point.q + flow[..., 0, 1] * point.p,
-                flow[..., 1, 0] * point.q + flow[..., 1, 1] * point.p)
+        return (flow[..., 0, 0] * q0 + flow[..., 0, 1] * p0,
+                flow[..., 1, 0] * q0 + flow[..., 1, 1] * p0)
 
     qs, ps = orbit(alpha)
     z_mag = np.hypot(qs, ps) * (2.0 ** -0.5)
@@ -130,7 +131,7 @@ def run(args, report):
     increase, prev = -math.inf, None
     for t in np.linspace(0.0, t_max, 30):
         k = int(np.argmin(np.abs(times - t)))
-        c_t = PhasePoint(qs[k], ps[k]).to_z().conjugate() / args.hbar
+        c_t = (complex(qs[k], ps[k]) * 2.0 ** -0.5).conjugate() / args.hbar
         mags = np.abs(bargmann.coherent_vector(c_t, args.nmax,
                                                args.hbar).coeffs)
         if prev is not None:

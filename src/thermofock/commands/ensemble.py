@@ -10,7 +10,6 @@ def run(args, report):
     import numpy as np
 
     from .. import bargmann, dynamics
-    from ..errors import check_capacity
 
     c = args.c
     hbar = args.hbar
@@ -35,7 +34,8 @@ def run(args, report):
     if not math.isfinite(t_max):
         # one period 2 pi/omega that overflowed
         raise FloatingPointError(f"run length {t_max:g} is not finite")
-    check_capacity(args.n_times, f"{args.n_times:.3g} times")
+    # the fold cap bounds the times too, so it is checked before they exist
+    dynamics.check_cloud(args.n_times, args.samples)
     times = np.linspace(0.0, t_max, args.n_times)
     history = dynamics.ensemble_evolve(f, w, times, args.samples, args.seed,
                                        dt=period / 1024.0, friction=alpha,

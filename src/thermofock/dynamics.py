@@ -17,7 +17,7 @@ import numpy as np
 from .bargmann import FockVector, hamiltonian_matrix
 from .errors import (
     POINT_BLOCK, SAMPLE_BLOCK, CapacityError, SamplerError, TruncationError,
-    block_width, check_samples, point_blocks)
+    block_width, check_samples, figure, point_blocks)
 from .phasespace import leapfrog_map
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "evolve_exact",
     "schrodinger_evolve",
     "damped_flow",
+    "check_cloud",
     "ensemble_evolve",
     "cloud_centre",
 ]
@@ -353,10 +354,9 @@ def _rejection_sample(f: FockVector, n_samples: int, seed, proposal_scale: float
 
 
 # Leapfrog steps one ensemble run may take to build its interval maps.  A
-# step of the 2x2 maps of one step count takes about 8 us for one interval
-# and 10 us for the 19 of the default run (one x86_64 core), so the cap is
-# at most about 8 s of stepping: a thousand times the 1026 steps of the
-# default run (one period in 19 intervals of 54 steps, 0.54 ms), where
+# step of the 2x2 map takes about 0.2 us (one x86_64 core), so the cap is
+# at most about 0.2 s of stepping: a thousand times the 1026 steps of the
+# default run (one period in 19 intervals of 54 steps, 0.2 ms), where
 # --t-max 1e300 would ask for 1e302.
 MAX_CLOUD_STEPS = 2 ** 20
 # Requested times x particle blocks one ensemble run may fold: every block
@@ -367,6 +367,19 @@ MAX_CLOUD_STEPS = 2 ** 20
 # core), so the cap is about 1 s of one-block folds and 7 s of full ones;
 # the run at the particle cap folds 5120 blocks at the default 20 times.
 MAX_CLOUD_FOLDS = 2 ** 13
+
+
+def check_cloud(n_times: int, n_samples: int) -> None:
+    """Refuse, before its times are built or a particle drawn, an ensemble
+    run of more than `errors.MAX_SAMPLES` samples, then one whose
+    `n_times` requested times x particle blocks are over MAX_CLOUD_FOLDS."""
+    check_samples(n_samples, "the ensemble cloud")
+    blocks = -(-n_samples // SAMPLE_BLOCK)
+    if n_times * blocks > MAX_CLOUD_FOLDS:
+        raise CapacityError(
+            f"{figure(n_times)} times x {blocks} blocks of {SAMPLE_BLOCK} "
+            f"particles are {figure(n_times * blocks)} moment folds, over "
+            f"the cap of {MAX_CLOUD_FOLDS} per ensemble run")
 
 
 @dataclass(frozen=True)
@@ -384,29 +397,21 @@ def _interval_maps(omega: float, times: np.ndarray, dt: float,
 
     Each interval is cut into the fewest equal steps no longer than `dt`,
     and their total is capped at MAX_CLOUD_STEPS before a step is taken.
-    The leapfrog is linear, so the steps compose to one map,
+    The leapfrog is linear, so an interval's steps compose to one map,
     `phasespace.leapfrog_map`: ((m00, m01), (m10, m11)), its rows, as
-    floats.  The intervals of one step count are stepped at once, as one
-    array of step lengths, each map the floats of its interval's alone."""
-    counts, lengths, t_prev = [], [], 0.0
+    floats."""
+    plan, t_prev = [], 0.0
     for t in times.tolist():
         count = (max(1, math.ceil((t - t_prev) / dt - 1e-12))
                  if t > t_prev else 0)
-        counts.append(count)
-        lengths.append((t - t_prev) / count if count else 0.0)
+        plan.append((count, (t - t_prev) / count if count else 0.0))
         t_prev = t
-    total = sum(counts)
+    total = sum(count for count, _ in plan)
     if total > MAX_CLOUD_STEPS:
         raise CapacityError(f"{total:.3g} leapfrog steps exceed the cap of "
                             f"{MAX_CLOUD_STEPS} per ensemble run")
-    maps = [None] * len(counts)
-    for count in set(counts) - {0}:
-        where = [k for k, n in enumerate(counts) if n == count]
-        (m00, m01), (m10, m11) = leapfrog_map(
-            omega, np.array([lengths[k] for k in where]), count, friction)
-        for j, k in enumerate(where):
-            maps[k] = (m00[j], m01[j]), (m10[j], m11[j])
-    return maps
+    return [leapfrog_map(omega, h, count, friction) if count else None
+            for count, h in plan]
 
 
 def _move_cloud(z: np.ndarray, m: tuple, scratch: np.ndarray) -> None:
@@ -437,8 +442,8 @@ def ensemble_evolve(f: FockVector, omega: float, times, n_samples: int,
     """Draw a cloud from |f|^2 dmu and advance it classically under
     qdot = w p, pdot = -w q - alpha p, w = `omega` and alpha = `friction`.
 
-    Before any draw, n_samples is capped at `errors.MAX_SAMPLES`, the
-    requested times x particle blocks at MAX_CLOUD_FOLDS, and the
+    Before any draw, `check_cloud` caps n_samples at `errors.MAX_SAMPLES`
+    and the requested times x particle blocks at MAX_CLOUD_FOLDS, and the
     interval maps are built (`_interval_maps`, each interval in the fewest
     equal steps no longer than `dt`, their total capped at
     MAX_CLOUD_STEPS); each particle then moves once per interval by its map
@@ -465,13 +470,7 @@ def ensemble_evolve(f: FockVector, omega: float, times, n_samples: int,
         raise ValueError("times must be a 1d array")
     if not (np.all(np.isfinite(times)) and math.isfinite(dt)):
         raise FloatingPointError("requested times and step must be finite")
-    check_samples(n_samples, "the ensemble cloud")
-    blocks = -(-n_samples // SAMPLE_BLOCK)
-    if times.size * blocks > MAX_CLOUD_FOLDS:
-        raise CapacityError(
-            f"{times.size} times x {blocks} blocks of {SAMPLE_BLOCK} "
-            f"particles are {times.size * blocks} moment folds, over the cap "
-            f"of {MAX_CLOUD_FOLDS} per ensemble run")
+    check_cloud(times.size, n_samples)
     maps = _interval_maps(omega, times, dt, friction)
     sums = [MomentSums() for _ in maps]
     # a point pass: x' and m10 x, two floats a point

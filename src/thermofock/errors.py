@@ -81,9 +81,11 @@ class StabilityError(ThermoFockError):
     """A time integration violated its stability bound or blew up."""
 
 
-def _figure(count: int) -> str:
-    """A whole number of four or more digits as f"{count:.3g}" writes it,
-    also past the largest float: 2 (nmax + 1)^2 at --nmax 1e300 is 2e+600."""
+def figure(count: int) -> str:
+    """A whole number as f"{count:.3g}" writes it, also past the largest
+    float: 2 (nmax + 1)^2 at --nmax 1e300 is 2e+600."""
+    if count < 1000:
+        return str(count)
     digits = str(round(count, 3 - len(str(count))))
     mantissa = f"{digits[0]}.{digits[1:3]}".rstrip("0").rstrip(".")
     return f"{mantissa}e+{len(digits) - 1:02d}"
@@ -94,7 +96,7 @@ def check_capacity(floats: int, what: str) -> None:
     once it would hold more than MAX_SNAPSHOT_FLOATS floats."""
     if floats > MAX_SNAPSHOT_FLOATS:
         raise CapacityError(
-            f"{what} would hold {_figure(floats)} floats, over the array cap "
+            f"{what} would hold {figure(floats)} floats, over the array cap "
             f"of {MAX_SNAPSHOT_FLOATS}")
 
 
@@ -103,7 +105,7 @@ def check_samples(samples: int, what: str) -> None:
     samples, its --samples; `what` names the run."""
     if samples > MAX_SAMPLES:
         raise CapacityError(
-            f"{what}: --samples {_figure(samples)} is over the cap of "
+            f"{what}: --samples {figure(samples)} is over the cap of "
             f"{MAX_SAMPLES} samples a run, which bounds its length (its "
             f"draws stream in fixed blocks, so not its memory)")
 

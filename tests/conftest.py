@@ -43,3 +43,24 @@ def traced_peak():
         return result, traced
 
     return peak
+
+
+@pytest.fixture
+def no_leapfrog_step():
+    """forbid(patch, error=AssertionError): on the MonkeyPatch `patch`, make
+    every binding through which a run takes a leapfrog step raise `error`:
+    `phasespace.leapfrog_map`, which `damp` imports when it runs, the
+    `dynamics.leapfrog_map` of the ensemble's interval maps, and
+    `chain._leapfrog_stride` of the chain runs."""
+    from thermofock import chain, dynamics, phasespace
+
+    def forbid(patch, error=AssertionError):
+        def step(*args, **kwargs):
+            raise error("a leapfrog step was taken")
+
+        for module, name in ((phasespace, "leapfrog_map"),
+                             (dynamics, "leapfrog_map"),
+                             (chain, "_leapfrog_stride")):
+            patch.setattr(module, name, step)
+
+    return forbid

@@ -196,27 +196,30 @@ def test_strongly_damped_closed_form_tracks_the_leapfrog_silently(tmp_path):
     assert checks["closed-form-vs-leapfrog"]["measured"] < 1e-4
 
 
-def test_damp_orbit_refusals_come_before_a_step(monkeypatch):
-    # a step at the leapfrog's stability bound w dt = 2, and an orbit whose
-    # 5094 default snapshots, 4 floats each in their closed-form flows, are
-    # one float over the cap: each is refused before the leapfrog takes a
-    # step; at the cap the run passes
-    from thermofock import errors, phasespace
+def test_damp_orbit_refusals_come_before_a_step(monkeypatch,
+                                               no_leapfrog_step):
+    # an orbit of --t-max 1e300, and one whose 5094 default snapshots, 4
+    # floats each in their closed-form flows, are one float over the cap:
+    # each is refused before the leapfrog takes a step; at the cap the run
+    # reaches the leapfrog, and unpatched it passes.  A step at the
+    # leapfrog's stability bound w dt = 2 is refused by leapfrog_map itself
+    from thermofock import errors
 
-    def no_step(*args, **kwargs):
-        raise AssertionError("a leapfrog step was taken")
+    def refused(error, *argv):
+        outcome = evaluate("damp", *argv)
+        assert outcome.code == cli.EXIT_NUMERICAL, (argv, outcome.error)
+        assert outcome.report.checks[0].measured.startswith(error)
 
+    refused("StabilityError", "--dt", "2")
     with monkeypatch.context() as patch:
-        patch.setattr(phasespace, "hamilton_step", no_step)
-        for argv, error in ((("damp", "--dt", "2"), "StabilityError"),
-                            (("damp", "--t-max", "1e300"), "CapacityError")):
-            outcome = evaluate(*argv)
-            assert outcome.code == cli.EXIT_NUMERICAL, (argv, outcome.error)
-            assert outcome.report.checks[0].measured.startswith(error)
+        no_leapfrog_step(patch)
+        refused("CapacityError", "--t-max", "1e300")
         patch.setattr(errors, "MAX_SNAPSHOT_FLOATS", 4 * 5094 - 1)
+        refused("CapacityError")
+        patch.setattr(errors, "MAX_SNAPSHOT_FLOATS", 4 * 5094)
         outcome = evaluate("damp")
-        assert outcome.code == cli.EXIT_NUMERICAL, outcome.error
-        assert outcome.report.checks[0].measured.startswith("CapacityError")
+        assert outcome.code == cli.EXIT_INTERNAL
+        assert "a leapfrog step was taken" in outcome.error
     monkeypatch.setattr(errors, "MAX_SNAPSHOT_FLOATS", 4 * 5094)
     assert evaluate("damp").code == cli.EXIT_PASS
 
@@ -544,6 +547,32 @@ def test_ensemble_fold_work_is_capped_before_the_draw(monkeypatch):
                     "--seed", "1").code == cli.EXIT_PASS
 
 
+def test_ensemble_fold_cap_comes_before_the_times(monkeypatch, traced_peak):
+    # --n-times 16000000 at 1000 samples passed the array cap and traced
+    # 137 MiB, its times built, before the fold cap refused it: the fold
+    # cap, which bounds the times too, comes before np.linspace, and the
+    # refusal traces under 1 MiB
+    import numpy as np
+
+    argv = ("ensemble", "--n-times", "16000000", "--samples", "1000",
+            "--seed", "1")
+
+    def no_times(*args, **kwargs):
+        raise AssertionError("the times were built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "linspace", no_times)
+        outcome = evaluate(*argv)
+    assert outcome.code == cli.EXIT_NUMERICAL, outcome.error
+    assert outcome.report.checks[0].measured == (
+        "CapacityError: 1.6e+07 times x 1 blocks of 32768 particles are "
+        "1.6e+07 moment folds, over the cap of 8192 per ensemble run")
+    outcome, peak = traced_peak(lambda: evaluate(*argv),
+                                lambda: evaluate(*argv))
+    assert outcome.code == cli.EXIT_NUMERICAL
+    assert peak < 2 ** 20, peak
+
+
 def test_runaway_runs_are_refused_before_the_draw(monkeypatch):
     # --samples 1e300 ran gram's and partition's Monte Carlo loops for ever,
     # and relax --stride 1e12 built its stride kernel in 1e12 leapfrog
@@ -597,8 +626,8 @@ def test_sample_and_chain_step_caps_pass_a_run_at_the_cap(monkeypatch):
 
 
 def test_capacity_messages_write_counts_to_three_digits():
-    # the counts of a refused array are written as :.3g writes them, also
-    # past the largest float: --samples 1e300 printed a 301-digit count
+    # the counts of a refused array or run are written as :.3g writes them,
+    # also past the largest float: --samples 1e300 printed a 301-digit count
     import re
 
     for argv, text in (
@@ -607,7 +636,12 @@ def test_capacity_messages_write_counts_to_three_digits():
             (("gram", "--nmax", "1e300"),
              "the quadrature Gram at nmax 1e+300 would hold 4e+600 floats"),
             (("sphere", "--samples", "16777217", "--seed", "1"),
-             "array of 1.68e+07 sphere draws would hold 1.68e+07 floats")):
+             "array of 1.68e+07 sphere draws would hold 1.68e+07 floats"),
+            # moment folds past the largest float
+            (("ensemble", "--n-times", "1e306", "--samples", "8388608",
+              "--seed", "1"),
+             "1e+306 times x 256 blocks of 32768 particles are 2.56e+308 "
+             "moment folds")):
         outcome = evaluate(*argv)
         assert outcome.code == cli.EXIT_NUMERICAL, (argv, outcome.error)
         measured = outcome.report.checks[0].measured

@@ -233,15 +233,16 @@ class Reached(BaseException):
     Exception, so `cli.evaluate` passes it on."""
 
 
-def test_every_count_flag_at_1e300_is_refused_before_any_work(monkeypatch):
+def test_every_count_flag_at_1e300_is_refused_before_any_work(
+        monkeypatch, no_leapfrog_step, usage_error):
     """Every cli.Count flag of every subcommand at 1e300, with --seed 1
     where the subcommand takes one: a run either exits 2 or 3 before it
     draws a random number or takes a leapfrog step, or completes normally
     without either.  Only --seed and --threads may reach a draw or a step,
-    and their runs then complete normally (tilt --seed 1e300 exits 0)."""
+    and their runs then complete normally (tilt --seed 1e300 exits 0).
+    At 2**1100 written out, past the largest float, every flag exits 2
+    naming itself."""
     import numpy as np
-
-    from thermofock import chain, phasespace
 
     def reached(*args, **kwargs):
         raise Reached
@@ -251,13 +252,14 @@ def test_every_count_flag_at_1e300_is_refused_before_any_work(monkeypatch):
         for flag, domain, _, _ in flags:
             if not isinstance(domain, cli.Count):
                 continue
-            argv = [command, f"{flag}=1e300"]
-            if "--seed" in names and flag != "--seed":
-                argv.append("--seed=1")
+            seed = (["--seed=1"] if "--seed" in names and flag != "--seed"
+                    else [])
+            usage_error([command, f"{flag}={2 ** 1100}", *seed],
+                        f"argument {flag}")
+            argv = [command, f"{flag}=1e300", *seed]
             with monkeypatch.context() as patch:
                 patch.setattr(np.random, "default_rng", reached)
-                patch.setattr(phasespace, "hamilton_step", reached)
-                patch.setattr(chain, "_leapfrog_stride", reached)
+                no_leapfrog_step(patch, Reached)
                 try:
                     outcome = evaluate(argv)
                 except Reached:

@@ -25,7 +25,21 @@ from thermofock.dynamics import (
 from thermofock.errors import (
     POINT_BLOCK, SAMPLE_BLOCK, SamplerError, block_width)
 from thermofock.fits import fit_decay_rate
-from thermofock.phasespace import PhasePoint, hamilton_step, leapfrog_map
+from thermofock.phasespace import leapfrog_map
+
+
+def _kdk_step(q, p, omega, h, friction=0.0):
+    """One textbook kick-drift-kick step of qdot = w p, pdot = -w q - alpha p:
+    a half kick, the momentum's half-step decay, a drift, the decay again,
+    a half kick."""
+    kick, drift = 0.5 * h * omega, h * omega
+    decay = math.exp(-friction * h / 2.0)
+    p = p - kick * q
+    p = p * decay
+    q = q + drift * p
+    p = p * decay
+    p = p - kick * q
+    return q, p
 
 
 # -- profiles -------------------------------------------------------------------
@@ -241,13 +255,13 @@ def test_damped_solution_matches_leapfrog():
     dt = 2 * math.pi / omega / 2048
     n = 4096
     t = n * dt
-    x = PhasePoint(1.0, 0.0)
+    q, p = 1.0, 0.0
     for _ in range(n):
-        x = hamilton_step(x, omega, dt, friction=alpha)
+        q, p = _kdk_step(q, p, omega, dt, friction=alpha)
     closed = damped_flow(omega, alpha, t) @ np.array([1.0, 0.0])
     budget = 10.0 * dt ** 2
-    assert x.q == pytest.approx(closed[0], abs=budget)
-    assert x.p == pytest.approx(closed[1], abs=budget)
+    assert q == pytest.approx(closed[0], abs=budget)
+    assert p == pytest.approx(closed[1], abs=budget)
 
 
 def test_damping_params_validation(usage_error):
@@ -557,18 +571,13 @@ def test_damped_ensemble_contracts_both_moments():
 
 def _scalar_interval_maps(omega, times, dt, friction):
     """Reference: each interval's map from e1 and e2 stepped as float points,
-    one hamilton_step call each per step."""
+    one textbook step each per step."""
     maps, t_prev = [], 0.0
     for t in times:
         m = None
         if t > t_prev:
             n_sub = max(1, math.ceil((t - t_prev) / dt - 1e-12))
-            h = (t - t_prev) / n_sub
-            e1, e2 = PhasePoint(1.0, 0.0), PhasePoint(0.0, 1.0)
-            for _ in range(n_sub):
-                e1 = hamilton_step(e1, omega, h, friction)
-                e2 = hamilton_step(e2, omega, h, friction)
-            m = ((e1.q, e2.q), (e1.p, e2.p))
+            m = _interval_map(omega, (t - t_prev) / n_sub, n_sub, friction)
         maps.append(m)
         t_prev = t
     return maps
@@ -594,10 +603,9 @@ def test_interval_maps_are_the_scalar_steps_bit_for_bit(omega, times, dt,
 
 @pytest.mark.parametrize("friction", [0.0, 0.05, 0.2])
 def test_batched_interval_maps_are_one_leapfrog_map_per_interval(friction):
-    # the intervals of one step count are stepped as one array of lengths;
-    # each map must be the floats of its own leapfrog_map call.  Step counts
-    # 1, 2, 3 and 54 mixed, 1 and 2 twice each, a time repeated and a time
-    # run back
+    # each map must be the floats of its own interval's leapfrog_map call.
+    # Step counts 1, 2, 3 and 54 mixed, 1 and 2 twice each, a time repeated
+    # and a time run back
     def bits(maps):
         return [m and [float(x).hex() for row in m for x in row]
                 for m in maps]
@@ -641,10 +649,11 @@ def test_point_block_move_is_the_whole_block_move_bit_for_bit(size):
 
 def _interval_map(omega, h, n_sub, friction):
     # the unit vectors stepped n_sub times: columns of the interval's 2x2 map
-    m = PhasePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    e1, e2 = (1.0, 0.0), (0.0, 1.0)
     for _ in range(n_sub):
-        m = hamilton_step(m, omega, h, friction=friction)
-    return (float(m.q[0]), float(m.q[1])), (float(m.p[0]), float(m.p[1]))
+        e1 = _kdk_step(*e1, omega, h, friction)
+        e2 = _kdk_step(*e2, omega, h, friction)
+    return (e1[0], e2[0]), (e1[1], e2[1])
 
 
 def test_ensemble_cloud_moves_by_the_interval_maps_bit_for_bit():
@@ -693,11 +702,11 @@ def test_ensemble_cloud_matches_per_draw_leapfrog_steps():
                          friction=0.05)
     expected = []
     for z in _draws(f, 64, seed=11):
-        x = PhasePoint(math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag)
+        q, p = math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag
         for a, b in ((0.0, period / 2), (period / 2, period)):
             for _ in range(512):
-                x = hamilton_step(x, omega, (b - a) / 512, friction=0.05)
-        expected.append((x.q + 1j * x.p) * (2.0 ** -0.5))
+                q, p = _kdk_step(q, p, omega, (b - a) / 512, friction=0.05)
+        expected.append((q + 1j * p) * (2.0 ** -0.5))
     np.testing.assert_allclose(final, expected, rtol=1e-13, atol=0.0)
 
 

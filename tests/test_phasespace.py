@@ -1,5 +1,5 @@
-"""Exact Poisson brackets of linear observables and the leapfrog point
-dynamics.
+"""Exact Poisson brackets of linear observables and the leapfrog map of one
+oscillator.
 
 A linear observable a q + b p is its coefficient pair (a, b) of Gaussian
 integers, so the bracket identities are exact equalities of Python complex
@@ -8,6 +8,7 @@ integration enters.
 """
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -16,12 +17,7 @@ from thermofock import bargmann, cli
 from thermofock.errors import StabilityError
 from thermofock.exact import SQRT2_Z, SQRT2_ZBAR, P, Q
 from thermofock.fits import fit_loglog_slope
-from thermofock.phasespace import (
-    PhasePoint,
-    hamilton_step,
-    leapfrog_map,
-    poisson_bracket,
-)
+from thermofock.phasespace import leapfrog_map, poisson_bracket
 
 
 def _random_coefficient(rng):
@@ -108,63 +104,52 @@ def test_commutator_dirac_targets_are_hbar_and_i_hbar(hbar, monkeypatch):
         (hbar * identity).tobytes(), (1j * hbar * identity).tobytes()]
 
 
-# -- point dynamics -----------------------------------------------------------
+# -- the leapfrog map ----------------------------------------------------------
 
 def test_leapfrog_returns_after_one_period():
     omega = math.sqrt(2.0)
     n = 4096
     dt = 2 * math.pi / omega / n
-    x = PhasePoint(0.7, -0.2)
-    y = x
-    for _ in range(n):
-        y = hamilton_step(y, omega, dt)
-    assert y.q == pytest.approx(x.q, abs=5e-6)
-    assert y.p == pytest.approx(x.p, abs=5e-6)
+    q, p = 0.7, -0.2
+    (m00, m01), (m10, m11) = leapfrog_map(omega, dt, n)
+    assert m00 * q + m01 * p == pytest.approx(q, abs=5e-6)
+    assert m10 * q + m11 * p == pytest.approx(p, abs=5e-6)
 
 
 def test_energy_error_scales_as_dt_squared():
     omega = 1.0
-    x0 = PhasePoint(1.0, 0.0)
+    q0, p0 = 1.0, 0.0
 
     def oscillator_energy(q, p):
         return 0.5 * omega * (q ** 2 + p ** 2)
 
-    e0 = oscillator_energy(*x0)
+    e0 = oscillator_energy(q0, p0)
     dts = np.array([1e-3 * 2 ** k for k in range(6)])
     errs = []
     for dt in dts:
         n = int(round(1.0 / dt))
         (m00, m01), (m10, m11) = leapfrog_map(omega, dt, n)
-        e = oscillator_energy(m00 * x0.q + m01 * x0.p,
-                              m10 * x0.q + m11 * x0.p)
+        e = oscillator_energy(m00 * q0 + m01 * p0, m10 * q0 + m11 * p0)
         errs.append(abs(e - e0))
     slope = fit_loglog_slope(dts, np.array(errs))
     assert slope == pytest.approx(2.0, abs=0.1)
 
 
 def test_friction_contracts_areas_exactly_per_step():
-    # the two half-step decays make the one-step Jacobian e^{-alpha dt}
+    # the two half-step decays make the one-step determinant e^{-alpha dt};
+    # the kicks and the drift are shears, of determinant 1
     alpha, dt = 0.21, 0.037
-    eps = 1e-7
-
-    def step(q, p):
-        out = hamilton_step(PhasePoint(q, p), 1.3, dt, friction=alpha)
-        return out.q, out.p
-
-    q0, p0 = 0.4, -0.9
-    fq_q = (step(q0 + eps, p0)[0] - step(q0 - eps, p0)[0]) / (2 * eps)
-    fq_p = (step(q0, p0 + eps)[0] - step(q0, p0 - eps)[0]) / (2 * eps)
-    fp_q = (step(q0 + eps, p0)[1] - step(q0 - eps, p0)[1]) / (2 * eps)
-    fp_p = (step(q0, p0 + eps)[1] - step(q0, p0 - eps)[1]) / (2 * eps)
-    jac = fq_q * fp_p - fq_p * fp_q
-    assert jac == pytest.approx(math.exp(-alpha * dt), rel=1e-6)
+    (m00, m01), (m10, m11) = leapfrog_map(1.3, dt, 1, friction=alpha)
+    assert m00 * m11 - m01 * m10 == pytest.approx(math.exp(-alpha * dt),
+                                                  rel=1e-12)
 
 
 def test_frictionless_step_matches_friction_zero_bitwise():
-    x = PhasePoint(0.3, 1.1)
-    a = hamilton_step(x, 0.8, 0.05)
-    b = hamilton_step(x, 0.8, 0.05, friction=0.0)
-    assert a == b
+    for n in (1, 7):
+        a = leapfrog_map(0.8, 0.05, n)
+        b = leapfrog_map(0.8, 0.05, n, friction=0.0)
+        assert [x.hex() for row in a for x in row] == [
+            x.hex() for row in b for x in row]
 
 
 def test_orbit_sampling_and_stride():
@@ -185,11 +170,6 @@ def test_orbit_sampling_and_stride():
         (m00, m01), (m10, m11) = full if k < t.size - 1 else last
         x, y = m00 * x + m01 * y, m10 * x + m11 * y
         assert (q[k], p[k]) == (x, y)
-
-
-def test_phase_point_to_z():
-    x = PhasePoint(0.6, -1.7)
-    assert x.to_z() == pytest.approx(complex(0.6, -1.7) / math.sqrt(2.0))
 
 
 def test_omega_validation(usage_error):
@@ -218,16 +198,17 @@ def test_leapfrog_map_refuses_steps_past_the_stability_bound(dt):
     assert np.all(np.isfinite(m))
 
 
-@pytest.mark.parametrize("friction", [0.0, 0.05, 0.2])
-def test_leapfrog_map_of_step_lengths_is_each_length_alone(friction):
-    # an array of step lengths is stepped at once; entry j of each m is the
-    # float of the map of steps of length h[j] alone, each decay libm's
-    lengths = np.array([0.3, 1e-3, 0.0061, 1.5, 0.3])
-    batched = leapfrog_map(1.3, lengths, 7, friction)
-    for j, h in enumerate(lengths.tolist()):
-        alone = leapfrog_map(1.3, h, 7, friction)
-        assert [row[k][j].hex() for row in batched for k in (0, 1)] == [
-            x.hex() for row in alone for x in row]
-    # one unstable length refuses them all, before a step
-    with pytest.raises(StabilityError):
-        leapfrog_map(1.0, np.array([0.5, 2.0]), 3)
+def test_leapfrog_map_refuses_an_unstable_step_at_once():
+    # the refusal comes before the first of 10**18 steps: an alarm after a
+    # second stops a map that steps first
+    def stepping(*_):
+        raise AssertionError("leapfrog_map stepped before it refused")
+
+    previous = signal.signal(signal.SIGALRM, stepping)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(StabilityError):
+            leapfrog_map(1.0, 2.0, 10 ** 18)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -396,6 +396,8 @@ LINE_REACH_INVOCATIONS = (
     "sphere --omega 1e308 --seed 21",
     # one past the array cap: its float count written to three digits
     "tilt --samples 1e300 --seed 1",
+    # over the fold cap at fewer than 1000 times, a count :.3g writes whole
+    "ensemble --n-times 999 --samples 262145 --seed 1",
     # an --outdir that names the report file `coherent` wrote above
     "coherent --outdir coherent_report.json",
     # a report path that is a directory: the first run makes it one
