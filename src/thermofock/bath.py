@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    POINT_BLOCK, SAMPLE_BLOCK, block_width, check_capacity, check_samples,
-    point_blocks)
+    POINT_BLOCK, SAMPLE_BLOCK, block_width, check_capacity, check_finite,
+    check_samples, point_blocks)
 
 __all__ = [
     "BathParams",
@@ -208,6 +208,8 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
     if method == "montecarlo":
         check_samples(samples, "the Monte Carlo partition integral")
         check_capacity(d * d, f"the {d:.3g} x {d:.3g} proposal covariance")
+        # a scale past 1e154: its square is refused before ** raises on it
+        check_finite(proposal_scale * proposal_scale, "proposal scale^2")
         rng = np.random.default_rng(seed)
         cov = proposal_scale ** 2 * np.linalg.inv(beta * a)
         chol = np.linalg.cholesky(cov)
@@ -280,11 +282,8 @@ def generator_defect(x, a: np.ndarray, generator: np.ndarray) -> float:
     grad = a @ x
     with np.errstate(over="ignore", invalid="ignore"):
         defect = abs(float(grad @ (generator @ grad)))
-    if not math.isfinite(defect):
-        raise FloatingPointError(
-            f"first-order energy change grad H . Omega grad H = {defect:g} "
-            "must be finite")
-    return defect
+    return check_finite(defect,
+                        "first-order energy change grad H . Omega grad H")
 
 
 def defect_rounding_bound(x, a: np.ndarray, generator: np.ndarray) -> float:
@@ -393,8 +392,7 @@ def sphere_pushforward_check(radius: float, beta: float, n_samples: int,
     `n_samples` at a time.  A sample whose arrays would each pass
     MAX_SNAPSHOT_FLOATS raises CapacityError before a draw.
     """
-    if not 0.0 < radius < math.inf:
-        raise FloatingPointError(f"radius {radius:g} must be positive and finite")
+    check_finite(radius, "radius", positive=True)
     check_capacity(n_samples, f"each array of {n_samples:.3g} sphere draws")
     rng = np.random.default_rng(seed)
     u_max = min(1.0, 1.0 / (2.0 * beta * radius ** 2))

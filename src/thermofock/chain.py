@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CapacityError, StabilityError, block_width, check_capacity, point_blocks)
+    CapacityError, StabilityError, block_width, check_capacity, check_finite,
+    point_blocks)
 
 __all__ = [
     "ChainParams",
@@ -58,19 +59,14 @@ class ChainParams:
     def __post_init__(self):
         if not (self.gamma >= 0 and self.gamma_couple >= 0):
             raise ValueError("gamma and gamma_couple must be >= 0")
-        if math.isinf(self.gamma + self.gamma_couple):
-            # a stiffness derived from in-range flags (1/a^2, M^2) overflowed
-            raise FloatingPointError("gamma and gamma_couple must be finite")
+        # a stiffness derived from in-range flags (1/a^2) overflowed
+        check_finite(self.gamma + self.gamma_couple, "gamma + gamma_couple")
         if self.gamma == 0 and self.gamma_couple == 0:
             raise ValueError("gamma and gamma_couple cannot both vanish")
         # a subnormal mass or spacing: named here, before numpy meets them
-        if not math.isfinite(self.omega_max):
-            raise FloatingPointError(
-                f"top mode frequency sqrt((gamma + 4 gamma_c)/m) = "
-                f"{self.omega_max:g} must be finite")
-        if not math.isfinite(self.zone_boundary):
-            raise FloatingPointError(
-                f"zone boundary pi/a = {self.zone_boundary:g} must be finite")
+        check_finite(self.omega_max,
+                     "top mode frequency sqrt((gamma + 4 gamma_c)/m)")
+        check_finite(self.zone_boundary, "zone boundary pi/a")
 
     @property
     def zone_boundary(self) -> float:
@@ -201,9 +197,11 @@ def sample_thermal_state(params: ChainParams, beta: float, seed):
     an independent complex Gaussian with E|a_j|^2 = 1/(beta w_j).  At a
     subnormal beta 1/(beta w_j) overflows, at a subnormal gamma the mode
     displacement variance 1/(2 beta m w_j^2), and the state is refused with
-    FloatingPointError before numpy can warn about it.  A chain whose N
-    complex amplitudes pass MAX_SNAPSHOT_FLOATS raises CapacityError before
-    a draw."""
+    FloatingPointError before numpy can warn about it; so is a chain whose
+    displacement variances span more than 1/eps^2 (gamma below about
+    2e-31 gamma_c), whose narrowest modes would be lost to rounding.  A
+    chain whose N complex amplitudes pass MAX_SNAPSHOT_FLOATS raises
+    CapacityError before a draw."""
     check_capacity(2 * params.n_sites,
                    f"the thermal state of {params.n_sites:.3g} sites")
     omega = dispersion(params.wavenumbers, params)
@@ -214,9 +212,16 @@ def sample_thermal_state(params: ChainParams, beta: float, seed):
         displacement = variance / (params.mass * omega)
     if not np.all(np.isfinite(variance)):
         raise FloatingPointError("state entries must be finite")
-    if not np.all(np.isfinite(displacement)):
-        raise FloatingPointError("mode displacement variance 1/(2 beta m w^2)"
-                                 f" = {np.max(displacement):g} must be finite")
+    low, high = float(np.min(displacement)), float(np.max(displacement))
+    check_finite(high, "mode displacement variance 1/(2 beta m w^2)")
+    # each site sums the modes: one whose spread lies below the rounding of
+    # the widest one's is lost from every site before the first step
+    eps = float(np.finfo(float).eps)
+    if low < high * eps * eps:
+        raise FloatingPointError(
+            f"mode displacement variances 1/(2 beta m w^2) from {low:.3g} to "
+            f"{high:.3g} span more than 1/eps^2 = {eps ** -2:.3g}: the "
+            "narrowest modes would round away in the sites")
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(variance)
     amps = sigma * (rng.standard_normal(params.n_sites)
@@ -307,18 +312,19 @@ def snapshot_count(params: ChainParams, duration: float, dt: float,
     """Snapshots integrate_chain takes of a run: the initial state and one
     every `stride` steps, the step count ceil(duration / dt), at least 1,
     rounded up to a multiple of stride so that the run ends on one.  A
-    duration that is not positive and finite raises FloatingPointError, a
-    step at or beyond the stability bound 2/w_max StabilityError, and a run
-    of more than MAX_CHAIN_STEPS steps CapacityError."""
-    if not (duration > 0 and math.isfinite(duration)):
-        raise FloatingPointError(
-            f"duration {duration:g} must be positive and finite")
+    duration that is not positive and finite, or a step count that
+    overflows, raises FloatingPointError, a step at or beyond the stability
+    bound 2/w_max StabilityError, and a run of more than MAX_CHAIN_STEPS
+    steps CapacityError."""
+    check_finite(duration, "duration", positive=True)
     w_max = params.omega_max
     if dt >= 2.0 / w_max:
         raise StabilityError(
             f"dt = {dt:.4g} at or beyond the stability bound 2/w_max = {2.0 / w_max:.4g}"
         )
-    n_steps = max(1, math.ceil(duration / dt - 1e-12))
+    steps = check_finite(duration / dt,
+                         f"step count duration/dt = {duration:g}/{dt:g}")
+    n_steps = max(1, math.ceil(steps - 1e-12))
     strides = math.ceil(n_steps / stride)
     if stride * strides > MAX_CHAIN_STEPS:
         raise CapacityError(
@@ -522,7 +528,9 @@ def continuum_params_for(spacing: float, field_mass: float) -> ChainParams:
     """Chain parameters obeying the continuum scaling a^2 gamma_c / m = 1
     with on-site stiffness set by the field mass, gamma/m = M^2, on 8 sites
     of unit mass: the dispersion depends only on gamma/m and gamma_c/m, and
-    on k but not on the number of sites."""
+    on k but not on the number of sites.  A field mass whose square
+    overflows is refused by name, before `**` raises on it."""
+    check_finite(field_mass * field_mass, "on-site stiffness M^2")
     return ChainParams(n_sites=8, gamma=field_mass ** 2,
                        gamma_couple=1.0 / spacing ** 2, spacing=spacing)
 
@@ -556,8 +564,7 @@ def mode_commutator_check(n_modes: int, n_levels: int, hbar: float) -> np.ndarra
     """
     if n_modes > 4 or n_levels > 6:
         raise CapacityError("tensor product capped at 4 modes x 6 levels")
-    if not (hbar > 0 and math.isfinite(hbar)):
-        raise FloatingPointError(f"hbar = {hbar:g} must be positive and finite")
+    check_finite(hbar, "hbar", positive=True)
     interior = n_levels - 1          # occupations 0 .. n_levels-2 inclusive
     occupations = np.indices((interior,) * n_modes).reshape(n_modes, -1)
     n_j, n_l = occupations[:, None], occupations[None, :]

@@ -12,7 +12,7 @@ def run(args, report):
     import numpy as np
 
     from .. import bargmann, dynamics, fits
-    from ..errors import check_capacity
+    from ..errors import check_capacity, check_finite
     from ..phasespace import leapfrog_map
 
     w = args.omega
@@ -32,15 +32,15 @@ def run(args, report):
     # the coherent centers along the orbit shrink from this one
     tilt_rule(abs(complex(q0, p0) * 2.0 ** -0.5) / args.hbar, args.hbar,
               "--q0/--v0/--hbar")
-    alpha = args.alpha if args.alpha is not None else 0.01 * w
+    # 0.01 omega underflows to 0 at a subnormal omega
+    alpha = (args.alpha if args.alpha is not None
+             else check_finite(0.01 * w, "default friction 0.01 omega",
+                               positive=True))
     underdamped_rule(alpha, w)
     dt = args.dt if args.dt is not None else (2 * math.pi / w) / 256.0
     t_max = args.t_max if args.t_max is not None else 5.0 / alpha
-    steps = t_max / dt
-    if not math.isfinite(steps):
-        # a period 2 pi/omega or a run 5/alpha that overflowed, or both
-        raise FloatingPointError(
-            f"t-max / dt = {t_max:g} / {dt:g} is no finite step count")
+    # a period 2 pi/omega or a run 5/alpha that overflowed, or both
+    steps = check_finite(t_max / dt, f"step count t-max/dt = {t_max:g}/{dt:g}")
     n_steps = int(math.ceil(steps))
     # the start, every stride-th step and the last step; the largest array
     # is the closed form's 2x2 flow at each snapshot

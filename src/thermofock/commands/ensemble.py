@@ -10,6 +10,7 @@ def run(args, report):
     import numpy as np
 
     from .. import bargmann, dynamics
+    from ..errors import check_finite
 
     c = args.c
     hbar = args.hbar
@@ -23,17 +24,17 @@ def run(args, report):
     # truncation, not the pushforward.  Re z and Im z of the coherent cloud
     # have variance hbar/2
     gap = abs(dynamics.cloud_centre(f) - hbar * c.conjugate())
-    stderr = math.sqrt(0.5 * hbar / args.samples)
+    stderr = check_finite(math.sqrt(0.5 * hbar / args.samples),
+                          "standard error sqrt(hbar/(2 samples)) of the mean",
+                          positive=True)
     if not gap < stderr:
         raise argparse.ArgumentTypeError(
             f"--nmax {args.nmax} is too small for --c/--hbar: the truncated "
             f"state's mean lies {gap / stderr:.3g} standard errors at "
             f"--samples {args.samples:.3g} from hbar conj(c)")
     period = 2 * math.pi / w
-    t_max = args.t_max if args.t_max is not None else period
-    if not math.isfinite(t_max):
-        # one period 2 pi/omega that overflowed
-        raise FloatingPointError(f"run length {t_max:g} is not finite")
+    t_max = (args.t_max if args.t_max is not None
+             else check_finite(period, "run length 2 pi/omega"))
     # the fold cap bounds the times too, so it is checked before they exist
     dynamics.check_cloud(args.n_times, args.samples)
     times = np.linspace(0.0, t_max, args.n_times)
@@ -51,6 +52,11 @@ def run(args, report):
         mean = flow @ x0
         oracle = complex(mean[0], mean[1]) / math.sqrt(2.0)
         se_re, se_im = rep.mean_se
+        # moments whose spread underflowed (a subnormal hbar^2, or a cloud
+        # friction has contracted) are refused before they divide
+        check_finite(min(se_re, se_im, rep.abs2_se),
+                     f"at t = {t:g}, the least standard error of the moments",
+                     positive=True)
         mean_devs += [abs(rep.mean.real - oracle.real) / se_re,
                       abs(rep.mean.imag - oracle.imag) / se_im]
         # the cloud starts Gaussian with covariance hbar I in (q, p), so

@@ -8,7 +8,7 @@ def run(args, report):
     import numpy as np
 
     from .. import bargmann, dynamics
-    from ..errors import check_capacity
+    from ..errors import check_capacity, check_finite
 
     if not args.grid >= 2 * args.nmax + 1:
         # harmonic nmax would land in a negative FFT bin of the grid
@@ -25,11 +25,9 @@ def run(args, report):
     rng = np.random.default_rng(args.seed)
     coeffs = rng.standard_normal(args.nmax + 1) + 1j * rng.standard_normal(args.nmax + 1)
     f = bargmann.FockVector(coeffs, args.hbar).normalized()
-    t_max = args.t_max if args.t_max is not None else 10.0 / args.omega
-    if not math.isfinite(t_max):
-        # a subnormal --omega: named here, before numpy meets it
-        raise FloatingPointError(f"run length 10/omega = {t_max:g} must be "
-                                 "finite")
+    # a subnormal --omega: named here, before numpy meets it
+    t_max = (args.t_max if args.t_max is not None
+             else check_finite(10.0 / args.omega, "run length 10/omega"))
     radius = args.radius if args.radius is not None else math.sqrt(args.hbar)
     times = np.linspace(0.0, t_max, args.n_times)
     prof0 = dynamics.profile_from_fock(f, radius, args.grid)

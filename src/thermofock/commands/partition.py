@@ -1,20 +1,16 @@
 """`thermofock partition`: action cell h from the partition integral."""
 
-import math
-
 from . import pairs_matrix
 
 
 def run(args, report):
     from .. import bath
+    from ..errors import check_finite
 
-    oracle = bath.BathParams(args.beta, args.omega).h
-    if not 0.0 < oracle < math.inf:
-        # beta omega overflowed (or underflowed): the Gibbs weight is no
-        # Gaussian a float can hold
-        raise FloatingPointError(
-            f"action cell 2 pi/(beta omega) = {oracle:g} is not positive "
-            "and finite")
+    # beta omega overflowed (or underflowed): the Gibbs weight is no
+    # Gaussian a float can hold
+    oracle = check_finite(bath.BathParams(args.beta, args.omega).h,
+                          "action cell 2 pi/(beta omega)", positive=True)
     a = pairs_matrix(args)
 
     an_z, an_h, an_se = bath.partition_estimate(a, args.beta,

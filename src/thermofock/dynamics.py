@@ -17,7 +17,7 @@ import numpy as np
 from .bargmann import FockVector, hamiltonian_matrix
 from .errors import (
     POINT_BLOCK, SAMPLE_BLOCK, CapacityError, SamplerError, TruncationError,
-    block_width, check_samples, figure, point_blocks)
+    block_width, check_finite, check_samples, figure, point_blocks)
 from .phasespace import leapfrog_map
 
 __all__ = [
@@ -115,9 +115,7 @@ def schrodinger_evolve(f: FockVector, t: float, ordering: str,
     global zero-point phase exp(-i w t / 2) only.  A subnormal hbar, whose
     reciprocal the complex division by hbar forms, is refused by name.
     """
-    rate = 1.0 / float(f.hbar)
-    if not math.isfinite(rate):
-        raise FloatingPointError(f"phase rate 1/hbar = {rate:g} must be finite")
+    check_finite(1.0 / float(f.hbar), "phase rate 1/hbar")
     h = hamiltonian_matrix(ordering, omega, f.hbar, f.truncation)
     energies = np.real(np.diag(h))
     return FockVector(f.coeffs * np.exp(-1j * energies * t / f.hbar), f.hbar)

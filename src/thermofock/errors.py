@@ -1,7 +1,10 @@
 """Exception types shared across the package, the size cap on the arrays
 a run's flags size and the cap on a Monte Carlo run's samples, each with
-the one check against it, and the block rule of every pass that works in
-blocks."""
+the one check against it, the one refusal of a float derived from the
+flags that left the float range, and the block rule of every pass that
+works in blocks."""
+
+import math
 
 # Floats one array sized by a run's flags may hold: snapshots x sites for a
 # chain, the 2x2 flows at a single oscillator's orbit snapshots, and, counting
@@ -108,6 +111,17 @@ def check_samples(samples: int, what: str) -> None:
             f"{what}: --samples {figure(samples)} is over the cap of "
             f"{MAX_SAMPLES} samples a run, which bounds its length (its "
             f"draws stream in fixed blocks, so not its memory)")
+
+
+def check_finite(value: float, what: str, positive: bool = False) -> float:
+    """`value`, a float a run derived from its flags, or, once it has left
+    the float range, FloatingPointError naming it as `what`: not finite, or
+    with `positive` not above 0 either (one that underflowed)."""
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        raise FloatingPointError(
+            f"{what} = {value:g} must be "
+            f"{'positive and ' if positive else ''}finite")
+    return value
 
 
 def block_width(floats_per_item: int) -> int:

@@ -198,6 +198,13 @@ def test_thermal_sampling_guards(usage_error):
     free = ChainParams(n_sites=8, gamma=0.0, gamma_couple=1.0)
     with pytest.raises(ValueError):
         sample_thermal_state(free, 1.0, seed=1)    # unbound zero mode
+    # displacement variances (gamma + 4 gamma_c)/gamma apart: within 1/eps^2
+    # at gamma 2.1e-31, past it at 1.9e-31, where the narrowest modes would
+    # round away under the zero mode in every site
+    sample_thermal_state(ChainParams(n_sites=8, gamma=2.1e-31), 1.0, seed=1)
+    with pytest.raises(FloatingPointError, match="span more than 1/eps"):
+        sample_thermal_state(ChainParams(n_sites=8, gamma=1.9e-31), 1.0,
+                             seed=1)
 
 
 @pytest.mark.parametrize("command", ["rescale", "relax", "chain-dispersion"])

@@ -356,6 +356,47 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
              "energy H(x + Omega grad H dt) = inf at dt = 1e+186 must be "
              "finite")):
         exits_three(*args, "--seed", "1", names=quantity)
+    # a derived quantity that underflows to 0 or overflows, named before
+    # Python's arithmetic meets it, where Python's message named an
+    # operation: a default friction 0.01 omega, the ensemble's standard
+    # errors (friction contracts the cloud until its spread underflows),
+    # dispersion errors below the rounding of w^2, squares that ** would
+    # raise on, and step counts that math.ceil would
+    for args, quantity in (
+            (("damp", "--omega=5e-324"),
+             "default friction 0.01 omega = 0 must be positive and finite"),
+            (("ensemble", "--hbar=5e-324", "--seed=1"),
+             "standard error sqrt(hbar/(2 samples)) of the mean = 0 must be "
+             "positive and finite"),
+            (("ensemble", "--hbar=1e-300", "--seed=1"),
+             "at t = 0, the least standard error of the moments = 0 must be "
+             "positive and finite"),
+            (("ensemble", "--alpha=1.9", "--t-max=400", "--samples=100",
+              "--n-times=2", "--seed=1"),
+             "at t = 400, the least standard error of the moments = 0"),
+            (("continuum", "--k-phys=1e-300"),
+             "dispersion error of the a = 1 chain = 0 must be positive and "
+             "finite"),
+            (("continuum", "--k-phys=1e-4"),
+             "dispersion error of the a = 1 chain = 0"),
+            (("partition", "--proposal-scale=1e300", "--seed=1"),
+             "proposal scale^2 = inf must be finite"),
+            (("continuum", "--field-mass=1e300"),
+             "on-site stiffness M^2 = inf must be finite"),
+            (("chain-dispersion", "--dt=5e-324", "--seed=1"),
+             "step count duration/dt = 1256.64/4.94066e-324 = inf must be "
+             "finite"),
+            (("relax", "--dt=5e-324", "--seed=1"),
+             "step count duration/dt = 1000/4.94066e-324 = inf must be "
+             "finite")):
+        exits_three(*args, names=quantity)
+    # gamma 1e-300 against gamma_c 1: the zero mode's displacement spread
+    # buries every other mode's under its rounding, refused before the draw
+    # where relax went on to blame dt for the energy the rounding made
+    for command in ("relax", "rescale"):
+        exits_three(command, "--gamma=1e-300", "--seed=1", names=(
+            "mode displacement variances 1/(2 beta m w^2) from 0.125 to "
+            "5e+299 span more than 1/eps^2 = 2.03e+31"))
     # times whose squares overflow leave the decay fit no norm either
     exits_three("damp", "--omega", "1e-300", names=(
         "decay fit needs finite amplitudes and a finite, nonzero norm of "

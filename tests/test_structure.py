@@ -1,5 +1,6 @@
 """Source-level rules for the package: modules share only public names,
-every `__all__` entry names something the module defines, every
+every `__all__` entry names something the module defines, `errors` alone
+formats the refusal of a float that left the float range, every
 definition, method, property and field feeds some CLI run, and every line
 of every module, the CLI and its command runners included, runs in the
 runs that use it."""
@@ -7,6 +8,7 @@ runs that use it."""
 import ast
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -98,6 +100,68 @@ def test_errors_alone_sets_the_block_budget():
                      if name.endswith("_FLOATS"))
     assert budgets == ["errors.BLOCK_FLOATS", "errors.MAX_SNAPSHOT_FLOATS"]
     assert "__all__" not in _definitions(_tree(PACKAGE / "errors.py"))
+
+
+# The functions that format a FloatingPointError's message around a value
+# and end it "must be finite" or "must be positive and finite":
+# errors.check_finite alone, which every other module calls, and the energy
+# a variation step reaches, whose message names the step dt after the value.
+FINITE_REFUSALS = {("errors", "check_finite"),
+                   ("bath", "gibbs_first_order_defect")}
+
+
+def _finite_refusals(path):
+    """(module, function) of each FloatingPointError in `path` built from
+    an f-string message that formats a value and ends in `finite`."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", None) == "FloatingPointError"
+                    and child.args and isinstance(child.args[0], ast.JoinedStr)):
+                text = "".join(part.value if isinstance(part, ast.Constant)
+                               else "{}" for part in child.args[0].values)
+                if "{}" in text and text.rstrip().endswith("finite"):
+                    found.add((_name(path), function))
+            visit(child, function)
+
+    visit(_tree(path), None)
+    return found
+
+
+def test_errors_alone_formats_a_finite_refusal():
+    # a run that leaves the float range is refused by errors.check_finite,
+    # "{what} = {value:g} must be finite", so every such message has one
+    # definition; errors and phasespace import no numpy
+    assert set().union(*map(_finite_refusals, MODULES)) == FINITE_REFUSALS
+    for name in ("errors", "phasespace"):
+        imported = {(node.module or "") if isinstance(node, ast.ImportFrom)
+                    else alias.name
+                    for node in ast.walk(_tree(PACKAGE / f"{name}.py"))
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        assert not {module for module in imported
+                    if module.split(".")[0] == "numpy"}, name
+
+
+def test_check_finite_returns_the_value_or_names_it():
+    from thermofock.errors import check_finite
+
+    assert check_finite(-2.5, "x") == -2.5
+    assert check_finite(5e-324, "x", positive=True) == 5e-324
+    for value, positive, message in (
+            (math.inf, False, "run length 10/omega = inf must be finite"),
+            (math.nan, False, "run length 10/omega = nan must be finite"),
+            (0.0, True, "run length 10/omega = 0 must be positive and finite"),
+            (-1.0, True,
+             "run length 10/omega = -1 must be positive and finite")):
+        with pytest.raises(FloatingPointError) as caught:
+            check_finite(value, "run length 10/omega", positive)
+        assert str(caught.value) == message
 
 
 def test_block_widths_are_pinned(monkeypatch):
