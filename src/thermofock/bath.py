@@ -160,6 +160,11 @@ def moment_report(z: np.ndarray) -> MomentReport:
 
 # -- partition function ------------------------------------------------------
 
+# The Monte Carlo proposal's standard deviation over the Gibbs weight's: the
+# importance weights' variance is finite only for a scale^2 above 1/2.
+_PROPOSAL_SCALE = 1.5
+
+
 def _energy(a: np.ndarray, x: np.ndarray):
     """H = (1/2) x^T A x, summed term by term over the nonzero entries of A
     in row-major order; x may carry a trailing axis of points."""
@@ -170,17 +175,16 @@ def _energy(a: np.ndarray, x: np.ndarray):
 
 
 def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
-                       samples: int = 100_000, seed=None,
-                       proposal_scale: float = 1.5) -> tuple:
+                       samples: int = 100_000, seed=None) -> tuple:
     """(Z, h, stderr of h): Z = integral exp(-beta H) over phase space for
     H = (1/2) x^T A x with A positive definite and 2n x 2n, and the action
     cell h = Z^(1/n) over the n oscillator pairs.
 
     "analytic" uses the Gaussian determinant formula.  "montecarlo" importance
     samples with a Gaussian proposal shaped by the quadratic form (scaled by
-    `proposal_scale`); the integrand is summed term by term from A, without
-    the determinant, so the estimate is an independent check of the closed
-    form.
+    the fixed `_PROPOSAL_SCALE` = 1.5 in standard deviation); the integrand
+    is summed term by term from A, without the determinant, so the estimate
+    is an independent check of the closed form.
 
     Both routes keep Z and its standard error in range wherever they are
     floats.  sqrt(det A) is the product of the diagonal of A's Cholesky
@@ -208,10 +212,8 @@ def partition_estimate(a: np.ndarray, beta: float, method: str = "analytic",
     if method == "montecarlo":
         check_samples(samples, "the Monte Carlo partition integral")
         check_capacity(d * d, f"the {d:.3g} x {d:.3g} proposal covariance")
-        # a scale past 1e154: its square is refused before ** raises on it
-        check_finite(proposal_scale * proposal_scale, "proposal scale^2")
         rng = np.random.default_rng(seed)
-        cov = proposal_scale ** 2 * np.linalg.inv(beta * a)
+        cov = _PROPOSAL_SCALE ** 2 * np.linalg.inv(beta * a)
         chol = np.linalg.cholesky(cov)
         log_norm = 0.5 * d * math.log(2.0 * math.pi) + float(
             np.sum(np.log(np.diag(chol)))

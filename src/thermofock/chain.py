@@ -528,9 +528,11 @@ def continuum_params_for(spacing: float, field_mass: float) -> ChainParams:
     """Chain parameters obeying the continuum scaling a^2 gamma_c / m = 1
     with on-site stiffness set by the field mass, gamma/m = M^2, on 8 sites
     of unit mass: the dispersion depends only on gamma/m and gamma_c/m, and
-    on k but not on the number of sites.  A field mass whose square
-    overflows is refused by name, before `**` raises on it."""
+    on k but not on the number of sites.  A field mass or spacing whose
+    square leaves the float range is refused by name before it is used."""
     check_finite(field_mass * field_mass, "on-site stiffness M^2")
+    check_finite(spacing * spacing, f"squared spacing a^2 of the a = "
+                 f"{spacing:g} chain", positive=True)
     return ChainParams(n_sites=8, gamma=field_mass ** 2,
                        gamma_couple=1.0 / spacing ** 2, spacing=spacing)
 

@@ -259,15 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=NON_NEGATIVE, default=None,
                    help="default one period")
     p.add_argument("--alpha", type=NON_NEGATIVE, default=0.0)
-    # the proposal must be wider than the measure it dominates
-    p.add_argument("--proposal-scale", type=Real(1.0), default=2.0)
 
     p = sub.add_parser("partition", parents=[common, beta, omega, seed],
                        help="action cell h from the partition integral")
     p.add_argument("--pairs", type=Count(1), default=1)
     p.add_argument("--samples", type=Count(2), default=1_000_000)
-    # the variance of the importance weights diverges once scale^2 <= 1/2
-    p.add_argument("--proposal-scale", type=Real(2.0 ** -0.5), default=1.5)
 
     p = sub.add_parser("variation", parents=[common, omega, seed],
                        help="antisymmetric variations leave Gibbs weights "

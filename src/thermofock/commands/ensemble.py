@@ -39,8 +39,7 @@ def run(args, report):
     dynamics.check_cloud(args.n_times, args.samples)
     times = np.linspace(0.0, t_max, args.n_times)
     history = dynamics.ensemble_evolve(f, w, times, args.samples, args.seed,
-                                       dt=period / 1024.0, friction=alpha,
-                                       proposal_scale=args.proposal_scale)
+                                       dt=period / 1024.0, friction=alpha)
     # the exact flow M(t) of (q, p) moves the cloud's mean and covariance
     center = hbar * np.conj(c)
     x0 = math.sqrt(2.0) * np.array([center.real, center.imag])

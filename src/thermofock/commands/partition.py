@@ -21,8 +21,7 @@ def run(args, report):
 
     mc_z, mc_h, mc_se = bath.partition_estimate(
         a, args.beta, method="montecarlo",
-        samples=args.samples, seed=args.seed,
-        proposal_scale=args.proposal_scale)
+        samples=args.samples, seed=args.seed)
     report.add("montecarlo-action-cell-1pct",
                "the Monte Carlo action cell lands within 1% of 2 pi/(beta omega)",
                mc_h, oracle, 0.01 * oracle, stderr=mc_se)

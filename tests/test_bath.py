@@ -57,7 +57,7 @@ def test_equilibrium_moments():
     assert abs(rep.mean.imag) <= 4 * se_im
     assert abs(rep.abs2_mean - bp.hbar) <= 4 * rep.abs2_se
     draws = np.concatenate([block.copy() for block, _ in
-                            dynamics._rejection_sample(vacuum, 200_000, 7, 2.0)])
+                            dynamics._rejection_sample(vacuum, 200_000, 7)])
     a4 = np.abs(draws) ** 4
     abs4_se = np.std(a4, ddof=1) / math.sqrt(a4.size)
     assert abs(np.mean(a4) - 2 * bp.hbar ** 2) <= 4 * abs4_se
@@ -140,18 +140,18 @@ def test_montecarlo_action_cell_is_pinned_at_the_a06_seed():
     assert got == (6.287175283267554, 6.287175283267554, 0.004199112277769641)
 
 
-def _whole_sample_partition(a, beta, samples, seed, proposal_scale=1.5):
+def _whole_sample_partition(a, beta, samples, seed):
     """The Monte Carlo (Z, h, stderr of h) from the normals
     `partition_estimate` draws, regenerated block by block and reduced in
     one pass over the whole sample, with H = (1/2) x . A x and the
-    proposal's log density written out."""
+    proposal's log density, at its scale 1.5, written out."""
     d = a.shape[0]
     n_pairs = d // 2
     block = min(errors.POINT_BLOCK, errors.block_width(d))
     rng = np.random.default_rng(seed)
     xi = np.concatenate([rng.standard_normal((d, min(block, samples - lo)))
                          for lo in range(0, samples, block)], axis=1)
-    chol = np.linalg.cholesky(proposal_scale ** 2 * np.linalg.inv(beta * a))
+    chol = np.linalg.cholesky(1.5 ** 2 * np.linalg.inv(beta * a))
     x = chol @ xi
     log_proposal = (-0.5 * np.sum(xi * xi, axis=0)
                     - np.sum(np.log(np.diag(chol)))
@@ -214,6 +214,7 @@ def test_partition_holds_little_beyond_its_draw_buffer(traced_peak, pairs,
 def test_partition_rejects_bad_input(usage_error):
     usage_error(["partition", "--seed", "1", "--beta", "-1"], "--beta")
     usage_error(["partition"], "--seed")
+    # the proposal's width is the estimator's constant, no flag
     usage_error(["partition", "--seed", "1", "--proposal-scale", "0.7"],
                 "--proposal-scale")
 

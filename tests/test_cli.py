@@ -361,7 +361,7 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
     # operation: a default friction 0.01 omega, the ensemble's standard
     # errors (friction contracts the cloud until its spread underflows),
     # dispersion errors below the rounding of w^2, squares that ** would
-    # raise on, and step counts that math.ceil would
+    # raise on or 1/a^2 would divide by, and step counts that math.ceil would
     for args, quantity in (
             (("damp", "--omega=5e-324"),
              "default friction 0.01 omega = 0 must be positive and finite"),
@@ -379,10 +379,17 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
              "finite"),
             (("continuum", "--k-phys=1e-4"),
              "dispersion error of the a = 1 chain = 0"),
-            (("partition", "--proposal-scale=1e300", "--seed=1"),
-             "proposal scale^2 = inf must be finite"),
             (("continuum", "--field-mass=1e300"),
              "on-site stiffness M^2 = inf must be finite"),
+            (("continuum", "--spacings=1e-300,1e-301", "--k-phys=1"),
+             "squared spacing a^2 of the a = 1e-300 chain = 0 must be "
+             "positive and finite"),
+            (("continuum", "--spacings=1e200,1e100", "--k-phys=1e-201"),
+             "squared spacing a^2 of the a = 1e+200 chain = inf must be "
+             "positive and finite"),
+            (("continuum", "--spacings=1e160,1e159", "--k-phys=1e-161"),
+             "squared spacing a^2 of the a = 1e+160 chain = inf must be "
+             "positive and finite"),
             (("chain-dispersion", "--dt=5e-324", "--seed=1"),
              "step count duration/dt = 1256.64/4.94066e-324 = inf must be "
              "finite"),
@@ -407,13 +414,10 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
     exits_three("gram", "--nmax", "186",
                 names="187-node Gauss-Laguerre rule of truncation 186")
     # the sampler's expected acceptance 1/bound below its 1e-3 floor is
-    # refused before a draw: the first run overflowed in its proposals, the
-    # other three collapsed after 10 000 of them
+    # refused before a draw: both runs collapsed after 10 000 of them
     for args, efficiency in (
-            (("--proposal-scale", "1e300", "--seed", "1"), "9.52e-301"),
             (("--c", "2.5", "--seed", "7"), "7.08e-07"),
-            (("--c", "3", "--seed", "7"), "1.66e-13"),
-            (("--proposal-scale", "1.02", "--seed", "7"), "5.19e-19")):
+            (("--c", "3", "--seed", "7"), "1.66e-13")):
         exits_three("ensemble", *args, names=(
             f"expected rejection efficiency 1/bound = {efficiency} below 1e-3"))
     # refused where the overflow is derived, before numpy meets it: an

@@ -284,11 +284,11 @@ def test_coefficient_majorant_dominates_the_state():
         assert np.max(np.abs(f.evaluate(z))) <= bound.real * (1 + 1e-12)
 
 
-def _sample(f, n_samples, seed, scale=2.0):
+def _sample(f, n_samples, seed):
     """The sampler's streamed blocks joined into one array, and the rate
     handed on with the last block."""
     blocks = []
-    for block, rate in dynamics._rejection_sample(f, n_samples, seed, scale):
+    for block, rate in dynamics._rejection_sample(f, n_samples, seed):
         blocks.append(block.copy())    # the next block reuses the buffer
     return np.concatenate(blocks), rate
 
@@ -312,7 +312,7 @@ def _final_cloud(f, omega, times, n_samples, seed, friction=0.0, dt=None):
                                    dt, friction)
     scratch = np.empty((2, SAMPLE_BLOCK))
     blocks = []
-    for block, _ in dynamics._rejection_sample(f, n_samples, seed, 2.0):
+    for block, _ in dynamics._rejection_sample(f, n_samples, seed):
         for m in maps:
             if m is not None:
                 dynamics._move_cloud(block, m, scratch)
@@ -347,6 +347,7 @@ def test_sampled_density_moments_match_the_gaussian():
 
 def test_sampler_guards(usage_error):
     usage_error(["ensemble"], "--seed")
+    # the proposal's width is the sampler's constant, no flag
     usage_error(["ensemble", "--seed", "1", "--proposal-scale", "0.9"],
                 "--proposal-scale")
     unnormalized = coherent_vector(0.5, 32, 1.0)
@@ -354,13 +355,15 @@ def test_sampler_guards(usage_error):
         _initial_cloud(unnormalized, 100, seed=1)
 
 
-def test_sampler_efficiency_collapse_raises():
+def test_sampler_efficiency_collapse_raises(monkeypatch):
     # the centred proposal accepts 1/(1.05 s) of a coherent state's draws:
-    # 4.8e-4 at s = 2000, half the 1e-3 floor (at s = 1000 it sits on it)
+    # 4.8e-4 at s = 2000, half the 1e-3 floor (at s = 1000 it sits on it),
+    # refused before a draw
+    monkeypatch.setattr(dynamics, "_PROPOSAL_VARIANCE", 2000.0)
     f = coherent_vector(0.5, 32, 1.0).normalized()
     for seed in (3, 4, 12):
-        with pytest.raises(SamplerError):
-            _initial_cloud(f, 50, seed=seed, proposal_scale=2000.0)
+        with pytest.raises(SamplerError, match="expected rejection"):
+            _initial_cloud(f, 50, seed=seed)
 
 
 @pytest.mark.parametrize("c, hbar", [(0.5, 1.0), (1.2, 1.0), (2.0, 1.0),
@@ -421,11 +424,12 @@ UNCENTRED_DIGESTS = {
 
 @pytest.mark.parametrize("key", sorted(UNCENTRED_DIGESTS),
                          ids=lambda key: "-".join(map(str, key)))
-def test_states_centred_at_zero_draw_as_before(key):
+def test_states_centred_at_zero_draw_as_before(key, monkeypatch):
     name, hbar, scale, seed = key
+    monkeypatch.setattr(dynamics, "_PROPOSAL_VARIANCE", scale)
     level = int(name[1])
     f = FockVector(np.eye(level + 1)[level], hbar)
-    z, _ = _sample(f, 20_000, seed, scale)
+    z, _ = _sample(f, 20_000, seed)
     assert hashlib.sha256(z.tobytes()).hexdigest() == UNCENTRED_DIGESTS[key]
 
 
@@ -508,7 +512,7 @@ def test_sampler_holds_one_proposal_chunk_beyond_its_output(traced_peak):
     n = 300_000
     f = coherent_vector(0.5, 32, 1.0).normalized()
     _, peak = traced_peak(
-        lambda: sum(1 for _ in dynamics._rejection_sample(f, n, 7, 2.0)),
+        lambda: sum(1 for _ in dynamics._rejection_sample(f, n, 7)),
         lambda: _sample(f, 10, 1))      # numpy's one-off allocations
     assert peak <= 2.0 * 2 ** 20
 

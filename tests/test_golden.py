@@ -5,6 +5,10 @@ records.
 
     python tests/test_golden.py    # rewrite both manifests from this tree
 
+Rewriting prints, for each manifest, the labels it adds, removes and
+changes against the file it overwrites, and the extreme sweep's count of
+runs at each exit code.
+
 Each invocation in `bench/run.py`'s `WORKLOADS` runs as the benchmark runs
 it, a fresh `python -m thermofock.cli <args> --threads 1` child at bench seed
 shift 0, and is compared on its exit code, the sha256 of its report less the
@@ -22,6 +26,7 @@ exit 3 names the flag or the derived quantity that left the float range.
 """
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import importlib.util
@@ -163,14 +168,30 @@ def test_extreme_flag_values_exit_as_recorded():
 
 
 def _write(path: Path, runs: dict) -> None:
+    """Write `runs` to the manifest at `path` and print the labels added,
+    removed and changed against the runs it overwrites."""
+    old = (json.loads(path.read_text(encoding="utf-8"))["runs"]
+           if path.exists() else {})
     manifest = {"numpy": metadata.version("numpy"), "runs": runs}
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     print(f"wrote {len(runs)} runs to {path}")
+    for kind, labels in (
+            ("added", sorted(runs.keys() - old.keys())),
+            ("removed", sorted(old.keys() - runs.keys())),
+            ("changed", sorted(label for label in runs.keys() & old.keys()
+                               if runs[label] != old[label]))):
+        print(f"  {kind}: {len(labels)}")
+        for label in labels:
+            print(f"    {label}")
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         _write(MANIFEST, golden_runs(Path(work)))
-    _write(EXTREMES, extreme_runs()[0])
+    extremes = extreme_runs()[0]
+    _write(EXTREMES, extremes)
+    codes = collections.Counter(run["exit"] for run in extremes.values())
+    print("  exit codes: " + ", ".join(f"{count} exit {code}"
+                                       for code, count in sorted(codes.items())))

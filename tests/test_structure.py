@@ -1,10 +1,11 @@
 """Source-level rules for the package: modules share only public names,
 every `__all__` entry names something the module defines, `errors` alone
 formats the refusal of a float that left the float range, every
-definition, method, property and field feeds some CLI run, and every line
-of every module, the CLI and its command runners included, runs in the
-runs that use it."""
+definition, method, property and field feeds some CLI run, every flag
+feeds its command's run, and every line of every module, the CLI and its
+command runners included, runs in the runs that use it."""
 
+import argparse
 import ast
 import inspect
 import json
@@ -404,6 +405,42 @@ def test_every_member_is_reachable_from_the_cli():
     assert not extra, (f"{len(extra)} members no CLI run reaches: "
                        + ", ".join(extra))
     assert not stale, "allowlisted members that a run now reaches: " + ", ".join(stale)
+
+
+def _args_read(nodes) -> set:
+    """The attributes read off a name `args` anywhere in `nodes`."""
+    return {node.attr for root in nodes for node in ast.walk(root)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
+def test_every_flag_feeds_its_run():
+    """Each subcommand's flags, bar --outdir and --threads, which `cli`
+    itself reads, are read as `args.<dest>` by the command's runner module
+    or by a `commands` helper it imports: a flag no run reads cannot be
+    declared."""
+    from thermofock import cli
+
+    helpers = {node.name: node for node in _tree(PACKAGE / "commands"
+                                                 / "__init__.py").body
+               if isinstance(node, ast.FunctionDef)}
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    unread = []
+    for command, subparser in sub.choices.items():
+        tree = _tree(PACKAGE / "commands" / (command.replace("-", "_")
+                                             + ".py"))
+        imported = [helpers[alias.name] for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module is None
+                    for alias in node.names if alias.name in helpers]
+        read = _args_read([tree, *imported])
+        unread += [f"{command} {action.option_strings[-1]}"
+                   for action in subparser._actions
+                   if action.option_strings and action.dest != "help"
+                   and action.dest not in ("outdir", "threads")
+                   and action.dest not in read]
+    assert unread == []
 
 
 # Modules every line of whose functions must run in these invocations:
