@@ -29,7 +29,7 @@ __all__ = [
     "coherent_vector",
     "lowering_matrix",
     "quadrature_operators",
-    "hamiltonian_matrix",
+    "hamiltonian_levels",
     "commutator",
     "kernel_eval",
 ]
@@ -299,27 +299,26 @@ def quadrature_operators(hbar: float, n_max: int):
     return (a.T + a) * s, 1j * (a.T - a) * s
 
 
-def hamiltonian_matrix(ordering: str, omega: float, hbar: float,
+def hamiltonian_levels(ordering: str, omega: float, hbar: float,
                        n_max: int) -> np.ndarray:
-    """Diagonal oscillator Hamiltonian.
+    """The levels of the diagonal oscillator Hamiltonian, its diagonal as
+    n_max + 1 real floats.
 
     "normal" ordering gives energies hbar w n; "symmetric" ordering adds the
     half-quantum and is built additively as normal + hbar w / 2.  The
-    difference of the two matrices is that constant shift exactly only on
-    the levels where the sum hbar w n + hbar w / 2 rounds exactly (every
-    level at hbar w = 1); elsewhere it is within half an ulp of the
-    largest entry: 1.4e-15 at hbar 0.3, w 1 and truncation 64.
+    difference of the two is that constant shift exactly only on the levels
+    where the sum hbar w n + hbar w / 2 rounds exactly (every level at
+    hbar w = 1); elsewhere it is within half an ulp of the largest level:
+    1.4e-15 at hbar 0.3, w 1 and truncation 64.
     """
-    check_capacity(2 * (n_max + 1) ** 2,
-                   f"the Hamiltonian matrix at truncation {n_max:.3g}")
+    check_capacity(n_max + 1,
+                   f"the Hamiltonian's levels at truncation {n_max:.3g}")
     base = hbar * omega * np.arange(n_max + 1, dtype=float)
     if ordering == "normal":
-        diag = base
-    elif ordering == "symmetric":
-        diag = base + hbar * omega / 2.0
-    else:
-        raise ValueError("ordering must be 'normal' or 'symmetric'")
-    return np.diag(diag.astype(complex))
+        return base
+    if ordering == "symmetric":
+        return base + hbar * omega / 2.0
+    raise ValueError("ordering must be 'normal' or 'symmetric'")
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (
     CapacityError, StabilityError, block_width, check_capacity, check_finite,
-    point_blocks)
+    check_steps, point_blocks, step_count)
 
 __all__ = [
     "ChainParams",
@@ -297,40 +297,26 @@ def _stride_kernel(params: ChainParams, h: float, decay: float,
                    axis=-1)
 
 
-# Leapfrog steps one chain run may take, its step count rounded up to a
-# multiple of its stride.  The default relax run takes 40 000 and its ten
-# relaxation times at --alpha 1e-4 4.0e6 (1.0 s at stride 40, one x86_64
-# core).  A step costs from 0.25 us at stride 40 to 11 us at stride 1 on 2
-# sites and 36 us while a stride's kernel is built (`_stride_kernel`), so
-# the cap bounds a run at about 2.5 min, where --stride 1e12 made one stride
-# of 1e12 steps.
-MAX_CHAIN_STEPS = 2 ** 22
-
-
 def snapshot_count(params: ChainParams, duration: float, dt: float,
                    stride: int = 1) -> int:
     """Snapshots integrate_chain takes of a run: the initial state and one
-    every `stride` steps, the step count ceil(duration / dt), at least 1,
-    rounded up to a multiple of stride so that the run ends on one.  A
-    duration that is not positive and finite, or a step count that
-    overflows, raises FloatingPointError, a step at or beyond the stability
-    bound 2/w_max StabilityError, and a run of more than MAX_CHAIN_STEPS
-    steps CapacityError."""
+    every `stride` steps, `errors.step_count` of duration/dt rounded up to
+    a multiple of stride so that the run ends on one.  A duration that is
+    not positive and finite, or a step count that overflows, raises
+    FloatingPointError, a step at or beyond the stability bound 2/w_max
+    StabilityError, and `errors.check_steps` refuses a run over its cap."""
     check_finite(duration, "duration", positive=True)
     w_max = params.omega_max
     if dt >= 2.0 / w_max:
         raise StabilityError(
             f"dt = {dt:.4g} at or beyond the stability bound 2/w_max = {2.0 / w_max:.4g}"
         )
-    steps = check_finite(duration / dt,
+    n_steps = step_count(duration, dt,
                          f"step count duration/dt = {duration:g}/{dt:g}")
-    n_steps = max(1, math.ceil(steps - 1e-12))
     strides = math.ceil(n_steps / stride)
-    if stride * strides > MAX_CHAIN_STEPS:
-        raise CapacityError(
-            f"--stride {stride:.3g} leapfrog steps a snapshot x "
-            f"{strides:.3g} snapshots after the first exceed the cap of "
-            f"{MAX_CHAIN_STEPS} steps per chain run")
+    check_steps(stride * strides,
+                f"--stride {stride:.3g} leapfrog steps a snapshot x "
+                f"{strides:.3g} snapshots after the first")
     return strides + 1
 
 

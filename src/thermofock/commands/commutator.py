@@ -43,10 +43,11 @@ def run(args, report):
                "finite truncation balances: the commutator is traceless",
                abs(complex(np.trace(ladder_comm))), 0.0, 1e-12 * nmax * hbar)
 
-    h_sym = bargmann.hamiltonian_matrix("symmetric", args.omega, hbar, nmax)
-    h_norm = bargmann.hamiltonian_matrix("normal", args.omega, hbar, nmax)
-    gap = h_sym - h_norm
-    gap_dev = float(np.max(np.abs(gap - 0.5 * hbar * args.omega * np.eye(nmax + 1))))
+    levels_sym = bargmann.hamiltonian_levels("symmetric", args.omega, hbar,
+                                             nmax)
+    levels_norm = bargmann.hamiltonian_levels("normal", args.omega, hbar, nmax)
+    gap = levels_sym - levels_norm - 0.5 * hbar * args.omega
+    gap_dev = float(np.max(np.abs(gap)))
     report.add("ordering-gap-half-quantum",
                "symmetric minus normal ordering is exactly half a quantum "
                "times the identity",

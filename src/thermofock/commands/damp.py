@@ -12,7 +12,7 @@ def run(args, report):
     import numpy as np
 
     from .. import bargmann, dynamics, fits
-    from ..errors import check_capacity, check_finite
+    from ..errors import check_capacity, check_finite, check_steps, step_count
     from ..phasespace import leapfrog_map
 
     w = args.omega
@@ -40,8 +40,8 @@ def run(args, report):
     dt = args.dt if args.dt is not None else (2 * math.pi / w) / 256.0
     t_max = args.t_max if args.t_max is not None else 5.0 / alpha
     # a period 2 pi/omega or a run 5/alpha that overflowed, or both
-    steps = check_finite(t_max / dt, f"step count t-max/dt = {t_max:g}/{dt:g}")
-    n_steps = int(math.ceil(steps))
+    n_steps = step_count(t_max, dt, f"step count t-max/dt = {t_max:g}/{dt:g}")
+    check_steps(n_steps, f"the orbit over t-max/dt = {t_max:g}/{dt:g}")
     # the start, every stride-th step and the last step; the largest array
     # is the closed form's 2x2 flow at each snapshot
     stride = 4

@@ -15,10 +15,8 @@ def run(args, report):
         raise argparse.ArgumentTypeError(
             f"--grid {args.grid:.3g} must be at least 2 --nmax + 1 = "
             f"{2 * args.nmax + 1:.3g}: the profile's harmonics alias")
-    # the arrays the flags size, before the draw: the dense Hamiltonian,
-    # the complex profile on the grid and the requested times
-    check_capacity(2 * (args.nmax + 1) ** 2,
-                   f"the Hamiltonian at truncation {args.nmax:.3g}")
+    # the arrays the flags size, before the draw: the complex profile on
+    # the grid, which bounds --nmax too, and the requested times
     check_capacity(2 * args.grid, f"a profile on a grid of {args.grid:.3g}")
     check_capacity(args.n_times, f"{args.n_times:.3g} times")
     w = args.omega

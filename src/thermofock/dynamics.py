@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bargmann import FockVector, hamiltonian_matrix
+from .bargmann import FockVector, hamiltonian_levels
 from .errors import (
     POINT_BLOCK, SAMPLE_BLOCK, CapacityError, SamplerError, TruncationError,
-    block_width, check_finite, check_samples, figure, point_blocks)
+    block_width, check_finite, check_samples, check_steps, figure,
+    point_blocks, step_count)
 from .phasespace import leapfrog_map
 
 __all__ = [
@@ -87,7 +88,7 @@ def transport_solve(values: np.ndarray, t: float, omega: float,
         if t == 0:
             return values.copy()
         dphi = 2.0 * np.pi / values.size
-        n_steps = max(1, math.ceil(t / dt - 1e-12))
+        n_steps = step_count(t, dt, f"upwind step count t/dt = {t:g}/{dt:g}")
         dt_eff = t / n_steps
         nu = w * dt_eff / dphi
         if nu > 1.0 + 1e-12:
@@ -116,8 +117,7 @@ def schrodinger_evolve(f: FockVector, t: float, ordering: str,
     reciprocal the complex division by hbar forms, is refused by name.
     """
     check_finite(1.0 / float(f.hbar), "phase rate 1/hbar")
-    h = hamiltonian_matrix(ordering, omega, f.hbar, f.truncation)
-    energies = np.real(np.diag(h))
+    energies = hamiltonian_levels(ordering, omega, f.hbar, f.truncation)
     return FockVector(f.coeffs * np.exp(-1j * energies * t / f.hbar), f.hbar)
 
 
@@ -354,12 +354,6 @@ def _rejection_sample(f: FockVector, n_samples: int, seed):
                     held = 0
 
 
-# Leapfrog steps one ensemble run may take to build its interval maps.  A
-# step of the 2x2 map takes about 0.2 us (one x86_64 core), so the cap is
-# at most about 0.2 s of stepping: a thousand times the 1026 steps of the
-# default run (one period in 19 intervals of 54 steps, 0.2 ms), where
-# --t-max 1e300 would ask for 1e302.
-MAX_CLOUD_STEPS = 2 ** 20
 # Requested times x particle blocks one ensemble run may fold: every block
 # of `errors.SAMPLE_BLOCK` particles is folded into each requested time's
 # moment sums, whether or not time advances there.  An `ensemble` run
@@ -396,21 +390,20 @@ def _interval_maps(omega: float, times: np.ndarray, dt: float,
     the time before (from 0 for the first), or None where time does not
     advance.
 
-    Each interval is cut into the fewest equal steps no longer than `dt`,
-    and their total is capped at MAX_CLOUD_STEPS before a step is taken.
-    The leapfrog is linear, so an interval's steps compose to one map,
-    `phasespace.leapfrog_map`: ((m00, m01), (m10, m11)), its rows, as
-    floats."""
+    Each interval is cut into `errors.step_count` equal steps no longer
+    than `dt`, their total refused past its cap by `errors.check_steps`
+    before a step is taken.  The leapfrog is linear, so an interval's steps
+    compose to one map, `phasespace.leapfrog_map`: ((m00, m01), (m10,
+    m11)), its rows, as floats."""
     plan, t_prev = [], 0.0
     for t in times.tolist():
-        count = (max(1, math.ceil((t - t_prev) / dt - 1e-12))
+        count = (step_count(t - t_prev, dt,
+                            f"step count interval/dt = {t - t_prev:g}/{dt:g}")
                  if t > t_prev else 0)
         plan.append((count, (t - t_prev) / count if count else 0.0))
         t_prev = t
-    total = sum(count for count, _ in plan)
-    if total > MAX_CLOUD_STEPS:
-        raise CapacityError(f"{total:.3g} leapfrog steps exceed the cap of "
-                            f"{MAX_CLOUD_STEPS} per ensemble run")
+    check_steps(sum(count for count, _ in plan),
+                f"the ensemble's {len(plan)} intervals at dt = {dt:g}")
     return [leapfrog_map(omega, h, count, friction) if count else None
             for count, h in plan]
 
@@ -446,7 +439,7 @@ def ensemble_evolve(f: FockVector, omega: float, times, n_samples: int,
     and the requested times x particle blocks at MAX_CLOUD_FOLDS, and the
     interval maps are built (`_interval_maps`, each interval in the fewest
     equal steps no longer than `dt`, their total capped at
-    MAX_CLOUD_STEPS); each particle then moves once per interval by its map
+    `errors.MAX_STEPS`); each particle then moves once per interval by its map
     (the leapfrog's scheme, up to rounding).  Moment reports (mean z and
     |z|^2 with standard errors) are recorded at each requested time.
     Without friction, the exact law of the mean for a coherent state is

@@ -1,8 +1,8 @@
-"""Exception types shared across the package, the size cap on the arrays
-a run's flags size and the cap on a Monte Carlo run's samples, each with
-the one check against it, the one refusal of a float derived from the
-flags that left the float range, and the block rule of every pass that
-works in blocks."""
+"""Exception types shared across the package; the caps on the arrays a
+run's flags size, on a Monte Carlo run's samples and on a stepped run's
+leapfrog steps, each with its one check; the one rule that cuts a span into
+steps; the one refusal of a derived float that left the float range; and
+the block rule of every pass that works in blocks."""
 
 import math
 
@@ -37,6 +37,13 @@ MAX_SNAPSHOT_FLOATS = 2 ** 24
 # of one pair about 0.04 us, so 2**23 samples take about 5, 2 and 0.3 s,
 # where --samples 1e300 never ended.
 MAX_SAMPLES = 2 ** 23
+
+# Leapfrog steps one stepped run may take: a chain run's, rounded up to
+# whole strides, an ensemble's over all its intervals or a damp orbit's.
+# The default relax run takes 40 000, at --alpha 1e-4 4.0e6 (1.0 s at
+# stride 40, one x86_64 core); a chain step costs up to 36 us, so the cap
+# bounds a run at about 2.5 min, where relax --stride 1e12 took 1e12 steps.
+MAX_STEPS = 2 ** 22
 
 # Floats one block of any pass that works in blocks may hold, 512 KiB, so
 # a block and its temporaries stay in a 2 MiB L2 cache whatever a run's
@@ -111,6 +118,21 @@ def check_samples(samples: int, what: str) -> None:
             f"{what}: --samples {figure(samples)} is over the cap of "
             f"{MAX_SAMPLES} samples a run, which bounds its length (its "
             f"draws stream in fixed blocks, so not its memory)")
+
+
+def check_steps(steps: int, what: str) -> None:
+    """Refuse, before a step is taken, a stepped run of more than MAX_STEPS
+    leapfrog steps; `what` says how the run counts them."""
+    if steps > MAX_STEPS:
+        raise CapacityError(
+            f"{what}: {figure(steps)} leapfrog steps are over the cap of "
+            f"{MAX_STEPS} a run, which bounds its length")
+
+
+def step_count(span: float, dt: float, what: str) -> int:
+    """The fewest equal steps no longer than `dt` that cut `span`, at least
+    1; span/dt is refused by check_finite as `what`."""
+    return max(1, math.ceil(check_finite(span / dt, what) - 1e-12))
 
 
 def check_finite(value: float, what: str, positive: bool = False) -> float:

@@ -21,7 +21,7 @@ from thermofock.bargmann import (
     commutator,
     gram_montecarlo,
     gram_quadrature,
-    hamiltonian_matrix,
+    hamiltonian_levels,
     kernel_eval,
     lowering_matrix,
     quadrature_operators,
@@ -387,20 +387,21 @@ def test_position_momentum_commutator():
 
 
 def test_ordering_gap_is_half_quantum():
-    h_norm = hamiltonian_matrix("normal", 1.0, 1.0, 24)
-    h_sym = hamiltonian_matrix("symmetric", 1.0, 1.0, 24)
-    gap = h_sym - h_norm
+    levels_norm = hamiltonian_levels("normal", 1.0, 1.0, 24)
+    levels_sym = hamiltonian_levels("symmetric", 1.0, 1.0, 24)
+    assert levels_norm.dtype == float and levels_norm.shape == (25,)
+    np.testing.assert_array_equal(levels_norm, np.arange(25.0))
     # additive construction at hbar*omega = 1: the difference is exact
-    np.testing.assert_array_equal(gap, 0.5 * np.eye(25))
+    np.testing.assert_array_equal(levels_sym - levels_norm, np.full(25, 0.5))
 
 
 def test_ordering_gap_generic_frequency():
     hbar = 0.37
-    h_norm = hamiltonian_matrix("normal", math.pi, hbar, 10)
-    h_sym = hamiltonian_matrix("symmetric", math.pi, hbar, 10)
+    levels_norm = hamiltonian_levels("normal", math.pi, hbar, 10)
+    levels_sym = hamiltonian_levels("symmetric", math.pi, hbar, 10)
     # generic hbar*omega: the additive construction leaves at most 1 ulp
-    np.testing.assert_allclose(h_sym - h_norm,
-                               0.5 * hbar * math.pi * np.eye(11), rtol=4e-15)
+    np.testing.assert_allclose(levels_sym - levels_norm,
+                               np.full(11, 0.5 * hbar * math.pi), rtol=4e-15)
 
 
 # -- FockVector basics ---------------------------------------------------------
@@ -429,8 +430,7 @@ def test_normalized_and_zero_vector_guards():
 
 @pytest.mark.parametrize("build, floats", [
     (lambda n: lowering_matrix(n, 1.0), lambda n: 2 * (n + 1) ** 2),
-    (lambda n: hamiltonian_matrix("normal", 1.0, 1.0, n),
-     lambda n: 2 * (n + 1) ** 2),
+    (lambda n: hamiltonian_levels("normal", 1.0, 1.0, n), lambda n: n + 1),
     (lambda n: coherent_vector(0.5, n, 1.0).coeffs, lambda n: 2 * (n + 1)),
     # the quadrature Gram's angular powers, n + 1 rows of 2n + 3 roots
     (lambda n: gram_quadrature(n, 1.0), lambda n: 2 * (n + 1) * (2 * n + 3)),

@@ -395,8 +395,18 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
              "finite"),
             (("relax", "--dt=5e-324", "--seed=1"),
              "step count duration/dt = 1000/4.94066e-324 = inf must be "
-             "finite")):
+             "finite"),
+            (("ensemble", "--omega=1e10", "--t-max=1e300", "--seed=1"),
+             "step count interval/dt = 5.26316e+298/6.13592e-13 = inf must "
+             "be finite")):
         exits_three(*args, names=quantity)
+    # a step count past the largest float, named by errors.figure at the
+    # step cap, where formatting it ended on Python's own text
+    for args, steps in ((("--t-max=1e307",), "1.63e+309"),
+                        (("--omega=1e300", "--t-max=1.46e6", "--n-times=3"),
+                         "2.38e+308")):
+        exits_three("ensemble", *args, "--seed=1", names=(
+            f"{steps} leapfrog steps are over the cap of 4194304 a run"))
     # gamma 1e-300 against gamma_c 1: the zero mode's displacement spread
     # buries every other mode's under its rounding, refused before the draw
     # where relax went on to blame dt for the energy the rounding made
@@ -486,10 +496,10 @@ def test_oversize_sample_exits_three():
 
 def test_flag_sized_arrays_are_refused_before_the_draw(monkeypatch):
     # the cap patched down to one dense 17 x 17 complex matrix, 578 floats:
-    # evolve's Hamiltonian, grid profile and times, variation's defects and
-    # steps, and the chain's thermal state are each refused one float past
-    # it, before a random number is drawn (at 1e6 sites, steps or a
-    # truncation the draw came first and ran for seconds to minutes)
+    # evolve's grid profile and times, variation's defects and steps, and
+    # the chain's thermal state are each refused one float past it, before
+    # a random number is drawn (at 1e6 sites, steps or a truncation the
+    # draw came first and ran for seconds to minutes)
     import numpy as np
 
     from thermofock import errors
@@ -504,7 +514,6 @@ def test_flag_sized_arrays_are_refused_before_the_draw(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(np.random, "default_rng", no_draw)
         for argv, what in (
-                (("evolve", "--nmax", "17", "--grid", "64"), "Hamiltonian"),
                 (("evolve", "--nmax", "16", "--grid", "290"), "grid of 290"),
                 ((*evolve, "--n-times", "579"), "579 times"),
                 (("variation", "--count", "579"), "579 generators"),
@@ -650,24 +659,39 @@ def test_runaway_runs_are_refused_before_the_draw(monkeypatch):
 
 def test_sample_and_chain_step_caps_pass_a_run_at_the_cap(monkeypatch):
     # errors.MAX_SAMPLES is the one Monte Carlo cap of gram, partition and
-    # ensemble, and chain.MAX_CHAIN_STEPS caps a chain run's leapfrog steps
-    # (the default relax run takes 40 000): each refuses one past it, and a
-    # run at it goes on to its checks
-    from thermofock import chain, errors
+    # ensemble, and errors.MAX_STEPS the one leapfrog step cap of the chain,
+    # ensemble and damp runs: each refuses one past it, and a run at it
+    # goes on to its checks
+    from thermofock import errors
 
-    monkeypatch.setattr(errors, "MAX_SAMPLES", 1000)
-    monkeypatch.setattr(chain, "MAX_CHAIN_STEPS", 40_000)
-    for argv, at_cap, past in (
-            (("gram", "--samples"), "1000", "1001"),
-            (("partition", "--samples"), "1000", "1001"),
-            (("ensemble", "--samples"), "1000", "1001"),
-            (("relax", "--dt"), "0.025", "0.0249")):
-        outcome = evaluate(*argv, past, "--seed", "1")
+    def refused_past_the_cap(argv):
+        outcome = evaluate(*argv)
         assert outcome.code == cli.EXIT_NUMERICAL, (argv, outcome.error)
-        assert outcome.report.checks[0].measured.startswith("CapacityError")
-        outcome = evaluate(*argv, at_cap, "--seed", "1")
+        measured = outcome.report.checks[0].measured
+        assert measured.startswith("CapacityError"), measured
+        return measured
+
+    def passes_at_the_cap(argv):
+        outcome = evaluate(*argv)
         assert outcome.code in (cli.EXIT_PASS, cli.EXIT_CHECK_FAILURE), (
             argv, outcome.error)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(errors, "MAX_SAMPLES", 1000)
+        for command in ("gram", "partition", "ensemble"):
+            refused_past_the_cap((command, "--samples", "1001", "--seed", "1"))
+            passes_at_the_cap((command, "--samples", "1000", "--seed", "1"))
+    # the default runs, the cap patched one step below and then to their
+    # counts: relax 1000/0.025 steps, ensemble one period in 19 intervals
+    # of 54, damp 5/alpha at 256 steps a period
+    for argv, steps in ((("relax", "--seed", "1"), 40_000),
+                        (("ensemble", "--seed", "1"), 1026),
+                        (("damp",), 20_372)):
+        monkeypatch.setattr(errors, "MAX_STEPS", steps - 1)
+        measured = refused_past_the_cap(argv)
+        assert f"{errors.figure(steps)} leapfrog steps" in measured, measured
+        monkeypatch.setattr(errors, "MAX_STEPS", steps)
+        passes_at_the_cap(argv)
 
 
 def test_capacity_messages_write_counts_to_three_digits():

@@ -149,6 +149,31 @@ def test_errors_alone_formats_a_finite_refusal():
                     if module.split(".")[0] == "numpy"}, name
 
 
+def _rounds_a_span_over_a_step(node):
+    """`node` is math.ceil(... - 1e-12), the step rule's rounding."""
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            == "ceil"
+            and len(node.args) == 1 and isinstance(node.args[0], ast.BinOp)
+            and isinstance(node.args[0].op, ast.Sub)
+            and isinstance(node.args[0].right, ast.Constant)
+            and node.args[0].right.value == 1e-12)
+
+
+def test_errors_alone_cuts_a_span_into_steps():
+    # every stepped run takes its step count from errors.step_count and is
+    # capped by errors.check_steps, so no other module rounds a span over a
+    # step or defines a *_STEPS cap of its own
+    rounding = sorted({_name(path) for path in MODULES
+                       for node in ast.walk(_tree(path))
+                       if _rounds_a_span_over_a_step(node)})
+    assert rounding == ["errors"]
+    caps = sorted(f"{_name(path)}.{name}" for path in MODULES
+                  for name in _definitions(_tree(path))
+                  if name.endswith("_STEPS"))
+    assert caps == ["errors.MAX_STEPS"]
+
+
 def test_check_finite_returns_the_value_or_names_it():
     from thermofock.errors import check_finite
 
