@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (
     POINT_BLOCK, CapacityError, TruncationError, block_width, check_capacity,
-    check_samples, point_blocks)
+    check_finite, check_samples, point_blocks)
 
 __all__ = [
     "FockVector",
@@ -282,6 +282,7 @@ def lowering_matrix(n_max: int, hbar: float) -> np.ndarray:
     """
     check_capacity(2 * (n_max + 1) ** 2,
                    f"the lowering matrix at truncation {n_max:.3g}")
+    check_finite(n_max * hbar, "top squared ladder entry n_max hbar")
     m = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     m[np.arange(n_max), np.arange(1, n_max + 1)] = np.sqrt(
         np.arange(1, n_max + 1) * hbar)
@@ -313,6 +314,7 @@ def hamiltonian_levels(ordering: str, omega: float, hbar: float,
     """
     check_capacity(n_max + 1,
                    f"the Hamiltonian's levels at truncation {n_max:.3g}")
+    check_finite(hbar * omega * n_max, "top energy hbar omega n_max")
     base = hbar * omega * np.arange(n_max + 1, dtype=float)
     if ordering == "normal":
         return base

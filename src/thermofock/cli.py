@@ -323,11 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 class Outcome:
     """One run in memory: exit code, report, the tables to write beside it,
-    and, for a run that ended early, what standard error is told."""
+    {csv_name: numpy record array}, and, for a run that ended early, what
+    standard error is told."""
 
-    def __init__(self, code, report, tables=(), error=""):
+    def __init__(self, code, report, tables=None, error=""):
         self.code, self.report = code, report
-        self.tables, self.error = tables, error
+        self.tables, self.error = tables or {}, error
 
 
 def evaluate(args) -> Outcome:
@@ -402,8 +403,8 @@ def main(argv=None) -> int:
         outdir, args.command.replace("-", "_") + "_report.json")
     try:
         outcome.report.write(report_path)
-        for name, header, rows in outcome.tables:
-            write_csv(os.path.join(outdir, name), header, rows)
+        for name, rows in outcome.tables.items():
+            write_csv(os.path.join(outdir, name), rows)
     except (OSError, TypeError) as exc:
         # a file that cannot be written, or a report value with no JSON
         # form, which write refuses before it opens the file

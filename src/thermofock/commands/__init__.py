@@ -2,8 +2,9 @@
 
 `commands/<command>.py`, `-` written `_`, defines `run(args, report)`: it
 adds its checks to the report `cli.evaluate` built and returns its tables,
-[(csv_name, header, rows)].  `cli.RUNNERS` imports a command's module on
-its first call, so a run compiles and executes only its own runner.
+{csv_name: rows}, each a numpy record array whose field names are the CSV
+header.  `cli.RUNNERS` imports a command's module on its first call, so a
+run compiles and executes only its own runner.
 
 A command module never imports `thermofock.cli`: under
 `python -m thermofock.cli` that module runs as `__main__`, and importing it

@@ -39,9 +39,6 @@ def run(args, report):
                "within the frequency resolution",
                float(np.max(resolved)) if resolved.size else math.nan,
                0.0, resolution)
-    rows = [(float(k[j]), float(expected[j]),
-             float(measured[j]), float(errors[j]), bool(skipped[j]))
-            for j in range(params.n_sites)]
-    return [("chain_dispersion.csv",
-             ["k", "omega_expected", "omega_measured", "error",
-              "skipped"], rows)]
+    return {"chain_dispersion.csv": np.rec.fromarrays(
+        [k, expected, measured, errors, skipped],
+        names=["k", "omega_expected", "omega_measured", "error", "skipped"])}

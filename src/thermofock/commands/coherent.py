@@ -58,6 +58,8 @@ def run(args, report):
                float(np.max(np.abs(lowered[:-1] - scaled))), 0.0,
                1e-12 * float(np.max(np.abs(scaled))))
 
-    rows = [(n, f.coeffs[n].real, f.coeffs[n].imag, abs(f.coeffs[n]))
-            for n in range(f.truncation + 1)]
-    return [("coherent_coefficients.csv", ["n", "real", "imag", "abs"], rows)]
+    re, im = f.coeffs.real, f.coeffs.imag
+    # np.hypot rounds as abs() of each complex; np.abs of the array does not
+    return {"coherent_coefficients.csv": np.rec.fromarrays(
+        [np.arange(f.coeffs.size), re, im, np.hypot(re, im)],
+        names=["n", "real", "imag", "abs"])}

@@ -53,6 +53,7 @@ def run(args, report):
                "times the identity",
                gap_dev, 0.0, 0.0)
 
-    rows = [(n, ladder_dev[n, n], qp_dev[n, n]) for n in range(nmax)]
-    return [("commutator_residuals.csv",
-             ["n", "ladder_residual", "quadrature_residual"], rows)]
+    return {"commutator_residuals.csv": np.rec.fromarrays(
+        [np.arange(nmax), ladder_dev.diagonal()[:nmax],
+         qp_dev.diagonal()[:nmax]],
+        names=["n", "ladder_residual", "quadrature_residual"])}

@@ -5,6 +5,8 @@ import math
 
 
 def run(args, report):
+    import numpy as np
+
     from .. import chain
     from ..errors import check_finite
 
@@ -39,8 +41,6 @@ def run(args, report):
                "the massless chain disperses linearly at small wavenumber",
                abs(chain.dispersion(k, massless) - abs(k)), 0.0,
                1.01 * abs(k) ** 3 * a_small ** 2 / 24.0)
-    rows = [(spacings[i], errors[i],
-             factors[i] if i < len(factors) else math.nan)
-            for i in range(len(spacings))]
-    return [("continuum_errors.csv",
-             ["spacing", "error", "factor_vs_next"], rows)]
+    return {"continuum_errors.csv": np.rec.fromarrays(
+        [spacings, errors, factors + [math.nan]],
+        names=["spacing", "error", "factor_vs_next"])}

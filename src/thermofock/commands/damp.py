@@ -142,8 +142,6 @@ def run(args, report):
                "monotonically under damping",
                increase, 0.0, 0.0)
 
-    rows = list(zip(times.tolist(), q_closed.tolist(), p_closed.tolist(),
-                    qs.tolist(), ps.tolist()))
-    return [("damp_trajectory.csv",
-             ["t", "q_closed", "p_closed", "q_leapfrog", "p_leapfrog"],
-             rows)]
+    return {"damp_trajectory.csv": np.rec.fromarrays(
+        [times, q_closed, p_closed, qs, ps],
+        names=["t", "q_closed", "p_closed", "q_leapfrog", "p_leapfrog"])}

@@ -63,7 +63,7 @@ def run(args, report):
         abs2_oracle = 0.5 * (hbar * float(np.sum(flow * flow))
                              + float(mean @ mean))
         abs2_devs.append(abs(rep.abs2_mean - abs2_oracle) / rep.abs2_se)
-        rows.append((float(t), rep.mean.real, rep.mean.imag, se_re, se_im,
+        rows.append((t, rep.mean.real, rep.mean.imag, se_re, se_im,
                      oracle.real, oracle.imag, rep.abs2_mean, rep.abs2_se,
                      abs2_oracle))
     worst_mean = float(np.max(mean_devs))
@@ -79,7 +79,7 @@ def run(args, report):
     report.add("sampler-efficiency",
                "rejection sampling stayed above the efficiency floor",
                history.acceptance_rate, 1.0, 1.0 - 1e-3)
-    return [("ensemble_moments.csv",
-             ["t", "mean_re", "mean_im", "se_re", "se_im",
-              "oracle_re", "oracle_im", "abs2", "abs2_se",
-              "abs2_oracle"], rows)]
+    return {"ensemble_moments.csv": np.rec.fromrecords(
+        rows, names=["t", "mean_re", "mean_im", "se_re", "se_im",
+                     "oracle_re", "oracle_im", "abs2", "abs2_se",
+                     "abs2_oracle"])}

@@ -32,7 +32,6 @@ def run(args, report):
 
     # per-time deviations; np.max keeps a NaN that max() would drop
     dists, route_devs, phase_devs = [], [], []
-    rows = []
     for t in times:
         ft = dynamics.schrodinger_evolve(f, float(t), "normal", w)
         transported = dynamics.transport_solve(prof0, float(t), w, "spectral")
@@ -44,7 +43,6 @@ def run(args, report):
         sym = dynamics.schrodinger_evolve(f, float(t), "symmetric", w)
         phase = np.exp(-0.5j * w * float(t))
         phase_devs.append(np.max(np.abs(sym.coeffs - phase * ft.coeffs)))
-        rows.append((float(t), dist))
     worst_l2 = float(np.max(dists))
     worst_route = float(np.max(route_devs))
     worst_phase = float(np.max(phase_devs))
@@ -59,4 +57,5 @@ def run(args, report):
     report.add("symmetric-global-phase",
                "symmetric ordering differs only by the half-quantum global phase",
                worst_phase, 0.0, 1e-12)
-    return [("evolve_distance.csv", ["t", "l2_distance"], rows)]
+    return {"evolve_distance.csv": np.rec.fromarrays(
+        [times, dists], names=["t", "l2_distance"])}

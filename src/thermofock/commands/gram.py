@@ -17,10 +17,10 @@ def run(args, report):
     report.add("gram-quadrature-identity",
                "quadrature Gram matrix of the orthonormal basis equals the identity",
                worst, 0.0, 1e-10)
-    rows = [(i, j, g[i, j].real, g[i, j].imag, dev[i, j])
-            for i in range(dim) for j in range(dim)]
-    tables = [("gram_quadrature.csv",
-               ["i", "j", "real", "imag", "deviation"], rows)]
+    i, j = (index.ravel() for index in np.indices((dim, dim)))
+    tables = {"gram_quadrature.csv": np.rec.fromarrays(
+        [i, j, g.real.ravel(), g.imag.ravel(), dev.ravel()],
+        names=["i", "j", "real", "imag", "deviation"])}
     if args.samples:
         gm, se = bargmann.gram_montecarlo(args.nmax, args.hbar,
                                           args.samples, args.seed)
@@ -33,8 +33,8 @@ def run(args, report):
                    "Monte Carlo Gram matrix is the identity within 3 standard "
                    "errors per entry",
                    worst_ratio, 0.0, 3.0, stderr=float(np.max(se)))
-        tables.append(("gram_montecarlo.csv",
-                       ["i", "j", "real", "imag", "stderr", "deviation_over_se"],
-                       [(i, j, gm[i, j].real, gm[i, j].imag, se[i, j], ratio[i, j])
-                        for i in range(dim) for j in range(dim)]))
+        tables["gram_montecarlo.csv"] = np.rec.fromarrays(
+            [i, j, gm.real.ravel(), gm.imag.ravel(), se.ravel(),
+             ratio.ravel()],
+            names=["i", "j", "real", "imag", "stderr", "deviation_over_se"])
     return tables

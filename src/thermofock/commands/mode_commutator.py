@@ -19,6 +19,6 @@ def run(args, report):
                "each mode's ladder commutator equals the uniform action "
                "scale exactly on interior states",
                worst_diag, 0.0, 0.0)
-    rows = [(j, l, residual[j, l])
-            for j in range(args.modes) for l in range(args.modes)]
-    return [("mode_commutator_residuals.csv", ["j", "l", "residual"], rows)]
+    j, l = (index.ravel() for index in np.indices(residual.shape))
+    return {"mode_commutator_residuals.csv": np.rec.fromarrays(
+        [j, l, residual.ravel()], names=["j", "l", "residual"])}

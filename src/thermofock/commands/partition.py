@@ -4,6 +4,8 @@ from . import pairs_matrix
 
 
 def run(args, report):
+    import numpy as np
+
     from .. import bath
     from ..errors import check_finite
 
@@ -29,6 +31,6 @@ def run(args, report):
                "the Monte Carlo action cell is statistically consistent "
                "with the closed form",
                mc_h, oracle, 4.0 * mc_se, stderr=mc_se)
-    rows = [("analytic", an_z, an_h, an_se), ("montecarlo", mc_z, mc_h, mc_se)]
-    return [("partition_results.csv",
-             ["method", "z_value", "h", "stderr"], rows)]
+    return {"partition_results.csv": np.rec.fromrecords(
+        [("analytic", an_z, an_h, an_se), ("montecarlo", mc_z, mc_h, mc_se)],
+        names=["method", "z_value", "h", "stderr"])}

@@ -59,9 +59,8 @@ def run(args, report):
                    "step-size tolerance",
                    float(np.max(np.abs(energies - e0)) / e0) if e0 > 0 else 0.0,
                    0.0, (params.omega_max * args.dt) ** 2 / 2.0)
-    energy_rows = list(zip(times.tolist(), energies.tolist()))
-    k = params.wavenumbers
-    rate_rows = [(float(k[j]), float(rates[j]), target)
-                 for j in range(params.n_sites)]
-    return [("relax_energy.csv", ["t", "energy"], energy_rows),
-            ("relax_rates.csv", ["k", "rate", "target_rate"], rate_rows)]
+    return {"relax_energy.csv": np.rec.fromarrays(
+                [times, energies], names=["t", "energy"]),
+            "relax_rates.csv": np.rec.fromarrays(
+                [params.wavenumbers, rates, np.full_like(rates, target)],
+                names=["k", "rate", "target_rate"])}

@@ -46,10 +46,9 @@ def run(args, report):
                "rescaled thermal amplitudes share one action scale "
                "1/(beta omega(0)) across all modes",
                dev_stat, 0.0, 4.0 * math.sqrt(n), stderr=math.sqrt(n))
-    k = params.wavenumbers
-    rows = [(float(k[j]), float(omega[j]), float(lam[j]),
-             float(abs(amps[j])), float(abs(rescaled[j])))
-            for j in range(n)]
-    return [("rescale_modes.csv",
-             ["k", "omega", "lambda", "abs_amplitude",
-              "abs_amplitude_rescaled"], rows)]
+    # np.hypot rounds as abs() of each complex; np.abs of the array does not
+    return {"rescale_modes.csv": np.rec.fromarrays(
+        [params.wavenumbers, omega, lam, np.hypot(amps.real, amps.imag),
+         np.hypot(rescaled.real, rescaled.imag)],
+        names=["k", "omega", "lambda", "abs_amplitude",
+               "abs_amplitude_rescaled"])}

@@ -54,8 +54,8 @@ def run(args, report):
                "the sphere area 4 pi R^2 equals the action cell at the "
                "matching radius",
                area, h_oracle, 1e-12 * h_oracle)
-    rows = [(args.samples, ks_radial, ks_angular, threshold, t_min, area,
-             h_oracle)]
-    return [("sphere_check.csv",
-             ["n_samples", "ks_radial", "ks_angular", "threshold_99",
-              "t_min", "h_sphere", "h_oracle"], rows)]
+    return {"sphere_check.csv": np.rec.fromrecords(
+        [(args.samples, ks_radial, ks_angular, threshold, t_min, area,
+          h_oracle)],
+        names=["n_samples", "ks_radial", "ks_angular", "threshold_99",
+               "t_min", "h_sphere", "h_oracle"])}

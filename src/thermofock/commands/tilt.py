@@ -40,9 +40,8 @@ def run(args, report):
     report.add("tilt-components-uncorrelated",
                "the tilt leaves the components uncorrelated",
                abs(cov), 0.0, 4.0 * cov_se, stderr=cov_se)
-    rows = [(n, mean.real, mean.imag, se_re, se_im,
-             center.real, center.imag, var_re, var_im, cov)]
-    return [("tilt_moments.csv",
-             ["n_samples", "mean_re", "mean_im", "se_re", "se_im",
-              "center_re", "center_im", "var_re", "var_im", "cov"],
-             rows)]
+    return {"tilt_moments.csv": np.rec.fromrecords(
+        [(n, mean.real, mean.imag, se_re, se_im,
+          center.real, center.imag, var_re, var_im, cov)],
+        names=["n_samples", "mean_re", "mean_im", "se_re", "se_im",
+               "center_re", "center_im", "var_re", "var_im", "cov"])}

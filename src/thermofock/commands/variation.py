@@ -51,7 +51,7 @@ def run(args, report):
                "the energy change along the generated flow scales "
                "quadratically in the step",
                slope, 2.0, 0.1)
-    return [("variation_defects.csv", ["index", "defect"],
-             list(enumerate(defects))),
-            ("variation_taylor.csv", ["dt", "energy_change"],
-             list(zip(dts.tolist(), changes.tolist())))]
+    return {"variation_defects.csv": np.rec.fromarrays(
+                [np.arange(len(defects)), defects], names=["index", "defect"]),
+            "variation_taylor.csv": np.rec.fromarrays(
+                [dts, changes], names=["dt", "energy_change"])}

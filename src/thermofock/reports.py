@@ -13,6 +13,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .errors import block_width, point_blocks
+
 __all__ = ["CheckRecord", "ExperimentReport", "write_csv"]
 
 SCHEMA_VERSION = "1"
@@ -81,20 +83,17 @@ class ExperimentReport:
             fh.write(text)
 
 
-def _cell(value) -> str:
-    if isinstance(value, np.floating):
-        value = float(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_csv(path, header, rows):
-    """UTF-8 CSV with a header row; floats at full round-trip precision."""
+def write_csv(path, rows):
+    """`rows`, a numpy record array, as UTF-8 CSV: a header row of its field
+    names, then its records, floats at full round-trip precision.  The
+    cells are made a column at a time, in blocks of rows sized so that
+    their cells, about 8 floats each as Python objects, fill one block."""
     import csv
 
+    names = rows.dtype.names
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerow(names)
+        for block in point_blocks(len(rows), block_width(8 * len(names))):
+            writer.writerows(zip(*(rows[name][block].tolist()
+                                   for name in names)))

@@ -1003,12 +1003,11 @@ def test_massless_dispersion_is_nearly_linear():
 # -- rescaled modes, through the CLI -------------------------------------------
 
 def _passes_every_check(*argv):
-    """Runs the CLI in-process and returns the rows of each table, as dicts
-    by column, by CSV name, after asserting exit 0: every check passed."""
+    """Runs the CLI in-process and returns its tables, record arrays by CSV
+    name, after asserting exit 0: every check passed."""
     outcome = cli.evaluate(cli.build_parser().parse_args(argv))
     assert outcome.code == cli.EXIT_PASS, argv
-    return {name: [dict(zip(header, row)) for row in rows]
-            for name, header, rows in outcome.tables}
+    return outcome.tables
 
 
 def test_rescale_preserves_energy():
@@ -1020,9 +1019,8 @@ def test_rescale_is_identity_on_a_flat_band():
     rows = _passes_every_check("rescale", "--seed", "1", "--sites", "8",
                                "--gamma-couple", "0")["rescale_modes.csv"]
     assert len(rows) == 8
-    for row in rows:
-        assert float(row["lambda"]) == 1.0
-        assert row["abs_amplitude_rescaled"] == row["abs_amplitude"]
+    assert np.all(rows["lambda"] == 1.0)
+    assert np.array_equal(rows["abs_amplitude_rescaled"], rows["abs_amplitude"])
 
 
 def test_rescaled_equipartition_shares_one_hbar():
@@ -1099,7 +1097,7 @@ def test_relaxation_rates_and_energy_decay():
     # mode-envelope-rates, energy-exponential-decay and
     # energy-monotone-nonincreasing at the defaults: 16 sites, alpha = 0.01
     rows = _passes_every_check("relax", "--seed", "5")["relax_rates.csv"]
-    rates = np.array([float(row["rate"]) for row in rows])
+    rates = rows["rate"]
     assert np.all(rates[~np.isnan(rates)] > 0) and not np.all(np.isnan(rates))
 
 
@@ -1107,8 +1105,8 @@ def test_relaxation_control_run_conserves_energy():
     # control-energy-conserved: without friction no rate is fitted
     rows = _passes_every_check("relax", "--alpha", "0",
                                "--seed", "5")["relax_rates.csv"]
-    assert all(math.isnan(float(row["rate"])) for row in rows)
-    assert all(float(row["target_rate"]) == 0.0 for row in rows)
+    assert np.all(np.isnan(rows["rate"]))
+    assert np.all(rows["target_rate"] == 0.0)
 
 
 def test_relaxation_rejects_negative_alpha(usage_error):

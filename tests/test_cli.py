@@ -407,6 +407,16 @@ def test_numerical_failure_exits_three_with_diagnostic_report(tmp_path, capsys):
                          "2.38e+308")):
         exits_three("ensemble", *args, "--seed=1", names=(
             f"{steps} leapfrog steps are over the cap of 4194304 a run"))
+    # the top entry of the lowering matrix or of the Hamiltonian's levels
+    # overflows: named, where numpy's message named an operation
+    for value in ("1e307", "1.7976931348623157e308"):
+        exits_three("commutator", "--hbar", value, names=(
+            "top squared ladder entry n_max hbar = inf must be finite"))
+        for args in (("commutator", "--omega", value),
+                     ("evolve", "--seed", "1", "--hbar", value),
+                     ("evolve", "--seed", "1", "--omega", value)):
+            exits_three(*args, names=(
+                "top energy hbar omega n_max = inf must be finite"))
     # gamma 1e-300 against gamma_c 1: the zero mode's displacement spread
     # buries every other mode's under its rounding, refused before the draw
     # where relax went on to blame dt for the energy the rounding made
@@ -905,9 +915,11 @@ def test_output_failures_keep_the_exit_code_contract(tmp_path, capsys,
     # an output directory that cannot be made is a usage error, met before
     # the runner; a table or report that cannot be written is an internal
     # error, not a failed check
+    import numpy as np
+
     ran = []
     monkeypatch.setitem(cli.RUNNERS, "coherent", lambda args, report: (
-        ran.append(args) or [("t.csv", ["x"], [(1,)])]))
+        ran.append(args) or {"t.csv": np.rec.fromrecords([(1,)], names="x")}))
     (tmp_path / "file").write_text("")
     argv = ["coherent", "--outdir", str(tmp_path / "file")]
     assert cli.main(argv) == cli.EXIT_USAGE and not ran
@@ -918,6 +930,21 @@ def test_output_failures_keep_the_exit_code_contract(tmp_path, capsys,
         assert cli.main(argv) == cli.EXIT_INTERNAL, name
         assert capsys.readouterr().err.startswith("internal error: "), name
     assert len(ran) == 2
+
+
+def test_a_long_table_is_written_from_its_arrays(tmp_path, traced_peak):
+    # damp's 203 720 snapshots at --t-max 20000: the run's arrays, its
+    # table of five float columns among them, trace about 27 MiB.  Rows of
+    # Python floats, built by the runner and formatted a cell at a time,
+    # traced 67 MiB
+    outdir = str(tmp_path)
+    code, peak = traced_peak(
+        lambda: cli.main(["damp", "--t-max", "20000", "--outdir", outdir]),
+        lambda: cli.main(["damp", "--outdir", outdir]))
+    assert code == cli.EXIT_PASS
+    assert peak < 35 * 2 ** 20
+    with open(tmp_path / "damp_trajectory.csv", encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 1 + 203_720
 
 
 def test_an_unencodable_report_is_an_internal_error(tmp_path, capsys,

@@ -39,45 +39,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from test_golden import bench_run_module  # noqa: E402
 from thermofock import cli  # noqa: E402
 
-CHECKS = {
-    "chain-dispersion": ["all-modes-resolved",
-                         "dispersion-peaks-within-resolution"],
-    "relax": ["mode-envelope-rates", "energy-exponential-decay",
-              "energy-monotone-nonincreasing"],
-    "relax-control": ["control-energy-conserved"],
-    "coherent": ["coherent-norm-completeness", "coherent-kernel-pairing",
-                 "coherent-ladder-eigenvalue"],
-    "commutator": ["ladder-commutator-interior",
-                   "position-momentum-commutator-interior",
-                   "commutator-trace-zero", "ordering-gap-half-quantum"],
-    "variation": ["antisymmetric-defect", "taylor-slope-second-order"],
-    "evolve": ["transport-vs-schrodinger", "schrodinger-normal-vs-exact",
-               "symmetric-global-phase"],
-    "gram": ["gram-quadrature-identity", "gram-montecarlo-3se"],
-    "ensemble": ["ensemble-mean-trace", "ensemble-second-moment",
-                 "sampler-efficiency"],
-    "damp": ["envelope-rate-fit", "envelope-ratio-ten-cycles",
-             "closed-form-vs-leapfrog", "long-time-decay",
-             "control-energy-constant", "control-leapfrog-energy",
-             "fock-amplitudes-monotone"],
-    "partition": ["analytic-action-cell", "montecarlo-action-cell-1pct",
-                  "montecarlo-action-cell-4se"],
-    "tilt": ["tilt-mean-shift", "tilt-variance-unchanged",
-             "tilt-components-uncorrelated"],
-    "sphere": ["sphere-radial-exponential", "sphere-angle-uniform",
-               "sphere-area-matches-action-cell"],
-    "continuum": ["zone-center-exact", "error-quarters-when-spacing-halves",
-                  "massless-linear-dispersion"],
-    "rescale": ["mode-sum-diagonalizes-energy",
-                "rescaled-single-frequency-energy", "mode-transform-roundtrip",
-                "zero-mode-unrescaled", "uniform-action-equipartition"],
-    "mode-commutator": ["cross-mode-commutators-vanish",
-                        "same-mode-commutator-exact"],
-}
-FAILURES = {cli.EXIT_NUMERICAL: ["numerical-failure"],
-            cli.EXIT_INTERNAL: ["internal-error"]}
+# the check names each run must report: the benchmark's gate table, plus the
+# Monte Carlo Gram check, which the fuzzed gram runs take, and relax's
+# frictionless control run, which the benchmark does not run
+BENCH_CHECKS = bench_run_module().CHECKS
+CHECKS = {**BENCH_CHECKS,
+          "gram": BENCH_CHECKS["gram"] + ("gram-montecarlo-3se",),
+          "relax-control": ("control-energy-conserved",)}
+FAILURES = {cli.EXIT_NUMERICAL: ("numerical-failure",),
+            cli.EXIT_INTERNAL: ("internal-error",)}
 DT_BOUND = 2.0 / math.sqrt(5.0)     # 2 / w_max at the default stiffnesses
 
 
@@ -103,7 +76,7 @@ def assert_contract(argv, key):
     if code == cli.EXIT_USAGE:
         return outcome
     checks = outcome.report.checks
-    names = [check.name for check in checks]
+    names = tuple(check.name for check in checks)
     if code in FAILURES:
         assert names == FAILURES[code], argv
     else:

@@ -51,7 +51,7 @@ EXTREME_VALUES = ("5e-324", "1e-300", "1e300", "-1e300")
 BARE_ARITHMETIC = ("ZeroDivisionError:", "OverflowError:", " encountered in ")
 
 
-def _bench_run():
+def bench_run_module():
     """`bench/run.py` as a module; it imports its sibling `tracer`."""
     spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
     module = importlib.util.module_from_spec(spec)
@@ -71,7 +71,7 @@ def _sha(data: bytes) -> str:
 def golden_runs(workdir: Path) -> dict:
     """Invocation label -> exit code and output digests, each invocation
     run once in its own empty directory under `workdir`."""
-    bench = _bench_run()
+    bench = bench_run_module()
     env = bench.child_env()
     runs = {}
     for workload in bench.WORKLOADS.values():

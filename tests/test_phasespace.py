@@ -158,9 +158,8 @@ def test_orbit_sampling_and_stride():
     # snapshot the one before moved by its stride's leapfrog map
     outcome = cli.evaluate(cli.build_parser().parse_args(
         ["damp", "--alpha", "0.2"]))
-    (_, header, rows), = outcome.tables
-    t, q, p = (np.array([row[header.index(name)] for row in rows])
-               for name in ("t", "q_leapfrog", "p_leapfrog"))
+    table, = outcome.tables.values()
+    t, q, p = (table[name] for name in ("t", "q_leapfrog", "p_leapfrog"))
     dt = 2 * math.pi / 256
     steps = np.r_[np.arange(0, 1017, 4), 1019]
     assert t.tobytes() == (steps * dt).tobytes()

@@ -190,13 +190,13 @@ def test_check_finite_returns_the_value_or_names_it():
         assert str(caught.value) == message
 
 
-def test_block_widths_are_pinned(monkeypatch):
+def test_block_widths_are_pinned(monkeypatch, tmp_path):
     # the widths the blocked passes take from the one budget at the sizes
     # the benchmark runs and a few larger ones, read off the passes
     # themselves: a change to errors.BLOCK_FLOATS or to a pass's floats per
     # item moves one of them
     import numpy as np
-    from thermofock import bargmann, bath, chain, errors
+    from thermofock import bargmann, bath, chain, errors, reports
 
     seen = []
 
@@ -212,13 +212,19 @@ def test_block_widths_are_pinned(monkeypatch):
         run()
         return [args for name, args in seen if name == what]
 
-    for module in (bargmann, chain):
+    for module in (bargmann, chain, reports):
         monkeypatch.setattr(module, "point_blocks",
                             recorder(module.__name__, errors.point_blocks))
     monkeypatch.setattr(bath, "_energy", recorder("draws", bath._energy))
     monkeypatch.setattr(chain, "chain_energy",
                         recorder("energy", chain.chain_energy))
 
+    # rows of a CSV table, 8 floats a cell: damp's 5 columns and relax's 2
+    for fields, width in ((5, 1638), (2, 4096)):
+        table = np.rec.fromarrays([np.zeros(5000)] * fields,
+                                  names=[f"c{n}" for n in range(fields)])
+        assert calls(reports.__name__, lambda: reports.write_csv(
+            tmp_path / "table.csv", table)) == [(5000, width)]
     # gram's points, 4 (n_max + 1) floats each, capped at POINT_BLOCK
     assert calls(bargmann.__name__, lambda: bargmann.gram_montecarlo(
         16, 1.0, 2000, 7)) == [(2000, 963)]
